@@ -35,7 +35,7 @@ from repro.chaos.scenarios import (
     FlashCrowd,
     ReadLoad,
     _honest_read_durations,
-    _p99,
+    _percentile,
 )
 from repro.content.kvstore import KVGet, KVPut
 from repro.net.deploy import NetDeploymentSpec, fast_protocol_config
@@ -112,7 +112,7 @@ def measure_admission(crowd: bool, qos: bool,
                 "qos": 1.0 if qos else 0.0,
                 "honest_reads": float(len(durations)),
                 "honest_reads_per_s": len(durations) / (t1 - t0),
-                "honest_p99_s": _p99(durations),
+                "honest_p99_s": _percentile(durations, 0.99),
                 "crowd_completed": float(
                     flood.completed if flood is not None else 0),
                 "qos_shed_total": counters.get("qos_shed_total", 0.0),

@@ -39,7 +39,7 @@ from repro.content.filesystem import FSRead, MemoryFileSystem
 from repro.content.kvstore import KVGet, KeyValueStore
 from repro.content.queries import ReadQuery, WriteOp
 from repro.content.store import ContentStore
-from repro.crypto.hashing import canonical_bytes
+from repro.crypto.hashing import canonical_record, record_template
 from repro.crypto.keys import KeyPair
 from repro.crypto.merkle import MerkleProof, MerkleTree
 from repro.crypto.signatures import PublicKey, Signature, new_signer
@@ -84,6 +84,9 @@ def leaf_items_of(store: ContentStore) -> dict[str, object]:
         f"state signing cannot authenticate {type(store).__name__}")
 
 
+_ROOT_RECORD = record_template("kind", "root", "version")
+
+
 @dataclass(frozen=True)
 class SignedRoot:
     """The publisher's signature over (root, version)."""
@@ -94,8 +97,8 @@ class SignedRoot:
 
     @staticmethod
     def payload(root: bytes, version: int) -> bytes:
-        return canonical_bytes({"kind": "merkle_root", "root": root,
-                                "version": version})
+        return canonical_record(_ROOT_RECORD, {
+            "kind": "merkle_root", "root": root, "version": version})
 
 
 @dataclass(frozen=True)

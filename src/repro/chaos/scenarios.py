@@ -98,6 +98,30 @@ class ScenarioVerdict:
         return [check for check in self.checks if not check.passed]
 
 
+async def _cancel_all(tasks: "list[asyncio.Task[None]]") -> None:
+    """Cancel load tasks and wait until every one has really ended.
+
+    ``wait_for`` can swallow a cancel that races the completion or the
+    timeout of the read it wraps (the 3.11 lost-cancellation window),
+    and under overload that race does get hit -- a task cancelled and
+    awaited exactly once can then run, and be awaited, forever.  The
+    load loops re-check their ``_stopping`` flag after each read, and
+    this cancels in rounds until they are all gone.
+
+    ``ReadLoad`` needs this as much as ``FlashCrowd``: stopped by one
+    cancel and one await per task, the honest readers of the unprotected
+    ``flash_crowd`` burst hang the scenario about one run in four.
+    """
+    pending = set(tasks)
+    while pending:
+        for task in pending:
+            task.cancel()
+        done, pending = await asyncio.wait(pending, timeout=2.0)
+        for task in done:
+            if not task.cancelled():
+                task.exception()  # retrieve, tasks may have failed
+
+
 class ReadLoad:
     """Continuous background reads, one task per client.
 
@@ -122,10 +146,12 @@ class ReadLoad:
         self.rejected = 0
         self.timeouts = 0
         self.accepted_at: list[float] = []
+        self._stopping = False
         self._tasks: list["asyncio.Task[None]"] = []
 
     def start(self) -> None:
         loop = asyncio.get_running_loop()
+        self._stopping = False
         self._tasks = [
             loop.create_task(self._run_one(client),
                              name=f"chaos-load:{client.node_id}")
@@ -134,7 +160,7 @@ class ReadLoad:
 
     async def _run_one(self, client: Any) -> None:
         try:
-            while True:
+            while not self._stopping:
                 try:
                     reply = await self.cluster.read(
                         client, self.query, timeout=self.timeout)
@@ -151,16 +177,11 @@ class ReadLoad:
             pass
 
     async def stop(self) -> None:
+        self._stopping = True
         # Take the task list before awaiting so a concurrent stop()
         # cannot re-cancel or re-await half-drained tasks.
         tasks, self._tasks = self._tasks, []
-        for task in tasks:
-            task.cancel()
-        for task in tasks:
-            try:
-                await task
-            except asyncio.CancelledError:
-                pass
+        await _cancel_all(tasks)
 
     def max_gap(self, start: float, end: float) -> float:
         """Longest stretch inside [start, end] with no accepted read."""
@@ -217,22 +238,9 @@ class FlashCrowd:
             pass
 
     async def stop(self) -> None:
-        # wait_for can swallow a cancel that races a read timeout (the
-        # 3.11 lost-cancellation window), and with this many tasks all
-        # timing out under shed pressure that race does get hit.  The
-        # _stopping flag guarantees a task whose cancel was eaten still
-        # exits after its in-flight read, so cancel and wait in rounds
-        # instead of awaiting each task exactly once.
         self._stopping = True
         tasks, self._tasks = self._tasks, []
-        pending: "set[asyncio.Task[None]]" = set(tasks)
-        while pending:
-            for task in pending:
-                task.cancel()
-            done, pending = await asyncio.wait(pending, timeout=2.0)
-            for task in done:
-                if not task.cancelled():
-                    task.exception()  # retrieve, tasks may have failed
+        await _cancel_all(tasks)
 
 
 def _preferred_master(client_id: str, num_masters: int) -> str:
@@ -831,12 +839,12 @@ async def slave_crash(seed: int = 0) -> ScenarioVerdict:
 # -- scenario: flash crowd vs admission control (repro.qos) ----------------
 
 
-def _p99(durations: list[float]) -> float:
-    """The p99 of a duration sample (inf when the sample is empty)."""
+def _percentile(durations: list[float], fraction: float) -> float:
+    """Nearest-rank percentile of a duration sample (inf when empty)."""
     if not durations:
         return float("inf")
     ordered = sorted(durations)
-    index = max(0, math.ceil(0.99 * len(ordered)) - 1)
+    index = max(0, math.ceil(fraction * len(ordered)) - 1)
     return ordered[index]
 
 
@@ -879,18 +887,72 @@ def _shed_breakdown(counters: dict[str, float]) -> tuple[float, float,
     return total, by_reason, by_client
 
 
-async def flash_crowd(seed: int = 0, qos: bool = True) -> ScenarioVerdict:
+#: ``honest_p99_slo``: the protected burst's honest read p99 may be at
+#: most this multiple of the unprotected burst's, both measured back to
+#: back on the same host.  This check detects ONE thing: admission
+#: control shedding honest traffic.  A shed honest read waits out
+#: ``request_timeout`` (1.25 s) before its retry, over three times the
+#: unprotected tail (0.15-0.4 s); anything subtler it cannot see, because
+#: a p99 over the 50-120 honest reads of one burst is nearly their
+#: maximum and the ratio swings 0.2-1.7 between identical runs (so
+#: admission control does sometimes leave the p99 worse).  That
+#: admission control *helps* is ``honest_median_protected``'s claim, on
+#: the statistic one burst can resolve.  The constant is not derived: it
+#: was picked above that observed swing on one 2-core host, below
+#: ``request_timeout`` / unprotected p99.
+P99_RATIO_BOUND = 3.0
+
+
+async def flash_crowd(seed: int = 0) -> ScenarioVerdict:
     """Greedy-client burst vs the serving plane's admission control.
+
+    The identical burst runs twice, back to back: first with the
+    wire-level limits off (the reference), then with them on.  The
+    verdict is the protected run's -- keep-alives must never miss the
+    Section 3.1 freshness window, every shed frame must be attributed
+    (total == by-reason == by-client), the safety oracle must pass --
+    plus two checks that judge its honest read latency *relative to the
+    reference* rather than against wall-clock constants tuned on one
+    machine: the p99 within :data:`P99_RATIO_BOUND` of the reference's
+    (which only detects a shed honest read, see there), and the median
+    strictly below the reference's (the contrast that justifies the qos
+    layer, on the statistic one burst can resolve: measured ratios
+    0.1-0.7).
+    """
+    reference = await _flash_crowd_burst(seed, qos=False)
+    verdict = await _flash_crowd_burst(seed, qos=True)
+    timings = verdict.timings
+    for key in ("burst_p50", "burst_p99"):
+        timings[f"unprotected_{key}"] = reference.timings[key]
+    timings["slo"] = round(
+        P99_RATIO_BOUND * reference.timings["burst_p99"], 4)
+    verdict.checks[:0] = [
+        _check(
+            "honest_p99_slo", timings["burst_p99"] <= timings["slo"],
+            f"honest read p99 {timings['burst_p99']:.3f}s with admission "
+            f"control vs {reference.timings['burst_p99']:.3f}s without "
+            f"(bound {P99_RATIO_BOUND}x = {timings['slo']:.3f}s)"),
+        _check(
+            "honest_median_protected",
+            timings["burst_p50"] < reference.timings["burst_p50"],
+            f"honest read p50 {timings['burst_p50']:.3f}s with admission "
+            f"control vs {reference.timings['burst_p50']:.3f}s without"),
+        _check(
+            "reference_unprotected",
+            reference.counters.get("qos_shed_total", 0) == 0,
+            "the reference burst ran with no frame shed"),
+    ]
+    verdict.passed = all(check.passed for check in verdict.checks)
+    return verdict
+
+
+async def _flash_crowd_burst(seed: int, qos: bool) -> ScenarioVerdict:
+    """One burst against a fresh cluster; everything but the latency
+    judgement, which needs both settings (see :func:`flash_crowd`).
 
     Two honest readers keep a steady trickle going; six greedy clients
     then pin ~288 concurrent reads (each also double-checking with its
-    master) against the same slaves for several seconds.  The verdict is
-    span-derived: honest read p99 during the burst must stay within an
-    SLO derived from the pre-burst baseline, keep-alives must never miss
-    the Section 3.1 freshness window, and every shed frame must be
-    attributed (total == by-reason == by-client).  ``qos=False`` runs
-    the identical burst with admission control off -- the configuration
-    the SLO demonstrably does NOT survive (asserted in tests).
+    master) against the same slaves for several seconds.
     """
     keepalive = 0.2
     honest_count, greedy_count = 2, 6
@@ -954,20 +1016,14 @@ async def flash_crowd(seed: int = 0, qos: bool = True) -> ScenarioVerdict:
             f"crowd-target write: {bulk['status']}"))
         await asyncio.sleep(config.max_latency + keepalive)
 
-        # Baseline window: honest trickle alone, to derive the SLO from
-        # what this host can actually do rather than a magic number.
+        # Baseline window: the honest trickle alone, reported so a
+        # verdict shows what the burst cost on this host.
         load.start()
         baseline_t0 = cluster.scheduler.now
         await asyncio.sleep(2.0)
         baseline_t1 = cluster.scheduler.now
-        baseline_p99 = _p99(_honest_read_durations(
-            cluster, honest_ids, baseline_t0, baseline_t1))
-        # Floor at 0.1s (noise immunity on slow hosts), cap at 0.15s so
-        # a noisy baseline sample cannot inflate the SLO into something
-        # even the unprotected burst satisfies.
-        slo = min(max(4.0 * baseline_p99, 0.1), 0.15)
-        timings["baseline_p99"] = baseline_p99
-        timings["slo"] = slo
+        timings["baseline_p99"] = _percentile(_honest_read_durations(
+            cluster, honest_ids, baseline_t0, baseline_t1), 0.99)
 
         # The burst: ~288 closed-loop greedy reads in flight.
         crowd.start()
@@ -984,13 +1040,8 @@ async def flash_crowd(seed: int = 0, qos: bool = True) -> ScenarioVerdict:
 
         burst_durations = _honest_read_durations(
             cluster, honest_ids, burst_t0, burst_t1)
-        burst_p99 = _p99(burst_durations)
-        timings["burst_p99"] = burst_p99
-        checks.append(_check(
-            "honest_p99_slo", burst_p99 <= slo,
-            f"honest read p99 {burst_p99:.3f}s over {len(burst_durations)}"
-            f" reads during the burst vs SLO {slo:.3f}s "
-            f"(baseline p99 {baseline_p99:.3f}s)"))
+        timings["burst_p50"] = _percentile(burst_durations, 0.5)
+        timings["burst_p99"] = _percentile(burst_durations, 0.99)
 
         # Keep-alives are never shed: every slave's freshness window
         # must hold right through the burst.
@@ -1024,8 +1075,7 @@ async def flash_crowd(seed: int = 0, qos: bool = True) -> ScenarioVerdict:
             f"attempts, {crowd.completed} completed"))
         await _drain(cluster)
         checks.extend(run_safety_checks(cluster))
-        name = "flash_crowd" if qos else "flash_crowd_unprotected"
-        return _verdict(cluster, name, seed, checks, timings)
+        return _verdict(cluster, "flash_crowd", seed, checks, timings)
     finally:
         await crowd.stop()
         await load.stop()

@@ -12,6 +12,7 @@ their operation classes with :func:`register_operation` at import time.
 
 from __future__ import annotations
 
+import functools
 from dataclasses import asdict, dataclass, fields
 from typing import Any, ClassVar
 
@@ -20,6 +21,21 @@ from repro.crypto.hashing import sha1_hex
 
 class UnsupportedQueryError(Exception):
     """An engine received an operation type it does not implement."""
+
+
+#: Leaf types ``dataclasses.asdict`` hands back as they are.  An
+#: operation whose fields are all of these needs no deep copy.
+_ATOMIC = frozenset({str, int, float, bool, bytes, type(None)})
+
+
+@functools.cache
+def _wire_shape(cls: type) -> tuple[tuple[str, ...], tuple[str, ...]]:
+    """``(field names, names of the tuple-typed fields)`` of an operation
+    class, worked out once per class instead of once per message."""
+    declared = fields(cls)
+    return (tuple(f.name for f in declared),
+            tuple(f.name for f in declared
+                  if str(f.type).startswith("tuple")))
 
 
 @dataclass(frozen=True)
@@ -34,7 +50,13 @@ class Operation:
 
     def to_wire(self) -> dict[str, Any]:
         """Serialise to a plain dict suitable for canonical hashing."""
-        payload = asdict(self)
+        payload: dict[str, Any] = {}
+        for name in _wire_shape(self.__class__)[0]:
+            value = getattr(self, name)
+            if value.__class__ not in _ATOMIC:
+                payload = asdict(self)
+                break
+            payload[name] = value
         payload["op"] = self.op_name
         return payload
 
@@ -79,12 +101,13 @@ def operation_from_wire(payload: dict[str, Any]) -> Operation:
         cls = _REGISTRY[name]
     except KeyError:
         raise ValueError(f"unknown operation type {name!r}") from None
-    kwargs = {f.name: payload[f.name] for f in fields(cls)}
+    names, tuple_names = _wire_shape(cls)
+    kwargs = {name: payload[name] for name in names}
     # Wire payloads that crossed a JSON boundary turn tuples into lists;
     # normalise tuple-typed fields back.
-    for f in fields(cls):
-        if isinstance(kwargs[f.name], list) and f.type.startswith("tuple"):
-            kwargs[f.name] = tuple(
-                tuple(v) if isinstance(v, list) else v for v in kwargs[f.name]
+    for name in tuple_names:
+        if isinstance(kwargs[name], list):
+            kwargs[name] = tuple(
+                tuple(v) if isinstance(v, list) else v for v in kwargs[name]
             )
     return cls(**kwargs)

@@ -133,9 +133,16 @@ def store_from_wire(payload: dict[str, Any]) -> ContentStore:
             from None
     try:
         cls = _ENGINE_REGISTRY[name]
-    except KeyError:
+    except (KeyError, TypeError):
         raise ValueError(f"unknown store engine {name!r}") from None
-    return cls.from_snapshot_wire(payload)
+    try:
+        return cls.from_snapshot_wire(payload)
+    except (LookupError, TypeError, AttributeError) as exc:
+        # Snapshots arrive off the wire: a payload naming a real engine
+        # but missing or mistyping its fields is malformed input, not a
+        # crash in whoever decodes it.
+        raise ValueError(
+            f"malformed {name!r} store snapshot: {exc!r}") from None
 
 
 _ENGINES_IMPORTED = False

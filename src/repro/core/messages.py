@@ -21,7 +21,7 @@ from typing import Any
 from repro.content.store import ContentStore
 from repro.crypto import fastpath
 from repro.crypto.certificates import Certificate
-from repro.crypto.hashing import canonical_bytes
+from repro.crypto.hashing import canonical_record, record_template
 from repro.crypto.keys import KeyPair
 from repro.crypto.signatures import PublicKey, Signature
 
@@ -32,6 +32,8 @@ from repro.crypto.signatures import PublicKey, Signature
 
 
 # -- version stamps (Section 3.1) --------------------------------------
+
+_STAMP_RECORD = record_template("kind", "version", "timestamp", "master_id")
 
 
 @dataclass(frozen=True, slots=True)
@@ -56,7 +58,7 @@ class VersionStamp:
 
     @staticmethod
     def _payload(version: int, timestamp: float, master_id: str) -> bytes:
-        return canonical_bytes({
+        return canonical_record(_STAMP_RECORD, {
             "kind": "version_stamp",
             "version": version,
             "timestamp": timestamp,
@@ -101,6 +103,10 @@ class VersionStamp:
 
 # -- pledges (Section 3.2) -----------------------------------------------
 
+_PLEDGE_RECORD = record_template(
+    "kind", "query", "result_hash", "stamp_version", "stamp_timestamp",
+    "stamp_master", "stamp_signature", "slave_id", "request_id")
+
 
 @dataclass(frozen=True, slots=True)
 class Pledge:
@@ -125,7 +131,7 @@ class Pledge:
     @staticmethod
     def _payload(query_wire: Any, result_hash: str, stamp: VersionStamp,
                  slave_id: str, request_id: str) -> bytes:
-        return canonical_bytes({
+        return canonical_record(_PLEDGE_RECORD, {
             "kind": "pledge",
             "query": query_wire,
             "result_hash": result_hash,

@@ -16,13 +16,18 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 from repro.crypto import fastpath
-from repro.crypto.hashing import canonical_bytes
+from repro.crypto.hashing import canonical_record, record_template
 from repro.crypto.keys import KeyPair
 from repro.crypto.signatures import PublicKey, Signature
 
 
 class CertificateError(Exception):
     """Raised when a certificate fails verification."""
+
+
+_CERTIFICATE_RECORD = record_template(
+    "kind", "subject_id", "address", "public_key", "issuer_id",
+    "issued_at", "expires_at")
 
 
 @dataclass(frozen=True, slots=True)
@@ -47,7 +52,7 @@ class Certificate:
                         subject_public_key: PublicKey,
                         issuer_id: str, issued_at: float,
                         expires_at: float) -> bytes:
-        return canonical_bytes({
+        return canonical_record(_CERTIFICATE_RECORD, {
             "kind": "certificate",
             "subject_id": subject_id,
             "address": address,

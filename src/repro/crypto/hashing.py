@@ -14,13 +14,17 @@ query result is first reduced to *canonical bytes*:
 The auditor and the double-check path reuse the same canonicalisation, which
 is what makes a pledge packet "an irrefutable proof" (Section 3.3): a hash
 mismatch cannot be explained away by encoding differences.
+
+Signed payloads (pledges, stamps, certificates, shard maps, merkle roots)
+are canonical bytes too: dicts with a fixed key set, serialised through a
+:func:`record_template` so that only their values are framed per message.
 """
 
 from __future__ import annotations
 
 import hashlib
 import hmac
-from typing import Any
+from typing import Any, Callable, NamedTuple
 
 from repro.crypto import fastpath
 
@@ -72,26 +76,61 @@ def canonical_bytes(value: Any) -> bytes:
     return b"".join(out)
 
 
+def _frame(tag: bytes, payload: bytes) -> bytes:
+    """Tag + length-prefix framing so concatenations cannot be ambiguous."""
+    return b"%b%d:%b" % (tag, len(payload), payload)
+
+
+def _frame_count(count: int) -> bytes:
+    return str(count).encode("ascii") + b";"
+
+
+def _frame_none(value: None) -> bytes:
+    return _TAG_NONE
+
+
+def _frame_bool(value: bool) -> bytes:
+    return _TAG_BOOL + (b"1" if value else b"0")
+
+
+def _frame_int(value: int) -> bytes:
+    return _frame(_TAG_INT, str(value).encode("ascii"))
+
+
+def _frame_float(value: float) -> bytes:
+    if value == 0.0:
+        value = 0.0  # canonicalise -0.0: equal values, equal bytes
+    # repr() round-trips floats exactly in Python 3.
+    return _frame(_TAG_FLOAT, repr(value).encode("ascii"))
+
+
+def _frame_str(value: str) -> bytes:
+    return _frame(_TAG_STR, value.encode("utf-8"))
+
+
+def _frame_bytes(value: bytes | bytearray) -> bytes:
+    return _frame(_TAG_BYTES, bytes(value))
+
+
+#: Exact scalar class -> its framing: the one definition of a scalar's
+#: canonical bytes, shared by the generic walker and the record
+#: templates.  Subclasses (whose ``str``/``repr`` may differ) miss here
+#: and are framed by the walker as the base class they derive from.
+_SCALAR_FRAMERS: dict[type, Callable[[Any], bytes]] = {
+    str: _frame_str,
+    int: _frame_int,
+    float: _frame_float,
+    bool: _frame_bool,
+    bytes: _frame_bytes,
+    bytearray: _frame_bytes,
+    type(None): _frame_none,
+}
+
+
 def _serialise(value: Any, out: list[bytes]) -> None:
-    if value is None:
-        out.append(_TAG_NONE)
-    elif isinstance(value, bool):
-        # bool before int: bool is an int subclass.
-        out.append(_TAG_BOOL + (b"1" if value else b"0"))
-    elif isinstance(value, int):
-        encoded = str(value).encode("ascii")
-        out.append(_TAG_INT + _frame(encoded))
-    elif isinstance(value, float):
-        if value == 0.0:
-            value = 0.0  # canonicalise -0.0: equal values, equal bytes
-        # repr() round-trips floats exactly in Python 3.
-        encoded = repr(value).encode("ascii")
-        out.append(_TAG_FLOAT + _frame(encoded))
-    elif isinstance(value, str):
-        encoded = value.encode("utf-8")
-        out.append(_TAG_STR + _frame(encoded))
-    elif isinstance(value, (bytes, bytearray)):
-        out.append(_TAG_BYTES + _frame(bytes(value)))
+    framer = _SCALAR_FRAMERS.get(value.__class__)
+    if framer is not None:
+        out.append(framer(value))
     elif isinstance(value, list):
         out.append(_TAG_LIST + _frame_count(len(value)))
         for item in value:
@@ -110,6 +149,10 @@ def _serialise(value: Any, out: list[bytes]) -> None:
         for item in sorted(value, key=_sort_key):
             _serialise(item, out)
     else:
+        for base in value.__class__.__mro__:
+            if base in _SCALAR_FRAMERS:  # an IntEnum, a str subclass
+                out.append(_SCALAR_FRAMERS[base](value))
+                return
         raise TypeError(
             f"cannot canonically serialise {type(value).__name__!r}; "
             "query results must be built from plain data types"
@@ -121,13 +164,59 @@ def _sort_key(value: Any) -> tuple[str, str]:
     return (type(value).__name__, repr(value))
 
 
-def _frame(payload: bytes) -> bytes:
-    """Length-prefix framing so concatenations cannot be ambiguous."""
-    return str(len(payload)).encode("ascii") + b":" + payload
+# -- fixed-shape signed records -------------------------------------------
 
 
-def _frame_count(count: int) -> bytes:
-    return str(count).encode("ascii") + b";"
+class RecordTemplate(NamedTuple):
+    """Precomputed framing of a dict record with a fixed set of str keys."""
+
+    #: Dict tag and entry count.
+    head: bytes
+    #: ``(name, framed key)`` in canonical (sorted) emission order.
+    keys: tuple[tuple[str, bytes], ...]
+
+
+def record_template(*names: str) -> RecordTemplate:
+    """Precompute the key framing of ``{name: ..., ...}`` records.
+
+    Every signed structure of the protocol (pledge, version stamp,
+    certificate, shard map, merkle root) is a dict with a fixed key set
+    whose values change per message.  The key order and key bytes are a
+    function of the names alone, so they are worked out once here and
+    :func:`canonical_record` only frames the values.
+    """
+    if len(set(names)) != len(names):
+        raise ValueError(f"duplicate record field in {names!r}")
+    return RecordTemplate(
+        head=_TAG_DICT + _frame_count(len(names)),
+        keys=tuple((name, _frame_str(name))
+                   for name in sorted(names, key=_sort_key)))
+
+
+def canonical_record(template: RecordTemplate,
+                     fields: dict[str, Any]) -> bytes:
+    """``canonical_bytes(fields)`` for a dict matching ``template``.
+
+    Byte-identical to the generic serialiser by construction: scalars
+    go through the same framers, and any other value -- a container, or
+    whatever a hostile peer put where a scalar belongs -- is handed to
+    :func:`canonical_bytes`, so the bytes and the ``TypeError`` for
+    unserialisable values are unchanged.  The record itself is not
+    memoised: signed payloads carry a unique request id or timestamp,
+    so caching them only evicted the entries that do repeat.
+    """
+    keys = template.keys
+    if len(fields) != len(keys):
+        raise ValueError(
+            f"record has {len(fields)} fields, template {len(keys)}")
+    out = [template.head]
+    for name, key_frame in keys:
+        value = fields[name]
+        framer = _SCALAR_FRAMERS.get(value.__class__)
+        out.append(key_frame)
+        out.append(framer(value) if framer is not None
+                   else canonical_bytes(value))
+    return b"".join(out)
 
 
 def constant_time_equals(left: str | bytes | bytearray,

@@ -168,8 +168,9 @@ def _hmac_verify(public_key: HMACPublicKey, message: bytes,
                  signature: object) -> bool:
     if not isinstance(signature, (bytes, bytearray)):
         return False
-    expected = hmac.new(public_key.key_bytes, message,
-                        hashlib.sha1).digest()
+    # One-shot digest: no HMAC object and no key schedule rebuilt in
+    # Python per verification (tags equal hmac.new(...).digest()).
+    expected = hmac.digest(public_key.key_bytes, message, "sha1")
     return hmac.compare_digest(expected, bytes(signature))
 
 

@@ -32,6 +32,7 @@ dying.
 from __future__ import annotations
 
 import dataclasses
+import operator
 import struct
 from typing import Any, Callable, Iterator
 
@@ -93,6 +94,7 @@ _T_DICT = 0x64  # 'd'
 _T_SET = 0x53  # 'S'
 _T_FROZENSET = 0x5A  # 'Z'
 _T_EXT = 0x78  # 'x'
+_TUPLE_TAG = bytes((_T_TUPLE,))
 
 
 @dataclasses.dataclass(frozen=True, slots=True)
@@ -127,23 +129,47 @@ class FrameBatch:
 # -- extension registry -----------------------------------------------------
 
 _EncodeFn = Callable[[Any, bytearray], None]
-_DecodeFn = Callable[[memoryview, int], "tuple[Any, int]"]
+_DecodeFn = Callable[[bytes, int], "tuple[Any, int]"]
 
+
+class _EncoderTable(dict[type, _EncodeFn]):
+    """Exact class -> encoder of one complete value (tag included).
+
+    Encoding is one lookup on ``value.__class__`` and one call: plain
+    data types and every registered wire class have an entry, and a
+    class without one is not encodable -- except store engines, which
+    register their concrete classes lazily and so resolve to the
+    :class:`ContentStore` base entry.
+    """
+
+    def __missing__(self, cls: type) -> _EncodeFn:
+        if issubclass(cls, ContentStore):
+            return self[ContentStore]
+        raise CodecError(
+            f"cannot encode {cls.__module__}.{cls.__name__} "
+            "(not a wire-registered type)"
+        )
+
+
+_ENCODE = _EncoderTable()
 _BY_TYPE: dict[type, int] = {}
-_ENCODERS: dict[int, _EncodeFn] = {}
 _DECODERS: dict[int, _DecodeFn] = {}
 _TYPE_NAMES: dict[int, str] = {}
 
 
-def _register(type_id: int, cls: type, encode: _EncodeFn,
-              decode: _DecodeFn) -> None:
+def _register(type_id: int, cls: type, encode_payload: _EncodeFn | None,
+              decode: _DecodeFn | None) -> None:
+    """Bind ``cls`` to ``type_id``; ``None`` means the dataclass codec."""
     if type_id in _DECODERS:
         raise ValueError(f"duplicate wire type id {type_id}")
     if cls in _BY_TYPE:
         raise ValueError(f"{cls.__name__} already registered")
+    header = bytes((_T_EXT,)) + _encode_varint(type_id)
     _BY_TYPE[cls] = type_id
-    _ENCODERS[type_id] = encode
-    _DECODERS[type_id] = decode
+    _ENCODE[cls] = _dataclass_encoder(cls, header) \
+        if encode_payload is None else _headed(header, encode_payload)
+    _DECODERS[type_id] = _dataclass_decoder(cls) if decode is None \
+        else decode
     _TYPE_NAMES[type_id] = cls.__name__
 
 
@@ -174,7 +200,8 @@ def _encode_varint(value: int) -> bytes:
     return bytes(out)
 
 
-def _decode_varint(buf: memoryview, pos: int) -> tuple[int, int]:
+def _decode_varint(buf: bytes, pos: int) -> tuple[int, int]:
+    """Multi-byte varints; :func:`_decode_value` inlines the 1-byte case."""
     result = 0
     shift = 0
     while True:
@@ -191,166 +218,204 @@ def _decode_varint(buf: memoryview, pos: int) -> tuple[int, int]:
 
 
 # -- value encoding ---------------------------------------------------------
+#
+# One encoder per exact class, each writing its tag, a length or count
+# where the format has one (a single byte below 128, which is nearly
+# always) and the payload.  Containers dispatch their items through
+# ``_ENCODE`` again, so a whole message is encoded without passing a
+# type test it does not need.
+
+_DOUBLE = struct.Struct(">d")
 
 
-def _encode_value(value: Any, out: bytearray) -> None:
-    if value is None:
-        out.append(_T_NONE)
-    elif value is True:
-        out.append(_T_TRUE)
-    elif value is False:
-        out.append(_T_FALSE)
-    elif type(value) is int:
-        length = (value.bit_length() + 8) // 8  # room for the sign bit
-        out.append(_T_INT)
-        _append_varint(out, length)
-        out += value.to_bytes(length, "big", signed=True)
-    elif type(value) is float:
-        out.append(_T_FLOAT)
-        out += struct.pack(">d", value)
-    elif type(value) is str:
-        raw = value.encode("utf-8")
-        out.append(_T_STR)
-        _append_varint(out, len(raw))
-        out += raw
-    elif type(value) in (bytes, bytearray, memoryview):
-        raw = bytes(value)
-        out.append(_T_BYTES)
-        _append_varint(out, len(raw))
-        out += raw
-    elif type(value) is list:
-        out.append(_T_LIST)
-        _append_varint(out, len(value))
-        for item in value:
-            _encode_value(item, out)
-    elif type(value) is tuple:
-        out.append(_T_TUPLE)
-        _append_varint(out, len(value))
-        for item in value:
-            _encode_value(item, out)
-    elif type(value) is dict:
-        out.append(_T_DICT)
-        _append_varint(out, len(value))
-        for key, item in value.items():
-            _encode_value(key, out)
-            _encode_value(item, out)
-    elif type(value) in (set, frozenset):
-        out.append(_T_SET if type(value) is set else _T_FROZENSET)
-        # Deterministic order: sort members by their own encoding.
-        encoded = sorted(encode_value(item) for item in value)
-        _append_varint(out, len(encoded))
-        for blob in encoded:
-            out += blob
+def _encode_none(value: None, out: bytearray) -> None:
+    out.append(_T_NONE)
+
+
+def _encode_bool(value: bool, out: bytearray) -> None:
+    out.append(_T_TRUE if value else _T_FALSE)
+
+
+def _encode_int(value: int, out: bytearray) -> None:
+    length = (value.bit_length() + 8) // 8  # room for the sign bit
+    out.append(_T_INT)
+    if length < 0x80:
+        out.append(length)
     else:
-        _encode_extension(value, out)
+        _append_varint(out, length)
+    out += value.to_bytes(length, "big", signed=True)
 
 
-def _encode_extension(value: Any, out: bytearray) -> None:
-    cls = type(value)
-    type_id = _BY_TYPE.get(cls)
-    if type_id is None:
-        # Store engines register their concrete classes lazily; fall back
-        # to the ContentStore base entry for any engine instance.
-        if isinstance(value, ContentStore):
-            type_id = _BY_TYPE[ContentStore]
-        else:
-            raise CodecError(
-                f"cannot encode {cls.__module__}.{cls.__name__} "
-                "(not a wire-registered type)"
-            )
-    out.append(_T_EXT)
-    _append_varint(out, type_id)
-    _ENCODERS[type_id](value, out)
+def _encode_float(value: float, out: bytearray) -> None:
+    out.append(_T_FLOAT)
+    out += _DOUBLE.pack(value)
+
+
+def _encode_str(value: str, out: bytearray) -> None:
+    raw = value.encode("utf-8")
+    out.append(_T_STR)
+    if len(raw) < 0x80:
+        out.append(len(raw))
+    else:
+        _append_varint(out, len(raw))
+    out += raw
+
+
+def _encode_bytes(value: bytes | bytearray | memoryview,
+                  out: bytearray) -> None:
+    raw = bytes(value)
+    out.append(_T_BYTES)
+    if len(raw) < 0x80:
+        out.append(len(raw))
+    else:
+        _append_varint(out, len(raw))
+    out += raw
+
+
+def _encode_list(value: list[Any], out: bytearray) -> None:
+    out.append(_T_LIST)
+    _append_varint(out, len(value))
+    for item in value:
+        _ENCODE[item.__class__](item, out)
+
+
+def _encode_tuple(value: tuple[Any, ...], out: bytearray) -> None:
+    out.append(_T_TUPLE)
+    _append_varint(out, len(value))
+    for item in value:
+        _ENCODE[item.__class__](item, out)
+
+
+def _encode_dict(value: dict[Any, Any], out: bytearray) -> None:
+    out.append(_T_DICT)
+    _append_varint(out, len(value))
+    for key, item in value.items():
+        _ENCODE[key.__class__](key, out)
+        _ENCODE[item.__class__](item, out)
+
+
+def _encode_set(value: set[Any] | frozenset[Any], out: bytearray) -> None:
+    out.append(_T_SET if value.__class__ is set else _T_FROZENSET)
+    # Deterministic order: sort members by their own encoding.
+    encoded = sorted(encode_value(item) for item in value)
+    _append_varint(out, len(encoded))
+    for blob in encoded:
+        out += blob
+
+
+_ENCODE.update({
+    type(None): _encode_none, bool: _encode_bool, int: _encode_int,
+    float: _encode_float, str: _encode_str, bytes: _encode_bytes,
+    bytearray: _encode_bytes, memoryview: _encode_bytes,
+    list: _encode_list, tuple: _encode_tuple, dict: _encode_dict,
+    set: _encode_set, frozenset: _encode_set,
+})
 
 
 def encode_value(value: Any) -> bytes:
     """Encode one value (without frame header)."""
     out = bytearray()
-    _encode_value(value, out)
+    _ENCODE[value.__class__](value, out)
     return bytes(out)
 
 
-def _decode_value(buf: memoryview, pos: int) -> tuple[Any, int]:
-    if pos >= len(buf):
+# -- value decoding ---------------------------------------------------------
+
+#: Tags followed by a varint (a length, a count or a type id).
+_VARINT_TAGS = frozenset((_T_STR, _T_EXT, _T_TUPLE, _T_INT, _T_BYTES,
+                          _T_DICT, _T_LIST, _T_SET, _T_FROZENSET))
+
+
+def _decode_value(buf: bytes, pos: int) -> tuple[Any, int]:
+    """Decode the value starting at ``buf[pos]``; returns it and the
+    offset after it.  Tags are tested most frequent first."""
+    end = len(buf)
+    if pos >= end:
         raise TruncatedFrame("value tag runs past end of frame")
     tag = buf[pos]
     pos += 1
+    if tag in _VARINT_TAGS:
+        if pos >= end:
+            raise TruncatedFrame("varint runs past end of frame")
+        number = buf[pos]
+        if number < 0x80:
+            pos += 1
+        else:
+            number, pos = _decode_varint(buf, pos)
+        if tag == _T_STR:
+            stop = pos + number
+            if stop > end:
+                raise _short(buf, pos, number)
+            try:
+                return buf[pos:stop].decode("utf-8"), stop
+            except UnicodeDecodeError as exc:
+                raise CodecError(
+                    f"invalid utf-8 in string: {exc}") from None
+        if tag == _T_EXT:
+            decoder = _DECODERS.get(number)
+            if decoder is None:
+                raise UnknownWireType(f"unknown wire type id {number}")
+            return decoder(buf, pos)
+        if tag == _T_INT:
+            stop = pos + number
+            if stop > end:
+                raise _short(buf, pos, number)
+            return int.from_bytes(buf[pos:stop], "big", signed=True), stop
+        if tag == _T_BYTES:
+            stop = pos + number
+            if stop > end:
+                raise _short(buf, pos, number)
+            return buf[pos:stop], stop
+        if tag == _T_DICT:
+            result: dict[Any, Any] = {}
+            for _ in range(number):
+                key, pos = _decode_value(buf, pos)
+                item, pos = _decode_value(buf, pos)
+                try:
+                    result[key] = item
+                except TypeError as exc:
+                    raise CodecError(
+                        f"unhashable dict key: {exc}") from None
+            return result, pos
+        items = []
+        for _ in range(number):
+            item, pos = _decode_value(buf, pos)
+            items.append(item)
+        if tag == _T_TUPLE:
+            return tuple(items), pos
+        if tag == _T_LIST:
+            return items, pos
+        try:
+            return (set(items) if tag == _T_SET else frozenset(items)), pos
+        except TypeError as exc:
+            raise CodecError(f"unhashable set member: {exc}") from None
     if tag == _T_NONE:
         return None, pos
     if tag == _T_TRUE:
         return True, pos
     if tag == _T_FALSE:
         return False, pos
-    if tag == _T_INT:
-        length, pos = _decode_varint(buf, pos)
-        raw = _take(buf, pos, length)
-        return int.from_bytes(raw, "big", signed=True), pos + length
     if tag == _T_FLOAT:
-        raw = _take(buf, pos, 8)
-        return struct.unpack(">d", raw)[0], pos + 8
-    if tag == _T_STR:
-        length, pos = _decode_varint(buf, pos)
-        raw = _take(buf, pos, length)
-        try:
-            return bytes(raw).decode("utf-8"), pos + length
-        except UnicodeDecodeError as exc:
-            raise CodecError(f"invalid utf-8 in string: {exc}") from None
-    if tag == _T_BYTES:
-        length, pos = _decode_varint(buf, pos)
-        raw = _take(buf, pos, length)
-        return bytes(raw), pos + length
-    if tag in (_T_LIST, _T_TUPLE, _T_SET, _T_FROZENSET):
-        count, pos = _decode_varint(buf, pos)
-        items = []
-        for _ in range(count):
-            item, pos = _decode_value(buf, pos)
-            items.append(item)
-        if tag == _T_LIST:
-            return items, pos
-        if tag == _T_TUPLE:
-            return tuple(items), pos
-        if tag == _T_SET:
-            return _to_set(items, frozen=False), pos
-        return _to_set(items, frozen=True), pos
-    if tag == _T_DICT:
-        count, pos = _decode_varint(buf, pos)
-        result: dict[Any, Any] = {}
-        for _ in range(count):
-            key, pos = _decode_value(buf, pos)
-            item, pos = _decode_value(buf, pos)
-            try:
-                result[key] = item
-            except TypeError as exc:
-                raise CodecError(f"unhashable dict key: {exc}") from None
-        return result, pos
-    if tag == _T_EXT:
-        type_id, pos = _decode_varint(buf, pos)
-        decoder = _DECODERS.get(type_id)
-        if decoder is None:
-            raise UnknownWireType(f"unknown wire type id {type_id}")
-        return decoder(buf, pos)
+        if pos + 8 > end:
+            raise _short(buf, pos, 8)
+        return _DOUBLE.unpack_from(buf, pos)[0], pos + 8
     raise CodecError(f"unknown value tag 0x{tag:02x}")
 
 
-def _to_set(items: list[Any], frozen: bool) -> Any:
-    try:
-        return frozenset(items) if frozen else set(items)
-    except TypeError as exc:
-        raise CodecError(f"unhashable set member: {exc}") from None
-
-
-def _take(buf: memoryview, pos: int, length: int) -> memoryview:
-    if length < 0 or pos + length > len(buf):
-        raise TruncatedFrame(
-            f"need {length} bytes at offset {pos}, frame has {len(buf)}"
-        )
-    return buf[pos:pos + length]
+def _short(buf: bytes, pos: int, length: int) -> TruncatedFrame:
+    return TruncatedFrame(
+        f"need {length} bytes at offset {pos}, frame has {len(buf)}")
 
 
 def decode_value(data: bytes | memoryview) -> Any:
     """Decode one value; the buffer must contain exactly one value."""
-    buf = memoryview(data)
-    value, pos = _decode_value(buf, 0)
+    buf = data if isinstance(data, bytes) else bytes(data)
+    try:
+        value, pos = _decode_value(buf, 0)
+    except RecursionError:
+        # A few KiB of nested list tags is enough to exhaust the stack;
+        # that is a malformed frame, not a crash in the reader task.
+        raise CodecError("value nested too deeply") from None
     if pos != len(buf):
         raise CodecError(
             f"{len(buf) - pos} trailing bytes after value"
@@ -369,7 +434,7 @@ def encode_frame(value: Any) -> bytes:
     header + body concatenation copy.
     """
     out = bytearray(HEADER_SIZE)
-    _encode_value(value, out)
+    _ENCODE[value.__class__](value, out)
     length = len(out) - HEADER_SIZE
     if length > MAX_FRAME_BYTES:
         raise FrameTooLarge(
@@ -400,8 +465,8 @@ def parse_header(header: bytes) -> int:
 
 def decode_frame(data: bytes | memoryview) -> Any:
     """Decode one complete frame (header + body)."""
-    buf = memoryview(data)
-    length = parse_header(bytes(buf[:HEADER_SIZE]))
+    buf = data if isinstance(data, bytes) else bytes(data)
+    length = parse_header(buf[:HEADER_SIZE])
     body = buf[HEADER_SIZE:]
     if len(body) != length:
         raise TruncatedFrame(
@@ -411,28 +476,69 @@ def decode_frame(data: bytes | memoryview) -> Any:
 
 
 # -- extension codecs -------------------------------------------------------
+#
+# An extension travels as ``_T_EXT``, its wire type id, then a payload.
+# For a dataclass the payload is the tuple of its ``__init__`` field
+# values; ``init=False`` fields (the ``_payload_cache`` memos) are
+# neither sent nor restored -- a decoded message rebuilds its signed
+# payload from scratch, exactly like a freshly constructed one.
 
 
-def _dataclass_codec(cls: type) -> tuple[_EncodeFn, _DecodeFn]:
-    """Generic codec for a dataclass: the tuple of init-field values.
-
-    ``init=False`` fields (the ``_payload_cache`` memos) are neither sent
-    nor restored -- a decoded message rebuilds its signed payload from
-    scratch, exactly like a freshly constructed one.
-    """
-    init_fields = tuple(f.name for f in dataclasses.fields(cls) if f.init)
+def _headed(header: bytes, encode_payload: _EncodeFn) -> _EncodeFn:
+    """A full extension encoder from a hand-written payload encoder."""
 
     def encode(value: Any, out: bytearray) -> None:
-        values = tuple(getattr(value, name) for name in init_fields)
-        _encode_value(values, out)
+        out += header
+        encode_payload(value, out)
 
-    def decode(buf: memoryview, pos: int) -> tuple[Any, int]:
-        values, pos = _decode_value(buf, pos)
-        if not isinstance(values, tuple) or len(values) != len(init_fields):
+    return encode
+
+
+def _init_fields(cls: type) -> tuple[str, ...]:
+    return tuple(f.name for f in dataclasses.fields(cls) if f.init)
+
+
+def _dataclass_encoder(cls: type, header: bytes) -> _EncodeFn:
+    """Compile ``cls``'s encoder: everything that depends only on the
+    class (extension header, tuple tag, field count, which attributes
+    to read) is worked out here, once."""
+    names = _init_fields(cls)
+    prefix = header + _TUPLE_TAG + _encode_varint(len(names))
+    getters = tuple(operator.attrgetter(name) for name in names)
+
+    def encode(value: Any, out: bytearray) -> None:
+        out += prefix
+        for get in getters:
+            item = get(value)
+            _ENCODE[item.__class__](item, out)
+
+    return encode
+
+
+def _dataclass_decoder(cls: type) -> _DecodeFn:
+    arity = len(_init_fields(cls))
+    #: What the encoder writes ahead of the fields (arity < 128 always).
+    canonical = _TUPLE_TAG + _encode_varint(arity)
+
+    def decode(buf: bytes, pos: int) -> tuple[Any, int]:
+        count = arity
+        if buf.startswith(canonical, pos):
+            pos += len(canonical)
+        elif buf[pos:pos + 1] == _TUPLE_TAG:
+            count, pos = _decode_varint(buf, pos + 1)  # padded, or wrong
+        else:
+            # Malformed input fails as the value it is would; a value
+            # that does decode is still not this class's payload.
+            _decode_value(buf, pos)
             raise CodecError(
-                f"{cls.__name__} payload must be a "
-                f"{len(init_fields)}-tuple"
-            )
+                f"{cls.__name__} payload must be a {arity}-tuple")
+        values = []
+        for _ in range(count):
+            item, pos = _decode_value(buf, pos)
+            values.append(item)
+        if count != arity:
+            raise CodecError(
+                f"{cls.__name__} payload must be a {arity}-tuple")
         try:
             return cls(*values), pos
         except (TypeError, ValueError) as exc:
@@ -440,14 +546,14 @@ def _dataclass_codec(cls: type) -> tuple[_EncodeFn, _DecodeFn]:
                 f"cannot rebuild {cls.__name__}: {exc}"
             ) from None
 
-    return encode, decode
+    return decode
 
 
 def _encode_hmac_key(value: Any, out: bytearray) -> None:
-    _encode_value(value.key_bytes, out)
+    _encode_bytes(value.key_bytes, out)
 
 
-def _decode_hmac_key(buf: memoryview, pos: int) -> tuple[Any, int]:
+def _decode_hmac_key(buf: bytes, pos: int) -> tuple[Any, int]:
     raw, pos = _decode_value(buf, pos)
     if not isinstance(raw, bytes):
         raise CodecError("HMACPublicKey payload must be bytes")
@@ -459,7 +565,15 @@ def _encode_store(value: Any, out: bytearray) -> None:
         payload = value.snapshot_wire()
     except NotImplementedError as exc:
         raise CodecError(str(exc)) from None
-    _encode_value(payload, out)
+    _ENCODE[payload.__class__](payload, out)
+
+
+def _decode_store(buf: bytes, pos: int) -> tuple[Any, int]:
+    payload, pos = _decode_value(buf, pos)
+    try:
+        return store_from_wire(payload), pos
+    except ValueError as exc:
+        raise CodecError(f"bad store snapshot: {exc}") from None
 
 
 # A node re-sends the identical TraceContext on every frame of a traced
@@ -477,11 +591,9 @@ def _trace_context_payload(value: Any) -> bytes:
     key = (value.trace_id, value.span_id, value.sampled)
     cached = _TRACE_CTX_MEMO.get(key)
     if cached is None:
-        buf = bytearray()
-        _encode_value(key, buf)
         if len(_TRACE_CTX_MEMO) >= _TRACE_CTX_MEMO_MAX:
             _TRACE_CTX_MEMO.clear()
-        cached = _TRACE_CTX_MEMO[key] = bytes(buf)
+        cached = _TRACE_CTX_MEMO[key] = encode_value(key)
     return cached
 
 
@@ -494,69 +606,65 @@ def _encode_trace_carrier(value: Any, out: bytearray) -> None:
     # ((context, message) as a tuple), with the context's extension bytes
     # served from the memo.
     out.append(_T_TUPLE)
-    _append_varint(out, 2)
+    out.append(2)
     out.append(_T_EXT)
     _append_varint(out, _BY_TYPE[TraceContext])
     out += _trace_context_payload(value.context)
-    _encode_value(value.message, out)
+    message = value.message
+    _ENCODE[message.__class__](message, out)
 
 
-def _decode_store(buf: memoryview, pos: int) -> tuple[Any, int]:
-    payload, pos = _decode_value(buf, pos)
-    try:
-        return store_from_wire(payload), pos
-    except ValueError as exc:
-        raise CodecError(f"bad store snapshot: {exc}") from None
+_Registration = tuple[int, type, "_EncodeFn | None", "_DecodeFn | None"]
 
 
-def _iter_registrations() -> Iterator[tuple[int, type, _EncodeFn, _DecodeFn]]:
+def _iter_registrations() -> Iterator[_Registration]:
+    """``(wire id, class, payload encoder, decoder)``; ``None`` selects
+    the compiled dataclass codec for that direction."""
     # Infrastructure carriers: ids 1-31, append-only.
-    yield (1, NetHello, *_dataclass_codec(NetHello))
-    yield (2, Certificate, *_dataclass_codec(Certificate))
-    yield (3, RSAPublicKey, *_dataclass_codec(RSAPublicKey))
+    yield (1, NetHello, None, None)
+    yield (2, Certificate, None, None)
+    yield (3, RSAPublicKey, None, None)
     yield (4, HMACPublicKey, _encode_hmac_key, _decode_hmac_key)
-    yield (5, BroadcastEnvelope, *_dataclass_codec(BroadcastEnvelope))
-    yield (6, CertAnnouncement, *_dataclass_codec(CertAnnouncement))
+    yield (5, BroadcastEnvelope, None, None)
+    yield (6, CertAnnouncement, None, None)
     yield (7, ContentStore, _encode_store, _decode_store)
     # Observability (PR 5): the trace-context envelope and the admin
     # plane.  Appended after the PR 3 carriers -- an older peer that
     # receives one of these rejects the frame (UnknownWireType ->
     # net_frames_rejected) and stays frame-aligned, per the
     # back-compat contract above.
-    yield (8, TraceContext, _encode_trace_context,
-           _dataclass_codec(TraceContext)[1])
-    yield (9, TraceCarrier, _encode_trace_carrier,
-           _dataclass_codec(TraceCarrier)[1])
-    yield (10, ObsDumpRequest, *_dataclass_codec(ObsDumpRequest))
-    yield (11, ObsDumpReply, *_dataclass_codec(ObsDumpReply))
-    yield (12, ObsHealthRequest, *_dataclass_codec(ObsHealthRequest))
-    yield (13, ObsHealthReply, *_dataclass_codec(ObsHealthReply))
+    yield (8, TraceContext, _encode_trace_context, None)
+    yield (9, TraceCarrier, _encode_trace_carrier, None)
+    yield (10, ObsDumpRequest, None, None)
+    yield (11, ObsDumpReply, None, None)
+    yield (12, ObsHealthRequest, None, None)
+    yield (13, ObsHealthReply, None, None)
     # Batched hot path (PR 6): several messages coalesced into one frame
     # by the pipelined sender.  Appended after the PR 5 carriers -- same
     # back-compat contract: an older peer rejects the whole batch frame
     # (UnknownWireType -> net_frames_rejected) and stays aligned.
-    yield (14, FrameBatch, *_dataclass_codec(FrameBatch))
+    yield (14, FrameBatch, None, None)
     # Serving-plane admission control (PR 8): the qos status pair joins
     # the admin plane.  Appended after the PR 6 carrier -- same
     # back-compat contract as ids 10-13.
-    yield (15, QosStatusRequest, *_dataclass_codec(QosStatusRequest))
-    yield (16, QosStatusReply, *_dataclass_codec(QosStatusReply))
+    yield (15, QosStatusRequest, None, None)
+    yield (16, QosStatusReply, None, None)
     # Namespace sharding (PR 10): the multi-tenant envelope, the
     # owner-signed shard map and its distribution pair, the re-home
     # redirect, and the shard admin-status pair.  Appended after the
     # PR 8 carriers -- same back-compat contract as ids 10-16.
-    yield (17, ShardEnvelope, *_dataclass_codec(ShardEnvelope))
-    yield (18, ShardMap, *_dataclass_codec(ShardMap))
-    yield (19, ShardMapRequest, *_dataclass_codec(ShardMapRequest))
-    yield (20, ShardMapReply, *_dataclass_codec(ShardMapReply))
-    yield (21, WrongShard, *_dataclass_codec(WrongShard))
-    yield (22, ShardStatusRequest, *_dataclass_codec(ShardStatusRequest))
-    yield (23, ShardStatusReply, *_dataclass_codec(ShardStatusReply))
+    yield (17, ShardEnvelope, None, None)
+    yield (18, ShardMap, None, None)
+    yield (19, ShardMapRequest, None, None)
+    yield (20, ShardMapReply, None, None)
+    yield (21, WrongShard, None, None)
+    yield (22, ShardStatusRequest, None, None)
+    yield (23, ShardStatusReply, None, None)
     # Protocol messages: ids 32+, positional on WIRE_MESSAGE_TYPES.
     for offset, message_cls in enumerate(WIRE_MESSAGE_TYPES):
-        yield (32 + offset, message_cls, *_dataclass_codec(message_cls))
+        yield (32 + offset, message_cls, None, None)
 
 
-for _id, _cls, _enc, _dec in _iter_registrations():
-    _register(_id, _cls, _enc, _dec)
-del _id, _cls, _enc, _dec
+for _registration in _iter_registrations():
+    _register(*_registration)
+del _registration

@@ -22,13 +22,19 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 from repro.crypto import fastpath
-from repro.crypto.hashing import canonical_bytes, sha1_hex
+from repro.crypto.hashing import canonical_record, record_template, \
+    sha1_hex
 from repro.crypto.keys import KeyPair
 from repro.crypto.signatures import PublicKey, Signature
 
 
 class ShardMapError(Exception):
     """Raised when a shard map fails verification."""
+
+
+_SHARD_MAP_RECORD = record_template(
+    "kind", "namespace", "epoch", "seed", "shard_ids", "assignments",
+    "issuer_id", "issued_at")
 
 
 def shard_fingerprint(namespace: str, shard_id: str) -> str:
@@ -73,7 +79,7 @@ class ShardMap:
                         shard_ids: tuple[str, ...],
                         assignments: tuple[tuple[str, tuple[str, ...]], ...],
                         issuer_id: str, issued_at: float) -> bytes:
-        return canonical_bytes({
+        return canonical_record(_SHARD_MAP_RECORD, {
             "kind": "shard_map",
             "namespace": namespace,
             "epoch": epoch,

@@ -8,12 +8,10 @@ and run in their own CI step under a hard timeout.
 
 from __future__ import annotations
 
-import asyncio
-
 import pytest
 
 from repro.chaos import SCENARIOS, run_scenario_sync
-from repro.chaos.scenarios import flash_crowd
+from repro.chaos.scenarios import P99_RATIO_BOUND
 
 pytestmark = pytest.mark.chaos
 
@@ -59,23 +57,24 @@ def test_slave_crash_resync():
 
 
 def test_flash_crowd_qos_protects():
+    # One scenario, two bursts back to back: the unprotected reference,
+    # then the same burst behind admission control, judged against the
+    # reference instead of a wall-clock window tuned on one machine.
     verdict = _assert_verdict("flash_crowd")
     # Admission control did real work: frames were shed, every one
-    # attributed, and the honest p99 stayed within the derived SLO.
+    # attributed, and honest latency held relative to the reference.
     assert verdict.counters["qos_shed_total"] > 0
-    assert verdict.timings["burst_p99"] <= verdict.timings["slo"]
-
-
-def test_flash_crowd_unprotected_violates_slo():
-    # The identical burst with the wire-level limits off: the honest
-    # p99 SLO must demonstrably NOT survive -- this is the contrast
-    # that justifies the qos layer.  Keep-alive freshness still holds
-    # (protection there comes from the protocol, not from qos).
-    verdict = asyncio.run(flash_crowd(0, qos=False))
-    assert not verdict.passed
-    failed = {check.name for check in verdict.failures()}
-    assert "honest_p99_slo" in failed
-    assert verdict.counters.get("qos_shed_total", 0) == 0
+    timings = verdict.timings
+    assert timings["slo"] == pytest.approx(
+        P99_RATIO_BOUND * timings["unprotected_burst_p99"], abs=1e-3)
+    # The p99 bound only detects a shed honest read (a wait of about
+    # request_timeout); that admission control helps is the median's claim.
+    assert timings["burst_p99"] <= timings["slo"]
+    assert timings["burst_p50"] < timings["unprotected_burst_p50"]
+    names = {check.name for check in verdict.checks}
+    assert {"honest_p99_slo", "honest_median_protected",
+            "reference_unprotected", "keepalives_never_missed",
+            "sheds_happened", "sheds_attributed"} <= names
 
 
 def test_unknown_scenario_rejected():

@@ -2,12 +2,39 @@
 
 from __future__ import annotations
 
+from collections import namedtuple
+from dataclasses import asdict, dataclass
+from typing import Any
+
 import pytest
 
-from repro.content.filesystem import FSGrep, FSWrite
-from repro.content.kvstore import KVGet, KVMultiGet, KVPut, KVRange
-from repro.content.minidb import DBInsert, DBJoin, DBSelect
+from repro.content.filesystem import (
+    FSGrep,
+    FSList,
+    FSMkdir,
+    FSRead,
+    FSRemove,
+    FSWrite,
+)
+from repro.content.kvstore import (
+    KVAggregate,
+    KVDelete,
+    KVGet,
+    KVMultiGet,
+    KVPut,
+    KVRange,
+)
+from repro.content.minidb import (
+    DBAggregate,
+    DBCreateTable,
+    DBDelete,
+    DBInsert,
+    DBJoin,
+    DBSelect,
+    DBUpdate,
+)
 from repro.content.queries import (
+    _REGISTRY,
     Operation,
     ReadQuery,
     WriteOp,
@@ -50,6 +77,98 @@ class TestWireRoundTrip:
         decoded = operation_from_wire(wire)
         assert decoded.where == (("c", "==", 1),)
         assert decoded.columns == ("c", "d")
+
+
+_Point = namedtuple("_Point", "x y")
+
+
+@dataclass(frozen=True)
+class _Blob:
+    tag: str
+    parts: list[Any]
+
+
+_WHERE = (("c", "==", 1),)
+
+#: One sample per built-in operation, plus values ``asdict`` treats
+#: specially (nested dataclasses and namedtuples, mutable containers,
+#: scalar subclasses) in the one ``Any``-typed field.
+_SAMPLES = [
+    KVGet(key="a"),
+    KVDelete(key="a"),
+    KVMultiGet(keys=("a", "b")),
+    KVRange(start="a", end="z", limit=10),
+    KVAggregate(prefix="p", func="count"),
+    KVPut(key="k", value="plain"),
+    KVPut(key="k", value=None),
+    KVPut(key="k", value=b"\x00\xff"),
+    KVPut(key="k", value=True),
+    KVPut(key="k", value=-0.0),
+    KVPut(key="k", value={"nested": [1, (2, 3)], "d": {"e": bytearray(b"x")}}),
+    KVPut(key="k", value=_Blob("t", [_Point(1, [2]), _Blob("u", [])])),
+    KVPut(key="k", value=_Point(1, {"z": _Blob("v", [1])})),
+    FSRead(path="/a"),
+    FSList(path="/"),
+    FSMkdir(path="/d"),
+    FSRemove(path="/a"),
+    FSGrep(pattern="TODO", path="/src"),
+    FSWrite(path="/a.txt", content="body"),
+    DBCreateTable(table="t", columns=("a", "b")),
+    DBInsert.from_dicts("t", [{"a": 1, "b": [1, 2]}]),
+    DBSelect(table="t", where=_WHERE, columns=("c",), order_by="c", limit=5),
+    DBJoin(left="a", right="b", left_col="x", right_col="y", where=_WHERE),
+    DBAggregate(table="t", func="sum", column="c", group_by=("g",),
+                where=_WHERE),
+    DBUpdate(table="t", where=_WHERE, assignments=(("c", [1, 2]),)),
+    DBDelete(table="t", where=_WHERE),
+]
+
+
+def _assert_same(got: Any, want: Any) -> None:
+    """Equal values of identical types, all the way down."""
+    assert type(got) is type(want), (got, want)
+    if isinstance(want, dict):
+        assert list(got) == list(want)
+        for key in want:
+            _assert_same(got[key], want[key])
+    elif isinstance(want, (list, tuple)):
+        assert len(got) == len(want)
+        for g, w in zip(got, want):
+            _assert_same(g, w)
+    else:
+        assert got == want and repr(got) == repr(want)
+
+
+class TestToWireMatchesAsdict:
+    """``to_wire`` skips ``asdict``'s deep copy where it can; what it
+    returns must stay what ``asdict`` returned."""
+
+    def test_samples_cover_every_builtin_operation(self):
+        builtin = {name for name, cls in _REGISTRY.items()
+                   if cls.__module__.startswith("repro.content.")}
+        assert {op.op_name for op in _SAMPLES} == builtin
+
+    @pytest.mark.parametrize("op", _SAMPLES, ids=repr)
+    def test_same_dict_as_asdict(self, op):
+        want = asdict(op)
+        want["op"] = op.op_name
+        _assert_same(op.to_wire(), want)
+
+    def test_mutable_values_are_copied_not_shared(self):
+        value = {"nested": [1, 2]}
+        wire = KVPut(key="k", value=value).to_wire()
+        assert wire["value"] == value
+        assert wire["value"] is not value
+        assert wire["value"]["nested"] is not value["nested"]
+
+    def test_unregistered_operation_still_serialises(self):
+        @dataclass(frozen=True)
+        class Local(ReadQuery):
+            key: str
+            extra: tuple[int, ...] = ()
+
+        assert Local(key="a", extra=(1,)).to_wire() == {
+            "key": "a", "extra": (1,), "op": "read"}
 
 
 class TestRequestHash:
