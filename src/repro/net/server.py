@@ -13,9 +13,13 @@ changed.
 :class:`NodeServer` is the inbound half: one TCP listener per node,
 accepting peer connections that open with a
 :class:`~repro.net.codec.NetHello` and then carry protocol frames.
-Malformed frames are counted and skipped (body-level garbage) or close
-the connection (framing-level garbage); handler exceptions are captured,
-not fatal -- a byzantine peer must not crash a server.
+Each accepted connection is an :class:`asyncio.Protocol` whose
+``data_received`` parses complete frames out of the segment and
+dispatches them inline -- no reader task, no stream, no await between
+the socket and the handler.  Malformed frames are counted and skipped
+(body-level garbage) or close the connection (framing-level garbage);
+handler exceptions are captured, not fatal -- a byzantine peer must not
+crash a server.
 """
 
 from __future__ import annotations
@@ -27,15 +31,8 @@ from typing import Any, Callable
 from repro.core.messages import Accusation, KeepAlive
 from repro.metrics import MetricsRegistry
 from repro.net import codec
-from repro.net.errors import (
-    BadMagic,
-    BadVersion,
-    CodecError,
-    FrameTooLarge,
-    HandshakeError,
-    TruncatedFrame,
-)
-from repro.net.transport import ConnectionPool, read_frame, write_frame
+from repro.net.errors import CodecError, TruncatedFrame
+from repro.net.transport import ConnectionPool
 from repro.obs.admin import AdminPlane, QosStatusReply, QosStatusRequest
 from repro.obs.context import TraceCarrier
 from repro.qos.ledger import AdmissionLedger
@@ -187,6 +184,244 @@ class ShardedNetwork(SocketNetwork):
         self.pool.send(self.host_of.get(dst_id, dst_id), envelope)
 
 
+class _Connection(asyncio.Protocol):
+    """One accepted connection, driven by the event loop's callbacks.
+
+    ``data_received`` parses every complete frame out of the segment
+    (a partial tail is spilled to ``_buffer`` until the rest arrives)
+    and hands each decoded message to the server's admission and
+    dispatch inline.  The first frame must be a
+    :class:`~repro.net.codec.NetHello` within ``handshake_timeout``;
+    its node id is ``src_id`` for everything after.
+
+    Parsing is *halted* -- reading paused on this socket only, arrived
+    bytes kept in order in ``_buffer`` -- while a shed penalty runs and
+    while the peer is not reading our admin replies; TCP backpressure
+    does the rest.  One loop timer per connection is re-armed through
+    its life: the handshake deadline, then the idle reaper.
+    """
+
+    __slots__ = ("server", "loop", "transport", "src_id", "_buffer",
+                 "_need", "_timer", "_holds", "_halted", "_closed",
+                 "_active_at")
+
+    transport: asyncio.Transport
+
+    def __init__(self, server: "NodeServer",
+                 loop: asyncio.AbstractEventLoop) -> None:
+        self.server = server
+        self.loop = loop
+        self.src_id: str | None = None
+        self._buffer = bytearray()
+        #: Bytes ``_buffer`` must hold before parsing can make progress.
+        self._need = codec.HEADER_SIZE
+        self._timer: asyncio.TimerHandle | None = None
+        #: Reasons to stay halted: penalties running, writes blocked.
+        self._holds = 0
+        #: Do not parse: held, or closed.
+        self._halted = False
+        self._closed = False
+        #: When the last complete frame arrived (idle reaper's clock).
+        self._active_at = 0.0
+
+    # -- transport callbacks -------------------------------------------------
+
+    def connection_made(self, transport: asyncio.BaseTransport) -> None:
+        self.transport = transport  # type: ignore[assignment]
+        self.server._connections.add(self)
+        self._timer = self.loop.call_later(
+            self.server.handshake_timeout, self._handshake_expired)
+
+    def connection_lost(self, exc: Exception | None) -> None:
+        self.server._connections.discard(self)
+        if self.src_id is None and not self._closed:
+            # Gone before a hello: same verdict as a bad one.
+            self.server.metrics.incr("net_handshakes_rejected")
+        self._closed = self._halted = True
+        if self._timer is not None:
+            self._timer.cancel()
+            self._timer = None
+
+    def data_received(self, data: bytes) -> None:
+        buffer = self._buffer
+        if buffer or self._halted:
+            buffer += data
+            if self._halted or len(buffer) < self._need:
+                return
+            data = bytes(buffer)
+            buffer.clear()
+        self._parse(data)
+
+    def eof_received(self) -> None:
+        if self._buffer and not self._closed:
+            # EOF inside a frame: the stream ends misaligned.
+            self._malformed("framing")
+
+    # -- frames ----------------------------------------------------------------
+
+    def _parse(self, data: bytes) -> None:
+        """Handle every complete frame in ``data``; spill the rest."""
+        header_size = codec.HEADER_SIZE
+        pos = 0
+        end = len(data)
+        need = header_size
+        while end - pos >= header_size and not self._halted:
+            body_at = pos + header_size
+            try:
+                length = codec.parse_header(data[pos:body_at])
+            except CodecError:
+                # Framing is gone; nothing after this point parses.
+                self._malformed("framing")
+                break
+            frame_end = body_at + length
+            if frame_end > end:
+                need = header_size + length
+                break
+            pos = frame_end
+            try:
+                message = codec.decode_value(data[body_at:frame_end])
+            except TruncatedFrame:
+                self._malformed("framing")
+            except CodecError:
+                # Bad body inside a well-framed message: skip it, the
+                # stream itself is still aligned on frame boundaries.
+                self._malformed("body")
+            else:
+                self._on_frame(message, header_size + length)
+        if self._closed:
+            return
+        if pos and self._timer is not None:
+            self._active_at = self.loop.time()
+        if pos < end:
+            self._buffer += memoryview(data)[pos:]
+        self._need = need
+
+    def _on_frame(self, message: Any, size: int) -> None:
+        server = self.server
+        src_id = self.src_id
+        if src_id is None:
+            self._handshake(message)
+            return
+        metrics = server.metrics
+        qos = server.qos
+        metrics.incr("net_bytes_received", size)
+        if isinstance(message, codec.FrameBatch):
+            # One wire frame, several protocol messages: the frame
+            # counter tracks messages so coalescing is invisible to
+            # traffic accounting; dispatch stays per-message, so one
+            # bad handler cannot head-of-line block its batch mates.
+            metrics.incr("net_batches_received")
+            metrics.incr("net_frames_received", len(message.messages))
+            share = size / max(1, len(message.messages))
+            shed = False
+            for inner in message.messages:
+                if server._admit(src_id, inner, share):
+                    shed = True
+        else:
+            metrics.incr("net_frames_received")
+            if server.admin is not None:
+                reply: object | None
+                if isinstance(message, QosStatusRequest):
+                    reply = server.qos_status()
+                elif isinstance(message, ShardStatusRequest):
+                    reply = server.shard_status()
+                else:
+                    reply = server.admin.maybe_handle(server.node, message)
+                if reply is not None:
+                    metrics.incr("obs_admin_requests")
+                    self.transport.write(codec.encode_frame(reply))
+                    return
+            shed = server._admit(src_id, message, float(size))
+        if shed and qos is not None and qos.shed_penalty > 0:
+            # Turn the shed into backpressure: stall this connection so
+            # the over-quota pipeline slows at the source instead of
+            # returning as a synchronized retry wave.  Only this socket
+            # stops being read; everyone else's runs on.
+            self._halt()
+            self.loop.call_later(qos.shed_penalty, self._release)
+
+    def _handshake(self, hello: Any) -> None:
+        if not isinstance(hello, codec.NetHello) \
+                or hello.wire_version != codec.WIRE_VERSION:
+            self._refuse_handshake()
+            return
+        self.src_id = hello.node_id
+        assert self._timer is not None
+        self._timer.cancel()
+        self._timer = None
+        qos = self.server.qos
+        if qos is not None and qos.idle_timeout is not None:
+            self._active_at = self.loop.time()
+            self._timer = self.loop.call_later(
+                qos.idle_timeout, self._idle_check)
+
+    def _malformed(self, kind: str) -> None:
+        """Count a bad frame; all but a skippable body close the socket."""
+        if self.src_id is None:
+            self._refuse_handshake()
+            return
+        self.server._reject(self.src_id, kind)
+        if kind != "body":
+            self._close()
+
+    def _refuse_handshake(self) -> None:
+        # Anything but a clean, current hello first: the peer is gone
+        # before a single protocol message is dispatched.
+        self.server.metrics.incr("net_handshakes_rejected")
+        self._close()
+
+    # -- timers ----------------------------------------------------------------
+
+    def _handshake_expired(self) -> None:
+        self.server.metrics.incr("net_timeouts")
+        self._refuse_handshake()
+
+    def _idle_check(self) -> None:
+        qos = self.server.qos
+        assert qos is not None and qos.idle_timeout is not None
+        remaining = self._active_at + qos.idle_timeout - self.loop.time()
+        if remaining > 0:
+            self._timer = self.loop.call_later(remaining, self._idle_check)
+            return
+        # Idle reaper: handshaked but silent past the allowance -- the
+        # slot goes back to the pool (peers redial).
+        assert self.src_id is not None
+        self.server.metrics.incr("net_timeouts")
+        self.server._count_shed(self.src_id, "idle")
+        self._close()
+
+    # -- flow ------------------------------------------------------------------
+
+    def _halt(self) -> None:
+        self._holds += 1
+        self._halted = True
+        self.transport.pause_reading()
+
+    def _release(self) -> None:
+        """One hold fewer; at none, read again and drain what arrived
+        meanwhile, in order."""
+        self._holds -= 1
+        if self._holds or self._closed:
+            return
+        self._halted = False
+        self.transport.resume_reading()
+        # A stall is not idleness: the idle window restarts here.
+        self._active_at = self.loop.time()
+        if len(self._buffer) >= self._need:
+            data = bytes(self._buffer)
+            self._buffer.clear()
+            self._parse(data)
+
+    # asyncio's write flow control: a peer that does not read our admin
+    # replies is not read from until the write buffer drains.
+    pause_writing = _halt
+    resume_writing = _release
+
+    def _close(self) -> None:
+        self._closed = self._halted = True
+        self.transport.abort()
+
+
 class NodeServer:
     """One node's TCP listener plus frame dispatch.
 
@@ -236,7 +471,7 @@ class NodeServer:
         #: Frames shed by this listener (all reasons), for QosStatus.
         self.shed_total = 0
         self._server: asyncio.Server | None = None
-        self._connections: set[asyncio.StreamWriter] = set()
+        self._connections: set[_Connection] = set()
         self._admission: dict[str, ClientAdmission] = {}
         self._inbox = InboundQueue(qos.inbox_limit) if qos is not None \
             else None
@@ -246,8 +481,9 @@ class NodeServer:
     async def start(self, host: str = "127.0.0.1",
                     port: int = 0) -> tuple[str, int]:
         """Start listening; returns the bound (host, port)."""
-        self._server = await asyncio.start_server(
-            self._handle_connection, host, port)
+        loop = asyncio.get_running_loop()
+        self._server = await loop.create_server(
+            lambda: _Connection(self, loop), host, port)
         sockname = self._server.sockets[0].getsockname()
         self.host, self.port = sockname[0], sockname[1]
         if self._inbox is not None and self._dispatch_task is None:
@@ -292,112 +528,6 @@ class NodeServer:
                          for shard_id, ids in sorted(shards.items())),
             unsharded=tuple(sorted(unsharded)))
 
-    async def _handle_connection(self, reader: asyncio.StreamReader,
-                                 writer: asyncio.StreamWriter) -> None:
-        self._connections.add(writer)
-        try:
-            await self._serve_connection(reader, writer)
-        except asyncio.CancelledError:
-            # Loop teardown cancels handler tasks parked in the shed
-            # penalty sleep; completing normally keeps the streams
-            # done-callback from logging the cancellation.
-            writer.transport.abort()
-        finally:
-            self._connections.discard(writer)
-
-    async def _serve_connection(self, reader: asyncio.StreamReader,
-                                writer: asyncio.StreamWriter) -> None:
-        try:
-            src_id = await self._handshake(reader)
-        except (CodecError, HandshakeError, ConnectionError, OSError,
-                asyncio.TimeoutError) as exc:
-            if isinstance(exc, asyncio.TimeoutError):
-                self.metrics.incr("net_timeouts")
-            self.metrics.incr("net_handshakes_rejected")
-            writer.transport.abort()
-            return
-        try:
-            await self._serve_frames(src_id, reader, writer)
-        finally:
-            writer.transport.abort()
-
-    async def _handshake(self, reader: asyncio.StreamReader) -> str:
-        hello, _size = await read_frame(reader, self.handshake_timeout)
-        if not isinstance(hello, codec.NetHello):
-            raise HandshakeError(
-                f"first frame was {type(hello).__name__}, not NetHello")
-        if hello.wire_version != codec.WIRE_VERSION:
-            raise HandshakeError(
-                f"peer {hello.node_id!r} speaks wire version "
-                f"{hello.wire_version}, we speak {codec.WIRE_VERSION}")
-        return hello.node_id
-
-    async def _serve_frames(self, src_id: str,
-                            reader: asyncio.StreamReader,
-                            writer: asyncio.StreamWriter) -> None:
-        qos = self.qos
-        idle = qos.idle_timeout if qos is not None else None
-        while True:
-            try:
-                message, size = await read_frame(reader, idle)
-            except asyncio.TimeoutError:
-                # Idle reaper: handshaked but silent past the allowance
-                # -- the slot goes back to the pool (peers redial).
-                self.metrics.incr("net_timeouts")
-                self._count_shed(src_id, "idle")
-                return
-            except (BadMagic, BadVersion, FrameTooLarge, TruncatedFrame):
-                # Framing is gone; nothing after this point parses.
-                self._reject(src_id, "framing")
-                return
-            except CodecError:
-                # Bad body inside a well-framed message: skip it, the
-                # stream itself is still aligned on frame boundaries.
-                self._reject(src_id, "body")
-                continue
-            except (ConnectionError, OSError):
-                return
-            self.metrics.incr("net_bytes_received", size)
-            if isinstance(message, codec.FrameBatch):
-                # One wire frame, several protocol messages: the frame
-                # counter tracks messages so coalescing is invisible to
-                # traffic accounting; dispatch stays per-message, so one
-                # bad handler cannot head-of-line block its batch mates.
-                self.metrics.incr("net_batches_received")
-                self.metrics.incr("net_frames_received",
-                                  len(message.messages))
-                share = size / max(1, len(message.messages))
-                shed_any = False
-                for inner in message.messages:
-                    if self._admit(src_id, inner, share):
-                        shed_any = True
-                if shed_any and qos is not None and qos.shed_penalty > 0:
-                    await asyncio.sleep(qos.shed_penalty)
-                continue
-            self.metrics.incr("net_frames_received")
-            if self.admin is not None:
-                reply: object | None
-                if isinstance(message, QosStatusRequest):
-                    reply = self.qos_status()
-                elif isinstance(message, ShardStatusRequest):
-                    reply = self.shard_status()
-                else:
-                    reply = self.admin.maybe_handle(self.node, message)
-                if reply is not None:
-                    self.metrics.incr("obs_admin_requests")
-                    try:
-                        await write_frame(writer, reply)
-                    except (ConnectionError, OSError):
-                        return
-                    continue
-            if self._admit(src_id, message, float(size)) \
-                    and qos is not None and qos.shed_penalty > 0:
-                # Turn the shed into backpressure: stall this reader so
-                # the over-quota pipeline slows at the source instead
-                # of returning as a synchronized retry wave.  Only this
-                # connection waits; everyone else's reader runs on.
-                await asyncio.sleep(qos.shed_penalty)
-
     # -- wire-level admission (repro.qos) -----------------------------------
 
     def _admit(self, src_id: str, message: Any, byte_cost: float) -> bool:
@@ -405,7 +535,7 @@ class NodeServer:
 
         Returns True when the admission caused a shed (this message
         went over quota, or its arrival evicted a queued one), so the
-        serve loop can penalize the offending connection.
+        connection it arrived on can be penalized.
         """
         qos = self.qos
         if qos is None:
@@ -581,8 +711,8 @@ class NodeServer:
         connections reset and must walk the redial path.
         """
         aborted = 0
-        for writer in list(self._connections):
-            writer.transport.abort()
+        for connection in list(self._connections):
+            connection.transport.abort()
             aborted += 1
         return aborted
 

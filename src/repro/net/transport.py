@@ -2,23 +2,33 @@
 
 One :class:`ConnectionPool` serves one node: the protocol core calls the
 synchronous ``send(dst_id, message)`` (via the
-:class:`~repro.net.server.SocketNetwork` facade), frames are queued per
-destination, and a background sender task per peer owns the TCP
-connection -- dialling with bounded exponential backoff plus jitter,
-re-dialling when the connection dies, and dropping a frame only after
-its retry budget is spent (the protocol layer already tolerates loss:
-clients retry reads, masters re-send keep-alives).
+:class:`~repro.net.server.SocketNetwork` facade), which appends to a
+per-destination backlog and arms one flush callback for the current
+event-loop tick.  The flush is *event-driven*: when the peer is
+connected and nothing has to be waited for, it encodes the tick's
+backlog and writes it to the socket synchronously -- no task, no queue,
+no wakeup between ``send`` and the wire.
 
-The sender is *pipelined*: each wakeup drains the whole pending queue
-(up to ``max_batch``) and ships the backlog with one write and one
-drain, coalescing multiple messages into a single
-:class:`~repro.net.codec.FrameBatch` wire frame.  Per-peer FIFO order
-is preserved -- messages leave in queue order and a batch is unpacked
-in order on the receiving side.  Connections are opened with
-``TCP_NODELAY`` so a coalesced flush is not re-buffered by Nagle.
+Everything that *does* have to wait -- the dial and hello, retry and
+backoff after a lost connection, a write buffer the kernel has not
+drained, an open circuit breaker -- runs in a short-lived recovery task
+that owns the peer until its backlog is empty: it re-dials with bounded
+exponential backoff plus jitter and drops a frame only after its retry
+budget is spent (the protocol layer already tolerates loss: clients
+retry reads, masters re-send keep-alives).  While the task owns the
+peer ``send`` only appends, so messages leave in ``send`` order across
+the hand-over.
 
-Every socket operation is wrapped in a timeout; a hung peer costs a
-``net_timeouts`` tick and a reconnect, never a wedged sender.
+Both paths are *pipelined*: a flush takes the whole backlog (up to
+``max_batch`` per frame) and ships it with one write, coalescing
+multiple messages into a single :class:`~repro.net.codec.FrameBatch`
+wire frame that the receiving side unpacks in order.  Connections are
+opened with ``TCP_NODELAY`` so a coalesced flush is not re-buffered by
+Nagle.
+
+Every socket operation that can block is wrapped in a timeout; a hung
+peer costs a ``net_timeouts`` tick and a reconnect, never a wedged
+peer.
 """
 
 from __future__ import annotations
@@ -26,6 +36,7 @@ from __future__ import annotations
 import asyncio
 import random
 import socket
+from collections import deque
 from dataclasses import dataclass, field
 from typing import Any
 
@@ -33,13 +44,15 @@ from repro.metrics import MetricsRegistry
 from repro.net import codec
 from repro.net.errors import (
     CodecError,
-    FrameTooLarge,
     HandshakeError,
     TransportError,
     TruncatedFrame,
 )
 from repro.net.peers import PeerDirectory
-from repro.qos.breaker import BreakerPolicy, CircuitBreaker
+from repro.qos.breaker import CLOSED, BreakerPolicy, CircuitBreaker
+
+#: Most messages one peer's backlog holds; ``send`` drops beyond it.
+_BACKLOG_LIMIT = 4096
 
 
 async def read_frame(reader: asyncio.StreamReader,
@@ -120,21 +133,26 @@ class RetryPolicy:
         return raw * (1.0 + self.jitter * rng.random())
 
 
-@dataclass
+@dataclass(slots=True)
 class _Peer:
     """Sender-side state for one destination."""
 
-    queue: "asyncio.Queue[Any]" = field(
-        default_factory=lambda: asyncio.Queue(maxsize=4096))
+    #: Messages ``send`` accepted that are not on the wire yet, oldest
+    #: first.
+    backlog: "deque[Any]" = field(default_factory=deque)
+    #: The recovery task while it owns this peer (``send`` then only
+    #: appends), else ``None``.
     task: "asyncio.Task[None] | None" = None
     writer: asyncio.StreamWriter | None = None
+    #: A flush callback is already scheduled for this loop tick.
+    flush_armed: bool = False
 
 
 class ConnectionPool:
     """Per-node outbound connection manager.
 
     ``send`` never blocks the caller (protocol handlers run inside the
-    event loop); a full per-peer queue drops the frame with a metric
+    event loop); a full per-peer backlog drops the frame with a metric
     instead of exerting backpressure the synchronous core cannot feel.
     """
 
@@ -154,8 +172,8 @@ class ConnectionPool:
         self.retry = retry or RetryPolicy()
         self.connect_timeout = connect_timeout
         self.io_timeout = io_timeout
-        #: Most messages one sender wakeup coalesces into a single wire
-        #: write (1 disables batching entirely).
+        #: Most messages one flush coalesces into a single wire frame
+        #: (1 disables batching entirely).
         self.max_batch = max_batch
         #: Per-peer circuit breaker wrapping the retry machinery: after
         #: ``failure_threshold`` consecutive retries-exhausted batches a
@@ -167,6 +185,11 @@ class ConnectionPool:
         self._breakers: dict[str, CircuitBreaker] = {}
         self._peers: dict[str, _Peer] = {}
         self._closed = False
+        #: A subclass overrides the per-message :meth:`_transmit` seam
+        #: (fault injection): every message goes through it, one at a
+        #: time, from the recovery task.
+        self._per_message = \
+            type(self)._transmit is not ConnectionPool._transmit
 
     # -- the synchronous face the protocol core sees --------------------
 
@@ -180,15 +203,16 @@ class ConnectionPool:
             return
         peer = self._peers.get(dst_id)
         if peer is None:
-            peer = _Peer()
-            peer.task = asyncio.get_running_loop().create_task(
-                self._sender(dst_id, peer),
-                name=f"net-send:{self.node_id}->{dst_id}")
-            self._peers[dst_id] = peer
-        try:
-            peer.queue.put_nowait(message)
-        except asyncio.QueueFull:
+            peer = self._peers[dst_id] = _Peer()
+        if len(peer.backlog) >= _BACKLOG_LIMIT:
             self._drop(dst_id, "queue_full")
+            return
+        peer.backlog.append(message)
+        if peer.task is None and not peer.flush_armed:
+            # One flush per peer per loop tick: whatever this tick's
+            # handlers send to the peer leaves in one write.
+            peer.flush_armed = True
+            asyncio.get_running_loop().call_soon(self._flush, dst_id, peer)
 
     def _drop(self, dst_id: str, reason: str) -> None:
         """Count one dropped frame: aggregate plus a per-reason counter."""
@@ -216,10 +240,9 @@ class ConnectionPool:
         """Abort the live TCP connection to ``dst_id`` (fault injection).
 
         The dead writer is deliberately left in place -- exactly what a
-        connection dropped by the network looks like -- so the sender
-        discovers the loss on its next write and walks the full
-        retry/backoff/redial path.  Returns whether there was a
-        connection to kill.
+        connection dropped by the network looks like -- so the next
+        flush discovers the loss and walks the full retry/backoff/redial
+        path.  Returns whether there was a connection to kill.
         """
         peer = self._peers.get(dst_id)
         if peer is None or peer.writer is None:
@@ -227,94 +250,176 @@ class ConnectionPool:
         peer.writer.transport.abort()
         return True
 
-    # -- sender task ------------------------------------------------------
+    # -- the flush: synchronous when it can be, a task when it must wait --
 
-    async def _sender(self, dst_id: str, peer: _Peer) -> None:
-        while not self._closed:
-            # Pipelined drain: take everything queued since the last
-            # wakeup (bounded by max_batch) and ship it in one flush.
-            batch = [await peer.queue.get()]
-            while len(batch) < self.max_batch:
-                try:
-                    batch.append(peer.queue.get_nowait())
-                except asyncio.QueueEmpty:
-                    break
-            brk = self._breaker_for(dst_id)
-            if brk is not None and not brk.allow(
-                    asyncio.get_running_loop().time()):
-                # Open breaker: fast-fail the backlog instead of burning
-                # a full backoff ladder against a peer known to be down.
-                for _message in batch:
-                    self._drop(dst_id, "breaker_open")
-                continue
-            delivered = False
-            for attempt in range(self.retry.max_attempts):
-                if self._closed:
-                    return
-                try:
-                    if peer.writer is None:
-                        _reader, peer.writer = await self._connect(dst_id)
-                    size = await self._transmit_batch(dst_id, peer, batch)
-                except (ConnectionError, OSError, asyncio.TimeoutError,
-                        TransportError) as exc:
-                    if isinstance(exc, asyncio.TimeoutError):
-                        self.metrics.incr("net_timeouts")
-                    self._teardown(peer)
-                    self.metrics.incr("net_retries")
-                    if attempt + 1 < self.retry.max_attempts:
-                        # No point backing off after the last attempt:
-                        # the frame is already lost either way.
-                        await asyncio.sleep(
-                            self.retry.delay(attempt, self.rng))
-                    continue
-                # "Frames" are protocol messages: the counters see the
-                # same traffic whether or not the wire coalesced them.
-                self.metrics.incr("net_frames_sent", len(batch))
-                self.metrics.incr("net_bytes_sent", size)
-                delivered = True
-                break
-            if delivered:
-                if brk is not None:
-                    brk.record_success(asyncio.get_running_loop().time())
+    def _flush(self, dst_id: str, peer: _Peer) -> None:
+        """Write ``peer``'s backlog now, or hand the peer to a task.
+
+        The write is synchronous when nothing has to be waited for: the
+        connection is up, the breaker closed, the transport's write
+        buffer empty and no fault-injecting ``_transmit`` in the way.
+        ``is_closing()`` is tested *before* each write because asyncio
+        silently discards writes to a lost connection -- a killed
+        connection has to walk the retry path, not swallow frames.
+        Whatever is left goes to :meth:`_recover`.
+        """
+        peer.flush_armed = False
+        if self._closed or peer.task is not None:
+            return
+        backlog = peer.backlog
+        writer = peer.writer
+        if writer is not None and not self._per_message:
+            brk = self._breakers.get(dst_id)
+            if brk is None or brk.state == CLOSED:
+                transport = writer.transport
+                while (backlog and not transport.is_closing()
+                       and transport.get_write_buffer_size() == 0):
+                    batch = self._take(backlog)
+                    payload = self._encode(dst_id, batch)
+                    writer.write(payload)
+                    # "Frames" are protocol messages: the counters see
+                    # the same traffic whether or not the wire
+                    # coalesced them.
+                    self.metrics.incr("net_frames_sent", len(batch))
+                    self.metrics.incr("net_bytes_sent", len(payload))
+        if backlog:
+            peer.task = asyncio.get_running_loop().create_task(
+                self._recover(dst_id, peer),
+                name=f"net-send:{self.node_id}->{dst_id}")
+
+    def _take(self, backlog: "deque[Any]") -> list[Any]:
+        """Remove and return the backlog's head, up to ``max_batch``."""
+        if len(backlog) <= self.max_batch:
+            batch = list(backlog)
+            backlog.clear()
+            return batch
+        return [backlog.popleft() for _ in range(self.max_batch)]
+
+    def _encode(self, dst_id: str, batch: list[Any]) -> bytes:
+        """Wire bytes for one flush's messages, in order.
+
+        Two or more go out as a single
+        :class:`~repro.net.codec.FrameBatch` frame -- one header, one
+        ``write`` -- falling back to individually framed messages in the
+        same write when the coalesced frame cannot be encoded: its body
+        would exceed ``MAX_FRAME_BYTES`` (several store snapshots back
+        to back), or one message is not encodable at all (an
+        unregistered type, a single message over the limit).  Such a
+        message is dropped with a count and removed from ``batch``; its
+        batch mates still go out.
+        """
+        try:
+            if len(batch) == 1:
+                return codec.encode_frame(batch[0])
+            payload = codec.encode_frame(
+                codec.FrameBatch(messages=tuple(batch)))
+        except CodecError:
+            pass
+        else:
+            self.metrics.incr("net_batches_sent")
+            return payload
+        frames = []
+        encoded = []
+        for message in batch:
+            try:
+                frames.append(codec.encode_frame(message))
+            except CodecError:
+                self._drop(dst_id, "unencodable")
             else:
-                self._teardown(peer)
-                for _message in batch:
-                    self._drop(dst_id, "retries_exhausted")
-                if brk is not None:
-                    trips_before = brk.trips
-                    brk.record_failure(asyncio.get_running_loop().time())
-                    if brk.trips > trips_before:
-                        self.metrics.incr("qos_breaker_opens")
+                encoded.append(message)
+        batch[:] = encoded
+        return b"".join(frames)
+
+    async def _recover(self, dst_id: str, peer: _Peer) -> None:
+        """Own ``peer`` until its backlog is empty: everything that waits.
+
+        Dial and hello, retry with backoff, ``drain()`` under
+        ``io_timeout``, breaker fast-fail and half-open probes, and the
+        per-message :meth:`_transmit` of fault-injecting pools.  While
+        this task runs ``send`` only appends, so the backlog leaves in
+        ``send`` order whichever path wrote the messages before it.
+        """
+        loop = asyncio.get_running_loop()
+        try:
+            while peer.backlog and not self._closed:
+                batch = self._take(peer.backlog)
+                brk = self._breaker_for(dst_id)
+                if brk is not None and not brk.allow(loop.time()):
+                    # Open breaker: fast-fail the backlog instead of
+                    # burning a full backoff ladder against a peer known
+                    # to be down.
+                    for _message in batch:
+                        self._drop(dst_id, "breaker_open")
+                    continue
+                delivered = False
+                for attempt in range(self.retry.max_attempts):
+                    if self._closed:
+                        return
+                    try:
+                        if peer.writer is None:
+                            _reader, peer.writer = \
+                                await self._connect(dst_id)
+                        size = await self._transmit_batch(
+                            dst_id, peer, batch)
+                    except (ConnectionError, OSError, asyncio.TimeoutError,
+                            TransportError) as exc:
+                        if isinstance(exc, asyncio.TimeoutError):
+                            self.metrics.incr("net_timeouts")
+                        self._teardown(peer)
+                        self.metrics.incr("net_retries")
+                        if attempt + 1 < self.retry.max_attempts:
+                            # No point backing off after the last
+                            # attempt: the frame is already lost either
+                            # way.
+                            await asyncio.sleep(
+                                self.retry.delay(attempt, self.rng))
+                        continue
+                    self.metrics.incr("net_frames_sent", len(batch))
+                    self.metrics.incr("net_bytes_sent", size)
+                    delivered = True
+                    break
+                if delivered:
+                    if brk is not None:
+                        brk.record_success(loop.time())
+                else:
+                    self._teardown(peer)
+                    for _message in batch:
+                        self._drop(dst_id, "retries_exhausted")
+                    if brk is not None:
+                        trips_before = brk.trips
+                        brk.record_failure(loop.time())
+                        if brk.trips > trips_before:
+                            self.metrics.incr("qos_breaker_opens")
+        finally:
+            # Hand the peer back whatever ended the task, so the next
+            # ``send`` arms a flush instead of queueing behind a corpse.
+            peer.task = None
 
     async def _transmit_batch(self, dst_id: str, peer: _Peer,
                               messages: list[Any]) -> int:
-        """Flush one queue drain's worth of messages; returns total bytes.
-
-        The whole backlog goes out as a single
-        :class:`~repro.net.codec.FrameBatch` frame -- one header, one
-        ``write``, one drain -- falling back to individually framed
-        messages in the same write when the coalesced body would exceed
-        ``MAX_FRAME_BYTES`` (e.g. several store snapshots back to back).
+        """Write one flush's messages and drain; returns total bytes.
 
         Pools that override the per-message :meth:`_transmit` seam
         (:mod:`repro.chaos`) are detected and fed one message at a time
-        in queue order, so per-frame fault decisions and byte-level
+        in backlog order, so per-frame fault decisions and byte-level
         corruption keep their exact (seed, link, frame-index) meaning.
+        Messages that cannot be encoded are dropped with a count and
+        removed from ``messages`` on either path.
         """
-        if type(self)._transmit is not ConnectionPool._transmit:
+        if self._per_message:
             total = 0
-            for message in messages:
-                total += await self._transmit(dst_id, peer, message)
+            index = 0
+            while index < len(messages):
+                try:
+                    total += await self._transmit(dst_id, peer,
+                                                  messages[index])
+                except CodecError:
+                    del messages[index]
+                    self._drop(dst_id, "unencodable")
+                else:
+                    index += 1
             return total
-        if len(messages) == 1:
-            payload = codec.encode_frame(messages[0])
-        else:
-            try:
-                payload = codec.encode_frame(
-                    codec.FrameBatch(messages=tuple(messages)))
-                self.metrics.incr("net_batches_sent")
-            except FrameTooLarge:
-                payload = b"".join(codec.encode_frame(m) for m in messages)
+        payload = self._encode(dst_id, messages)
         assert peer.writer is not None
         peer.writer.write(payload)
         await self._drain(peer.writer)
@@ -341,7 +446,7 @@ class ConnectionPool:
         node, so fault-injecting pools (:mod:`repro.chaos`) can corrupt
         or throttle the frame without touching retry logic.  Overriding
         it opts the pool out of wire-level coalescing (see
-        :meth:`_transmit_batch`).
+        :meth:`_flush` and :meth:`_transmit_batch`).
         """
         assert peer.writer is not None
         return await write_frame(peer.writer, message, self.io_timeout)
@@ -381,7 +486,7 @@ class ConnectionPool:
     # -- lifecycle ---------------------------------------------------------
 
     async def aclose(self) -> None:
-        """Cancel sender tasks and abort live connections.
+        """Cancel recovery tasks and abort live connections.
 
         Takes ownership of the peer map *before* the first await: a
         concurrent ``aclose``/``send`` interleaving at the await would

@@ -4,11 +4,19 @@
 2 slaves each, 4 clients, constant 10 ms links, HMAC signatures (fast),
 seeded for reproducibility.  Tests needing other topologies build their
 own spec via ``make_system``.
+
+``loop_errors_fail`` (autouse for socket-marked tests) turns exceptions
+asyncio would only log -- raised inside ``call_soon`` callbacks and
+protocol methods, which is where the transport runs -- into failures.
 """
 
 from __future__ import annotations
 
+import asyncio
+import contextlib
 import random
+import re
+from typing import Any, Iterator
 
 import pytest
 
@@ -47,3 +55,53 @@ def small_system() -> ReplicationSystem:
     system = make_system()
     system.start()
     return system
+
+
+#: Markers whose tests run the callback-driven socket transport.
+_SOCKET_MARKERS = ("net", "obs", "shard", "chaos")
+#: What asyncio reports when a callback or a protocol method raised: it
+#: logs the traceback and carries on, so nothing else fails.
+_SWALLOWED = re.compile(
+    r"Exception in callback|protocol\.\w+\(\) (?:call )?failed")
+
+
+@contextlib.contextmanager
+def recorded_loop_errors() -> Iterator[list[dict[str, Any]]]:
+    """Collect the exception-handler contexts of swallowed errors.
+
+    Patches the class, not one loop: the socket tests each build their
+    own loop with ``asyncio.run``.  The context is still passed on, so
+    the traceback is logged as before.
+    """
+    swallowed: list[dict[str, Any]] = []
+    original = asyncio.BaseEventLoop.call_exception_handler
+
+    def recording(loop: asyncio.BaseEventLoop,
+                  context: dict[str, Any]) -> None:
+        # A task cancelled by loop teardown surfaces through the stream
+        # server's done-callback the same way; that is not a bug.
+        if _SWALLOWED.search(context.get("message", "")) \
+                and not isinstance(context.get("exception"),
+                                   asyncio.CancelledError):
+            swallowed.append(context)
+        original(loop, context)
+
+    asyncio.BaseEventLoop.call_exception_handler = recording  # type: ignore[method-assign]
+    try:
+        yield swallowed
+    finally:
+        asyncio.BaseEventLoop.call_exception_handler = original  # type: ignore[method-assign]
+
+
+@pytest.fixture(autouse=True)
+def loop_errors_fail(request: pytest.FixtureRequest) -> Iterator[None]:
+    """Fail a socket-marked test if the loop swallowed an exception."""
+    if not any(request.node.get_closest_marker(marker)
+               for marker in _SOCKET_MARKERS):
+        yield
+        return
+    with recorded_loop_errors() as swallowed:
+        yield
+    assert not swallowed, "the event loop swallowed: " + "; ".join(
+        f"{context['message']}: {context.get('exception')!r}"
+        for context in swallowed)

@@ -1,0 +1,229 @@
+"""The inbound connection protocol's frame parser, fed bytes directly.
+
+``NodeServer`` parses frames inside ``data_received``: a TCP segment may
+hold several frames, or end anywhere inside one.  However the bytes are
+cut, the protocol must hand admission exactly what one ``read_frame``
+per frame would have -- same messages, same order -- and an EOF inside
+a frame must count as a framing reject.  The golden frames (one per wire
+id, ``tests/data/golden_wire.json``) are the corpus.
+
+No sockets here: the protocol is driven through its callbacks with a
+stand-in transport, so every cut is exact and repeatable.
+"""
+
+from __future__ import annotations
+
+import asyncio
+from typing import Any, Iterator
+
+import pytest
+
+from repro.metrics import MetricsRegistry
+from repro.net import codec
+from repro.net.codec import FrameBatch, NetHello, encode_frame
+from repro.net.server import NodeServer, _Connection
+from repro.net.transport import read_frame
+from repro.obs.admin import AdminPlane, QosStatusRequest
+from repro.obs.spans import ObsRuntime
+from repro.sim.network import Network, Node
+from repro.sim.simulator import Simulator
+
+from tests.test_golden_bytes import GOLDEN
+
+HELLO = encode_frame(NetHello(node_id="tester"))
+FRAMES = [bytes.fromhex(frame) for _wire_id, frame in
+          sorted(GOLDEN["frames"].items(), key=lambda item: int(item[0]))]
+
+
+def _via_read_frame(frames: list[bytes]) -> list[Any]:
+    """What one ``read_frame`` per frame yields, batches unpacked."""
+
+    async def scenario() -> list[Any]:
+        dispatched: list[Any] = []
+        for frame in frames:
+            reader = asyncio.StreamReader()
+            reader.feed_data(frame)
+            reader.feed_eof()
+            message, size = await read_frame(reader)
+            assert size == len(frame)
+            dispatched.extend(message.messages
+                              if isinstance(message, FrameBatch)
+                              else [message])
+        return dispatched
+
+    return asyncio.run(scenario())
+
+
+def _wire(messages: list[Any]) -> list[bytes]:
+    """Canonical bytes per message (stores have no ``__eq__``)."""
+    return [codec.encode_value(message) for message in messages]
+
+
+MESSAGES = _via_read_frame(FRAMES)
+BATCH = encode_frame(FrameBatch(messages=tuple(MESSAGES)))
+
+
+class StandInTransport(asyncio.Transport):
+    def __init__(self) -> None:
+        super().__init__()
+        self.aborted = False
+        self.reading = True
+        self.written: list[bytes] = []
+        #: Set to the protocol's ``pause_writing`` to play a write
+        #: buffer that is over its high-water mark.
+        self.on_write: Any = None
+
+    def write(self, data: bytes) -> None:
+        self.written.append(data)
+        if self.on_write is not None:
+            self.on_write()
+
+    def pause_reading(self) -> None:
+        self.reading = False
+
+    def resume_reading(self) -> None:
+        self.reading = True
+
+    def abort(self) -> None:
+        self.aborted = True
+
+
+class RecordingServer(NodeServer):
+    """Records what reaches admission -- the seam the old per-frame
+    reader loop handed each decoded message to -- instead of running
+    it (dispatch unwraps carriers and envelopes; that is not under
+    test here)."""
+
+    def __init__(self) -> None:
+        simulator = Simulator(0)
+        super().__init__(Node("target", simulator, Network(simulator)),
+                         MetricsRegistry())
+        self.admitted: list[Any] = []
+
+    def _admit(self, src_id: str, message: Any, byte_cost: float) -> bool:
+        assert src_id == "tester"
+        self.admitted.append(message)
+        return False
+
+
+class Inbound:
+    """A server, one handshaked connection into it, and what arrived."""
+
+    def __init__(self, loop: asyncio.AbstractEventLoop) -> None:
+        self.server = RecordingServer()
+        self.metrics = self.server.metrics
+        self.transport = StandInTransport()
+        self.connection = _Connection(self.server, loop)
+        self.connection.connection_made(self.transport)
+
+    def feed(self, *segments: bytes) -> None:
+        for segment in segments:
+            self.connection.data_received(segment)
+
+    def take(self) -> list[bytes]:
+        admitted, self.server.admitted = self.server.admitted, []
+        return _wire(admitted)
+
+    def close(self) -> None:
+        self.connection.connection_lost(None)
+
+
+@pytest.fixture
+def inbound() -> Iterator[Inbound]:
+    loop = asyncio.new_event_loop()
+    harness = Inbound(loop)
+    try:
+        yield harness
+    finally:
+        harness.close()  # cancels the connection's timer
+        loop.close()
+
+
+class TestSegmentation:
+    @pytest.mark.parametrize("index", range(len(FRAMES)))
+    def test_golden_frame_split_at_every_offset(self, inbound, index):
+        frame = FRAMES[index]
+        expected = _wire(_via_read_frame([frame]))
+        inbound.feed(HELLO)
+        for cut in range(1, len(frame)):
+            inbound.feed(frame[:cut])
+            assert inbound.take() == [], f"dispatched at cut {cut}"
+            inbound.feed(frame[cut:])
+            assert inbound.take() == expected, f"cut {cut}"
+        assert inbound.metrics.snapshot().get("net_frames_rejected", 0) == 0
+
+    def test_batch_of_them_split_at_every_offset(self, inbound):
+        expected = _wire(_via_read_frame([BATCH]))
+        assert expected == _wire(MESSAGES)
+        inbound.feed(HELLO)
+        for cut in range(1, len(BATCH)):
+            inbound.feed(BATCH[:cut], BATCH[cut:])
+            assert inbound.take() == expected, f"cut {cut}"
+        snap = inbound.metrics.snapshot()
+        assert snap["net_batches_received"] == len(BATCH) - 1
+        assert snap["net_bytes_received"] == len(BATCH) * (len(BATCH) - 1)
+
+    @pytest.mark.parametrize("segment", [1, 3, 8, 64, 1000, 1 << 20])
+    def test_several_frames_per_segment(self, inbound, segment):
+        """The hello, every frame and the batch as one byte stream, cut
+        into fixed-size segments that ignore frame boundaries."""
+        stream = HELLO + b"".join(FRAMES) + BATCH + b"".join(FRAMES)
+        inbound.feed(*(stream[at:at + segment]
+                       for at in range(0, len(stream), segment)))
+        assert inbound.take() == _wire(MESSAGES * 3)
+        snap = inbound.metrics.snapshot()
+        assert snap["net_frames_received"] == len(MESSAGES) * 3
+        assert snap["net_bytes_received"] == len(stream) - len(HELLO)
+        assert not inbound.transport.aborted
+
+    def test_truncated_tail_at_eof_is_a_framing_reject(self, inbound):
+        inbound.feed(HELLO + FRAMES[3] + FRAMES[4][:-2])
+        assert inbound.take() == _wire(_via_read_frame([FRAMES[3]]))
+        inbound.connection.eof_received()
+        snap = inbound.metrics.snapshot()
+        assert snap["net_frames_rejected_framing"] == 1
+        assert snap["net_rejected_from_tester"] == 1
+        assert inbound.transport.aborted
+
+    def test_eof_on_a_frame_boundary_is_not_a_reject(self, inbound):
+        inbound.feed(HELLO + FRAMES[3])
+        inbound.connection.eof_received()
+        assert inbound.metrics.snapshot().get("net_frames_rejected", 0) == 0
+
+    def test_garbage_behind_good_frames_closes_after_dispatching(self,
+                                                                 inbound):
+        inbound.feed(HELLO + FRAMES[3] + b"GARBAGE-NOT-A-FRAME" + FRAMES[4])
+        assert inbound.take() == _wire(_via_read_frame([FRAMES[3]]))
+        assert inbound.transport.aborted
+        assert inbound.metrics.snapshot()["net_frames_rejected_framing"] == 1
+        # Nothing parses on a closed connection, whatever still arrives.
+        inbound.feed(FRAMES[4])
+        assert inbound.take() == []
+
+    def test_hello_must_come_first_even_mid_segment(self, inbound):
+        inbound.feed(FRAMES[3] + HELLO)
+        assert inbound.take() == []
+        assert inbound.transport.aborted
+        assert inbound.metrics.snapshot()["net_handshakes_rejected"] == 1
+
+
+class TestHalting:
+    def test_unread_admin_replies_halt_the_connection(self, inbound):
+        """The write buffer over its high-water mark is the callback
+        form of a ``drain()`` that blocks: requests behind it wait,
+        in order, until the peer has read its replies."""
+        inbound.server.admin = AdminPlane(
+            ObsRuntime(clock=lambda: 0.0, seed=0))
+        request = encode_frame(QosStatusRequest())
+        inbound.transport.on_write = inbound.connection.pause_writing
+        inbound.feed(HELLO + request + request + FRAMES[3])
+        assert len(inbound.transport.written) == 1
+        assert not inbound.transport.reading
+        inbound.feed(FRAMES[4])  # raced the pause: kept, not parsed
+        assert inbound.take() == []
+        inbound.transport.on_write = None
+        inbound.connection.resume_writing()
+        assert len(inbound.transport.written) == 2
+        assert inbound.transport.reading
+        assert inbound.take() == _wire(
+            _via_read_frame([FRAMES[3], FRAMES[4]]))

@@ -7,6 +7,8 @@ serving-plane overload behaviour end to end:
 * the idle-connection reaper aborts handshaked-but-silent peers;
 * per-client token buckets shed over-quota frames deterministically,
   with every shed attributed per reason and per client;
+* a shed stalls the offending connection only, and what it sent during
+  the stall is served afterwards in order;
 * keep-alives and accusations are NEVER shed, whatever the budget;
 * the bounded inbox evicts oldest-first under burst;
 * malformed frames land on split ``framing``/``body`` counters and
@@ -71,10 +73,10 @@ class QosHarness:
         host, port = await self.server.start()
         self.peers.add("target", host, port)
 
-    async def raw_connection(self):
+    async def raw_connection(self, node_id: str = "tester"):
         host, port = self.peers.endpoint("target")
         reader, writer = await asyncio.open_connection(host, port)
-        writer.write(encode_frame(NetHello(node_id="tester")))
+        writer.write(encode_frame(NetHello(node_id=node_id)))
         await writer.drain()
         return reader, writer
 
@@ -142,6 +144,48 @@ class TestWireAdmission:
                 assert h.server.shed_total == 4
                 assert [msg for _src, msg in h.node.received] \
                     == ["req-0", "req-1"]
+            finally:
+                await h.aclose()
+
+        run(scenario())
+
+    def test_shed_penalty_stalls_only_the_offender(self):
+        async def scenario():
+            penalty = 0.4
+            h = QosHarness(AdmissionPolicy(frame_rate=20.0, frame_burst=2.0,
+                                           shed_penalty=penalty))
+            await h.start()
+            try:
+                loop = asyncio.get_running_loop()
+                _reader, offender = await h.raw_connection("offender")
+                _reader2, bystander = await h.raw_connection("bystander")
+                # One segment: a0 and a1 spend the burst, a2 is shed and
+                # stalls the connection with a3 already off the socket.
+                offender.write(b"".join(
+                    encode_frame(f"a{n}") for n in range(4)))
+                await offender.drain()
+                await h.wait_counter("qos_shed_rate", 1)
+                stalled_at = loop.time()
+                # Sent into the stall: waits in the socket buffer.
+                offender.write(encode_frame("a4"))
+                await offender.drain()
+                # Everyone else is served meanwhile.
+                bystander.write(encode_frame("b0"))
+                await bystander.drain()
+                await h.wait_received(3)
+                assert loop.time() - stalled_at < penalty / 2
+                assert h.node.received == [("offender", "a0"),
+                                           ("offender", "a1"),
+                                           ("bystander", "b0")]
+                # The stall over (and the bucket refilled), what arrived
+                # during it is served in arrival order.
+                await h.wait_received(5)
+                assert loop.time() - stalled_at >= penalty * 0.9
+                assert h.node.received[3:] == [("offender", "a3"),
+                                               ("offender", "a4")]
+                snap = h.metrics.snapshot()
+                assert snap["qos_shed_total"] == 1
+                assert snap["qos_shed_from_offender"] == 1
             finally:
                 await h.aclose()
 
@@ -331,6 +375,25 @@ class TestPoolBreaker:
                         raise TimeoutError("breaker never closed")
                     await asyncio.sleep(0.01)
                 assert h.pool.breaker_trips() == 1  # no new trips
+                # Healed: the peer is back on the synchronous flush, and
+                # the breaker still guards it -- when the connection
+                # dies again the write is not attempted on the corpse,
+                # the retry path runs and the breaker re-opens.
+                peer = h.pool._peers["target"]
+                h.pool.send("target", "four")
+                await asyncio.sleep(0)
+                assert peer.task is None and not peer.backlog
+                await h.wait_received(2)
+                await h.server.aclose()
+                assert h.pool.kill_connection("target")
+                h.pool.send("target", "five")
+                await h.wait_counter("net_drop_retries_exhausted", 2)
+                assert h.pool.breaker_states() == {"target": "open"}
+                assert h.pool.breaker_trips() == 2
+                h.pool.send("target", "six")
+                await h.wait_counter("net_drop_breaker_open", 2)
+                assert [msg for _src, msg in h.node.received] \
+                    == ["three", "four"]
             finally:
                 await h.aclose()
 

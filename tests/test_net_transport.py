@@ -269,6 +269,10 @@ class TestConnectionPool:
         run(scenario())
 
     def test_killed_connection_redials(self):
+        """asyncio discards a write to an aborted transport without a
+        word, so the synchronous flush must notice the dead connection
+        *before* writing: every message is delivered exactly once, over
+        the retry path, and nothing is dropped."""
         async def scenario():
             h = Harness()
             await h.start()
@@ -276,9 +280,17 @@ class TestConnectionPool:
                 h.pool.send("target", "before")
                 await h.wait_received(1)
                 assert h.pool.kill_connection("target")
-                h.pool.send("target", "after")
-                await h.wait_received(2)
-                assert h.metrics.snapshot()["net_connects"] == 2
+                h.pool.send("target", "after-1")
+                h.pool.send("target", "after-2")
+                await h.wait_received(3)
+                await asyncio.sleep(0.05)  # a duplicate would land here
+                assert [msg for _src, msg in h.node.received] == \
+                    ["before", "after-1", "after-2"]
+                snap = h.metrics.snapshot()
+                assert snap["net_connects"] == 2
+                assert snap["net_retries"] == 1
+                assert snap["net_frames_sent"] == 3
+                assert snap.get("net_frames_dropped", 0) == 0
             finally:
                 await h.aclose()
 
@@ -383,6 +395,133 @@ class TestConnectionPool:
                 await h.wait_received(1)
                 assert h.node.received[0][1] == "during outage"
                 assert h.metrics.snapshot()["net_retries"] >= 1
+            finally:
+                await h.aclose()
+
+        run(scenario())
+
+
+@pytest.mark.net
+class TestFlushHandOver:
+    """``send`` order is delivery order, whichever of the synchronous
+    flush and the recovery task wrote each message."""
+
+    @staticmethod
+    def numbered(h: Harness) -> list[int]:
+        return [msg["n"] for _src, msg in h.node.received]
+
+    def test_sends_while_dialling_keep_their_order(self):
+        async def scenario():
+            h = Harness()
+            await h.start()
+            try:
+                for n in range(5):
+                    h.pool.send("target", {"n": n})
+                await asyncio.sleep(0)  # the flush ran: a task is dialling
+                peer = h.pool._peers["target"]
+                assert peer.task is not None and peer.writer is None
+                for n in range(5, 10):
+                    h.pool.send("target", {"n": n})
+                await h.wait_received(10)
+                assert self.numbered(h) == list(range(10))
+                assert peer.task is None  # the peer was handed back
+                # ... and the next send needs no task at all.
+                h.pool.send("target", {"n": 10})
+                await asyncio.sleep(0)
+                assert peer.task is None and not peer.backlog
+                await h.wait_received(11)
+                assert h.metrics.snapshot()["net_connects"] == 1
+            finally:
+                await h.aclose()
+
+        run(scenario())
+
+    def test_sends_during_backoff_keep_their_order(self):
+        async def scenario():
+            h = Harness()
+            await h.start()
+            h.pool.retry = RetryPolicy(base_delay=0.15, multiplier=1.0,
+                                       jitter=0.0, max_attempts=5)
+            host, port = h.peers.endpoint("target")
+            await h.server.aclose()
+            try:
+                h.pool.send("target", {"n": 0})
+                while not h.metrics.snapshot().get("net_retries"):
+                    await asyncio.sleep(0.005)
+                # The task is asleep between attempts; these only queue.
+                h.pool.send("target", {"n": 1})
+                h.pool.send("target", {"n": 2})
+                await h.server.start(host, port)
+                await h.wait_received(3)
+                assert self.numbered(h) == [0, 1, 2]
+                assert h.metrics.snapshot().get("net_frames_dropped", 0) == 0
+            finally:
+                await h.aclose()
+
+        run(scenario())
+
+    def test_sends_while_blocked_on_drain_keep_their_order(self):
+        async def scenario():
+            h = Harness()
+            await h.start()
+            try:
+                h.pool.send("target", {"n": 0})
+                await h.wait_received(1)
+                # The listener stops reading: the socket buffers fill,
+                # the transport's write buffer backs up, and the next
+                # flush has to wait in drain().
+                (inbound,) = h.server._connections
+                inbound.transport.pause_reading()
+                pad = b"x" * (1 << 20)
+                for n in range(1, 25):
+                    h.pool.send("target", {"n": n, "pad": pad})
+                await asyncio.sleep(0)  # synchronous flush: partly written
+                peer = h.pool._peers["target"]
+                assert peer.writer.transport.get_write_buffer_size() > 0
+                h.pool.send("target", {"n": 25})
+                await asyncio.sleep(0)
+                assert peer.task is not None  # parked on the write buffer
+                for n in range(26, 30):
+                    h.pool.send("target", {"n": n})
+                await asyncio.sleep(0.05)
+                assert len(h.node.received) == 1
+                inbound.transport.resume_reading()
+                await h.wait_received(30)
+                assert self.numbered(h) == list(range(30))
+                snap = h.metrics.snapshot()
+                assert snap.get("net_frames_dropped", 0) == 0
+                assert snap["net_connects"] == 1
+            finally:
+                await h.aclose()
+
+        run(scenario())
+
+    def test_unencodable_message_is_dropped_not_wedging_the_peer(self):
+        """An unregistered type, or one message over the frame limit,
+        used to kill the sender task: every later send to that peer then
+        queued in silence with no drop counted."""
+        async def scenario():
+            h = Harness()
+            await h.start()
+            try:
+                # Recovery-task path: all three queue behind the dial.
+                h.pool.send("target", {"a": 1})
+                h.pool.send("target", object())
+                h.pool.send("target", {"b": 2})
+                await h.wait_received(2)
+                # Synchronous path: the connection is up.
+                h.pool.send("target", {"a": 3})
+                h.pool.send("target", object())
+                h.pool.send("target", "x" * (codec.MAX_FRAME_BYTES + 1))
+                h.pool.send("target", {"b": 4})
+                await h.wait_received(4)
+                assert h.pool._peers["target"].task is None
+                assert [msg for _src, msg in h.node.received] == \
+                    [{"a": 1}, {"b": 2}, {"a": 3}, {"b": 4}]
+                snap = h.metrics.snapshot()
+                assert snap["net_frames_dropped"] == 3
+                assert snap["net_drop_unencodable"] == 3
+                assert snap["net_frames_sent"] == 4
             finally:
                 await h.aclose()
 
@@ -652,3 +791,33 @@ class TestServerLifecycle:
                 await h.aclose()
 
         run(scenario())
+
+
+# -- the suite's own safety net (tests/conftest.py) -----------------------
+
+
+class TestLoopErrorRecorder:
+    def test_records_what_the_loop_would_only_log(self):
+        from tests.conftest import recorded_loop_errors
+
+        class Broken(asyncio.Protocol):
+            def data_received(self, data: bytes) -> None:
+                raise RuntimeError("bug in data_received")
+
+        async def scenario():
+            loop = asyncio.get_running_loop()
+            loop.call_soon(lambda: 1 / 0)
+            server = await loop.create_server(Broken, "127.0.0.1", 0)
+            host, port = server.sockets[0].getsockname()[:2]
+            _reader, writer = await asyncio.open_connection(host, port)
+            writer.write(b"x")
+            await asyncio.sleep(0.05)
+            writer.close()
+            server.close()
+            await server.wait_closed()
+
+        with recorded_loop_errors() as swallowed:
+            run(scenario())
+        assert sorted(type(context["exception"]).__name__
+                      for context in swallowed) == \
+            ["RuntimeError", "ZeroDivisionError"]
