@@ -30,7 +30,7 @@ import asyncio
 import time
 from typing import Any
 
-from repro.chaos.cluster import launch_chaos
+from repro.chaos.faults import FaultPlane
 from repro.chaos.scenarios import (
     FlashCrowd,
     ReadLoad,
@@ -38,7 +38,11 @@ from repro.chaos.scenarios import (
     _percentile,
 )
 from repro.content.kvstore import KVGet, KVPut
-from repro.net.deploy import NetDeploymentSpec, fast_protocol_config
+from repro.net.deploy import (
+    LocalCluster,
+    NetDeploymentSpec,
+    fast_protocol_config,
+)
 
 from benchmarks.common import FULL, print_table
 
@@ -79,7 +83,8 @@ def measure_admission(crowd: bool, qos: bool,
             client_double_check_overrides={
                 i: 1.0 for i in range(honest_count,
                                       honest_count + greedy_count)})
-        cluster = await launch_chaos(spec, settle=0.8)
+        cluster = await LocalCluster.launch(
+            spec, settle=0.8, plane=FaultPlane(seed=seed))
         honest = cluster.clients[:honest_count]
         honest_ids = {client.node_id for client in honest}
         # 10 reads/s per honest client fits inside the 15/s frame

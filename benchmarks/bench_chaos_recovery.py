@@ -2,7 +2,8 @@
 
 Measures the Section 3.5 recovery path end to end as a function of
 ``keepalive_interval``: crash a master under continuous read load in a
-live :class:`repro.chaos.ChaosCluster` and record
+live :class:`~repro.net.deploy.LocalCluster` on a (healthy) fault
+plane and record
 
 * **detection latency** -- crash to the first survivor executing the
   corrective action (the ``master_crash_detections`` timeline);
@@ -30,10 +31,14 @@ sys.path.insert(0, str(pathlib.Path(__file__).resolve().parent.parent))
 import asyncio
 import time
 
-from repro.chaos import ChaosCluster
+from repro.chaos import FaultPlane
 from repro.chaos.scenarios import ReadLoad
 from repro.content.kvstore import KVGet, KVPut
-from repro.net.deploy import NetDeploymentSpec, fast_protocol_config
+from repro.net.deploy import (
+    LocalCluster,
+    NetDeploymentSpec,
+    fast_protocol_config,
+)
 
 from benchmarks.common import FULL, print_table
 
@@ -60,8 +65,8 @@ def measure_recovery(keepalive_interval: float,
         )
         spec = NetDeploymentSpec(num_masters=3, slaves_per_master=2,
                                  num_clients=4, seed=seed, protocol=config)
-        cluster = await ChaosCluster.launch(spec, settle=0.8)
-        assert isinstance(cluster, ChaosCluster)
+        cluster = await LocalCluster.launch(
+            spec, settle=0.8, plane=FaultPlane(seed=seed))
         load = ReadLoad(cluster, KVGet(key="bench"))
         try:
             await cluster.write(cluster.clients[0],

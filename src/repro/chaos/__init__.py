@@ -9,17 +9,15 @@ streams so a failing schedule replays exactly.
 Layers:
 
 * :mod:`repro.chaos.faults` -- the per-link fault plane and the
-  fault-injecting connection pool;
-* :mod:`repro.chaos.cluster` -- :class:`ChaosCluster`, a
-  :class:`~repro.net.deploy.LocalCluster` wired through the fault plane
-  with node crash/restart lifecycle faults;
-* :mod:`repro.chaos.invariants` -- the offline safety oracle (zero
+  fault-injecting connection pool; launch either topology with a plane
+  (``LocalCluster.launch(spec, plane=FaultPlane(seed))``) and every
+  link answers to it;
+* :mod:`repro.chaos.invariants` -- the safety oracle's verdicts (zero
   accepted stale/forged reads, consistency window, convergence);
 * :mod:`repro.chaos.scenarios` -- the named scenario catalog with
   per-scenario JSON verdicts (also behind ``repro-sim chaos``).
 """
 
-from repro.chaos.cluster import ChaosCluster
 from repro.chaos.faults import (
     HEALTHY,
     ChaosConnectionPool,
@@ -37,7 +35,6 @@ from repro.chaos.scenarios import (
 
 __all__ = [
     "HEALTHY",
-    "ChaosCluster",
     "ChaosConnectionPool",
     "CheckResult",
     "FaultPlane",

@@ -10,16 +10,24 @@ Wall-clock timing over real sockets still varies run to run; the fault
 *decisions* do not, which is what makes a failing schedule replayable.
 
 :class:`ChaosConnectionPool` applies those decisions inside the sender
-path of :class:`~repro.net.transport.ConnectionPool`:
+path of :class:`~repro.net.transport.ConnectionPool`, and nowhere else:
+whatever gets past them is flushed by the production code, synchronously
+when the link is up.
 
-* drop / duplicate / delay / reorder act on whole messages before they
-  are queued (mirroring what a lossy, reordering network does);
-* corrupt-frame and throttle act at the byte layer via the pool's
-  ``_transmit`` seam -- a corrupted frame keeps its header intact so
-  the receiver stays frame-aligned and must survive the garbage *body*
-  (codec rejection, signature failure or a contained handler error);
+* drop / duplicate / delay / reorder / throttle act on whole messages
+  before they are queued (mirroring what a lossy, reordering, slow
+  network does);
+* corrupt-frame acts at the byte layer, where the pool encodes a
+  flush -- a corrupted frame keeps its header intact so the receiver
+  stays frame-aligned and must survive the garbage *body* (codec
+  rejection, signature failure or a contained handler error);
 * partitions silently eat every frame in both directions until healed,
   exactly like :meth:`repro.sim.network.Network.partition`.
+
+A deployment gets all of this by being launched with a plane
+(``LocalCluster.launch(spec, plane=FaultPlane(seed))``): the plane
+builds the pools (:meth:`FaultPlane.pool`), so :mod:`repro.net` never
+imports this module.
 """
 
 from __future__ import annotations
@@ -29,11 +37,9 @@ import random
 from dataclasses import dataclass
 from typing import Any
 
-from repro.metrics import MetricsRegistry
 from repro.net import codec
-from repro.net.peers import PeerDirectory
-from repro.net.transport import ConnectionPool, RetryPolicy, _Peer
-from repro.qos.breaker import BreakerPolicy
+from repro.net.errors import CodecError
+from repro.net.transport import ConnectionPool
 
 
 @dataclass(frozen=True, slots=True)
@@ -102,6 +108,11 @@ class FaultPlane:
         self._partitions: set[frozenset[str]] = set()
         #: Total frames planned; a cheap determinism fingerprint.
         self.decisions = 0
+
+    def pool(self, *args: Any, **kwargs: Any) -> "ChaosConnectionPool":
+        """A connection pool (same arguments as
+        :class:`~repro.net.transport.ConnectionPool`) on this plane."""
+        return ChaosConnectionPool(*args, plane=self, **kwargs)
 
     # -- profile management ----------------------------------------------
 
@@ -197,9 +208,9 @@ class _Corrupted:
 class ChaosConnectionPool(ConnectionPool):
     """A :class:`ConnectionPool` whose frames answer to a fault plane.
 
-    Message-level faults (drop, duplicate, delay, reorder, partition)
-    are applied in :meth:`send`, before queueing; byte-level faults
-    (corrupt, throttle) in :meth:`_transmit`, after framing.  Reordered
+    Message-level faults (drop, duplicate, delay, reorder, throttle,
+    partition) are applied in :meth:`send`, before queueing; corruption
+    in :meth:`_encode`, as the flush frames the message.  Reordered
     frames are parked until the next frame to the same destination
     passes them, with a timer backstop so a quiet link still delivers.
     """
@@ -208,25 +219,12 @@ class ChaosConnectionPool(ConnectionPool):
     #: even if no later frame comes along to overtake it.
     REORDER_FLUSH = 0.05
 
-    def __init__(self, node_id: str, peers: PeerDirectory,
-                 metrics: MetricsRegistry, rng: random.Random,
-                 plane: FaultPlane,
-                 retry: RetryPolicy | None = None,
-                 connect_timeout: float = 2.0,
-                 io_timeout: float = 5.0,
-                 max_batch: int = 64,
-                 breaker: BreakerPolicy | None = None) -> None:
-        # max_batch governs queue draining only: this pool overrides
-        # _transmit, so the base pool feeds it one message at a time and
-        # frames are never coalesced on the wire (fault fates stay
-        # addressed per (seed, link, frame-index)).
-        super().__init__(node_id, peers, metrics, rng, retry=retry,
-                         connect_timeout=connect_timeout,
-                         io_timeout=io_timeout,
-                         max_batch=max_batch,
-                         breaker=breaker)
+    def __init__(self, *args: Any, plane: FaultPlane,
+                 **kwargs: Any) -> None:
+        super().__init__(*args, **kwargs)
         self.plane = plane
         self._held: dict[str, list[Any]] = {}
+        #: Per destination: when the throttled link is next free.
         self._throttle_free: dict[str, float] = {}
 
     # -- message-level faults ---------------------------------------------
@@ -261,10 +259,31 @@ class ChaosConnectionPool(ConnectionPool):
                  delay: float) -> None:
         if delay > 0:
             self.metrics.incr("chaos_delayed_frames")
+        bps = self.plane.faults_for(self.node_id, dst_id).throttle_bps
+        if bps > 0:
+            delay += self._pace(dst_id, payload, 1 + duplicates, bps)
+        if delay > 0:
             asyncio.get_running_loop().call_later(
                 delay, self._enqueue, dst_id, payload, duplicates)
         else:
             self._enqueue(dst_id, payload, duplicates)
+
+    def _pace(self, dst_id: str, payload: Any, copies: int,
+              bps: float) -> float:
+        """Serialise this link's bytes at ``bps`` (token-bucket style):
+        how long ``payload`` waits for the frames queued before it."""
+        message = payload.message if isinstance(payload, _Corrupted) \
+            else payload
+        try:
+            size = copies * len(codec.encode_frame(message))
+        except CodecError:
+            return 0.0  # dropped, with a count, when the flush frames it
+        now = asyncio.get_running_loop().time()
+        start = max(now, self._throttle_free.get(dst_id, now))
+        self._throttle_free[dst_id] = start + size / bps
+        if start > now:
+            self.metrics.incr("chaos_throttled_frames")
+        return start - now
 
     def _enqueue(self, dst_id: str, payload: Any, duplicates: int) -> None:
         for _copy in range(1 + duplicates):
@@ -279,42 +298,24 @@ class ChaosConnectionPool(ConnectionPool):
 
     # -- byte-level faults -------------------------------------------------
 
-    async def _transmit(self, dst_id: str, peer: _Peer, message: Any) -> int:
-        payload = message
-        corrupted = isinstance(payload, _Corrupted)
-        if corrupted:
-            payload = payload.message
-        frame = codec.encode_frame(payload)
-        if corrupted:
-            frame = self._damage(dst_id, frame)
-        faults = self.plane.faults_for(self.node_id, dst_id)
-        if faults.throttle_bps > 0:
-            await self._throttle(dst_id, len(frame), faults.throttle_bps)
-        assert peer.writer is not None
-        peer.writer.write(frame)
-        await asyncio.wait_for(peer.writer.drain(), self.io_timeout)
-        return len(frame)
+    def _encode(self, dst_id: str, batch: list[Any]) -> bytes:
+        """One frame per message, never a ``FrameBatch``: fault fates
+        stay addressed per (seed, link, frame-index), and corruption
+        offsets are drawn per frame in backlog order (again on a retry).
+        """
+        return self._encode_each(
+            dst_id, batch, lambda payload: self._frame(dst_id, payload))
 
-    def _damage(self, dst_id: str, frame: bytes) -> bytes:
-        """Flip one body byte, leaving the header (and framing) intact."""
-        if len(frame) <= codec.HEADER_SIZE:
-            return frame
-        buffer = bytearray(frame)
-        index = self.plane.randrange(self.node_id, dst_id,
-                                     codec.HEADER_SIZE, len(buffer))
-        buffer[index] ^= 0xFF
-        return bytes(buffer)
-
-    async def _throttle(self, dst_id: str, size: int, bps: float) -> None:
-        """Serialise this link's bytes at ``bps`` (token-bucket style)."""
-        loop = asyncio.get_running_loop()
-        now = loop.time()
-        start = max(now, self._throttle_free.get(dst_id, now))
-        self._throttle_free[dst_id] = start + size / bps
-        wait = start - now
-        if wait > 0:
-            self.metrics.incr("chaos_throttled_frames")
-            await asyncio.sleep(wait)
+    def _frame(self, dst_id: str, payload: Any) -> bytes:
+        if not isinstance(payload, _Corrupted):
+            return codec.encode_frame(payload)
+        # Flip one body byte, leaving the header (and framing) intact.
+        frame = bytearray(codec.encode_frame(payload.message))
+        if len(frame) > codec.HEADER_SIZE:
+            index = self.plane.randrange(self.node_id, dst_id,
+                                         codec.HEADER_SIZE, len(frame))
+            frame[index] ^= 0xFF
+        return bytes(frame)
 
 
 __all__ = [

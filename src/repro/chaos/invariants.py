@@ -1,48 +1,30 @@
-"""Offline safety oracle for chaos runs against a socket cluster.
+"""Named pass/fail verdicts over the offline safety oracle.
 
-The same ground-truth checks :class:`repro.core.system.ReplicationSystem`
-performs after a simulation, ported to :class:`repro.net.deploy.LocalCluster`:
-replay the trusted op log to reconstruct the content at every committed
-version, then hold every accepted read against it.  Under chaos the
-reference master must be chosen (the rank-0 master may be the one that
-was crashed), so the checker picks the live master with the longest
-archive and additionally verifies the survivors agree with it.
+The ground truth itself -- reference-master choice, archive replay,
+per-read classification, window violations -- is
+:mod:`repro.core.oracle`, shared with the simulator.  This module turns
+it into the :class:`CheckResult` list chaos scenarios and the benchmark
+report, and adds the two checks only a faulted deployment needs: the
+surviving trusted set converged on one history, and no client is left
+pointing at a crashed master.
 
 These checks close the loop the paper's Section 3.5 leaves to the
 reader: after crashes, partitions and corrupted frames, no client may
-have accepted a stale or forged result, and the surviving trusted set
-must have converged on one history.
+have accepted a stale or forged result.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Any, Protocol
+from typing import Any
 
-from repro.content.queries import ReadQuery, operation_from_wire
-from repro.content.store import ContentStore
-from repro.core.client import Client
-from repro.core.config import ProtocolConfig
-from repro.core.master import MasterServer
-from repro.crypto.hashing import constant_time_equals, sha1_hex
-from repro.sim.network import Node
-
-
-class ClusterLike(Protocol):
-    """The cluster surface the oracle needs (structural).
-
-    Satisfied by :class:`repro.net.deploy.LocalCluster` (whole-cluster
-    checks) and by :class:`repro.shard.deploy.ShardView` (one shard's
-    master group and router legs), so the same ground-truth replay
-    verifies both flat and sharded deployments.
-    """
-
-    masters: list[MasterServer]
-    clients: list[Client]
-    initial_store: ContentStore
-    config: ProtocolConfig
-
-    def node(self, node_id: str) -> Node: ...
+from repro.core.oracle import (
+    ClusterLike,
+    classify_accepted_reads,
+    consistency_window_violations,
+    reference_master,
+    trusted_version_stores,
+)
 
 
 @dataclass(frozen=True, slots=True)
@@ -58,91 +40,29 @@ class CheckResult:
                 "detail": self.detail}
 
 
-def reference_master(cluster: ClusterLike) -> MasterServer:
-    """The master whose archive defines trusted history for the run.
-
-    Prefer non-crashed masters; among those, the longest archive wins
-    (a master that restarted mid-run may have gaps the survivors do
-    not).  Ties break by node id for determinism.
-    """
-    candidates = sorted(
-        cluster.masters,
-        key=lambda m: (not m.crashed, len(m._ops_archive), m.node_id),
-        reverse=True)
-    return candidates[0]
-
-
-def trusted_version_stores(cluster: ClusterLike,
-                           reference: MasterServer) -> dict[int, ContentStore]:
-    """Replay the reference master's op archive from the initial content."""
-    stores: dict[int, ContentStore] = {}
-    current = cluster.initial_store.clone()
-    stores[0] = current.clone()
-    version = 0
-    while version in reference._ops_archive:
-        current.apply_write(
-            operation_from_wire(reference._ops_archive[version]))
-        version += 1
-        stores[version] = current.clone()
-    return stores
-
-
 def check_no_forged_reads(cluster: ClusterLike) -> CheckResult:
     """Every accepted read matches the trusted re-execution at its version."""
-    reference = reference_master(cluster)
-    stores = trusted_version_stores(cluster, reference)
-    cache: dict[tuple[int, str], str] = {}
-    total = 0
-    wrong: list[str] = []
-    unverifiable = 0
-    for client in cluster.clients:
-        for record in client.accepted_log:
-            total += 1
-            key = (record.version, sha1_hex(record.query_wire))
-            trusted_hash = cache.get(key)
-            if trusted_hash is None:
-                store = stores.get(record.version)
-                if store is None:
-                    unverifiable += 1
-                    continue
-                query = operation_from_wire(record.query_wire)
-                assert isinstance(query, ReadQuery)
-                trusted_hash = sha1_hex(store.execute_read(query).result)
-                cache[key] = trusted_hash
-            if not constant_time_equals(record.result_hash, trusted_hash):
-                wrong.append(record.request_id)
+    reads = classify_accepted_reads(cluster)
+    wrong = [record["request_id"] for record in reads.wrong]
+    total = reads.correct + len(wrong) + reads.beyond_history
     # A version beyond the reference archive would mean a client accepted
     # content the trusted history cannot account for -- treat as failure.
-    passed = not wrong and not unverifiable
+    passed = not wrong and not reads.beyond_history
     return CheckResult(
         name="no_forged_reads", passed=passed,
         detail=(f"{total} accepted reads, {len(wrong)} forged "
-                f"({wrong[:5]}), {unverifiable} beyond trusted history"
-                if not passed else f"{total} accepted reads all match "
-                f"trusted history (reference {reference.node_id})"))
+                f"({wrong[:5]}), {reads.beyond_history} beyond trusted "
+                f"history" if not passed else f"{total} accepted reads all "
+                f"match trusted history (reference "
+                f"{reads.reference.node_id})"))
 
 
 def check_consistency_window(cluster: ClusterLike,
                              slack: float = 0.05) -> CheckResult:
-    """Section 3.1's max_latency bound over every accepted read.
-
-    ``slack`` absorbs real-clock scheduling noise (the simulator uses
-    1e-9; an event loop under load needs tens of milliseconds).
-    """
-    reference = reference_master(cluster)
-    commit_times = reference.commit_times
+    """Section 3.1's max_latency bound over every accepted read."""
+    violations = len(consistency_window_violations(cluster, slack))
+    total = sum(len(client.accepted_log) for client in cluster.clients)
     bound = cluster.config.effective_client_max_latency()
-    violations = 0
-    total = 0
-    for client in cluster.clients:
-        client_bound = max(bound, client.max_latency)
-        for record in client.accepted_log:
-            total += 1
-            next_commit = commit_times.get(record.version + 1)
-            if next_commit is None:
-                continue
-            if record.accepted_at > next_commit + client_bound + slack:
-                violations += 1
     return CheckResult(
         name="consistency_window", passed=violations == 0,
         detail=f"{violations} of {total} accepted reads outside the "

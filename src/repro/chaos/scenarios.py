@@ -1,6 +1,8 @@
 """Named chaos scenarios: fault schedules with machine-checked verdicts.
 
-Each scenario boots a :class:`~repro.chaos.cluster.ChaosCluster`, runs a
+Each scenario boots a cluster on a :class:`~repro.chaos.faults.FaultPlane`
+(:class:`~repro.net.deploy.LocalCluster`, or
+:class:`~repro.shard.deploy.ShardedCluster` for the sharded one), runs a
 live read/write workload while a scripted fault schedule plays out, and
 returns a :class:`ScenarioVerdict`: named checks (the paper's safety and
 liveness obligations), measured timings (detection latency, recovery,
@@ -41,12 +43,12 @@ real-clock timing.
 from __future__ import annotations
 
 import asyncio
+import contextlib
 import math
 from dataclasses import dataclass, field
-from typing import Any, Awaitable, Callable
+from typing import Any, AsyncIterator, Awaitable, Callable
 
-from repro.chaos.cluster import ChaosCluster, launch_chaos
-from repro.chaos.faults import LinkFaults
+from repro.chaos.faults import FaultPlane, LinkFaults
 from repro.chaos.invariants import (
     CheckResult,
     reference_master,
@@ -56,8 +58,13 @@ from repro.content.kvstore import KVGet, KVPut
 from repro.content.queries import Operation
 from repro.core.adversary import AlwaysLie
 from repro.core.client import Client
+from repro.core.config import ProtocolConfig
 from repro.crypto.hashing import sha1_hex
-from repro.net.deploy import NetDeploymentSpec, fast_protocol_config
+from repro.net.deploy import (
+    LocalCluster,
+    NetDeploymentSpec,
+    fast_protocol_config,
+)
 from repro.obs.spans import Span
 from repro.shard.deploy import (
     ShardDeploymentSpec,
@@ -71,6 +78,19 @@ from repro.shard.rebalance import Rebalancer
 #: ``broadcast_suspect_after`` (six keep-alive intervals in the chaos
 #: configs below) plus a couple of heartbeat periods of slack.
 K_DETECT = 10
+KEEPALIVE = 0.2
+
+
+def _detecting_config(**overrides: Any) -> ProtocolConfig:
+    """The config :data:`K_DETECT` is stated for: fast keep-alives,
+    suspicion after six of them, no double-checks."""
+    return fast_protocol_config(
+        double_check_probability=0.0,
+        keepalive_interval=KEEPALIVE,
+        broadcast_heartbeat_interval=KEEPALIVE,
+        broadcast_suspect_after=6 * KEEPALIVE,
+        request_timeout=1.0,
+        **overrides)
 
 
 @dataclass
@@ -98,8 +118,8 @@ class ScenarioVerdict:
         return [check for check in self.checks if not check.passed]
 
 
-async def _cancel_all(tasks: "list[asyncio.Task[None]]") -> None:
-    """Cancel load tasks and wait until every one has really ended.
+async def _cancel_all(tasks: "list[asyncio.Task[Any]]") -> None:
+    """Cancel tasks and wait until every one has really ended.
 
     ``wait_for`` can swallow a cancel that races the completion or the
     timeout of the read it wraps (the 3.11 lost-cancellation window),
@@ -130,7 +150,7 @@ class ReadLoad:
     accepted reads while the schedule played out).
     """
 
-    def __init__(self, cluster: ChaosCluster, query: Operation,
+    def __init__(self, cluster: LocalCluster, query: Operation,
                  interval: float = 0.04, timeout: float = 8.0,
                  clients: "list[Any] | None" = None) -> None:
         self.cluster = cluster
@@ -200,7 +220,7 @@ class FlashCrowd:
     open-loop flood that TCP backpressure would self-limit.
     """
 
-    def __init__(self, cluster: ChaosCluster, clients: list[Client],
+    def __init__(self, cluster: LocalCluster, clients: list[Client],
                  query: Operation, concurrency: int = 20,
                  timeout: float = 6.0) -> None:
         self.cluster = cluster
@@ -249,10 +269,6 @@ def _preferred_master(client_id: str, num_masters: int) -> str:
     return f"master-{index:02d}"
 
 
-def _check(name: str, passed: bool, detail: str) -> CheckResult:
-    return CheckResult(name=name, passed=passed, detail=detail)
-
-
 _COUNTER_PREFIXES = ("chaos_", "net_drop_", "qos_", "router_", "shard_")
 _COUNTER_NAMES = (
     "reads_accepted", "reads_failed", "writes_committed", "writes_failed",
@@ -264,35 +280,138 @@ _COUNTER_NAMES = (
 )
 
 
-def _verdict(cluster: ChaosCluster, name: str, seed: int,
-             checks: list[CheckResult],
-             timings: dict[str, float]) -> ScenarioVerdict:
-    snapshot = cluster.metrics.snapshot()
-    counters = {
-        key: value for key, value in sorted(snapshot.items())
-        if key in _COUNTER_NAMES or key.startswith(_COUNTER_PREFIXES)
-    }
-    return ScenarioVerdict(
-        scenario=name, seed=seed,
-        passed=all(check.passed for check in checks),
-        checks=checks, timings={k: round(v, 4) for k, v in timings.items()},
-        counters=counters)
+class ScenarioRun:
+    """One scenario in flight: its cluster, loads, checks and timings.
+
+    Everything a scenario shares with every other one lives here, so a
+    scenario function is its spec, its fault schedule and its checks.
+    Made by :func:`_running`.
+    """
+
+    def __init__(self, name: str, cluster: LocalCluster,
+                 plane: FaultPlane) -> None:
+        self.name = name
+        self.cluster = cluster
+        #: ``cluster.plane``, known not to be None.
+        self.plane = plane
+        self.checks: list[CheckResult] = []
+        self.timings: dict[str, float] = {}
+        #: Load generators to stop, newest first, when the run ends.
+        self.loads: "list[ReadLoad | FlashCrowd]" = []
+
+    def track(self, load: Any) -> Any:
+        """Have the run stop ``load`` on the way out, whatever happens."""
+        self.loads.append(load)
+        return load
+
+    def check(self, name: str, passed: bool, detail: str) -> None:
+        self.checks.append(CheckResult(name=name, passed=passed,
+                                       detail=detail))
+
+    async def write(self, name: str, op: Operation, what: str,
+                    client: Any = None, timeout: float = 15.0) -> None:
+        """Submit a write (from client 0 unless told otherwise) and
+        record check ``name``: it committed."""
+        reply = await self.cluster.write(
+            client or self.cluster.clients[0], op, timeout=timeout)
+        self.check(name, reply["status"] == "committed",
+                   f"{what}: {reply['status']}")
+
+    async def baseline(self) -> "ReadLoad":
+        """How the flat scenarios open: key ``k`` committed and given
+        time to reach the slaves; returns the (tracked, not yet
+        started) read load on it."""
+        config = self.cluster.config
+        load: ReadLoad = self.track(ReadLoad(self.cluster, KVGet(key="k")))
+        await self.write("baseline_write", KVPut(key="k", value="v0"),
+                         "pre-fault write")
+        await asyncio.sleep(config.max_latency + config.keepalive_interval)
+        return load
+
+    async def eventually(self, condition: Callable[[], bool],
+                         timeout: float, *, timing: str | None = None,
+                         check: str | None = None,
+                         detail: Callable[[], str] | None = None,
+                         ) -> float | None:
+        """Wait up to ``timeout`` for ``condition``; ``None`` if it
+        never held, else the seconds waited (kept as ``timing``).
+
+        Running out of time is not an error here: a check evaluated on
+        the state the wait left behind is what reports it.  With
+        ``check`` that check is recorded right away, as ``condition()``
+        described by ``detail()``.
+        """
+        try:
+            waited: float | None = await self.cluster.wait_for(
+                condition, timeout)
+        except TimeoutError:
+            waited = None
+        if waited is not None and timing is not None:
+            self.timings[timing] = waited
+        if check is not None:
+            assert detail is not None
+            self.check(check, condition(), detail())
+        return waited
+
+    def reads_survived(self, load: "ReadLoad", at_least: int = 1) -> None:
+        self.check(
+            "reads_survived", load.accepted >= at_least,
+            f"{load.accepted} accepted, {load.timeouts} timed out, "
+            f"{load.rejected} failed during the schedule")
+
+    async def verdict(self) -> ScenarioVerdict:
+        """Drain, run the safety oracle, and sum the run up.
+
+        The drain lets in-flight commits propagate and the audit queue
+        clear; call after faults healed and load stopped.
+        """
+        cluster = self.cluster
+        await asyncio.sleep(cluster.config.max_latency
+                            + cluster.config.audit_grace + 0.3)
+        if isinstance(cluster, ShardedCluster):
+            for shard_id, results in \
+                    run_shard_safety_checks(cluster).items():
+                for result in results:
+                    self.check(f"{shard_id}:{result.name}", result.passed,
+                               result.detail)
+        else:
+            self.checks.extend(run_safety_checks(cluster))
+        snapshot = cluster.metrics.snapshot()
+        return ScenarioVerdict(
+            scenario=self.name, seed=cluster.spec.seed,
+            passed=all(check.passed for check in self.checks),
+            checks=self.checks,
+            timings={k: round(v, 4) for k, v in self.timings.items()},
+            counters={
+                key: value for key, value in sorted(snapshot.items())
+                if key in _COUNTER_NAMES
+                or key.startswith(_COUNTER_PREFIXES)})
 
 
-async def _drain(cluster: ChaosCluster, extra: float = 0.3) -> None:
-    """Let in-flight commits propagate and the audit queue clear."""
-    await asyncio.sleep(cluster.config.max_latency
-                        + cluster.config.audit_grace + extra)
+@contextlib.asynccontextmanager
+async def _running(name: str, spec: NetDeploymentSpec,
+                   cluster_cls: type[LocalCluster] = LocalCluster,
+                   ) -> AsyncIterator[ScenarioRun]:
+    """Boot ``spec`` on a fault plane seeded like it; tear down after."""
+    plane = FaultPlane(seed=spec.seed)
+    cluster = await cluster_cls.launch(spec, settle=0.8, plane=plane)
+    run = ScenarioRun(name, cluster, plane)
+    try:
+        yield run
+    finally:
+        for load in reversed(run.loads):
+            await load.stop()
+        await cluster.aclose()
 
 
-def _spans(cluster: ChaosCluster) -> list[Span]:
+def _spans(cluster: LocalCluster) -> list[Span]:
     """Every span recorded so far (empty when tracing is off)."""
     if cluster.obs is None:
         return []
     return cluster.obs.collector.spans()
 
 
-def _detections_since(cluster: ChaosCluster, t0: float) -> list[float]:
+def _detections_since(cluster: LocalCluster, t0: float) -> list[float]:
     timeline = cluster.metrics.timelines.get("master_crash_detections")
     if timeline is None:
         return []
@@ -303,31 +422,16 @@ def _detections_since(cluster: ChaosCluster, t0: float) -> list[float]:
 
 
 async def master_crash(seed: int = 0) -> ScenarioVerdict:
-    keepalive = 0.2
-    config = fast_protocol_config(
-        double_check_probability=0.0,
-        keepalive_interval=keepalive,
-        broadcast_heartbeat_interval=keepalive,
-        broadcast_suspect_after=6 * keepalive,
-        request_timeout=1.0,
-        max_read_retries=3,
-    )
+    config = _detecting_config(max_read_retries=3)
     spec = NetDeploymentSpec(num_masters=3, slaves_per_master=2,
                              num_clients=4, seed=seed, protocol=config,
                              # Tracing on: the takeover must also be
                              # visible as a span (checked below).
                              obs_enabled=True)
-    cluster = await launch_chaos(spec, settle=0.8)
-    checks: list[CheckResult] = []
-    timings: dict[str, float] = {}
-    load = ReadLoad(cluster, KVGet(key="k"))
     victim = "master-01"  # a follower: the sequencer stays up
-    try:
-        write = await cluster.write(cluster.clients[0],
-                                    KVPut(key="k", value="v0"))
-        checks.append(_check("baseline_write", write["status"] == "committed",
-                             f"pre-fault write: {write['status']}"))
-        await asyncio.sleep(config.max_latency + keepalive)
+    async with _running("master_crash", spec) as run:
+        cluster, timings = run.cluster, run.timings
+        load = await run.baseline()
         load.start()
         await asyncio.sleep(0.5)
 
@@ -336,21 +440,17 @@ async def master_crash(seed: int = 0) -> ScenarioVerdict:
         await cluster.crash_node(victim)
 
         # 1. Detection: survivors notice within K_DETECT keep-alives.
-        bound = K_DETECT * keepalive
-        try:
-            await cluster.wait_for(
-                lambda: bool(_detections_since(cluster, crash_t)),
-                timeout=3 * bound, what="crash detection")
-        except TimeoutError:
-            pass
+        bound = K_DETECT * KEEPALIVE
+        await run.eventually(
+            lambda: bool(_detections_since(cluster, crash_t)), 3 * bound)
         detections = _detections_since(cluster, crash_t)
         latency = (detections[0] - crash_t) if detections else float("inf")
         timings["detection_latency"] = latency
         timings["detection_bound"] = bound
-        checks.append(_check(
+        run.check(
             "detection_within_bound", latency <= bound,
             f"first survivor acted {latency:.2f}s after the crash "
-            f"(bound {bound:.2f}s = {K_DETECT} x keepalive)"))
+            f"(bound {bound:.2f}s = {K_DETECT} x keepalive)")
 
         # 1b. Same bound, independently observed through repro.obs: a
         # survivor's ``master.takeover`` span must land within
@@ -360,25 +460,21 @@ async def master_crash(seed: int = 0) -> ScenarioVerdict:
         span_latency = (min(s.start for s in takeovers) - crash_t
                         if takeovers else float("inf"))
         timings["takeover_span_latency"] = span_latency
-        checks.append(_check(
+        run.check(
             "takeover_span_within_bound", span_latency <= bound,
             f"{len(takeovers)} master.takeover span(s); first "
-            f"{span_latency:.2f}s after the crash (bound {bound:.2f}s)"))
+            f"{span_latency:.2f}s after the crash (bound {bound:.2f}s)")
 
         # 2. Slave-set division: both orphaned slaves adopted.
-        try:
-            waited = await cluster.wait_for(
-                lambda: cluster.metrics.count("slaves_adopted")
-                >= spec.slaves_per_master,
-                timeout=2 * bound, what="slave adoption")
+        waited = await run.eventually(
+            lambda: cluster.metrics.count("slaves_adopted")
+            >= spec.slaves_per_master,
+            2 * bound, check="slave_set_divided",
+            detail=lambda: f"{cluster.metrics.count('slaves_adopted'):.0f}"
+            f"/{spec.slaves_per_master} orphaned slaves adopted by "
+            f"survivors")
+        if waited is not None:
             timings["slave_adoption"] = latency + waited
-        except TimeoutError:
-            pass
-        adopted = cluster.metrics.count("slaves_adopted")
-        checks.append(_check(
-            "slave_set_divided", adopted >= spec.slaves_per_master,
-            f"{adopted:.0f}/{spec.slaves_per_master} orphaned slaves "
-            f"adopted by survivors"))
 
         # 3. Client reassignment: writes from the dead master's clients
         # time out and re-home them (Section 3.5's re-setup path).
@@ -389,36 +485,25 @@ async def master_crash(seed: int = 0) -> ScenarioVerdict:
             for index, client in enumerate(stranded)
         ]
         try:
-            await cluster.wait_for(
+            await run.eventually(
                 lambda: all(c.ready and c.master_id is not None
                             and not cluster.node(c.master_id).crashed
                             for c in cluster.clients),
-                timeout=12.0, what="client reassignment")
-        except TimeoutError:
-            pass
+                12.0)
         finally:
             # The probe writes only exist to trigger re-homing; reap
             # them so no orphan task outlives the scenario.
-            for task in rehome_tasks:
-                task.cancel()
-            for task in rehome_tasks:
-                try:
-                    await task
-                except (asyncio.CancelledError, Exception):
-                    pass
+            await _cancel_all(rehome_tasks)
         still_stranded = [c.node_id for c in cluster.clients
                           if not c.ready or c.master_id == victim]
-        checks.append(_check(
+        run.check(
             "clients_reassigned", not still_stranded,
             f"{len(stranded)} clients were homed on {victim}; "
-            f"still stranded: {still_stranded or 'none'}"))
+            f"still stranded: {still_stranded or 'none'}")
 
         # 4. Liveness through the fault: a post-crash write commits.
-        post = await cluster.write(cluster.clients[0],
-                                   KVPut(key="k", value="v1"), timeout=14.0)
-        checks.append(_check(
-            "post_crash_write", post["status"] == "committed",
-            f"write after the crash: {post['status']}"))
+        await run.write("post_crash_write", KVPut(key="k", value="v1"),
+                        "write after the crash", timeout=14.0)
 
         # 5. Restart with rejoin: the master comes back on the same
         # endpoint, announces recovery and catches up the missed history.
@@ -426,33 +511,19 @@ async def master_crash(seed: int = 0) -> ScenarioVerdict:
         await cluster.restart_node(victim)
         victim_master = next(m for m in cluster.masters
                              if m.node_id == victim)
-        try:
-            waited = await cluster.wait_for(
-                lambda: victim_master.version
-                == reference_master(cluster).version,
-                timeout=10.0, what="restarted master catch-up")
-            timings["rejoin_catchup"] = waited
-        except TimeoutError:
-            pass
-        checks.append(_check(
-            "restart_rejoined",
-            victim_master.version == reference_master(cluster).version,
-            f"{victim} at version {victim_master.version} vs reference "
-            f"{reference_master(cluster).version} after restart"))
+        await run.eventually(
+            lambda: victim_master.version
+            == reference_master(cluster).version,
+            10.0, timing="rejoin_catchup", check="restart_rejoined",
+            detail=lambda: f"{victim} at version {victim_master.version} "
+            f"vs reference {reference_master(cluster).version} after "
+            f"restart")
 
         await load.stop()
         timings["read_unavailability"] = load.max_gap(crash_t,
                                                       restart_t)
-        checks.append(_check(
-            "reads_survived", load.accepted > 0,
-            f"{load.accepted} accepted, {load.timeouts} timed out, "
-            f"{load.rejected} failed during the schedule"))
-        await _drain(cluster)
-        checks.extend(run_safety_checks(cluster))
-        return _verdict(cluster, "master_crash", seed, checks, timings)
-    finally:
-        await load.stop()
-        await cluster.aclose()
+        run.reads_survived(load)
+        return await run.verdict()
 
 
 # -- scenario: partition + heal with lying slaves --------------------------
@@ -483,105 +554,76 @@ async def partition_heal(seed: int = 0) -> ScenarioVerdict:
         # ...and every client double-checks every read, so the first lie
         # a client sees becomes an accusation immediately.
         client_double_check_overrides={i: 1.0 for i in range(3)})
-    cluster = await launch_chaos(spec, settle=0.8)
-    checks: list[CheckResult] = []
-    timings: dict[str, float] = {}
-    load = ReadLoad(cluster, KVGet(key="k"))
-    try:
-        write = await cluster.write(cluster.clients[0],
-                                    KVPut(key="k", value="v0"))
-        checks.append(_check("baseline_write", write["status"] == "committed",
-                             f"pre-fault write: {write['status']}"))
-        await asyncio.sleep(config.max_latency + config.keepalive_interval)
+    async with _running("partition_heal", spec) as run:
+        cluster, timings = run.cluster, run.timings
+        load = await run.baseline()
 
         partition_t = cluster.scheduler.now
         trusted = [m.node_id for m in cluster.masters] + \
             [a.node_id for a in cluster.auditors]
         for other in trusted:
             if other != target:
-                cluster.partition(target, other)
+                run.plane.partition(target, other)
         load.start()
 
         # While partitioned, the majority side must catch the liars and
         # exclude both of the liar master's slaves.
-        try:
-            waited = await cluster.wait_for(
-                lambda: cluster.metrics.count("exclusions") >= 2,
-                timeout=12.0, what="exclusion of both lying slaves")
-            timings["exclusions_done"] = waited
-        except TimeoutError:
-            pass
-        exclusions = cluster.metrics.count("exclusions")
-        checks.append(_check(
-            "liars_excluded_during_partition", exclusions >= 2,
-            f"{exclusions:.0f} exclusions while {target} was partitioned"))
+        await run.eventually(
+            lambda: cluster.metrics.count("exclusions") >= 2,
+            12.0, timing="exclusions_done",
+            check="liars_excluded_during_partition",
+            detail=lambda: f"{cluster.metrics.count('exclusions'):.0f} "
+            f"exclusions while {target} was partitioned")
 
         # Commit on the majority side and hold the partition long past
         # the suspicion window, so the target provably misses history
         # (it goes leaderless in its minority and cannot order anything).
-        mid = await cluster.write(cluster.clients[0],
-                                  KVPut(key="k", value="mid"), timeout=14.0)
-        checks.append(_check(
-            "write_during_partition", mid["status"] == "committed",
-            f"majority-side write while {target} was cut off: "
-            f"{mid['status']}"))
+        await run.write(
+            "write_during_partition", KVPut(key="k", value="mid"),
+            f"majority-side write while {target} was cut off",
+            timeout=14.0)
         await asyncio.sleep(2 * config.broadcast_suspect_after)
 
         target_master = next(m for m in cluster.masters
                              if m.node_id == target)
         version_at_heal = target_master.version
         reference_at_heal = reference_master(cluster).version
-        checks.append(_check(
+        run.check(
             "target_missed_partition_history",
             version_at_heal < reference_at_heal,
             f"{target} at version {version_at_heal} vs majority "
-            f"{reference_at_heal} just before the heal"))
+            f"{reference_at_heal} just before the heal")
 
         timings["partition_window"] = cluster.scheduler.now - partition_t
-        cluster.heal_all()
+        run.plane.heal_all()
         heal_t = cluster.scheduler.now
 
         # After healing, the partitioned master repairs the missed
         # broadcasts -- including the exclusions it never saw.
         liars = {f"slave-{liar_index:02d}-00", f"slave-{liar_index:02d}-01"}
-        try:
-            waited = await cluster.wait_for(
-                lambda: liars <= target_master.excluded_slaves
-                and target_master.version
-                == reference_master(cluster).version,
-                timeout=12.0, what="partitioned master catch-up")
-            timings["heal_catchup"] = waited
-        except TimeoutError:
-            pass
-        checks.append(_check(
+        await run.eventually(
+            lambda: liars <= target_master.excluded_slaves
+            and target_master.version
+            == reference_master(cluster).version,
+            12.0, timing="heal_catchup")
+        run.check(
             "accusations_propagated_through_heal",
             liars <= target_master.excluded_slaves,
             f"{target} learned {len(liars & target_master.excluded_slaves)}"
-            f"/2 exclusions after the heal"))
-        checks.append(_check(
+            f"/2 exclusions after the heal")
+        run.check(
             "partitioned_master_caught_up",
             target_master.version == reference_master(cluster).version,
             f"{target} at version {target_master.version} vs reference "
-            f"{reference_master(cluster).version}"))
+            f"{reference_master(cluster).version}")
 
-        post = await cluster.write(cluster.clients[0],
-                                   KVPut(key="k", value="v1"), timeout=14.0)
-        checks.append(_check(
-            "post_heal_write", post["status"] == "committed",
-            f"write after the heal: {post['status']}"))
+        await run.write("post_heal_write", KVPut(key="k", value="v1"),
+                        "write after the heal", timeout=14.0)
         timings["heal_to_write"] = cluster.scheduler.now - heal_t
 
         await load.stop()
-        checks.append(_check(
-            "reads_survived", load.accepted > 0,
-            f"{load.accepted} accepted, {load.timeouts} timed out, "
-            f"{load.rejected} failed during the schedule"))
-        await _drain(cluster)
-        checks.extend(run_safety_checks(cluster))
-        return _verdict(cluster, "partition_heal", seed, checks, timings)
-    finally:
-        await load.stop()
-        await cluster.aclose()
+        run.reads_survived(load)
+        return await run.verdict()
 
 
 # -- scenario: corrupt frames on every client<->slave link -----------------
@@ -595,98 +637,67 @@ async def corrupt_frames(seed: int = 0) -> ScenarioVerdict:
     )
     spec = NetDeploymentSpec(num_masters=2, slaves_per_master=2,
                              num_clients=2, seed=seed, protocol=config)
-    cluster = await launch_chaos(spec, settle=0.8)
-    checks: list[CheckResult] = []
-    timings: dict[str, float] = {}
-    load = ReadLoad(cluster, KVGet(key="k"))
-    try:
-        write = await cluster.write(cluster.clients[0],
-                                    KVPut(key="k", value="v0"))
-        checks.append(_check("baseline_write", write["status"] == "committed",
-                             f"pre-fault write: {write['status']}"))
-        await asyncio.sleep(config.max_latency + config.keepalive_interval)
+    async with _running("corrupt_frames", spec) as run:
+        cluster = run.cluster
+        load = await run.baseline()
 
         # Benign asynchrony everywhere; byte corruption only on the
         # untrusted edges (the paper assumes secure channels between
         # trusted principals -- their integrity is the crypto's job on
         # the client/slave edges, the channel's job between masters).
-        cluster.set_default_faults(LinkFaults(
+        run.plane.set_default(LinkFaults(
             drop=0.03, duplicate=0.05, reorder=0.05,
             delay=0.002, delay_jitter=0.004))
         noisy = LinkFaults(corrupt=0.15, drop=0.03, duplicate=0.05,
                            reorder=0.05, delay=0.002, delay_jitter=0.004)
         for slave in cluster.slaves:
             for client in cluster.clients:
-                cluster.set_link(slave.node_id, client.node_id, noisy,
-                                 symmetric=True)
+                run.plane.set_link(slave.node_id, client.node_id, noisy,
+                                   symmetric=True)
 
         chaos_t = cluster.scheduler.now
         load.start()
         await asyncio.sleep(5.0)
-        mid = await cluster.write(cluster.clients[0],
-                                  KVPut(key="k", value="v1"), timeout=14.0)
-        checks.append(_check(
-            "write_under_corruption", mid["status"] == "committed",
-            f"write during the corruption schedule: {mid['status']}"))
+        await run.write(
+            "write_under_corruption", KVPut(key="k", value="v1"),
+            "write during the corruption schedule", timeout=14.0)
         await asyncio.sleep(1.0)
-        timings["corruption_window"] = cluster.scheduler.now - chaos_t
-        cluster.plane.reset()
+        run.timings["corruption_window"] = cluster.scheduler.now - chaos_t
+        run.plane.reset()
         await load.stop()
 
         corrupted = cluster.metrics.count("chaos_corrupted_frames")
         rejected = cluster.metrics.count("net_frames_rejected")
-        checks.append(_check(
+        run.check(
             "frames_actually_corrupted", corrupted >= 5,
             f"{corrupted:.0f} frames corrupted in transit, "
-            f"{rejected:.0f} rejected by the codec"))
-        checks.append(_check(
-            "reads_survived", load.accepted >= 10,
-            f"{load.accepted} accepted, {load.timeouts} timed out, "
-            f"{load.rejected} failed during the schedule"))
+            f"{rejected:.0f} rejected by the codec")
+        run.reads_survived(load, at_least=10)
 
         # A clean read after the faults are lifted proves liveness.
         await asyncio.sleep(config.max_latency + config.keepalive_interval)
         final = await cluster.read(cluster.clients[1], KVGet(key="k"),
                                    timeout=14.0)
-        checks.append(_check(
+        run.check(
             "post_chaos_read",
             final.get("status") == "accepted"
             and (final.get("result") or {}).get("value") == "v1",
             f"read after faults lifted: {final.get('status')} -> "
-            f"{(final.get('result') or {}).get('value')!r}"))
-        await _drain(cluster)
-        checks.extend(run_safety_checks(cluster))
-        return _verdict(cluster, "corrupt_frames", seed, checks, timings)
-    finally:
-        await load.stop()
-        await cluster.aclose()
+            f"{(final.get('result') or {}).get('value')!r}")
+        return await run.verdict()
 
 
 # -- scenario: auditor crash + failover + rejoin ---------------------------
 
 
 async def auditor_failover(seed: int = 0) -> ScenarioVerdict:
-    keepalive = 0.2
-    config = fast_protocol_config(
-        double_check_probability=0.0,  # every read goes the audit path
-        keepalive_interval=keepalive,
-        broadcast_heartbeat_interval=keepalive,
-        broadcast_suspect_after=6 * keepalive,
-        request_timeout=1.0,
-    )
+    config = _detecting_config()  # every read goes the audit path
     spec = NetDeploymentSpec(num_masters=2, slaves_per_master=2,
                              num_clients=4, num_auditors=2, seed=seed,
                              protocol=config)
-    cluster = await launch_chaos(spec, settle=0.8)
-    checks: list[CheckResult] = []
-    timings: dict[str, float] = {}
-    load = ReadLoad(cluster, KVGet(key="k"))
-    try:
-        write = await cluster.write(cluster.clients[0],
-                                    KVPut(key="k", value="v0"))
-        checks.append(_check("baseline_write", write["status"] == "committed",
-                             f"pre-fault write: {write['status']}"))
-        await asyncio.sleep(config.max_latency + keepalive)
+    async with _running("auditor_failover", spec) as run:
+        cluster, timings = run.cluster, run.timings
+        load = await run.baseline()
         load.start()
         await asyncio.sleep(0.5)
 
@@ -698,71 +709,48 @@ async def auditor_failover(seed: int = 0) -> ScenarioVerdict:
         crash_t = cluster.scheduler.now
         await cluster.crash_node(victim)
 
-        bound = K_DETECT * keepalive
-        try:
-            waited = await cluster.wait_for(
-                lambda: cluster.metrics.count("auditor_crash_noticed") >= 1,
-                timeout=3 * bound, what="auditor crash detection")
-            timings["detection_latency"] = waited
-        except TimeoutError:
-            pass
+        bound = K_DETECT * KEEPALIVE
+        await run.eventually(
+            lambda: cluster.metrics.count("auditor_crash_noticed") >= 1,
+            3 * bound, timing="detection_latency",
+            check="auditor_crash_detected",
+            detail=lambda: "masters noticed the crash "
+            f"{cluster.metrics.count('auditor_crash_noticed'):.0f} time(s)")
         timings["detection_bound"] = bound
-        noticed = cluster.metrics.count("auditor_crash_noticed")
-        checks.append(_check(
-            "auditor_crash_detected", noticed >= 1,
-            f"masters noticed the crash {noticed:.0f} time(s)"))
 
-        try:
-            waited = await cluster.wait_for(
-                lambda: all(c.auditor_id != victim for c in cluster.clients
-                            if c.ready),
-                timeout=10.0, what="auditor failover")
-            timings["failover_done"] = waited
-        except TimeoutError:
-            pass
+        await run.eventually(
+            lambda: all(c.auditor_id != victim for c in cluster.clients
+                        if c.ready),
+            10.0, timing="failover_done")
         remaining = [c.node_id for c in cluster.clients
                      if c.auditor_id == victim]
-        checks.append(_check(
+        run.check(
             "clients_failed_over", not remaining,
             f"{len(affected)} clients reported to {victim}; still "
-            f"pointing at it: {remaining or 'none'}"))
+            f"pointing at it: {remaining or 'none'}")
 
         # Pledges keep flowing to the survivor while the victim is down.
         survivor = next(a for a in cluster.auditors
                         if a.node_id != victim)
         before = survivor.pledges_received
         await asyncio.sleep(1.5)
-        checks.append(_check(
+        run.check(
             "pledges_keep_flowing", survivor.pledges_received > before,
             f"survivor {survivor.node_id} pledges "
-            f"{before} -> {survivor.pledges_received}"))
+            f"{before} -> {survivor.pledges_received}")
 
         await cluster.restart_node(victim)
-        try:
-            waited = await cluster.wait_for(
-                lambda: cluster.metrics.count("auditor_recovery_noticed")
-                >= 1,
-                timeout=10.0, what="auditor rejoin")
-            timings["rejoin_noticed"] = waited
-        except TimeoutError:
-            pass
-        rejoined = cluster.metrics.count("auditor_recovery_noticed")
-        checks.append(_check(
-            "auditor_rejoined", rejoined >= 1,
-            f"masters noticed the recovery {rejoined:.0f} time(s)"))
+        await run.eventually(
+            lambda: cluster.metrics.count("auditor_recovery_noticed") >= 1,
+            10.0, timing="rejoin_noticed", check="auditor_rejoined",
+            detail=lambda: "masters noticed the recovery "
+            f"{cluster.metrics.count('auditor_recovery_noticed'):.0f} "
+            f"time(s)")
         timings["fault_window"] = cluster.scheduler.now - crash_t
 
         await load.stop()
-        checks.append(_check(
-            "reads_survived", load.accepted > 0,
-            f"{load.accepted} accepted, {load.timeouts} timed out, "
-            f"{load.rejected} failed during the schedule"))
-        await _drain(cluster)
-        checks.extend(run_safety_checks(cluster))
-        return _verdict(cluster, "auditor_failover", seed, checks, timings)
-    finally:
-        await load.stop()
-        await cluster.aclose()
+        run.reads_survived(load)
+        return await run.verdict()
 
 
 # -- scenario: slave crash + restart with resync ---------------------------
@@ -776,16 +764,9 @@ async def slave_crash(seed: int = 0) -> ScenarioVerdict:
     )
     spec = NetDeploymentSpec(num_masters=2, slaves_per_master=2,
                              num_clients=2, seed=seed, protocol=config)
-    cluster = await launch_chaos(spec, settle=0.8)
-    checks: list[CheckResult] = []
-    timings: dict[str, float] = {}
-    load = ReadLoad(cluster, KVGet(key="k"))
-    try:
-        write = await cluster.write(cluster.clients[0],
-                                    KVPut(key="k", value="v0"))
-        checks.append(_check("baseline_write", write["status"] == "committed",
-                             f"pre-fault write: {write['status']}"))
-        await asyncio.sleep(config.max_latency + config.keepalive_interval)
+    async with _running("slave_crash", spec) as run:
+        cluster = run.cluster
+        load = await run.baseline()
         load.start()
         await asyncio.sleep(0.5)
 
@@ -796,44 +777,25 @@ async def slave_crash(seed: int = 0) -> ScenarioVerdict:
 
         # Write while the slave is down so the restart has a version gap
         # to resync across.
-        gap_write = await cluster.write(cluster.clients[0],
-                                        KVPut(key="k", value="v1"),
-                                        timeout=14.0)
-        checks.append(_check(
-            "write_during_outage", gap_write["status"] == "committed",
-            f"write while {victim} was down: {gap_write['status']}"))
+        await run.write("write_during_outage", KVPut(key="k", value="v1"),
+                        f"write while {victim} was down", timeout=14.0)
         await asyncio.sleep(2.0)
 
         await cluster.restart_node(victim)
-        restart_t = cluster.scheduler.now
-        timings["outage"] = restart_t - crash_t
+        run.timings["outage"] = cluster.scheduler.now - crash_t
         victim_slave = next(s for s in cluster.slaves
                             if s.node_id == victim)
-        try:
-            waited = await cluster.wait_for(
-                lambda: victim_slave.version
-                == reference_master(cluster).version,
-                timeout=10.0, what="slave resync after restart")
-            timings["resync"] = waited
-        except TimeoutError:
-            pass
-        checks.append(_check(
-            "slave_resynced",
-            victim_slave.version == reference_master(cluster).version,
-            f"{victim} at version {victim_slave.version} vs reference "
-            f"{reference_master(cluster).version} after restart"))
+        await run.eventually(
+            lambda: victim_slave.version
+            == reference_master(cluster).version,
+            10.0, timing="resync", check="slave_resynced",
+            detail=lambda: f"{victim} at version {victim_slave.version} "
+            f"vs reference {reference_master(cluster).version} after "
+            f"restart")
 
         await load.stop()
-        checks.append(_check(
-            "reads_survived", load.accepted > 0,
-            f"{load.accepted} accepted, {load.timeouts} timed out, "
-            f"{load.rejected} failed during the schedule"))
-        await _drain(cluster)
-        checks.extend(run_safety_checks(cluster))
-        return _verdict(cluster, "slave_crash", seed, checks, timings)
-    finally:
-        await load.stop()
-        await cluster.aclose()
+        run.reads_survived(load)
+        return await run.verdict()
 
 
 # -- scenario: flash crowd vs admission control (repro.qos) ----------------
@@ -848,7 +810,7 @@ def _percentile(durations: list[float], fraction: float) -> float:
     return ordered[index]
 
 
-def _honest_read_durations(cluster: ChaosCluster, honest: set[str],
+def _honest_read_durations(cluster: LocalCluster, honest: set[str],
                            start: float, end: float) -> list[float]:
     """Durations of every *ended* honest ``client.read`` span in a window.
 
@@ -864,7 +826,7 @@ def _honest_read_durations(cluster: ChaosCluster, honest: set[str],
     return durations
 
 
-def _keepalive_max_gap(cluster: ChaosCluster, slave_id: str,
+def _keepalive_max_gap(cluster: LocalCluster, slave_id: str,
                        start: float, end: float) -> float:
     """Longest keep-alive arrival gap at one slave inside [start, end]."""
     timeline = cluster.metrics.timelines.get(f"keepalive_rx@{slave_id}")
@@ -927,17 +889,17 @@ async def flash_crowd(seed: int = 0) -> ScenarioVerdict:
     timings["slo"] = round(
         P99_RATIO_BOUND * reference.timings["burst_p99"], 4)
     verdict.checks[:0] = [
-        _check(
+        CheckResult(
             "honest_p99_slo", timings["burst_p99"] <= timings["slo"],
             f"honest read p99 {timings['burst_p99']:.3f}s with admission "
             f"control vs {reference.timings['burst_p99']:.3f}s without "
             f"(bound {P99_RATIO_BOUND}x = {timings['slo']:.3f}s)"),
-        _check(
+        CheckResult(
             "honest_median_protected",
             timings["burst_p50"] < reference.timings["burst_p50"],
             f"honest read p50 {timings['burst_p50']:.3f}s with admission "
             f"control vs {reference.timings['burst_p50']:.3f}s without"),
-        _check(
+        CheckResult(
             "reference_unprotected",
             reference.counters.get("qos_shed_total", 0) == 0,
             "the reference burst ran with no frame shed"),
@@ -985,35 +947,30 @@ async def _flash_crowd_burst(seed: int, qos: bool) -> ScenarioVerdict:
         client_double_check_overrides={
             i: 1.0 for i in range(honest_count,
                                   honest_count + greedy_count)})
-    cluster = await launch_chaos(spec, settle=0.8)
-    checks: list[CheckResult] = []
-    timings: dict[str, float] = {}
-    honest_clients = cluster.clients[:honest_count]
-    honest_ids = {c.node_id for c in honest_clients}
-    # A 10/s trickle per honest client (sent to both assigned slaves)
-    # sits well inside the 15 frames/s admission budget, so honest
-    # traffic is never the one shed.
-    load = ReadLoad(cluster, KVGet(key="k"), interval=0.1,
-                    clients=honest_clients)
-    # The crowd hammers a bulky value: every greedy read costs the slave
-    # a real 1 MiB encode + SHA-1 (and its master the double-check
-    # re-execution), so the burst saturates CPU, not just socket
-    # buffers.
-    # 48 tasks x 6 clients = ~288 reads in flight: enough to saturate
-    # a single core with 1 MiB encodes, low enough that the backlog
-    # drains and the scenario's wall-clock stays bounded.
-    crowd = FlashCrowd(cluster, cluster.clients[honest_count:],
-                       KVGet(key="bulk"), concurrency=48)
-    try:
-        write = await cluster.write(cluster.clients[0],
-                                    KVPut(key="k", value="v0"))
-        checks.append(_check("baseline_write", write["status"] == "committed",
-                             f"pre-burst write: {write['status']}"))
-        bulk = await cluster.write(
-            cluster.clients[0], KVPut(key="bulk", value="x" * 1048576))
-        checks.append(_check(
-            "bulk_write", bulk["status"] == "committed",
-            f"crowd-target write: {bulk['status']}"))
+    async with _running("flash_crowd", spec) as run:
+        cluster, timings = run.cluster, run.timings
+        honest_clients = cluster.clients[:honest_count]
+        honest_ids = {c.node_id for c in honest_clients}
+        # A 10/s trickle per honest client (sent to both assigned slaves)
+        # sits well inside the 15 frames/s admission budget, so honest
+        # traffic is never the one shed.
+        load = run.track(ReadLoad(cluster, KVGet(key="k"), interval=0.1,
+                                  clients=honest_clients))
+        # The crowd hammers a bulky value: every greedy read costs the
+        # slave a real 1 MiB encode + SHA-1 (and its master the
+        # double-check re-execution), so the burst saturates CPU, not
+        # just socket buffers.
+        # 48 tasks x 6 clients = ~288 reads in flight: enough to saturate
+        # a single core with 1 MiB encodes, low enough that the backlog
+        # drains and the scenario's wall-clock stays bounded.
+        crowd = run.track(FlashCrowd(
+            cluster, cluster.clients[honest_count:], KVGet(key="bulk"),
+            concurrency=48))
+        await run.write("baseline_write", KVPut(key="k", value="v0"),
+                        "pre-burst write")
+        await run.write("bulk_write",
+                        KVPut(key="bulk", value="x" * 1048576),
+                        "crowd-target write")
         await asyncio.sleep(config.max_latency + keepalive)
 
         # Baseline window: the honest trickle alone, reported so a
@@ -1052,46 +1009,31 @@ async def _flash_crowd_burst(seed: int, qos: bool) -> ScenarioVerdict:
             if gap > worst_gap:
                 worst_gap, worst_slave = gap, slave.node_id
         timings["worst_keepalive_gap"] = worst_gap
-        checks.append(_check(
+        run.check(
             "keepalives_never_missed", worst_gap < config.max_latency,
             f"worst keep-alive gap during the burst {worst_gap:.2f}s "
-            f"(at {worst_slave}) vs max_latency {config.max_latency}s"))
+            f"(at {worst_slave}) vs max_latency {config.max_latency}s")
 
         counters = cluster.metrics.snapshot()
         total, by_reason, by_client = _shed_breakdown(counters)
         if qos:
-            checks.append(_check(
+            run.check(
                 "sheds_happened", total > 0,
-                f"{total:.0f} frames shed by admission control"))
-            checks.append(_check(
+                f"{total:.0f} frames shed by admission control")
+            run.check(
                 "sheds_attributed",
                 total == by_reason == by_client,
                 f"qos_shed_total {total:.0f} == by-reason {by_reason:.0f}"
-                f" == by-client {by_client:.0f}"))
-        checks.append(_check(
+                f" == by-client {by_client:.0f}")
+        run.check(
             "reads_survived", load.accepted > 0,
             f"honest: {load.accepted} accepted, {load.timeouts} timed "
             f"out, {load.rejected} failed; crowd: {crowd.attempts} "
-            f"attempts, {crowd.completed} completed"))
-        await _drain(cluster)
-        checks.extend(run_safety_checks(cluster))
-        return _verdict(cluster, "flash_crowd", seed, checks, timings)
-    finally:
-        await crowd.stop()
-        await load.stop()
-        await cluster.aclose()
+            f"attempts, {crowd.completed} completed")
+        return await run.verdict()
 
 
 # -- scenario: online shard rebalance under live traffic -------------------
-
-
-class ShardedChaosCluster(ChaosCluster, ShardedCluster):
-    """A sharded multi-tenant deployment with the chaos fault plane.
-
-    Pure composition: :class:`ChaosCluster` contributes the
-    fault-injecting pools and scripted-fault vocabulary,
-    :class:`~repro.shard.deploy.ShardedCluster` the multi-tenant build.
-    """
 
 
 async def shard_rebalance(seed: int = 0) -> ScenarioVerdict:
@@ -1104,47 +1046,36 @@ async def shard_rebalance(seed: int = 0) -> ScenarioVerdict:
     read-unavailability window -- measured both from accepted-read
     gaps and from the ``shard.rebalance`` span -- stays bounded.
     """
-    keepalive = 0.2
-    config = fast_protocol_config(
-        double_check_probability=0.0,
-        keepalive_interval=keepalive,
-        broadcast_heartbeat_interval=keepalive,
-        broadcast_suspect_after=6 * keepalive,
-        request_timeout=1.0,
-        max_read_retries=4,
-    )
+    config = _detecting_config(max_read_retries=4)
     spec = ShardDeploymentSpec(
         num_masters=2, slaves_per_master=1, num_clients=2,
         num_auditors=1, num_shards=2, num_hosts=2, seed=seed,
         protocol=config, obs_enabled=True)
-    cluster = await ShardedChaosCluster.launch(spec, settle=0.8)
-    assert isinstance(cluster, ShardedChaosCluster)
-    checks: list[CheckResult] = []
-    timings: dict[str, float] = {}
-    router = cluster.routers[0]
-    # One key per shard: the moved shard's key drives the measured
-    # load, the bystander's key proves isolation.
-    keys_by_shard: dict[str, str] = {}
-    index = 0
-    while len(keys_by_shard) < 2:
-        key = f"k{index}"
-        keys_by_shard.setdefault(router.shard_for(KVGet(key=key)), key)
-        index += 1
-    moved = router.shard_for(KVGet(key="k0"))
-    bystander = next(s for s in keys_by_shard if s != moved)
-    load = ReadLoad(cluster, KVGet(key=keys_by_shard[moved]),
-                    clients=list(cluster.routers))
-    calm = ReadLoad(cluster, KVGet(key=keys_by_shard[bystander]),
-                    clients=list(cluster.routers))
-    try:
+    async with _running("shard_rebalance", spec, ShardedCluster) as run:
+        cluster, timings = run.cluster, run.timings
+        assert isinstance(cluster, ShardedCluster)
+        router = cluster.routers[0]
+        # One key per shard: the moved shard's key drives the measured
+        # load, the bystander's key proves isolation.
+        keys_by_shard: dict[str, str] = {}
+        index = 0
+        while len(keys_by_shard) < 2:
+            key = f"k{index}"
+            keys_by_shard.setdefault(router.shard_for(KVGet(key=key)), key)
+            index += 1
+        moved = router.shard_for(KVGet(key="k0"))
+        bystander = next(s for s in keys_by_shard if s != moved)
+        load = run.track(ReadLoad(
+            cluster, KVGet(key=keys_by_shard[moved]),
+            clients=list(cluster.routers)))
+        calm = run.track(ReadLoad(
+            cluster, KVGet(key=keys_by_shard[bystander]),
+            clients=list(cluster.routers)))
         for shard_id, key in keys_by_shard.items():
-            write = await cluster.write(router,
-                                        KVPut(key=key, value=f"v:{key}"))
-            checks.append(_check(
-                f"baseline_write_{shard_id}",
-                write["status"] == "committed",
-                f"pre-move write to {shard_id}: {write['status']}"))
-        await asyncio.sleep(config.max_latency + keepalive)
+            await run.write(f"baseline_write_{shard_id}",
+                            KVPut(key=key, value=f"v:{key}"),
+                            f"pre-move write to {shard_id}", client=router)
+        await asyncio.sleep(config.max_latency + KEEPALIVE)
         load.start()
         calm.start()
         await asyncio.sleep(0.5)
@@ -1153,50 +1084,46 @@ async def shard_rebalance(seed: int = 0) -> ScenarioVerdict:
         report = await Rebalancer(cluster).move_shard(moved)
         timings["slaves_resynced"] = report["slaves_resynced_at"]
         new_ids = {m.node_id for m in cluster.shards[moved].masters}
-        checks.append(_check(
+        run.check(
             "new_generation_installed",
             cluster.shards[moved].generation == 1
             and cluster.map_epoch == 2,
             f"{moved} at generation "
             f"{cluster.shards[moved].generation}, map epoch "
-            f"{cluster.map_epoch}"))
+            f"{cluster.map_epoch}")
 
         # Re-home: every leg homed on the moved shard must land on the
         # new master group within the detection bound (the redirect
         # arrives with the next read; setup re-runs against the
         # republished directory).
-        bound = K_DETECT * keepalive
+        bound = K_DETECT * KEEPALIVE
         legs = cluster.shards[moved].clients
-        try:
-            waited = await cluster.wait_for(
-                lambda: all(leg.ready and leg.master_id in new_ids
-                            for leg in legs),
-                timeout=3 * bound, what="client re-home")
-            timings["rehome_latency"] = waited
-        except TimeoutError:
-            timings["rehome_latency"] = float("inf")
+        waited = await run.eventually(
+            lambda: all(leg.ready and leg.master_id in new_ids
+                        for leg in legs),
+            3 * bound)
+        timings["rehome_latency"] = \
+            float("inf") if waited is None else waited
         timings["rehome_bound"] = bound
         stranded = [leg.node_id for leg in legs
                     if not leg.ready or leg.master_id not in new_ids]
-        checks.append(_check(
+        run.check(
             "clients_rehomed_within_bound",
             timings["rehome_latency"] <= bound and not stranded,
             f"{len(legs)} legs re-homed in "
             f"{timings['rehome_latency']:.2f}s (bound {bound:.2f}s = "
-            f"{K_DETECT} x keepalive); stranded: {stranded or 'none'}"))
+            f"{K_DETECT} x keepalive); stranded: {stranded or 'none'}")
         redirects = cluster.metrics.count("router_wrong_shard")
-        checks.append(_check(
+        run.check(
             "rehome_was_redirect_driven", redirects >= 1,
-            f"{redirects:.0f} WrongShard redirects reached routers"))
+            f"{redirects:.0f} WrongShard redirects reached routers")
 
         # Liveness on the moved shard after the move.
-        post = await cluster.write(
-            router, KVPut(key=keys_by_shard[moved], value="v1"),
-            timeout=14.0)
-        checks.append(_check(
-            "post_move_write", post["status"] == "committed",
-            f"write to {moved} after the move: {post['status']}"))
-        await asyncio.sleep(config.max_latency + keepalive)
+        await run.write("post_move_write",
+                        KVPut(key=keys_by_shard[moved], value="v1"),
+                        f"write to {moved} after the move", client=router,
+                        timeout=14.0)
+        await asyncio.sleep(config.max_latency + KEEPALIVE)
         end_t = cluster.scheduler.now
         await load.stop()
         await calm.stop()
@@ -1207,38 +1134,26 @@ async def shard_rebalance(seed: int = 0) -> ScenarioVerdict:
         gap = load.max_gap(move_t, end_t)
         timings["read_unavailability"] = gap
         timings["read_unavailability_bound"] = gap_bound
-        checks.append(_check(
+        run.check(
             "unavailability_bounded", gap <= gap_bound,
             f"longest accepted-read gap on {moved} was {gap:.2f}s "
-            f"(bound {gap_bound:.2f}s)"))
+            f"(bound {gap_bound:.2f}s)")
         calm_gap = calm.max_gap(move_t, end_t)
         timings["bystander_max_gap"] = calm_gap
-        checks.append(_check(
+        run.check(
             "bystander_shard_unaffected", calm_gap <= gap_bound / 2,
             f"longest accepted-read gap on bystander {bystander} was "
-            f"{calm_gap:.2f}s"))
+            f"{calm_gap:.2f}s")
         spans = [s for s in _spans(cluster)
                  if s.op == "shard.rebalance" and s.end is not None]
         span_window = max((s.end - s.start for s in spans),
                           default=float("inf"))
         timings["rebalance_span"] = span_window
-        checks.append(_check(
+        run.check(
             "rebalance_span_recorded", span_window <= gap_bound,
             f"shard.rebalance span covered {span_window:.2f}s "
-            f"({len(spans)} span(s) recorded)"))
-
-        await _drain(cluster)
-        for shard_id, results in run_shard_safety_checks(cluster).items():
-            for result in results:
-                checks.append(CheckResult(
-                    name=f"{shard_id}:{result.name}",
-                    passed=result.passed, detail=result.detail))
-        return _verdict(cluster, "shard_rebalance", seed, checks,
-                        timings)
-    finally:
-        await load.stop()
-        await calm.stop()
-        await cluster.aclose()
+            f"({len(spans)} span(s) recorded)")
+        return await run.verdict()
 
 
 # -- registry and runners --------------------------------------------------
@@ -1293,7 +1208,6 @@ __all__ = [
     "SCENARIOS",
     "SCENARIO_DEADLINE",
     "ScenarioVerdict",
-    "ShardedChaosCluster",
     "run_all",
     "run_scenario",
     "run_scenario_sync",

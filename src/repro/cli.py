@@ -525,9 +525,9 @@ def cmd_obs(args: argparse.Namespace) -> int:
             spans: list[Span] = []
             health: dict[str, Any] = {}
             for node_id in sorted(cluster.servers):
-                dump = await cluster.scrape_spans(node_id)
+                dump = await cluster.scrape_admin(node_id, "spans")
                 spans.extend(span_from_wire(wire) for wire in dump.spans)
-                probe = await cluster.scrape_health(node_id)
+                probe = await cluster.scrape_admin(node_id, "health")
                 health[node_id] = {
                     "spans_buffered": probe.spans_buffered,
                     "spans_dropped": probe.spans_dropped,

@@ -406,15 +406,14 @@ class Client(Node):
         return valid
 
     def _prefetch_verifications(self, attempt: _ReadAttempt) -> None:
-        """Batch-verify the quorum's signatures before per-reply checks.
+        """Verify the quorum's signatures ahead of the per-reply checks.
 
         Collects every pledge and stamp signature in the attempt and
-        verifies them as one group (:func:`repro.crypto.signatures.verify_many`:
-        RSA replies sharing a key cost roughly one exponentiation).  The
-        verdicts land in the process-wide verify cache under the exact
-        keys :meth:`_validate_reply`'s individual checks use, so the
-        per-reply logic below is unchanged and still authoritative --
-        this only prepays its crypto.
+        verifies them in one :func:`repro.crypto.signatures.verify_many`
+        call.  The verdicts land in the process-wide verify cache under
+        the exact keys :meth:`_validate_reply`'s individual checks use,
+        so the per-reply logic below is unchanged and still
+        authoritative -- this only prepays its crypto.
         """
         if len(attempt.replies) < 2:
             return

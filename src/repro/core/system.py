@@ -20,11 +20,12 @@ Topology notes:
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Any, Callable, Iterable, Sequence
+from typing import Any, Callable, Iterable, Iterator, Mapping, Sequence
 
 from repro.content.kvstore import KeyValueStore
-from repro.content.queries import Operation, ReadQuery, operation_from_wire
+from repro.content.queries import Operation
 from repro.content.store import ContentStore
+from repro.core import oracle
 from repro.core.adversary import AdversaryStrategy
 from repro.core.auditor import AuditorServer
 from repro.core.client import Client
@@ -34,20 +35,30 @@ from repro.core.master import MasterServer
 from repro.core.owner import ContentOwner
 from repro.core.slave import SlaveServer
 from repro.crypto import fastpath
-from repro.crypto.hashing import constant_time_equals, sha1_hex
+from repro.crypto.certificates import Certificate
 from repro.metrics import MetricsRegistry
 from repro.obs.spans import ObsRuntime
 from repro.sim.failures import FailureInjector
 from repro.sim.latency import ConstantLatency, LatencyModel
-from repro.sim.network import Network
+from repro.sim.network import Network, Node
 from repro.sim.simulator import Simulator
-from repro.sim.tracing import MessageTracer
 
 AUDITOR_NODE_ID = "zz-auditor-00"  # sorts last: master-00 stays sequencer
 
 
 def auditor_node_id(index: int) -> str:
     return f"zz-auditor-{index:02d}"
+
+
+def audit_summary(auditors: list[AuditorServer]) -> dict[str, Any]:
+    """The auditor set's totals for a run summary."""
+    return {
+        "pledges_received": sum(a.pledges_received for a in auditors),
+        "pledges_audited": sum(a.pledges_audited for a in auditors),
+        "detections": sum(a.detections for a in auditors),
+        "cache_hit_rate": auditors[0].cache_hit_rate(),
+        "version": auditors[0].version,
+    }
 
 
 @dataclass
@@ -65,9 +76,6 @@ class DeploymentSpec:
     protocol: ProtocolConfig = field(default_factory=ProtocolConfig)
     latency: LatencyModel | None = None
     loss_probability: float = 0.0
-    #: Record every wire message in ``system.tracer`` (debugging aid and
-    #: message-count accounting; modest memory cost, bounded buffer).
-    trace_messages: bool = False
     #: Attach a ``repro.obs`` runtime: causal spans across every node on
     #: this simulator.  Off by default -- instrumented hot paths then
     #: cost one ``is None`` check (see benchmarks/bench_obs_overhead.py).
@@ -96,6 +104,126 @@ class DeploymentSpec:
             raise ValueError("client count cannot be negative")
 
 
+@dataclass(kw_only=True)
+class Cast:
+    """One master group as built: trusted set, slaves, clients."""
+
+    #: Directory index the group's master certificates are published
+    #: under (and its clients look up).
+    fingerprint: str
+    masters: list[MasterServer] = field(default_factory=list)
+    auditors: list[AuditorServer] = field(default_factory=list)
+    slaves: list[SlaveServer] = field(default_factory=list)
+    clients: list[Client] = field(default_factory=list)
+    #: Trusted member id -> its owner-issued certificate.
+    certs: dict[str, Certificate] = field(default_factory=dict)
+
+    def name(self, base: str) -> str:
+        """The node id for role name ``base`` (a shard qualifies it)."""
+        return base
+
+    def start_servers(self) -> None:
+        """Start the trusted set and the slaves; the rank-0 master then
+        proposes the dedicated trusted nodes as auditors."""
+        for node in (*self.masters, *self.auditors, *self.slaves):
+            node.start()
+        self.masters[0].elect_auditors(
+            tuple(a.node_id for a in self.auditors))
+
+
+@dataclass
+class CastBuilder:
+    """Builds master groups the one way every substrate does.
+
+    Masters, auditors, owner certificates, directory publication,
+    slaves, then clients -- and ``fork_rng`` is keyed by fork order, so
+    this order *is* the key material.  Substrates differ only in the
+    ``Network`` a node is handed (``network_for``), the address its
+    certificate names (``address_of``), how a cast names its nodes
+    (:meth:`Cast.name`) and what happens to a node once built: both
+    methods are generators that yield each node before going on, so the
+    caller can do nothing (simulator), host it as a tenant, or await a
+    listener the next certificate will name.
+    """
+
+    spec: Any
+    config: ProtocolConfig
+    simulator: Simulator
+    metrics: MetricsRegistry
+    owner: ContentOwner
+    directory: DirectoryServer
+    initial_store: ContentStore
+    network_for: Callable[[str], Network]
+    address_of: Callable[[str], str]
+    #: ``spec.adversaries`` is keyed by slave index across every cast
+    #: this builder makes.
+    _slaves_built: int = field(default=0, init=False)
+
+    def servers(self, cast: Cast) -> Iterator[Node]:
+        spec = self.spec
+        member_ids = [cast.name(f"master-{i:02d}")
+                      for i in range(spec.num_masters)]
+        member_ids.extend(cast.name(auditor_node_id(i))
+                          for i in range(spec.num_auditors))
+        for node_id in member_ids[:spec.num_masters]:
+            master = MasterServer(
+                node_id, self.simulator, self.network_for(node_id),
+                self.config, self.initial_store.clone(), member_ids,
+                self.metrics)
+            cast.masters.append(master)
+            yield master
+        for node_id in member_ids[spec.num_masters:]:
+            auditor = AuditorServer(
+                node_id, self.simulator, self.network_for(node_id),
+                self.config, self.initial_store.clone(), member_ids,
+                self.metrics)
+            cast.auditors.append(auditor)
+            yield auditor
+
+        # Owner certifies every trusted server and publishes the masters.
+        # Auditor certificates are not *serving* master entries; only
+        # serving masters go into the directory listing clients use.
+        for server in [*cast.masters, *cast.auditors]:
+            cast.certs[server.node_id] = self.owner.certify_master(
+                server.node_id, self.address_of(server.node_id),
+                server.keys.public_key, now=self.simulator.now)
+        for master in cast.masters:
+            self.directory.publish(cast.fingerprint,
+                                   cast.certs[master.node_id])
+
+        for i, master in enumerate(cast.masters):
+            for j in range(spec.slaves_per_master):
+                slave_id = cast.name(f"slave-{i:02d}-{j:02d}")
+                slave = SlaveServer(
+                    slave_id, self.simulator, self.network_for(slave_id),
+                    self.config, self.initial_store.clone(), cast.certs,
+                    self.metrics,
+                    strategy=spec.adversaries.get(self._slaves_built))
+                self._slaves_built += 1
+                cast.slaves.append(slave)
+                yield slave
+                master.register_slave(slave_id, self.address_of(slave_id),
+                                      slave.keys.public_key)
+
+    def clients(self, cast: Cast,
+                max_latency_overrides: Mapping[int, float] | None = None,
+                ) -> Iterator[Client]:
+        max_latency_overrides = max_latency_overrides or {}
+        for i in range(self.spec.num_clients):
+            node_id = cast.name(f"client-{i:02d}")
+            client = Client(
+                node_id, self.simulator, self.network_for(node_id),
+                self.config, directory_id=self.directory.node_id,
+                owner_public_key=self.owner.content_public_key,
+                metrics=self.metrics,
+                double_check_override=(
+                    self.spec.client_double_check_overrides.get(i)),
+                max_latency_override=max_latency_overrides.get(i),
+                lookup_fingerprint=cast.fingerprint)
+            cast.clients.append(client)
+            yield client
+
+
 class ReplicationSystem:
     """A fully wired deployment plus harness conveniences."""
 
@@ -118,19 +246,16 @@ class ReplicationSystem:
                 sample_rate=spec.obs_sample_rate,
                 buffer_size=spec.obs_buffer_size)
             self.simulator.obs = self.obs
-        self.tracer = MessageTracer() if spec.trace_messages else None
         self.network = Network(
             self.simulator,
             latency=spec.latency or ConstantLatency(0.01),
             loss_probability=spec.loss_probability,
-            tracer=self.tracer,
         )
         self.failures = FailureInjector(self.simulator)
 
         store_factory = spec.store_factory or (lambda: KeyValueStore())
         self.initial_store = store_factory()
 
-        # -- owner and directory -----------------------------------------
         self.owner = ContentOwner(
             "content-owner", signer_scheme=self.config.signer_scheme,
             rsa_bits=self.config.rsa_bits,
@@ -138,70 +263,26 @@ class ReplicationSystem:
         self.directory = DirectoryServer("directory", self.simulator,
                                          self.network)
 
-        # -- trusted set: masters + auditors -------------------------------
-        member_ids = [f"master-{i:02d}" for i in range(spec.num_masters)]
-        member_ids.extend(auditor_node_id(i)
-                          for i in range(spec.num_auditors))
-        self.masters: list[MasterServer] = []
-        for i in range(spec.num_masters):
-            master = MasterServer(
-                f"master-{i:02d}", self.simulator, self.network,
-                self.config, self.initial_store.clone(), member_ids,
-                self.metrics)
-            self.masters.append(master)
-        self.auditors: list[AuditorServer] = [
-            AuditorServer(
-                auditor_node_id(i), self.simulator, self.network,
-                self.config, self.initial_store.clone(), member_ids,
-                self.metrics)
-            for i in range(spec.num_auditors)
-        ]
+        cast = self.cast = Cast(
+            fingerprint=self.owner.content_key_fingerprint())
+        builder = CastBuilder(
+            spec, self.config, self.simulator, self.metrics, self.owner,
+            self.directory, self.initial_store,
+            network_for=lambda node_id: self.network,
+            address_of=lambda node_id: f"addr:{node_id}")
+        # One shared fabric, nothing to listen on: just drain the build.
+        for _node in builder.servers(cast):
+            pass
+        for _node in builder.clients(cast,
+                                     spec.client_max_latency_overrides):
+            pass
+        self.masters = cast.masters
+        self.auditors = cast.auditors
         #: Convenience handle for the common single-auditor deployment.
         self.auditor = self.auditors[0]
-
-        # Owner certifies every trusted server and publishes the masters.
-        self.master_certs = {}
-        for server in [*self.masters, *self.auditors]:
-            cert = self.owner.certify_master(
-                server.node_id, f"addr:{server.node_id}",
-                server.keys.public_key)
-            self.master_certs[server.node_id] = cert
-        # Auditor certificates are not *serving* master entries; only
-        # serving masters go into the directory listing clients use.
-        fingerprint = self.owner.content_key_fingerprint()
-        for master in self.masters:
-            self.directory.publish(fingerprint,
-                                   self.master_certs[master.node_id])
-
-        # -- slaves ---------------------------------------------------------
-        self.slaves: list[SlaveServer] = []
-        global_index = 0
-        for i, master in enumerate(self.masters):
-            for j in range(spec.slaves_per_master):
-                slave_id = f"slave-{i:02d}-{j:02d}"
-                strategy = spec.adversaries.get(global_index)
-                slave = SlaveServer(
-                    slave_id, self.simulator, self.network, self.config,
-                    self.initial_store.clone(), self.master_certs,
-                    self.metrics, strategy=strategy)
-                master.register_slave(slave_id, f"addr:{slave_id}",
-                                      slave.keys.public_key)
-                self.slaves.append(slave)
-                global_index += 1
-
-        # -- clients ----------------------------------------------------------
-        self.clients: list[Client] = []
-        for i in range(spec.num_clients):
-            client = Client(
-                f"client-{i:02d}", self.simulator, self.network,
-                self.config, directory_id="directory",
-                owner_public_key=self.owner.content_public_key,
-                metrics=self.metrics,
-                double_check_override=(
-                    spec.client_double_check_overrides.get(i)),
-                max_latency_override=(
-                    spec.client_max_latency_overrides.get(i)))
-            self.clients.append(client)
+        self.master_certs = cast.certs
+        self.slaves = cast.slaves
+        self.clients = cast.clients
 
         self._started = False
         #: Process-wide fast-path counters at build time; ``summary()``
@@ -233,15 +314,7 @@ class ReplicationSystem:
         if self._started:
             raise RuntimeError("system already started")
         self._started = True
-        for master in self.masters:
-            master.start()
-        for auditor in self.auditors:
-            auditor.start()
-        for slave in self.slaves:
-            slave.start()
-        # Rank-0 master proposes the dedicated trusted nodes as auditors.
-        self.masters[0].elect_auditors(
-            tuple(a.node_id for a in self.auditors))
+        self.cast.start_servers()
         self.simulator.run_for(settle)
         for client in self.clients:
             client.start()
@@ -281,94 +354,36 @@ class ReplicationSystem:
 
     # -- ground-truth oracle ---------------------------------------------------------
 
-    def trusted_version_stores(self) -> dict[int, ContentStore]:
-        """Reconstruct the content at every committed version.
+    def node(self, node_id: str) -> Node:
+        """Look up any deployed node by id."""
+        return self.network.node(node_id)
 
-        Replays the rank-0 master's (trusted, totally ordered) op log from
-        the initial content.  Used only by the offline harness -- the
-        protocol itself never consults it.
-        """
-        reference = self.masters[0]
-        stores: dict[int, ContentStore] = {}
-        current = self.initial_store.clone()
-        stores[0] = current.clone()
-        version = 0
-        while version in reference._ops_archive:
-            current.apply_write(
-                operation_from_wire(reference._ops_archive[version]))
-            version += 1
-            stores[version] = current.clone()
-        return stores
+    def trusted_version_stores(self) -> dict[int, ContentStore]:
+        """The content at every committed version (rank-0 replay)."""
+        return oracle.trusted_version_stores(self, self.masters[0])
 
     def classify_accepted_reads(self) -> dict[str, Any]:
         """Compare every accepted read against trusted history.
 
-        Returns counts plus the individual wrong acceptances.  A read is
-        *correct* when its accepted result hash equals the hash of the
-        trusted re-execution at the accepted version -- the same check the
-        auditor performs online.
+        Returns counts plus the individual wrong acceptances; reads at
+        a version beyond rank 0's archive are not counted.
         """
-        stores = self.trusted_version_stores()
-        cache: dict[tuple[int, str], str] = {}
-        correct = 0
-        wrong: list[dict[str, Any]] = []
-        for client in self.clients:
-            for record in client.accepted_log:
-                key = (record.version, sha1_hex(record.query_wire))
-                trusted_hash = cache.get(key)
-                if trusted_hash is None:
-                    store = stores.get(record.version)
-                    if store is None:
-                        continue  # version beyond trusted history
-                    query = operation_from_wire(record.query_wire)
-                    assert isinstance(query, ReadQuery)
-                    trusted_hash = sha1_hex(store.execute_read(query).result)
-                    cache[key] = trusted_hash
-                if constant_time_equals(record.result_hash, trusted_hash):
-                    correct += 1
-                else:
-                    wrong.append({
-                        "client": record.request_id.split(":")[0],
-                        "request_id": record.request_id,
-                        "version": record.version,
-                        "double_checked": record.double_checked,
-                        "slaves": record.slave_ids,
-                    })
+        reads = oracle.classify_accepted_reads(self, self.masters[0])
         return {
-            "accepted_total": correct + len(wrong),
-            "accepted_correct": correct,
-            "accepted_wrong": len(wrong),
-            "wrong_records": wrong,
+            "accepted_total": reads.correct + len(reads.wrong),
+            "accepted_correct": reads.correct,
+            "accepted_wrong": len(reads.wrong),
+            "wrong_records": reads.wrong,
         }
 
     def check_consistency_window(self, slack: float = 1e-9) -> list[dict]:
-        """Verify the paper's max_latency guarantee over the whole run.
+        """Section 3.1's max_latency guarantee over the whole run.
 
-        Section 3.1: "a client is guaranteed that once max_latency time
-        has elapsed since committing a write, no other client will accept
-        a read that is not dependent on that write."  Concretely: a read
-        accepted at version ``v`` is a violation if some version ``v+1``
-        was committed more than ``max_latency`` before the acceptance
-        time.  Returns the (ideally empty) list of violations.
+        Returns the (ideally empty) list of violations, judged against
+        rank 0's commit times.
         """
-        commit_times = self.masters[0].commit_times
-        bound = self.config.effective_client_max_latency()
-        violations: list[dict] = []
-        for client in self.clients:
-            client_bound = client.max_latency
-            for record in client.accepted_log:
-                next_commit = commit_times.get(record.version + 1)
-                if next_commit is None:
-                    continue  # read was at the newest version
-                if record.accepted_at > next_commit + max(bound, client_bound) + slack:
-                    violations.append({
-                        "client": client.node_id,
-                        "request_id": record.request_id,
-                        "version": record.version,
-                        "accepted_at": record.accepted_at,
-                        "next_commit_at": next_commit,
-                    })
-        return violations
+        return oracle.consistency_window_violations(
+            self, slack, self.masters[0])
 
     # -- reporting ----------------------------------------------------------------------
 
@@ -388,15 +403,7 @@ class ReplicationSystem:
             "counters": self.metrics.snapshot(),
             "classification": {k: v for k, v in classification.items()
                                if k != "wrong_records"},
-            "auditor": {
-                "pledges_received": sum(a.pledges_received
-                                        for a in self.auditors),
-                "pledges_audited": sum(a.pledges_audited
-                                       for a in self.auditors),
-                "detections": sum(a.detections for a in self.auditors),
-                "cache_hit_rate": self.auditor.cache_hit_rate(),
-                "version": self.auditor.version,
-            },
+            "auditor": audit_summary(self.auditors),
             "versions": {m.node_id: m.version for m in self.masters},
             "failures": {
                 "crashes": sum(1 for event in self.failures.log

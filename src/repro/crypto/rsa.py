@@ -224,53 +224,3 @@ def rsa_verify(public_key: RSAPublicKey, message: bytes,
         return False
     expected = _full_domain_hash(message, public_key.n)
     return pow(signature, public_key.e, public_key.n) == expected
-
-
-#: Bit length of the random exponents in the small-exponents batch test.
-#: A batch forgery survives with probability 2**-BATCH_EXPONENT_BITS.
-BATCH_EXPONENT_BITS = 32
-
-
-def rsa_batch_verify(public_key: RSAPublicKey,
-                     items: "list[tuple[bytes, object]]",
-                     rng: random.Random | None = None) -> list[bool]:
-    """Verify several signatures under one key; returns per-item verdicts.
-
-    Uses the Bellare-Garay-Rabin small-exponents test: draw a random
-    exponent ``r_i`` per item and check
-
-        ``(prod s_i^{r_i})^e  ==  prod H(m_i)^{r_i}   (mod n)``
-
-    which costs one full-size modular exponentiation plus 2k small ones
-    instead of k full-size ones.  The naive product test (all ``r_i`` =
-    1) is unsound -- two crafted bad signatures can cancel -- the random
-    exponents reduce that to a 2**-32 fluke.  When the combined check
-    fails, items are re-verified individually so exactly the bad ones
-    are reported; the batch path can only ever *accept* what individual
-    verification would accept.
-    """
-    if rng is None:
-        rng = entropy.fallback_rng()
-    verdicts = [isinstance(sig, int) and 0 <= sig < public_key.n
-                for _msg, sig in items]
-    candidates = [i for i, ok in enumerate(verdicts) if ok]
-    if not candidates:
-        return verdicts
-    if len(candidates) == 1:
-        i = candidates[0]
-        verdicts[i] = rsa_verify(public_key, items[i][0], items[i][1])
-        return verdicts
-    n = public_key.n
-    sig_side = 1
-    hash_side = 1
-    for i in candidates:
-        message, signature = items[i]
-        r = rng.getrandbits(BATCH_EXPONENT_BITS) | 1
-        assert isinstance(signature, int)
-        sig_side = sig_side * pow(signature, r, n) % n
-        hash_side = hash_side * pow(_full_domain_hash(message, n), r, n) % n
-    if pow(sig_side, public_key.e, n) == hash_side:
-        return verdicts
-    for i in candidates:
-        verdicts[i] = rsa_verify(public_key, items[i][0], items[i][1])
-    return verdicts

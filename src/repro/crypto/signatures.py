@@ -226,67 +226,15 @@ def verify_signature(public_key: object, message: bytes, signature: object,
 def verify_many(
     triples: "list[tuple[object, bytes, object]]",
     metrics: "MetricsLike | None" = None,
-    rng: "random.Random | None" = None,
 ) -> "list[bool]":
-    """Verify a batch of ``(public_key, message, signature)`` triples.
+    """Verify ``(public_key, message, signature)`` triples, in order.
 
-    RSA triples sharing a public key are checked together with the
-    small-exponents batch test (:func:`repro.crypto.rsa.rsa_batch_verify`
-    -- one full-size exponentiation for the whole group, individual
-    fallback on mismatch), so a client validating a read quorum pays for
-    roughly one verification instead of one per reply.  HMAC and unknown
-    keys go through the normal dispatch.
-
-    Every verdict is recorded in the fastpath verify cache under the
-    same key :func:`verify_signature` uses, so per-reply validation code
-    that re-checks the same triple afterwards hits the cache instead of
-    redoing the crypto.  Verdicts are positionally aligned with the
-    input and identical to calling :func:`verify_signature` per triple.
+    Each goes through :func:`verify_signature`, so every verdict is
+    recorded in the fastpath verify cache under the key a later
+    individual check of the same triple will hit.
     """
-    verdicts: "list[bool | None]" = [None] * len(triples)
-    rsa_groups: dict[_rsa.RSAPublicKey, list[int]] = {}
-    caching = fastpath.enabled()
-    for i, (public_key, message, signature) in enumerate(triples):
-        if caching:
-            try:
-                sig_key = bytes(signature) \
-                    if isinstance(signature, bytearray) else signature
-                cached = fastpath.VERIFY_CACHE.get(
-                    (public_key, message, sig_key))
-            except TypeError:
-                cached = fastpath.MISS
-            if cached is not fastpath.MISS:
-                if metrics is not None:
-                    metrics.incr("verify_cache_hits")
-                verdicts[i] = cached
-                continue
-        if isinstance(public_key, _rsa.RSAPublicKey):
-            rsa_groups.setdefault(public_key, []).append(i)
-        else:
-            verdicts[i] = verify_signature(public_key, message, signature,
-                                           metrics)
-    for public_key, indices in rsa_groups.items():
-        items = [(triples[i][1], triples[i][2]) for i in indices]
-        if len(items) == 1:
-            group = [_rsa.rsa_verify(public_key, *items[0])]
-        else:
-            group = _rsa.rsa_batch_verify(public_key, items, rng=rng)
-            if metrics is not None:
-                metrics.incr("verify_batches")
-        for i, verdict in zip(indices, group):
-            verdicts[i] = verdict
-            if metrics is not None:
-                metrics.incr("verify_cache_misses")
-            if caching:
-                _public_key, message, signature = triples[i]
-                try:
-                    sig_key = bytes(signature) \
-                        if isinstance(signature, bytearray) else signature
-                    fastpath.VERIFY_CACHE.put(
-                        (public_key, message, sig_key), verdict)
-                except TypeError:
-                    pass
-    return [bool(v) for v in verdicts]
+    return [verify_signature(public_key, message, signature, metrics)
+            for public_key, message, signature in triples]
 
 
 def _verify_dispatch(public_key: object, message: bytes,

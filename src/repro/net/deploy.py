@@ -10,6 +10,8 @@ changes is the seam implementations from :mod:`repro.net.server`.
 Intended use::
 
     cluster = await LocalCluster.launch(NetDeploymentSpec(seed=7))
+    # ... or, with every link answering to a seeded fault plane:
+    #   await LocalCluster.launch(spec, plane=FaultPlane(seed=7))
     try:
         await cluster.write(cluster.clients[0], KVPut(key="k", value=1))
         reply = await cluster.read(cluster.clients[1], KVGet(key="k"))
@@ -25,7 +27,7 @@ from __future__ import annotations
 
 import asyncio
 from dataclasses import dataclass, field
-from typing import Any, Callable, Protocol
+from typing import TYPE_CHECKING, Any, Callable, Protocol
 
 from repro.content.kvstore import KeyValueStore
 from repro.content.queries import Operation
@@ -38,7 +40,7 @@ from repro.core.directory import DirectoryServer
 from repro.core.master import MasterServer
 from repro.core.owner import ContentOwner
 from repro.core.slave import SlaveServer
-from repro.core.system import auditor_node_id
+from repro.core.system import Cast, CastBuilder, audit_summary
 from repro.crypto.certificates import Certificate
 from repro.metrics import MetricsRegistry
 from repro.net.codec import NetHello
@@ -58,6 +60,9 @@ from repro.qos.ledger import AdmissionLedger
 from repro.qos.tokens import AdmissionPolicy
 from repro.shard.wire import ShardStatusRequest
 from repro.sim.network import Node
+
+if TYPE_CHECKING:  # pragma: no cover - repro.net must not import repro.chaos
+    from repro.chaos.faults import FaultPlane
 
 #: Admin-plane scrape vocabulary: kind -> request factory.  One table
 #: instead of one near-identical helper per request type; new admin
@@ -160,10 +165,14 @@ class LocalCluster:
     """A booted localhost deployment; create via :meth:`launch`."""
 
     def __init__(self, spec: NetDeploymentSpec,
-                 loop: asyncio.AbstractEventLoop) -> None:
+                 loop: asyncio.AbstractEventLoop,
+                 plane: "FaultPlane | None" = None) -> None:
         self.spec = spec
         self.config = spec.protocol or fast_protocol_config()
         self._loop = loop
+        #: With a :class:`~repro.chaos.faults.FaultPlane`, every pool
+        #: is built by it and every link answers to it.
+        self.plane = plane
         self.metrics = MetricsRegistry()
         self.scheduler = RealtimeScheduler(spec.seed, loop)
         self.obs: ObsRuntime | None = None
@@ -182,7 +191,6 @@ class LocalCluster:
             rng=self.scheduler.fork_rng("keys:owner"))
         store_factory = spec.store_factory or (lambda: KeyValueStore())
         self.initial_store: ContentStore = store_factory()
-        self.directory: DirectoryServer | None = None
         self.masters: list[MasterServer] = []
         self.auditors: list[AuditorServer] = []
         self.slaves: list[SlaveServer] = []
@@ -190,6 +198,12 @@ class LocalCluster:
         self.master_certs: dict[str, Certificate] = {}
         self.servers: dict[str, NodeServer] = {}
         self.pools: dict[str, ConnectionPool] = {}
+        self.directory = DirectoryServer(
+            "directory", self.scheduler, self._own_fabric("directory"))
+        self._builder = CastBuilder(
+            spec, self.config, self.scheduler, self.metrics, self.owner,
+            self.directory, self.initial_store,
+            network_for=self._cast_fabric, address_of=self._address_of)
         # One deployment-wide per-principal ledger (opt-in): every
         # listener charges the same accounts, so reconnecting -- or
         # dialling a different host -- never refreshes an allowance.
@@ -205,25 +219,24 @@ class LocalCluster:
     @classmethod
     async def launch(cls, spec: NetDeploymentSpec | None = None,
                      settle: float = 1.0,
+                     plane: "FaultPlane | None" = None,
                      **spec_kwargs: Any) -> "LocalCluster":
         """Build, listen, start and settle a full cluster."""
         if spec is None:
             spec = NetDeploymentSpec(**spec_kwargs)
         elif spec_kwargs:
             raise TypeError("pass either a spec or keyword args, not both")
-        cluster = cls(spec, asyncio.get_running_loop())
+        cluster = cls(spec, asyncio.get_running_loop(), plane)
         await cluster._build()
         await cluster._start(settle)
         return cluster
 
     def _make_pool(self, node_id: str) -> ConnectionPool:
-        """Build one node's outbound pool.
-
-        The single seam subclasses override to swap in a fault-injecting
-        pool (:class:`repro.chaos.ChaosConnectionPool`); also called by
-        :meth:`restart_node` to give a rebooted node a fresh pool.
-        """
-        return ConnectionPool(
+        """Build one node's outbound pool -- at boot, and again when
+        :meth:`restart_node` gives a rebooted node a fresh one."""
+        factory: Callable[..., ConnectionPool] = \
+            ConnectionPool if self.plane is None else self.plane.pool
+        return factory(
             node_id, self.peers, self.metrics,
             rng=self.scheduler.fork_rng(f"net:{node_id}"),
             retry=self.spec.retry,
@@ -232,11 +245,24 @@ class LocalCluster:
             max_batch=self.spec.max_batch,
             breaker=self.spec.breaker)
 
-    def _fabric(self, node_id: str) -> SocketNetwork:
-        """One node's private network seam (pool + facade + listener slot)."""
+    def _network(self, pool: ConnectionPool) -> SocketNetwork:
+        """The ``Network`` seam this topology puts in front of a pool."""
+        return SocketNetwork(self.scheduler, pool)
+
+    def _own_fabric(self, node_id: str) -> SocketNetwork:
+        """A listener-backed node's private seam: its own pool."""
         pool = self._make_pool(node_id)
         self.pools[node_id] = pool
-        return SocketNetwork(self.scheduler, pool)
+        return self._network(pool)
+
+    def _cast_fabric(self, node_id: str) -> SocketNetwork:
+        """The seam a master-group node is built on: here every node
+        is its own host."""
+        return self._own_fabric(node_id)
+
+    def _address_of(self, node_id: str) -> str:
+        """The ``host:port`` a certificate for ``node_id`` names."""
+        return self.peers.address(node_id)
 
     def _admission_policy(self) -> AdmissionPolicy | None:
         """The spec's qos knobs as an AdmissionPolicy, or None when off.
@@ -280,82 +306,24 @@ class LocalCluster:
         return format_address(host, port)
 
     async def _build(self) -> None:
-        spec = self.spec
-        # Same cast and order as ReplicationSystem.__init__, so the
-        # fork_rng-derived key material is a pure function of the seed.
-        self.directory = DirectoryServer(
-            "directory", self.scheduler, self._fabric("directory"))
         await self._listen(self.directory)
-
-        member_ids = [f"master-{i:02d}" for i in range(spec.num_masters)]
-        member_ids.extend(auditor_node_id(i)
-                          for i in range(spec.num_auditors))
-        for i in range(spec.num_masters):
-            node_id = f"master-{i:02d}"
-            master = MasterServer(
-                node_id, self.scheduler, self._fabric(node_id),
-                self.config, self.initial_store.clone(), member_ids,
-                self.metrics)
-            self.masters.append(master)
-            await self._listen(master)
-        for i in range(spec.num_auditors):
-            node_id = auditor_node_id(i)
-            auditor = AuditorServer(
-                node_id, self.scheduler, self._fabric(node_id),
-                self.config, self.initial_store.clone(), member_ids,
-                self.metrics)
-            self.auditors.append(auditor)
-            await self._listen(auditor)
-
-        for server in [*self.masters, *self.auditors]:
-            cert = self.owner.certify_master(
-                server.node_id, self.peers.address(server.node_id),
-                server.keys.public_key, now=self.scheduler.now)
-            self.master_certs[server.node_id] = cert
-        fingerprint = self.owner.content_key_fingerprint()
-        for master in self.masters:
-            self.directory.publish(fingerprint,
-                                   self.master_certs[master.node_id])
-
-        global_index = 0
-        for i, master in enumerate(self.masters):
-            for j in range(spec.slaves_per_master):
-                slave_id = f"slave-{i:02d}-{j:02d}"
-                strategy = spec.adversaries.get(global_index)
-                slave = SlaveServer(
-                    slave_id, self.scheduler, self._fabric(slave_id),
-                    self.config, self.initial_store.clone(),
-                    self.master_certs, self.metrics, strategy=strategy)
-                address = await self._listen(slave)
-                master.register_slave(slave_id, address,
-                                      slave.keys.public_key)
-                self.slaves.append(slave)
-                global_index += 1
-
-        for i in range(spec.num_clients):
-            node_id = f"client-{i:02d}"
-            client = Client(
-                node_id, self.scheduler, self._fabric(node_id),
-                self.config, directory_id="directory",
-                owner_public_key=self.owner.content_public_key,
-                metrics=self.metrics,
-                double_check_override=(
-                    spec.client_double_check_overrides.get(i)))
-            self.clients.append(client)
+        cast = self.cast = Cast(
+            fingerprint=self.owner.content_key_fingerprint(),
+            masters=self.masters, auditors=self.auditors,
+            slaves=self.slaves, clients=self.clients,
+            certs=self.master_certs)
+        # Each node listens before the build goes on: the next
+        # certificate (or slave registration) names its address.
+        for node in self._builder.servers(cast):
+            await self._listen(node)
+        for client in self._builder.clients(cast):
             await self._listen(client)
             if self.ledger is not None:
                 self.ledger.register_key(client.node_id,
                                          client.keys.public_key)
 
     async def _start(self, settle: float) -> None:
-        for master in self.masters:
-            master.start()
-        for auditor in self.auditors:
-            auditor.start()
-        for slave in self.slaves:
-            slave.start()
-        self.masters[0].elect_auditors(
-            tuple(a.node_id for a in self.auditors))
+        self.cast.start_servers()
         await asyncio.sleep(settle)
         for client in self.clients:
             client.start()
@@ -363,12 +331,31 @@ class LocalCluster:
 
     async def wait_ready(self, timeout: float = 10.0) -> None:
         """Block until every client finished the setup phase."""
-        deadline = self._loop.time() + timeout
-        while not all(client.ready for client in self.clients):
+        try:
+            await self.wait_for(
+                lambda: all(client.ready for client in self.clients),
+                timeout, poll=0.05)
+        except TimeoutError:
+            pending = [c.node_id for c in self.clients if not c.ready]
+            raise TimeoutError(
+                f"clients never became ready: {pending}") from None
+
+    async def wait_for(self, condition: Callable[[], bool], timeout: float,
+                       what: str = "condition",
+                       poll: float = 0.02) -> float:
+        """Poll until ``condition()`` holds; returns seconds waited.
+
+        Raises :class:`TimeoutError` naming ``what`` -- scenario checks
+        use the wait itself as the liveness assertion.
+        """
+        start = self._loop.time()
+        deadline = start + timeout
+        while not condition():
             if self._loop.time() > deadline:
-                pending = [c.node_id for c in self.clients if not c.ready]
-                raise TimeoutError(f"clients never became ready: {pending}")
-            await asyncio.sleep(0.05)
+                raise TimeoutError(
+                    f"{what} did not hold within {timeout:.1f}s")
+            await asyncio.sleep(poll)
+        return self._loop.time() - start
 
     # -- workload driving -------------------------------------------------
 
@@ -414,14 +401,17 @@ class LocalCluster:
         The process is gone, not just the protocol state machine --
         outbound frames stop (the pool is closed, queued frames are
         discarded), the listener closes (peers dialling back get
-        connection-refused) and accepted connections are reset.  The
-        protocol-level ``node.crash()`` runs first so role cleanup (e.g.
-        stopping broadcast participation) happens before the wires go.
+        connection-refused) and accepted connections are reset.  Every
+        node the listener hosts goes down with it (a multi-tenant host
+        takes its tenants along); the protocol-level ``crash()`` runs
+        first so role cleanup (e.g. stopping broadcast participation)
+        happens before the wires go.
         """
         server = self.servers[node_id]
         if server.node.crashed:
             return
-        server.node.crash()
+        for node in server.tenants().values():
+            node.crash()
         await self.pools[node_id].aclose()
         await server.suspend()
         self.metrics.record("chaos_crashes", self.scheduler.now, 1.0)
@@ -431,22 +421,23 @@ class LocalCluster:
 
         A restarted host comes back with a fresh connection pool (new
         sockets, same deterministic rng derivation scheme) bound to the
-        same address its peers already know, then runs the role's
+        same address its peers already know; every node it hosts sends
+        through that pool from here on and runs its role's
         ``on_recover`` path -- trusted servers announce recovery to the
         broadcast group and catch up, slaves resync off their master's
         next keep-alive.
         """
         server = self.servers[node_id]
-        node = server.node
-        if not node.crashed:
+        if not server.node.crashed:
             return
         pool = self._make_pool(node_id)
         self.pools[node_id] = pool
-        network = node.network
-        assert isinstance(network, SocketNetwork)
-        network.pool = pool
         await server.resume()
-        node.recover()
+        for node in server.tenants().values():
+            network = node.network
+            assert isinstance(network, SocketNetwork)
+            network.pool = pool
+            node.recover()
         self.metrics.record("chaos_restarts", self.scheduler.now, 1.0)
 
     # -- admin plane -------------------------------------------------------
@@ -489,28 +480,10 @@ class LocalCluster:
                              f"known: {sorted(_ADMIN_REQUESTS)}")
         return await self.scrape(node_id, factory(**request_kwargs))
 
-    async def scrape_spans(self, node_id: str,
-                           max_spans: int = 4096) -> Any:
-        """ObsDump shortcut: one node's buffered spans."""
-        return await self.scrape_admin(node_id, "spans", max_spans=max_spans)
-
-    async def scrape_health(self, node_id: str) -> Any:
-        """ObsHealth shortcut: one node's liveness summary."""
-        return await self.scrape_admin(node_id, "health")
-
-    async def scrape_qos(self, node_id: str) -> Any:
-        """QosStatus shortcut: one node's admission/backpressure state."""
-        return await self.scrape_admin(node_id, "qos")
-
-    async def scrape_shards(self, node_id: str) -> Any:
-        """ShardStatus shortcut: one host's tenants grouped by shard."""
-        return await self.scrape_admin(node_id, "shards")
-
     # -- reporting ---------------------------------------------------------
 
     def summary(self) -> dict[str, Any]:
         """Counters, auditor stats and per-master versions, JSON-shaped."""
-        auditor = self.auditors[0]
         return {
             "topology": {
                 "masters": len(self.masters),
@@ -519,15 +492,7 @@ class LocalCluster:
                 "auditors": len(self.auditors),
             },
             "counters": self.metrics.snapshot(),
-            "auditor": {
-                "pledges_received": sum(a.pledges_received
-                                        for a in self.auditors),
-                "pledges_audited": sum(a.pledges_audited
-                                       for a in self.auditors),
-                "detections": sum(a.detections for a in self.auditors),
-                "cache_hit_rate": auditor.cache_hit_rate(),
-                "version": auditor.version,
-            },
+            "auditor": audit_summary(self.auditors),
             "versions": {m.node_id: m.version for m in self.masters},
             "transport": {
                 name: value

@@ -38,7 +38,7 @@ import random
 import socket
 from collections import deque
 from dataclasses import dataclass, field
-from typing import Any
+from typing import Any, Callable
 
 from repro.metrics import MetricsRegistry
 from repro.net import codec
@@ -185,11 +185,6 @@ class ConnectionPool:
         self._breakers: dict[str, CircuitBreaker] = {}
         self._peers: dict[str, _Peer] = {}
         self._closed = False
-        #: A subclass overrides the per-message :meth:`_transmit` seam
-        #: (fault injection): every message goes through it, one at a
-        #: time, from the recovery task.
-        self._per_message = \
-            type(self)._transmit is not ConnectionPool._transmit
 
     # -- the synchronous face the protocol core sees --------------------
 
@@ -256,9 +251,8 @@ class ConnectionPool:
         """Write ``peer``'s backlog now, or hand the peer to a task.
 
         The write is synchronous when nothing has to be waited for: the
-        connection is up, the breaker closed, the transport's write
-        buffer empty and no fault-injecting ``_transmit`` in the way.
-        ``is_closing()`` is tested *before* each write because asyncio
+        connection is up, the breaker closed and the transport's write
+        buffer empty.  ``is_closing()`` is tested *before* each write because asyncio
         silently discards writes to a lost connection -- a killed
         connection has to walk the retry path, not swallow frames.
         Whatever is left goes to :meth:`_recover`.
@@ -268,7 +262,7 @@ class ConnectionPool:
             return
         backlog = peer.backlog
         writer = peer.writer
-        if writer is not None and not self._per_message:
+        if writer is not None:
             brk = self._breakers.get(dst_id)
             if brk is None or brk.state == CLOSED:
                 transport = writer.transport
@@ -318,11 +312,18 @@ class ConnectionPool:
         else:
             self.metrics.incr("net_batches_sent")
             return payload
+        return self._encode_each(dst_id, batch, codec.encode_frame)
+
+    def _encode_each(self, dst_id: str, batch: list[Any],
+                     frame: Callable[[Any], bytes]) -> bytes:
+        """``frame(message)`` for each of ``batch``, joined in order;
+        one that cannot be encoded is dropped with a count and removed
+        from ``batch``."""
         frames = []
         encoded = []
         for message in batch:
             try:
-                frames.append(codec.encode_frame(message))
+                frames.append(frame(message))
             except CodecError:
                 self._drop(dst_id, "unencodable")
             else:
@@ -334,8 +335,7 @@ class ConnectionPool:
         """Own ``peer`` until its backlog is empty: everything that waits.
 
         Dial and hello, retry with backoff, ``drain()`` under
-        ``io_timeout``, breaker fast-fail and half-open probes, and the
-        per-message :meth:`_transmit` of fault-injecting pools.  While
+        ``io_timeout``, breaker fast-fail and half-open probes.  While
         this task runs ``send`` only appends, so the backlog leaves in
         ``send`` order whichever path wrote the messages before it.
         """
@@ -359,8 +359,9 @@ class ConnectionPool:
                         if peer.writer is None:
                             _reader, peer.writer = \
                                 await self._connect(dst_id)
-                        size = await self._transmit_batch(
-                            dst_id, peer, batch)
+                        payload = self._encode(dst_id, batch)
+                        peer.writer.write(payload)
+                        await self._drain(peer.writer)
                     except (ConnectionError, OSError, asyncio.TimeoutError,
                             TransportError) as exc:
                         if isinstance(exc, asyncio.TimeoutError):
@@ -375,7 +376,7 @@ class ConnectionPool:
                                 self.retry.delay(attempt, self.rng))
                         continue
                     self.metrics.incr("net_frames_sent", len(batch))
-                    self.metrics.incr("net_bytes_sent", size)
+                    self.metrics.incr("net_bytes_sent", len(payload))
                     delivered = True
                     break
                 if delivered:
@@ -395,36 +396,6 @@ class ConnectionPool:
             # ``send`` arms a flush instead of queueing behind a corpse.
             peer.task = None
 
-    async def _transmit_batch(self, dst_id: str, peer: _Peer,
-                              messages: list[Any]) -> int:
-        """Write one flush's messages and drain; returns total bytes.
-
-        Pools that override the per-message :meth:`_transmit` seam
-        (:mod:`repro.chaos`) are detected and fed one message at a time
-        in backlog order, so per-frame fault decisions and byte-level
-        corruption keep their exact (seed, link, frame-index) meaning.
-        Messages that cannot be encoded are dropped with a count and
-        removed from ``messages`` on either path.
-        """
-        if self._per_message:
-            total = 0
-            index = 0
-            while index < len(messages):
-                try:
-                    total += await self._transmit(dst_id, peer,
-                                                  messages[index])
-                except CodecError:
-                    del messages[index]
-                    self._drop(dst_id, "unencodable")
-                else:
-                    index += 1
-            return total
-        payload = self._encode(dst_id, messages)
-        assert peer.writer is not None
-        peer.writer.write(payload)
-        await self._drain(peer.writer)
-        return len(payload)
-
     async def _drain(self, writer: asyncio.StreamWriter) -> None:
         """Await the writer's flow control, bounded by ``io_timeout``.
 
@@ -438,18 +409,6 @@ class ConnectionPool:
                 and transport.get_write_buffer_size() == 0):
             return
         await asyncio.wait_for(writer.drain(), self.io_timeout)
-
-    async def _transmit(self, dst_id: str, peer: _Peer, message: Any) -> int:
-        """Write one frame on an established connection; returns its size.
-
-        The single seam where an *individual* message's bytes leave this
-        node, so fault-injecting pools (:mod:`repro.chaos`) can corrupt
-        or throttle the frame without touching retry logic.  Overriding
-        it opts the pool out of wire-level coalescing (see
-        :meth:`_flush` and :meth:`_transmit_batch`).
-        """
-        assert peer.writer is not None
-        return await write_frame(peer.writer, message, self.io_timeout)
 
     async def _connect(
         self, dst_id: str,

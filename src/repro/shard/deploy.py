@@ -23,24 +23,23 @@ Applications talk to :class:`~repro.shard.router.ShardRouter` instances
 from __future__ import annotations
 
 import asyncio
-from dataclasses import dataclass, field
-from typing import Any, Callable
+from dataclasses import dataclass
+from typing import TYPE_CHECKING, Any
 
 from repro.content.kvstore import KVGet, KVPut
-from repro.core.auditor import AuditorServer
 from repro.core.client import Client
-from repro.core.directory import DirectoryServer
-from repro.core.master import MasterServer
-from repro.core.slave import SlaveServer
-from repro.core.system import auditor_node_id
-from repro.crypto.certificates import Certificate
+from repro.core.system import Cast
 from repro.net.deploy import LocalCluster, NetDeploymentSpec, \
     fast_protocol_config
 from repro.net.server import ShardedNetwork
+from repro.net.transport import ConnectionPool
 from repro.shard.map import ShardMap, shard_fingerprint
 from repro.shard.router import ShardRouter
 from repro.shard.wire import tenant_id
 from repro.sim.network import Node
+
+if TYPE_CHECKING:  # pragma: no cover - typing only
+    from repro.chaos.faults import FaultPlane
 
 
 class HostNode(Node):
@@ -78,18 +77,19 @@ class ShardDeploymentSpec(NetDeploymentSpec):
             raise ValueError("need at least one host")
 
 
-@dataclass
-class ShardState:
-    """One shard's live cast and provenance."""
+@dataclass(kw_only=True)
+class ShardState(Cast):
+    """One shard's live cast and provenance.
+
+    ``clients`` are the router legs homed on this shard (for the
+    per-shard oracle); a rebalance hands them to the next generation.
+    """
 
     shard_id: str
     generation: int
-    fingerprint: str
-    masters: list[MasterServer] = field(default_factory=list)
-    auditors: list[AuditorServer] = field(default_factory=list)
-    slaves: list[SlaveServer] = field(default_factory=list)
-    #: The router legs homed on this shard (for the per-shard oracle).
-    clients: list[Client] = field(default_factory=list)
+
+    def name(self, base: str) -> str:
+        return tenant_id(self.shard_id, base, self.generation)
 
     def tenant_ids(self) -> list[str]:
         return [node.node_id for node in
@@ -122,7 +122,8 @@ class ShardedCluster(LocalCluster):
     spec: ShardDeploymentSpec
 
     def __init__(self, spec: NetDeploymentSpec,
-                 loop: asyncio.AbstractEventLoop) -> None:
+                 loop: asyncio.AbstractEventLoop,
+                 plane: "FaultPlane | None" = None) -> None:
         if not isinstance(spec, ShardDeploymentSpec):
             raise TypeError("ShardedCluster needs a ShardDeploymentSpec")
         #: tenant id -> hosting listener's node id.  Shared (by
@@ -135,33 +136,30 @@ class ShardedCluster(LocalCluster):
         self.routers: list[ShardRouter] = []
         self.map_epoch = 0
         self._placement_counter = 0
-        self._slave_counter = 0
-        super().__init__(spec, loop)
+        super().__init__(spec, loop, plane)
 
     # -- fabric wiring -----------------------------------------------------
 
-    def _fabric(self, node_id: str) -> ShardedNetwork:
-        """Listener-backed nodes (hosts, directory) get their own pool."""
-        pool = self._make_pool(node_id)
-        self.pools[node_id] = pool
+    def _network(self, pool: ConnectionPool) -> ShardedNetwork:
         return ShardedNetwork(self.scheduler, pool, self.host_of)
 
-    def _tenant_fabric(self, host_id: str) -> ShardedNetwork:
-        """Tenants share their host's pool: one connection per host pair."""
-        return ShardedNetwork(self.scheduler, self.pools[host_id],
-                              self.host_of)
+    def _cast_fabric(self, node_id: str) -> ShardedNetwork:
+        """Place a tenant (deterministic round-robin across hosts).
 
-    def _place(self) -> str:
-        """Deterministic round-robin tenant placement across hosts."""
+        Tenants share their host's pool: one connection per host pair.
+        """
         host = self.hosts[self._placement_counter % len(self.hosts)]
         self._placement_counter += 1
-        return host.node_id
+        self.host_of[node_id] = host.node_id
+        return self._network(self.pools[host.node_id])
 
-    def add_tenant(self, node: Node, host_id: str) -> None:
-        """Register a tenant on a host's listener and routing table."""
-        self.servers[host_id].add_tenant(node)
+    def _address_of(self, node_id: str) -> str:
+        return self.peers.address(self.host_of[node_id])
+
+    def _host_tenant(self, node: Node) -> None:
+        """Register a placed tenant on its host's listener."""
+        self.servers[self.host_of[node.node_id]].add_tenant(node)
         self.tenant_nodes[node.node_id] = node
-        self.host_of[node.node_id] = host_id
 
     def node(self, node_id: str) -> Node:
         tenant = self.tenant_nodes.get(node_id)
@@ -173,12 +171,10 @@ class ShardedCluster(LocalCluster):
 
     async def _build(self) -> None:
         spec = self.spec
-        self.directory = DirectoryServer(
-            "directory", self.scheduler, self._fabric("directory"))
         await self._listen(self.directory)
         for h in range(spec.num_hosts):
             host = HostNode(f"host-{h:02d}", self.scheduler,
-                            self._fabric(f"host-{h:02d}"))
+                            self._own_fabric(f"host-{h:02d}"))
             self.hosts.append(host)
             await self._listen(host)
 
@@ -188,27 +184,21 @@ class ShardedCluster(LocalCluster):
                                                      generation=0)
         self.publish_map()
 
+        # Router i holds client-i of every shard, and the legs are built
+        # in that order (it is the key material): one step of every
+        # shard's client build per router.
         namespace = self.owner.content_key_fingerprint()
+        builds = {shard_id: self._builder.clients(state)
+                  for shard_id, state in self.shards.items()}
         for i in range(spec.num_clients):
             legs: dict[str, Client] = {}
-            for shard_id, state in self.shards.items():
-                leg_id = tenant_id(shard_id, f"client-{i:02d}")
-                host_id = self._place()
-                leg = Client(
-                    leg_id, self.scheduler, self._tenant_fabric(host_id),
-                    self.config, directory_id="directory",
-                    owner_public_key=self.owner.content_public_key,
-                    metrics=self.metrics,
-                    double_check_override=(
-                        spec.client_double_check_overrides.get(i)),
-                    lookup_fingerprint=state.fingerprint)
-                self.add_tenant(leg, host_id)
+            for shard_id, build in builds.items():
+                leg = legs[shard_id] = next(build)
+                self._host_tenant(leg)
                 if self.ledger is not None:
                     self.ledger.register_key(leg.node_id,
                                              leg.keys.public_key)
-                legs[shard_id] = leg
                 self.clients.append(leg)
-                state.clients.append(leg)
             self.routers.append(ShardRouter(
                 f"router-{i:02d}", namespace=namespace,
                 owner_public_key=self.owner.content_public_key,
@@ -222,65 +212,16 @@ class ShardedCluster(LocalCluster):
         tenant ids embed the generation, so a moved shard's new cast
         derives fresh deterministic keys and certificates.
         """
-        spec = self.spec
-        namespace = self.owner.content_key_fingerprint()
         state = ShardState(
             shard_id=shard_id, generation=generation,
-            fingerprint=shard_fingerprint(namespace, shard_id))
-        member_ids = [tenant_id(shard_id, f"master-{i:02d}", generation)
-                      for i in range(spec.num_masters)]
-        member_ids.extend(
-            tenant_id(shard_id, auditor_node_id(i), generation)
-            for i in range(spec.num_auditors))
-        for i in range(spec.num_masters):
-            host_id = self._place()
-            master = MasterServer(
-                member_ids[i], self.scheduler,
-                self._tenant_fabric(host_id), self.config,
-                self.initial_store.clone(), member_ids, self.metrics)
-            self.add_tenant(master, host_id)
-            state.masters.append(master)
-        for i in range(spec.num_auditors):
-            host_id = self._place()
-            auditor = AuditorServer(
-                member_ids[spec.num_masters + i], self.scheduler,
-                self._tenant_fabric(host_id), self.config,
-                self.initial_store.clone(), member_ids, self.metrics)
-            self.add_tenant(auditor, host_id)
-            state.auditors.append(auditor)
-
-        certs: dict[str, Certificate] = {}
-        for server in [*state.masters, *state.auditors]:
-            cert = self.owner.certify_master(
-                server.node_id,
-                self.peers.address(self.host_of[server.node_id]),
-                server.keys.public_key, now=self.scheduler.now)
-            certs[server.node_id] = cert
-            self.master_certs[server.node_id] = cert
-        for master in state.masters:
-            self.directory.publish(state.fingerprint,
-                                   certs[master.node_id])
-
-        for i, master in enumerate(state.masters):
-            for j in range(spec.slaves_per_master):
-                slave_tid = tenant_id(shard_id, f"slave-{i:02d}-{j:02d}",
-                                      generation)
-                host_id = self._place()
-                strategy = spec.adversaries.get(self._slave_counter)
-                self._slave_counter += 1
-                slave = SlaveServer(
-                    slave_tid, self.scheduler,
-                    self._tenant_fabric(host_id), self.config,
-                    self.initial_store.clone(), certs, self.metrics,
-                    strategy=strategy)
-                self.add_tenant(slave, host_id)
-                master.register_slave(
-                    slave_tid, self.peers.address(host_id),
-                    slave.keys.public_key)
-                state.slaves.append(slave)
-                self.slaves.append(slave)
+            fingerprint=shard_fingerprint(
+                self.owner.content_key_fingerprint(), shard_id))
+        for node in self._builder.servers(state):
+            self._host_tenant(node)
         self.masters.extend(state.masters)
         self.auditors.extend(state.auditors)
+        self.slaves.extend(state.slaves)
+        self.master_certs.update(state.certs)
         return state
 
     def publish_map(self) -> ShardMap:
@@ -298,20 +239,9 @@ class ShardedCluster(LocalCluster):
 
     # -- lifecycle ---------------------------------------------------------
 
-    def start_shard(self, state: ShardState) -> None:
-        """Start one shard's cast and elect its auditors."""
-        for master in state.masters:
-            master.start()
-        for auditor in state.auditors:
-            auditor.start()
-        for slave in state.slaves:
-            slave.start()
-        state.masters[0].elect_auditors(
-            tuple(a.node_id for a in state.auditors))
-
     async def _start(self, settle: float) -> None:
         for state in self.shards.values():
-            self.start_shard(state)
+            state.start_servers()
         await asyncio.sleep(settle)
         for router in self.routers:
             router.start()
@@ -319,28 +249,16 @@ class ShardedCluster(LocalCluster):
 
     async def wait_ready(self, timeout: float = 10.0) -> None:
         await super().wait_ready(timeout)
-        deadline = self._loop.time() + timeout
-        while not all(router.shard_map is not None
-                      for router in self.routers):
-            if self._loop.time() > deadline:
-                pending = [r.node_id for r in self.routers
-                           if r.shard_map is None]
-                raise TimeoutError(
-                    f"routers never adopted a shard map: {pending}")
-            await asyncio.sleep(0.05)
-
-    async def wait_for(self, condition: Callable[[], bool], timeout: float,
-                       what: str = "condition",
-                       poll: float = 0.02) -> float:
-        """Poll until ``condition()`` holds; returns seconds waited."""
-        start = self._loop.time()
-        deadline = start + timeout
-        while not condition():
-            if self._loop.time() > deadline:
-                raise TimeoutError(
-                    f"{what} did not hold within {timeout:.1f}s")
-            await asyncio.sleep(poll)
-        return self._loop.time() - start
+        try:
+            await self.wait_for(
+                lambda: all(router.shard_map is not None
+                            for router in self.routers),
+                timeout, poll=0.05)
+        except TimeoutError:
+            pending = [r.node_id for r in self.routers
+                       if r.shard_map is None]
+            raise TimeoutError(
+                f"routers never adopted a shard map: {pending}") from None
 
     # -- reporting ---------------------------------------------------------
 

@@ -168,7 +168,8 @@ class Rebalancer:
             host_id = cluster.host_of[node.node_id]
             stub = RetiredTenant(
                 node.node_id, cluster.scheduler,
-                cluster._tenant_fabric(host_id), shard_id, target_epoch)
+                cluster._network(cluster.pools[host_id]), shard_id,
+                target_epoch)
             cluster.servers[host_id].replace_tenant(stub)
             cluster.tenant_nodes[node.node_id] = stub
             stubs.append(stub)
@@ -211,7 +212,7 @@ class Rebalancer:
         # from the initial content and resync over the wire (keep-alive
         # version gap -> resync request -> ops replay or snapshot).
         span = self._begin("rebalance.resync", root)
-        cluster.start_shard(new_state)
+        new_state.start_servers()
         waited = await cluster.wait_for(
             lambda: all(slave.version >= snapshot.version
                         for slave in new_state.slaves),

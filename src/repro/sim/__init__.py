@@ -26,7 +26,6 @@ from repro.sim.latency import (
 )
 from repro.sim.network import Network, Node
 from repro.sim.failures import FailureInjector
-from repro.sim.tracing import MessageTracer, TraceEvent
 
 __all__ = [
     "Simulator",
@@ -39,6 +38,4 @@ __all__ = [
     "Network",
     "Node",
     "FailureInjector",
-    "MessageTracer",
-    "TraceEvent",
 ]

@@ -32,8 +32,7 @@ class FailureEvent:
 @dataclass(frozen=True, slots=True)
 class ScheduledFault:
     """One scripted node fault, the shared vocabulary between the
-    simulator CLI (``--crash``), :class:`FailureInjector` scripts and
-    the socket chaos layer (:meth:`repro.chaos.ChaosCluster.schedule`).
+    simulator CLI (``--crash``) and :class:`FailureInjector` scripts.
 
     ``at`` is seconds after the schedule is applied; ``duration=None``
     means the node stays down for the rest of the run.

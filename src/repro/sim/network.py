@@ -16,13 +16,10 @@ data secrecy is out of scope.
 
 from __future__ import annotations
 
-from typing import TYPE_CHECKING, Any, Callable
+from typing import Any, Callable
 
 from repro.sim.latency import ConstantLatency, LatencyModel
 from repro.sim.simulator import EventHandle, Simulator
-
-if TYPE_CHECKING:  # pragma: no cover - typing-only, avoids a runtime cycle
-    from repro.sim.tracing import MessageTracer
 
 
 class Node:
@@ -95,8 +92,7 @@ class Network:
 
     def __init__(self, simulator: Simulator,
                  latency: LatencyModel | None = None,
-                 loss_probability: float = 0.0,
-                 tracer: "MessageTracer | None" = None) -> None:
+                 loss_probability: float = 0.0) -> None:
         if not 0.0 <= loss_probability < 1.0:
             raise ValueError(
                 f"loss probability must be in [0, 1), got {loss_probability}"
@@ -104,8 +100,6 @@ class Network:
         self.simulator = simulator
         self.latency = latency or ConstantLatency(0.01)
         self.loss_probability = loss_probability
-        #: Optional :class:`repro.sim.tracing.MessageTracer`.
-        self.tracer = tracer
         self._nodes: dict[str, Node] = {}
         self._partitions: set[frozenset[str]] = set()
         self._rng = simulator.fork_rng("network")
@@ -156,9 +150,6 @@ class Network:
 
     def _drop(self, src_id: str, dst_id: str, message: Any) -> None:
         self.messages_dropped += 1
-        if self.tracer is not None:
-            self.tracer.record(self.simulator.now, src_id, dst_id,
-                               message, "dropped")
 
     def _deliver(self, src_id: str, dst_id: str, message: Any) -> None:
         node = self._nodes[dst_id]
@@ -167,7 +158,4 @@ class Network:
             return
         self.messages_delivered += 1
         node.messages_received += 1
-        if self.tracer is not None:
-            self.tracer.record(self.simulator.now, src_id, dst_id,
-                               message, "delivered")
         node.on_message(src_id, message)

@@ -8,12 +8,23 @@ and run in their own CI step under a hard timeout.
 
 from __future__ import annotations
 
+import json
+import pathlib
+
 import pytest
 
 from repro.chaos import SCENARIOS, run_scenario_sync
 from repro.chaos.scenarios import P99_RATIO_BOUND
 
 pytestmark = pytest.mark.chaos
+
+#: Per scenario, the check-name sequence and the ``timings`` keys of a
+#: passing verdict, as ``repro-sim chaos --seed 7`` printed them on the
+#: commit before the scenarios were rewritten onto one skeleton (a
+#: passing verdict's shape does not depend on the seed).
+VERDICT_SHAPE = json.loads(
+    (pathlib.Path(__file__).parent / "data" / "chaos_verdict_shape.json")
+    .read_text())
 
 
 def _assert_verdict(name: str, seed: int = 0):
@@ -25,6 +36,9 @@ def _assert_verdict(name: str, seed: int = 0):
     assert json_form["scenario"] == name
     assert json_form["seed"] == seed
     assert all(check["passed"] for check in json_form["checks"])
+    assert [check["name"] for check in json_form["checks"]] == \
+        VERDICT_SHAPE[name]["checks"]
+    assert list(json_form["timings"]) == VERDICT_SHAPE[name]["timings"]
     return verdict
 
 

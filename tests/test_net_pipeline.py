@@ -237,8 +237,8 @@ class TestChaosDeterminismWithPipelining:
         run(scenario())
 
     def test_chaos_pool_never_coalesces_on_the_wire(self):
-        """The chaos pool overrides _transmit, so the base pool must
-        feed it one message at a time: frame-index addressing holds."""
+        """The chaos pool's ``_encode`` frames every message of a flush
+        on its own: frame-index addressing holds."""
         async def scenario():
             h = Harness(pool_cls=ChaosConnectionPool, seed=0,
                         plane=FaultPlane(seed=0))
@@ -258,9 +258,9 @@ class TestChaosDeterminismWithPipelining:
 
 
     def test_unencodable_message_does_not_wedge_a_chaos_link(self):
-        """The per-message ``_transmit`` path encodes one frame at a
-        time; a message that cannot be encoded is dropped with a count
-        and its neighbours still go out."""
+        """The chaos pool encodes one frame per message; a message
+        that cannot be encoded is dropped with a count and its
+        neighbours still go out."""
         async def scenario():
             h = Harness(pool_cls=ChaosConnectionPool, seed=0,
                         plane=FaultPlane(seed=0))

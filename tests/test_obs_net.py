@@ -89,7 +89,7 @@ class TestContextPropagation:
                 await _workload(cluster)
                 assert cluster.obs is None
                 with pytest.raises(RuntimeError, match="admin plane"):
-                    await cluster.scrape_health("master-00")
+                    await cluster.scrape_admin("master-00", "health")
             finally:
                 await cluster.aclose()
 
@@ -102,7 +102,7 @@ class TestAdminPlane:
             cluster = await LocalCluster.launch(obs_spec(), settle=0.6)
             try:
                 await _workload(cluster)
-                dump = await cluster.scrape_spans("master-00")
+                dump = await cluster.scrape_admin("master-00", "spans")
                 assert isinstance(dump, ObsDumpReply)
                 assert dump.node_id == "master-00"
                 spans = [span_from_wire(wire) for wire in dump.spans]
@@ -112,7 +112,7 @@ class TestAdminPlane:
                 # The wire tuples rebuild into JSON-serializable spans.
                 json.dumps([list(wire) for wire in dump.spans])
 
-                health = await cluster.scrape_health("slave-00-00")
+                health = await cluster.scrape_admin("slave-00-00", "health")
                 assert isinstance(health, ObsHealthReply)
                 assert health.node_id == "slave-00-00"
                 assert health.contexts_received > 0
@@ -134,7 +134,7 @@ class TestAdminPlane:
                 first = await cluster.scrape(
                     "master-00", ObsDumpRequest(max_spans=4096, clear=True))
                 assert first.spans
-                second = await cluster.scrape_spans("master-00")
+                second = await cluster.scrape_admin("master-00", "spans")
                 # Only spans finished after the clear remain.
                 assert len(second.spans) < len(first.spans)
             finally:

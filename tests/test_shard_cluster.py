@@ -186,3 +186,53 @@ class TestRebalance:
                 await cluster.aclose()
 
         run(scenario())
+
+
+class TestHostRestart:
+    def test_tenants_crash_and_recover_with_their_host(self):
+        """Restarting a shard host must not blackhole its tenants: they
+        go down with it and come back on its fresh pool (each used to
+        keep the pool the crash had closed, with no counter moving)."""
+        async def scenario():
+            cluster = await ShardedCluster.launch(shard_spec(),
+                                                  settle=0.8)
+            try:
+                router = cluster.routers[0]
+                keys = {}
+                index = 0
+                while set(keys) != set(cluster.shards):
+                    key = f"k-{index}"
+                    keys.setdefault(
+                        router.shard_for(KVGet(key=key)), key)
+                    index += 1
+                for shard_id, key in keys.items():
+                    reply = await cluster.write(
+                        router, KVPut(key=key, value=f"v:{shard_id}"))
+                    assert reply["status"] == "committed"
+                await asyncio.sleep(cluster.config.max_latency)
+
+                tenants = [cluster.node(tid)
+                           for tid, host in cluster.host_of.items()
+                           if host == "host-01"]
+                assert {shard_of(t.node_id) for t in tenants} == \
+                    set(cluster.shards)
+                await cluster.crash_node("host-01")
+                assert all(t.crashed for t in tenants)
+                await cluster.restart_node("host-01")
+                assert not any(t.crashed for t in tenants)
+                live = cluster.pools["host-01"]
+                assert all(t.network.pool is live for t in tenants)
+
+                # Let the restarted members rejoin and the slaves
+                # resync, then read keys of both shards.
+                await asyncio.sleep(2 * cluster.config.max_latency)
+                for shard_id, key in keys.items():
+                    reply = await cluster.read(router, KVGet(key=key),
+                                               timeout=20.0)
+                    assert reply["status"] == "accepted", (shard_id, reply)
+                    assert reply["result"]["value"] == f"v:{shard_id}"
+                assert cluster.handler_errors() == []
+            finally:
+                await cluster.aclose()
+
+        run(scenario())
