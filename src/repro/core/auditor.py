@@ -24,25 +24,36 @@ The throughput advantages the paper enumerates are all modelled:
 ``audit_fraction < 1`` implements the paper's overload valve: "weaken the
 security guarantees by verifying only a randomly chosen fraction of all
 reads."
+
+Because the audit has no deadline, it works a batch at a time: a client
+forwards a tick's pledges as one ``AuditBatch``, a version advance
+releases every pledge parked for it at once, and each batch is one
+``_intake``, one ``_audit`` and one queued ``_finish_audit``.  The checks
+themselves stay per pledge, and no entry can hold back or poison its
+batch mates.
 """
 
 from __future__ import annotations
 
 from collections import deque
-from typing import Any
+from typing import Any, Iterable, Sequence
 
 from repro.content.queries import ReadQuery, operation_from_wire
 from repro.core.messages import (
     Accusation,
+    AuditBatch,
     AuditSubmission,
     BcastWrite,
     KeepAlive,
     Pledge,
-    TimestampedPledge,
 )
 from repro.core.trusted import TrustedServer
 from repro.crypto.certificates import Certificate
 from repro.crypto.hashing import constant_time_equals, sha1_hex
+
+
+#: One pledge awaiting audit, and when it arrived (for lag statistics).
+_Entry = tuple[Pledge, float]
 
 
 class AuditorServer(TrustedServer):
@@ -51,7 +62,7 @@ class AuditorServer(TrustedServer):
     def __init__(self, *args: Any, **kwargs: Any) -> None:
         super().__init__(*args, **kwargs)
         #: Pledges whose version the auditor has not reached yet.
-        self._parked: dict[int, deque[TimestampedPledge]] = {}
+        self._parked: dict[int, deque[_Entry]] = {}
         #: (version, request_hash) -> trusted result hash.
         self._cache: dict[tuple[int, str], str] = {}
         self.cache_hits = 0
@@ -120,17 +131,19 @@ class AuditorServer(TrustedServer):
             # Section 3.4 audit-lag check.
             obs.event(self.node_id, "auditor.advance",
                       version=self.version)
-        # Pledges parked for the now-reachable version become auditable.
+        # Pledges parked for the now-reachable version become auditable,
+        # as one batch: one timer however many were waiting.
         ready = self._parked.pop(self.version, None)
         if ready:
-            for entry in ready:
-                self._schedule_audit(entry)
+            self._audit(ready)
 
     # -- pledge intake ------------------------------------------------------------
 
     def handle_protocol_message(self, src_id: str, message: Any) -> None:
-        if isinstance(message, AuditSubmission):
-            self._handle_submission(message.pledge)
+        if isinstance(message, AuditBatch):
+            self._intake(message.pledges)
+        elif isinstance(message, AuditSubmission):
+            self._intake((message.pledge,))
         elif isinstance(message, KeepAlive):
             pass  # freshness signal only; the broadcast already orders writes
         else:
@@ -139,102 +152,156 @@ class AuditorServer(TrustedServer):
                 f"from {src_id}"
             )
 
-    def _handle_submission(self, pledge: Pledge) -> None:
-        self.pledges_received += 1
-        self.metrics.incr("pledges_forwarded")
-        if (self.config.audit_fraction < 1.0
-                and self.rng.random() >= self.config.audit_fraction):
-            self.pledges_skipped += 1
-            self.metrics.incr("pledges_skipped")
-            return
-        entry = TimestampedPledge(pledge=pledge, received_at=self.now)
-        if pledge.stamp.version > self.version:
-            self._parked.setdefault(pledge.stamp.version,
-                                    deque()).append(entry)
-            return
-        self._schedule_audit(entry)
+    def _intake(self, pledges: Sequence[Pledge]) -> None:
+        """Count and sample one forwarded batch; audit what is reachable
+        now, park what is pledged at a version still ahead of us."""
+        received = len(pledges)
+        self.pledges_received += received
+        self.metrics.incr("pledges_forwarded", received)
+        fraction = self.config.audit_fraction
+        if fraction < 1.0:
+            # The overload valve samples per pledge, not per message.
+            draw = self.rng.random
+            pledges = [pledge for pledge in pledges if draw() < fraction]
+            skipped = received - len(pledges)
+            if skipped:
+                self.pledges_skipped += skipped
+                self.metrics.incr("pledges_skipped", skipped)
+        now = self.now
+        version = self.version
+        ready: list[_Entry] = []
+        for pledge in pledges:
+            pledged_version = pledge.stamp.version
+            if pledged_version > version:
+                parked = self._parked.get(pledged_version)
+                if parked is None:
+                    parked = self._parked[pledged_version] = deque()
+                parked.append((pledge, now))
+            else:
+                ready.append((pledge, now))
+        if ready:
+            self._audit(ready)
 
     # -- audit execution ---------------------------------------------------------
 
-    def _schedule_audit(self, entry: TimestampedPledge,
-                        attempts: int = 0) -> None:
-        pledge = entry.pledge
-        # 1. Signature checks: the slave's pledge signature and the master
-        #    stamp inside it.  Both are verifications, not signatures.
-        cert = self.find_slave_cert(pledge.slave_id)
-        if cert is None:
-            # Before the first slave-list gossip round we may not know the
-            # slave yet; retry shortly rather than dropping evidence.
-            if attempts < 30:
-                self.after(1.0, self._schedule_audit, entry, attempts + 1)
-            else:
-                self.metrics.incr("audits_unknown_slave")
-            return
-        service = 2 * self.config.verify_time
+    def _audit(self, entries: Iterable[_Entry], attempts: int = 0) -> None:
+        """Re-execute (or cache-probe) every entry and queue the batch's
+        verification as one unit of work.
+
+        An entry that cannot be audited -- unknown slave, version outside
+        the retained history, a pledged "read" that is not one -- leaves
+        the batch on its own; its batch mates are never held back.
+        """
+        config = self.config
         # With the cache disabled (experiment A3's baseline) the cache
         # must stay completely out of the picture: no lookups, no stores,
         # no hit/miss accounting -- every audit is a full re-execution.
-        cache_enabled = self.config.auditor_cache_enabled
-        cache_key = ((pledge.stamp.version, _request_key(pledge))
-                     if cache_enabled else None)
-        cached = self._cache.get(cache_key) if cache_enabled else None
-        if cached is None:
-            snapshot = self.store_at(pledge.stamp.version)
-            if snapshot is None:
-                self.metrics.incr("audits_unverifiable")
-                return
-            query = operation_from_wire(pledge.query_wire)
-            if not isinstance(query, ReadQuery):
-                self.metrics.incr("audits_unverifiable")
-                return
-            outcome = snapshot.execute_read(query)
-            trusted_hash = sha1_hex(outcome.result)
-            if cache_enabled:
-                self._cache[cache_key] = trusted_hash
-                self.cache_misses += 1
-            service += (outcome.cost_units
-                        * self.config.service_time_per_unit
-                        + self.config.hash_time)
-        else:
-            trusted_hash = cached
-            self.cache_hits += 1
-            service += self.config.hash_time
-        if not self.config.simulate_service_times:
-            service = 0.0
-        self.work.submit(service, self._finish_audit, entry, cert,
-                         trusted_hash)
+        cache = self._cache if config.auditor_cache_enabled else None
+        certs: dict[str, Certificate | None] = {}
+        batch: list[tuple[Pledge, float, Certificate, str]] = []
+        unknown: list[_Entry] = []
+        unverifiable = 0
+        service = 0.0
+        for entry in entries:
+            pledge, received_at = entry
+            slave_id = pledge.slave_id
+            try:
+                cert = certs[slave_id]
+            except KeyError:
+                cert = certs[slave_id] = self.find_slave_cert(slave_id)
+            if cert is None:
+                unknown.append(entry)
+                continue
+            version = pledge.stamp.version
+            # Signature checks: the slave's pledge signature and the
+            # master stamp inside it.  Both are verifications, not
+            # signatures.
+            charge = 2 * config.verify_time
+            trusted_hash = None
+            if cache is not None:
+                cache_key = (version, sha1_hex(pledge.query_wire))
+                trusted_hash = cache.get(cache_key)
+            if trusted_hash is None:
+                snapshot = self.store_at(version)
+                if snapshot is None:
+                    unverifiable += 1
+                    continue
+                query = operation_from_wire(pledge.query_wire)
+                if not isinstance(query, ReadQuery):
+                    unverifiable += 1
+                    continue
+                outcome = snapshot.execute_read(query)
+                trusted_hash = sha1_hex(outcome.result)
+                if cache is not None:
+                    cache[cache_key] = trusted_hash
+                    self.cache_misses += 1
+                charge += (outcome.cost_units * config.service_time_per_unit
+                           + config.hash_time)
+            else:
+                self.cache_hits += 1
+                charge += config.hash_time
+            service += charge
+            batch.append((pledge, received_at, cert, trusted_hash))
+        if unverifiable:
+            self.metrics.incr("audits_unverifiable", unverifiable)
+        if unknown:
+            # Before the first slave-list gossip round we may not know the
+            # slave yet; retry shortly rather than dropping evidence.
+            if attempts < 30:
+                self.after(1.0, self._audit, unknown, attempts + 1)
+            else:
+                self.metrics.incr("audits_unknown_slave", len(unknown))
+        if batch:
+            # The single-server queue finishes the batch when it would
+            # have finished the last of its pledges one by one.
+            if not config.simulate_service_times:
+                service = 0.0
+            self.work.submit(service, self._finish_audit, batch)
 
-    def _finish_audit(self, entry: TimestampedPledge,
-                      cert: Certificate, trusted_hash: str) -> None:
-        pledge = entry.pledge
-        entry.audited = True
-        self.pledges_audited += 1
-        self.metrics.incr("pledges_audited")
-        self.metrics.observe("audit_delay",
-                             self.now - entry.received_at)
-        if not pledge.verify(self.keys, cert.subject_public_key):
-            # Unsigned garbage cannot incriminate anyone (no framing).
-            self.metrics.incr("audits_bad_signature")
-            return
-        detection = not sha1_hex_equal(trusted_hash, pledge.result_hash)
+    def _finish_audit(
+            self, batch: list[tuple[Pledge, float, Certificate, str]],
+    ) -> None:
+        now = self.now
+        keys = self.keys
+        observe = self.metrics.observe
         obs = self.simulator.obs
-        if obs is not None:
-            # Always recorded: the Section 3.4/3.5 checks verify audits
-            # run after the version advance and with non-negative lag.
-            obs.event(self.node_id, "auditor.audit",
-                      version=pledge.stamp.version,
-                      detection=detection,
-                      lag=self.now - pledge.stamp.timestamp)
-        if not detection:
-            self.metrics.incr("audits_clean")
-            return
-        # Delayed discovery (Section 3.5): ship the incriminating pledge
-        # to the master in charge of the signing slave.
+        clean = bad_signature = 0
+        for pledge, received_at, cert, trusted_hash in batch:
+            observe("audit_delay", now - received_at)
+            if not pledge.verify(keys, cert.subject_public_key):
+                # Unsigned garbage cannot incriminate anyone (no framing).
+                bad_signature += 1
+                continue
+            detection = not constant_time_equals(trusted_hash,
+                                                 pledge.result_hash)
+            if obs is not None:
+                # Always recorded: the Section 3.4/3.5 checks verify audits
+                # run after the version advance and with non-negative lag.
+                # A batch travels under one trace context, so the event
+                # names the read it audits.
+                obs.event(self.node_id, "auditor.audit",
+                          request_id=pledge.request_id,
+                          version=pledge.stamp.version,
+                          detection=detection,
+                          lag=now - pledge.stamp.timestamp)
+            if detection:
+                self._accuse(pledge)
+            else:
+                clean += 1
+        self.pledges_audited += len(batch)
+        self.metrics.incr("pledges_audited", len(batch))
+        if clean:
+            self.metrics.incr("audits_clean", clean)
+        if bad_signature:
+            self.metrics.incr("audits_bad_signature", bad_signature)
+
+    def _accuse(self, pledge: Pledge) -> None:
+        """Delayed discovery (Section 3.5): ship the incriminating pledge
+        to the master in charge of the signing slave."""
         self.detections += 1
         self.metrics.incr("audit_detections")
-        self.metrics.observe(
-            "audit_detection_latency",
-            self.now - pledge.stamp.timestamp)
+        self.metrics.observe("audit_detection_latency",
+                             self.now - pledge.stamp.timestamp)
         owner = self.master_of.get(pledge.slave_id)
         if owner is None:
             owner = sorted(m for m in self.broadcast.ranked_members
@@ -257,12 +324,3 @@ class AuditorServer(TrustedServer):
     def cache_hit_rate(self) -> float:
         total = self.cache_hits + self.cache_misses
         return self.cache_hits / total if total else 0.0
-
-
-def _request_key(pledge: Pledge) -> str:
-    return sha1_hex(pledge.query_wire)
-
-
-def sha1_hex_equal(a: str, b: str) -> bool:
-    """Constant-time comparison of two hex digests."""
-    return constant_time_equals(a, b)

@@ -19,7 +19,10 @@ Read protocol (Sections 3.2-3.4), per read:
    the read;
 4. otherwise forward the pledge to the auditor *and only then* accept
    (Section 3.4: "clients accept read results only after they have
-   forwarded the corresponding pledges to the auditor").
+   forwarded the corresponding pledges to the auditor").  Forwarding is
+   per scheduler tick, not per read: the pledge joins the client's audit
+   outbox, which leaves as one ``AuditBatch`` at once when no other read
+   is in flight and otherwise when the tick ends.
 
 Security levels (Section 4): pass ``level=`` to
 :meth:`Client.submit_read`; level probabilities come from
@@ -43,13 +46,14 @@ from repro.content.queries import Operation, ReadQuery, WriteOp
 from repro.core.config import ProtocolConfig
 from repro.core.messages import (
     Accusation,
-    AuditSubmission,
+    AuditBatch,
     ClientHello,
     DirectoryListing,
     DirectoryLookup,
     DoubleCheckReply,
     DoubleCheckRequest,
     ExclusionNotice,
+    Pledge,
     ReadReply,
     ReadRequest,
     SetupFailed,
@@ -169,11 +173,20 @@ class Client(Node):
         #: Application rollback hook, invoked once per tainted read.
         self.rollback_handler: Callable[[AcceptedRead], None] | None = None
         self.last_result: Any = None
+        #: Pledges of reads accepted this tick, not yet forwarded to the
+        #: auditor.  See :meth:`_flush_audit`.
+        self._audit_outbox: list[Pledge] = []
 
     # -- lifecycle / setup phase (Section 2) -----------------------------
 
     def start(self) -> None:
         self._begin_setup()
+
+    def crash(self) -> None:
+        # The reads behind the outbox are already accepted; their
+        # pledges count as forwarded (a crashed node's timers are inert).
+        self._flush_audit()
+        super().crash()
 
     def _begin_setup(self) -> None:
         if self._setup_in_progress:
@@ -358,6 +371,13 @@ class Client(Node):
         if attempt is None or attempt.state != "waiting_slaves":
             return
         if slave_id in attempt.replies:
+            return
+        if slave_id not in self.assigned_slaves:
+            # Sent before this client was moved off the slave (Section
+            # 3.5): an excluded slave's word is worth nothing, however
+            # late it arrives.  The re-issued attempt waits for the
+            # replacement's answer.
+            self.metrics.incr("read_replies_unassigned")
             return
         attempt.replies[slave_id] = reply
         if len(attempt.replies) == attempt.quorum:
@@ -570,12 +590,25 @@ class Client(Node):
             self._retry_read(attempt)
             return
         slave_ids = []
+        pledges = []
         for slave_id, reply in attempt.replies.items():
             assert reply.pledge is not None
+            if slave_id not in self.assigned_slaves:
+                # Held across a reassignment (parked behind timed-out
+                # double-checks): never accept on an ex-slave's word.
+                self.metrics.incr("read_replies_unassigned")
+                self._resend_read(attempt.request_id)
+                return
             slave_ids.append(slave_id)
-            if self.auditor_id:
-                self.send(self.auditor_id,
-                          AuditSubmission(pledge=reply.pledge))
+            pledges.append(reply.pledge)
+        if self.auditor_id:
+            armed = bool(self._audit_outbox)
+            self._audit_outbox += pledges
+            if len(self._reads) == 1:
+                # No other read in flight: nothing can join this batch.
+                self._flush_audit()
+            elif not armed:
+                self.after(0.0, self._flush_audit)
         first = next(iter(attempt.replies.values()))
         assert first.pledge is not None
         self._finish_read(attempt, result=first.result,
@@ -583,6 +616,14 @@ class Client(Node):
                           version=first.pledge.stamp.version,
                           double_checked=False,
                           slave_ids=tuple(slave_ids))
+
+    def _flush_audit(self) -> None:
+        """Forward every pledge accepted since the last flush, as one
+        message, to the auditor assigned now."""
+        pledges = self._audit_outbox
+        if pledges:
+            self._audit_outbox = []
+            self.send(self.auditor_id, AuditBatch(pledges=tuple(pledges)))
 
     def _still_fresh(self, attempt: _ReadAttempt) -> bool:
         """Re-check every held pledge's stamp age at acceptance time."""
@@ -779,12 +820,15 @@ class Client(Node):
 
     def _handle_exclusion(self, notice: ExclusionNotice) -> None:
         self.metrics.incr("client_reassignments")
+        excluded = notice.excluded_slave_id
+        self.assigned_slaves = tuple(
+            slave for slave in self.assigned_slaves if slave != excluded)
         self._install_assignment(notice.replacement)
         # Delayed-discovery damage control: any read this client accepted
         # on the now-excluded slave's word alone is suspect.  Surface it
         # to the application for rollback.
         for record in self.accepted_log:
-            if (notice.excluded_slave_id in record.slave_ids
+            if (excluded in record.slave_ids
                     and not record.double_checked
                     and record not in self.tainted_reads):
                 self.tainted_reads.append(record)
@@ -806,8 +850,11 @@ class Client(Node):
         epoch).  Pending reads are requeued and re-issued against the
         new home; pending writes are deliberately left on their own
         timeout path, preserving at-most-once semantics (resubmitting a
-        write that may have committed would double-apply).
+        write that may have committed would double-apply).  Pledges not
+        yet forwarded go to the old home's auditor: its slaves signed
+        them.
         """
+        self._flush_audit()
         self.ready = False
         self._setup_in_progress = False
         self.master_certs = {}

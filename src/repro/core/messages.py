@@ -366,6 +366,19 @@ class AuditSubmission:
     pledge: Pledge
 
 
+@dataclass(frozen=True, slots=True)
+class AuditBatch:
+    """Client -> auditor: every pledge the client accepted in one tick.
+
+    The audit path has no deadline (the auditor deliberately runs
+    ``max_latency + audit_grace`` behind), so a client forwards one
+    message per scheduler tick, not one per read; a client with a single
+    read in flight sends a batch of one.
+    """
+
+    pledges: tuple[Pledge, ...]
+
+
 # -- corrective action (Section 3.5) -------------------------------------------
 
 
@@ -445,15 +458,6 @@ class BroadcastWrapper:
     envelope: Any
 
 
-@dataclass(slots=True)
-class TimestampedPledge:
-    """Auditor-side queue entry: pledge plus arrival time (for lag stats)."""
-
-    pledge: Pledge
-    received_at: float
-    audited: bool = field(default=False)
-
-
 # -- wire-codec registry hook ---------------------------------------------
 #
 # Every message type that may cross a real socket, in wire-id order.  The
@@ -490,4 +494,5 @@ WIRE_MESSAGE_TYPES: tuple[type, ...] = (
     BcastSlaveList,
     BcastExcludeSlave,
     BroadcastWrapper,
+    AuditBatch,
 )

@@ -55,17 +55,24 @@ PROTECTED_MESSAGE_TYPES: tuple[type, ...] = (KeepAlive, Accusation)
 
 
 class RealtimeHandle(EventHandle):
-    """An :class:`EventHandle` backed by a loop timer."""
+    """An :class:`EventHandle` backed by a loop timer.
 
-    __slots__ = ("_timer",)
+    ``live`` is the scheduler's set of outstanding handles; a handle
+    leaves it when it fires *or* is cancelled, so the set never holds
+    more than the timers still to run.
+    """
+
+    __slots__ = ("_timer", "_live")
 
     def __init__(self, fire_at: float,
-                 timer: "asyncio.TimerHandle | None" = None) -> None:
+                 live: "set[RealtimeHandle]") -> None:
         super().__init__(fire_at)
-        self._timer = timer
+        self._timer: asyncio.TimerHandle | None = None
+        self._live = live
 
     def cancel(self) -> None:
         super().cancel()
+        self._live.discard(self)
         if self._timer is not None:
             self._timer.cancel()
             self._timer = None
@@ -100,26 +107,26 @@ class RealtimeScheduler(Simulator):
         if obs is not None and obs.current is not None:
             args = (obs, obs.current, callback, args)
             callback = restore_context
-        handle = RealtimeHandle(self.now + delay)
+        live = self._live
+        handle = RealtimeHandle(self.now + delay, live)
 
         def fire() -> None:
-            self._live.discard(handle)
+            live.discard(handle)
             if not handle.cancelled:
                 self.events_processed += 1
                 callback(*args)
 
         handle._timer = self._loop.call_later(delay, fire)
-        self._live.add(handle)
+        live.add(handle)
         return handle
 
     def cancel_all(self) -> None:
         """Cancel every outstanding timer (deployment shutdown)."""
         for handle in list(self._live):
             handle.cancel()
-        self._live.clear()
 
     def pending_events(self) -> int:
-        return sum(1 for handle in self._live if not handle.cancelled)
+        return len(self._live)
 
     def run_until(self, deadline: float) -> None:
         raise RuntimeError("RealtimeScheduler cannot be stepped; "

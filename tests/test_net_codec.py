@@ -140,6 +140,7 @@ EXAMPLES: dict[type, object] = {
         request_id="r-1", result_hash="cd" * 20, version=4,
         result={"value": 7}, include_result=True),
     m.AuditSubmission: m.AuditSubmission(pledge=PLEDGE),
+    m.AuditBatch: m.AuditBatch(pledges=(PLEDGE, PLEDGE)),
     m.Accusation: m.Accusation(pledge=PLEDGE, accuser_id="client-00",
                                discovery="audit"),
     m.ExclusionNotice: m.ExclusionNotice(
@@ -330,6 +331,34 @@ class TestRegisteredTypes:
         stamp.signed_payload()  # populate the memo
         decoded = roundtrip(stamp)
         assert decoded._payload_cache is None
+
+    @settings(max_examples=60, deadline=None)
+    @given(st.lists(
+        st.tuples(st.text(max_size=12), st.integers(0, 2 ** 40),
+                  st.text(alphabet="0123456789abcdef", min_size=40,
+                          max_size=40)),
+        max_size=10))
+    def test_audit_batch_differs_from_submissions_only_in_framing(
+            self, specs):
+        """Differential: a batch carries each pledge exactly as N
+        ``AuditSubmission`` messages would -- same bytes, same decoded
+        objects, signatures intact."""
+        pledges = tuple(
+            m.Pledge.make(SLAVE, {"op": "kv.get", "key": key}, digest,
+                          m.VersionStamp.make(MASTER, version, 1.5),
+                          request_id=f"client-00:r{index}")
+            for index, (key, version, digest) in enumerate(specs))
+        body = encode_value(m.AuditBatch(pledges=pledges))
+        head = encode_value(m.AuditBatch(pledges=()))[:-2]
+        assert body == head + encode_value(pledges)
+        assert encode_value(pledges)[2:] == b"".join(
+            encode_value(pledge) for pledge in pledges)
+        decoded = roundtrip(m.AuditBatch(pledges=pledges))
+        assert decoded.pledges == tuple(
+            roundtrip(m.AuditSubmission(pledge=pledge)).pledge
+            for pledge in pledges)
+        assert all(pledge.verify(MASTER, SLAVE.public_key)
+                   for pledge in decoded.pledges)
 
     def test_unregistered_type_rejected_at_encode(self):
         class NotWire:

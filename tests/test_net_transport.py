@@ -11,11 +11,13 @@ the stream.
 from __future__ import annotations
 
 import asyncio
+import dataclasses
 import random
 from typing import Any
 
 import pytest
 
+from repro.core.messages import AuditBatch
 from repro.metrics import MetricsRegistry
 from repro.net import codec
 from repro.net.codec import NetHello, encode_frame, encode_value
@@ -29,6 +31,7 @@ from repro.net.transport import (
     write_frame,
 )
 from repro.sim.network import Node
+from tests.test_net_codec import PLEDGE
 
 
 def run(coro, timeout: float = 20.0):
@@ -513,14 +516,19 @@ class TestFlushHandOver:
                 h.pool.send("target", {"a": 3})
                 h.pool.send("target", object())
                 h.pool.send("target", "x" * (codec.MAX_FRAME_BYTES + 1))
+                # A tick's pledges that together outgrow a frame: lost
+                # like any shed frame, but never without a count.
+                fat = dataclasses.replace(
+                    PLEDGE, query_wire="q" * (codec.MAX_FRAME_BYTES // 2))
+                h.pool.send("target", AuditBatch(pledges=(fat, fat, fat)))
                 h.pool.send("target", {"b": 4})
                 await h.wait_received(4)
                 assert h.pool._peers["target"].task is None
                 assert [msg for _src, msg in h.node.received] == \
                     [{"a": 1}, {"b": 2}, {"a": 3}, {"b": 4}]
                 snap = h.metrics.snapshot()
-                assert snap["net_frames_dropped"] == 3
-                assert snap["net_drop_unencodable"] == 3
+                assert snap["net_frames_dropped"] == 4
+                assert snap["net_drop_unencodable"] == 4
                 assert snap["net_frames_sent"] == 4
             finally:
                 await h.aclose()
@@ -693,6 +701,24 @@ class TestRealtimeScheduler:
             assert sorted(fired) == ["a", "asap"]
             assert sched.pending_events() == 0
             assert sched.events_processed == 2
+
+        run(scenario())
+
+    def test_cancelled_timers_are_not_retained(self):
+        """Every accepted read cancels its request timeout: a handle
+        that stayed in ``_live`` until it would have fired was one
+        retained object per read and an O(all reads) shutdown."""
+        async def scenario():
+            sched = RealtimeScheduler(0, asyncio.get_running_loop())
+            for _ in range(10_000):
+                sched.schedule(2.0, lambda: None).cancel()
+            assert sched.pending_events() == 0
+            assert len(sched._live) == 0
+            keeper = sched.schedule(2.0, lambda: None)
+            assert sched._live == {keeper}
+            keeper.cancel()
+            keeper.cancel()  # idempotent
+            assert not sched._live
 
         run(scenario())
 

@@ -12,10 +12,9 @@ and "runs over TCP" the same property.
 Flags: a ``@dataclass(frozen=True)`` class defined in the module that
 assigns ``WIRE_MESSAGE_TYPES``, missing from that tuple.
 
-Not flagged: non-frozen dataclasses (mutable bookkeeping such as
-``TimestampedPledge`` is node-local by design and must *not* be wire
-types), and classes in any other module (infrastructure carriers get
-explicit codec ids instead).
+Not flagged: non-frozen dataclasses (mutable bookkeeping is node-local
+by design and must *not* be a wire type), and classes in any other
+module (infrastructure carriers get explicit codec ids instead).
 
 Fix: **append** the class to the end of ``WIRE_MESSAGE_TYPES`` (never
 insert -- ids are positional) and run ``--update-lock``; or make the

@@ -16,7 +16,8 @@ named ``_handle_*``, ``deliver_*``, ``on_message`` or
 
 * **sources**: parameters annotated with an untrusted-origin wire type
   (``ReadReply``, ``SlaveUpdate``, ``SlaveSnapshot``, ``KeepAlive``,
-  ``ResyncRequest``, ``Pledge``, ``Accusation``, ``AuditSubmission``),
+  ``ResyncRequest``, ``Pledge``, ``Accusation``, ``AuditSubmission``,
+  ``AuditBatch``),
   plus the ``message`` parameter of the generic dispatchers;
 * **propagation**: assignment, iterating a tainted payload (``for op
   in update.ops_wire``), ``with ... as`` binding, and storing a
@@ -58,6 +59,7 @@ from tools.protolint.registry import ProjectRule, Violation, register
 UNTRUSTED_TYPES = frozenset({
     "ReadReply", "SlaveUpdate", "SlaveSnapshot", "KeepAlive",
     "ResyncRequest", "Pledge", "Accusation", "AuditSubmission",
+    "AuditBatch",
 })
 
 #: Handler-name shapes whose parameters are trust boundaries.
