@@ -16,7 +16,7 @@ crowd rows) six greedy clients pin hundreds of closed-loop reads of a
 Honest latency is span-derived (the same ``client.read`` spans the
 ``flash_crowd`` chaos scenario judges), so the numbers line up with
 the scenario's SLO verdict.  Run standalone for the table, or under
-pytest-benchmark; results are snapshotted by ``benchmarks/record.py``.
+pytest-benchmark.
 """
 
 from __future__ import annotations

@@ -17,8 +17,7 @@ after ``broadcast_suspect_after`` (six keep-alive intervals here), so
 halving the interval should roughly halve detection.  The sweep prints
 the measured latencies against that bound.
 
-Run standalone for the table, or under pytest-benchmark; results are
-snapshotted by ``benchmarks/record.py``.
+Run standalone for the table, or under pytest-benchmark.
 """
 
 from __future__ import annotations

@@ -16,8 +16,7 @@ Three kernels:
   the simulator's reads/s: everything above the floor is protocol +
   crypto, everything below is TCP and the event loop).
 
-Run standalone for the table, or under pytest-benchmark; results are
-snapshotted by ``benchmarks/record.py``.
+Run standalone for the table, or under pytest-benchmark.
 """
 
 from __future__ import annotations

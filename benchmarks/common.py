@@ -41,7 +41,7 @@ def run_parallel_sweep(worker: Callable[..., Any],
     order of ``points`` regardless of which process finished first, and
     every point carries its own seed inside its arguments, so a parallel
     sweep is bit-identical to a serial one -- each worker process has its
-    own fast-path caches, and :class:`ReplicationSystem` starts cold per
+    own verify cache, and :class:`ReplicationSystem` starts cold per
     build anyway.
 
     Process count: explicit ``processes`` arg, else the

@@ -64,7 +64,11 @@ from repro.core.messages import (
 from repro.crypto.certificates import Certificate, CertificateError
 from repro.crypto.hashing import constant_time_equals, sha1_hex
 from repro.crypto.keys import KeyPair
-from repro.crypto.signatures import PublicKey, new_signer, verify_many
+from repro.crypto.signatures import PublicKey, new_signer
+# Unused here: bound only because ``benchmarks/harness/tracing.py``
+# patches ``repro.core.client.verify_many`` by name; goes with ROADMAP
+# item 4's benchmark PR.
+from repro.crypto.signatures import verify_many  # noqa: F401
 from repro.metrics import MetricsRegistry
 from repro.sim.network import Network, Node
 from repro.sim.simulator import EventHandle, Simulator
@@ -416,7 +420,6 @@ class Client(Node):
             self._accept_via_auditor(attempt)
 
     def _verify_replies(self, attempt: _ReadAttempt) -> dict[str, ReadReply]:
-        self._prefetch_verifications(attempt)
         valid: dict[str, ReadReply] = {}
         for slave_id, reply in attempt.replies.items():
             verdict = self._validate_reply(slave_id, reply)
@@ -424,35 +427,6 @@ class Client(Node):
             if verdict == "ok":
                 valid[slave_id] = reply
         return valid
-
-    def _prefetch_verifications(self, attempt: _ReadAttempt) -> None:
-        """Verify the quorum's signatures ahead of the per-reply checks.
-
-        Collects every pledge and stamp signature in the attempt and
-        verifies them in one :func:`repro.crypto.signatures.verify_many`
-        call.  The verdicts land in the process-wide verify cache under
-        the exact keys :meth:`_validate_reply`'s individual checks use,
-        so the per-reply logic below is unchanged and still
-        authoritative -- this only prepays its crypto.
-        """
-        if len(attempt.replies) < 2:
-            return
-        triples = []
-        for slave_id, reply in attempt.replies.items():
-            pledge = reply.pledge
-            if pledge is None:
-                continue
-            cert = self.slave_certs.get(slave_id)
-            if cert is not None:
-                triples.append((cert.subject_public_key,
-                                pledge.signed_payload(), pledge.signature))
-            master_cert = self.master_certs.get(pledge.stamp.master_id)
-            if master_cert is not None:
-                triples.append((master_cert.subject_public_key,
-                                pledge.stamp.signed_payload(),
-                                pledge.stamp.signature))
-        if len(triples) > 1:
-            verify_many(triples, metrics=self.metrics)
 
     def _validate_reply(self, slave_id: str, reply: ReadReply) -> str:
         if not reply.in_sync or reply.pledge is None:

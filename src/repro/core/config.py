@@ -69,8 +69,8 @@ class ProtocolConfig:
     #: Seeded fraction of over-quota frames actually shed (mirrors
     #: ``greedy_drop_fraction``; 1.0 = shed every over-quota frame).
     qos_shed_fraction: float = 1.0
-    #: Frame tokens burned per rejected/oversized frame a client sends,
-    #: so repeat offenders drain their own admission allowance.
+    #: Frame tokens burned per rejected, oversized or shed frame a client
+    #: sends, so repeat offenders drain their own admission allowance.
     qos_strike_cost: float = 1.0
     #: Bounded inbox depth between frame decode and protocol dispatch
     #: (keep-alives and accusations are never shed from it).
@@ -142,11 +142,6 @@ class ProtocolConfig:
     #: real throughput set this to False (the work-queue discipline is
     #: kept; only the charged duration becomes zero).
     simulate_service_times: bool = True
-    #: Buffer read replies arriving in the same scheduler tick and sign
-    #: their pledges as one batch (amortised HMAC/RSA, single flush).
-    #: Off by default: batching adds a tick of latency per read and the
-    #: simulator's fidelity comes from per-read service accounting.
-    batch_read_replies: bool = False
 
     # -- housekeeping ----------------------------------------------------------
     #: How many past store versions trusted servers retain for verifying

@@ -19,7 +19,6 @@ from dataclasses import dataclass, field
 from typing import Any
 
 from repro.content.store import ContentStore
-from repro.crypto import fastpath
 from repro.crypto.certificates import Certificate
 from repro.crypto.hashing import canonical_record, record_template
 from repro.crypto.keys import KeyPair
@@ -68,19 +67,17 @@ class VersionStamp:
     def signed_payload(self) -> bytes:
         """The exact bytes this stamp's signature covers.
 
-        Built once per instance on the fast path; every subsequent
-        verification of the same stamp object reuses it instead of
-        re-canonicalising the fields.
+        Built once per instance; every subsequent verification of the
+        same stamp object reuses it instead of re-canonicalising the
+        fields.
         """
-        if fastpath.enabled():
-            cached = self._payload_cache
-            if cached is not None:
-                return cached
-            payload = self._payload(self.version, self.timestamp,
-                                    self.master_id)
-            object.__setattr__(self, "_payload_cache", payload)
-            return payload
-        return self._payload(self.version, self.timestamp, self.master_id)
+        cached = self._payload_cache
+        if cached is not None:
+            return cached
+        payload = self._payload(self.version, self.timestamp,
+                                self.master_id)
+        object.__setattr__(self, "_payload_cache", payload)
+        return payload
 
     @classmethod
     def make(cls, keys: KeyPair, version: int,
@@ -88,8 +85,7 @@ class VersionStamp:
         payload = cls._payload(version, timestamp, keys.owner_id)
         stamp = cls(version=version, timestamp=timestamp,
                     master_id=keys.owner_id, signature=keys.sign(payload))
-        if fastpath.enabled():
-            object.__setattr__(stamp, "_payload_cache", payload)
+        object.__setattr__(stamp, "_payload_cache", payload)
         return stamp
 
     def verify(self, verifier_keys: KeyPair,
@@ -145,17 +141,13 @@ class Pledge:
 
     def signed_payload(self) -> bytes:
         """The exact bytes this pledge's signature covers (memoised)."""
-        if fastpath.enabled():
-            cached = self._payload_cache
-            if cached is not None:
-                return cached
-            payload = self._payload(self.query_wire, self.result_hash,
-                                    self.stamp, self.slave_id,
-                                    self.request_id)
-            object.__setattr__(self, "_payload_cache", payload)
-            return payload
-        return self._payload(self.query_wire, self.result_hash, self.stamp,
-                             self.slave_id, self.request_id)
+        cached = self._payload_cache
+        if cached is not None:
+            return cached
+        payload = self._payload(self.query_wire, self.result_hash,
+                                self.stamp, self.slave_id, self.request_id)
+        object.__setattr__(self, "_payload_cache", payload)
+        return payload
 
     @classmethod
     def make(cls, keys: KeyPair, query_wire: Any, result_hash: str,
@@ -165,8 +157,7 @@ class Pledge:
         pledge = cls(query_wire=query_wire, result_hash=result_hash,
                      stamp=stamp, slave_id=keys.owner_id,
                      request_id=request_id, signature=keys.sign(payload))
-        if fastpath.enabled():
-            object.__setattr__(pledge, "_payload_cache", payload)
+        object.__setattr__(pledge, "_payload_cache", payload)
         return pledge
 
     @classmethod
@@ -186,15 +177,13 @@ class Pledge:
                                  keys.owner_id, request_id)
                     for query_wire, result_hash, stamp, request_id in specs]
         signatures = keys.sign_many(payloads)
-        caching = fastpath.enabled()
         pledges = []
         for (query_wire, result_hash, stamp, request_id), payload, sig \
                 in zip(specs, payloads, signatures):
             pledge = cls(query_wire=query_wire, result_hash=result_hash,
                          stamp=stamp, slave_id=keys.owner_id,
                          request_id=request_id, signature=sig)
-            if caching:
-                object.__setattr__(pledge, "_payload_cache", payload)
+            object.__setattr__(pledge, "_payload_cache", payload)
             pledges.append(pledge)
         return pledges
 

@@ -46,7 +46,11 @@ from repro.crypto.keys import KeyPair
 from repro.crypto.signatures import PublicKey, new_signer
 from repro.metrics import MetricsRegistry
 from repro.sim.network import Network, Node
-from repro.sim.simulator import Simulator
+from repro.sim.simulator import Simulator, restore_context
+
+#: ``(client, pledged wire, request id, result, stamp, trace context)``;
+#: the context is ``None`` without obs or for an unsampled read.
+_ParkedRead = tuple[str, Any, str, Any, VersionStamp, Any]
 
 
 class SlaveServer(Node):
@@ -78,11 +82,11 @@ class SlaveServer(Node):
         self.work = WorkQueue(self)
         self.reads_served = 0
         self.reads_refused_stale = 0
-        #: Reads answered but not yet pledged/flushed (batch mode): the
-        #: first buffered read schedules a same-tick flush, so every
-        #: read arriving in one scheduler tick shares one batch signing
-        #: and one reply flush.  See :meth:`_flush_reads`.
-        self._pending_reads: list[tuple[str, Any, str, Any, VersionStamp]] = []
+        #: Reads whose work is done but not yet pledged.  The first one
+        #: parked in a tick arms a same-tick flush, so every read
+        #: finishing in one scheduler tick shares one batch signing.
+        #: See :meth:`_flush_reads`.
+        self._pending_reads: list[_ParkedRead] = []
 
     @property
     def public_key(self) -> PublicKey:
@@ -253,29 +257,30 @@ class SlaveServer(Node):
                        + self.config.hash_time + self.config.sign_time)
         else:
             service = 0.0
-        if self.config.batch_read_replies and self.simulator.obs is None:
-            # Amortised path: park the answered read; the first one in a
-            # tick schedules a same-tick flush that batch-signs every
-            # pledge and sends all replies together (which the
-            # connection pool then coalesces per peer).  Skipped under
-            # observability so each reply keeps its own causal trace.
-            self._pending_reads.append(
-                (client_id, pledged_wire, message.request_id,
-                 served_result, self.latest_stamp))
-            if len(self._pending_reads) == 1:
-                self.work.submit(service, self._flush_reads)
-            return
-        pledge = Pledge.make(
-            self.keys,
-            query_wire=pledged_wire,
-            result_hash=sha1_hex(served_result),
-            stamp=self.latest_stamp,
-            request_id=message.request_id,
-        )
-        reply = ReadReply(request_id=message.request_id,
-                          result=served_result,
-                          pledge=self._maybe_garble(pledge))
-        self.work.submit(service, self.send, client_id, reply, 2048)
+        obs = self.simulator.obs
+        entry = (client_id, pledged_wire, message.request_id, served_result,
+                 self.latest_stamp, None if obs is None else obs.current)
+        # The read is parked when its own work completes: at once when
+        # that costs no time, else after its place in the work queue --
+        # so modeled replies leave one service time apart, and reads
+        # finishing in the same tick are signed together.
+        delay = self.work.reserve(service) - self.now
+        if delay <= 0.0:
+            self._park(entry)
+        else:
+            self.after(delay, self._park, entry)
+
+    def _park(self, entry: _ParkedRead) -> None:
+        self._pending_reads.append(entry)
+        if len(self._pending_reads) == 1:
+            self.after(0.0, self._flush_reads)
+
+    def on_crash(self) -> None:
+        # Answered-but-unsent replies die with the process (clients
+        # re-issue on request_timeout).  The flush armed for them is
+        # inert while crashed, so an entry left here would keep every
+        # later read from arming another.
+        self._pending_reads.clear()
 
     def _maybe_garble(self, pledge: Pledge) -> Pledge:
         garble = getattr(self.strategy, "garble_signature", None)
@@ -287,12 +292,14 @@ class SlaveServer(Node):
         return pledge
 
     def _flush_reads(self) -> None:
-        """Pledge and reply to every read buffered this tick as one batch.
+        """Pledge and reply to every read parked this tick as one batch.
 
-        Pledge payloads and signatures are byte-identical to the
-        unbatched path (:meth:`Pledge.make_many` only amortises signer
-        setup); each reply is still its own protocol message, so
-        per-message adversary and chaos behaviour is unchanged.
+        Pledge payloads and signatures are byte-identical to one
+        :meth:`Pledge.make` per read (:meth:`Pledge.make_many` only
+        amortises signer setup); each reply is still its own protocol
+        message, so per-message adversary and chaos behaviour is that
+        of a slave answering one read at a time, and each is sent under
+        the trace context of its own read.
         """
         pending, self._pending_reads = self._pending_reads, []
         if not pending:
@@ -300,13 +307,19 @@ class SlaveServer(Node):
         pledges = Pledge.make_many(
             self.keys,
             [(pledged_wire, sha1_hex(served_result), stamp, request_id)
-             for _client, pledged_wire, request_id, served_result, stamp
-             in pending])
+             for _client, pledged_wire, request_id, served_result, stamp,
+             _context in pending])
         if len(pending) > 1:
             self.metrics.incr("slave_read_batches")
-        for (client_id, _wire, request_id, served_result, _stamp), pledge \
-                in zip(pending, pledges):
-            self.send(client_id,
-                      ReadReply(request_id=request_id, result=served_result,
-                                pledge=self._maybe_garble(pledge)),
-                      2048)
+        obs = self.simulator.obs
+        for (client_id, _wire, request_id, served_result, _stamp, context), \
+                pledge in zip(pending, pledges):
+            reply = ReadReply(request_id=request_id, result=served_result,
+                              pledge=self._maybe_garble(pledge))
+            if obs is None:
+                self.send(client_id, reply, 2048)
+            else:
+                # Not ``obs.activation``: an unsampled read (no context)
+                # must not ride the context this flush was armed under.
+                restore_context(obs, context, self.send,
+                                (client_id, reply, 2048))

@@ -228,11 +228,10 @@ class ReplicationSystem:
     """A fully wired deployment plus harness conveniences."""
 
     def __init__(self, spec: DeploymentSpec) -> None:
-        # Start from cold fast-path caches so a run's cache-hit counters
+        # Start from a cold verify cache so a run's cache-hit counters
         # depend only on (spec, seed), never on what else the process ran
         # before -- identical runs must report identical counters.
         fastpath.VERIFY_CACHE.clear()
-        fastpath.CANONICAL_CACHE.clear()
         self.spec = spec
         self.config = spec.protocol
         self.metrics = MetricsRegistry()
@@ -285,10 +284,6 @@ class ReplicationSystem:
         self.clients = cast.clients
 
         self._started = False
-        #: Process-wide fast-path counters at build time; ``summary()``
-        #: reports deltas against this so concurrent builds in one
-        #: process do not pollute each other's numbers.
-        self._fastpath_baseline = fastpath.stats()
 
     # -- construction conveniences -------------------------------------------
 
@@ -389,15 +384,7 @@ class ReplicationSystem:
 
     def summary(self) -> dict[str, Any]:
         """One-stop run summary for benchmarks and examples."""
-        # Canonical-cache traffic is process-global (verify-cache traffic
-        # already lands on this registry via per-node KeyPair metrics);
-        # publish this run's share as gauge counters.  Snapshot before the
-        # offline oracle below so its hashing is not charged to the run.
-        current = fastpath.stats()
         classification = self.classify_accepted_reads()
-        for name in ("canonical_cache_hits", "canonical_cache_misses"):
-            self.metrics.gauge(
-                name, current[name] - self._fastpath_baseline[name])
         return {
             "time": self.now,
             "counters": self.metrics.snapshot(),

@@ -54,9 +54,10 @@ class CertAnnouncement:
 class WorkQueue:
     """FIFO single-server queue converting work into simulated latency.
 
-    ``submit`` schedules ``callback`` after the server has finished all
-    previously queued work plus ``service_time``.  ``backlog`` exposes how
-    far behind the server currently is, which is the auditor-lag metric.
+    ``reserve`` books ``service_time`` behind all previously queued work
+    and says when it completes; ``submit`` schedules ``callback`` for
+    then.  ``backlog`` exposes how far behind the server currently is,
+    which is the auditor-lag metric.
     """
 
     def __init__(self, node: Node) -> None:
@@ -64,15 +65,19 @@ class WorkQueue:
         self._busy_until = 0.0
         self.total_busy = 0.0
 
-    def submit(self, service_time: float, callback: Callable[..., None],
-               *args: Any) -> None:
+    def reserve(self, service_time: float) -> float:
+        """Queue ``service_time`` of work; return when it will be done."""
         if service_time < 0:
             raise ValueError(f"negative service time {service_time}")
-        now = self._node.now
-        start = max(now, self._busy_until)
-        self._busy_until = start + service_time
+        self._busy_until = (max(self._node.now, self._busy_until)
+                            + service_time)
         self.total_busy += service_time
-        self._node.after(self._busy_until - now, callback, *args)
+        return self._busy_until
+
+    def submit(self, service_time: float, callback: Callable[..., None],
+               *args: Any) -> None:
+        done_at = self.reserve(service_time)
+        self._node.after(done_at - self._node.now, callback, *args)
 
     def backlog(self) -> float:
         """Seconds of queued work not yet completed."""

@@ -15,7 +15,6 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 
-from repro.crypto import fastpath
 from repro.crypto.hashing import canonical_record, record_template
 from repro.crypto.keys import KeyPair
 from repro.crypto.signatures import PublicKey, Signature
@@ -83,25 +82,20 @@ class Certificate:
             expires_at=expires_at,
             signature=issuer_keys.sign(payload),
         )
-        if fastpath.enabled():
-            object.__setattr__(cert, "_payload_cache", payload)
+        object.__setattr__(cert, "_payload_cache", payload)
         return cert
 
     def signed_payload(self) -> bytes:
         """The exact bytes this certificate's signature covers (memoised)."""
-        if fastpath.enabled():
-            cached = self._payload_cache
-            if cached is not None:
-                return cached
-            payload = self._signed_payload(self.subject_id, self.address,
-                                           self.subject_public_key,
-                                           self.issuer_id, self.issued_at,
-                                           self.expires_at)
-            object.__setattr__(self, "_payload_cache", payload)
-            return payload
-        return self._signed_payload(self.subject_id, self.address,
-                                    self.subject_public_key, self.issuer_id,
-                                    self.issued_at, self.expires_at)
+        cached = self._payload_cache
+        if cached is not None:
+            return cached
+        payload = self._signed_payload(self.subject_id, self.address,
+                                       self.subject_public_key,
+                                       self.issuer_id, self.issued_at,
+                                       self.expires_at)
+        object.__setattr__(self, "_payload_cache", payload)
+        return payload
 
     def verify(self, verifier_keys: KeyPair, issuer_public_key: PublicKey,
                now: float | None = None) -> None:

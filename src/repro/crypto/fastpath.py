@@ -1,13 +1,10 @@
-"""Process-wide hot-path caches for crypto and canonical serialisation.
+"""The process-wide verification cache.
 
-The protocol re-does a lot of identical work: every read reply carries the
-same master-signed :class:`~repro.core.messages.VersionStamp` until the
-next keep-alive, every keep-alive fan-out asks each slave to verify the
-same signature, the auditor re-hashes the same query wire forms, and the
-client re-canonicalises payloads the signer already serialised.  All of
-that is *pure* computation -- a deterministic function of immutable
-inputs -- so this module provides two bounded LRU caches shared by the
-whole process:
+The protocol re-checks a lot of identical signatures: every read reply
+carries the same master-signed :class:`~repro.core.messages.VersionStamp`
+until the next keep-alive, and every keep-alive fan-out asks each slave
+to verify the same signature.  Verification is a deterministic function
+of immutable inputs, so one bounded LRU is shared by the whole process:
 
 ``VERIFY_CACHE``
     ``(public_key, payload, signature) -> bool``.  Because the key pins
@@ -17,24 +14,16 @@ whole process:
     verification.  Both outcomes are cached (a repeated forgery is
     rejected from cache just as cheaply).
 
-``CANONICAL_CACHE``
-    ``freeze(value) -> canonical_bytes(value)``.  The freeze key embeds
-    the concrete type of every node of the value, so ``1``, ``1.0``,
-    ``True`` and ``"1"`` -- which serialise differently -- can never
-    share an entry (see :func:`freeze_key`).
-
-Correctness invariant: caching only ever short-circuits a *repeated*
+Correctness invariant: the cache only ever short-circuits a *repeated*
 computation over identical inputs; it never conflates distinct payloads,
-keys or signatures.  ``configure(enabled=False)`` restores the exact
-seed behaviour (every verification and serialisation done from scratch),
-which is what the before/after micro-benchmarks measure against.
+keys or signatures.  The uncached reference the tests compare against is
+:func:`repro.crypto.signatures._verify_dispatch`.
 
-The caches are process-global on purpose: a simulation run hosts many
+The cache is process-global on purpose: a simulation run hosts many
 principals in one process, and the paper's repeated-verification cost is
 per *signature*, not per verifying node.  Simulated service times (the
 metrics experiments report) are charged independently of this layer, so
-enabling the caches changes wall-clock speed only, never simulated
-results.
+the cache changes wall-clock speed only, never simulated results.
 """
 
 from __future__ import annotations
@@ -43,11 +32,6 @@ from typing import Any
 
 #: Sentinel distinguishing "not cached" from a cached falsy value.
 MISS = object()
-
-_DEFAULT_VERIFY_SIZE = 4096
-_DEFAULT_CANONICAL_SIZE = 8192
-
-_enabled = True
 
 
 class LRUCache:
@@ -93,14 +77,6 @@ class LRUCache:
     def clear(self) -> None:
         self._data.clear()
 
-    def resize(self, maxsize: int) -> None:
-        if maxsize < 1:
-            raise ValueError(f"cache size must be positive, got {maxsize}")
-        self.maxsize = maxsize
-        data = self._data
-        while len(data) > maxsize:
-            del data[next(iter(data))]
-
     def __len__(self) -> int:
         return len(self._data)
 
@@ -108,92 +84,21 @@ class LRUCache:
         return key in self._data
 
 
-VERIFY_CACHE = LRUCache(_DEFAULT_VERIFY_SIZE)
-CANONICAL_CACHE = LRUCache(_DEFAULT_CANONICAL_SIZE)
-
-
-def enabled() -> bool:
-    """Whether the fast path is active (checked on every hot call)."""
-    return _enabled
-
-
-def configure(enabled: bool | None = None,
-              verify_cache_size: int | None = None,
-              canonical_cache_size: int | None = None) -> None:
-    """Toggle the fast path and/or resize its caches.
-
-    Disabling also clears both caches so a subsequent enable starts
-    cold -- that is what makes before/after comparisons honest.
-    """
-    global _enabled
-    if verify_cache_size is not None:
-        VERIFY_CACHE.resize(verify_cache_size)
-    if canonical_cache_size is not None:
-        CANONICAL_CACHE.resize(canonical_cache_size)
-    if enabled is not None:
-        _enabled = enabled
-        if not enabled:
-            VERIFY_CACHE.clear()
-            CANONICAL_CACHE.clear()
+VERIFY_CACHE = LRUCache(4096)
+#: Consulted by nothing: bound only because ``benchmarks/harness`` clears
+#: it by name; goes with ROADMAP item 4's benchmark PR.
+CANONICAL_CACHE = LRUCache(1)
 
 
 def reset_stats() -> None:
     """Zero the hit/miss counters (cache contents are kept)."""
-    for cache in (VERIFY_CACHE, CANONICAL_CACHE):
-        cache.hits = 0
-        cache.misses = 0
+    VERIFY_CACHE.hits = 0
+    VERIFY_CACHE.misses = 0
 
 
 def stats() -> dict[str, int]:
-    """Snapshot of the process-wide cache counters.
-
-    These are the raw counters behind the ``verify_cache_hits/misses``
-    and ``canonical_cache_hits/misses`` metrics that
-    :meth:`repro.core.system.ReplicationSystem.summary` publishes per
-    run (as deltas against the run's starting snapshot).
-    """
+    """Snapshot of the process-wide verification-cache counters."""
     return {
         "verify_cache_hits": VERIFY_CACHE.hits,
         "verify_cache_misses": VERIFY_CACHE.misses,
-        "canonical_cache_hits": CANONICAL_CACHE.hits,
-        "canonical_cache_misses": CANONICAL_CACHE.misses,
     }
-
-
-class Unfreezable(TypeError):
-    """Raised by :func:`freeze_key` for values it cannot key soundly."""
-
-
-def freeze_key(value: Any) -> Any:
-    """Build a hashable cache key equivalent to ``value``'s canonical form.
-
-    Injectivity contract (mirrors :mod:`repro.crypto.hashing`): two
-    values get the same key **iff** their canonical byte serialisations
-    are equal.
-
-    * every scalar is keyed with its concrete type, so ``1`` / ``1.0`` /
-      ``True`` / ``"1"`` never collide even though they compare equal or
-      hash alike in spots;
-    * ``bytes`` and ``bytearray`` share a key (they serialise the same);
-    * ``set`` and ``frozenset`` share a key (ditto), and dicts are keyed
-      order-insensitively, matching the sorted canonical emission;
-    * exotic types (including subclasses of the supported ones, whose
-      canonical form follows the base type) raise :class:`Unfreezable`
-      so callers fall back to the uncached path rather than risk an
-      unsound key.
-    """
-    cls = value.__class__
-    if value is None or cls is bool or cls is int or cls is float \
-            or cls is str or cls is bytes:
-        return (cls, value)
-    if cls is bytearray:
-        return (bytes, bytes(value))
-    if cls is list or cls is tuple:
-        return (cls, tuple(freeze_key(item) for item in value))
-    if cls is dict:
-        return (dict, frozenset(
-            (freeze_key(k), freeze_key(v)) for k, v in value.items()))
-    if cls is set or cls is frozenset:
-        return (frozenset, frozenset(freeze_key(item) for item in value))
-    raise Unfreezable(
-        f"cannot build a sound cache key for {cls.__name__!r}")

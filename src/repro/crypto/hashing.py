@@ -26,8 +26,6 @@ import hashlib
 import hmac
 from typing import Any, Callable, NamedTuple
 
-from repro.crypto import fastpath
-
 # Type tags keep differently-typed but similarly-printed values apart.
 _TAG_NONE = b"N"
 _TAG_BOOL = b"B"
@@ -49,29 +47,8 @@ def canonical_bytes(value: Any) -> bytes:
     containers of those.  Raises :class:`TypeError` for anything else, which
     surfaces protocol bugs (e.g. a query result leaking a live object)
     instead of silently hashing its ``repr``.
-
-    Repeated serialisations of equal values (repeated query wire forms,
-    repeated results of popular reads) are memoised in a bounded LRU.
-    The cache key is :func:`repro.crypto.fastpath.freeze_key`, which
-    embeds the concrete type of every node, so the memo can never
-    conflate values whose canonical bytes differ; values the freezer
-    cannot key soundly simply take the uncached path.
     """
-    if fastpath.enabled():
-        try:
-            key = fastpath.freeze_key(value)
-        except fastpath.Unfreezable:
-            key = None
-        if key is not None:
-            cached = fastpath.CANONICAL_CACHE.get(key)
-            if cached is not fastpath.MISS:
-                return cached
-            out: list[bytes] = []
-            _serialise(value, out)
-            encoded = b"".join(out)
-            fastpath.CANONICAL_CACHE.put(key, encoded)
-            return encoded
-    out = []
+    out: list[bytes] = []
     _serialise(value, out)
     return b"".join(out)
 

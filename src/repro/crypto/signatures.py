@@ -201,26 +201,24 @@ def verify_signature(public_key: object, message: bytes, signature: object,
     ``verify_cache_misses`` counter increments so each simulation run
     can report how much crypto it actually avoided.
     """
-    if fastpath.enabled():
-        try:
-            sig_key = bytes(signature) if isinstance(signature, bytearray) \
-                else signature
-            key = (public_key, message, sig_key)
-            cached = fastpath.VERIFY_CACHE.get(key)
-        except TypeError:
-            key = None
-            cached = fastpath.MISS
-        if cached is not fastpath.MISS:
-            if metrics is not None:
-                metrics.incr("verify_cache_hits")
-            return cached
-        result = _verify_dispatch(public_key, message, signature)
-        if key is not None:
-            fastpath.VERIFY_CACHE.put(key, result)
+    try:
+        sig_key = bytes(signature) if isinstance(signature, bytearray) \
+            else signature
+        key = (public_key, message, sig_key)
+        cached = fastpath.VERIFY_CACHE.get(key)
+    except TypeError:
+        key = None
+        cached = fastpath.MISS
+    if cached is not fastpath.MISS:
         if metrics is not None:
-            metrics.incr("verify_cache_misses")
-        return result
-    return _verify_dispatch(public_key, message, signature)
+            metrics.incr("verify_cache_hits")
+        return cached
+    result = _verify_dispatch(public_key, message, signature)
+    if key is not None:
+        fastpath.VERIFY_CACHE.put(key, result)
+    if metrics is not None:
+        metrics.incr("verify_cache_misses")
+    return result
 
 
 def verify_many(

@@ -226,16 +226,6 @@ class MetricsRegistry:
     def incr(self, name: str, amount: float = 1.0) -> None:
         self.counters[name] += amount
 
-    def gauge(self, name: str, value: float) -> None:
-        """Set a counter to an absolute value (latest-wins).
-
-        Used for externally-computed totals -- e.g. the per-run deltas of
-        the process-wide fast-path cache counters
-        (``canonical_cache_hits/misses``), which are snapshots rather
-        than events the registry can count itself.
-        """
-        self.counters[name] = value
-
     def observe(self, name: str, value: float) -> None:
         self.samples[name].append(value)
 

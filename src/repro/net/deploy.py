@@ -110,7 +110,6 @@ def fast_protocol_config(**overrides: Any) -> ProtocolConfig:
         # paper's simulated per-read costs on top of real crypto caps
         # throughput an order of magnitude below the wire.
         simulate_service_times=False,
-        batch_read_replies=True,
     )
     defaults.update(overrides)
     return ProtocolConfig(**defaults)

@@ -144,6 +144,11 @@ class _Peer:
     #: appends), else ``None``.
     task: "asyncio.Task[None] | None" = None
     writer: asyncio.StreamWriter | None = None
+    #: The dial's reader, set and cleared with ``writer``.  Nothing is
+    #: ever read from it; it is kept for ``at_eof()``, the only sign of
+    #: a peer that closed cleanly (the transport stays writable and the
+    #: kernel takes one more write that nobody will read).
+    reader: asyncio.StreamReader | None = None
     #: A flush callback is already scheduled for this loop tick.
     flush_armed: bool = False
 
@@ -252,21 +257,24 @@ class ConnectionPool:
 
         The write is synchronous when nothing has to be waited for: the
         connection is up, the breaker closed and the transport's write
-        buffer empty.  ``is_closing()`` is tested *before* each write because asyncio
-        silently discards writes to a lost connection -- a killed
-        connection has to walk the retry path, not swallow frames.
-        Whatever is left goes to :meth:`_recover`.
+        buffer empty.  ``is_closing()`` and ``at_eof()`` are tested
+        *before* each write because asyncio silently discards writes to
+        a lost connection and the kernel accepts one to a half-closed
+        one -- a killed connection or a peer that sent FIN has to walk
+        the retry path, not swallow frames.  Whatever is left goes to
+        :meth:`_recover`.
         """
         peer.flush_armed = False
         if self._closed or peer.task is not None:
             return
         backlog = peer.backlog
-        writer = peer.writer
-        if writer is not None:
+        writer, reader = peer.writer, peer.reader
+        if writer is not None and reader is not None:
             brk = self._breakers.get(dst_id)
             if brk is None or brk.state == CLOSED:
                 transport = writer.transport
                 while (backlog and not transport.is_closing()
+                       and not reader.at_eof()
                        and transport.get_write_buffer_size() == 0):
                     batch = self._take(backlog)
                     payload = self._encode(dst_id, batch)
@@ -356,9 +364,12 @@ class ConnectionPool:
                     if self._closed:
                         return
                     try:
-                        if peer.writer is None:
-                            _reader, peer.writer = \
+                        if peer.writer is None or peer.reader is None:
+                            peer.reader, peer.writer = \
                                 await self._connect(dst_id)
+                        elif peer.reader.at_eof():
+                            raise ConnectionResetError(
+                                f"{dst_id} closed the connection")
                         payload = self._encode(dst_id, batch)
                         peer.writer.write(payload)
                         await self._drain(peer.writer)
@@ -440,7 +451,7 @@ class ConnectionPool:
     def _teardown(self, peer: _Peer) -> None:
         if peer.writer is not None:
             peer.writer.transport.abort()
-            peer.writer = None
+            peer.writer = peer.reader = None
 
     # -- lifecycle ---------------------------------------------------------
 

@@ -24,9 +24,9 @@ class TokenBucket:
     call, so an idle client regains its full burst and a steady client
     settles at exactly ``rate`` admissions per second.  ``penalize``
     burns tokens without admitting anything (strike-driven deductions
-    for malformed traffic); the level may go as far negative as one
-    burst, extending the shed window for repeat offenders without
-    letting a single strike lock a client out forever.
+    for malformed and over-quota traffic); the level may go as far
+    negative as one burst, extending the shed window for repeat
+    offenders without letting a single strike lock a client out forever.
     """
 
     __slots__ = ("rate", "burst", "tokens", "updated_at")
@@ -79,8 +79,12 @@ class AdmissionPolicy:
     byte_burst: float = 1024.0 * 1024.0
     #: Seeded fraction of over-quota frames shed (1.0 = all).
     shed_fraction: float = 1.0
-    #: Frame tokens burned per rejected/oversized frame, so repeat
-    #: offenders drain their own allowance.
+    #: Frame tokens burned per rejected, oversized or shed frame, so
+    #: repeat offenders drain their own allowance: a sender that keeps
+    #: offering above its quota is served *below* it until it backs off
+    #: (the bucket floors at ``-burst``, so the lock-out ends
+    #: ``(burst + 1) / rate`` seconds after the last shed frame).  A
+    #: sender within its quota is never shed and never pays this.
     strike_cost: float = 1.0
     #: Seconds the listener stalls an over-quota connection's reader
     #: per shed frame (0 disables).  Shedding alone still pays decode
@@ -144,7 +148,11 @@ class ClientAdmission:
 
         The shed decision is seeded: an over-quota frame is shed with
         probability ``policy.shed_fraction`` drawn from the caller's
-        rng stream, exactly like the master's greedy-drop decision.
+        rng stream, exactly like the master's greedy-drop decision.  A
+        shed frame burns ``policy.strike_cost`` frame tokens like a
+        rejected one: per-client quotas only protect a listener if
+        exceeding one is not free (six clients each *held to* 15 bulk
+        reads/s still add up to a saturated core).
         """
         over = None
         if self.frames is not None and not self.frames.try_consume(now):
@@ -155,6 +163,8 @@ class ClientAdmission:
         if over is None:
             return None
         if rng.random() < policy.shed_fraction:
+            if self.frames is not None:
+                self.frames.penalize(policy.strike_cost)
             return over
         return None
 

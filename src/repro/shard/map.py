@@ -21,7 +21,6 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 
-from repro.crypto import fastpath
 from repro.crypto.hashing import canonical_record, record_template, \
     sha1_hex
 from repro.crypto.keys import KeyPair
@@ -113,25 +112,20 @@ class ShardMap:
             issued_at=issued_at,
             signature=issuer_keys.sign(payload),
         )
-        if fastpath.enabled():
-            object.__setattr__(shard_map, "_payload_cache", payload)
+        object.__setattr__(shard_map, "_payload_cache", payload)
         return shard_map
 
     def signed_payload(self) -> bytes:
         """The exact bytes this map's signature covers (memoised)."""
-        if fastpath.enabled():
-            cached = self._payload_cache
-            if cached is not None:
-                return cached
-            payload = self._signed_payload(self.namespace, self.epoch,
-                                           self.seed, self.shard_ids,
-                                           self.assignments, self.issuer_id,
-                                           self.issued_at)
-            object.__setattr__(self, "_payload_cache", payload)
-            return payload
-        return self._signed_payload(self.namespace, self.epoch, self.seed,
-                                    self.shard_ids, self.assignments,
-                                    self.issuer_id, self.issued_at)
+        cached = self._payload_cache
+        if cached is not None:
+            return cached
+        payload = self._signed_payload(self.namespace, self.epoch,
+                                       self.seed, self.shard_ids,
+                                       self.assignments, self.issuer_id,
+                                       self.issued_at)
+        object.__setattr__(self, "_payload_cache", payload)
+        return payload
 
     def verify(self, verifier_keys: KeyPair,
                issuer_public_key: PublicKey) -> None:

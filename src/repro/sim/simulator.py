@@ -24,7 +24,7 @@ if TYPE_CHECKING:  # pragma: no cover - typing only (obs is optional)
     from repro.obs.context import TraceContext
 
 
-def restore_context(obs: "ObsRuntime", context: "TraceContext",
+def restore_context(obs: "ObsRuntime", context: "TraceContext | None",
                     callback: Callable[..., None],
                     args: tuple[Any, ...]) -> None:
     """Fire ``callback(*args)`` with ``context`` as the active trace.

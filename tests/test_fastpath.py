@@ -1,10 +1,11 @@
-"""Tests for the crypto/serialisation fast path.
+"""Tests for the verify cache and the signed-payload memos.
 
 The load-bearing property throughout: caching only ever short-circuits a
 *repeated* computation over identical inputs.  A garbled signature, a
 tampered payload or a different key must always fall through to a real
 verification -- the cache can make the protocol faster, never more
-credulous.
+credulous.  The uncached references are ``signatures._verify_dispatch``
+and each signed type's static payload builder.
 """
 
 from __future__ import annotations
@@ -17,22 +18,21 @@ import pytest
 from repro.core.config import ProtocolConfig
 from repro.core.messages import Pledge, VersionStamp
 from repro.core.system import DeploymentSpec, ReplicationSystem
-from repro.crypto import fastpath
-from repro.crypto.hashing import canonical_bytes
+from repro.crypto import fastpath, signatures
+from repro.crypto.certificates import Certificate
+from repro.crypto.hashing import constant_time_equals, sha1_hex
 from repro.crypto.keys import KeyPair
 from repro.crypto.signatures import new_signer, verify_signature
 from repro.metrics import MetricsRegistry
+from repro.net import codec
+from repro.shard.map import ShardMap
 
 
 @pytest.fixture(autouse=True)
 def _clean_fastpath():
-    """Each test starts enabled with cold caches and zeroed stats."""
-    fastpath.configure(enabled=True)
+    """Each test starts with a cold cache and zeroed stats."""
     fastpath.VERIFY_CACHE.clear()
-    fastpath.CANONICAL_CACHE.clear()
     fastpath.reset_stats()
-    yield
-    fastpath.configure(enabled=True)
 
 
 def _rsa_keys(owner_id: str, seed: int, metrics=None) -> KeyPair:
@@ -77,57 +77,9 @@ class TestLRUCache:
         assert cache.get("a") == 10
         assert "b" not in cache
 
-    def test_resize_evicts_down(self):
-        cache = fastpath.LRUCache(4)
-        for i in range(4):
-            cache.put(i, i)
-        cache.resize(2)
-        assert len(cache) == 2
-        assert 3 in cache and 2 in cache  # newest survive
-
     def test_rejects_nonpositive_size(self):
         with pytest.raises(ValueError):
             fastpath.LRUCache(0)
-        with pytest.raises(ValueError):
-            fastpath.LRUCache(4).resize(-1)
-
-
-class TestFreezeKey:
-    def test_scalars_keyed_by_concrete_type(self):
-        keys = {fastpath.freeze_key(v) for v in (1, 1.0, True, "1", b"1")}
-        assert len(keys) == 5
-
-    def test_injective_iff_canonical_bytes_equal(self):
-        pairs = [
-            ([True, 0], [1, 0]),
-            ({"k": "ab"}, {"k": b"ab"}),
-            ((1, 2), [1, 2]),
-        ]
-        for a, b in pairs:
-            assert canonical_bytes(a) != canonical_bytes(b)
-            assert fastpath.freeze_key(a) != fastpath.freeze_key(b)
-        same = [
-            ({1, 2}, frozenset({1, 2})),
-            (bytearray(b"xy"), b"xy"),
-            ({"a": 1, "b": 2}, {"b": 2, "a": 1}),
-            (-0.0, 0.0),
-        ]
-        for a, b in same:
-            assert canonical_bytes(a) == canonical_bytes(b)
-            assert fastpath.freeze_key(a) == fastpath.freeze_key(b)
-
-    def test_subclasses_are_unfreezable(self):
-        class MyInt(int):
-            pass
-
-        with pytest.raises(fastpath.Unfreezable):
-            fastpath.freeze_key(MyInt(3))
-        with pytest.raises(fastpath.Unfreezable):
-            fastpath.freeze_key({"k": [MyInt(3)]})
-
-    def test_arbitrary_objects_are_unfreezable(self):
-        with pytest.raises(fastpath.Unfreezable):
-            fastpath.freeze_key(object())
 
 
 class TestVerifyCacheSoundness:
@@ -180,15 +132,49 @@ class TestVerifyCacheSoundness:
             assert verifier.verify(keys.public_key, b"payload", signature)
         assert fastpath.VERIFY_CACHE.hits == hits + 3
 
-    def test_disabled_fastpath_never_consults_cache(self):
-        keys = _hmac_keys("signer", seed=21)
-        verifier = _hmac_keys("verifier", seed=22)
-        signature = keys.sign(b"payload")
-        verifier.verify(keys.public_key, b"payload", signature)
-        fastpath.configure(enabled=False)  # also clears both caches
-        assert len(fastpath.VERIFY_CACHE) == 0
-        assert verifier.verify(keys.public_key, b"payload", signature)
-        assert len(fastpath.VERIFY_CACHE) == 0
+    def test_cached_verdicts_equal_the_uncached_reference(self):
+        rsa = _rsa_keys("signer", seed=21)
+        mac = _hmac_keys("signer", seed=22)
+        cases = []
+        for keys in (rsa, mac):
+            good = keys.sign(b"payload")
+            other = keys.sign(b"another payload")
+            cases += [(keys.public_key, b"payload", good),
+                      (keys.public_key, b"payload", other),
+                      (keys.public_key, b"forged", good)]
+        cases.append((rsa.public_key, b"payload", mac.sign(b"payload")))
+        for public_key, message, signature in cases:
+            reference = signatures._verify_dispatch(public_key, message,
+                                                    signature)
+            # First call fills the cache, second is answered from it.
+            assert verify_signature(public_key, message,
+                                    signature) is reference
+            assert verify_signature(public_key, message,
+                                    signature) is reference
+        assert fastpath.VERIFY_CACHE.hits == len(cases)
+
+    def test_one_full_verification_per_reply_and_one_per_stamp(self):
+        """A client's acceptance checks over a stream of replies under
+        one keep-alive stamp: every pledge is verified in full, the
+        stamp once for the whole stream."""
+        master = _rsa_keys("master-00", seed=25)
+        slave = _rsa_keys("slave-00-00", seed=26)
+        client = _hmac_keys("client-00", seed=27)
+        stamp = VersionStamp.make(master, version=3, timestamp=0.0)
+        reads = 40
+        accepted = 0
+        for i in range(reads):
+            result = {"key": f"k{i % 8}", "value": [i % 8, "payload"]}
+            pledge = Pledge.make(slave, query_wire=("get", f"k{i % 8}"),
+                                 result_hash=sha1_hex(result), stamp=stamp,
+                                 request_id=f"req-{i:05d}")
+            accepted += (
+                constant_time_equals(sha1_hex(result), pledge.result_hash)
+                and pledge.stamp.verify(client, master.public_key)
+                and pledge.verify(client, slave.public_key))
+        assert accepted == reads
+        assert fastpath.VERIFY_CACHE.misses == reads + 1
+        assert fastpath.VERIFY_CACHE.hits == reads - 1
 
     def test_metrics_counters_flow(self):
         metrics = MetricsRegistry()
@@ -254,13 +240,54 @@ class TestPayloadMemo:
         assert forged._payload_cache is None
         assert not forged.verify(client, slave.public_key)
 
-    def test_signed_payload_stable_and_matches_uncached(self):
-        master = _rsa_keys("master-00", seed=46)
+    def test_signed_payload_equals_the_static_reference_builder(self):
+        """Fresh, decoded and ``dataclasses.replace`` instances of every
+        memoising signed type: the memo is the reference builder's
+        bytes, and it is stable."""
+        owner = _hmac_keys("content-owner", seed=46)
+        master = _hmac_keys("master-00", seed=47)
+        slave = _hmac_keys("slave-00-00", seed=48)
         stamp = VersionStamp.make(master, version=2, timestamp=3.0)
-        cached = stamp.signed_payload()
-        assert stamp.signed_payload() is cached  # memoised
-        fastpath.configure(enabled=False)
-        assert stamp.signed_payload() == cached  # identical bytes
+        pledge = Pledge.make(slave, query_wire=("get", "k1"),
+                             result_hash="ab" * 20, stamp=stamp,
+                             request_id="r1")
+        cert = Certificate.issue(owner, "master-00", "addr:master-00",
+                                 master.public_key, issued_at=1.0,
+                                 lifetime=50.0)
+        shard_map = ShardMap.make(owner, "ns", epoch=2, seed=9,
+                                  assignments={"s1": ("master-01",),
+                                               "s0": ("master-00",)},
+                                  issued_at=4.0)
+
+        def reference(obj):
+            if isinstance(obj, VersionStamp):
+                return VersionStamp._payload(obj.version, obj.timestamp,
+                                             obj.master_id)
+            if isinstance(obj, Pledge):
+                return Pledge._payload(obj.query_wire, obj.result_hash,
+                                       obj.stamp, obj.slave_id,
+                                       obj.request_id)
+            if isinstance(obj, Certificate):
+                return Certificate._signed_payload(
+                    obj.subject_id, obj.address, obj.subject_public_key,
+                    obj.issuer_id, obj.issued_at, obj.expires_at)
+            return ShardMap._signed_payload(
+                obj.namespace, obj.epoch, obj.seed, obj.shard_ids,
+                obj.assignments, obj.issuer_id, obj.issued_at)
+
+        for fresh, tampered in (
+                (stamp, dataclasses.replace(stamp, version=8)),
+                (pledge, dataclasses.replace(pledge, request_id="r2")),
+                (cert, dataclasses.replace(cert, address="addr:evil")),
+                (shard_map, dataclasses.replace(shard_map, epoch=3))):
+            decoded = codec.decode_value(codec.encode_value(fresh))
+            assert decoded == fresh and decoded._payload_cache is None
+            assert tampered._payload_cache is None
+            for obj in (fresh, decoded, tampered):
+                payload = obj.signed_payload()
+                assert payload == reference(obj)
+                assert obj.signed_payload() is payload  # memoised
+            assert tampered.signed_payload() != fresh.signed_payload()
 
 
 class TestEndToEndRSA:
@@ -286,4 +313,3 @@ class TestEndToEndRSA:
         assert system.metrics.count("verify_cache_hits") > 0
         summary = system.summary()
         assert summary["classification"]["accepted_wrong"] == 0
-        assert summary["counters"]["canonical_cache_hits"] > 0

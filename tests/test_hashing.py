@@ -9,7 +9,6 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from repro.crypto import fastpath
 from repro.crypto.hashing import (
     canonical_bytes,
     canonical_record,
@@ -116,22 +115,6 @@ class TestCanonicalBytes:
     def test_set_vs_frozenset_same_bytes(self):
         assert canonical_bytes({1, 2}) == canonical_bytes(frozenset({1, 2}))
 
-    def test_results_identical_with_cache_off(self):
-        from repro.crypto import fastpath
-
-        values = [
-            {"rows": [(1, "x"), (2, "y")], "meta": {"count": 2}},
-            [True, 1, 1.0, "1", b"1", None],
-            {(-0.0, "k"): {3, 4}, "z": bytearray(b"zz")},
-        ]
-        cached = [canonical_bytes(v) for v in values for _ in range(2)]
-        fastpath.configure(enabled=False)
-        try:
-            uncached = [canonical_bytes(v) for v in values for _ in range(2)]
-        finally:
-            fastpath.configure(enabled=True)
-        assert cached == uncached
-
 
 class TestSha1:
     def test_matches_hashlib_over_canonical_form(self):
@@ -217,16 +200,10 @@ field_names = st.text(
 
 
 class TestRecordTemplates:
-    @given(st.dictionaries(field_names, field_values, max_size=9),
-           st.booleans())
-    def test_record_equals_generic_serialisation(self, record, caching):
+    @given(st.dictionaries(field_names, field_values, max_size=9))
+    def test_record_equals_generic_serialisation(self, record):
         template = record_template(*record)
-        fastpath.configure(enabled=caching)
-        try:
-            assert canonical_record(template, record) == \
-                canonical_bytes(record)
-        finally:
-            fastpath.configure(enabled=True)
+        assert canonical_record(template, record) == canonical_bytes(record)
 
     @given(st.dictionaries(field_names, field_values, min_size=2,
                            max_size=6))
@@ -270,14 +247,3 @@ class TestRecordTemplates:
             canonical_record(template, {"kind": "k", "other": 1})
         with pytest.raises(ValueError, match="duplicate"):
             record_template("kind", "kind")
-
-    def test_one_shot_records_leave_the_canonical_cache_alone(self):
-        fastpath.CANONICAL_CACHE.clear()
-        fastpath.reset_stats()
-        template = record_template("kind", "request_id", "version")
-        for index in range(50):
-            canonical_record(template, {"kind": "pledge",
-                                        "request_id": f"r-{index}",
-                                        "version": index})
-        assert len(fastpath.CANONICAL_CACHE) == 0
-        assert fastpath.stats()["canonical_cache_misses"] == 0

@@ -242,6 +242,58 @@ class TestAuditForwarding:
         run(scenario())
 
 
+class TestSlaveCrash:
+    def test_slave_crashed_with_a_parked_read_answers_after_restart(self):
+        """The host goes down between a read being answered and the
+        tick's flush: that reply is lost with the process, and once the
+        slave is back its reads are accepted again (it used to count
+        them served and never send another reply)."""
+        async def scenario():
+            spec = NetDeploymentSpec(
+                num_masters=1, slaves_per_master=1, num_clients=1, seed=9,
+                protocol=fast_protocol_config(double_check_probability=0.0),
+                store_factory=lambda: KeyValueStore({"k": "v"}))
+            cluster = await LocalCluster.launch(spec, settle=0.6)
+            try:
+                slave, client = cluster.slaves[0], cluster.clients[0]
+                warm = await cluster.read(client, KVGet(key="k"))
+                assert warm["status"] == "accepted"
+
+                deliver = slave.on_message
+                crashing: list[asyncio.Future] = []
+
+                def crash_once_parked(src_id, message):
+                    deliver(src_id, message)
+                    if slave._pending_reads and not crashing:
+                        # The task's first step (every tenant's
+                        # ``crash()``) runs ahead of this tick's flush.
+                        crashing.append(asyncio.ensure_future(
+                            cluster.crash_node(slave.node_id)))
+
+                slave.on_message = crash_once_parked
+                sent = slave.messages_sent
+                pending = asyncio.ensure_future(
+                    cluster.read(client, KVGet(key="k"), timeout=30.0))
+                await cluster.wait_for(lambda: bool(crashing), 5.0,
+                                       what="a read parked on the slave")
+                await crashing[0]
+                assert slave.crashed and slave.messages_sent == sent
+
+                await cluster.restart_node(slave.node_id)
+                # The interrupted read is re-issued on request_timeout;
+                # fresh ones are answered as soon as a keep-alive lands.
+                assert (await pending)["status"] == "accepted"
+                for _ in range(3):
+                    reply = await cluster.read(client, KVGet(key="k"))
+                    assert reply["status"] == "accepted"
+                assert slave.messages_sent >= sent + 4
+                assert cluster.handler_errors() == []
+            finally:
+                await cluster.aclose()
+
+        run(scenario())
+
+
 class TestCorruptSlave:
     def test_lie_detected_and_slave_excluded(self):
         async def scenario():

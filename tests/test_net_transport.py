@@ -299,6 +299,36 @@ class TestConnectionPool:
 
         run(scenario())
 
+    def test_send_after_peer_fin_redials_or_is_counted(self):
+        """A peer that closes cleanly leaves the transport writable and
+        the kernel takes one more write that nobody reads.  The flush
+        must see the FIN first: the next send is delivered over a fresh
+        connection or counted as a drop -- never neither."""
+        async def scenario():
+            h = Harness()
+            await h.start()
+            try:
+                h.pool.send("target", "before")
+                await h.wait_received(1)
+                for connection in list(h.server._connections):
+                    connection.transport.close()  # FIN, not RST
+                await asyncio.sleep(0.05)  # let the FIN arrive
+                h.pool.send("target", "after-1")
+                h.pool.send("target", "after-2")
+                await asyncio.sleep(0.3)
+                delivered = [msg for _src, msg in h.node.received][1:]
+                snap = h.metrics.snapshot()
+                assert len(delivered) + snap.get("net_frames_dropped", 0) == 2
+                # With the listener still up, that means delivered.
+                assert delivered == ["after-1", "after-2"]
+                assert snap["net_connects"] == 2
+                assert snap["net_retries"] == 1
+                assert snap["net_frames_sent"] == 3
+            finally:
+                await h.aclose()
+
+        run(scenario())
+
     def test_kill_without_connection_is_noop(self):
         async def scenario():
             h = Harness()

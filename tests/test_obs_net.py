@@ -76,6 +76,43 @@ class TestContextPropagation:
 
         run(scenario())
 
+    def test_replies_batch_under_tracing_and_keep_their_own_trace(self):
+        """CI's count gate for the Observability step: no protocol
+        behaviour depends on obs being attached.  An 8-deep load on a
+        traced cluster is answered in batches, and every reply's
+        carrier still names its own read's ``slave.read`` span."""
+        async def scenario():
+            spec = NetDeploymentSpec(
+                num_masters=1, slaves_per_master=1, num_clients=1, seed=12,
+                obs_enabled=True,
+                protocol=fast_protocol_config(double_check_probability=0.0))
+            cluster = await LocalCluster.launch(spec, settle=0.6)
+            try:
+                client = cluster.clients[0]
+                for _round in range(5):
+                    replies = await asyncio.gather(*(
+                        cluster.read(client, KVGet(key=f"k{i}"))
+                        for i in range(8)))
+                    assert all(r["status"] == "accepted" for r in replies)
+                assert cluster.metrics.count("slave_read_batches") > 0
+                traces = group_traces(cluster.obs.collector.spans())
+                reads = [members for members in traces.values()
+                         if any(s.op == "client.read" for s in members)]
+                assert len(reads) == 40
+                for members in reads:
+                    root = next(s for s in members if s.op == "client.read")
+                    served = [s for s in members if s.op == "slave.read"]
+                    assert [s.attrs["request_id"] for s in served] == \
+                        [root.attrs["request_id"]]
+                    verify = next(s for s in members
+                                  if s.op == "read.verify")
+                    assert verify.parent_id == served[0].span_id
+                assert cluster.handler_errors() == []
+            finally:
+                await cluster.aclose()
+
+        run(scenario())
+
     def test_disabled_cluster_sends_bare_frames(self):
         async def scenario():
             spec = obs_spec()

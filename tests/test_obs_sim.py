@@ -15,7 +15,12 @@ from repro.content.kvstore import KVGet, KVPut
 from repro.core.adversary import AlwaysLie
 from repro.core.config import ProtocolConfig
 from repro.obs.admin import span_to_wire
-from repro.obs.analyze import detection_check, group_traces, run_report
+from repro.obs.analyze import (
+    critical_path,
+    detection_check,
+    group_traces,
+    run_report,
+)
 
 from .conftest import make_system
 
@@ -116,6 +121,59 @@ class TestTracedRuns:
                     dict(system.masters[0]._ops_archive))
 
         assert history(False) == history(True)
+
+
+class TestBatchedRepliesUnderTracing:
+    """Reply batching does not depend on tracing, and a batch does not
+    blur traces: each reply travels under its own read's context."""
+
+    def burst(self, sample_rate):
+        system = make_system(
+            num_masters=1, slaves_per_master=1, num_clients=2,
+            obs_enabled=True, obs_sample_rate=sample_rate,
+            protocol=ProtocolConfig(double_check_probability=0.0,
+                                    simulate_service_times=False))
+        system.start()
+        system.run_for(2.0)
+        outcomes = []
+        for index in range(8):  # one tick, one slave
+            system.clients[index % 2].submit_read(
+                KVGet(key=f"k{index:03d}"), callback=outcomes.append)
+        system.run_for(30.0)
+        assert [o["status"] for o in outcomes] == ["accepted"] * 8
+        assert system.metrics.count("slave_read_batches") >= 1
+        return group_traces(system.obs.collector.spans())
+
+    def test_each_read_trace_holds_its_own_slave_span_only(self):
+        traces = self.burst(sample_rate=1.0)
+        reads = [members for members in traces.values()
+                 if any(s.op == "client.read" for s in members)]
+        assert len(reads) == 8
+        for members in reads:
+            root = next(s for s in members if s.op == "client.read")
+            request_id = root.attrs["request_id"]
+            served = [s for s in members if s.op == "slave.read"]
+            assert [s.attrs["request_id"] for s in served] == [request_id]
+            # End to end: the client's verification descends from the
+            # slave span that answered it, which descends from the read.
+            verify = next(s for s in members if s.op == "read.verify")
+            assert verify.attrs["request_id"] == request_id
+            assert verify.parent_id == served[0].span_id
+            assert served[0].parent_id == root.span_id
+            # ...and so does whatever finished the trace (the audit).
+            path = critical_path(members)
+            assert path[:2] == [root, served[0]] and len(path) >= 3
+
+    def test_unsampled_reads_in_a_batch_stay_untraced(self):
+        # Half the reads carry no context; they must not pick up the
+        # context of a batch mate (or of the read that armed the flush).
+        traces = self.burst(sample_rate=0.5)
+        reads = [members for members in traces.values()
+                 if any(s.op == "client.read" for s in members)]
+        assert 0 < len(reads) < 8
+        for members in reads:
+            assert sum(s.op == "slave.read" for s in members) == 1
+            assert sum(s.op == "read.verify" for s in members) == 1
 
 
 class TestByzantineSpans:

@@ -512,6 +512,21 @@ class TestPL006ConfigFields:
         """
         assert codes(source) == ["PL006"]
 
+    def test_fast_protocol_config_kwargs_checked(self):
+        # Its keywords are forwarded to ProtocolConfig(**...), so a
+        # deleted knob must not survive at a socket call site.
+        source = """
+            from repro.net.deploy import fast_protocol_config
+
+            def make():
+                return fast_protocol_config(max_latency=0.5,
+                                            no_such_field=True)
+        """
+        violations = lint_source(textwrap.dedent(source), CORE,
+                                 project=PROJECT)
+        assert [v.rule for v in violations] == ["PL006"]
+        assert "no_such_field" in violations[0].message
+
     def test_replace_kwargs_checked(self):
         source = """
             from dataclasses import replace

@@ -165,6 +165,49 @@ def test_strike_burns_frame_tokens():
     assert client.admit(0.0, 8.0, random.Random(0), policy) == "rate"
 
 
+def _admitted(policy, offered_per_s, seconds=10.0):
+    """Frames admitted from one sender offering at a fixed rate."""
+    client = ClientAdmission(policy, now=0.0)
+    rng = random.Random(0)
+    return sum(
+        client.admit(step / offered_per_s, 64.0, rng, policy) is None
+        for step in range(int(offered_per_s * seconds)))
+
+
+def test_sender_within_quota_is_never_shed():
+    # The flash_crowd scenario's budget and its honest trickle.
+    policy = AdmissionPolicy(frame_rate=15.0, frame_burst=20.0)
+    assert _admitted(policy, 10.0) == 100
+    assert _admitted(policy, 15.0) == 150
+
+
+def test_sender_over_quota_is_served_below_it():
+    """Exceeding a quota is not free: each shed frame burns
+    ``strike_cost`` tokens, so a sender that keeps offering twice its
+    rate gets its burst and then nothing, not ``rate`` per second."""
+    policy = AdmissionPolicy(frame_rate=15.0, frame_burst=20.0)
+    # 20 tokens drained at a net half token per offer, then every shed
+    # frame pushes the level back down faster than the refill lifts it.
+    assert 20 <= _admitted(policy, 30.0) <= 40
+    # The plain token bucket (no charge for a shed frame) settles at
+    # the rate instead: the burst plus 15/s.
+    free = AdmissionPolicy(frame_rate=15.0, frame_burst=20.0,
+                           strike_cost=0.0)
+    assert 165 <= _admitted(free, 30.0) <= 171
+
+
+def test_lockout_ends_a_bounded_time_after_backing_off():
+    policy = AdmissionPolicy(frame_rate=10.0, frame_burst=5.0)
+    client = ClientAdmission(policy, now=0.0)
+    rng = random.Random(0)
+    for _ in range(100):  # far over quota, all at once
+        client.admit(0.0, 64.0, rng, policy)
+    assert client.frames is not None and client.frames.tokens == -5.0
+    # (burst + 1) / rate = 0.6 s of silence buys the next admission.
+    assert client.admit(0.5, 64.0, rng, policy) == "rate"
+    assert client.admit(0.5 + 0.6, 64.0, rng, policy) is None
+
+
 # ---------------------------------------------------------------------------
 # InboundQueue
 # ---------------------------------------------------------------------------

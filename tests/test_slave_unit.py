@@ -2,13 +2,18 @@
 
 from __future__ import annotations
 
+import dataclasses
+import random
+
 import pytest
 
 from repro.content.kvstore import KVGet, KVPut, KeyValueStore
+from repro.core.adversary import BrokenSignature
 from repro.core.config import ProtocolConfig
 from repro.core.master import MasterServer
 from repro.core.messages import (
     KeepAlive,
+    Pledge,
     ReadReply,
     ReadRequest,
     ResyncRequest,
@@ -17,6 +22,7 @@ from repro.core.messages import (
 )
 from repro.core.slave import SlaveServer
 from repro.crypto.certificates import Certificate
+from repro.crypto.hashing import sha1_hex
 from repro.crypto.keys import KeyPair
 from repro.crypto.signatures import HMACSigner
 from repro.metrics import MetricsRegistry
@@ -201,3 +207,159 @@ class TestReadHandling:
         _sim, _master, slave, _sink, _m = world
         with pytest.raises(TypeError, match="unexpected"):
             slave.on_message("client-00", "banana")
+
+
+def read_request(index):
+    return ReadRequest(client_id="client-00",
+                       request_id=f"client-00:r{index}",
+                       query_wire=KVGet(key="a").to_wire())
+
+
+def record_sends(sim, slave):
+    """``(send time, ReadReply)`` for every reply the slave sends."""
+    sent = []
+    original = slave.send
+
+    def send(dst_id, message, size_bytes=256):
+        if isinstance(message, ReadReply):
+            sent.append((sim.now, message))
+        original(dst_id, message, size_bytes)
+
+    slave.send = send
+    return sent
+
+
+class TestReplyPath:
+    """One path from answered read to reply: park, flush, batch-sign."""
+
+    def prime(self, world):
+        sim, master, slave, _sink, metrics = world
+        slave.on_message("master-00",
+                         KeepAlive(stamp=stamp_for(master, 0, sim.now)))
+        return sim, slave, metrics
+
+    def test_modeled_replies_leave_one_service_time_apart(self, world):
+        """k same-instant reads with service times charged: reply i
+        leaves at t + i*s, each its own flush (the closed form of a
+        slave answering one read at a time)."""
+        sim, slave, metrics = self.prime(world)
+        assert slave.config.simulate_service_times
+        sent = record_sends(sim, slave)
+        start, k = sim.now, 5
+        for index in range(k):
+            slave.on_message("client-00", read_request(index))
+        assert sent == [] and slave._pending_reads == []
+        sim.run_until(start + 1.0)
+        cost = slave.store.execute_read(KVGet(key="a")).cost_units
+        service = (cost * slave.config.service_time_per_unit
+                   + slave.config.hash_time + slave.config.sign_time)
+        assert service > 0.0
+        assert [reply.request_id for _at, reply in sent] == \
+            [f"client-00:r{index}" for index in range(k)]
+        assert [at for at, _reply in sent] == pytest.approx(
+            [start + (index + 1) * service for index in range(k)])
+        assert metrics.count("slave_read_batches") == 0
+        assert slave.work.total_busy == pytest.approx(k * service)
+
+    def test_same_tick_reads_are_one_batch_of_identical_pledges(self, world):
+        """Zero-cost work parks inline; the tick's reads are signed as
+        one batch whose payload and signature bytes equal one
+        ``Pledge.make`` per read."""
+        sim, slave, metrics = self.prime(world)
+        slave.config = dataclasses.replace(slave.config,
+                                           simulate_service_times=False)
+        sent = record_sends(sim, slave)
+        start, k = sim.now, 6
+        for index in range(k):
+            slave.on_message("client-00", read_request(index))
+        assert len(slave._pending_reads) == k and sent == []
+        sim.run_until(start + 1.0)
+        assert metrics.count("slave_read_batches") == 1
+        assert [at for at, _reply in sent] == [start] * k
+        for index, (_at, reply) in enumerate(sent):
+            alone = Pledge.make(
+                slave.keys, query_wire=KVGet(key="a").to_wire(),
+                result_hash=sha1_hex(reply.result),
+                stamp=slave.latest_stamp,
+                request_id=f"client-00:r{index}")
+            assert reply.pledge == alone
+            assert reply.pledge.signed_payload() == alone.signed_payload()
+            assert bytes(reply.pledge.signature) == bytes(alone.signature)
+
+    def test_a_lone_read_is_a_batch_of_one(self, world):
+        sim, slave, metrics = self.prime(world)
+        slave.config = dataclasses.replace(slave.config,
+                                           simulate_service_times=False)
+        sent = record_sends(sim, slave)
+        slave.on_message("client-00", read_request(0))
+        sim.run_until(sim.now + 1.0)
+        assert len(sent) == 1 and sent[0][1].pledge is not None
+        assert metrics.count("slave_read_batches") == 0
+
+    @pytest.mark.parametrize("modeled", [False, True])
+    def test_garble_draws_once_per_reply_in_arrival_order(self, world,
+                                                          modeled):
+        """``BrokenSignature`` garbles the reads a slave answering one
+        read at a time garbles: its rng is drawn once per reply, in
+        arrival order, batched or not."""
+        sim, slave, metrics = self.prime(world)
+        slave.config = dataclasses.replace(slave.config,
+                                           simulate_service_times=modeled)
+        slave.strategy = BrokenSignature(garble_rate=0.4,
+                                         rng=random.Random(77))
+        sent = record_sends(sim, slave)
+        for index in range(24):
+            if index % 8 == 0:
+                sim.run_until(sim.now + 0.5)  # three ticks of eight reads
+            slave.on_message("client-00", read_request(index))
+        sim.run_until(sim.now + 1.0)
+        draws = random.Random(77)
+        expected = [draws.random() < 0.4 for _ in range(24)]
+        assert 0 < sum(expected) < 24
+        assert [reply.request_id for _at, reply in sent] == \
+            [f"client-00:r{index}" for index in range(24)]
+        assert [reply.pledge.signature == b"\x00garbage"
+                for _at, reply in sent] == expected
+        assert metrics.count("slave_garbled_signatures") == sum(expected)
+
+
+class TestCrashWithParkedReads:
+    """A crash between answering a read and sending its reply loses
+    that reply and nothing else: the slave answers again once it is
+    back."""
+
+    def prime(self, world, modeled):
+        sim, master, slave, _sink, _metrics = world
+        slave.config = dataclasses.replace(slave.config,
+                                           simulate_service_times=modeled)
+        slave.on_message("master-00",
+                         KeepAlive(stamp=stamp_for(master, 0, sim.now)))
+        return sim, slave, record_sends(sim, slave)
+
+    def test_crash_between_park_and_flush(self, world):
+        sim, slave, sent = self.prime(world, modeled=False)
+        slave.on_message("client-00", read_request(0))
+        assert len(slave._pending_reads) == 1  # parked, flush armed
+        slave.crash()
+        assert slave._pending_reads == []
+        sim.run_until(sim.now + 0.5)
+        slave.recover()
+        for index in range(1, 4):
+            slave.on_message("client-00", read_request(index))
+        sim.run_until(sim.now + 0.5)
+        assert [reply.request_id for _at, reply in sent] == \
+            [f"client-00:r{index}" for index in range(1, 4)]
+        assert slave.messages_sent == 3
+
+    def test_crash_between_serve_and_park(self, world):
+        sim, slave, sent = self.prime(world, modeled=True)
+        slave.on_message("client-00", read_request(0))
+        slave.on_message("client-00", read_request(1))
+        assert slave._pending_reads == []  # both still in the work queue
+        slave.crash()
+        sim.run_until(sim.now + 0.5)  # their park timers fire inert
+        slave.recover()
+        assert slave._pending_reads == [] and sent == []
+        slave.on_message("client-00", read_request(2))
+        sim.run_until(sim.now + 0.5)
+        assert [reply.request_id for _at, reply in sent] == ["client-00:r2"]

@@ -159,6 +159,45 @@ class TestAuditorCrash:
             system.masters[0].store.state_digest()
 
 
+class TestSlaveCrashWithParkedRead:
+    def test_slave_answers_again_after_crashing_with_a_parked_read(self):
+        """Crash between answering a read and sending its reply: that
+        reply is lost, the slave is not -- it used to keep counting
+        ``slave_reads_served`` and never send again."""
+        system = make_system(
+            num_masters=1, slaves_per_master=1, num_clients=1,
+            protocol=ProtocolConfig(double_check_probability=0.0,
+                                    simulate_service_times=False))
+        system.start()
+        system.run_for(2.0)
+        slave, client = system.slaves[0], system.clients[0]
+        deliver = slave.on_message
+        crashes = []
+
+        def crash_once_parked(src_id, message):
+            deliver(src_id, message)
+            if slave._pending_reads and not crashes:
+                crashes.append(system.now)
+                slave.crash()
+
+        slave.on_message = crash_once_parked
+        outcomes = []
+        client.submit_read(KVGet(key="k001"), callback=outcomes.append)
+        system.run_for(1.0)
+        assert crashes and outcomes == []
+        slave.recover()
+        served, sent = slave.reads_served, slave.messages_sent
+        for index in range(5):
+            system.schedule_op(client, system.now + 1.0 + index,
+                               KVGet(key=f"k{index:03d}"),
+                               callback=outcomes.append)
+        system.run_for(120.0)
+        assert slave.reads_served > served
+        assert slave.messages_sent > sent
+        assert slave._pending_reads == []
+        assert [o["status"] for o in outcomes] == ["accepted"] * 6
+
+
 class TestCombinedChaos:
     def test_no_wrong_accepts_under_churn_with_liar(self):
         """Crash churn + a lying slave + message loss: the safety

@@ -10,7 +10,9 @@ dataclass definition parsed from ``src/repro/core/config.py``.
 
 Flags:
 
-* unknown keyword arguments in ``ProtocolConfig(...)`` calls;
+* unknown keyword arguments in ``ProtocolConfig(...)`` calls, and in
+  ``fast_protocol_config(...)`` calls, whose keywords are forwarded to
+  the constructor;
 * unknown attribute reads/writes on config-shaped expressions -- a bare
   ``config`` / ``cfg`` name or any ``<obj>.config`` attribute;
 * unknown names in ``dataclasses.replace(<config>, field=...)`` and
@@ -36,6 +38,9 @@ from tools.protolint.names import terminal_name
 from tools.protolint.registry import Rule, Violation, register
 
 _CONFIG_NAMES = {"config", "cfg", "protocol_config"}
+
+#: Callables whose keyword arguments are ``ProtocolConfig`` fields.
+_CONSTRUCTORS = {"ProtocolConfig", "fast_protocol_config"}
 
 #: Attributes any object answers; never worth flagging.
 _ALWAYS_OK_PREFIX = "__"
@@ -87,13 +92,13 @@ class ConfigFieldsExist(Rule):
     def _check_call(self, ctx: FileContext, known: frozenset[str],
                     node: ast.Call) -> Iterator[Violation]:
         func_name = terminal_name(node.func)
-        if func_name == "ProtocolConfig":
+        if func_name in _CONSTRUCTORS:
             for keyword in node.keywords:
                 if keyword.arg is not None and self._bad_name(
                         known, keyword.arg):
                     yield self.violation(
                         ctx, keyword.value,
-                        f"ProtocolConfig() has no field `{keyword.arg}`"
+                        f"{func_name}() has no field `{keyword.arg}`"
                         f"{self._suggest(known, keyword.arg)}")
         elif func_name == "replace" and node.args and _is_config_expr(
                 node.args[0]):
