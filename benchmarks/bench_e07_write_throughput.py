@@ -47,7 +47,7 @@ def measure(max_latency: float, writes: int, seed: int = 8) -> dict:
     end = schedule_uniform_reads(system, writes * 2, rate=10.0,
                                  seed=seed + 1)
     system.run_for(max(end - system.now, writes * max_latency) + 30.0)
-    commit_times = sorted(system.masters[0].commit_times.values())[1:]
+    commit_times = sorted(system.masters[0].history.times.values())[1:]
     gaps = [b - a for a, b in zip(commit_times, commit_times[1:])]
     span = (commit_times[-1] - commit_times[0]) if len(commit_times) > 1 \
         else 1.0

@@ -129,7 +129,7 @@ def write_path(mode: str, writes: int, reads: int, seed: int = 8) -> dict:
     system.run_for(max(t - system.now, writes * 0.5) + 10.0)
     elapsed = time.perf_counter() - start
     committed = system.metrics.count("writes_committed") or \
-        sum(1 for _ in system.masters[0].commit_times)
+        len(system.masters[0].history.times)
     spans = system.obs.collector.spans() if system.obs is not None else []
     return {
         "elapsed_s": elapsed,

@@ -80,8 +80,8 @@ def check_survivors_converged(cluster: ClusterLike) -> CheckResult:
         if master.version != reference.version:
             lagging.append(f"{master.node_id}@{master.version}")
             continue
-        for version, op in master._ops_archive.items():
-            if reference._ops_archive.get(version) != op:
+        for version, op in enumerate(master.history.ops):
+            if reference.history.ops[version] != op:
                 diverged.append(f"{master.node_id}@{version}")
                 break
     passed = not lagging and not diverged

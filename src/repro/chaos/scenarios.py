@@ -826,14 +826,15 @@ def _honest_read_durations(cluster: LocalCluster, honest: set[str],
     return durations
 
 
-def _keepalive_max_gap(cluster: LocalCluster, slave_id: str,
-                       start: float, end: float) -> float:
-    """Longest keep-alive arrival gap at one slave inside [start, end]."""
-    timeline = cluster.metrics.timelines.get(f"keepalive_rx@{slave_id}")
+def _keepalive_window(cluster: LocalCluster, name: str, start: float,
+                      end: float) -> tuple[int, float]:
+    """(events, longest gap) inside [start, end] of one keep-alive
+    timeline: ``keepalive_tx@master`` rounds, ``keepalive_rx@slave``."""
+    timeline = cluster.metrics.timelines.get(name)
     points = [] if timeline is None else \
         [at for at, _value in timeline.points if start <= at <= end]
     edges = [start, *sorted(points), end]
-    return max(b - a for a, b in zip(edges, edges[1:]))
+    return len(points), max(b - a for a, b in zip(edges, edges[1:]))
 
 
 def _shed_breakdown(counters: dict[str, float]) -> tuple[float, float,
@@ -1004,19 +1005,37 @@ async def _flash_crowd_burst(seed: int, qos: bool) -> ScenarioVerdict:
         timings["burst_p50"] = _percentile(burst_durations, 0.5)
         timings["burst_p99"] = _percentile(burst_durations, 0.99)
 
-        # Keep-alives are never shed: every slave's freshness window
-        # must hold right through the burst.
-        worst_gap, worst_slave = 0.0, "-"
-        for slave in cluster.slaves:
-            gap = _keepalive_max_gap(cluster, slave.node_id,
-                                     burst_t0, burst_t1)
-            if gap > worst_gap:
-                worst_gap, worst_slave = gap, slave.node_id
+        # Keep-alives are never shed, judged by what admission control
+        # answers for.  By count: every round a master sent arrived (one
+        # sent at the window's edge may land outside it).  By time: a
+        # slave's arrival gap against its master's send gap *in the same
+        # process*, so an interpreter stalled by the host widens both
+        # and is not booked to repro.qos.  The wall-clock gap itself is
+        # reported, not judged.  (``qos_shed_from_master-*`` says nothing
+        # here: a protected frame is never counted shed, and the counter
+        # is nonzero for the double-check replies the crowd's own
+        # listeners refuse.)
+        worst_gap, worst_slave, held_back = 0.0, "-", []
+        burst = (burst_t0, burst_t1)
+        for master in cluster.masters:
+            sent, tx_gap = _keepalive_window(
+                cluster, f"keepalive_tx@{master.node_id}", *burst)
+            for slave_id in master.slaves:
+                arrived, rx_gap = _keepalive_window(
+                    cluster, f"keepalive_rx@{slave_id}", *burst)
+                if rx_gap > worst_gap:
+                    worst_gap, worst_slave = rx_gap, slave_id
+                if (arrived < sent - 1
+                        or rx_gap > tx_gap + config.max_latency / 2):
+                    held_back.append(
+                        f"{slave_id}: {arrived} of {sent} rounds, gap "
+                        f"{rx_gap:.2f}s vs {tx_gap:.2f}s between sends")
         timings["worst_keepalive_gap"] = worst_gap
         run.check(
-            "keepalives_never_missed", worst_gap < config.max_latency,
-            f"worst keep-alive gap during the burst {worst_gap:.2f}s "
-            f"(at {worst_slave}) vs max_latency {config.max_latency}s")
+            "keepalives_never_missed", not held_back,
+            f"keep-alives lost or held back: {held_back or 'none'}; worst "
+            f"arrival gap {worst_gap:.2f}s (at {worst_slave}), reported "
+            f"against max_latency {config.max_latency}s")
 
         counters = cluster.metrics.snapshot()
         total, by_reason, by_client = _shed_breakdown(counters)

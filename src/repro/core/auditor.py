@@ -73,24 +73,17 @@ class AuditorServer(TrustedServer):
         self.detections = 0
         self._next_commit_floor = 0.0
         self._backlog_probe_interval = 1.0
-        #: Committed writes awaiting their audit-window expiry, in
-        #: delivery order: (apply_at, payload).  A queue rather than
-        #: per-write timers so that timers lost to a crash window are
-        #: recovered by restarting the drain loop.
-        self._apply_queue: deque[tuple[float, BcastWrite]] = deque()
         self._loop_epoch = 0
 
     def start(self) -> None:
         super().start()
         self._probe_backlog(self._loop_epoch)
-        self._advance_loop(self._loop_epoch)
 
     def on_recover(self) -> None:
         super().on_recover()
-        # Timer chains died while crashed; restart them (stale loop
-        # instances self-terminate via the epoch counter).
+        # The probe's timer chain died while crashed; restart it (a
+        # stale chain self-terminates via the epoch counter).
         self._loop_epoch += 1
-        self._advance_loop(self._loop_epoch)
         self._probe_backlog(self._loop_epoch)
 
     # -- write lag (Section 3.4) ------------------------------------------
@@ -108,21 +101,10 @@ class AuditorServer(TrustedServer):
         """
         masters_commit_at = max(self.now, self._next_commit_floor)
         self._next_commit_floor = masters_commit_at + self.config.max_latency
-        apply_at = (masters_commit_at + self.config.max_latency
-                    + self.config.audit_grace)
-        self._apply_queue.append((apply_at, payload))
+        self._defer(masters_commit_at + self.config.max_latency
+                    + self.config.audit_grace, payload)
 
-    def _advance_loop(self, epoch: int) -> None:
-        """Apply queued writes whose audit window has closed."""
-        if self.crashed or epoch != self._loop_epoch:
-            return
-        while self._apply_queue and self._apply_queue[0][0] <= self.now:
-            _at, payload = self._apply_queue.popleft()
-            self._advance_version(payload)
-        self.after(min(0.5, self.config.keepalive_interval),
-                   self._advance_loop, epoch)
-
-    def _advance_version(self, payload: BcastWrite) -> None:
+    def _apply_write(self, payload: BcastWrite) -> None:
         self.commit_op(payload.op_wire)
         self.metrics.incr("auditor_version_advances")
         obs = self.simulator.obs

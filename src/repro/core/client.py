@@ -64,7 +64,7 @@ from repro.core.messages import (
 from repro.crypto.certificates import Certificate, CertificateError
 from repro.crypto.hashing import constant_time_equals, sha1_hex
 from repro.crypto.keys import KeyPair
-from repro.crypto.signatures import PublicKey, new_signer
+from repro.crypto.signatures import PublicKey, key_fingerprint, new_signer
 # Unused here: bound only because ``benchmarks/harness/tracing.py``
 # patches ``repro.core.client.verify_many`` by name; goes with ROADMAP
 # item 4's benchmark PR.
@@ -139,7 +139,7 @@ class Client(Node):
         #: with the content key, so verification is unchanged).
         self.lookup_fingerprint = (lookup_fingerprint
                                    if lookup_fingerprint is not None
-                                   else _fingerprint(owner_public_key))
+                                   else key_fingerprint(owner_public_key))
         #: Hook for envelope-level extensions (the shard router): called
         #: with unrecognised messages; returning True consumes them.
         self.on_unhandled: Callable[[str, Any], bool] | None = None
@@ -233,28 +233,31 @@ class Client(Node):
         self.master_id = choice
         self.send(choice, ClientHello(client_id=self.node_id))
 
-    def _handle_assignment(self, assignment: SlaveAssignment) -> None:
+    def _verified_slaves(
+            self, certificates: tuple[Certificate, ...]) -> tuple[str, ...]:
+        """Adopt every slave certificate a master we know vouches for;
+        the rest -- unknown issuer or bad signature -- are counted."""
         slaves: list[str] = []
-        for cert in assignment.slave_certificates:
-            issuer_key = None
-            issuer_cert = self.master_certs.get(cert.issuer_id)
-            if issuer_cert is not None:
-                issuer_key = issuer_cert.subject_public_key
-            if issuer_key is None:
-                self.metrics.incr("client_bad_slave_certs")
-                continue
+        for cert in certificates:
+            issuer = self.master_certs.get(cert.issuer_id)
             try:
-                cert.verify(self.keys, issuer_key)
+                if issuer is None:
+                    raise CertificateError("unknown issuer")
+                cert.verify(self.keys, issuer.subject_public_key)
             except CertificateError:
                 self.metrics.incr("client_bad_slave_certs")
                 continue
             self.slave_certs[cert.subject_id] = cert
             slaves.append(cert.subject_id)
+        return tuple(slaves)
+
+    def _handle_assignment(self, assignment: SlaveAssignment) -> None:
+        slaves = self._verified_slaves(assignment.slave_certificates)
         if not slaves:
             self._setup_in_progress = False
             self.metrics.incr("client_setup_failed")
             return
-        self.assigned_slaves = tuple(slaves)
+        self.assigned_slaves = slaves
         self.auditor_id = assignment.auditor_id
         self.ready = True
         self._setup_in_progress = False
@@ -844,20 +847,9 @@ class Client(Node):
         self._begin_setup()
 
     def _install_assignment(self, assignment: SlaveAssignment) -> None:
-        slaves = []
-        for cert in assignment.slave_certificates:
-            issuer = self.master_certs.get(cert.issuer_id)
-            if issuer is None:
-                continue
-            try:
-                cert.verify(self.keys, issuer.subject_public_key)
-            except CertificateError:
-                self.metrics.incr("client_bad_slave_certs")
-                continue
-            self.slave_certs[cert.subject_id] = cert
-            slaves.append(cert.subject_id)
+        slaves = self._verified_slaves(assignment.slave_certificates)
         if slaves:
-            self.assigned_slaves = tuple(slaves)
+            self.assigned_slaves = slaves
         if assignment.auditor_id:
             self.auditor_id = assignment.auditor_id
 
@@ -892,13 +884,6 @@ class Client(Node):
 def _cancel(timer: EventHandle | None) -> None:
     if timer is not None:
         timer.cancel()
-
-
-def _fingerprint(public_key: PublicKey) -> str:
-    fingerprint = getattr(public_key, "fingerprint", None)
-    if callable(fingerprint):
-        return fingerprint()
-    return sha1_hex(repr(public_key))
 
 
 def _rebuild_query(attempt: _ReadAttempt) -> ReadQuery:

@@ -259,9 +259,8 @@ class MasterServer(TrustedServer):
         """
         if self._write_inflight or not self._write_queue:
             return
-        last_commit = self.commit_times.get(self.version, 0.0)
-        earliest = last_commit + self.config.max_latency
-        if self.version == 0 and not self.ops_log:
+        earliest = self.history.times[self.version] + self.config.max_latency
+        if self.version == 0:
             earliest = self.now  # nothing committed yet
         if self.now < earliest:
             self.after(earliest - self.now, self._pump_writes)
@@ -276,7 +275,7 @@ class MasterServer(TrustedServer):
         ))
 
     def deliver_write(self, seq: int, origin: str, payload: BcastWrite) -> None:
-        """Totally-ordered write delivery: schedule the spaced commit.
+        """Totally-ordered write delivery: defer to the spaced commit.
 
         Duplicate deliveries (a client resubmitting through a different
         master after a timeout) are detected here: every master sees the
@@ -302,9 +301,9 @@ class MasterServer(TrustedServer):
             # behind the group.
             commit_at = self.now
         self._next_commit_floor = commit_at + self.config.max_latency
-        self.after(commit_at - self.now, self._commit_write, payload)
+        self._defer(commit_at, payload)
 
-    def _commit_write(self, payload: BcastWrite) -> None:
+    def _apply_write(self, payload: BcastWrite) -> None:
         obs = self.simulator.obs
         if obs is None:
             self._do_commit(payload)
@@ -347,6 +346,9 @@ class MasterServer(TrustedServer):
             return
         stamp = self.current_stamp()
         self.metrics.incr(f"keepalives@{self.node_id}")
+        # Send timeline per master: overload scenarios judge a slave's
+        # arrival gap (``keepalive_rx@``) against the send gap.
+        self.metrics.record(f"keepalive_tx@{self.node_id}", self.now, 1.0)
         for slave in self.slaves:
             if slave not in self.excluded_slaves:
                 self.send(slave, KeepAlive(stamp=stamp))
@@ -371,15 +373,16 @@ class MasterServer(TrustedServer):
         have = message.have_version
         if have >= self.version:
             return
-        if any(v not in self.ops_log for v in range(have, self.version)):
+        missing = self.history.ops_between(have, self.version,
+                                           self.config.ops_log_depth)
+        if missing is None:
             self.metrics.incr("slave_snapshots_sent")
             self.send(slave_id, SlaveSnapshot(
                 store=self.store.clone(), stamp=self.current_stamp()),
                 size_bytes=64 * 1024)
             return
-        missing = [self.ops_log[v] for v in range(have, self.version)]
         self.send(slave_id, SlaveUpdate(
-            from_version=have, ops_wire=tuple(missing),
+            from_version=have, ops_wire=missing,
             stamp=self.current_stamp()), size_bytes=1024 * len(missing))
 
     # -- double-checks (Section 3.3) ---------------------------------------------------

@@ -52,7 +52,7 @@ def reference_master(cluster: ClusterLike) -> MasterServer:
     """
     candidates = sorted(
         cluster.masters,
-        key=lambda m: (not m.crashed, len(m._ops_archive), m.node_id),
+        key=lambda m: (not m.crashed, len(m.history), m.node_id),
         reverse=True)
     return candidates[0]
 
@@ -61,16 +61,7 @@ def trusted_version_stores(
         cluster: ClusterLike,
         reference: MasterServer) -> dict[int, ContentStore]:
     """Replay the reference master's op archive from the initial content."""
-    stores: dict[int, ContentStore] = {}
-    current = cluster.initial_store.clone()
-    stores[0] = current.clone()
-    version = 0
-    while version in reference._ops_archive:
-        current.apply_write(
-            operation_from_wire(reference._ops_archive[version]))
-        version += 1
-        stores[version] = current.clone()
-    return stores
+    return dict(reference.history.replay(cluster.initial_store))
 
 
 @dataclass
@@ -138,7 +129,7 @@ def consistency_window_violations(
     time.  ``slack`` absorbs clock noise (1e-9 in the simulator; an
     event loop under load needs tens of milliseconds).
     """
-    commit_times = (reference or reference_master(cluster)).commit_times
+    commit_times = (reference or reference_master(cluster)).history.times
     bound = cluster.config.effective_client_max_latency()
     violations: list[dict[str, Any]] = []
     for client in cluster.clients:

@@ -16,9 +16,8 @@ import random
 
 from repro.core.directory import DirectoryServer
 from repro.crypto.certificates import Certificate
-from repro.crypto.hashing import sha1_hex
 from repro.crypto.keys import KeyPair
-from repro.crypto.signatures import PublicKey, new_signer
+from repro.crypto.signatures import PublicKey, key_fingerprint, new_signer
 from repro.shard.map import ShardMap
 
 
@@ -40,10 +39,7 @@ class ContentOwner:
         return self.keys.public_key
 
     def content_key_fingerprint(self) -> str:
-        fingerprint = getattr(self.content_public_key, "fingerprint", None)
-        if callable(fingerprint):
-            return fingerprint()
-        return sha1_hex(repr(self.content_public_key))
+        return key_fingerprint(self.content_public_key)
 
     def certify_master(self, master_id: str, address: str,
                        master_public_key: PublicKey, now: float = 0.0) -> Certificate:

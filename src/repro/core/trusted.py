@@ -14,7 +14,7 @@ here:
 
 from __future__ import annotations
 
-from collections import OrderedDict
+from collections import deque
 from dataclasses import dataclass
 from typing import Any, Callable
 
@@ -22,6 +22,7 @@ from repro.broadcast.totalorder import BroadcastEnvelope, TotalOrderBroadcast
 from repro.content.queries import operation_from_wire
 from repro.content.store import ContentStore
 from repro.core.config import ProtocolConfig
+from repro.core.history import History
 from repro.core.messages import (
     BcastElectAuditor,
     BcastExcludeSlave,
@@ -35,7 +36,7 @@ from repro.crypto.keys import KeyPair
 from repro.crypto.signatures import new_signer
 from repro.metrics import MetricsRegistry
 from repro.sim.network import Network, Node
-from repro.sim.simulator import Simulator
+from repro.sim.simulator import EventHandle, Simulator
 
 
 @dataclass(frozen=True)
@@ -108,16 +109,14 @@ class TrustedServer(Node):
             rsa_bits=config.rsa_bits), metrics=metrics)
         self.store = store
         self.version = 0
-        #: version -> store snapshot, bounded to ``version_history_depth``.
-        self.version_history: OrderedDict[int, ContentStore] = OrderedDict()
-        self.version_history[0] = store.clone()
-        #: version v -> wire op whose commit moved v -> v+1 (for resyncs;
-        #: pruned to ``ops_log_depth``).
-        self.ops_log: dict[int, Any] = {}
-        #: Unpruned op archive, used only by the offline measurement
-        #: oracle (never consulted by protocol code).
-        self._ops_archive: dict[int, Any] = {}
-        self.commit_times: dict[int, float] = {0: 0.0}
+        #: Every version committed so far: ops, commit times and the
+        #: ``version_history_depth`` newest snapshots.
+        self.history = History(store, config.version_history_depth)
+        #: Delivered writes waiting for their due time, in delivery
+        #: order: (due_at, payload).  A queue drained by one timer, not a
+        #: timer per write: a crash loses the timer, never the queue.
+        self._apply_queue: deque[tuple[float, BcastWrite]] = deque()
+        self._drain_timer: EventHandle | None = None
         #: The elected auditor set (empty until the election delivers).
         self.auditor_ids: tuple[str, ...] = ()
         #: slave -> owning master, systemwide (from slave-list broadcasts).
@@ -151,6 +150,11 @@ class TrustedServer(Node):
 
     def on_recover(self) -> None:
         self.broadcast.announce_recovery()
+        # The drain timer was inert while we were down (or is still
+        # pending): replace it.  Writes that fell due meanwhile commit now.
+        if self._drain_timer is not None:
+            self._drain_timer.cancel()
+        self._drain(timer_gone=True)
 
     # -- message routing ----------------------------------------------------
 
@@ -194,6 +198,37 @@ class TrustedServer(Node):
             )
 
     def deliver_write(self, seq: int, origin: str, payload: BcastWrite) -> None:
+        raise NotImplementedError  # decide when it is due, then _defer
+
+    # -- from delivery to version ------------------------------------------
+
+    def _defer(self, due_at: float, payload: BcastWrite) -> None:
+        """Apply ``payload`` at ``due_at``, behind all delivered before it."""
+        self._apply_queue.append((due_at, payload))
+        self._arm_drain()
+
+    def _drain(self, timer_gone: bool = False) -> None:
+        """Apply the queued writes whose time has come, in delivery order,
+        and keep one timer armed for the next.  ``timer_gone``: the armed
+        timer is the caller (it fired) or was cancelled by it."""
+        if timer_gone:
+            self._drain_timer = None
+        # The head is held against the clock even when its own timer
+        # fired: an event loop may fire a handle one clock resolution
+        # early, and then this re-arms for the remainder.
+        queue = self._apply_queue
+        while queue and queue[0][0] <= self.now:
+            self._apply_write(queue.popleft()[1])
+        self._arm_drain()
+
+    def _arm_drain(self) -> None:
+        if self._apply_queue and self._drain_timer is None:
+            self._drain_timer = self.after(
+                max(0.0, self._apply_queue[0][0] - self.now),
+                self._drain, True)
+
+    def _apply_write(self, payload: BcastWrite) -> None:
+        """Role-specific commit of one due write (ends in ``commit_op``)."""
         raise NotImplementedError
 
     def deliver_auditor_election(self, payload: BcastElectAuditor) -> None:
@@ -235,24 +270,13 @@ class TrustedServer(Node):
 
     def commit_op(self, op_wire: Any) -> None:
         """Apply a committed write locally and archive the snapshot."""
-        op = operation_from_wire(op_wire)
-        self.store.apply_write(op)
-        self.ops_log[self.version] = op_wire
-        self._ops_archive[self.version] = op_wire
+        self.store.apply_write(operation_from_wire(op_wire))
         self.version += 1
-        self.commit_times[self.version] = self.now
-        self.version_history[self.version] = self.store.clone()
-        while len(self.version_history) > self.config.version_history_depth:
-            self.version_history.popitem(last=False)
-        # Prune the incremental-resync log; slaves further behind than
-        # this receive a full snapshot instead (see master._handle_resync).
-        floor = self.version - self.config.ops_log_depth
-        for old in [v for v in self.ops_log if v < floor]:
-            del self.ops_log[old]
+        self.history.commit(self.version, op_wire, self.store, self.now)
 
     def store_at(self, version: int) -> ContentStore | None:
         """Historical snapshot, or None if outside the retained window."""
-        return self.version_history.get(version)
+        return self.history.store_at(version)
 
     def execution_time(self, cost_units: float) -> float:
         """Simulated compute time for executing a query of given cost."""

@@ -164,6 +164,12 @@ class HMACSigner:
 PublicKey = Union[_rsa.RSAPublicKey, HMACPublicKey]
 
 
+def key_fingerprint(public_key: PublicKey) -> str:
+    """The one fingerprint directory listings, shard-map namespaces,
+    client lookups and admission principals are keyed by."""
+    return public_key.fingerprint()
+
+
 def _hmac_verify(public_key: HMACPublicKey, message: bytes,
                  signature: object) -> bool:
     if not isinstance(signature, (bytes, bytearray)):

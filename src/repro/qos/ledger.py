@@ -17,19 +17,8 @@ tokens.
 
 from __future__ import annotations
 
-from repro.crypto.hashing import sha1_hex
-from repro.crypto.signatures import PublicKey
+from repro.crypto.signatures import PublicKey, key_fingerprint
 from repro.qos.tokens import AdmissionPolicy, ClientAdmission
-
-
-def key_fingerprint(public_key: PublicKey) -> str:
-    """A stable fingerprint for any public-key type."""
-    fingerprint = getattr(public_key, "fingerprint", None)
-    if callable(fingerprint):
-        result = fingerprint()
-        assert isinstance(result, str)
-        return result
-    return sha1_hex(repr(public_key))
 
 
 class AdmissionLedger:
@@ -80,4 +69,4 @@ class AdmissionLedger:
         return dict(self._accounts)
 
 
-__all__ = ["AdmissionLedger", "key_fingerprint"]
+__all__ = ["AdmissionLedger"]

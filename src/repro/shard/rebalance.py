@@ -8,11 +8,11 @@ machinery end to end:
 1. **freeze** -- crash the old cast and replace each tenant slot with a
    :class:`RetiredTenant` stub that answers every request with
    :class:`~repro.shard.wire.WrongShard` (the client-visible redirect);
-2. **snapshot** -- capture the reference master's committed history
-   (op archive, log, commit times) at its frozen version;
+2. **snapshot** -- pick the reference master, whose committed
+   :class:`~repro.core.history.History` is frozen with it;
 3. **certify** -- build the next generation's masters/auditors/slaves
    (new tenant ids, new keys), seed the trusted members by replaying
-   the snapshot archive, withdraw the old certificates and publish the
+   that history, withdraw the old certificates and publish the
    new ones under the same shard fingerprint;
 4. **republish** -- sign and publish the next shard-map epoch;
 5. **resync** -- start the new cast; the new slaves begin *empty* and
@@ -30,13 +30,8 @@ unavailability window is measurable from the trace alone.
 
 from __future__ import annotations
 
-from collections import OrderedDict
 from typing import Any
 
-from repro.content.queries import operation_from_wire
-from repro.content.store import ContentStore
-from repro.core.config import ProtocolConfig
-from repro.core.trusted import TrustedServer
 from repro.obs.spans import ObsRuntime, Span
 from repro.shard.deploy import ShardState, ShardedCluster
 from repro.shard.wire import WrongShard
@@ -66,49 +61,6 @@ class RetiredTenant(Node):
         self.redirects_sent += 1
         self.send(src_id, WrongShard(shard_id=self.shard_id,
                                      epoch=self.epoch))
-
-
-class _TrustedSnapshot:
-    """The reference master's committed history at the freeze point."""
-
-    __slots__ = ("version", "archive", "ops_log", "commit_times")
-
-    def __init__(self, reference: TrustedServer) -> None:
-        self.version = reference.version
-        self.archive = dict(reference._ops_archive)
-        self.ops_log = dict(reference.ops_log)
-        self.commit_times = dict(reference.commit_times)
-
-
-def _seed_trusted(server: TrustedServer, initial_store: ContentStore,
-                  snapshot: _TrustedSnapshot,
-                  config: ProtocolConfig) -> None:
-    """Install the snapshot into a fresh trusted member by replay.
-
-    Replaying the archive from the initial content (rather than copying
-    the frozen store object) keeps the invariant the safety oracle
-    relies on: every version in a trusted member's history is the
-    deterministic result of its own op archive.
-    """
-    current = initial_store.clone()
-    history: "OrderedDict[int, ContentStore]" = OrderedDict()
-    history[0] = current.clone()
-    for version in range(snapshot.version):
-        op_wire = snapshot.archive.get(version)
-        if op_wire is None:
-            raise RebalanceError(
-                f"snapshot archive is missing version {version}; "
-                f"cannot seed {server.node_id}")
-        current.apply_write(operation_from_wire(op_wire))
-        history[version + 1] = current.clone()
-    while len(history) > config.version_history_depth:
-        history.popitem(last=False)
-    server.store = current
-    server.version = snapshot.version
-    server.version_history = history
-    server.ops_log = dict(snapshot.ops_log)
-    server._ops_archive = dict(snapshot.archive)
-    server.commit_times = dict(snapshot.commit_times)
 
 
 class Rebalancer:
@@ -178,20 +130,24 @@ class Rebalancer:
 
         span = self._begin("rebalance.snapshot", root)
         reference = max(state.masters,
-                        key=lambda m: (len(m._ops_archive), m.node_id))
-        snapshot = _TrustedSnapshot(reference)
+                        key=lambda m: (len(m.history), m.node_id))
+        snapshot_version = reference.version
         self._end(span, reference=reference.node_id,
-                  version=snapshot.version)
-        report["snapshot_version"] = snapshot.version
+                  version=snapshot_version)
+        report["snapshot_version"] = snapshot_version
 
         span = self._begin("rebalance.certify", root)
         for master in state.masters:
             cluster.directory.withdraw(state.fingerprint, master.node_id)
         new_state = cluster.build_shard(shard_id, new_generation)
         new_state.clients = state.clients
+        # Seeded by replay rather than by copying the frozen store: every
+        # version a trusted member remembers stays the deterministic
+        # result of its own ops, which the safety oracle relies on.
         for server in [*new_state.masters, *new_state.auditors]:
-            _seed_trusted(server, cluster.initial_store, snapshot,
-                          cluster.config)
+            server.history, server.store = reference.history.replayed(
+                cluster.initial_store, snapshot_version)
+            server.version = snapshot_version
         self._end(span, masters=len(new_state.masters))
 
         span = self._begin("rebalance.republish", root)
@@ -214,7 +170,7 @@ class Rebalancer:
         span = self._begin("rebalance.resync", root)
         new_state.start_servers()
         waited = await cluster.wait_for(
-            lambda: all(slave.version >= snapshot.version
+            lambda: all(slave.version >= snapshot_version
                         for slave in new_state.slaves),
             timeout=resync_timeout,
             what=f"shard {shard_id} generation-{new_generation} "

@@ -196,7 +196,7 @@ class TestBatchEqualsSubmissions:
             return schedule(delay, callback, *args)
 
         system.simulator.schedule = counting  # type: ignore[method-assign]
-        auditor._advance_version(BcastWrite(
+        auditor._apply_write(BcastWrite(
             origin_master="master-00", client_id="client-00",
             request_id="w", op_wire=KVPut(key="x", value=1).to_wire()))
         del system.simulator.schedule

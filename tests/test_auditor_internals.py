@@ -1,4 +1,4 @@
-"""Unit tests for auditor internals: apply queue, loop epochs, sparkline."""
+"""Unit tests for auditor internals: apply queue, drain timer, sparkline."""
 
 from __future__ import annotations
 
@@ -46,11 +46,13 @@ class TestApplyQueue:
             double_check_probability=0.0))
         system.start()
         auditor = system.auditor
-        # Simulate spurious extra loop start with a stale epoch: it must
-        # exit immediately rather than double-schedule.
-        stale_epoch = auditor._loop_epoch - 1
+        system.clients[0].submit_write(KVPut(key="x", value=1))
+        system.run_for(1.0)
+        assert auditor._apply_queue
+        # A spurious extra drain (there is no epoch any more: the one
+        # armed timer is the guard) must not double-schedule.
         before = system.simulator.pending_events()
-        auditor._advance_loop(stale_epoch)
+        auditor._drain()
         assert system.simulator.pending_events() == before
 
     def test_recovery_restarts_drain(self):

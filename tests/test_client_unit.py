@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import dataclasses
 import math
 
 import pytest
@@ -111,3 +112,34 @@ class TestLastResult:
         client.submit_read(KVGet(key="k003"))
         system.run_for(5.0)
         assert client.last_result == {"found": True, "value": 3}
+
+
+class TestSlaveCertificateCheck:
+    """Setup and mid-run reassignment share one certificate check."""
+
+    @pytest.mark.parametrize("entry", ["_handle_assignment",
+                                       "_install_assignment"])
+    def test_unvouched_certificates_are_counted_not_adopted(self, entry):
+        from repro.core.messages import SlaveAssignment
+        from repro.crypto.certificates import Certificate
+
+        system = make_system()
+        system.start()
+        system.run_for(5.0)
+        client = system.clients[0]
+        assert client.ready
+        assigned = client.assigned_slaves
+        master, slave = system.masters[0], system.slaves[0]
+        stranger = system.clients[1].keys
+        unknown_issuer = Certificate.issue(
+            stranger, "slave-x", "x:1", slave.keys.public_key, issued_at=0.0)
+        good = master.slave_certs[master.slaves[0]]
+        forged = dataclasses.replace(good, subject_id="slave-y")
+        getattr(client, entry)(SlaveAssignment(
+            slave_certificates=(unknown_issuer, forged),
+            auditor_id=client.auditor_id))
+        assert system.metrics.count("client_bad_slave_certs") == 2
+        assert "slave-x" not in client.slave_certs
+        assert "slave-y" not in client.slave_certs
+        if entry == "_install_assignment":
+            assert client.assigned_slaves == assigned

@@ -12,15 +12,16 @@ properties that make that optimisation invisible to the protocol:
 * :class:`~repro.chaos.ChaosConnectionPool` fault fates stay
   deterministic per (seed, link, frame-index) even though the base pool
   now drains in batches;
-* the throughput the batching work bought (quick-mode
-  ``bench_net_roundtrip`` smoke, judged against the same run's echo
-  round trip) cannot silently regress.
+* the throughput the batching work bought (a 60-read cluster run
+  judged against the same run's echo round trip) cannot silently
+  regress.
 """
 
 from __future__ import annotations
 
 import asyncio
 import random
+import time
 
 import pytest
 from hypothesis import given, settings
@@ -28,14 +29,25 @@ from hypothesis import strategies as st
 
 import repro.core.messages as m
 from repro.chaos.faults import ChaosConnectionPool, FaultPlane, LinkFaults
+from repro.content.kvstore import KVGet, KVPut
 from repro.crypto.hashing import sha1_hex
 from repro.crypto.keys import KeyPair
 from repro.crypto.signatures import new_signer, verify_signature
 from repro.metrics import MetricsRegistry
 from repro.net import codec
+from repro.net.deploy import (
+    LocalCluster,
+    NetDeploymentSpec,
+    fast_protocol_config,
+)
 from repro.net.peers import PeerDirectory
 from repro.net.server import NodeServer, RealtimeScheduler, SocketNetwork
-from repro.net.transport import ConnectionPool, RetryPolicy
+from repro.net.transport import (
+    ConnectionPool,
+    RetryPolicy,
+    read_frame,
+    write_frame,
+)
 from repro.sim.network import Node
 
 from tests.test_net_codec import EXAMPLES
@@ -280,14 +292,74 @@ class TestChaosDeterminismWithPipelining:
         run(scenario())
 
 
-# -- throughput bound (quick-mode bench smoke) ---------------------------
+# -- throughput bound ------------------------------------------------------
+
+
+def echo_round_trips_per_s(round_trips: int) -> float:
+    """Framed request/response round trips per second against a
+    localhost echo server: the transport floor, no protocol."""
+    message = EXAMPLES[m.ReadReply]
+
+    async def scenario() -> float:
+        async def echo(reader, writer):
+            try:
+                while True:
+                    value, _size = await read_frame(reader, timeout=10.0)
+                    await write_frame(writer, value, timeout=10.0)
+            except (ConnectionError, asyncio.TimeoutError,
+                    asyncio.CancelledError):
+                pass
+            finally:
+                writer.transport.abort()
+
+        server = await asyncio.start_server(echo, "127.0.0.1", 0)
+        host, port = server.sockets[0].getsockname()[:2]
+        reader, writer = await asyncio.open_connection(host, port)
+        t0 = time.perf_counter()
+        for _ in range(round_trips):
+            await write_frame(writer, message, timeout=10.0)
+            await read_frame(reader, timeout=10.0)
+        elapsed = time.perf_counter() - t0
+        writer.close()
+        server.close()
+        await server.wait_closed()
+        return round_trips / elapsed
+
+    return run(scenario())
+
+
+def cluster_reads_per_s(reads: int) -> float:
+    """Pledge-verified, accepted reads per second at depth 1 against a
+    1 master x 1 slave socket cluster."""
+
+    async def scenario() -> float:
+        config = fast_protocol_config(double_check_probability=0.0)
+        spec = NetDeploymentSpec(num_masters=1, slaves_per_master=1,
+                                 num_clients=1, seed=0, protocol=config)
+        cluster = await LocalCluster.launch(spec, settle=0.6)
+        try:
+            client = cluster.clients[0]
+            await cluster.write(client, KVPut(key="bench", value="v"))
+            await asyncio.sleep(config.max_latency
+                                + config.keepalive_interval)
+            t0 = time.perf_counter()
+            for _ in range(reads):
+                reply = await cluster.read(client, KVGet(key="bench"))
+                assert reply["status"] == "accepted"
+            elapsed = time.perf_counter() - t0
+            assert cluster.metrics.snapshot()["reads_accepted"] >= reads
+            return reads / elapsed
+        finally:
+            await cluster.aclose()
+
+    return run(scenario())
 
 
 @pytest.mark.net
 class TestThroughputFloor:
     def test_cluster_reads_floor(self):
-        """Quick bench_net_roundtrip smoke: a future PR that reopens the
-        sim-vs-TCP gap fails here, not in a nightly benchmark.
+        """A future PR that reopens the sim-vs-TCP gap fails here, not
+        in a nightly benchmark.
 
         Judged against the machine it runs on: the same test times the
         framed echo round trip (``write_frame``/``read_frame`` both
@@ -302,17 +374,11 @@ class TestThroughputFloor:
         ~1.9k reads/s measured where it was written, so the bound keeps
         that headroom: 2.7 x 4.5 = 12 echo round trips.
         """
-        from benchmarks.bench_net_roundtrip import (
-            cluster_read_rate,
-            frame_rtt_rate,
-        )
-
-        echo_per_s = frame_rtt_rate(round_trips=300)
-        result = cluster_read_rate(reads=60)
-        assert result["accepted"] >= 60
-        echo_rtts_per_read = echo_per_s / result["reads_per_s"]
+        echo_per_s = echo_round_trips_per_s(round_trips=300)
+        reads_per_s = cluster_reads_per_s(reads=60)
+        echo_rtts_per_read = echo_per_s / reads_per_s
         assert echo_rtts_per_read <= 12.0, (
             f"socket hot path regressed: a read costs "
             f"{echo_rtts_per_read:.1f} echo round trips "
-            f"({result['reads_per_s']:.0f} reads/s against "
+            f"({reads_per_s:.0f} reads/s against "
             f"{echo_per_s:.0f} echo round trips/s)")

@@ -25,6 +25,7 @@ import asyncio
 import pytest
 
 from repro.content.kvstore import KVGet, KVPut, KeyValueStore
+from repro.chaos.invariants import run_safety_checks
 from repro.core.adversary import AlwaysLie, BrokenSignature
 from repro.core.messages import AuditBatch
 from repro.core.oracle import classify_accepted_reads
@@ -287,6 +288,50 @@ class TestSlaveCrash:
                     reply = await cluster.read(client, KVGet(key="k"))
                     assert reply["status"] == "accepted"
                 assert slave.messages_sent >= sent + 4
+                assert cluster.handler_errors() == []
+            finally:
+                await cluster.aclose()
+
+        run(scenario())
+
+
+class TestMasterCrash:
+    def test_master_down_when_a_spaced_commit_falls_due_still_commits(self):
+        """Two masters take a write at once, so the second commits
+        ``max_latency`` (0.8 s) after the first; the third master is
+        crashed inside that window and restarted after it.  The write
+        was delivered to it, the broadcast never redelivers it, and it
+        used to stay one version behind for good."""
+        async def scenario():
+            spec = NetDeploymentSpec(
+                num_masters=3, slaves_per_master=1, num_clients=3, seed=11,
+                protocol=fast_protocol_config(double_check_probability=0.0))
+            cluster = await LocalCluster.launch(spec, settle=0.6)
+            try:
+                home = {c.master_id: c for c in cluster.clients}
+                victim = cluster.masters[2]
+                assert {"master-00", "master-01"} <= set(home)
+                writes = asyncio.gather(
+                    cluster.write(home["master-00"], KVPut(key="a", value=1)),
+                    cluster.write(home["master-01"], KVPut(key="b", value=2)))
+                await cluster.wait_for(
+                    lambda: victim.version == 1
+                    and len(victim._write_states) == 2, 5.0,
+                    what="one write committed, the other delivered")
+                await cluster.crash_node(victim.node_id)
+                await asyncio.sleep(1.0)
+                assert victim.version == 1
+                await cluster.restart_node(victim.node_id)
+                assert all(o["status"] == "committed" for o in await writes)
+                await cluster.wait_for(
+                    lambda: all(m.version == 2 for m in cluster.masters[:2])
+                    and cluster.masters[2].broadcast.is_caught_up(), 10.0,
+                    what="survivors at version 2, victim repaired")
+                await asyncio.sleep(0.3)
+                failed = [check.to_json()
+                          for check in run_safety_checks(cluster)
+                          if not check.passed]
+                assert failed == []
                 assert cluster.handler_errors() == []
             finally:
                 await cluster.aclose()

@@ -118,7 +118,7 @@ class TestTracedRuns:
             drive(system)
             system.run_for(30.0)
             return (system.masters[0].version,
-                    dict(system.masters[0]._ops_archive))
+                    list(system.masters[0].history.ops))
 
         assert history(False) == history(True)
 

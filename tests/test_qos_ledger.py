@@ -15,8 +15,8 @@ import random
 import pytest
 
 from repro.crypto.keys import KeyPair
-from repro.crypto.signatures import HMACSigner
-from repro.qos.ledger import AdmissionLedger, key_fingerprint
+from repro.crypto.signatures import HMACSigner, key_fingerprint
+from repro.qos.ledger import AdmissionLedger
 from repro.qos.tokens import AdmissionPolicy
 
 

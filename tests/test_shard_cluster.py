@@ -156,8 +156,11 @@ class TestRebalance:
 
     def test_writes_survive_move_and_safety_holds(self):
         async def scenario():
-            cluster = await ShardedCluster.launch(shard_spec(),
-                                                  settle=0.8)
+            # More commits (3) than retained snapshots (2), so the move
+            # also has to reproduce the history window's edge.
+            spec = shard_spec(protocol=fast_protocol_config(
+                double_check_probability=0.0, version_history_depth=2))
+            cluster = await ShardedCluster.launch(spec, settle=0.8)
             try:
                 router = cluster.routers[0]
                 key = "k-0"
@@ -166,7 +169,20 @@ class TestRebalance:
                     reply = await cluster.write(
                         router, KVPut(key=key, value=i))
                     assert reply["status"] == "committed"
+                never_moved = max(
+                    cluster.shards[moved].masters,
+                    key=lambda m: (m.version, m.node_id)).history
                 await Rebalancer(cluster).move_shard(moved)
+                new_state = cluster.shards[moved]
+                for server in [*new_state.masters, *new_state.auditors]:
+                    seeded = server.history
+                    assert seeded is not never_moved
+                    assert seeded.ops == never_moved.ops
+                    assert seeded.times == never_moved.times
+                    assert seeded.store_at(1) is None
+                    for version in (2, 3):
+                        assert seeded.store_at(version).state_digest() == \
+                            never_moved.store_at(version).state_digest()
                 # The moved shard's history survived: a post-move read
                 # returns the last pre-move value, and further writes
                 # extend the same version sequence.

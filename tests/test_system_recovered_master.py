@@ -6,10 +6,13 @@ that window it must not (a) sign keep-alive stamps, (b) answer
 double-checks / sensitive reads, or (c) resync slaves -- each would put a
 trusted signature on stale state and breach the max_latency window.  It
 must also replay missed commits immediately rather than pacing them
-``max_latency`` apart.
+``max_latency`` apart, and commit on recovery every write that was
+delivered to it but fell due while it was down.
 """
 
 from __future__ import annotations
+
+import pytest
 
 from repro.content.kvstore import KVGet, KVPut
 from repro.core.config import ProtocolConfig
@@ -96,6 +99,56 @@ class TestRecoveredMaster:
         for i in range(4):
             system.clients[0].submit_write(KVPut(key=f"x{i}", value=i))
         system.run_for(40.0)
-        times = sorted(system.masters[0].commit_times.values())[1:]
+        times = sorted(system.masters[0].history.times.values())[1:]
         gaps = [b - a for a, b in zip(times, times[1:])]
         assert all(gap >= 3.0 - 1e-9 for gap in gaps)
+
+
+class TestCommitDueWhileDown:
+    """A write delivered to a master is committed by it, whenever it is
+    crashed in between.
+
+    Two masters take a write at the same instant, so the second commit
+    is spaced ``max_latency`` after the first.  Delivery marks it
+    committed everywhere and the broadcast never redelivers it; a
+    master that is down when it falls due (the middle case) used to
+    lose it for good and then vouch for the older state.
+    """
+
+    @pytest.mark.parametrize("crash_after", [
+        -0.5,  # before delivery: catch-up replays both writes
+        1.5,   # between delivery and due time: the queue holds it
+        4.0,   # after both commits
+    ])
+    def test_masters_converge_and_vouch_for_the_write(self, crash_after):
+        system = make_system(
+            num_masters=3, num_clients=6,
+            protocol=ProtocolConfig(max_latency=3.0, keepalive_interval=0.8,
+                                    double_check_probability=1.0,
+                                    slave_list_broadcast_interval=4.0))
+        system.start()
+        system.run_for(5.0)
+        home = {}
+        for client in system.clients:
+            home.setdefault(client.master_id, client)
+        victim = system.masters[2]
+        system.failures.crash_for(victim, system.now + 0.5 + crash_after,
+                                  8.0)
+        system.run_for(0.5)
+        home["master-00"].submit_write(KVPut(key="a", value=1))
+        home["master-01"].submit_write(KVPut(key="b", value=2))
+        system.run_for(20.0)
+        home["master-00"].submit_write(KVPut(key="c", value=3))
+        system.run_for(60.0)
+        assert [m.version for m in system.masters] == [3, 3, 3]
+        assert len({m.store.state_digest() for m in system.masters}) == 1
+        # A client homed on the victim asks it to vouch for ``b``.
+        reader = home[victim.node_id]
+        results = []
+        reader.submit_read(KVGet(key="b"), callback=results.append)
+        reader.submit_read(KVGet(key="b"), level="sensitive",
+                           callback=results.append)
+        system.run_for(20.0)
+        assert [r["result"] for r in results] == \
+            [{"found": True, "value": 2}] * 2
+        assert system.classify_accepted_reads()["accepted_wrong"] == 0

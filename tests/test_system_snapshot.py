@@ -112,7 +112,11 @@ class TestSnapshotTransfer:
             system.clients[0].submit_write(KVPut(key=f"w{i}", value=i))
         system.run_for(40.0)
         master = system.masters[0]
-        assert len(master.ops_log) <= 3 + 1
+        # ops_log_depth = 3: older ops are no longer served incrementally.
+        assert master.version == 8
+        depth = master.config.ops_log_depth
+        assert len(master.history.ops_between(8 - depth, 8, depth)) == depth
+        assert master.history.ops_between(8 - depth - 1, 8, depth) is None
         # The measurement oracle still reconstructs all versions.
         stores = system.trusted_version_stores()
         assert sorted(stores) == list(range(9))

@@ -17,7 +17,7 @@ class TestWriteSpacing:
         for i in range(5):
             system.clients[i % 4].submit_write(KVPut(key=f"w{i}", value=i))
         system.run_for(120.0)
-        commit_times = sorted(system.masters[0].commit_times.values())[1:]
+        commit_times = sorted(system.masters[0].history.times.values())[1:]
         gaps = [b - a for a, b in zip(commit_times, commit_times[1:])]
         assert len(commit_times) == 5
         assert all(gap >= 3.0 - 1e-9 for gap in gaps)
@@ -51,7 +51,7 @@ class TestWriteSpacing:
         for i in range(3):
             system.clients[0].submit_write(KVPut(key=f"w{i}", value=i))
         system.run_for(60.0)
-        times = system.masters[0].commit_times
+        times = system.masters[0].history.times
         assert sorted(times) == list(range(len(times)))
         ordered = [times[v] for v in sorted(times)]
         assert ordered == sorted(ordered)
@@ -106,7 +106,7 @@ class TestWriteVisibility:
         system.clients[0].submit_write(KVPut(key="visible", value=42),
                                        callback=done.append)
         system.run_for(20.0)
-        commit_at = system.masters[0].commit_times[1]
+        commit_at = system.masters[0].history.times[1]
         assert done[0]["status"] == "committed"
         # Read strictly after commit + max_latency must see the write.
         assert system.now > commit_at + config.max_latency

@@ -1,4 +1,5 @@
-"""Unit tests for trusted-server internals: WorkQueue, version history."""
+"""Unit tests for trusted-server internals: WorkQueue, version history,
+the deferred-apply queue."""
 
 from __future__ import annotations
 
@@ -6,6 +7,7 @@ import pytest
 
 from repro.content.kvstore import KVGet, KVPut, KeyValueStore
 from repro.core.config import ProtocolConfig
+from repro.core.messages import BcastWrite
 from repro.core.trusted import TrustedServer, WorkQueue
 from repro.metrics import MetricsRegistry
 from repro.sim.network import Network, Node
@@ -77,6 +79,9 @@ class _BareTrusted(TrustedServer):
     def deliver_write(self, seq, origin, payload):
         pass
 
+    def _apply_write(self, payload):
+        self.commit_op(payload.op_wire)
+
 
 @pytest.fixture
 def trusted():
@@ -110,12 +115,12 @@ class TestVersionHistory:
     def test_ops_log_complete(self, trusted):
         for i in range(4):
             trusted.commit_op(KVPut(key=f"k{i}", value=i).to_wire())
-        assert sorted(trusted.ops_log) == [0, 1, 2, 3]
+        assert len(trusted.history.ops) == len(trusted.history) == 4
 
     def test_commit_times_recorded(self, trusted):
         trusted.simulator.run_until(5.0)
         trusted.commit_op(KVPut(key="x", value=1).to_wire())
-        assert trusted.commit_times[1] == 5.0
+        assert trusted.history.times[1] == 5.0
 
     def test_snapshots_are_independent(self, trusted):
         trusted.commit_op(KVPut(key="x", value=1).to_wire())
@@ -133,3 +138,62 @@ class TestVersionHistory:
     def test_execution_time_scales_with_cost(self, trusted):
         assert trusted.execution_time(10.0) == \
             pytest.approx(10 * trusted.config.service_time_per_unit)
+
+
+def _write(i):
+    return BcastWrite(origin_master="master-00", client_id="c",
+                      request_id=f"w{i}",
+                      op_wire=KVPut(key=f"k{i}", value=i).to_wire())
+
+
+class TestDeferredApply:
+    """One queue, one timer: the path from delivery to a version."""
+
+    def test_one_timer_however_many_are_queued(self, trusted):
+        sim = trusted.simulator
+        idle = sim.pending_events()
+        for i in range(5):
+            trusted._defer(10.0 + i, _write(i))
+        assert sim.pending_events() == idle + 1
+        trusted._drain()  # spurious: nothing due, a timer already armed
+        assert sim.pending_events() == idle + 1
+        assert trusted.version == 0
+        sim.run_until(12.5)
+        assert trusted.version == 3
+        assert sim.pending_events() == idle + 1  # re-armed for the head
+        sim.run_until(20.0)
+        assert trusted.version == 5
+        assert sim.pending_events() == idle
+
+    def test_delivery_order_outranks_due_time(self, trusted):
+        # A catch-up replay is due "now" but was delivered second.
+        trusted._defer(5.0, _write(0))
+        trusted._defer(0.0, _write(1))
+        trusted.simulator.run_until(4.0)
+        assert trusted.version == 0
+        trusted.simulator.run_until(5.0)
+        assert trusted.history.ops == [_write(0).op_wire, _write(1).op_wire]
+
+    def test_timer_that_fires_early_rearms(self, trusted):
+        # An event loop may fire a handle one clock resolution early.
+        trusted._defer(5.0, _write(0))
+        trusted.simulator.run_until(4.999)
+        trusted._drain_timer.cancel()
+        trusted._drain(timer_gone=True)
+        assert trusted.version == 0
+        trusted.simulator.run_until(5.0)
+        assert trusted.version == 1
+
+    @pytest.mark.parametrize("down_for", [2.0, 20.0])
+    def test_crash_loses_the_timer_not_the_queue(self, trusted, down_for):
+        sim = trusted.simulator
+        trusted._defer(5.0, _write(0))
+        trusted._defer(6.0, _write(1))
+        sim.run_until(1.0)
+        trusted.crash()
+        sim.run_until(1.0 + down_for)
+        assert trusted.version == 0
+        trusted.recover()
+        sim.run_until(max(sim.now, 6.0))
+        assert trusted.version == 2
+        assert not trusted._apply_queue
