@@ -8,8 +8,11 @@ replays both.  The interface therefore exposes:
   execution, returning a *cost* in abstract work units alongside the
   result.  Costs drive simulated service times, which is how experiments
   E4/E5 model a slave or auditor saturating.
-* :meth:`clone` -- an independent deep copy, used to seed new replicas and
-  to give the (deliberately lagging) auditor its own copy of history.
+* :meth:`clone` -- an independent deep copy, used to seed new replicas
+  and to install a state transfer.
+* :meth:`snapshot` -- a frozen, read-only view of the store as it
+  stands: what a trusted server retains per committed version, so that
+  a pledge can be checked *at its pledged version*.
 * :meth:`state_digest` -- a canonical hash of the full state, used by
   tests and by masters to assert replica convergence after broadcasts.
 """
@@ -72,6 +75,17 @@ class ContentStore(ABC):
     @abstractmethod
     def clone(self) -> "ContentStore":
         """Deep, independent copy of the current state."""
+
+    def snapshot(self) -> "ContentStore":
+        """The store as it stands, frozen: later writes to this store
+        never show through, and every read, ``state_items`` and
+        ``snapshot_wire`` answers (result *and* cost) as a ``clone()``
+        taken now would.  Not for writing -- ``clone()`` it for that.
+
+        The fallback is a clone; an engine that can do better overrides
+        (:class:`~repro.content.kvstore.KeyValueStore`: O(1)).
+        """
+        return self.clone()
 
     @abstractmethod
     def state_items(self) -> Any:

@@ -4,14 +4,15 @@ hand-off), each version's commit time (write spacing, the
 ``max_latency`` window check) and the ``depth`` newest snapshots
 (checking a pledge *at its pledged version*).
 
-The representation is one clone per commit; nothing outside this
-module knows.  Time is an argument (``now``), never read here.
+A retained version is the store's own ``snapshot()`` -- for the
+key-value engine a delta, not a copy, so a commit does no work in the
+size of the store; nothing outside this module knows.  Time is an
+argument (``now``), never read here.
 """
 
 from __future__ import annotations
 
 from collections import OrderedDict
-from itertools import islice
 from typing import Any, Iterator
 
 from repro.content.queries import operation_from_wire
@@ -30,7 +31,7 @@ class History:
         #: version -> commit time.  Read-only outside this module.
         self.times: dict[int, float] = {0: 0.0}
         self._stores: OrderedDict[int, ContentStore] = OrderedDict()
-        self._retain(0, initial.clone())
+        self._retain(0, initial.snapshot())
 
     def __len__(self) -> int:
         return len(self.ops)  # commits recorded == newest version
@@ -49,7 +50,7 @@ class History:
                              f"at version {len(self.ops)}")
         self.ops.append(op_wire)
         self.times[version] = now
-        self._retain(version, store.clone())
+        self._retain(version, store.snapshot())
 
     def store_at(self, version: int) -> ContentStore | None:
         """Historical snapshot, or None if outside the retained window."""
@@ -65,27 +66,26 @@ class History:
 
     def replay(self, initial: ContentStore,
                ) -> Iterator[tuple[int, ContentStore]]:
-        """Every ``(version, store)`` from 0 up, rebuilt from ``initial``
-        by re-applying the ops.  Each store is the caller's to keep."""
-        current = initial.clone()
-        yield 0, current
+        """Every ``(version, snapshot)`` from 0 up, rebuilt from
+        ``initial`` by re-applying the ops to one working copy."""
+        store = initial.clone()
+        yield 0, store.snapshot()
         for version, op_wire in enumerate(self.ops, 1):
-            current = current.clone()
-            current.apply_write(operation_from_wire(op_wire))
-            yield version, current
+            store.apply_write(operation_from_wire(op_wire))
+            yield version, store.snapshot()
 
     def replayed(self, initial: ContentStore,
                  version: int) -> tuple["History", ContentStore]:
         """A new history of this one's first ``version`` commits and the
-        live store to go with it, both rebuilt by replay: whatever a
-        seeded server remembers is the result of its own ops."""
-        fresh = History(initial, self.depth)
-        fresh.ops = self.ops[:version]
-        fresh.times = {v: self.times[v] for v in range(version + 1)}
-        store = initial
-        for v, store in islice(self.replay(initial), 1, version + 1):
-            fresh._retain(v, store)
-        return fresh, store.clone()
+        live store to go with it, both rebuilt by committing those ops
+        again: whatever a seeded server remembers is the result of its
+        own ops."""
+        store = initial.clone()
+        fresh = History(store, self.depth)
+        for v, op_wire in enumerate(self.ops[:version], 1):
+            store.apply_write(operation_from_wire(op_wire))
+            fresh.commit(v, op_wire, store, self.times[v])
+        return fresh, store
 
 
 __all__ = ["History"]

@@ -378,7 +378,7 @@ class MasterServer(TrustedServer):
         if missing is None:
             self.metrics.incr("slave_snapshots_sent")
             self.send(slave_id, SlaveSnapshot(
-                store=self.store.clone(), stamp=self.current_stamp()),
+                store=self.store.snapshot(), stamp=self.current_stamp()),
                 size_bytes=64 * 1024)
             return
         self.send(slave_id, SlaveUpdate(

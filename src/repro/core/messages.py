@@ -272,7 +272,8 @@ class SlaveSnapshot:
 
     Sent when a slave is so far behind that the incremental op log no
     longer reaches its version (crash longer than ``ops_log_depth``
-    writes).  ``store`` is an independent clone at ``stamp.version``.
+    writes).  ``store`` is a frozen snapshot at ``stamp.version``; the
+    receiver installs its own ``clone()`` of it.
     """
 
     store: ContentStore

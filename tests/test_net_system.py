@@ -27,7 +27,7 @@ import pytest
 from repro.content.kvstore import KVGet, KVPut, KeyValueStore
 from repro.chaos.invariants import run_safety_checks
 from repro.core.adversary import AlwaysLie, BrokenSignature
-from repro.core.messages import AuditBatch
+from repro.core.messages import AuditBatch, SlaveSnapshot
 from repro.core.oracle import classify_accepted_reads
 from repro.net.deploy import (
     LocalCluster,
@@ -288,6 +288,70 @@ class TestSlaveCrash:
                     reply = await cluster.read(client, KVGet(key="k"))
                     assert reply["status"] == "accepted"
                 assert slave.messages_sent >= sent + 4
+                assert cluster.handler_errors() == []
+            finally:
+                await cluster.aclose()
+
+        run(scenario())
+
+
+    def test_slave_down_past_the_ops_log_installs_the_snapshot_as_sent(self):
+        """A slave that missed more than ``ops_log_depth`` writes gets a
+        full state transfer.  The transfer is held back while the master
+        commits once more: what the slave installs is the state at the
+        snapshot's stamp, and from there it converges on the master."""
+        async def scenario():
+            spec = NetDeploymentSpec(
+                num_masters=1, slaves_per_master=1, num_clients=1, seed=12,
+                protocol=fast_protocol_config(double_check_probability=0.0,
+                                              ops_log_depth=2))
+            cluster = await LocalCluster.launch(spec, settle=0.6)
+            try:
+                master, slave = cluster.masters[0], cluster.slaves[0]
+                client = cluster.clients[0]
+                await cluster.crash_node(slave.node_id)
+                for i in range(4):
+                    outcome = await cluster.write(
+                        client, KVPut(key=f"w{i}", value=i))
+                    assert outcome["status"] == "committed"
+
+                send, held = master.send, []
+
+                def hold_snapshots(dst_id, message, **kwargs):
+                    if isinstance(message, SlaveSnapshot):
+                        held.append((dst_id, message, kwargs))
+                    else:
+                        send(dst_id, message, **kwargs)
+
+                master.send = hold_snapshots
+                await cluster.restart_node(slave.node_id)
+                await cluster.wait_for(lambda: bool(held), 5.0,
+                                       what="a snapshot for the slave")
+                late = await cluster.write(client, KVPut(key="late", value=1))
+                assert late["status"] == "committed" and master.version == 5
+                assert slave.version == 0
+
+                deliver, installed = slave.on_message, []
+
+                def record_install(src_id, message):
+                    deliver(src_id, message)
+                    if isinstance(message, SlaveSnapshot):
+                        installed.append(
+                            (slave.version, slave.store.state_digest()))
+
+                slave.on_message = record_install
+                master.send = send
+                dst_id, message, kwargs = held[0]
+                send(dst_id, message, **kwargs)
+                await cluster.wait_for(
+                    lambda: slave.version == master.version, 10.0,
+                    what="the slave caught up with the master")
+                assert installed[0] == \
+                    (4, master.store_at(4).state_digest())
+                assert slave.store.state_digest() == \
+                    master.store.state_digest()
+                counters = cluster.metrics.snapshot()
+                assert counters["slave_snapshots_installed"] >= 1
                 assert cluster.handler_errors() == []
             finally:
                 await cluster.aclose()

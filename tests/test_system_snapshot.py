@@ -70,6 +70,39 @@ class TestSnapshotTransfer:
         assert outcomes and outcomes[0]["status"] == "accepted"
         assert outcomes[0]["result"] == {"found": True, "value": 5}
 
+    def test_write_committed_while_snapshot_in_flight_does_not_leak(self):
+        """The master sends a frozen view, not its live store: what the
+        slave installs is the state at the snapshot's stamp, whatever
+        the master committed before delivery."""
+        from repro.core.messages import ResyncRequest
+
+        system = make_system(protocol=tight_config())
+        system.start()
+        slave, master = system.slaves[0], system.masters[0]
+        self.isolate(system, slave)
+        for i in range(6):
+            system.clients[0].submit_write(KVPut(key=f"w{i}", value=i))
+        system.run_for(30.0)
+        in_flight = []
+        master.send = lambda dst_id, message, **kw: in_flight.append(message)
+        master._handle_resync(slave.node_id, ResyncRequest(have_version=0))
+        del master.send
+        [snapshot] = in_flight
+        at_send = master.store.state_digest()
+        system.clients[0].submit_write(KVPut(key="late", value=1))
+        system.run_for(10.0)
+        assert master.version == 7 and snapshot.stamp.version == 6
+        slave.on_message(master.node_id, snapshot)
+        assert slave.version == 6
+        assert slave.store.state_digest() == at_send
+        assert slave.store.execute_read(KVGet(key="late")).result == \
+            {"found": False, "value": None}
+        # The installed store is the slave's own: it takes the update.
+        system.network.heal_all()
+        system.run_for(10.0)
+        assert slave.version == 7
+        assert slave.store.state_digest() == master.store.state_digest()
+
     def test_stale_snapshot_ignored(self):
         """A snapshot older than the slave's state must not roll it back."""
         from repro.core.messages import SlaveSnapshot

@@ -3,6 +3,8 @@ the deferred-apply queue."""
 
 from __future__ import annotations
 
+import tracemalloc
+
 import pytest
 
 from repro.content.kvstore import KVGet, KVPut, KeyValueStore
@@ -127,6 +129,47 @@ class TestVersionHistory:
         snapshot = trusted.store_at(1)
         trusted.commit_op(KVPut(key="x", value=2).to_wire())
         assert snapshot.execute_read(KVGet(key="x")).result["value"] == 1
+
+    def test_commit_copies_nothing_and_retains_nothing(self, monkeypatch):
+        """ROADMAP item 5, as counts: a commit never copies the store,
+        and once the window is full what a server retains stops growing
+        (beyond the op list and the commit times)."""
+        sim = Simulator(seed=3)
+        server = _BareTrusted(
+            "master-00", sim, Network(sim),
+            ProtocolConfig(version_history_depth=16),
+            KeyValueStore({f"k{i:05d}": i for i in range(30_000)}),
+            ["master-00"], MetricsRegistry())
+        wires = [KVPut(key=f"k{i * 7:05d}", value=-i).to_wire()
+                 for i in range(200)]
+        copies = []
+
+        def count_calls(name):
+            original = getattr(KeyValueStore, name)
+
+            def counted(*args, **kwargs):
+                copies.append(name)
+                return original(*args, **kwargs)
+
+            monkeypatch.setattr(KeyValueStore, name, counted)
+
+        count_calls("clone")
+        count_calls("__init__")
+        tracemalloc.start()
+        try:
+            for wire in wires[:50]:
+                server.commit_op(wire)
+            warm, _peak = tracemalloc.get_traced_memory()
+            for wire in wires[50:]:
+                server.commit_op(wire)
+            end, _peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert server.version == 200 and copies == []
+        assert server.store_at(200 - 15).execute_read(
+            KVGet(key="k01393")).result["value"] == 1393  # put at 200
+        assert server.store_at(200 - 16) is None
+        assert abs(end - warm) < 64 * 1024
 
     def test_current_stamp_signed_and_fresh(self, trusted):
         trusted.simulator.run_until(7.0)
