@@ -2,7 +2,7 @@
 
 One :class:`TotalOrderBroadcast` instance lives inside each member (in
 this system: each trusted server).  The host object supplies transport
-primitives -- ``send``/``after``/``now``/``node_id`` -- which
+primitives -- ``send``/``every``/``now``/``node_id`` -- which
 :class:`repro.sim.network.Node` already provides, so a master can pass
 itself as the transport.
 
@@ -13,10 +13,12 @@ Message flow::
 Delivery is in strict global-sequence order.  Recovery mechanisms for
 benign faults:
 
-* *request retransmission*: a member that has not seen its request ordered
-  within ``request_timeout`` re-sends it (requests are identified by
-  ``(origin, local_seq)``, so ordering duplicates is prevented by a
-  dedup table at the sequencer).
+* *request retransmission*: a member's tick re-sends every request it
+  has not seen ordered within ``request_timeout`` (requests are
+  identified by ``(origin, local_seq)``, so ordering duplicates is
+  prevented by a dedup table at the sequencer).  The requests are held
+  on the member, so one that recovers from a crash retransmits simply
+  because its tick restarts.
 * *gap repair*: a member receiving sequence ``n + k`` while expecting
   ``n`` asks the sequencer to retransmit the missing range; heartbeats
   carry the sequencer's high-water mark so silent gaps are also found.
@@ -47,8 +49,8 @@ class Transport(Protocol):
 
     def send(self, dst_id: str, message: Any, size_bytes: int = 256) -> None: ...
 
-    def after(self, delay: float, callback: Callable[..., None],
-              *args: Any) -> Any: ...
+    def every(self, interval: float,
+              callback: Callable[[], None]) -> None: ...
 
     @property
     def now(self) -> float: ...
@@ -79,10 +81,12 @@ _MEMBER_UP_KEY = "__tob_member_up__"
 
 @dataclass
 class _PendingRequest:
+    """A request of ours not yet delivered back to us."""
+
     local_seq: int
     payload: Any
+    #: When it was last sent (or held, leaderless).
     submitted_at: float
-    ordered: bool = False
 
 
 class TotalOrderBroadcast:
@@ -137,7 +141,6 @@ class TotalOrderBroadcast:
         #: one suspect_after window afterwards so a recovered node cannot
         #: misjudge peers from pre-crash timestamps.
         self._resumed_at = 0.0
-        self._started = False
         self._stopped = False
         self.view_changes = 0
         self.delivered_count = 0
@@ -155,11 +158,10 @@ class TotalOrderBroadcast:
 
     def start(self) -> None:
         """Begin heartbeat emission/monitoring.  Call once at deployment."""
-        self._started = True
         self._last_heartbeat_at = self.transport.now
         self._resumed_at = self.transport.now
         self._last_ack.clear()
-        self._tick()
+        self.transport.every(self.heartbeat_interval, self._tick)
 
     def stop(self) -> None:
         """Freeze the engine (host crashed or shut down)."""
@@ -186,7 +188,7 @@ class TotalOrderBroadcast:
 
         The nack carries our delivered-up-to mark; the sequencer re-admits
         us and retransmits what we missed.  If a newer epoch exists we
-        learn it from the next heartbeat.
+        learn it from the next heartbeat.  The host restarts the tick.
         """
         self._stopped = False
         self._last_heartbeat_at = self.transport.now
@@ -204,7 +206,6 @@ class TotalOrderBroadcast:
             self.transport.send(self._leader_id, BroadcastEnvelope(
                 kind="nack", have_seq=self._delivered_up_to,
                 epoch=self.epoch))
-        self._tick()
 
     def broadcast(self, payload: Any) -> int:
         """Submit ``payload`` for total ordering; returns the local seq.
@@ -218,8 +219,6 @@ class TotalOrderBroadcast:
                                   submitted_at=self.transport.now)
         self._pending[local_seq] = pending
         self._submit(pending)
-        self.transport.after(self.request_timeout, self._check_request,
-                             local_seq)
         return local_seq
 
     def handle_message(self, src_id: str, envelope: BroadcastEnvelope) -> None:
@@ -251,6 +250,7 @@ class TotalOrderBroadcast:
     # -- submission / ordering ---------------------------------------------
 
     def _submit(self, pending: _PendingRequest) -> None:
+        pending.submitted_at = self.transport.now
         envelope = BroadcastEnvelope(
             kind="request",
             origin=self.transport.node_id,
@@ -261,22 +261,20 @@ class TotalOrderBroadcast:
             self._handle_request(envelope)
         elif self._leader_id:
             self.transport.send(self._leader_id, envelope)
-        # Leaderless: hold; the per-request retransmission timer retries
-        # once a regime is re-established.
+        # Leaderless: hold; the tick retries once a regime is
+        # re-established.
 
-    def _check_request(self, local_seq: int) -> None:
-        """Retransmit a request the sequencer has not ordered in time."""
-        pending = self._pending.get(local_seq)
-        if pending is None or pending.ordered or self._stopped:
-            return
-        self._submit(pending)
-        self.transport.after(self.request_timeout, self._check_request,
-                             local_seq)
+    def _resubmit(self, older_than: float = 0.0) -> None:
+        """Send again every request of ours not delivered back yet."""
+        now = self.transport.now
+        for pending in list(self._pending.values()):
+            if now - pending.submitted_at >= older_than:
+                self._submit(pending)
 
     def _handle_request(self, envelope: BroadcastEnvelope) -> None:
         if not self.is_sequencer:
             # Stale sender view; forward to whoever we believe leads now
-            # (drop if leaderless -- the origin's timer will retry).
+            # (drop if leaderless -- the origin's tick will retry).
             if self._leader_id:
                 self.transport.send(self._leader_id, envelope)
             return
@@ -337,9 +335,7 @@ class TotalOrderBroadcast:
             self._delivered_up_to = seq
             self.delivered_count += 1
             if origin == self.transport.node_id:
-                pending = self._pending.get(stamped["local_seq"])
-                if pending is not None:
-                    pending.ordered = True
+                self._pending.pop(stamped["local_seq"], None)
             data = stamped["data"]
             if isinstance(data, dict) and _MEMBER_DOWN_KEY in data:
                 # Engine-internal membership notice, delivered in total
@@ -390,9 +386,10 @@ class TotalOrderBroadcast:
     # -- heartbeats / view changes -------------------------------------------
 
     def _tick(self) -> None:
-        if self._stopped or not self._started:
+        if self._stopped:
             return
         now = self.transport.now
+        self._resubmit(older_than=self.request_timeout)
         if self.is_sequencer:
             heartbeat = BroadcastEnvelope(kind="heartbeat",
                                           have_seq=self._next_global_seq - 1,
@@ -405,14 +402,8 @@ class TotalOrderBroadcast:
                 # Quorum check: a leader that cannot reach a majority of
                 # the group (itself included) must abdicate rather than
                 # keep ordering in a minority partition.
-                reachable = 1 + sum(
-                    1 for member, last in self._last_ack.items()
-                    if member != self.transport.node_id
-                    and now - last <= self.suspect_after)
-                if reachable < self.majority:
+                if len(self._reachable()) < self.majority:
                     self._leader_id = ""
-                    self.transport.after(self.heartbeat_interval,
-                                         self._tick)
                     return
                 # Follower liveness: a member whose acks stopped is
                 # suspected crashed; announce it through the total order
@@ -436,15 +427,16 @@ class TotalOrderBroadcast:
             self._try_claim_leadership()
         elif now - self._last_heartbeat_at > self.suspect_after:
             self._depose_or_remove(self._leader_id)
-        self.transport.after(self.heartbeat_interval, self._tick)
 
-    def _reachable_count(self) -> int:
-        """Members (incl. self) heard from within the suspicion window."""
+    def _reachable(self) -> list[str]:
+        """Members (incl. self) heard from within the suspicion window,
+        in rank order."""
         now = self.transport.now
-        return 1 + sum(
-            1 for member, last in self._last_ack.items()
-            if member != self.transport.node_id
-            and now - last <= self.suspect_after)
+        return sorted(
+            [self.transport.node_id]
+            + [member for member, last in self._last_ack.items()
+               if member != self.transport.node_id
+               and now - last <= self.suspect_after])
 
     def _try_claim_leadership(self) -> None:
         """While leaderless: re-establish a regime once peers respond.
@@ -453,12 +445,7 @@ class TotalOrderBroadcast:
         reachable the lowest-ranked reachable member becomes leader (us,
         with an epoch bump, if that is us; otherwise we ask it).
         """
-        now = self.transport.now
-        reachable = sorted(
-            [self.transport.node_id]
-            + [member for member, last in self._last_ack.items()
-               if member != self.transport.node_id
-               and now - last <= self.suspect_after])
+        reachable = self._reachable()
         if len(reachable) < self.majority:
             return
         if reachable[0] == self.transport.node_id:
@@ -467,7 +454,7 @@ class TotalOrderBroadcast:
             self._assume_leadership()
         else:
             self._leader_id = reachable[0]
-            self._last_heartbeat_at = now
+            self._last_heartbeat_at = self.transport.now
             self.transport.send(self._leader_id, BroadcastEnvelope(
                 kind="state", epoch=self.epoch, leader=self._leader_id,
                 have_seq=self._delivered_up_to))
@@ -520,9 +507,7 @@ class TotalOrderBroadcast:
             self._assume_leadership()
             return
         # Re-submit anything the old leader never ordered.
-        for pending in self._pending.values():
-            if not pending.ordered:
-                self._submit(pending)
+        self._resubmit()
 
     def _depose_or_remove(self, member_id: str) -> None:
         """Remove ``member_id`` from the view; run election if it led."""
@@ -556,9 +541,7 @@ class TotalOrderBroadcast:
         self.transport.send(self._leader_id, BroadcastEnvelope(
             kind="state", epoch=self.epoch, leader=self._leader_id,
             have_seq=self._delivered_up_to))
-        for pending in self._pending.values():
-            if not pending.ordered:
-                self._submit(pending)
+        self._resubmit()
 
     def _assume_leadership(self) -> None:
         """Promoted to sequencer: sync history, then resume numbering."""
@@ -575,9 +558,7 @@ class TotalOrderBroadcast:
         for member in self.ranked_members:
             if member != self.transport.node_id:
                 self.transport.send(member, state)
-        for pending in self._pending.values():
-            if not pending.ordered:
-                self._submit(pending)
+        self._resubmit()
 
     def _handle_state(self, src_id: str, envelope: BroadcastEnvelope) -> None:
         # State traffic doubles as liveness evidence for quorum counting.

@@ -14,9 +14,9 @@ path of :class:`~repro.net.transport.ConnectionPool`, and nowhere else:
 whatever gets past them is flushed by the production code, synchronously
 when the link is up.
 
-* drop / duplicate / delay / reorder / throttle act on whole messages
-  before they are queued (mirroring what a lossy, reordering, slow
-  network does);
+* drop / duplicate / delay / reorder act on whole messages before
+  they are queued (mirroring what a lossy, reordering, slow network
+  does);
 * corrupt-frame acts at the byte layer, where the pool encodes a
   flush -- a corrupted frame keeps its header intact so the receiver
   stays frame-aligned and must survive the garbage *body* (codec
@@ -38,7 +38,6 @@ from dataclasses import dataclass
 from typing import Any
 
 from repro.net import codec
-from repro.net.errors import CodecError
 from repro.net.transport import ConnectionPool
 
 
@@ -47,8 +46,7 @@ class LinkFaults:
     """Fault profile for one directed link (all probabilities per frame).
 
     ``delay``/``delay_jitter`` are seconds added before the frame is
-    queued; ``throttle_bps`` serialises the link's bytes at that rate
-    (0 = unlimited).  The all-defaults instance is a healthy link.
+    queued.  The all-defaults instance is a healthy link.
     """
 
     drop: float = 0.0
@@ -57,7 +55,6 @@ class LinkFaults:
     reorder: float = 0.0
     delay: float = 0.0
     delay_jitter: float = 0.0
-    throttle_bps: float = 0.0
 
     def __post_init__(self) -> None:
         for name in ("drop", "duplicate", "corrupt", "reorder"):
@@ -65,7 +62,7 @@ class LinkFaults:
             if not 0.0 <= value <= 1.0:
                 raise ValueError(
                     f"{name} must be a probability in [0, 1], got {value}")
-        for name in ("delay", "delay_jitter", "throttle_bps"):
+        for name in ("delay", "delay_jitter"):
             if getattr(self, name) < 0:
                 raise ValueError(f"{name} cannot be negative")
 
@@ -208,8 +205,8 @@ class _Corrupted:
 class ChaosConnectionPool(ConnectionPool):
     """A :class:`ConnectionPool` whose frames answer to a fault plane.
 
-    Message-level faults (drop, duplicate, delay, reorder, throttle,
-    partition) are applied in :meth:`send`, before queueing; corruption
+    Message-level faults (drop, duplicate, delay, reorder, partition)
+    are applied in :meth:`send`, before queueing; corruption
     in :meth:`_encode`, as the flush frames the message.  Reordered
     frames are parked until the next frame to the same destination
     passes them, with a timer backstop so a quiet link still delivers.
@@ -224,8 +221,6 @@ class ChaosConnectionPool(ConnectionPool):
         super().__init__(*args, **kwargs)
         self.plane = plane
         self._held: dict[str, list[Any]] = {}
-        #: Per destination: when the throttled link is next free.
-        self._throttle_free: dict[str, float] = {}
 
     # -- message-level faults ---------------------------------------------
 
@@ -259,31 +254,10 @@ class ChaosConnectionPool(ConnectionPool):
                  delay: float) -> None:
         if delay > 0:
             self.metrics.incr("chaos_delayed_frames")
-        bps = self.plane.faults_for(self.node_id, dst_id).throttle_bps
-        if bps > 0:
-            delay += self._pace(dst_id, payload, 1 + duplicates, bps)
-        if delay > 0:
             asyncio.get_running_loop().call_later(
                 delay, self._enqueue, dst_id, payload, duplicates)
         else:
             self._enqueue(dst_id, payload, duplicates)
-
-    def _pace(self, dst_id: str, payload: Any, copies: int,
-              bps: float) -> float:
-        """Serialise this link's bytes at ``bps`` (token-bucket style):
-        how long ``payload`` waits for the frames queued before it."""
-        message = payload.message if isinstance(payload, _Corrupted) \
-            else payload
-        try:
-            size = copies * len(codec.encode_frame(message))
-        except CodecError:
-            return 0.0  # dropped, with a count, when the flush frames it
-        now = asyncio.get_running_loop().time()
-        start = max(now, self._throttle_free.get(dst_id, now))
-        self._throttle_free[dst_id] = start + size / bps
-        if start > now:
-            self.metrics.incr("chaos_throttled_frames")
-        return start - now
 
     def _enqueue(self, dst_id: str, payload: Any, duplicates: int) -> None:
         for _copy in range(1 + duplicates):

@@ -917,22 +917,21 @@ async def _flash_crowd_burst(seed: int, qos: bool) -> ScenarioVerdict:
     then pin ~288 concurrent reads (each also double-checking with its
     master) against the same slaves for several seconds.
     """
-    keepalive = 0.2
     honest_count, greedy_count = 2, 6
     overrides: dict[str, Any] = {}
     if qos:
         # Honest clients need well under 40 frames/s per listener; the
         # crowd's closed loop wants hundreds.  The burst allowance is
         # deliberately small so the crowd cannot ride burst refills, and
-        # every shed frame burns a token (``qos_strike_cost``), so the
-        # crowd -- which never stops offering above its quota -- is
-        # served below it: held *to* 15/s at each of three listeners,
-        # six principals would still be admitted a full core's worth.
+        # every shed frame burns a token, so the crowd -- which never
+        # stops offering above its quota -- is served below it: held
+        # *to* 15/s at each of three listeners, six principals would
+        # still be admitted a full core's worth.
         overrides.update(
             qos_frame_rate=15.0, qos_frame_burst=20.0,
             qos_inbox_limit=512, qos_idle_multiple=10.0)
     config = fast_protocol_config(
-        keepalive_interval=keepalive,
+        keepalive_interval=KEEPALIVE,
         # Honest clients never double-check (their latency is pure
         # read-path); greedy clients override to 1.0 below so the crowd
         # hits masters too.
@@ -976,7 +975,7 @@ async def _flash_crowd_burst(seed: int, qos: bool) -> ScenarioVerdict:
         await run.write("bulk_write",
                         KVPut(key="bulk", value="x" * 1048576),
                         "crowd-target write")
-        await asyncio.sleep(config.max_latency + keepalive)
+        await asyncio.sleep(config.max_latency + KEEPALIVE)
 
         # Baseline window: the honest trickle alone, reported so a
         # verdict shows what the burst cost on this host.

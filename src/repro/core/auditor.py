@@ -55,6 +55,11 @@ from repro.crypto.hashing import constant_time_equals, sha1_hex
 #: One pledge awaiting audit, and when it arrived (for lag statistics).
 _Entry = tuple[Pledge, float]
 
+#: Seconds between two samples of the backlog timelines.
+_BACKLOG_PROBE_INTERVAL = 1.0
+#: Seconds between two looks for the certificate of an unknown slave.
+_UNKNOWN_SLAVE_RETRY = 1.0
+
 
 class AuditorServer(TrustedServer):
     """The elected auditor."""
@@ -63,6 +68,10 @@ class AuditorServer(TrustedServer):
         super().__init__(*args, **kwargs)
         #: Pledges whose version the auditor has not reached yet.
         self._parked: dict[int, deque[_Entry]] = {}
+        #: Sub-batches naming a slave we hold no certificate for yet,
+        #: with the attempts made so far; :meth:`_retry_unknown` audits
+        #: them again.
+        self._unknown: list[tuple[list[_Entry], int]] = []
         #: (version, request_hash) -> trusted result hash.
         self._cache: dict[tuple[int, str], str] = {}
         self.cache_hits = 0
@@ -72,19 +81,13 @@ class AuditorServer(TrustedServer):
         self.pledges_skipped = 0
         self.detections = 0
         self._next_commit_floor = 0.0
-        self._backlog_probe_interval = 1.0
-        self._loop_epoch = 0
+        #: (client_id, request_id) of every write delivered so far.
+        self._delivered_writes: set[tuple[str, str]] = set()
 
     def start(self) -> None:
         super().start()
-        self._probe_backlog(self._loop_epoch)
-
-    def on_recover(self) -> None:
-        super().on_recover()
-        # The probe's timer chain died while crashed; restart it (a
-        # stale chain self-terminates via the epoch counter).
-        self._loop_epoch += 1
-        self._probe_backlog(self._loop_epoch)
+        self.every(_BACKLOG_PROBE_INTERVAL, self._probe_backlog)
+        self.every(_UNKNOWN_SLAVE_RETRY, self._retry_unknown)
 
     # -- write lag (Section 3.4) ------------------------------------------
 
@@ -98,7 +101,15 @@ class AuditorServer(TrustedServer):
         sufficiently large time interval (more than max_latency) has
         elapsed since the rest of the trusted servers have moved to that
         same content version."
+
+        A write a client resubmitted through a second master after a
+        time-out is delivered twice; the masters skip the second
+        delivery (``MasterServer.deliver_write``) and so must we.
         """
+        key = (payload.client_id, payload.request_id)
+        if key in self._delivered_writes:
+            return
+        self._delivered_writes.add(key)
         masters_commit_at = max(self.now, self._next_commit_floor)
         self._next_commit_floor = masters_commit_at + self.config.max_latency
         self._defer(masters_commit_at + self.config.max_latency
@@ -230,7 +241,7 @@ class AuditorServer(TrustedServer):
             # Before the first slave-list gossip round we may not know the
             # slave yet; retry shortly rather than dropping evidence.
             if attempts < 30:
-                self.after(1.0, self._audit, unknown, attempts + 1)
+                self._unknown.append((unknown, attempts + 1))
             else:
                 self.metrics.incr("audits_unknown_slave", len(unknown))
         if batch:
@@ -239,6 +250,12 @@ class AuditorServer(TrustedServer):
             if not config.simulate_service_times:
                 service = 0.0
             self.work.submit(service, self._finish_audit, batch)
+
+    def _retry_unknown(self) -> None:
+        """Audit again what waits for its slave's certificate."""
+        waiting, self._unknown = self._unknown, []
+        for entries, attempts in waiting:
+            self._audit(entries, attempts)
 
     def _finish_audit(
             self, batch: list[tuple[Pledge, float, Certificate, str]],
@@ -294,14 +311,11 @@ class AuditorServer(TrustedServer):
 
     # -- instrumentation ----------------------------------------------------------
 
-    def _probe_backlog(self, epoch: int) -> None:
-        if self.crashed or epoch != self._loop_epoch:
-            return
+    def _probe_backlog(self) -> None:
         parked = sum(len(q) for q in self._parked.values())
         self.metrics.record("auditor_backlog_seconds", self.now,
                             self.work.backlog())
         self.metrics.record("auditor_parked_pledges", self.now, float(parked))
-        self.after(self._backlog_probe_interval, self._probe_backlog, epoch)
 
     def cache_hit_rate(self) -> float:
         total = self.cache_hits + self.cache_misses

@@ -188,9 +188,21 @@ class Client(Node):
 
     def crash(self) -> None:
         # The reads behind the outbox are already accepted; their
-        # pledges count as forwarded (a crashed node's timers are inert).
+        # pledges count as forwarded (the end-of-tick flush would die
+        # with the crash).
         self._flush_audit()
         super().crash()
+
+    def on_recover(self) -> None:
+        # Every operation in flight is held here; the time-outs that
+        # drove them died with the crash, so send each again.
+        if self._setup_in_progress:
+            self._setup_in_progress = False
+            self._begin_setup()
+        for request_id in list(self._reads):
+            self._resend_read(request_id)
+        for attempt in list(self._writes.values()):
+            self._send_write(attempt)
 
     def _begin_setup(self) -> None:
         if self._setup_in_progress:

@@ -63,15 +63,9 @@ class ProtocolConfig:
     qos_frame_rate: float | None = None
     #: Burst allowance on top of the sustained frame rate.
     qos_frame_burst: float = 200.0
-    #: Sustained frame bytes/s admitted per client (None = unlimited).
-    qos_byte_rate: float | None = None
-    qos_byte_burst: float = 1024.0 * 1024.0
     #: Seeded fraction of over-quota frames actually shed (mirrors
     #: ``greedy_drop_fraction``; 1.0 = shed every over-quota frame).
     qos_shed_fraction: float = 1.0
-    #: Frame tokens burned per rejected, oversized or shed frame a client
-    #: sends, so repeat offenders drain their own admission allowance.
-    qos_strike_cost: float = 1.0
     #: Bounded inbox depth between frame decode and protocol dispatch
     #: (keep-alives and accusations are never shed from it).
     qos_inbox_limit: int = 1024
@@ -88,9 +82,6 @@ class ProtocolConfig:
     #: Rendezvous salt baked into the signed shard map; fixed for the
     #: namespace lifetime so key placement only moves with the shard set.
     shard_map_seed: int = 0
-    #: Client-side retry interval while the directory withholds the
-    #: shard map (liveness-only failure mode).
-    shard_map_retry: float = 1.0
 
     # -- client behaviour ---------------------------------------------------
     #: Client-side timeout for read/write/double-check responses.
@@ -157,7 +148,6 @@ class ProtocolConfig:
     #: Heartbeat/suspicion settings for the master broadcast protocol.
     broadcast_heartbeat_interval: float = 0.25
     broadcast_suspect_after: float = 1.5
-    broadcast_request_timeout: float = 1.0
 
     def __post_init__(self) -> None:
         if self.max_latency <= 0:
@@ -177,19 +167,16 @@ class ProtocolConfig:
             raise ValueError(
                 f"audit_fraction must be in [0, 1], got {self.audit_fraction}"
             )
-        for name in ("qos_frame_rate", "qos_byte_rate"):
-            value = getattr(self, name)
-            if value is not None and value <= 0:
-                raise ValueError(f"{name} must be positive, got {value}")
-        if self.qos_frame_burst <= 0 or self.qos_byte_burst <= 0:
-            raise ValueError("qos bucket bursts must be positive")
+        if self.qos_frame_rate is not None and self.qos_frame_rate <= 0:
+            raise ValueError(f"qos_frame_rate must be positive, "
+                             f"got {self.qos_frame_rate}")
+        if self.qos_frame_burst <= 0:
+            raise ValueError(f"qos_frame_burst must be positive, "
+                             f"got {self.qos_frame_burst}")
         if not 0.0 <= self.qos_shed_fraction <= 1.0:
             raise ValueError(
                 f"qos_shed_fraction must be in [0, 1], "
                 f"got {self.qos_shed_fraction}")
-        if self.qos_strike_cost < 0:
-            raise ValueError(
-                f"qos_strike_cost must be >= 0, got {self.qos_strike_cost}")
         if self.qos_inbox_limit < 1:
             raise ValueError(
                 f"qos_inbox_limit must be >= 1, got {self.qos_inbox_limit}")
@@ -197,10 +184,6 @@ class ProtocolConfig:
             raise ValueError(
                 f"qos_idle_multiple must be positive, "
                 f"got {self.qos_idle_multiple}")
-        if self.shard_map_retry <= 0:
-            raise ValueError(
-                f"shard_map_retry must be positive, "
-                f"got {self.shard_map_retry}")
         if self.read_quorum < 1:
             raise ValueError(f"read_quorum must be >= 1, "
                              f"got {self.read_quorum}")

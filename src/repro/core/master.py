@@ -48,7 +48,6 @@ from repro.crypto.certificates import Certificate
 from repro.crypto.hashing import constant_time_equals, sha1_hex
 from repro.crypto.signatures import PublicKey
 from repro.qos.tokens import TokenBucket
-from repro.sim.simulator import EventHandle
 
 
 @functools.lru_cache(maxsize=65536)
@@ -83,29 +82,22 @@ class MasterServer(TrustedServer):
         self._write_queue: deque[WriteRequest] = deque()
         self._write_inflight = False
         self._next_commit_floor = 0.0
-        self._keepalive_handle: EventHandle | None = None
         #: (client_id, request_id) -> "queued" | "committed"; gives writes
         #: at-most-once semantics across client retries and re-setups
         #: (a retry may arrive at a different master, so commit-state is
         #: tracked on delivery, which every master sees identically).
         self._write_states: dict[tuple[str, str], str] = {}
-        #: Generation counter for periodic loops: timer chains die while
-        #: the node is crashed, so recovery restarts them and stale chains
-        #: self-terminate.
-        self._loop_epoch = 0
 
     # -- lifecycle ----------------------------------------------------------
 
     def start(self) -> None:
         super().start()
-        self._keepalive_loop(self._loop_epoch)
-        self._slave_list_loop(self._loop_epoch)
+        self.every(self.config.keepalive_interval, self._keepalive_round)
+        self.every(self.config.slave_list_broadcast_interval,
+                   self._gossip_slave_list)
 
     def on_recover(self) -> None:
         super().on_recover()
-        self._loop_epoch += 1
-        self._keepalive_loop(self._loop_epoch)
-        self._slave_list_loop(self._loop_epoch)
         self._pump_writes()
 
     def register_slave(self, slave_id: str, address: str,
@@ -331,18 +323,13 @@ class MasterServer(TrustedServer):
                 version=self.version))
             self._pump_writes()
 
-    def _keepalive_loop(self, epoch: int = 0) -> None:
+    def _keepalive_round(self) -> None:
         """Periodic signed stamps so slaves stay fresh between writes."""
-        if self.crashed or epoch != self._loop_epoch:
-            return
         if not self.broadcast.is_caught_up():
             # A stale master must not certify freshness: a keep-alive
             # signed at an old version would let a slave serve outdated
             # state inside the max_latency window.  Stay silent until the
             # broadcast repair finishes; slaves simply see us as late.
-            self._keepalive_handle = self.after(
-                self.config.keepalive_interval, self._keepalive_loop,
-                epoch)
             return
         stamp = self.current_stamp()
         self.metrics.incr(f"keepalives@{self.node_id}")
@@ -355,8 +342,6 @@ class MasterServer(TrustedServer):
         for auditor in self.auditor_ids:
             # Auditors time their version advancement off keep-alives too.
             self.send(auditor, KeepAlive(stamp=stamp))
-        self._keepalive_handle = self.after(self.config.keepalive_interval,
-                                            self._keepalive_loop, epoch)
 
     def _handle_resync(self, slave_id: str, message: ResyncRequest) -> None:
         """Bring a lagging slave back in sync.
@@ -528,9 +513,7 @@ class MasterServer(TrustedServer):
 
     # -- slave-list gossip and crash takeover (Section 3.1) --------------------
 
-    def _slave_list_loop(self, epoch: int = 0) -> None:
-        if self.crashed or epoch != self._loop_epoch:
-            return
+    def _gossip_slave_list(self) -> None:
         certs = tuple(self.slave_certs[s] for s in self.slaves
                       if s not in self.excluded_slaves)
         self.broadcast.broadcast(BcastSlaveList(
@@ -538,10 +521,8 @@ class MasterServer(TrustedServer):
             slave_ids=tuple(c.subject_id for c in certs)))
         # Certificates ride outside the envelope: deliver_slave_list only
         # records ids; certs are synced point-to-point to keep broadcast
-        # payloads canonical.  Simpler: attach via announced map directly.
+        # payloads canonical.
         self._announce_certs(certs)
-        self.after(self.config.slave_list_broadcast_interval,
-                   self._slave_list_loop, epoch)
 
     def _announce_certs(self, certs: tuple[Certificate, ...]) -> None:
         """Point-to-point cert dissemination accompanying the broadcast."""

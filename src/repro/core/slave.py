@@ -277,9 +277,9 @@ class SlaveServer(Node):
 
     def on_crash(self) -> None:
         # Answered-but-unsent replies die with the process (clients
-        # re-issue on request_timeout).  The flush armed for them is
-        # inert while crashed, so an entry left here would keep every
-        # later read from arming another.
+        # re-issue on request_timeout).  The flush armed for them dies
+        # with the crash, so an entry left here would keep every later
+        # read from arming another.
         self._pending_reads.clear()
 
     def _maybe_garble(self, pledge: Pledge) -> Pledge:

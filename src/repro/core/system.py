@@ -82,8 +82,6 @@ class DeploymentSpec:
     obs_enabled: bool = False
     #: Fraction of client-operation traces recorded (seeded sampler).
     obs_sample_rate: float = 1.0
-    #: Per-node span ring-buffer capacity.
-    obs_buffer_size: int = 4096
     #: Builds the initial content; all replicas start from clones of it.
     store_factory: Callable[[], ContentStore] | None = None
     #: Global slave index -> adversary strategy (honest when absent).
@@ -242,8 +240,7 @@ class ReplicationSystem:
             # shifts key derivation or workload randomness.
             self.obs = ObsRuntime(
                 self.simulator, seed=spec.seed,
-                sample_rate=spec.obs_sample_rate,
-                buffer_size=spec.obs_buffer_size)
+                sample_rate=spec.obs_sample_rate)
             self.simulator.obs = self.obs
         self.network = Network(
             self.simulator,

@@ -132,7 +132,6 @@ class TrustedServer(Node):
             self,
             members=member_ids,
             on_deliver=self._on_deliver,
-            request_timeout=config.broadcast_request_timeout,
             heartbeat_interval=config.broadcast_heartbeat_interval,
             suspect_after=config.broadcast_suspect_after,
             on_member_removed=self.on_trusted_member_crashed,
@@ -150,10 +149,8 @@ class TrustedServer(Node):
 
     def on_recover(self) -> None:
         self.broadcast.announce_recovery()
-        # The drain timer was inert while we were down (or is still
-        # pending): replace it.  Writes that fell due meanwhile commit now.
-        if self._drain_timer is not None:
-            self._drain_timer.cancel()
+        # The drain timer died with the crash; the queue did not.  Writes
+        # that fell due meanwhile commit now.
         self._drain(timer_gone=True)
 
     # -- message routing ----------------------------------------------------

@@ -105,7 +105,6 @@ def fast_protocol_config(**overrides: Any) -> ProtocolConfig:
         slave_list_broadcast_interval=2.0,
         broadcast_heartbeat_interval=0.25,
         broadcast_suspect_after=1.5,
-        broadcast_request_timeout=1.0,
         # Wall time IS the service time over sockets: charging the
         # paper's simulated per-read costs on top of real crypto caps
         # throughput an order of magnitude below the wire.
@@ -134,11 +133,6 @@ class NetDeploymentSpec:
     client_double_check_overrides: dict[int, float] = field(
         default_factory=dict)
     host: str = "127.0.0.1"
-    connect_timeout: float = 2.0
-    io_timeout: float = 5.0
-    #: Most messages one sender wakeup coalesces into a single write
-    #: (see :class:`~repro.net.transport.ConnectionPool`).
-    max_batch: int = 64
     retry: RetryPolicy = field(default_factory=RetryPolicy)
     #: Per-peer circuit breaker wrapping the retry machinery (see
     #: :class:`~repro.qos.breaker.CircuitBreaker`); None = pure retry.
@@ -150,8 +144,6 @@ class NetDeploymentSpec:
     obs_enabled: bool = False
     #: Fraction of client-operation traces recorded (seeded sampler).
     obs_sample_rate: float = 1.0
-    #: Per-node span ring-buffer capacity.
-    obs_buffer_size: int = 4096
 
     def __post_init__(self) -> None:
         if self.num_masters < 1:
@@ -179,8 +171,7 @@ class LocalCluster:
         if spec.obs_enabled:
             self.obs = ObsRuntime(
                 self.scheduler, seed=spec.seed,
-                sample_rate=spec.obs_sample_rate,
-                buffer_size=spec.obs_buffer_size)
+                sample_rate=spec.obs_sample_rate)
             self.scheduler.obs = self.obs
             self.admin = AdminPlane(self.obs)
         self.peers = PeerDirectory()
@@ -238,11 +229,7 @@ class LocalCluster:
         return factory(
             node_id, self.peers, self.metrics,
             rng=self.scheduler.fork_rng(f"net:{node_id}"),
-            retry=self.spec.retry,
-            connect_timeout=self.spec.connect_timeout,
-            io_timeout=self.spec.io_timeout,
-            max_batch=self.spec.max_batch,
-            breaker=self.spec.breaker)
+            retry=self.spec.retry, breaker=self.spec.breaker)
 
     def _network(self, pool: ConnectionPool) -> SocketNetwork:
         """The ``Network`` seam this topology puts in front of a pool."""
@@ -271,7 +258,7 @@ class LocalCluster:
         the listeners run exactly the pre-qos inline-dispatch path.
         """
         config = self.config
-        if (config.qos_frame_rate is None and config.qos_byte_rate is None
+        if (config.qos_frame_rate is None
                 and config.qos_idle_multiple is None):
             return None
         idle = None
@@ -280,10 +267,7 @@ class LocalCluster:
         return AdmissionPolicy(
             frame_rate=config.qos_frame_rate,
             frame_burst=config.qos_frame_burst,
-            byte_rate=config.qos_byte_rate,
-            byte_burst=config.qos_byte_burst,
             shed_fraction=config.qos_shed_fraction,
-            strike_cost=config.qos_strike_cost,
             inbox_limit=config.qos_inbox_limit,
             idle_timeout=idle)
 

@@ -319,10 +319,9 @@ class _Connection(asyncio.Protocol):
             # bad handler cannot head-of-line block its batch mates.
             metrics.incr("net_batches_received")
             metrics.incr("net_frames_received", len(message.messages))
-            share = size / max(1, len(message.messages))
             shed = False
             for inner in message.messages:
-                if server._admit(src_id, inner, share):
+                if server._admit(src_id, inner):
                     shed = True
         else:
             metrics.incr("net_frames_received")
@@ -338,7 +337,7 @@ class _Connection(asyncio.Protocol):
                     metrics.incr("obs_admin_requests")
                     self.transport.write(codec.encode_frame(reply))
                     return
-            shed = server._admit(src_id, message, float(size))
+            shed = server._admit(src_id, message)
         if shed and qos is not None and qos.shed_penalty > 0:
             # Turn the shed into backpressure: stall this connection so
             # the over-quota pipeline slows at the source instead of
@@ -537,7 +536,7 @@ class NodeServer:
 
     # -- wire-level admission (repro.qos) -----------------------------------
 
-    def _admit(self, src_id: str, message: Any, byte_cost: float) -> bool:
+    def _admit(self, src_id: str, message: Any) -> bool:
         """Rate-limit and enqueue one decoded message, or shed it.
 
         Returns True when the admission caused a shed (this message
@@ -560,7 +559,7 @@ class NodeServer:
         if not protected and qos.limits_frames:
             now = self.node.simulator.now
             client = self._account_for(principal, now)
-            reason = client.admit(now, byte_cost, self.qos_rng, qos)
+            reason = client.admit(now, 0.0, self.qos_rng, qos)
             if reason is not None:
                 self._count_shed(principal, reason, shard_id)
                 return True
@@ -615,7 +614,7 @@ class NodeServer:
         self.metrics.incr(f"net_rejected_from_{src_id}")
         qos = self.qos
         if qos is not None and qos.limits_frames:
-            self._account_for(src_id, self.node.simulator.now).strike(qos)
+            self._account_for(src_id, self.node.simulator.now).strike()
 
     async def _dispatch_loop(self) -> None:
         """Drain the bounded inbox into the protocol handler."""
@@ -745,9 +744,5 @@ class NodeServer:
         return await self.start(self.host, self.port)
 
     async def aclose(self) -> None:
-        server, self._server = self._server, None
-        if server is not None:
-            server.close()
-            await server.wait_closed()
-        self.abort_connections()
-        await self._stop_dispatch()
+        """Shut down for good: what a crash does, never resumed."""
+        await self.suspend()

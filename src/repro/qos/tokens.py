@@ -64,9 +64,9 @@ class TokenBucket:
 class AdmissionPolicy:
     """Wire-level admission knobs for one node's listener.
 
-    ``None`` rates disable the corresponding bucket; an all-``None``
-    policy still buys the bounded inbox and (when ``idle_timeout`` is
-    set) the idle-connection reaper.  ``shed_fraction`` mirrors the
+    A ``None`` ``frame_rate`` disables the bucket; the policy still
+    buys the bounded inbox and (when ``idle_timeout`` is set) the
+    idle-connection reaper.  ``shed_fraction`` mirrors the
     master's ``greedy_drop_fraction``: the seeded fraction of over-quota
     frames actually shed (1.0 = shed all of them).
     """
@@ -74,18 +74,8 @@ class AdmissionPolicy:
     #: Sustained protocol messages/s admitted per client connection.
     frame_rate: float | None = None
     frame_burst: float = 200.0
-    #: Sustained frame bytes/s admitted per client connection.
-    byte_rate: float | None = None
-    byte_burst: float = 1024.0 * 1024.0
     #: Seeded fraction of over-quota frames shed (1.0 = all).
     shed_fraction: float = 1.0
-    #: Frame tokens burned per rejected, oversized or shed frame, so
-    #: repeat offenders drain their own allowance: a sender that keeps
-    #: offering above its quota is served *below* it until it backs off
-    #: (the bucket floors at ``-burst``, so the lock-out ends
-    #: ``(burst + 1) / rate`` seconds after the last shed frame).  A
-    #: sender within its quota is never shed and never pays this.
-    strike_cost: float = 1.0
     #: Seconds the listener stalls an over-quota connection's reader
     #: per shed frame (0 disables).  Shedding alone still pays decode
     #: for every flooded frame; the stall turns the shed into TCP
@@ -101,18 +91,15 @@ class AdmissionPolicy:
     idle_timeout: float | None = None
 
     def __post_init__(self) -> None:
-        for name in ("frame_rate", "byte_rate"):
-            value = getattr(self, name)
-            if value is not None and value <= 0:
-                raise ValueError(f"{name} must be positive, got {value}")
-        if self.frame_burst <= 0 or self.byte_burst <= 0:
-            raise ValueError("bucket bursts must be positive")
+        if self.frame_rate is not None and self.frame_rate <= 0:
+            raise ValueError(
+                f"frame_rate must be positive, got {self.frame_rate}")
+        if self.frame_burst <= 0:
+            raise ValueError(
+                f"frame_burst must be positive, got {self.frame_burst}")
         if not 0.0 <= self.shed_fraction <= 1.0:
             raise ValueError(
                 f"shed_fraction must be in [0, 1], got {self.shed_fraction}")
-        if self.strike_cost < 0:
-            raise ValueError(
-                f"strike_cost must be >= 0, got {self.strike_cost}")
         if self.shed_penalty < 0:
             raise ValueError(
                 f"shed_penalty must be >= 0, got {self.shed_penalty}")
@@ -125,54 +112,56 @@ class AdmissionPolicy:
 
     @property
     def limits_frames(self) -> bool:
-        return self.frame_rate is not None or self.byte_rate is not None
+        return self.frame_rate is not None
+
+
+#: Frame tokens burned per rejected, oversized or shed frame, so repeat
+#: offenders drain their own allowance: a sender that keeps offering
+#: above its quota is served *below* it until it backs off (the bucket
+#: floors at ``-burst``, so the lock-out ends ``(burst + 1) / rate``
+#: seconds after the last shed frame).  A sender within its quota is
+#: never shed and never pays this.
+STRIKE_COST = 1.0
 
 
 class ClientAdmission:
-    """One client's wire admission state: buckets plus strike count."""
+    """One client's wire admission state: bucket plus strike count."""
 
-    __slots__ = ("frames", "bytes", "strikes")
+    __slots__ = ("frames", "strikes")
 
     def __init__(self, policy: AdmissionPolicy, now: float) -> None:
         self.frames = (None if policy.frame_rate is None else
                        TokenBucket(policy.frame_rate, policy.frame_burst,
                                    now))
-        self.bytes = (None if policy.byte_rate is None else
-                      TokenBucket(policy.byte_rate, policy.byte_burst, now))
         self.strikes = 0
 
     def admit(self, now: float, size: float, rng: random.Random,
               policy: AdmissionPolicy) -> str | None:
-        """Charge one frame of ``size`` bytes; returns the shed reason
-        (``"rate"`` / ``"bytes"``) or ``None`` when admitted.
+        """Charge one frame; returns the shed reason (``"rate"``) or
+        ``None`` when admitted.  ``size`` is not charged (a frame is
+        bounded by ``MAX_FRAME_BYTES``); the argument stays for the
+        benchmark kernel that passes it.
 
         The shed decision is seeded: an over-quota frame is shed with
         probability ``policy.shed_fraction`` drawn from the caller's
         rng stream, exactly like the master's greedy-drop decision.  A
-        shed frame burns ``policy.strike_cost`` frame tokens like a
+        shed frame burns :data:`STRIKE_COST` frame tokens like a
         rejected one: per-client quotas only protect a listener if
         exceeding one is not free (six clients each *held to* 15 bulk
         reads/s still add up to a saturated core).
         """
-        over = None
-        if self.frames is not None and not self.frames.try_consume(now):
-            over = "rate"
-        elif self.bytes is not None and \
-                not self.bytes.try_consume(now, cost=size):
-            over = "bytes"
-        if over is None:
+        if self.frames is None or self.frames.try_consume(now):
             return None
         if rng.random() < policy.shed_fraction:
-            if self.frames is not None:
-                self.frames.penalize(policy.strike_cost)
-            return over
+            self.frames.penalize(STRIKE_COST)
+            return "rate"
         return None
 
-    def strike(self, policy: AdmissionPolicy) -> None:
+    def strike(self) -> None:
         """Record one rejected/oversized frame from this client."""
         self.strikes += 1
         if self.frames is not None:
-            self.frames.penalize(policy.strike_cost)
+            self.frames.penalize(STRIKE_COST)
 
 
 __all__ = ["AdmissionPolicy", "ClientAdmission", "TokenBucket"]

@@ -34,6 +34,10 @@ from repro.metrics import MetricsRegistry
 from repro.shard.map import ShardMap, ShardMapError
 from repro.shard.wire import ShardMapRequest, ShardMapReply, WrongShard
 
+#: Seconds between two requests while the directory withholds the shard
+#: map (a liveness-only failure mode).
+MAP_RETRY = 1.0
+
 
 def operation_fingerprint(op: Operation) -> str:
     """The content-key fingerprint an operation routes by.
@@ -107,7 +111,7 @@ class ShardRouter:
         self._anchor.send(self.directory_id, ShardMapRequest(
             namespace=self.namespace, have_epoch=self.map_epoch))
         # Withholding is the directory's only power here: keep asking.
-        self._anchor.after(self.config.shard_map_retry, self._retry_map)
+        self._anchor.after(MAP_RETRY, self._retry_map)
 
     def _retry_map(self) -> None:
         if self.shard_map is None:

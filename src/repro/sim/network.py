@@ -31,6 +31,11 @@ class Node:
         self.simulator = simulator
         self.network = network
         self.crashed = False
+        #: Bumped by every crash: a timer fires only in the life that
+        #: armed it.
+        self._life = 0
+        #: Periodic work declared through :meth:`every`.
+        self._periodic: list[tuple[float, Callable[[], None]]] = []
         self.messages_sent = 0
         self.messages_received = 0
         self.bytes_sent = 0
@@ -42,14 +47,23 @@ class Node:
         """Hook called once when the deployment starts; override freely."""
 
     def crash(self) -> None:
-        """Benign crash: stop sending/receiving until :meth:`recover`."""
+        """Benign crash: stop sending/receiving until :meth:`recover`.
+
+        Ends this life of the node: no timer armed so far will ever
+        fire.  What must survive the crash is held on the node, where
+        :meth:`on_recover` finds it; a timer is only a wake-up.
+        """
         self.crashed = True
+        self._life += 1
         self.on_crash()
 
     def recover(self) -> None:
-        """Return to service after a benign crash."""
+        """Return to service after a benign crash: the role's
+        :meth:`on_recover`, then every :meth:`every` round again."""
         self.crashed = False
         self.on_recover()
+        for interval, callback in self._periodic:
+            self._run_every(interval, callback)
 
     def on_crash(self) -> None:
         """Role-specific crash cleanup; override as needed."""
@@ -73,11 +87,28 @@ class Node:
 
     def after(self, delay: float, callback: Callable[..., None],
               *args: Any) -> EventHandle:
-        """Schedule a local timer that is inert while the node is crashed."""
+        """Schedule a local timer belonging to this life of the node: it
+        fires neither while the node is down nor after it recovers."""
+        life = self._life
+
         def guarded() -> None:
-            if not self.crashed:
+            if life == self._life and not self.crashed:
                 callback(*args)
         return self.simulator.schedule(delay, guarded)
+
+    def every(self, interval: float, callback: Callable[[], None]) -> None:
+        """Run ``callback`` now and then every ``interval`` seconds.
+
+        The one way to declare periodic work: the round stops at a crash
+        and :meth:`recover` starts it again, as exactly one chain.
+        """
+        self._periodic.append((interval, callback))
+        self._run_every(interval, callback)
+
+    def _run_every(self, interval: float,
+                   callback: Callable[[], None]) -> None:
+        callback()
+        self.after(interval, self._run_every, interval, callback)
 
     @property
     def now(self) -> float:

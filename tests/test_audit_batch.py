@@ -31,6 +31,8 @@ from repro.core.messages import (
     VersionStamp,
 )
 from repro.core.system import ReplicationSystem
+from repro.core.trusted import CertAnnouncement
+from repro.crypto.certificates import Certificate
 from repro.crypto.hashing import sha1_hex
 from repro.crypto.keys import KeyPair
 from repro.crypto.signatures import new_signer
@@ -156,6 +158,34 @@ class TestBatchEqualsSubmissions:
         # Only the liar is accused: never the garbled signature.
         assert batch["accused"] == ["c:r1"]
         assert batch["excluded"] == ["slave-00-00"]
+
+    @pytest.mark.parametrize("down_for", [0.3, 5.0])
+    def test_unknown_slave_pledges_survive_an_auditor_crash(self, down_for):
+        """Pledges waiting for their slave's certificate are held on the
+        auditor, not in a retry timer's arguments: a crash inside the
+        retry second used to drop them, already counted as received."""
+        system = make_system(protocol=ProtocolConfig(
+            double_check_probability=0.0))
+        system.start()
+        system.run_for(1.0)
+        auditor, master = system.auditor, system.masters[0]
+        stranger = KeyPair("slave-77-77", new_signer(
+            "hmac", rng=random.Random(7)))
+        auditor.on_message("client-00", AuditBatch((
+            make_pledge(system, stranger, 0, "k004", "c:r0"),
+            make_pledge(system, stranger, 0, "k005", "c:r1", lie=True))))
+        system.run_for(0.2)
+        system.failures.crash_for(auditor, system.now, down_for)
+        system.run_for(down_for + 0.1)
+        assert auditor.pledges_audited == 0 and not auditor.crashed
+        # The gossip round that names the slave arrives after recovery.
+        auditor.on_message(master.node_id, CertAnnouncement(
+            master_id=master.node_id, certs=(Certificate.issue(
+                master.keys, "slave-77-77", "nowhere", stranger.public_key,
+                issued_at=system.now),)))
+        system.run_for(2.0)
+        assert auditor.pledges_received == auditor.pledges_audited == 2
+        assert auditor.detections == 1
 
     def test_sampling_is_per_pledge(self):
         """(c) ``audit_fraction`` draws once per pledge, not per message."""

@@ -2,10 +2,13 @@
 
 from __future__ import annotations
 
+import dataclasses
+
 import pytest
 
 from repro.content.kvstore import KVGet, KVPut
 from repro.core.config import ProtocolConfig
+from repro.core.messages import BcastWrite
 from repro.metrics import Timeline
 
 from .conftest import make_system
@@ -54,6 +57,27 @@ class TestApplyQueue:
         before = system.simulator.pending_events()
         auditor._drain()
         assert system.simulator.pending_events() == before
+
+    def test_write_delivered_twice_advances_once(self):
+        """A client that times out resubmits its write through another
+        master, so the broadcast can order it twice; the masters skip
+        the second delivery and the auditor used not to -- it ended one
+        version ahead of them for good, auditing every pledge against
+        the wrong snapshot."""
+        config = ProtocolConfig(max_latency=1.0, keepalive_interval=0.5,
+                                audit_grace=0.5,
+                                double_check_probability=0.0)
+        system = make_system(protocol=config)
+        system.start()
+        write = BcastWrite(origin_master="master-00", client_id="client-00",
+                           request_id="client-00:w0",
+                           op_wire=KVPut(key="x", value=1).to_wire())
+        system.masters[0].broadcast.broadcast(write)
+        system.masters[1].broadcast.broadcast(
+            dataclasses.replace(write, origin_master="master-01"))
+        system.run_for(10.0)
+        assert [m.version for m in system.masters] == [1, 1]
+        assert system.auditor.version == 1
 
     def test_recovery_restarts_drain(self):
         config = ProtocolConfig(max_latency=1.0, keepalive_interval=0.5,

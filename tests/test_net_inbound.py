@@ -100,7 +100,7 @@ class RecordingServer(NodeServer):
                          MetricsRegistry())
         self.admitted: list[Any] = []
 
-    def _admit(self, src_id: str, message: Any, byte_cost: float) -> bool:
+    def _admit(self, src_id: str, message: Any) -> bool:
         assert src_id == "tester"
         self.admitted.append(message)
         return False

@@ -191,26 +191,6 @@ class TestWireAdmission:
 
         run(scenario())
 
-    def test_byte_budget_sheds_large_frames(self):
-        async def scenario():
-            h = QosHarness(AdmissionPolicy(byte_rate=10.0, byte_burst=300.0))
-            await h.start()
-            try:
-                _reader, writer = await h.raw_connection()
-                writer.write(encode_frame("small"))
-                writer.write(encode_frame("x" * 2000))
-                writer.write(encode_frame("small-again"))
-                await writer.drain()
-                # The 2KB frame blows the 300-byte budget; smalls fit.
-                await h.wait_counter("qos_shed_bytes", 1)
-                await h.wait_received(2)
-                assert [msg for _src, msg in h.node.received] \
-                    == ["small", "small-again"]
-            finally:
-                await h.aclose()
-
-        run(scenario())
-
     def test_protected_messages_never_shed(self):
         async def scenario():
             # A starvation budget: one frame of burst, trickle refill.
@@ -266,8 +246,7 @@ class TestWireAdmission:
     def test_rejects_split_by_layer_and_strike(self):
         async def scenario():
             h = QosHarness(AdmissionPolicy(frame_rate=10.0,
-                                           frame_burst=10.0,
-                                           strike_cost=5.0))
+                                           frame_burst=2.0))
             await h.start()
             try:
                 _reader, writer = await h.raw_connection()
@@ -280,7 +259,7 @@ class TestWireAdmission:
                 writer.write((header + bad_body) * 2)
                 writer.write(encode_frame("after-strikes"))
                 await writer.drain()
-                # The two strikes (cost 5 each) drained the 10-token
+                # The two strikes (a token each) drained the 2-token
                 # burst: the offender's next well-formed frame sheds
                 # itself under the rate bucket.
                 await h.wait_counter("qos_shed_rate", 1)

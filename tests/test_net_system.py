@@ -25,6 +25,7 @@ import asyncio
 import pytest
 
 from repro.content.kvstore import KVGet, KVPut, KeyValueStore
+from repro.chaos.faults import FaultPlane
 from repro.chaos.invariants import run_safety_checks
 from repro.core.adversary import AlwaysLie, BrokenSignature
 from repro.core.messages import AuditBatch, SlaveSnapshot
@@ -396,6 +397,58 @@ class TestMasterCrash:
                           for check in run_safety_checks(cluster)
                           if not check.passed]
                 assert failed == []
+                assert cluster.handler_errors() == []
+            finally:
+                await cluster.aclose()
+
+        run(scenario())
+
+
+    def test_master_crashed_with_a_write_in_flight_can_write_again(self):
+        """The simulator's write-dead-master schedule over sockets: a
+        follower cut off from the trusted set takes a write, crashes
+        across the moment its request would have been retransmitted and
+        restarts healed.  The retransmission used to die with the
+        crash: the write only committed once the client timed out and
+        re-homed, and the master never submitted a write again."""
+        async def scenario():
+            plane = FaultPlane(seed=11)
+            spec = NetDeploymentSpec(
+                num_masters=3, slaves_per_master=1, num_clients=3, seed=11,
+                protocol=fast_protocol_config(double_check_probability=0.0))
+            cluster = await LocalCluster.launch(spec, settle=0.6,
+                                                plane=plane)
+            try:
+                home = {c.master_id: c for c in cluster.clients}
+                victim = cluster.masters[1]
+                assert not victim.broadcast.is_sequencer
+                client = home[victim.node_id]
+                for other in (*cluster.masters, *cluster.auditors):
+                    if other is not victim:
+                        plane.partition(victim.node_id, other.node_id)
+                first = asyncio.ensure_future(
+                    cluster.write(client, KVPut(key="a", value=1)))
+                await cluster.wait_for(lambda: victim._write_inflight, 2.0,
+                                       what="write taken by the victim")
+                await asyncio.sleep(0.9)
+                await cluster.crash_node(victim.node_id)
+                await asyncio.sleep(0.3)
+                plane.heal_all()
+                await cluster.restart_node(victim.node_id)
+                assert (await asyncio.wait_for(first, 3.0))["status"] \
+                    == "committed"
+                assert not victim._write_inflight
+                await asyncio.sleep(cluster.config.max_latency)
+                second = await cluster.write(
+                    client, KVPut(key="b", value=2), timeout=2.0)
+                assert second["status"] == "committed"
+                assert client.master_id == victim.node_id
+                assert cluster.metrics.count("write_timeouts") == 0
+                assert cluster.metrics.count(
+                    f"commits@{victim.node_id}") == 2
+                await cluster.wait_for(
+                    lambda: all(m.version == 2 for m in cluster.masters),
+                    5.0, what="every master at version 2")
                 assert cluster.handler_errors() == []
             finally:
                 await cluster.aclose()

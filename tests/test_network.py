@@ -172,6 +172,75 @@ class TestNetwork:
         assert fired == []
 
 
+class TestNodeTimers:
+    """A timer belongs to the node life that armed it; periodic work is
+    declared once with ``every`` and survives a crash as one chain."""
+
+    def test_timer_armed_before_a_crash_never_fires(self):
+        sim, _net, (a, _b) = build()
+        fired = []
+        a.after(1.0, fired.append, "stale")
+        a.crash()
+        sim.run_until(0.5)
+        a.recover()  # back up well before the timer is due
+        sim.run_until(2.0)
+        assert fired == []
+
+    def test_timer_armed_after_recovery_fires(self):
+        sim, _net, (a, _b) = build()
+        fired = []
+        a.crash()
+        a.recover()
+        a.after(1.0, fired.append, "fresh")
+        sim.run_until(2.0)
+        assert fired == ["fresh"]
+
+    def test_every_runs_now_and_on_its_interval(self):
+        sim, _net, (a, _b) = build()
+        ticks = []
+        a.every(0.5, lambda: ticks.append(sim.now))
+        sim.run_until(2.2)
+        assert ticks == [0.0, 0.5, 1.0, 1.5, 2.0]
+
+    @pytest.mark.parametrize("down_for", [0.05, 0.2, 0.5, 3.0])
+    def test_every_stops_at_the_crash_and_resumes_as_one_chain(
+            self, down_for):
+        sim, _net, (a, _b) = build()
+        ticks = []
+        a.every(0.5, lambda: ticks.append(sim.now))
+        sim.run_until(1.2)
+        before = sim.pending_events()
+        for _ in range(3):  # crashes shorter and longer than the interval
+            a.crash()
+            crashed_at = sim.now
+            sim.run_for(down_for)
+            assert [t for t in ticks if t > crashed_at] == []
+            a.recover()
+            assert ticks[-1] == sim.now  # the round restarts at once
+            sim.run_for(0.7)
+        sim.run_for(5.0)
+        # Exactly one chain again: one tick per interval, one timer armed.
+        recent = [t for t in ticks if t > sim.now - 5.0]
+        assert len(recent) == 10
+        assert sim.pending_events() == before
+
+    def test_every_is_armed_through_after(self):
+        """The benchmark's tracer books node timers by patching
+        ``Node.after``; a periodic round must stay visible to it."""
+        sim, _net, (a, _b) = build()
+        armed = []
+        original = a.after
+
+        def after(delay, callback, *args):
+            armed.append(delay)
+            return original(delay, callback, *args)
+
+        a.after = after
+        a.every(0.5, lambda: None)
+        sim.run_until(1.2)
+        assert armed == [0.5, 0.5, 0.5]
+
+
 class TestFailureInjector:
     def test_crash_and_recover_schedule(self):
         sim, _net, (a, _b) = build()

@@ -65,7 +65,7 @@ class TestRegistry:
         all_rules()  # registration happens on first use, not on import
         assert set(REGISTRY) == {
             "PL001", "PL002", "PL003", "PL004", "PL005", "PL006",
-            "PL101", "PL102", "PL103", "PL104",
+            "PL007", "PL101", "PL102", "PL103", "PL104",
             "PL201", "PL202", "PL301"}
 
     def test_rules_sorted_by_code(self):
@@ -482,6 +482,117 @@ class TestPL005MutableDefaults:
         assert codes(source) == []
 
 
+# -- PL007: self-re-arming timers ------------------------------------------
+
+
+class TestPL007SelfRearmingTimer:
+    def test_periodic_chain_flagged(self):
+        source = """
+            class Master:
+                def _keepalive_loop(self, epoch=0):
+                    if self.crashed or epoch != self._loop_epoch:
+                        return
+                    self.send_stamps()
+                    self._handle = self.after(
+                        self.config.keepalive_interval,
+                        self._keepalive_loop, epoch)
+        """
+        assert codes(source) == ["PL007"]
+
+    def test_chain_through_a_transport_flagged(self):
+        source = """
+            class Engine:
+                def _tick(self):
+                    self.heartbeat()
+                    self.transport.after(self.heartbeat_interval, self._tick)
+        """
+        assert codes(source, path="src/repro/broadcast/example.py") \
+            == ["PL007"]
+
+    def test_retry_state_in_the_timer_arguments_flagged(self):
+        source = """
+            class Auditor:
+                def _audit(self, entries, attempts=0):
+                    unknown = self.sort(entries)
+                    if unknown:
+                        self.after(1.0, self._audit, unknown, attempts + 1)
+                    self.finish(entries)
+        """
+        assert codes(source) == ["PL007"]
+
+    def test_callback_keyword_flagged(self):
+        source = """
+            class Probe:
+                def _probe(self):
+                    self.sample()
+                    self.after(delay=1.0, callback=self._probe)
+        """
+        assert codes(source) == ["PL007"]
+
+    def test_deferral_is_not_a_chain(self):
+        # The timer stands in for this very call; what it waits on is
+        # a queue, or a requester who retries.
+        source = """
+            class Master:
+                def _pump_writes(self):
+                    if self.now < self.earliest:
+                        self.after(self.earliest - self.now,
+                                   self._pump_writes)
+                        return
+                    self.submit(self.queue.popleft())
+
+                def _handle_resync(self, slave_id, message):
+                    if not self.caught_up():
+                        self.after(0.25, self._handle_resync, slave_id,
+                                   message)
+                        return
+                    self.resync(slave_id, message)
+        """
+        assert codes(source) == []
+
+    def test_declared_round_and_other_callbacks_clean(self):
+        source = """
+            class Master:
+                def start(self):
+                    self.every(self.config.keepalive_interval,
+                               self._keepalive_round)
+
+                def _keepalive_round(self):
+                    self.send_stamps()
+
+                def _request_map(self):
+                    self.ask()
+                    self.after(1.0, self._retry_map)
+
+                def _retry_map(self):
+                    if self.shard_map is None:
+                        self._request_map()
+        """
+        assert codes(source) == []
+
+    def test_scoped_to_the_protocol_packages(self):
+        source = """
+            class Node:
+                def _run_every(self, interval, callback):
+                    callback()
+                    self.after(interval, self._run_every)
+        """
+        assert codes(source, path="src/repro/sim/network.py") == []
+        assert codes(source, path="src/repro/shard/example.py") \
+            == ["PL007"]
+
+    def test_suppressed_with_a_reason(self):
+        source = """
+            class Engine:
+                def _tick(self):
+                    self.heartbeat()
+                    # The host offers no periodic primitive here.
+                    # protolint: disable-next-line=PL007
+                    self.transport.after(self.heartbeat_interval, self._tick)
+        """
+        assert codes(source, path="src/repro/broadcast/example.py") == []
+
+
 # -- PL006: config field references must exist ---------------------------
 
 
@@ -707,13 +818,19 @@ class TestCLI:
     def test_list_rules(self):
         proc = self._run("--list-rules")
         assert proc.returncode == 0
-        for code in ("PL001", "PL002", "PL003", "PL004", "PL005", "PL006"):
+        for code in ("PL001", "PL002", "PL003", "PL004", "PL005", "PL006",
+                     "PL007"):
             assert code in proc.stdout
 
     def test_explain_prints_rule_doc(self):
         proc = self._run("--explain", "PL002")
         assert proc.returncode == 0
         assert "compare_digest" in proc.stdout
+
+    def test_explain_pl007_names_the_primitive(self):
+        proc = self._run("--explain", "PL007")
+        assert proc.returncode == 0
+        assert "Node.every" in proc.stdout
 
     def test_explain_unknown_rule_errors(self):
         proc = self._run("--explain", "PL999")

@@ -68,7 +68,7 @@ def world():
     router = ShardRouter(
         "router-00", namespace=owner.content_key_fingerprint(),
         owner_public_key=owner.content_public_key,
-        config=ProtocolConfig(shard_map_retry=0.5),
+        config=ProtocolConfig(),
         metrics=MetricsRegistry(), directory_id="directory",
         clients=legs)
     return sim, directory, owner, legs, router
@@ -96,9 +96,9 @@ class TestMapAcquisition:
         router.start()
         done = []
         router.submit(KVGet(key="k"), callback=done.append)
-        sim.run_for(2.8)
-        # Kept asking (initial + retries every 0.5s), adopted nothing,
-        # routed nothing.
+        sim.run_for(3.8)
+        # Kept asking (initial + a retry every MAP_RETRY = 1 s), adopted
+        # nothing, routed nothing.
         assert directory.map_lookups_served >= 4
         assert router.shard_map is None
         assert all(leg.submitted == [] for leg in legs.values())

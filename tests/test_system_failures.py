@@ -198,6 +198,54 @@ class TestSlaveCrashWithParkedRead:
         assert [o["status"] for o in outcomes] == ["accepted"] * 6
 
 
+class TestClientCrash:
+    """A client's operations in flight are held on the client; the
+    time-outs that drive them die with a crash, so recovery sends them
+    again -- they used to stay in ``_reads``/``_writes`` for good when
+    the client was down past its time-out."""
+
+    def build(self):
+        system = make_system(
+            num_masters=1, slaves_per_master=1, num_clients=1,
+            protocol=ProtocolConfig(double_check_probability=0.0,
+                                    request_timeout=2.0))
+        system.start()
+        system.run_for(2.0)
+        return system, system.clients[0]
+
+    def test_reads_and_writes_in_flight_resolve_after_recovery(self):
+        system, client = self.build()
+        outcomes = []
+        client.submit_read(KVGet(key="k001"), callback=outcomes.append)
+        client.submit_write(KVPut(key="w", value=1),
+                            callback=outcomes.append)
+        client.crash()  # the requests are out; the replies will be lost
+        system.run_for(10.0)  # down past every time-out
+        assert outcomes == [] and client._reads and client._writes
+        client.recover()
+        system.run_for(10.0)
+        assert sorted(o["status"] for o in outcomes) == \
+            ["accepted", "committed"]
+        assert not client._reads and not client._writes
+        # The write was committed while the client was down; the
+        # re-sent request is confirmed, not applied twice.
+        assert system.masters[0].version == 1
+
+    def test_setup_in_progress_restarts(self):
+        system = make_system(num_masters=1, slaves_per_master=1,
+                             num_clients=1)
+        client = system.clients[0]
+        system.start()
+        client.ready = False
+        client._begin_setup()
+        client.crash()  # the directory's reply is lost
+        system.run_for(30.0)
+        assert not client.ready
+        client.recover()
+        system.run_for(5.0)
+        assert client.ready
+
+
 class TestCombinedChaos:
     def test_no_wrong_accepts_under_churn_with_liar(self):
         """Crash churn + a lying slave + message loss: the safety

@@ -152,3 +152,69 @@ class TestCommitDueWhileDown:
         assert [r["result"] for r in results] == \
             [{"found": True, "value": 2}] * 2
         assert system.classify_accepted_reads()["accepted_wrong"] == 0
+
+
+class TestWriteInFlightWhenCrashed:
+    """A master that crashes with its client's write still unordered
+    takes it up again on recovery -- and can take the next one.
+
+    ``master-01`` is cut off from the trusted set, takes a write (the
+    request to the sequencer is dropped), crashes across the moment the
+    request would have been retransmitted, and comes back healed.  The
+    retransmission used to live in a timer of its own, which the crash
+    killed: the request was never sent again, ``_write_inflight`` stayed
+    ``True`` for good, the write only committed ~40 s later through a
+    different master once the client had timed out and re-homed, and
+    every later write through the healthy master queued behind it.
+    """
+
+    REQUEST_TIMEOUT = 1.0  # the broadcast's
+    HEARTBEAT = 0.25
+
+    @pytest.mark.parametrize("down_for", [
+        0.1,  # shorter than a heartbeat
+        1.0,  # longer than the request time-out
+        5.0,  # longer than suspect_after: removed from the view, too
+    ])
+    def test_both_writes_commit_through_the_recovered_master(self, down_for):
+        config = ProtocolConfig(double_check_probability=0.0)
+        system = make_system(num_masters=3, num_clients=12, seed=3,
+                             protocol=config)
+        system.start()
+        system.run_for(5.0)
+        victim = system.masters[1]
+        first, second = [client for client in system.clients
+                         if client.master_id == victim.node_id][:2]
+        for other in (*system.masters, *system.auditors):
+            if other is not victim:
+                system.network.partition(victim.node_id, other.node_id)
+        committed = {}
+        first.submit_write(KVPut(key="a", value=1), callback=lambda result:
+                           committed.setdefault("a", (system.now, result)))
+        # Down across the request's first retransmission.
+        system.run_for(self.REQUEST_TIMEOUT - 0.05)
+        victim.crash()
+        system.run_for(down_for)
+        system.network.heal_all()
+        victim.recover()
+        healed = system.now
+        system.run_for(self.REQUEST_TIMEOUT + 2 * self.HEARTBEAT)
+        assert "a" in committed and committed["a"][1]["status"] == "committed"
+        assert committed["a"][0] - healed \
+            <= self.REQUEST_TIMEOUT + 2 * self.HEARTBEAT
+        assert not victim._write_inflight
+
+        system.run_for(config.max_latency)  # clear of the commit spacing
+        submitted = system.now
+        second.submit_write(KVPut(key="b", value=2), callback=lambda result:
+                            committed.setdefault("b", (system.now, result)))
+        system.run_for(1.0)
+        assert "b" in committed and committed["b"][0] - submitted <= 1.0
+        assert not victim._write_inflight and not victim._write_queue
+        assert not victim.broadcast._pending
+
+        system.run_for(60.0)
+        assert system.metrics.count("write_timeouts") == 0
+        assert {first.master_id, second.master_id} == {victim.node_id}
+        assert [m.version for m in system.masters] == [2, 2, 2]
+        assert len({m.store.state_digest() for m in system.masters}) == 1

@@ -36,12 +36,15 @@ class Member(Node):
         self.engine.announce_recovery()
 
 
-def build_group(n=3, latency=None, seed=0, **engine_kwargs):
+def build_group(n=3, latency=None, seed=0, before_start=None,
+                **engine_kwargs):
     sim = Simulator(seed=seed)
     net = Network(sim, latency=latency or ConstantLatency(0.01))
     ids = [f"m{i}" for i in range(n)]
     members = [Member(i, sim, net, ids, **engine_kwargs) for i in ids]
     for member in members:
+        if before_start is not None:
+            before_start(member)
         member.start()
     return sim, net, members
 
@@ -261,3 +264,64 @@ class TestViewChange:
         a.crash()
         sim.run_for(5.0)
         assert removed == ["m0"]
+
+
+class TestRecovery:
+    """What a member needs after a crash is held on the member; its one
+    tick, restarted by the host, drives all of it."""
+
+    @staticmethod
+    def _count_ticks(member):
+        member.ticks = []
+        original = member.engine._tick
+
+        def tick():
+            member.ticks.append(member.now)
+            original()
+
+        member.engine._tick = tick
+
+    @pytest.mark.parametrize("index", [0, 2], ids=["sequencer", "follower"])
+    def test_one_tick_chain_after_any_crash(self, index):
+        sim, _net, members = build_group(n=3,
+                                         before_start=self._count_ticks)
+        member = members[index]
+        sim.run_for(1.1)
+        member.ticks.clear()
+        sim.run_for(10.0)
+        before = len(member.ticks)
+        # Shorter and longer than heartbeat_interval (0.25), and longer
+        # than suspect_after (1.5).
+        for down_for in (0.05, 0.1, 0.3, 2.0):
+            member.crash()
+            sim.run_for(down_for)
+            member.recover()
+            sim.run_for(3.0)
+            member.ticks.clear()
+            sim.run_for(10.0)
+            assert len(member.ticks) == before == 40
+
+    def test_pending_forgets_ordered_requests(self):
+        sim, _net, members = build_group(n=3)
+        for i in range(50):
+            members[i % 3].engine.broadcast(i)
+        sim.run_for(5.0)
+        assert all(len(m.delivered) == 50 for m in members)
+        assert [len(m.engine._pending) for m in members] == [0, 0, 0]
+
+    def test_request_in_flight_when_crashed_is_retransmitted(self):
+        """The retransmission has no timer of its own to lose: a member
+        that was down when its request timed out sends it again from
+        the tick its recovery restarts."""
+        sim, net, members = build_group(n=3)
+        net.partition("m2", "m0")
+        members[2].engine.broadcast("mine")
+        sim.run_for(0.5)
+        members[2].crash()
+        sim.run_for(1.0)  # down across request_timeout
+        net.heal("m2", "m0")
+        members[2].recover()
+        sim.run_for(1.0)
+        for member in members:
+            assert payloads(member) == ["mine"]
+        assert not members[2].engine._pending

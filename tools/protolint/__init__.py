@@ -13,6 +13,8 @@ Hosts", HotOS 2003) rests on invariants the type system cannot see:
 * all signature verification must flow through the scheme-dispatching
   ``verify_signature`` entry point, never through a raw
   ``Signer.verify_with`` (PL004);
+* a node's timers die with a crash, so periodic work is declared with
+  ``Node.every`` and never by a method re-arming itself (PL007);
 * plus two general hygiene rules: no mutable default arguments (PL005)
   and no references to nonexistent ``ProtocolConfig`` fields (PL006).
 

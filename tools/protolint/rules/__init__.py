@@ -12,6 +12,7 @@ from tools.protolint.rules import (  # noqa: F401
     pl004_verify_dispatch,
     pl005_mutable_defaults,
     pl006_config_fields,
+    pl007_self_rearming_timer,
     pl101_await_atomicity,
     pl102_blocking_in_async,
     pl103_untracked_task,
