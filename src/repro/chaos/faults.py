@@ -33,6 +33,7 @@ imports this module.
 from __future__ import annotations
 
 import asyncio
+import functools
 import random
 from dataclasses import dataclass
 from typing import Any
@@ -272,19 +273,23 @@ class ChaosConnectionPool(ConnectionPool):
 
     # -- byte-level faults -------------------------------------------------
 
-    def _encode(self, dst_id: str, batch: list[Any]) -> bytes:
+    def _encode(self, dst_id: str, batch: list[Any],
+                context: codec.WireContext | None) -> bytes:
         """One frame per message, never a ``FrameBatch``: fault fates
         stay addressed per (seed, link, frame-index), and corruption
         offsets are drawn per frame in backlog order (again on a retry).
         """
-        return self._encode_each(
-            dst_id, batch, lambda payload: self._frame(dst_id, payload))
+        return self._encode_each(dst_id, batch, context,
+                                 functools.partial(self._frame, dst_id))
 
-    def _frame(self, dst_id: str, payload: Any) -> bytes:
+    def _frame(self, dst_id: str, payload: Any,
+               context: codec.WireContext | None) -> bytes:
+        """The production pool's bytes for ``payload`` on this
+        connection (references and all), damaged if so planned."""
         if not isinstance(payload, _Corrupted):
-            return codec.encode_frame(payload)
+            return codec.encode_frame(payload, context)
         # Flip one body byte, leaving the header (and framing) intact.
-        frame = bytearray(codec.encode_frame(payload.message))
+        frame = bytearray(codec.encode_frame(payload.message, context))
         if len(frame) > codec.HEADER_SIZE:
             index = self.plane.randrange(self.node_id, dst_id,
                                          codec.HEADER_SIZE, len(frame))

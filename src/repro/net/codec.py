@@ -12,10 +12,16 @@ The body is a self-describing tagged encoding of plain Python data
 (None, bools, arbitrary-precision ints, floats, str, bytes, lists,
 tuples, dicts, sets) plus *extensions*: registered dataclasses encoded
 as their wire type id followed by the tuple of ``__init__`` field
-values.  Because dataclasses round-trip field-for-field, the
-``canonical_bytes`` signed payloads rebuilt on the receiving side are
-byte-identical to the sender's, so **signatures verify unchanged across
-the wire** -- no re-signing, no trusted serialisation step.
+values -- except where a field would repeat what the receiver already
+holds: a :class:`~repro.core.messages.VersionStamp` this connection has
+carried in full travels as a reference to it (:class:`WireContext`), a
+pledge's SHA-1 as its 20 bytes instead of 40 hex characters, and a
+reply's request id as one marker byte when its pledge names the same
+one.  All three are transport only.  Dataclasses still round-trip
+field-for-field, so the ``canonical_bytes`` signed payloads rebuilt on
+the receiving side are byte-identical to the sender's and **signatures
+verify unchanged across the wire** -- no re-signing, no trusted
+serialisation step.
 
 The extension registry is append-only: ids 1-31 are reserved for
 infrastructure carriers (handshake, certificates, public keys, broadcast
@@ -38,7 +44,13 @@ from typing import Any, Callable, Iterator
 
 from repro.broadcast.totalorder import BroadcastEnvelope
 from repro.content.store import ContentStore, store_from_wire
-from repro.core.messages import WIRE_MESSAGE_TYPES
+from repro.core.messages import (
+    WIRE_MESSAGE_TYPES,
+    Accusation,
+    Pledge,
+    ReadReply,
+    VersionStamp,
+)
 from repro.core.trusted import CertAnnouncement
 from repro.crypto.certificates import Certificate
 from repro.crypto.rsa import RSAPublicKey
@@ -49,6 +61,7 @@ from repro.net.errors import (
     CodecError,
     FrameTooLarge,
     TruncatedFrame,
+    UnknownReference,
     UnknownWireType,
 )
 from repro.obs.admin import (
@@ -71,13 +84,16 @@ from repro.shard.wire import (
 )
 
 MAGIC = b"RN"
-WIRE_VERSION = 1
+#: 2 since PR 22: a version-1 peer cannot read the two value tags and
+#: the field marker added then.
+WIRE_VERSION = 2
 HEADER_SIZE = 8
 #: Upper bound on a frame body; a full MiniDB snapshot fits comfortably,
 #: while a hostile 4 GiB length prefix is rejected before allocation.
 MAX_FRAME_BYTES = 8 * 1024 * 1024
 
 _HEADER = struct.Struct(">2sBBI")
+_DOUBLE = struct.Struct(">d")
 
 # -- value tags -------------------------------------------------------------
 
@@ -94,7 +110,23 @@ _T_DICT = 0x64  # 'd'
 _T_SET = 0x53  # 'S'
 _T_FROZENSET = 0x5A  # 'Z'
 _T_EXT = 0x78  # 'x'
+#: A SHA-1 as its 20 raw bytes; decodes to the 40 lower-case hex
+#: characters they spell.  Written for ``Pledge.result_hash`` only.
+_T_DIGEST = 0x68  # 'h'
+#: A version stamp this connection already carried in full, named by
+#: the 8 bytes of its timestamp; decodes to that very object.
+_T_STAMP_REF = 0x72  # 'r'
 _TUPLE_TAG = bytes((_T_TUPLE,))
+#: Not a value tag: stands for ``ReadReply.request_id`` -- there and
+#: nowhere else -- when the reply's pledge names the same request.
+_SAME_REQUEST = b"="
+
+#: Stamps one direction of one connection remembers.  A connection sees
+#: the old and the new stamp around each keep-alive, for each master
+#: whose tenants share its host pair: 8 covers four such masters.  Not
+#: an option: too small costs bytes (a stamp goes in full again), never
+#: correctness.
+STAMPS_REMEMBERED = 8
 
 
 @dataclasses.dataclass(frozen=True, slots=True)
@@ -124,6 +156,84 @@ class FrameBatch:
     """
 
     messages: tuple[Any, ...]
+
+
+# -- what a connection remembers ---------------------------------------------
+
+
+class WireContext:
+    """What one direction of one TCP connection has already said in full.
+
+    The dialling pool keeps one beside each writer, the listener one in
+    each accepted connection; :func:`encode_frame` and
+    :func:`decode_value` take it as an argument.  Both ends apply the
+    same rule to the same frames in the same order, so the two stay
+    equal without exchanging a byte about it: a stamp that crosses in
+    full (whichever message carries it) is remembered under its packed
+    timestamp, the oldest of more than :data:`STAMPS_REMEMBERED` is
+    forgotten, and a frame that fails to encode or decode is as if it
+    had never been.  A reference therefore names only what *this peer*
+    sent in full earlier on *this connection*; one the receiver cannot
+    resolve is :class:`~repro.net.errors.UnknownReference` and costs
+    the connection, never a guess.  Without a context both functions
+    are the stateless, self-contained form.
+    """
+
+    __slots__ = ("stamps",)
+
+    def __init__(self) -> None:
+        #: Packed timestamp -> stamp, oldest definition first.  Replaced,
+        #: never mutated: whoever holds the old mapping can put it back.
+        self.stamps: dict[bytes, VersionStamp] = {}
+
+    @staticmethod
+    def _name(stamp: VersionStamp) -> bytes | None:
+        """The 8 bytes that name ``stamp``; a timestamp that is not a
+        float has none, and its stamp goes in full every time."""
+        timestamp = stamp.timestamp
+        if timestamp.__class__ is not float:
+            return None
+        return _DOUBLE.pack(timestamp)
+
+    def remember(self, stamp: VersionStamp) -> None:
+        """``stamp`` just crossed in full (either direction's view)."""
+        key = self._name(stamp)
+        if key is None:
+            return
+        stamps = {held_key: held for held_key, held in self.stamps.items()
+                  if held_key != key}
+        if len(stamps) >= STAMPS_REMEMBERED:
+            del stamps[next(iter(stamps))]
+        stamps[key] = stamp
+        self.stamps = stamps
+
+    def reference(self, stamp: VersionStamp) -> bytes | None:
+        """The bytes that name ``stamp`` here, if it crossed in full."""
+        key = self._name(stamp)
+        held = None if key is None else self.stamps.get(key)
+        if held is not None and (held is stamp
+                                 or _same_on_the_wire(held, stamp)):
+            return key
+        return None
+
+
+#: The context of the frame being encoded or decoded, else ``None``.
+#: :func:`encode_frame` and :func:`decode_value` set it for the duration
+#: of their one synchronous call and put back what they found, so the
+#: per-value codecs keep their two-argument shape (and speed) and no
+#: caller ever sees it set.
+_context: WireContext | None = None
+
+
+def _stateless(codec_fn: Callable[..., Any], *args: Any) -> Any:
+    """``codec_fn(*args)`` with no context current: what is encoded or
+    decoded inside neither uses nor feeds the connection's memory."""
+    global _context
+    outer, _context = _context, None
+    try:
+        return codec_fn(*args)
+    finally:
+        _context = outer
 
 
 # -- extension registry -----------------------------------------------------
@@ -225,8 +335,6 @@ def _decode_varint(buf: bytes, pos: int) -> tuple[int, int]:
 # ``_ENCODE`` again, so a whole message is encoded without passing a
 # type test it does not need.
 
-_DOUBLE = struct.Struct(">d")
-
 
 def _encode_none(value: None, out: bytearray) -> None:
     out.append(_T_NONE)
@@ -296,8 +404,10 @@ def _encode_dict(value: dict[Any, Any], out: bytearray) -> None:
 
 def _encode_set(value: set[Any] | frozenset[Any], out: bytearray) -> None:
     out.append(_T_SET if value.__class__ is set else _T_FROZENSET)
-    # Deterministic order: sort members by their own encoding.
-    encoded = sorted(encode_value(item) for item in value)
+    # Deterministic order: sort members by their own encoding -- the
+    # stateless one, because sorting undoes the order a context's
+    # definitions and references rely on.
+    encoded = _stateless(sorted, map(encode_value, value))
     _append_varint(out, len(encoded))
     for blob in encoded:
         out += blob
@@ -377,22 +487,35 @@ def _decode_value(buf: bytes, pos: int) -> tuple[Any, int]:
                     raise CodecError(
                         f"unhashable dict key: {exc}") from None
             return result, pos
-        items = []
-        for _ in range(number):
-            item, pos = _decode_value(buf, pos)
-            items.append(item)
-        if tag == _T_TUPLE:
-            return tuple(items), pos
-        if tag == _T_LIST:
-            return items, pos
-        try:
-            return (set(items) if tag == _T_SET else frozenset(items)), pos
-        except TypeError as exc:
-            raise CodecError(f"unhashable set member: {exc}") from None
-    if tag == _T_NONE:
-        return None, pos
+        if tag == _T_TUPLE or tag == _T_LIST:
+            items = []
+            for _ in range(number):
+                item, pos = _decode_value(buf, pos)
+                items.append(item)
+            return (tuple(items) if tag == _T_TUPLE else items), pos
+        # A set's members were encoded without a context (_encode_set).
+        return _stateless(_decode_set, buf, pos, number, tag)
     if tag == _T_TRUE:
         return True, pos
+    if tag == _T_DIGEST:
+        stop = pos + 20
+        if stop > end:
+            raise _short(buf, pos, 20)
+        return buf[pos:stop].hex(), stop
+    if tag == _T_STAMP_REF:
+        stop = pos + 8
+        if stop > end:
+            raise _short(buf, pos, 8)
+        context = _context
+        stamp = None if context is None \
+            else context.stamps.get(buf[pos:stop])
+        if stamp is None:
+            raise UnknownReference(
+                "reference to a version stamp this connection has not "
+                "carried in full")
+        return stamp, stop
+    if tag == _T_NONE:
+        return None, pos
     if tag == _T_FALSE:
         return False, pos
     if tag == _T_FLOAT:
@@ -402,45 +525,87 @@ def _decode_value(buf: bytes, pos: int) -> tuple[Any, int]:
     raise CodecError(f"unknown value tag 0x{tag:02x}")
 
 
+def _decode_set(buf: bytes, pos: int, count: int,
+                tag: int) -> tuple[Any, int]:
+    items = []
+    for _ in range(count):
+        item, pos = _decode_value(buf, pos)
+        items.append(item)
+    try:
+        return (set(items) if tag == _T_SET else frozenset(items)), pos
+    except TypeError as exc:
+        raise CodecError(f"unhashable set member: {exc}") from None
+
+
 def _short(buf: bytes, pos: int, length: int) -> TruncatedFrame:
     return TruncatedFrame(
         f"need {length} bytes at offset {pos}, frame has {len(buf)}")
 
 
-def decode_value(data: bytes | memoryview) -> Any:
-    """Decode one value; the buffer must contain exactly one value."""
+def decode_value(data: bytes | memoryview,
+                 context: WireContext | None = None) -> Any:
+    """Decode one value; the buffer must contain exactly one value.
+
+    ``context`` is the receiving half of the connection the bytes came
+    over (see :class:`WireContext`); without one only self-contained
+    bytes decode, and a reference is :class:`UnknownReference`.
+    """
+    global _context
     buf = data if isinstance(data, bytes) else bytes(data)
+    outer, _context = _context, context
+    stamps = None if context is None else context.stamps
     try:
-        value, pos = _decode_value(buf, 0)
-    except RecursionError:
-        # A few KiB of nested list tags is enough to exhaust the stack;
-        # that is a malformed frame, not a crash in the reader task.
-        raise CodecError("value nested too deeply") from None
-    if pos != len(buf):
-        raise CodecError(
-            f"{len(buf) - pos} trailing bytes after value"
-        )
+        try:
+            value, pos = _decode_value(buf, 0)
+        except RecursionError:
+            # A few KiB of nested list tags is enough to exhaust the
+            # stack; that is a malformed frame, not a crash in the
+            # reader task.
+            raise CodecError("value nested too deeply") from None
+        if pos != len(buf):
+            raise CodecError(
+                f"{len(buf) - pos} trailing bytes after value"
+            )
+    except BaseException:
+        if context is not None:
+            context.stamps = stamps  # as if the frame had never been
+        raise
+    finally:
+        _context = outer
     return value
 
 
 # -- framing ---------------------------------------------------------------
 
 
-def encode_frame(value: Any) -> bytes:
+def encode_frame(value: Any, context: WireContext | None = None) -> bytes:
     """Header + encoded body for one message.
+
+    ``context`` is the sending half of the connection the frame is for
+    (see :class:`WireContext`); without one the frame is self-contained.
 
     The body is encoded straight after a reserved header slot in one
     growable buffer, so a frame costs a single allocation instead of a
     header + body concatenation copy.
     """
+    global _context
     out = bytearray(HEADER_SIZE)
-    _ENCODE[value.__class__](value, out)
-    length = len(out) - HEADER_SIZE
-    if length > MAX_FRAME_BYTES:
-        raise FrameTooLarge(
-            f"encoded body is {length} bytes "
-            f"(limit {MAX_FRAME_BYTES})"
-        )
+    outer, _context = _context, context
+    stamps = None if context is None else context.stamps
+    try:
+        _ENCODE[value.__class__](value, out)
+        length = len(out) - HEADER_SIZE
+        if length > MAX_FRAME_BYTES:
+            raise FrameTooLarge(
+                f"encoded body is {length} bytes "
+                f"(limit {MAX_FRAME_BYTES})"
+            )
+    except BaseException:
+        if context is not None:
+            context.stamps = stamps  # as if the frame had never been
+        raise
+    finally:
+        _context = outer
     _HEADER.pack_into(out, 0, MAGIC, WIRE_VERSION, 0, length)
     return bytes(out)
 
@@ -463,7 +628,8 @@ def parse_header(header: bytes) -> int:
     return int(length)
 
 
-def decode_frame(data: bytes | memoryview) -> Any:
+def decode_frame(data: bytes | memoryview,
+                 context: WireContext | None = None) -> Any:
     """Decode one complete frame (header + body)."""
     buf = data if isinstance(data, bytes) else bytes(data)
     length = parse_header(buf[:HEADER_SIZE])
@@ -472,7 +638,7 @@ def decode_frame(data: bytes | memoryview) -> Any:
         raise TruncatedFrame(
             f"header declares {length} body bytes, got {len(body)}"
         )
-    return decode_value(body)
+    return decode_value(body, context)
 
 
 # -- extension codecs -------------------------------------------------------
@@ -516,37 +682,44 @@ def _dataclass_encoder(cls: type, header: bytes) -> _EncodeFn:
 
 
 def _dataclass_decoder(cls: type) -> _DecodeFn:
+    name = cls.__name__
     arity = len(_init_fields(cls))
-    #: What the encoder writes ahead of the fields (arity < 128 always).
+    #: What the encoder writes ahead of the fields: two bytes, for
+    #: arity < 128 always.
     canonical = _TUPLE_TAG + _encode_varint(arity)
 
     def decode(buf: bytes, pos: int) -> tuple[Any, int]:
-        count = arity
         if buf.startswith(canonical, pos):
-            pos += len(canonical)
-        elif buf[pos:pos + 1] == _TUPLE_TAG:
-            count, pos = _decode_varint(buf, pos + 1)  # padded, or wrong
+            pos += 2
         else:
-            # Malformed input fails as the value it is would; a value
-            # that does decode is still not this class's payload.
-            _decode_value(buf, pos)
-            raise CodecError(
-                f"{cls.__name__} payload must be a {arity}-tuple")
+            pos = _odd_fields_header(buf, pos, name, arity)
         values = []
-        for _ in range(count):
+        for _ in range(arity):
             item, pos = _decode_value(buf, pos)
             values.append(item)
-        if count != arity:
-            raise CodecError(
-                f"{cls.__name__} payload must be a {arity}-tuple")
         try:
             return cls(*values), pos
         except (TypeError, ValueError) as exc:
-            raise CodecError(
-                f"cannot rebuild {cls.__name__}: {exc}"
-            ) from None
+            raise CodecError(f"cannot rebuild {name}: {exc}") from None
 
     return decode
+
+
+def _odd_fields_header(buf: bytes, pos: int, name: str, arity: int) -> int:
+    """The first field's offset behind a tuple header the encoder would
+    not have written: a padded count is let through, anything else is
+    not ``name``'s payload."""
+    if buf[pos:pos + 1] == _TUPLE_TAG:
+        count, pos = _decode_varint(buf, pos + 1)
+        if count == arity:
+            return pos
+        for _ in range(count):
+            _item, pos = _decode_value(buf, pos)
+    else:
+        _decode_value(buf, pos)
+    # Malformed input has failed above as the value it is would; a
+    # value that does decode is still not this class's payload.
+    raise CodecError(f"{name} payload must be a {arity}-tuple")
 
 
 def _encode_hmac_key(value: Any, out: bytearray) -> None:
@@ -653,3 +826,160 @@ def _iter_registrations() -> Iterator[_Registration]:
 for _registration in _iter_registrations():
     _register(*_registration)
 del _registration
+
+
+# -- say it once per connection ----------------------------------------------
+#
+# Three fields of the read path repeat what the receiver already holds
+# or could read two fields further on.  Each is elided by its class's
+# one encoder and restored by its one decoder, so the decoded object is
+# field-for-field the one that was sent and neither what is *signed*
+# nor what is *checked* can tell.  The four classes concerned are
+# registered above like every other message; the hand-written codecs
+# below then take the compiled ones' places in the tables.
+
+# (1) A stamp crosses a connection once.
+
+_stamp_in_full = _ENCODE[VersionStamp]
+_stamp_from_fields = _DECODERS[_BY_TYPE[VersionStamp]]
+
+
+def _encode_stamp(value: Any, out: bytearray) -> None:
+    context = _context
+    if context is not None:
+        key = context.reference(value)
+        if key is not None:
+            out.append(_T_STAMP_REF)
+            out += key
+            return
+        # Ahead of the bytes it describes: if they fail to encode, so
+        # does the frame, and the frame puts the context back.
+        context.remember(value)
+    _stamp_in_full(value, out)
+
+
+def _decode_stamp(buf: bytes, pos: int) -> tuple[Any, int]:
+    stamp, pos = _stamp_from_fields(buf, pos)
+    if _context is not None:
+        _context.remember(stamp)
+    return stamp, pos
+
+
+def _same_on_the_wire(held: VersionStamp, stamp: VersionStamp) -> bool:
+    """Whether a reference to ``held`` gives the receiver ``stamp``.
+
+    Equal is necessary and not enough: ``5 == 5.0`` and ``True == 1``,
+    yet each signs as different bytes.  Equal *encodings* decode to the
+    same object by construction; the identity test ahead of this call
+    settles every stamp the protocol itself sends twice.
+    """
+    def in_full(candidate: VersionStamp) -> bytearray:
+        out = bytearray()
+        _stamp_in_full(candidate, out)
+        return out
+
+    return held == stamp and in_full(held) == in_full(stamp)
+
+
+# (2) A SHA-1 travels as 20 bytes.
+
+_PLEDGE_PREFIX = bytes((_T_EXT, _BY_TYPE[Pledge])) + _TUPLE_TAG + b"\x06"
+
+
+def _encode_pledge(value: Any, out: bytearray) -> None:
+    out += _PLEDGE_PREFIX
+    item = value.query_wire
+    _ENCODE[item.__class__](item, out)
+    pledged = value.result_hash
+    # Raw when, and only when, it is exactly the string those 20 bytes
+    # spell back: 40 lower-case hex characters.  (A question about its
+    # spelling, not a comparison of secrets.)
+    raw = None
+    if pledged.__class__ is str and len(pledged) == 40:
+        try:
+            raw = bytes.fromhex(pledged)
+        except ValueError:
+            pass
+    if raw is not None and raw.hex() == pledged:
+        out.append(_T_DIGEST)
+        out += raw
+    else:
+        _ENCODE[pledged.__class__](pledged, out)
+    item = value.stamp
+    _ENCODE[item.__class__](item, out)
+    item = value.slave_id
+    _ENCODE[item.__class__](item, out)
+    item = value.request_id
+    _ENCODE[item.__class__](item, out)
+    item = value.signature
+    _ENCODE[item.__class__](item, out)
+
+
+# (3) A reply names its request once.
+
+_READ_REPLY_FIELDS = _TUPLE_TAG + b"\x04"
+_READ_REPLY_PREFIX = bytes((_T_EXT, _BY_TYPE[ReadReply])) + _READ_REPLY_FIELDS
+
+
+def _encode_read_reply(value: Any, out: bytearray) -> None:
+    out += _READ_REPLY_PREFIX
+    item = value.request_id
+    pledge = value.pledge
+    if pledge.__class__ is Pledge and item.__class__ is str \
+            and item == pledge.request_id:
+        out += _SAME_REQUEST
+    else:
+        _ENCODE[item.__class__](item, out)
+    item = value.result
+    _ENCODE[item.__class__](item, out)
+    _ENCODE[pledge.__class__](pledge, out)
+    item = value.in_sync
+    _ENCODE[item.__class__](item, out)
+
+
+def _decode_read_reply(buf: bytes, pos: int) -> tuple[Any, int]:
+    if buf.startswith(_READ_REPLY_FIELDS, pos):
+        pos += 2
+    else:
+        pos = _odd_fields_header(buf, pos, "ReadReply", 4)
+    same_request = buf.startswith(_SAME_REQUEST, pos)
+    if same_request:
+        pos += 1
+    else:
+        request_id, pos = _decode_value(buf, pos)
+    result, pos = _decode_value(buf, pos)
+    pledge, pos = _decode_value(buf, pos)
+    in_sync, pos = _decode_value(buf, pos)
+    if same_request:
+        if pledge.__class__ is not Pledge:
+            raise CodecError(
+                "ReadReply takes its request id from a pledge it does "
+                "not carry")
+        request_id = pledge.request_id
+    return ReadReply(request_id, result, pledge, in_sync), pos
+
+
+# Evidence is self-contained in its own frame: whoever is handed an
+# accusation's bytes -- a master, a log, an outsider -- can read the
+# pledge without the connection it once crossed.  So no reference goes
+# in, and (the two ends keeping in step) nothing inside is remembered.
+
+_accusation_in_full = _ENCODE[Accusation]
+_accusation_from_fields = _DECODERS[_BY_TYPE[Accusation]]
+
+
+def _encode_accusation(value: Any, out: bytearray) -> None:
+    _stateless(_accusation_in_full, value, out)
+
+
+def _decode_accusation(buf: bytes, pos: int) -> tuple[Any, int]:
+    decoded: tuple[Any, int] = _stateless(_accusation_from_fields, buf, pos)
+    return decoded
+
+
+_ENCODE.update({VersionStamp: _encode_stamp, Pledge: _encode_pledge,
+                ReadReply: _encode_read_reply,
+                Accusation: _encode_accusation})
+_DECODERS.update({_BY_TYPE[VersionStamp]: _decode_stamp,
+                  _BY_TYPE[ReadReply]: _decode_read_reply,
+                  _BY_TYPE[Accusation]: _decode_accusation})

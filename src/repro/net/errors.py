@@ -40,6 +40,14 @@ class UnknownWireType(CodecError):
     """Frame carries a type id absent from the codec registry."""
 
 
+class UnknownReference(CodecError):
+    """Frame refers to something its connection never carried in full.
+
+    Unlike other bad bodies this one is connection-fatal: what is lost
+    is the state both ends share, as with frame alignment.
+    """
+
+
 class TransportError(NetError):
     """A connection-level failure (dial, handshake, send, timeout)."""
 

@@ -17,7 +17,8 @@ Each accepted connection is an :class:`asyncio.Protocol` whose
 ``data_received`` parses complete frames out of the segment and
 dispatches them inline -- no reader task, no stream, no await between
 the socket and the handler.  Malformed frames are counted and skipped
-(body-level garbage) or close the connection (framing-level garbage);
+(body-level garbage) or close the connection (framing-level garbage, or
+a reference to something the connection never carried);
 handler exceptions are captured, not fatal -- a byzantine peer must not
 crash a server.
 """
@@ -31,7 +32,7 @@ from typing import Any, Callable
 from repro.core.messages import Accusation, KeepAlive
 from repro.metrics import MetricsRegistry
 from repro.net import codec
-from repro.net.errors import CodecError, TruncatedFrame
+from repro.net.errors import CodecError, TruncatedFrame, UnknownReference
 from repro.net.transport import ConnectionPool
 from repro.obs.admin import AdminPlane, QosStatusReply, QosStatusRequest
 from repro.obs.context import TraceCarrier
@@ -210,7 +211,7 @@ class _Connection(asyncio.Protocol):
 
     __slots__ = ("server", "loop", "transport", "src_id", "_buffer",
                  "_need", "_timer", "_holds", "_halted", "_closed",
-                 "_active_at")
+                 "_active_at", "_context")
 
     transport: asyncio.Transport
 
@@ -230,6 +231,10 @@ class _Connection(asyncio.Protocol):
         self._closed = False
         #: When the last complete frame arrived (idle reaper's clock).
         self._active_at = 0.0
+        #: What the peer has sent in full on this connection, the
+        #: receiving half (its ``_Peer`` holds the pair); lives and dies
+        #: with the connection.
+        self._context = codec.WireContext()
 
     # -- transport callbacks -------------------------------------------------
 
@@ -286,9 +291,15 @@ class _Connection(asyncio.Protocol):
                 break
             pos = frame_end
             try:
-                message = codec.decode_value(data[body_at:frame_end])
+                message = codec.decode_value(data[body_at:frame_end],
+                                             self._context)
             except TruncatedFrame:
                 self._malformed("framing")
+            except UnknownReference:
+                # The two ends no longer remember the same things (a
+                # defining frame was damaged or skipped): like lost
+                # alignment, only a new connection restores it.
+                self._malformed("reference")
             except CodecError:
                 # Bad body inside a well-framed message: skip it, the
                 # stream itself is still aligned on frame boundaries.
@@ -436,7 +447,7 @@ class NodeServer:
     drain it into logging.
 
     With a :class:`~repro.qos.tokens.AdmissionPolicy` the listener grows
-    a serving plane: per-client frame/byte token buckets ahead of
+    a serving plane: per-client frame token buckets ahead of
     dispatch (seeded shed decisions, per-reason ``qos_shed_*``
     counters), a bounded inbox between decode and dispatch
     (:class:`~repro.qos.queue.InboundQueue`; keep-alives and accusations
@@ -604,10 +615,12 @@ class NodeServer:
 
         The aggregate ``net_frames_rejected`` is retained (dashboards
         and older tests key on it); ``kind`` is ``framing`` (header-
-        level garbage, connection closes) or ``body`` (well-framed but
-        undecodable payload, stream continues).  Under qos, rejects
-        also burn the sender's admission tokens so repeat offenders
-        shed themselves.
+        level garbage, connection closes), ``reference`` (a well-framed
+        body naming something this connection never carried in full:
+        the two ends' memories differ, connection closes) or ``body``
+        (well-framed but undecodable payload, stream continues).  Under
+        qos, rejects also burn the sender's admission tokens so repeat
+        offenders shed themselves.
         """
         self.metrics.incr("net_frames_rejected")
         self.metrics.incr(f"net_frames_rejected_{kind}")

@@ -149,6 +149,10 @@ class _Peer:
     #: a peer that closed cleanly (the transport stays writable and the
     #: kernel takes one more write that nobody will read).
     reader: asyncio.StreamReader | None = None
+    #: What this connection has carried in full, the sending half (the
+    #: accepting ``_Connection`` holds its pair); set and cleared with
+    #: ``writer``, so every dial starts from nothing.
+    context: codec.WireContext | None = None
     #: A flush callback is already scheduled for this loop tick.
     flush_armed: bool = False
 
@@ -277,7 +281,7 @@ class ConnectionPool:
                        and not reader.at_eof()
                        and transport.get_write_buffer_size() == 0):
                     batch = self._take(backlog)
-                    payload = self._encode(dst_id, batch)
+                    payload = self._encode(dst_id, batch, peer.context)
                     writer.write(payload)
                     # "Frames" are protocol messages: the counters see
                     # the same traffic whether or not the wire
@@ -297,8 +301,10 @@ class ConnectionPool:
             return batch
         return [backlog.popleft() for _ in range(self.max_batch)]
 
-    def _encode(self, dst_id: str, batch: list[Any]) -> bytes:
-        """Wire bytes for one flush's messages, in order.
+    def _encode(self, dst_id: str, batch: list[Any],
+                context: codec.WireContext | None) -> bytes:
+        """Wire bytes for one flush's messages, in order, on the
+        connection ``context`` belongs to.
 
         Two or more go out as a single
         :class:`~repro.net.codec.FrameBatch` frame -- one header, one
@@ -308,30 +314,34 @@ class ConnectionPool:
         to back), or one message is not encodable at all (an
         unregistered type, a single message over the limit).  Such a
         message is dropped with a count and removed from ``batch``; its
-        batch mates still go out.
+        batch mates still go out.  A frame that fails leaves ``context``
+        as it found it, so the fallback starts where the batch did.
         """
         try:
             if len(batch) == 1:
-                return codec.encode_frame(batch[0])
+                return codec.encode_frame(batch[0], context)
             payload = codec.encode_frame(
-                codec.FrameBatch(messages=tuple(batch)))
+                codec.FrameBatch(messages=tuple(batch)), context)
         except CodecError:
             pass
         else:
             self.metrics.incr("net_batches_sent")
             return payload
-        return self._encode_each(dst_id, batch, codec.encode_frame)
+        return self._encode_each(dst_id, batch, context, codec.encode_frame)
 
-    def _encode_each(self, dst_id: str, batch: list[Any],
-                     frame: Callable[[Any], bytes]) -> bytes:
-        """``frame(message)`` for each of ``batch``, joined in order;
-        one that cannot be encoded is dropped with a count and removed
-        from ``batch``."""
+    def _encode_each(
+        self, dst_id: str, batch: list[Any],
+        context: codec.WireContext | None,
+        frame: Callable[[Any, "codec.WireContext | None"], bytes],
+    ) -> bytes:
+        """``frame(message, context)`` for each of ``batch``, joined in
+        order; one that cannot be encoded is dropped with a count and
+        removed from ``batch``."""
         frames = []
         encoded = []
         for message in batch:
             try:
-                frames.append(frame(message))
+                frames.append(frame(message, context))
             except CodecError:
                 self._drop(dst_id, "unencodable")
             else:
@@ -367,10 +377,11 @@ class ConnectionPool:
                         if peer.writer is None or peer.reader is None:
                             peer.reader, peer.writer = \
                                 await self._connect(dst_id)
+                            peer.context = codec.WireContext()
                         elif peer.reader.at_eof():
                             raise ConnectionResetError(
                                 f"{dst_id} closed the connection")
-                        payload = self._encode(dst_id, batch)
+                        payload = self._encode(dst_id, batch, peer.context)
                         peer.writer.write(payload)
                         await self._drain(peer.writer)
                     except (ConnectionError, OSError, asyncio.TimeoutError,
@@ -451,7 +462,7 @@ class ConnectionPool:
     def _teardown(self, peer: _Peer) -> None:
         if peer.writer is not None:
             peer.writer.transport.abort()
-            peer.writer = peer.reader = None
+            peer.writer = peer.reader = peer.context = None
 
     # -- lifecycle ---------------------------------------------------------
 

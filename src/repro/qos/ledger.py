@@ -5,7 +5,7 @@ The per-connection admission in :class:`repro.net.server.NodeServer`
 has a documented evasion: a greedy client that reconnects (or fans out
 across many connections / hosts ids) starts every new connection with a
 fresh burst allowance.  The ledger closes it by keying the
-frame/byte buckets on the client's *key fingerprint* -- the identity
+frame buckets on the client's *key fingerprint* -- the identity
 the protocol already authenticates -- so admission state survives
 reconnect churn and is shared across every connection and listener the
 deployment wires to the same ledger.

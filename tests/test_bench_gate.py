@@ -10,11 +10,12 @@ import pytest
 from tools import bench_gate
 
 
-def gate(monkeypatch: pytest.MonkeyPatch, result: dict, limit: str) -> int:
+def gate(monkeypatch: pytest.MonkeyPatch, result: dict, limit: str,
+         name: str = "net.transport.msgs_per_read") -> int:
     noise = "FAILED something: detail\n"
     monkeypatch.setattr("sys.stdin",
                         io.StringIO(noise + json.dumps(result) + "\n"))
-    return bench_gate.main(["net.transport.msgs_per_read", limit])
+    return bench_gate.main([name, limit])
 
 
 @pytest.mark.parametrize("correct,value,expected", [
@@ -26,6 +27,19 @@ def test_gate(monkeypatch, correct, value, expected):
     result = {"correct": correct, "metrics": {
         "net.transport.msgs_per_read": {"value": value, "unit": "1/read"}}}
     assert gate(monkeypatch, result, "2.5") == expected
+
+
+@pytest.mark.parametrize("correct,value,expected", [
+    (True, 410.8, 0),
+    (True, 548.1, 1),   # every stamp whole, every hash in hex again
+    (False, 410.8, 1),
+])
+def test_gate_on_wire_bytes(monkeypatch, correct, value, expected):
+    result = {"correct": correct, "metrics": {
+        "net.transport.msgs_per_read": {"value": 3.03, "unit": "1/read"},
+        "wire_bytes_per_read": {"value": value, "unit": "B/read"}}}
+    assert gate(monkeypatch, result, "440",
+                name="wire_bytes_per_read") == expected
 
 
 def test_silent_run_fails(monkeypatch):

@@ -5,7 +5,9 @@ n-th frame on a link is fixed, independent of traffic on other links,
 profile changes, or the order links were first used.  Plus the
 socket-level behaviours riding on the transport: partition drops with
 their own reason counter, corrupted frames that stay frame-aligned,
-and duplicate/reorder delivery.
+duplicate/reorder delivery, and -- the chaos pool writing the same
+bytes as the production pool, references and all -- a whole cluster
+reading over a link that damages what a connection remembers.
 """
 
 from __future__ import annotations
@@ -22,7 +24,14 @@ from repro.chaos.faults import (
     FramePlan,
     LinkFaults,
 )
+from repro.chaos.invariants import run_safety_checks
+from repro.content.kvstore import KeyValueStore, KVGet
 from repro.metrics import MetricsRegistry
+from repro.net.deploy import (
+    LocalCluster,
+    NetDeploymentSpec,
+    fast_protocol_config,
+)
 from repro.net.peers import PeerDirectory
 from repro.net.server import NodeServer, RealtimeScheduler, SocketNetwork
 from repro.net.transport import RetryPolicy
@@ -287,3 +296,93 @@ class TestChaosConnectionPool:
                 await h.aclose()
 
         run(scenario())
+
+
+@pytest.mark.net
+@pytest.mark.chaos
+class TestReferencesOverACorruptingLink:
+    def test_every_read_is_accepted_and_no_reference_is_guessed(self):
+        """200 sequential reads while one frame in ten from the slave
+        to the client has a byte flipped.  A damaged frame that carried
+        a stamp in full leaves the client without it, so the next reply
+        names something the client never saw: that must cost the
+        connection (counted, redialled, stamp sent whole again) and
+        never resolve to anything else.  The link alone seldom hits the
+        one reply in dozens that defines a stamp, so every tenth read
+        -- until a reference has been rejected -- waits for a
+        keep-alive and has the link damage the reply that follows it.
+        """
+        async def scenario():
+            plane = FaultPlane(seed=22)
+            # A lost reply is re-asked for before the next keep-alive,
+            # so the retry's answer leans on the stamp that was lost.
+            config = fast_protocol_config(double_check_probability=0.0,
+                                          request_timeout=0.05)
+            spec = NetDeploymentSpec(
+                num_masters=1, slaves_per_master=1, num_clients=1, seed=22,
+                protocol=config,
+                store_factory=lambda: KeyValueStore({"k": "v" * 64}))
+            cluster = await LocalCluster.launch(spec, settle=0.6,
+                                                plane=plane)
+            try:
+                slave, client = cluster.slaves[0], cluster.clients[0]
+                link = (slave.node_id, client.node_id)
+                count = cluster.metrics.count
+                assert (await cluster.read(client, KVGet(key="k")))[
+                    "status"] == "accepted"
+                connects = count("net_connects")
+                noisy = LinkFaults(corrupt=0.1)
+                plane.set_link(*link, noisy)
+
+                async def read_behind_a_damaged_stamp() -> dict:
+                    seen = slave.latest_stamp
+                    await cluster.wait_for(
+                        lambda: slave.latest_stamp is not seen, 2.0,
+                        what="the next keep-alive", poll=0.002)
+                    damaged = count("chaos_corrupted_frames")
+                    plane.set_link(*link, LinkFaults(corrupt=1.0))
+                    read = asyncio.ensure_future(
+                        cluster.read(client, KVGet(key="k")))
+                    await cluster.wait_for(
+                        lambda: count("chaos_corrupted_frames") > damaged,
+                        2.0, what="the reply to be damaged", poll=0.001)
+                    plane.set_link(*link, noisy)
+                    return await read
+
+                for n in range(200):
+                    if n % 10 == 0 and not count(
+                            "net_frames_rejected_reference"):
+                        reply = await read_behind_a_damaged_stamp()
+                    else:
+                        reply = await cluster.read(client, KVGet(key="k"))
+                    assert reply["status"] == "accepted", (n, reply)
+                plane.reset()
+
+                assert count("reads_failed") == 0
+                assert count("net_handler_errors") == 0
+                assert cluster.handler_errors() == []
+                # The path ran: a reference was refused, and the slave
+                # dialled the client again.
+                assert count("chaos_corrupted_frames") >= 10
+                assert count("net_frames_rejected_reference") >= 1
+                assert count("net_connects") > connects
+                # No read was accepted on a stamp other than the one
+                # its pledge was signed over: the client checked each
+                # signature, and so did the auditor, over a second
+                # connection that carried the stamps by reference too.
+                accepted = count("reads_accepted")
+                assert accepted == 201
+                await cluster.wait_for(
+                    lambda: count("pledges_audited") >= accepted, 5.0,
+                    what="every pledge audited")
+                assert count("audits_clean") == accepted
+                assert count("audits_bad_signature") == 0
+                assert count("audits_unverifiable") == 0
+                failed = [check.to_json()
+                          for check in run_safety_checks(cluster)
+                          if not check.passed]
+                assert failed == []
+            finally:
+                await cluster.aclose()
+
+        run(scenario(), timeout=60.0)

@@ -1,15 +1,21 @@
 """Golden bytes: signed payloads and wire frames pinned across commits.
 
 ``tests/data/golden_wire.json`` holds the hex of one signed payload per
-fixed-shape signed record and one frame per registered wire id, written
-by the commit *before* the serialisers were rewritten (templated signed
-payloads, compiled wire codec).  Every later commit must reproduce them
-byte for byte: a serialiser change that alters what is signed or what
-crosses the wire fails here, not in a peer running the previous build.
+fixed-shape signed record and one frame per registered wire id.  Every
+commit must reproduce them byte for byte: a serialiser change that
+alters what is signed or what crosses the wire fails here, not in a
+peer running the previous build.  The signed payloads were written by
+the commit *before* the serialisers were rewritten (templated signed
+payloads, compiled wire codec) and have never moved; the frames were
+regenerated once, for wire version 2 (the version byte everywhere, a
+pledge's hash raw instead of hex in the seven frames that hold one, and
+the hello, which carries the version).
 
 The same frames then drive the hostile-input checks: every prefix and
 every single-byte corruption of a real frame may raise nothing but a
-:class:`~repro.net.errors.CodecError` subclass.
+:class:`~repro.net.errors.CodecError` subclass -- and so may the frames
+a connection's :class:`~repro.net.codec.WireContext` shortens, read
+with the context they were written for, a fresh one or a stale one.
 
 Regenerate (only for an intentional, version-bumped format change)::
 
@@ -39,7 +45,15 @@ from repro.net.codec import (
 )
 from repro.net.errors import CodecError, TruncatedFrame
 from repro.shard.map import ShardMap
-from tests.test_net_codec import CERT, EXAMPLES, PLEDGE, SHARD_MAP, STAMP
+from tests.test_net_codec import (
+    CERT,
+    EXAMPLES,
+    MASTER,
+    PLEDGE,
+    SHARD_MAP,
+    SLAVE,
+    STAMP,
+)
 
 GOLDEN_PATH = pathlib.Path(__file__).parent / "data" / "golden_wire.json"
 
@@ -116,6 +130,30 @@ class TestGoldenFrames:
         assert encode_frame(decode_frame(memoryview(frame))) == frame
 
 
+def _context_frames() -> list[bytes]:
+    """One connection's worth of frames that lean on its context: a
+    stamp in full, then by reference alone, in a reply that also names
+    its request once, twice in an audit batch, and defined and used
+    inside one batch frame."""
+    later = m.VersionStamp.make(MASTER, version=4, timestamp=13.0)
+    pledge = m.Pledge.make(SLAVE, {"kind": "kv_get", "key": "k2"},
+                           "cd" * 20, later, request_id="req-8")
+    sender = codec.WireContext()
+    return [encode_frame(message, sender) for message in (
+        m.KeepAlive(stamp=STAMP),
+        m.KeepAlive(stamp=STAMP),
+        m.ReadReply(request_id=PLEDGE.request_id, result={"value": 7},
+                    pledge=PLEDGE),
+        m.AuditBatch(pledges=(PLEDGE, PLEDGE)),
+        codec.FrameBatch(messages=(
+            m.KeepAlive(stamp=later),
+            m.ReadReply(request_id="req-8", result=None, pledge=pledge))),
+    )]
+
+
+CONTEXT_FRAMES = _context_frames()
+
+
 def _decodes_or_codec_error(body: bytes) -> None:
     try:
         decode_value(body)
@@ -155,6 +193,36 @@ class TestHostileFrames:
                 _decodes_or_codec_error(grown)
                 _decodes_or_codec_error(
                     body[:position] + body[position + 1:])
+
+    @pytest.mark.parametrize("index", range(len(CONTEXT_FRAMES)))
+    @pytest.mark.parametrize("behind", ["matching", "one frame behind",
+                                        "fresh"])
+    def test_context_frames_raise_only_codec_errors(self, index, behind):
+        """Every prefix and every byte flip of a frame that leans on its
+        connection, against the context it was written for, the one a
+        skipped frame leaves behind and a new connection's: a
+        ``CodecError`` subclass or a value, and a context that is as it
+        was whenever it is the former."""
+        seen = {"matching": index, "one frame behind": max(index - 1, 0),
+                "fresh": 0}[behind]
+        context = codec.WireContext()
+        for frame in CONTEXT_FRAMES[:seen]:
+            decode_frame(frame, context)
+        remembered = context.stamps
+        body = CONTEXT_FRAMES[index][HEADER_SIZE:]
+        mutants = [body[:cut] for cut in range(len(body))]
+        for position in range(len(body)):
+            for flipped in (body[position] ^ 0xFF, body[position] ^ 0x80,
+                            body[position] ^ 0x01):
+                mutant = bytearray(body)
+                mutant[position] = flipped
+                mutants.append(bytes(mutant))
+        for mutant in mutants:
+            try:
+                decode_value(mutant, context)
+            except CodecError:
+                assert context.stamps is remembered
+            context.stamps = remembered
 
     def test_non_minimal_varints_still_decode(self):
         # LEB128 allows padded encodings (0x82 0x00 == 2); peers may

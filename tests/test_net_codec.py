@@ -16,6 +16,7 @@ Three layers of guarantee:
 
 from __future__ import annotations
 
+import dataclasses
 import math
 import random
 
@@ -52,6 +53,7 @@ from repro.net.errors import (
     CodecError,
     FrameTooLarge,
     TruncatedFrame,
+    UnknownReference,
     UnknownWireType,
 )
 from repro.obs.admin import (
@@ -93,6 +95,12 @@ CERT = Certificate.issue(MASTER, "slave-00-00", "127.0.0.1:9001",
 
 def roundtrip(value):
     return decode_value(encode_value(value))
+
+
+def stamp_name(stamp: m.VersionStamp) -> bytes:
+    """The 8 bytes a connection names ``stamp`` by once it has carried
+    it in full; a reference is ``b"r"`` and these."""
+    return codec._DOUBLE.pack(stamp.timestamp)
 
 
 #: One representative instance per registered wire type.  The
@@ -486,3 +494,252 @@ class TestFraming:
             decode_value(blob)
         except CodecError:
             pass
+
+
+# -- what a connection remembers (WireContext) ---------------------------
+#
+# The three elisions are transport only: whatever goes in one end of a
+# connection comes out of the other field-for-field equal, signing the
+# same bytes, whether or not the codec was given the connection's
+# context.  The pools below are built to hit every rule the context
+# has: more distinct stamps than it remembers (eviction), two masters
+# signing at one timestamp (one name, two stamps), a timestamp no eight
+# bytes name, stamps that are ``==`` yet sign differently, and result
+# hashes that only *look* like a SHA-1.
+
+MASTER_B = _keys("master-01", seed=6)
+MASTER_RSA = _keys("master-02", "rsa", seed=8)
+STAMPS = (
+    *(m.VersionStamp.make(MASTER, version=4, timestamp=20.0 + n / 4)
+      for n in range(codec.STAMPS_REMEMBERED + 3)),
+    m.VersionStamp.make(MASTER, version=5, timestamp=30.0),
+    m.VersionStamp.make(MASTER_B, version=5, timestamp=30.0),
+    m.VersionStamp.make(MASTER_RSA, version=5, timestamp=31.5),
+    m.VersionStamp.make(MASTER, version=6, timestamp=40),  # an int
+    # Equal fields, another signature (the master re-keyed).
+    m.VersionStamp.make(_keys("master-00", seed=9), version=3,
+                        timestamp=12.5),
+    STAMP,
+    # ``==`` to STAMP and to each other, and three different payloads.
+    dataclasses.replace(STAMP, version=3.0),
+    dataclasses.replace(STAMP, version=True + 2),
+    m.VersionStamp.make(MASTER, version=0, timestamp=0.0),
+    m.VersionStamp.make(MASTER, version=0, timestamp=-0.0),
+    m.VersionStamp.make(MASTER, version=0, timestamp=float("nan")),
+)
+RESULT_HASHES = ("ab" * 20, "AB" * 20, "ab" * 19 + "a", "zz" * 20,
+                 "ab" * 19 + " a", "é" * 40, b"\x01" * 20, None, 7)
+PLEDGES = tuple(
+    m.Pledge.make(SLAVE, {"kind": "kv_get", "key": f"k{index}"},
+                  result_hash, stamp, request_id=f"client-00:r{index}")
+    for index, (stamp, result_hash) in enumerate(
+        (stamp, RESULT_HASHES[n % len(RESULT_HASHES)])
+        for n, stamp in enumerate(STAMPS * 2)))
+
+_stamps = st.sampled_from(STAMPS)
+_pledges = st.sampled_from(PLEDGES)
+_protocol_messages = st.one_of(
+    st.builds(m.KeepAlive, stamp=_stamps),
+    st.builds(m.SlaveUpdate, from_version=st.integers(0, 9),
+              ops_wire=st.just(({"kind": "kv_put"},)), stamp=_stamps),
+    # A reply that names its pledge's request, and one that does not.
+    _pledges.map(lambda pledge: m.ReadReply(
+        request_id=pledge.request_id, result={"value": 7}, pledge=pledge)),
+    st.builds(m.ReadReply,
+              request_id=st.sampled_from(("r-other", None, 7)),
+              result=st.just({"value": 7}),
+              pledge=st.none() | _pledges, in_sync=st.booleans()),
+    st.builds(m.AuditBatch,
+              pledges=st.lists(_pledges, max_size=4).map(tuple)),
+    st.builds(m.AuditSubmission, pledge=_pledges),
+    st.builds(m.DoubleCheckRequest, client_id=st.just("client-00"),
+              request_id=st.just("r-1"), query_wire=st.just({"q": 1}),
+              pledge=st.none() | _pledges),
+    st.builds(m.Accusation, pledge=_pledges,
+              accuser_id=st.just("client-00"), discovery=st.just("audit")),
+)
+_carried_messages = st.recursive(
+    _protocol_messages,
+    lambda inner: st.one_of(
+        st.lists(inner, max_size=4).map(
+            lambda messages: codec.FrameBatch(messages=tuple(messages))),
+        st.builds(ShardEnvelope, shard_id=st.just("s00"),
+                  src=st.just("s00:slave-00-00"),
+                  dst=st.just("s00:client-00"), message=inner),
+        st.builds(TraceCarrier,
+                  context=st.just(TraceContext("t000001", "s000002", True)),
+                  message=inner)),
+    max_leaves=6)
+
+_VERIFIER = _keys("client-00", seed=5)
+_MASTER_KEYS = {keys.owner_id: keys.public_key
+                for keys in (MASTER, MASTER_B, MASTER_RSA)}
+
+
+def _signed_parts(message):
+    """Every stamp and pledge a (possibly wrapped) message carries."""
+    if isinstance(message, codec.FrameBatch):
+        for inner in message.messages:
+            yield from _signed_parts(inner)
+    elif isinstance(message, (ShardEnvelope, TraceCarrier)):
+        yield from _signed_parts(message.message)
+    elif isinstance(message, m.AuditBatch):
+        for pledge in message.pledges:
+            yield from _signed_parts(pledge)
+    elif isinstance(message, m.Pledge):
+        yield message
+        yield message.stamp
+    elif isinstance(message, m.VersionStamp):
+        yield message
+    else:
+        for name in ("pledge", "stamp"):
+            if getattr(message, name, None) is not None:
+                yield from _signed_parts(getattr(message, name))
+
+
+def _verifies(part) -> bool:
+    key = SLAVE.public_key if isinstance(part, m.Pledge) \
+        else _MASTER_KEYS[part.master_id]
+    return part.verify(_VERIFIER, key)
+
+
+def _assert_same_message(decoded, original) -> None:
+    # NaN is the one value unequal to its own copy; the bytes decide.
+    assert encode_value(decoded) == encode_value(original)
+    got, sent = list(_signed_parts(decoded)), list(_signed_parts(original))
+    assert len(got) == len(sent)
+    for ours, theirs in zip(got, sent):
+        assert type(ours) is type(theirs)
+        assert ours.signed_payload() == theirs.signed_payload()
+        assert _verifies(ours) == _verifies(theirs)
+    if not any(part.timestamp != part.timestamp for part in sent
+               if isinstance(part, m.VersionStamp)):
+        assert decoded == original
+
+
+class TestWireContext:
+    @settings(max_examples=150, deadline=None)
+    @given(st.lists(_carried_messages, max_size=40))
+    def test_paired_contexts_are_lossless(self, messages):
+        """Encode through one context, decode through its pair: every
+        message comes out equal, signs the same bytes and verifies as
+        it did; the two contexts end each frame remembering the same
+        stamps in the same order; and the context never costs bytes."""
+        sender, receiver = codec.WireContext(), codec.WireContext()
+        for message in messages:
+            frame = encode_frame(message, sender)
+            _assert_same_message(decode_frame(frame, receiver), message)
+            assert list(receiver.stamps) == list(sender.stamps)
+            assert len(frame) <= len(encode_frame(message))
+
+    @settings(max_examples=50, deadline=None)
+    @given(st.lists(_carried_messages, max_size=40))
+    def test_without_a_context_likewise(self, messages):
+        for message in messages:
+            _assert_same_message(decode_frame(encode_frame(message)),
+                                 message)
+
+    @settings(max_examples=50, deadline=None)
+    @given(st.lists(_carried_messages, max_size=12), _pledges)
+    def test_an_accusation_needs_no_context_to_read(self, before, pledge):
+        """Evidence is self-contained in its own frame, whatever the
+        connection carried before it -- and carrying it teaches the
+        connection nothing."""
+        sender = codec.WireContext()
+        for message in before:
+            encode_frame(message, sender)
+        encode_frame(m.KeepAlive(stamp=pledge.stamp), sender)
+        remembered = sender.stamps
+        accusation = m.Accusation(pledge=pledge, accuser_id="client-00",
+                                  discovery="immediate")
+        for carried in (accusation,
+                        ShardEnvelope(shard_id="s00", src="a", dst="b",
+                                      message=TraceCarrier(
+                                          context=TraceContext("t", "s",
+                                                               True),
+                                          message=accusation))):
+            frame = encode_frame(carried, sender)
+            assert frame == encode_frame(carried)
+            assert sender.stamps is remembered
+            _assert_same_message(decode_frame(frame), carried)
+
+    def test_a_stamp_crosses_once_and_decodes_to_one_object(self):
+        sender, receiver = codec.WireContext(), codec.WireContext()
+        reply = m.ReadReply(request_id=PLEDGE.request_id,
+                            result={"value": 7}, pledge=PLEDGE)
+        first = encode_frame(reply, sender)
+        second = encode_frame(reply, sender)
+        in_full = encode_value(STAMP)
+        name = b"r" + stamp_name(STAMP)
+        assert in_full in first and name not in first
+        assert name in second and in_full not in second
+        assert len(first) - len(second) == len(in_full) - len(name) == 40
+        stamps = [decode_frame(frame, receiver).pledge.stamp
+                  for frame in (first, second, second)]
+        assert stamps[0] is stamps[1] is stamps[2]
+        # ... so the signed-payload memo is built once, as on the sender.
+        assert stamps[0]._payload_cache is None
+        stamps[2].signed_payload()
+        assert stamps[0]._payload_cache == STAMP.signed_payload()
+
+    def test_the_three_elisions_by_the_byte(self):
+        reply = m.ReadReply(request_id=PLEDGE.request_id,
+                            result={"value": 7}, pledge=PLEDGE)
+        other = dataclasses.replace(reply, request_id="r-other")
+        # (3) the marker stands for the tag, the length and the id.
+        assert len(encode_value(other)) - len(encode_value(reply)) \
+            == len(encode_value("r-other")) - 1
+        # (2) 20 bytes behind a tag, not 40 characters behind two.
+        digest = bytes.fromhex(PLEDGE.result_hash)
+        assert b"h" + digest in encode_value(PLEDGE)
+        assert PLEDGE.result_hash.encode() not in encode_value(PLEDGE)
+        shouting = dataclasses.replace(PLEDGE,
+                                       result_hash="AB" * 20)
+        assert b"AB" * 20 in encode_value(shouting)
+        assert roundtrip(shouting) == shouting
+
+    def test_a_reference_nobody_defined_is_its_own_error(self):
+        sender = codec.WireContext()
+        encode_frame(m.KeepAlive(stamp=STAMP), sender)
+        referring = encode_frame(m.KeepAlive(stamp=STAMP), sender)
+        for context in (None, codec.WireContext()):
+            with pytest.raises(UnknownReference):
+                decode_frame(referring, context)
+
+    def test_a_failed_frame_leaves_the_context_as_it_found_it(self):
+        class NotWire:
+            pass
+
+        sender, receiver = codec.WireContext(), codec.WireContext()
+        decode_frame(encode_frame(m.KeepAlive(stamp=STAMPS[0]), sender),
+                     receiver)
+        sent, received = sender.stamps, receiver.stamps
+        batch = codec.FrameBatch(messages=(
+            m.KeepAlive(stamp=STAMPS[1]), m.KeepAlive(stamp=STAMPS[1]),
+            NotWire()))
+        with pytest.raises(CodecError, match="not a wire-registered"):
+            encode_frame(batch, sender)
+        assert sender.stamps is sent
+        # The decoding side of the same rule: garbage behind a stamp in
+        # the same body takes the stamp with it.
+        good = encode_frame(codec.FrameBatch(messages=batch.messages[:2]),
+                            codec.WireContext())
+        with pytest.raises(CodecError):
+            decode_value(good[HEADER_SIZE:-9] + b"\x01" * 9, receiver)
+        assert receiver.stamps is received
+        assert decode_frame(good, receiver) == codec.FrameBatch(
+            messages=batch.messages[:2])
+        assert list(receiver.stamps) == [stamp_name(stamp)
+                                         for stamp in STAMPS[:2]]
+
+    def test_a_set_member_is_encoded_without_the_context(self):
+        """A set's members travel sorted by their encoding, which is no
+        order for definitions and references to rely on."""
+        sender, receiver = codec.WireContext(), codec.WireContext()
+        members = {m.KeepAlive(stamp=STAMP),
+                   m.SlaveUpdate(from_version=1, ops_wire=(), stamp=STAMP)}
+        frame = encode_frame([STAMP, members], sender)
+        assert frame == encode_frame([STAMP, members])
+        assert decode_frame(frame, receiver) == [STAMP, members]
+        assert list(receiver.stamps) == list(sender.stamps) \
+            == [stamp_name(STAMP)]

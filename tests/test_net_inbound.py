@@ -7,6 +7,11 @@ per frame would have -- same messages, same order -- and an EOF inside
 a frame must count as a framing reject.  The golden frames (one per wire
 id, ``tests/data/golden_wire.json``) are the corpus.
 
+The one failure tier the connection's
+:class:`~repro.net.codec.WireContext` adds is pinned the same way: a
+reference the connection cannot resolve is counted against its sender
+and costs the connection, and nothing of it reaches admission.
+
 No sockets here: the protocol is driven through its callbacks with a
 stand-in transport, so every cut is exact and repeatable.
 """
@@ -18,9 +23,10 @@ from typing import Any, Iterator
 
 import pytest
 
+import repro.core.messages as m
 from repro.metrics import MetricsRegistry
 from repro.net import codec
-from repro.net.codec import FrameBatch, NetHello, encode_frame
+from repro.net.codec import FrameBatch, NetHello, WireContext, encode_frame
 from repro.net.server import NodeServer, _Connection
 from repro.net.transport import read_frame
 from repro.obs.admin import AdminPlane, QosStatusRequest
@@ -29,6 +35,7 @@ from repro.sim.network import Network, Node
 from repro.sim.simulator import Simulator
 
 from tests.test_golden_bytes import GOLDEN
+from tests.test_net_codec import PLEDGE, STAMP
 
 HELLO = encode_frame(NetHello(node_id="tester"))
 FRAMES = [bytes.fromhex(frame) for _wire_id, frame in
@@ -110,10 +117,17 @@ class Inbound:
     """A server, one handshaked connection into it, and what arrived."""
 
     def __init__(self, loop: asyncio.AbstractEventLoop) -> None:
+        self.loop = loop
         self.server = RecordingServer()
         self.metrics = self.server.metrics
+        self.redial()
+
+    def redial(self) -> None:
+        """The same peer's next connection to the same server."""
+        if hasattr(self, "connection"):
+            self.close()
         self.transport = StandInTransport()
-        self.connection = _Connection(self.server, loop)
+        self.connection = _Connection(self.server, self.loop)
         self.connection.connection_made(self.transport)
 
     def feed(self, *segments: bytes) -> None:
@@ -227,3 +241,87 @@ class TestHalting:
         assert inbound.transport.reading
         assert inbound.take() == _wire(
             _via_read_frame([FRAMES[3], FRAMES[4]]))
+
+
+def _leaning_frames() -> tuple[bytes, bytes, bytes]:
+    """A keep-alive that carries ``STAMP`` in full, the same frame with
+    garbage where its batch mate was, and a reply that only refers to
+    the stamp -- all three as one connection's pool would write them."""
+    sender = WireContext()
+    batch = encode_frame(FrameBatch(messages=(m.KeepAlive(stamp=STAMP),
+                                              "mate")), sender)
+    reply = encode_frame(m.ReadReply(request_id=PLEDGE.request_id,
+                                     result={"value": 7}, pledge=PLEDGE),
+                         sender)
+    assert codec.encode_value(STAMP) in batch
+    assert codec.encode_value(STAMP) not in reply
+    return batch, batch[:-len("mate")] + b"\xff" * len("mate"), reply
+
+
+DEFINING, DAMAGED, REFERRING = _leaning_frames()
+
+
+class TestUnknownReference:
+    """A well-framed body naming something this connection never
+    carried in full: the shared context is what is lost, like
+    alignment, so the connection goes -- counted, attributed, with
+    nothing dispatched -- and the peer's next one starts from nothing."""
+
+    def _assert_rejected(self, inbound: Inbound, cut: int,
+                         rejected: dict[str, int]) -> None:
+        snap = inbound.metrics.snapshot()
+        for name, count in rejected.items():
+            assert snap.get(name, 0) == count, f"{name} at cut {cut}"
+        assert inbound.transport.aborted, f"cut {cut}"
+        # Nothing parses on the closed connection, whatever still comes.
+        inbound.feed(DEFINING + REFERRING)
+        assert inbound.take() == [], f"cut {cut}"
+
+    def test_reference_never_defined_here_split_at_every_offset(
+            self, inbound):
+        stream = HELLO + REFERRING
+        for count, cut in enumerate(range(1, len(stream)), start=1):
+            inbound.feed(stream[:cut], stream[cut:])
+            assert inbound.take() == [], f"dispatched at cut {cut}"
+            self._assert_rejected(inbound, cut, {
+                "net_frames_rejected": count,
+                "net_frames_rejected_reference": count,
+                "net_rejected_from_tester": count,
+                "net_frames_rejected_body": 0,
+                "net_frames_rejected_framing": 0})
+            inbound.redial()
+
+    def test_reference_to_a_frame_rejected_for_its_garbage(self, inbound):
+        """The defining frame was skipped as a bad body (the stream
+        stays aligned), so what it defined was never remembered: the
+        reference behind it resolves to nothing, not to a stamp out of
+        a frame the receiver threw away."""
+        stream = HELLO + DAMAGED + REFERRING
+        for count, cut in enumerate(range(1, len(stream)), start=1):
+            inbound.feed(stream[:cut], stream[cut:])
+            assert inbound.take() == [], f"dispatched at cut {cut}"
+            self._assert_rejected(inbound, cut, {
+                "net_frames_rejected": 2 * count,
+                "net_frames_rejected_body": count,
+                "net_frames_rejected_reference": count,
+                "net_rejected_from_tester": 2 * count})
+            inbound.redial()
+
+    def test_next_connection_from_the_same_peer_starts_empty(self, inbound):
+        expected = _wire([m.KeepAlive(stamp=STAMP), "mate",
+                          m.ReadReply(request_id=PLEDGE.request_id,
+                                      result={"value": 7}, pledge=PLEDGE)])
+        inbound.feed(HELLO + DEFINING + REFERRING + REFERRING)
+        assert inbound.take() == expected + expected[-1:]
+        assert not inbound.transport.aborted
+        # What that connection learnt went with it.
+        inbound.redial()
+        inbound.feed(HELLO + REFERRING)
+        assert inbound.take() == []
+        assert inbound.transport.aborted
+        inbound.redial()
+        inbound.feed(HELLO + DEFINING + REFERRING)
+        assert inbound.take() == expected
+        snap = inbound.metrics.snapshot()
+        assert snap["net_frames_rejected"] == 1
+        assert snap["net_frames_rejected_reference"] == 1

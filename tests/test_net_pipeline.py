@@ -50,7 +50,8 @@ from repro.net.transport import (
 )
 from repro.sim.network import Node
 
-from tests.test_net_codec import EXAMPLES
+from tests.test_net_codec import EXAMPLES, stamp_name
+from tests.test_net_transport import written_to
 
 
 def run(coro, timeout: float = 30.0):
@@ -290,6 +291,107 @@ class TestChaosDeterminismWithPipelining:
                 await h.aclose()
 
         run(scenario())
+
+
+    def test_unencodable_message_leaves_a_chaos_links_context_alone(self):
+        """One wire for both pools: the chaos pool frames each message
+        on its own *with the connection's context*, so a stamp crosses
+        a chaos link once too, and the message that cannot be encoded
+        takes nothing the connection remembers with it."""
+        async def scenario():
+            h = Harness(pool_cls=ChaosConnectionPool, seed=0,
+                        plane=FaultPlane(seed=0))
+            await h.start()
+            try:
+                stamp = EXAMPLES[m.VersionStamp]
+                reply = EXAMPLES[m.ReadReply]
+                assert reply.pledge.stamp == stamp
+                h.pool.send("target", m.KeepAlive(stamp=stamp))
+                h.pool.send("target", reply)
+                h.pool.send("target", object())
+                h.pool.send("target", reply)
+                await h.wait_received(3)
+                assert h.node.received == [m.KeepAlive(stamp=stamp),
+                                           reply, reply]
+                remembered = [stamp_name(stamp)]
+                assert list(h.pool._peers["target"].context.stamps) \
+                    == remembered
+                (connection,) = h.server._connections
+                assert list(connection._context.stamps) == remembered
+                snap = h.metrics.snapshot()
+                assert snap["net_drop_unencodable"] == 1
+                assert snap["net_frames_sent"] == 3
+                assert snap.get("net_frames_rejected", 0) == 0
+                # The stamp went in full once: the replies name it.
+                in_full = len(codec.encode_frame(m.KeepAlive(stamp=stamp)))
+                by_name = len(codec.encode_frame(reply)) - 40
+                assert snap["net_bytes_sent"] == in_full + 2 * by_name
+            finally:
+                await h.aclose()
+
+        run(scenario())
+
+
+# -- wire bytes per read ------------------------------------------------------
+
+
+@pytest.mark.net
+class TestWireBytesPerRead:
+    """``wire_bytes_per_read`` is the benchmark's one metric that speaks
+    to the paper's wide-area setting, and it is a count: what a read
+    puts on the wire does not depend on the machine.  The parent of the
+    change that added this gate reads ~550 B on this cast; a stamp that
+    crosses each connection once, a SHA-1 sent as 20 bytes and a reply
+    that names its request once read ~412."""
+
+    def test_a_sequential_read_costs_at_most_470_bytes(self):
+        async def scenario() -> tuple[float, list[int]]:
+            config = fast_protocol_config(double_check_probability=0.0)
+            spec = NetDeploymentSpec(num_masters=1, slaves_per_master=1,
+                                     num_clients=1, seed=0, protocol=config)
+            cluster = await LocalCluster.launch(spec, settle=0.6)
+            try:
+                client = cluster.clients[0]
+                slave = cluster.slaves[0]
+                await cluster.write(client, KVPut(key="k", value="v" * 64))
+                await asyncio.sleep(config.max_latency
+                                    + config.keepalive_interval)
+                flushes = written_to(cluster.pools[slave.node_id])
+                for _ in range(20):  # warm-up: dials, hellos, first stamps
+                    await cluster.read(client, KVGet(key="k"))
+                # Start on a keep-alive, so that one boundary at least
+                # falls inside however fast a machine runs the reads.
+                warm = slave.latest_stamp
+                await cluster.wait_for(
+                    lambda: slave.latest_stamp is not warm, 2.0,
+                    what="the next keep-alive", poll=0.002)
+                before = cluster.metrics.snapshot()
+                for _ in range(300):
+                    reply = await cluster.read(client, KVGet(key="k"))
+                    assert reply["status"] == "accepted"
+                after = cluster.metrics.snapshot()
+                reads = after["reads_accepted"] - before["reads_accepted"]
+                assert reads == 300
+                per_read = (after["net_bytes_sent"]
+                            - before["net_bytes_sent"]) / reads
+                # Two replies between two keep-alives: the first frame
+                # to carry a stamp, and the next one under the same.
+                # (Depth 1: every flush to the client is one reply.)
+                replies = [(batch[0].pledge.stamp, len(payload))
+                           for dst_id, batch, payload in flushes
+                           if dst_id == client.node_id]
+                assert len(replies) == 320
+                for (old, _), (stamp, first), (same, second) in zip(
+                        replies, replies[1:], replies[2:]):
+                    if old is not stamp and same is stamp:
+                        return per_read, [first, second]
+                raise AssertionError("no keep-alive fell inside 300 reads")
+            finally:
+                await cluster.aclose()
+
+        per_read, (first, second) = run(scenario())
+        assert per_read <= 470, f"{per_read:.1f} B a read on the wire"
+        assert first - second >= 38, (first, second)
 
 
 # -- throughput bound ------------------------------------------------------

@@ -28,13 +28,17 @@ from repro.content.kvstore import KVGet, KVPut, KeyValueStore
 from repro.chaos.faults import FaultPlane
 from repro.chaos.invariants import run_safety_checks
 from repro.core.adversary import AlwaysLie, BrokenSignature
-from repro.core.messages import AuditBatch, SlaveSnapshot
+from repro.core.messages import AuditBatch, ReadReply, SlaveSnapshot
 from repro.core.oracle import classify_accepted_reads
+from repro.net import codec
 from repro.net.deploy import (
     LocalCluster,
     NetDeploymentSpec,
     fast_protocol_config,
 )
+
+from tests.test_net_codec import stamp_name
+from tests.test_net_transport import written_to
 
 pytestmark = pytest.mark.net
 
@@ -295,6 +299,64 @@ class TestSlaveCrash:
 
         run(scenario())
 
+
+    def test_restarted_slave_says_its_stamp_in_full_again(self):
+        """What a connection remembers goes with the connection: the
+        restarted slave has a new pool, so its first pledge to the
+        client carries the stamp whole and the next one names it, and
+        the client's redial to the slave starts from nothing too."""
+        async def scenario():
+            spec = NetDeploymentSpec(
+                num_masters=1, slaves_per_master=1, num_clients=1, seed=9,
+                protocol=fast_protocol_config(double_check_probability=0.0),
+                store_factory=lambda: KeyValueStore({"k": "v"}))
+            cluster = await LocalCluster.launch(spec, settle=0.6)
+            try:
+                slave, client = cluster.slaves[0], cluster.clients[0]
+
+                def in_full_and_by_name(flushes) -> list[tuple[bool, bool]]:
+                    """(stamp in full?, stamp by name?) per pledge the
+                    slave wrote to the client."""
+                    return [(codec.encode_value(reply.pledge.stamp)
+                             in payload,
+                             b"r" + stamp_name(reply.pledge.stamp)
+                             in payload)
+                            for _dst, batch, payload in flushes
+                            for reply in batch
+                            if isinstance(reply, ReadReply)
+                            and reply.pledge is not None]
+
+                async def two_reads_under_one_stamp() -> None:
+                    seen = slave.latest_stamp
+                    await cluster.wait_for(
+                        lambda: slave.latest_stamp is not seen, 2.0,
+                        what="the next keep-alive", poll=0.002)
+                    for _ in range(2):
+                        reply = await cluster.read(client, KVGet(key="k"))
+                        assert reply["status"] == "accepted"
+
+                before = written_to(cluster.pools[slave.node_id])
+                await two_reads_under_one_stamp()
+                assert in_full_and_by_name(before) == [(True, False),
+                                                       (False, True)]
+                to_slave = cluster.pools[client.node_id]._peers[
+                    slave.node_id]
+                old_context = to_slave.context
+                assert old_context is not None
+
+                await cluster.crash_node(slave.node_id)
+                await cluster.restart_node(slave.node_id)
+                after = written_to(cluster.pools[slave.node_id])
+                await two_reads_under_one_stamp()
+                assert in_full_and_by_name(after) == [(True, False),
+                                                      (False, True)]
+                assert to_slave.context not in (None, old_context)
+                assert cluster.metrics.count("net_frames_rejected") == 0
+                assert cluster.handler_errors() == []
+            finally:
+                await cluster.aclose()
+
+        run(scenario())
 
     def test_slave_down_past_the_ops_log_installs_the_snapshot_as_sent(self):
         """A slave that missed more than ``ops_log_depth`` writes gets a

@@ -17,7 +17,7 @@ from typing import Any
 
 import pytest
 
-from repro.core.messages import AuditBatch
+from repro.core.messages import AuditBatch, KeepAlive, ReadReply
 from repro.metrics import MetricsRegistry
 from repro.net import codec
 from repro.net.codec import NetHello, encode_frame, encode_value
@@ -31,7 +31,7 @@ from repro.net.transport import (
     write_frame,
 )
 from repro.sim.network import Node
-from tests.test_net_codec import PLEDGE
+from tests.test_net_codec import PLEDGE, STAMP, STAMPS, stamp_name
 
 
 def run(coro, timeout: float = 20.0):
@@ -560,6 +560,118 @@ class TestFlushHandOver:
                 assert snap["net_frames_dropped"] == 4
                 assert snap["net_drop_unencodable"] == 4
                 assert snap["net_frames_sent"] == 4
+            finally:
+                await h.aclose()
+
+        run(scenario())
+
+
+# -- what a connection remembers -------------------------------------------
+
+REPLY = ReadReply(request_id=PLEDGE.request_id, result={"value": 7},
+                  pledge=PLEDGE)
+STAMP_IN_FULL = encode_value(STAMP)
+STAMP_BY_NAME = b"r" + stamp_name(STAMP)
+
+
+def written_to(pool: ConnectionPool) -> list[tuple[str, list[Any], bytes]]:
+    """``(destination, messages, bytes)`` for every flush ``pool`` hands
+    a socket from here on, in order."""
+    written: list[tuple[str, list[Any], bytes]] = []
+    encode = pool._encode
+
+    def recording(dst_id: str, batch: list[Any], context: Any) -> bytes:
+        payload = encode(dst_id, batch, context)
+        written.append((dst_id, list(batch), payload))
+        return payload
+
+    pool._encode = recording  # type: ignore[method-assign]
+    return written
+
+
+@pytest.mark.net
+class TestConnectionContext:
+    """The sending half of a connection's memory lives in its ``_Peer``
+    beside the writer, the receiving half in the accepted
+    ``_Connection``: born with the dial, gone with the connection."""
+
+    def test_unencodable_third_message_leaves_the_context_alone(self):
+        """The coalesced frame fails at its third message, *after* it
+        defined a stamp and referred to it: the per-message fallback
+        must start from what the connection knew before the flush, or
+        its first frame refers to a stamp the far end never saw."""
+        async def scenario():
+            h = Harness()
+            await h.start()
+            try:
+                h.pool.send("target", KeepAlive(stamp=STAMPS[0]))
+                await h.wait_received(1)
+                peer = h.pool._peers["target"]
+                before = peer.context.stamps
+                at_fallback = []
+                encode_each = h.pool._encode_each
+
+                def spying(*args: Any) -> bytes:
+                    at_fallback.append(peer.context.stamps)
+                    return encode_each(*args)
+
+                h.pool._encode_each = spying  # type: ignore[method-assign]
+                h.pool.send("target", KeepAlive(stamp=STAMP))
+                h.pool.send("target", REPLY)
+                h.pool.send("target", object())
+                await h.wait_received(3)
+                assert at_fallback == [before] and at_fallback[0] is before
+                assert [msg for _src, msg in h.node.received[1:]] == \
+                    [KeepAlive(stamp=STAMP), REPLY]
+                remembered = [stamp_name(STAMPS[0]), stamp_name(STAMP)]
+                assert list(peer.context.stamps) == remembered
+                (connection,) = h.server._connections
+                assert list(connection._context.stamps) == remembered
+                snap = h.metrics.snapshot()
+                assert snap["net_drop_unencodable"] == 1
+                assert snap["net_frames_sent"] == 3
+                assert snap.get("net_frames_rejected", 0) == 0
+            finally:
+                await h.aclose()
+
+        run(scenario())
+
+    @pytest.mark.parametrize("how", ["kill_connection", "clean FIN"])
+    def test_a_redial_starts_from_nothing_on_both_sides(self, how):
+        async def scenario():
+            h = Harness()
+            await h.start()
+            try:
+                flushes = written_to(h.pool)
+                h.pool.send("target", REPLY)
+                await h.wait_received(1)
+                h.pool.send("target", REPLY)
+                await h.wait_received(2)
+                first = h.pool._peers["target"].context
+                if how == "kill_connection":
+                    assert h.pool.kill_connection("target")
+                else:
+                    for connection in list(h.server._connections):
+                        connection.transport.close()  # FIN, not RST
+                    await asyncio.sleep(0.05)  # let the FIN arrive
+                h.pool.send("target", REPLY)
+                await h.wait_received(3)
+                h.pool.send("target", REPLY)
+                await h.wait_received(4)
+                # In full, by name; and again after the redial.
+                written = [payload for _dst, _batch, payload in flushes]
+                assert [STAMP_IN_FULL in payload for payload in written] \
+                    == [True, False, True, False]
+                assert [STAMP_BY_NAME in payload for payload in written] \
+                    == [False, True, False, True]
+                assert len(written[0]) == len(written[2]) \
+                    == len(written[1]) + 40
+                assert h.pool._peers["target"].context is not first
+                assert [msg for _src, msg in h.node.received] == [REPLY] * 4
+                snap = h.metrics.snapshot()
+                assert snap["net_connects"] == 2
+                assert snap.get("net_frames_rejected", 0) == 0
+                assert snap.get("net_frames_dropped", 0) == 0
             finally:
                 await h.aclose()
 
