@@ -39,7 +39,7 @@ from repro.content.filesystem import FSRead, MemoryFileSystem
 from repro.content.kvstore import KVGet, KeyValueStore
 from repro.content.queries import ReadQuery, WriteOp
 from repro.content.store import ContentStore
-from repro.crypto.hashing import canonical_record, record_template
+from repro.crypto.hashing import record_template
 from repro.crypto.keys import KeyPair
 from repro.crypto.merkle import MerkleProof, MerkleTree
 from repro.crypto.signatures import PublicKey, Signature, new_signer
@@ -84,7 +84,7 @@ def leaf_items_of(store: ContentStore) -> dict[str, object]:
         f"state signing cannot authenticate {type(store).__name__}")
 
 
-_ROOT_RECORD = record_template("kind", "root", "version")
+_ROOT_RECORD = record_template("root", "version", kind="merkle_root")
 
 
 @dataclass(frozen=True)
@@ -97,8 +97,7 @@ class SignedRoot:
 
     @staticmethod
     def payload(root: bytes, version: int) -> bytes:
-        return canonical_record(_ROOT_RECORD, {
-            "kind": "merkle_root", "root": root, "version": version})
+        return _ROOT_RECORD.encode(root, version)
 
 
 @dataclass(frozen=True)

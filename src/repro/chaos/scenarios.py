@@ -850,19 +850,23 @@ def _shed_breakdown(counters: dict[str, float]) -> tuple[float, float,
     return total, by_reason, by_client
 
 
-#: ``honest_p99_slo``: the protected burst's honest read p99 may be at
-#: most this multiple of the unprotected burst's, both measured back to
-#: back on the same host.  This check detects ONE thing: admission
-#: control shedding honest traffic.  A shed honest read waits out
-#: ``request_timeout`` (1.25 s) before its retry, over three times the
-#: unprotected tail (0.15-0.4 s); anything subtler it cannot see, because
-#: a p99 over the 50-120 honest reads of one burst is nearly their
-#: maximum and the ratio swings 0.2-1.7 between identical runs (so
-#: admission control does sometimes leave the p99 worse).  That
-#: admission control *helps* is ``honest_median_protected``'s claim, on
-#: the statistic one burst can resolve.  The constant is not derived: it
-#: was picked above that observed swing on one 2-core host, below
-#: ``request_timeout`` / unprotected p99.
+#: ``honest_p99_slo`` detects ONE thing: admission control shedding
+#: honest traffic.  It judges that by count -- frames of the honest
+#: principals the ledger shed inside the burst window, which must be
+#: none -- and *reports* the latency beside it: the protected burst's
+#: honest read p99 against this multiple of the unprotected burst's
+#: (``timings["slo"]``), both measured back to back on the same host.
+#: Until PR 23 that ratio was the judgement, on the grounds that a shed
+#: honest read waits out ``request_timeout`` (1.25 s), over three times
+#: an unprotected tail of 0.15-0.4 s.  But a p99 over the 50-120 honest
+#: reads of one burst is nearly their maximum, and the unprotected one
+#: swings 0.08-2.0 s between identical runs (ten full-suite runs, two
+#: builds): the bound was 0.25 s in some runs -- a few collector pauses
+#: from red with nothing shed, and the faster the build the nearer --
+#: and above ``request_timeout`` in six of the ten, where a shed honest
+#: read would have passed.  That admission control *helps* is
+#: ``honest_median_protected``'s claim, on the statistic one burst can
+#: resolve.
 P99_RATIO_BOUND = 3.0
 
 
@@ -874,13 +878,13 @@ async def flash_crowd(seed: int = 0) -> ScenarioVerdict:
     verdict is the protected run's -- keep-alives must never miss the
     Section 3.1 freshness window, every shed frame must be attributed
     (total == by-reason == by-client), the safety oracle must pass --
-    plus two checks that judge its honest read latency *relative to the
-    reference* rather than against wall-clock constants tuned on one
-    machine: the p99 within :data:`P99_RATIO_BOUND` of the reference's
-    (which only detects a shed honest read, see there), and the median
-    strictly below the reference's (the contrast that justifies the qos
-    layer, on the statistic one burst can resolve: measured ratios
-    0.002-0.02; the protected median, 1.3-1.8 ms, is an idle cluster's).
+    plus two checks on its honest traffic that hold on a fast box and a
+    slow one alike: no honest frame shed during the burst (a count; the
+    p99 against :data:`P99_RATIO_BOUND` times the reference's is
+    reported beside it, see there), and the median strictly below the
+    reference's (the contrast that justifies the qos layer, on the
+    statistic one burst can resolve: measured ratios 0.002-0.02; the
+    protected median, 1.3-1.8 ms, is an idle cluster's).
     """
     reference = await _flash_crowd_burst(seed, qos=False)
     verdict = await _flash_crowd_burst(seed, qos=True)
@@ -891,10 +895,12 @@ async def flash_crowd(seed: int = 0) -> ScenarioVerdict:
         P99_RATIO_BOUND * reference.timings["burst_p99"], 4)
     verdict.checks[:0] = [
         CheckResult(
-            "honest_p99_slo", timings["burst_p99"] <= timings["slo"],
-            f"honest read p99 {timings['burst_p99']:.3f}s with admission "
-            f"control vs {reference.timings['burst_p99']:.3f}s without "
-            f"(bound {P99_RATIO_BOUND}x = {timings['slo']:.3f}s)"),
+            "honest_p99_slo", timings["honest_sheds_in_burst"] == 0,
+            f"{timings['honest_sheds_in_burst']:.0f} honest frames shed "
+            f"during the burst; reported: honest read p99 "
+            f"{timings['burst_p99']:.3f}s with admission control vs "
+            f"{reference.timings['burst_p99']:.3f}s without "
+            f"({P99_RATIO_BOUND}x = {timings['slo']:.3f}s)"),
         CheckResult(
             "honest_median_protected",
             timings["burst_p50"] < reference.timings["burst_p50"],
@@ -992,9 +998,15 @@ async def _flash_crowd_burst(seed: int, qos: bool) -> ScenarioVerdict:
         # measured window opens -- the ramp's half-filled pipelines
         # would otherwise dilute the burst percentiles.
         await asyncio.sleep(0.5)
+        def honest_sheds() -> float:
+            return sum(cluster.metrics.count(f"qos_shed_from_{node_id}")
+                       for node_id in honest_ids)
+
         burst_t0 = cluster.scheduler.now
+        shed_before = honest_sheds()
         await asyncio.sleep(6.0)
         burst_t1 = cluster.scheduler.now
+        timings["honest_sheds_in_burst"] = honest_sheds() - shed_before
         await crowd.stop()
         await load.stop()
         timings["burst_window"] = burst_t1 - burst_t0

@@ -212,7 +212,7 @@ class AuditorServer(TrustedServer):
             charge = 2 * config.verify_time
             trusted_hash = None
             if cache is not None:
-                cache_key = (version, sha1_hex(pledge.query_wire))
+                cache_key = (version, pledge.query_hash())
                 trusted_hash = cache.get(cache_key)
             if trusted_hash is None:
                 snapshot = self.store_at(version)

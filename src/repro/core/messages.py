@@ -15,12 +15,13 @@ the sender for byte-count accounting.
 
 from __future__ import annotations
 
+import hashlib
 from dataclasses import dataclass, field
 from typing import Any
 
 from repro.content.store import ContentStore
 from repro.crypto.certificates import Certificate
-from repro.crypto.hashing import canonical_record, record_template
+from repro.crypto.hashing import canonical_bytes, record_template
 from repro.crypto.keys import KeyPair
 from repro.crypto.signatures import PublicKey, Signature
 
@@ -32,7 +33,16 @@ from repro.crypto.signatures import PublicKey, Signature
 
 # -- version stamps (Section 3.1) --------------------------------------
 
-_STAMP_RECORD = record_template("kind", "version", "timestamp", "master_id")
+_STAMP_RECORD = record_template("version", "timestamp", "master_id",
+                                kind="version_stamp")
+
+#: What a stamp contributes to the signed payload of every pledge that
+#: names it.  The four entries sort next to each other in the pledge
+#: record, so a stamp frames them once (:meth:`VersionStamp.pledge_fields`)
+#: and each of its pledges splices the run in.
+_PLEDGE_STAMP_FIELDS = record_template(
+    "stamp_version", "stamp_timestamp", "stamp_master", "stamp_signature",
+    partial=True)
 
 
 @dataclass(frozen=True, slots=True)
@@ -54,15 +64,13 @@ class VersionStamp:
     #: (and therefore honestly re-serialise) its own payload.
     _payload_cache: bytes | None = field(default=None, init=False,
                                          compare=False, repr=False)
+    #: :meth:`pledge_fields` memo, under the same contract.
+    _pledge_fields_cache: bytes | None = field(default=None, init=False,
+                                               compare=False, repr=False)
 
     @staticmethod
     def _payload(version: int, timestamp: float, master_id: str) -> bytes:
-        return canonical_record(_STAMP_RECORD, {
-            "kind": "version_stamp",
-            "version": version,
-            "timestamp": timestamp,
-            "master_id": master_id,
-        })
+        return _STAMP_RECORD.encode(version, timestamp, master_id)
 
     def signed_payload(self) -> bytes:
         """The exact bytes this stamp's signature covers.
@@ -78,6 +86,28 @@ class VersionStamp:
                                 self.master_id)
         object.__setattr__(self, "_payload_cache", payload)
         return payload
+
+    @staticmethod
+    def _pledge_fields(version: int, timestamp: float, master_id: str,
+                       signature: Signature) -> bytes:
+        return _PLEDGE_STAMP_FIELDS.encode(version, timestamp, master_id,
+                                           repr(signature))
+
+    def pledge_fields(self) -> bytes:
+        """This stamp's entries in the signed payload of a pledge.
+
+        Built once per instance: a slave pledges every read under the
+        stamp it holds, and a client or an auditor decodes a stamp once
+        per connection (``net.codec.WireContext``), so until the next
+        keep-alive each pledge names the same object.
+        """
+        cached = self._pledge_fields_cache
+        if cached is not None:
+            return cached
+        fields = self._pledge_fields(self.version, self.timestamp,
+                                     self.master_id, self.signature)
+        object.__setattr__(self, "_pledge_fields_cache", fields)
+        return fields
 
     @classmethod
     def make(cls, keys: KeyPair, version: int,
@@ -100,8 +130,8 @@ class VersionStamp:
 # -- pledges (Section 3.2) -----------------------------------------------
 
 _PLEDGE_RECORD = record_template(
-    "kind", "query", "result_hash", "stamp_version", "stamp_timestamp",
-    "stamp_master", "stamp_signature", "slave_id", "request_id")
+    "query", "result_hash", _PLEDGE_STAMP_FIELDS, "slave_id", "request_id",
+    kind="pledge", framed=("query",))
 
 
 @dataclass(frozen=True, slots=True)
@@ -123,42 +153,48 @@ class Pledge:
     #: by ``dataclasses.replace``, so tampered pledges re-serialise.
     _payload_cache: bytes | None = field(default=None, init=False,
                                          compare=False, repr=False)
+    #: ``canonical_bytes(query_wire)`` memo, under the same contract:
+    #: the signed payload and :meth:`query_hash` share one walk.
+    _query_cache: bytes | None = field(default=None, init=False,
+                                       compare=False, repr=False)
 
     @staticmethod
-    def _payload(query_wire: Any, result_hash: str, stamp: VersionStamp,
+    def _payload(query: bytes, result_hash: str, stamp_fields: bytes,
                  slave_id: str, request_id: str) -> bytes:
-        return canonical_record(_PLEDGE_RECORD, {
-            "kind": "pledge",
-            "query": query_wire,
-            "result_hash": result_hash,
-            "stamp_version": stamp.version,
-            "stamp_timestamp": stamp.timestamp,
-            "stamp_master": stamp.master_id,
-            "stamp_signature": repr(stamp.signature),
-            "slave_id": slave_id,
-            "request_id": request_id,
-        })
+        """The payload around an already canonical ``query`` and a
+        stamp's :meth:`VersionStamp.pledge_fields`."""
+        return _PLEDGE_RECORD.encode(query, result_hash, stamp_fields,
+                                     slave_id, request_id)
+
+    def _query(self) -> bytes:
+        cached = self._query_cache
+        if cached is not None:
+            return cached
+        query = canonical_bytes(self.query_wire)
+        object.__setattr__(self, "_query_cache", query)
+        return query
+
+    def query_hash(self) -> str:
+        """``sha1_hex(self.query_wire)``: what the auditor files a
+        re-execution under."""
+        return hashlib.sha1(self._query()).hexdigest()
 
     def signed_payload(self) -> bytes:
         """The exact bytes this pledge's signature covers (memoised)."""
         cached = self._payload_cache
         if cached is not None:
             return cached
-        payload = self._payload(self.query_wire, self.result_hash,
-                                self.stamp, self.slave_id, self.request_id)
+        payload = self._payload(self._query(), self.result_hash,
+                                self.stamp.pledge_fields(), self.slave_id,
+                                self.request_id)
         object.__setattr__(self, "_payload_cache", payload)
         return payload
 
     @classmethod
     def make(cls, keys: KeyPair, query_wire: Any, result_hash: str,
              stamp: VersionStamp, request_id: str) -> "Pledge":
-        payload = cls._payload(query_wire, result_hash, stamp,
-                               keys.owner_id, request_id)
-        pledge = cls(query_wire=query_wire, result_hash=result_hash,
-                     stamp=stamp, slave_id=keys.owner_id,
-                     request_id=request_id, signature=keys.sign(payload))
-        object.__setattr__(pledge, "_payload_cache", payload)
-        return pledge
+        return cls.make_many(
+            keys, [(query_wire, result_hash, stamp, request_id)])[0]
 
     @classmethod
     def make_many(
@@ -168,22 +204,25 @@ class Pledge:
         """Construct pledges for several reads with one batch signing.
 
         ``specs`` holds ``(query_wire, result_hash, stamp, request_id)``
-        per read.  Payload bytes and signatures are identical to calling
-        :meth:`make` per spec -- batching only amortises the signer's
-        per-call setup (HMAC key schedule), it never changes what is
-        signed.
+        per read.  Batching only amortises the signer's per-call setup
+        (HMAC key schedule), it never changes what is signed.
         """
-        payloads = [cls._payload(query_wire, result_hash, stamp,
-                                 keys.owner_id, request_id)
-                    for query_wire, result_hash, stamp, request_id in specs]
+        slave_id = keys.owner_id
+        queries = [canonical_bytes(query_wire)
+                   for query_wire, _hash, _stamp, _request_id in specs]
+        payloads = [cls._payload(query, result_hash, stamp.pledge_fields(),
+                                 slave_id, request_id)
+                    for query, (_wire, result_hash, stamp, request_id)
+                    in zip(queries, specs)]
         signatures = keys.sign_many(payloads)
         pledges = []
-        for (query_wire, result_hash, stamp, request_id), payload, sig \
-                in zip(specs, payloads, signatures):
+        for (query_wire, result_hash, stamp, request_id), query, payload, \
+                sig in zip(specs, queries, payloads, signatures):
             pledge = cls(query_wire=query_wire, result_hash=result_hash,
-                         stamp=stamp, slave_id=keys.owner_id,
+                         stamp=stamp, slave_id=slave_id,
                          request_id=request_id, signature=sig)
             object.__setattr__(pledge, "_payload_cache", payload)
+            object.__setattr__(pledge, "_query_cache", query)
             pledges.append(pledge)
         return pledges
 

@@ -15,7 +15,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 
-from repro.crypto.hashing import canonical_record, record_template
+from repro.crypto.hashing import record_template
 from repro.crypto.keys import KeyPair
 from repro.crypto.signatures import PublicKey, Signature
 
@@ -25,8 +25,8 @@ class CertificateError(Exception):
 
 
 _CERTIFICATE_RECORD = record_template(
-    "kind", "subject_id", "address", "public_key", "issuer_id",
-    "issued_at", "expires_at")
+    "subject_id", "address", "public_key", "issuer_id", "issued_at",
+    "expires_at", kind="certificate")
 
 
 @dataclass(frozen=True, slots=True)
@@ -51,15 +51,9 @@ class Certificate:
                         subject_public_key: PublicKey,
                         issuer_id: str, issued_at: float,
                         expires_at: float) -> bytes:
-        return canonical_record(_CERTIFICATE_RECORD, {
-            "kind": "certificate",
-            "subject_id": subject_id,
-            "address": address,
-            "public_key": repr(subject_public_key),
-            "issuer_id": issuer_id,
-            "issued_at": issued_at,
-            "expires_at": expires_at,
-        })
+        return _CERTIFICATE_RECORD.encode(
+            subject_id, address, repr(subject_public_key), issuer_id,
+            issued_at, expires_at)
 
     @classmethod
     def issue(cls, issuer_keys: KeyPair, subject_id: str, address: str,

@@ -16,15 +16,16 @@ is what makes a pledge packet "an irrefutable proof" (Section 3.3): a hash
 mismatch cannot be explained away by encoding differences.
 
 Signed payloads (pledges, stamps, certificates, shard maps, merkle roots)
-are canonical bytes too: dicts with a fixed key set, serialised through a
-:func:`record_template` so that only their values are framed per message.
+are canonical bytes too: dicts with a fixed key set, each assembled by the
+encoder :func:`record_template` compiles for it, so that only what changes
+per message is framed per message.
 """
 
 from __future__ import annotations
 
 import hashlib
 import hmac
-from typing import Any, Callable, NamedTuple
+from typing import Any, Callable, Collection, NamedTuple
 
 # Type tags keep differently-typed but similarly-printed values apart.
 _TAG_NONE = b"N"
@@ -33,10 +34,6 @@ _TAG_INT = b"I"
 _TAG_FLOAT = b"F"
 _TAG_STR = b"S"
 _TAG_BYTES = b"Y"
-_TAG_LIST = b"L"
-_TAG_TUPLE = b"T"
-_TAG_DICT = b"D"
-_TAG_SET = b"E"
 
 
 def canonical_bytes(value: Any) -> bytes:
@@ -48,6 +45,9 @@ def canonical_bytes(value: Any) -> bytes:
     surfaces protocol bugs (e.g. a query result leaking a live object)
     instead of silently hashing its ``repr``.
     """
+    framer = _SCALAR_FRAMERS.get(value.__class__)
+    if framer is not None:
+        return framer(value)  # nothing to walk, nothing to join
     out: list[bytes] = []
     _serialise(value, out)
     return b"".join(out)
@@ -58,8 +58,11 @@ def _frame(tag: bytes, payload: bytes) -> bytes:
     return b"%b%d:%b" % (tag, len(payload), payload)
 
 
-def _frame_count(count: int) -> bytes:
-    return str(count).encode("ascii") + b";"
+# A framer reads its value through the *base* class's own method, so an
+# instance of a subclass is framed from the value it holds and not from
+# what its ``__str__``/``__repr__``/``encode``/``__bytes__`` says of it:
+# ``str()`` of an ``IntEnum`` member is ``"Color.A"`` on Python 3.10 and
+# ``"1"`` on 3.12, and two honest nodes must hash one value alike.
 
 
 def _frame_none(value: None) -> bytes:
@@ -71,28 +74,29 @@ def _frame_bool(value: bool) -> bytes:
 
 
 def _frame_int(value: int) -> bytes:
-    return _frame(_TAG_INT, str(value).encode("ascii"))
+    return _frame(_TAG_INT, int.__repr__(value).encode("ascii"))
 
 
 def _frame_float(value: float) -> bytes:
-    if value == 0.0:
-        value = 0.0  # canonicalise -0.0: equal values, equal bytes
-    # repr() round-trips floats exactly in Python 3.
-    return _frame(_TAG_FLOAT, repr(value).encode("ascii"))
+    # Adding 0.0 canonicalises -0.0 (equal values, equal bytes) and
+    # leaves every other float as it is, nan and inf included; repr()
+    # round-trips floats exactly in Python 3.
+    return _frame(_TAG_FLOAT,
+                  repr(float.__add__(value, 0.0)).encode("ascii"))
 
 
 def _frame_str(value: str) -> bytes:
-    return _frame(_TAG_STR, value.encode("utf-8"))
+    return _frame(_TAG_STR, str.encode(value, "utf-8"))
 
 
 def _frame_bytes(value: bytes | bytearray) -> bytes:
-    return _frame(_TAG_BYTES, bytes(value))
+    return _frame(_TAG_BYTES, memoryview(value).tobytes())
 
 
-#: Exact scalar class -> its framing: the one definition of a scalar's
-#: canonical bytes, shared by the generic walker and the record
-#: templates.  Subclasses (whose ``str``/``repr`` may differ) miss here
-#: and are framed by the walker as the base class they derive from.
+#: Scalar class -> its framing: the one definition of a scalar's
+#: canonical bytes.  The walker looks a value's exact class up here; an
+#: instance of a subclass (an ``IntEnum`` member, a ``str`` subclass)
+#: misses and is framed as the first of its bases found here.
 _SCALAR_FRAMERS: dict[type, Callable[[Any], bytes]] = {
     str: _frame_str,
     int: _frame_int,
@@ -105,29 +109,44 @@ _SCALAR_FRAMERS: dict[type, Callable[[Any], bytes]] = {
 
 
 def _serialise(value: Any, out: list[bytes]) -> None:
-    framer = _SCALAR_FRAMERS.get(value.__class__)
+    cls = value.__class__
+    if cls is str:
+        # Most of what is ever walked; :func:`_frame_str` in line.
+        data = value.encode("utf-8")
+        out.append(b"S%d:%b" % (len(data), data))
+        return
+    framer = _SCALAR_FRAMERS.get(cls)
     if framer is not None:
         out.append(framer(value))
     elif isinstance(value, list):
-        out.append(_TAG_LIST + _frame_count(len(value)))
+        out.append(b"L%d;" % len(value))
         for item in value:
             _serialise(item, out)
     elif isinstance(value, tuple):
-        out.append(_TAG_TUPLE + _frame_count(len(value)))
+        out.append(b"T%d;" % len(value))
         for item in value:
             _serialise(item, out)
     elif isinstance(value, dict):
-        out.append(_TAG_DICT + _frame_count(len(value)))
-        for key in sorted(value, key=_sort_key):
+        out.append(b"D%d;" % len(value))
+        for key in value:
+            if key.__class__ is not str:
+                keys = sorted(value, key=_sort_key)
+                break
+        else:
+            # One type name throughout, so :func:`_sort_key` orders by
+            # its second half alone.  By repr, not by the string:
+            # ``"a!"`` sorts ahead of ``"a"`` because ``!`` < ``'``.
+            keys = sorted(value, key=repr)
+        for key in keys:
             _serialise(key, out)
             _serialise(value[key], out)
     elif isinstance(value, (set, frozenset)):
-        out.append(_TAG_SET + _frame_count(len(value)))
+        out.append(b"E%d;" % len(value))
         for item in sorted(value, key=_sort_key):
             _serialise(item, out)
     else:
-        for base in value.__class__.__mro__:
-            if base in _SCALAR_FRAMERS:  # an IntEnum, a str subclass
+        for base in cls.__mro__:
+            if base in _SCALAR_FRAMERS:
                 out.append(_SCALAR_FRAMERS[base](value))
                 return
         raise TypeError(
@@ -145,55 +164,96 @@ def _sort_key(value: Any) -> tuple[str, str]:
 
 
 class RecordTemplate(NamedTuple):
-    """Precomputed framing of a dict record with a fixed set of str keys."""
+    """The compiled encoder of a dict record with a fixed set of str keys."""
 
-    #: Dict tag and entry count.
-    head: bytes
-    #: ``(name, framed key)`` in canonical (sorted) emission order.
-    keys: tuple[tuple[str, bytes], ...]
+    #: Every key the encoder emits, in canonical (emission) order.
+    names: tuple[str, ...]
+    #: True for a run of entries with no dict head around them: what
+    #: another template splices in where it names this one as a field.
+    partial: bool
+    #: ``encode(*values) -> bytes``: one positional argument per
+    #: declared field, in declaration order.
+    encode: Callable[..., bytes]
 
 
-def record_template(*names: str) -> RecordTemplate:
-    """Precompute the key framing of ``{name: ..., ...}`` records.
+def record_template(*fields: str | RecordTemplate, partial: bool = False,
+                    framed: Collection[str] = (),
+                    **constants: Any) -> RecordTemplate:
+    """Compile the encoder of ``{name: ..., ...}`` records.
 
     Every signed structure of the protocol (pledge, version stamp,
     certificate, shard map, merkle root) is a dict with a fixed key set
-    whose values change per message.  The key order and key bytes are a
-    function of the names alone, so they are worked out once here and
-    :func:`canonical_record` only frames the values.
+    whose values change per message.  The key order, the key bytes and
+    the ``constants`` (``kind="pledge"``) are a function of the
+    declaration alone, so they are folded into literals here, once, and
+    ``encode`` joins them with one piece per field:
+
+    * a field declared by name takes that entry's value -- framed in
+      line when it is exactly a ``str``, handed to the generic walker
+      when it is anything else (a container, or whatever a hostile peer
+      put where a ``str`` belongs), so the bytes and the ``TypeError``
+      for an unserialisable value are :func:`canonical_bytes`'s own;
+    * a name also listed in ``framed`` takes its value's canonical
+      bytes instead, from a caller that keeps them;
+    * a field that is a ``partial`` template takes what that template
+      encoded: a run of entries framed once and spliced into every
+      record that repeats them.  Its names must sort next to each other
+      among this template's.
+
+    The record itself is not memoised here: signed payloads carry a
+    unique request id or timestamp, so caching them by value only
+    evicted the entries that do repeat.
     """
-    if len(set(names)) != len(names):
-        raise ValueError(f"duplicate record field in {names!r}")
-    return RecordTemplate(
-        head=_TAG_DICT + _frame_count(len(names)),
-        keys=tuple((name, _frame_str(name))
-                   for name in sorted(names, key=_sort_key)))
-
-
-def canonical_record(template: RecordTemplate,
-                     fields: dict[str, Any]) -> bytes:
-    """``canonical_bytes(fields)`` for a dict matching ``template``.
-
-    Byte-identical to the generic serialiser by construction: scalars
-    go through the same framers, and any other value -- a container, or
-    whatever a hostile peer put where a scalar belongs -- is handed to
-    :func:`canonical_bytes`, so the bytes and the ``TypeError`` for
-    unserialisable values are unchanged.  The record itself is not
-    memoised: signed payloads carry a unique request id or timestamp,
-    so caching them only evicted the entries that do repeat.
-    """
-    keys = template.keys
-    if len(fields) != len(keys):
-        raise ValueError(
-            f"record has {len(fields)} fields, template {len(keys)}")
-    out = [template.head]
-    for name, key_frame in keys:
-        value = fields[name]
-        framer = _SCALAR_FRAMERS.get(value.__class__)
-        out.append(key_frame)
-        out.append(framer(value) if framer is not None
-                   else canonical_bytes(value))
-    return b"".join(out)
+    # One entry per constant, field and run: the names it emits, then
+    # its pieces -- literal bytes, or the argument that supplies them.
+    entries: list[tuple[tuple[str, ...], list[bytes | str]]] = [
+        ((name,), [_frame_str(name) + canonical_bytes(value)])
+        for name, value in constants.items()]
+    body: list[str] = []
+    for index, field in enumerate(fields):
+        arg = f"_{index}"
+        if isinstance(field, RecordTemplate):
+            if not field.partial:
+                raise ValueError(f"{field.names!r} is a whole record, "
+                                 "not a run of entries")
+            entries.append((field.names, [arg]))
+            continue
+        entries.append(((field,), [_frame_str(field), arg]))
+        if field not in framed:
+            body += [f"    if {arg}.__class__ is str:",
+                     f"        {arg} = {arg}.encode('utf-8')",
+                     f"        {arg} = b'S%d:%b' % (len({arg}), {arg})",
+                     "    else:",
+                     f"        {arg} = canonical_bytes({arg})"]
+    if not set(framed) <= set(fields):
+        raise ValueError(f"framed {framed!r} names no declared field")
+    entries.sort(key=lambda entry: repr(entry[0][0]))
+    names = tuple(name for emitted, _ in entries for name in emitted)
+    if list(names) != sorted(set(names), key=repr):
+        raise ValueError(f"duplicate record field in {names!r}, or a run "
+                         "whose names sort apart")
+    # Neighbouring literals merge, so ``encode`` joins one literal and
+    # one argument per field.
+    joined: list[str] = []
+    literal = b"" if partial else b"D%d;" % len(names)
+    for _, pieces in entries:
+        for piece in pieces:
+            if isinstance(piece, bytes):
+                literal += piece
+                continue
+            if literal:
+                joined.append(repr(literal))
+                literal = b""
+            joined.append(piece)
+    if literal:
+        joined.append(repr(literal))
+    source = "\n".join([
+        f"def encode({', '.join(f'_{i}' for i in range(len(fields)))}):",
+        *body,
+        f"    return b''.join(({', '.join(joined)},))"])
+    namespace: dict[str, Any] = {"canonical_bytes": canonical_bytes}
+    exec(source, namespace)
+    return RecordTemplate(names, partial, namespace["encode"])
 
 
 def constant_time_equals(left: str | bytes | bytearray,

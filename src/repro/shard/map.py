@@ -21,8 +21,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 
-from repro.crypto.hashing import canonical_record, record_template, \
-    sha1_hex
+from repro.crypto.hashing import record_template, sha1_hex
 from repro.crypto.keys import KeyPair
 from repro.crypto.signatures import PublicKey, Signature
 
@@ -32,8 +31,8 @@ class ShardMapError(Exception):
 
 
 _SHARD_MAP_RECORD = record_template(
-    "kind", "namespace", "epoch", "seed", "shard_ids", "assignments",
-    "issuer_id", "issued_at")
+    "namespace", "epoch", "seed", "shard_ids", "assignments", "issuer_id",
+    "issued_at", kind="shard_map")
 
 
 def shard_fingerprint(namespace: str, shard_id: str) -> str:
@@ -78,16 +77,9 @@ class ShardMap:
                         shard_ids: tuple[str, ...],
                         assignments: tuple[tuple[str, tuple[str, ...]], ...],
                         issuer_id: str, issued_at: float) -> bytes:
-        return canonical_record(_SHARD_MAP_RECORD, {
-            "kind": "shard_map",
-            "namespace": namespace,
-            "epoch": epoch,
-            "seed": seed,
-            "shard_ids": shard_ids,
-            "assignments": assignments,
-            "issuer_id": issuer_id,
-            "issued_at": issued_at,
-        })
+        return _SHARD_MAP_RECORD.encode(
+            namespace, epoch, seed, shard_ids, assignments, issuer_id,
+            issued_at)
 
     @classmethod
     def make(cls, issuer_keys: KeyPair, namespace: str, epoch: int,

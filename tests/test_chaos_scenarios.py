@@ -81,14 +81,43 @@ def test_flash_crowd_qos_protects():
     timings = verdict.timings
     assert timings["slo"] == pytest.approx(
         P99_RATIO_BOUND * timings["unprotected_burst_p99"], abs=1e-3)
-    # The p99 bound only detects a shed honest read (a wait of about
-    # request_timeout); that admission control helps is the median's claim.
-    assert timings["burst_p99"] <= timings["slo"]
+    # No honest frame shed in the burst, by count; the p99 against the
+    # slo is reported, not judged (it swings with the box and the build).
+    # That admission control helps is the median's claim.
+    assert timings["honest_sheds_in_burst"] == 0
     assert timings["burst_p50"] < timings["unprotected_burst_p50"]
     names = {check.name for check in verdict.checks}
     assert {"honest_p99_slo", "honest_median_protected",
             "reference_unprotected", "keepalives_never_missed",
             "sheds_happened", "sheds_attributed"} <= names
+
+
+@pytest.mark.parametrize("sheds, p99, reference_p99, passes", [
+    (0, 0.9, 0.08, True),    # slow tail, 11x a fast reference: not a shed
+    (1, 0.04, 2.0, False),   # a shed honest frame under a 6 s "slo"
+    (0, 0.04, 0.5, True),
+])
+def test_flash_crowd_slo_judges_sheds_not_the_stopwatch(
+        monkeypatch, sheds, p99, reference_p99, passes):
+    """``honest_p99_slo`` is the count of honest frames shed in the
+    burst; the p99 ratio, which follows the speed of the box and of the
+    build, is reported beside it."""
+    from repro.chaos import scenarios
+
+    async def burst(seed, qos):
+        timings = {"burst_p50": 0.001 if qos else 0.04,
+                   "burst_p99": p99 if qos else reference_p99,
+                   "honest_sheds_in_burst": float(sheds if qos else 0)}
+        return scenarios.ScenarioVerdict("flash_crowd", seed, True,
+                                         timings=timings)
+
+    monkeypatch.setattr(scenarios, "_flash_crowd_burst", burst)
+    verdict = run_scenario_sync("flash_crowd")
+    slo = next(c for c in verdict.checks if c.name == "honest_p99_slo")
+    assert slo.passed is passes and verdict.passed is passes
+    assert f"{sheds} honest frames shed" in slo.detail
+    assert verdict.timings["slo"] == pytest.approx(
+        P99_RATIO_BOUND * reference_p99)
 
 
 def test_unknown_scenario_rejected():

@@ -15,12 +15,17 @@ import random
 
 import pytest
 
+from repro.content.kvstore import KVGet, KeyValueStore
 from repro.core.config import ProtocolConfig
-from repro.core.messages import Pledge, VersionStamp
+from repro.core.messages import AuditBatch, Pledge, ReadReply, VersionStamp
 from repro.core.system import DeploymentSpec, ReplicationSystem
-from repro.crypto import fastpath, signatures
+from repro.crypto import fastpath, hashing, signatures
 from repro.crypto.certificates import Certificate
-from repro.crypto.hashing import constant_time_equals, sha1_hex
+from repro.crypto.hashing import (
+    canonical_bytes,
+    constant_time_equals,
+    sha1_hex,
+)
 from repro.crypto.keys import KeyPair
 from repro.crypto.signatures import new_signer, verify_signature
 from repro.metrics import MetricsRegistry
@@ -264,9 +269,13 @@ class TestPayloadMemo:
                 return VersionStamp._payload(obj.version, obj.timestamp,
                                              obj.master_id)
             if isinstance(obj, Pledge):
-                return Pledge._payload(obj.query_wire, obj.result_hash,
-                                       obj.stamp, obj.slave_id,
-                                       obj.request_id)
+                named = obj.stamp
+                return Pledge._payload(
+                    canonical_bytes(obj.query_wire), obj.result_hash,
+                    VersionStamp._pledge_fields(
+                        named.version, named.timestamp, named.master_id,
+                        named.signature),
+                    obj.slave_id, obj.request_id)
             if isinstance(obj, Certificate):
                 return Certificate._signed_payload(
                     obj.subject_id, obj.address, obj.subject_public_key,
@@ -289,13 +298,202 @@ class TestPayloadMemo:
                 assert obj.signed_payload() is payload  # memoised
             assert tampered.signed_payload() != fresh.signed_payload()
 
+    def test_stamp_and_query_memos_equal_the_static_builders(self):
+        """The two sub-record memos a pledge's payload is assembled
+        from: a fresh, a wire-decoded and a ``replace``d instance each
+        hold what the static builders make of their *own* fields."""
+        master = _hmac_keys("master-00", seed=47)
+        slave = _hmac_keys("slave-00-00", seed=48)
+        stamp = VersionStamp.make(master, version=2, timestamp=3.0)
+        decoded_stamp = codec.decode_value(codec.encode_value(stamp))
+        moved = dataclasses.replace(stamp, timestamp=9.0)
+        for obj in (stamp, decoded_stamp, moved):
+            assert obj._pledge_fields_cache is None  # until a pledge asks
+            fields = obj.pledge_fields()
+            assert fields == VersionStamp._pledge_fields(
+                obj.version, obj.timestamp, obj.master_id, obj.signature)
+            assert obj.pledge_fields() is fields  # memoised
+        assert moved.pledge_fields() != stamp.pledge_fields()
+
+        pledge = Pledge.make(slave, query_wire={"op": "kv.get", "key": "k1"},
+                             result_hash="ab" * 20, stamp=stamp,
+                             request_id="r1")
+        decoded = codec.decode_value(codec.encode_value(pledge))
+        asked = dataclasses.replace(pledge, query_wire={"op": "kv.get",
+                                                        "key": "k2"})
+        assert pledge._query_cache is not None  # seeded by make()
+        assert decoded._query_cache is None and asked._query_cache is None
+        for obj in (pledge, decoded, asked):
+            assert obj.query_hash() == sha1_hex(obj.query_wire)
+            assert obj._query_cache == canonical_bytes(obj.query_wire)
+        assert asked.query_hash() != pledge.query_hash()
+
+    def test_forgery_in_flight_signs_over_the_new_fields(self):
+        """The shape ``AnswerSubstitution`` and ``_maybe_garble`` rely
+        on: ``replace`` on a pledge whose memos are all warm -- its
+        own, and those of the stamp it shares with honest pledges."""
+        master = _hmac_keys("master-00", seed=49)
+        slave = _hmac_keys("slave-00-00", seed=50)
+        client = _hmac_keys("client-00", seed=51)
+        stamp = VersionStamp.make(master, version=2, timestamp=3.0)
+        pledge = Pledge.make(slave, query_wire={"op": "kv.get", "key": "k1"},
+                             result_hash="ab" * 20, stamp=stamp,
+                             request_id="r1")
+        assert pledge.verify(client, slave.public_key)
+        assert stamp._pledge_fields_cache is not None
+
+        later = dataclasses.replace(stamp, timestamp=99.0)
+        restamped = dataclasses.replace(pledge, stamp=later)
+        assert b"F4:99.0" in restamped.signed_payload()
+        assert not restamped.verify(client, slave.public_key)
+        assert not later.verify(client, master.public_key)
+        # ... and a slave that signs over the forged stamp itself gets
+        # a pledge that verifies while the stamp inside still does not.
+        resigned = Pledge.make(slave, pledge.query_wire, pledge.result_hash,
+                               later, "r1")
+        assert resigned.verify(client, slave.public_key)
+        assert resigned.signed_payload() == restamped.signed_payload()
+
+        other_query = {"op": "kv.get", "key": "k2"}
+        asked = dataclasses.replace(pledge, query_wire=other_query)
+        assert canonical_bytes(other_query) in asked.signed_payload()
+        assert not asked.verify(client, slave.public_key)
+        assert asked.signed_payload() == Pledge.make(
+            slave, other_query, pledge.result_hash, stamp,
+            "r1").signed_payload()
+
+        garbled = dataclasses.replace(pledge, signature=b"\x00garbage")
+        assert garbled.signed_payload() == pledge.signed_payload()
+        assert not garbled.verify(client, slave.public_key)
+        # The honest pledge and the shared stamp are untouched.
+        assert pledge.verify(client, slave.public_key)
+        assert stamp.verify(client, master.public_key)
+
+
+@pytest.fixture
+def walks(monkeypatch):
+    """Counts top-level canonical walks: each entry into the generic
+    walker from outside it (``canonical_bytes``, ``sha1_hex``, a
+    record's non-``str`` field).  ``walks()`` reads the count."""
+    real = hashing._serialise
+    depth = count = 0
+
+    def counting(value, out):
+        nonlocal depth, count
+        count += depth == 0
+        depth += 1
+        try:
+            real(value, out)
+        finally:
+            depth -= 1
+
+    monkeypatch.setattr(hashing, "_serialise", counting)
+    return lambda: count
+
+
+class TestWalkCounts:
+    """Counts, not timings: they repeat on any machine."""
+
+    def _replies(self, reads: int):
+        """``reads`` replies under one stamp, as the client at the far
+        end of one connection decodes them."""
+        master = _hmac_keys("master-00", seed=61)
+        slave = _hmac_keys("slave-00-00", seed=62)
+        stamp = VersionStamp.make(master, version=4, timestamp=2.0)
+        sender, receiver = codec.WireContext(), codec.WireContext()
+        decoded = []
+        for i in range(reads):
+            query = KVGet(key=f"k{i}").to_wire()
+            result = {"found": True, "value": i}
+            pledge = Pledge.make(slave, query, sha1_hex(result), stamp,
+                                 request_id=f"r{i}")
+            reply = ReadReply(f"r{i}", result, pledge)
+            decoded.append(codec.decode_frame(
+                codec.encode_frame(reply, sender), receiver))
+        return decoded
+
+    def test_second_pledge_under_a_stamp_walks_its_query_only(
+            self, walks, monkeypatch):
+        first, second = self._replies(2)
+        assert second.pledge.stamp is first.pledge.stamp
+        stamps_framed = []
+        build = VersionStamp._pledge_fields
+        monkeypatch.setattr(
+            VersionStamp, "_pledge_fields",
+            staticmethod(lambda *fields: stamps_framed.append(fields)
+                         or build(*fields)))
+        before = walks()
+        first.pledge.signed_payload()
+        assert len(stamps_framed) == 1
+        assert walks() - before == 1
+        before = walks()
+        second.pledge.signed_payload()
+        assert walks() - before == 1  # its query
+        assert len(stamps_framed) == 1  # no stamp field framed again
+
+    def test_auditing_a_cache_hit_pledge_walks_its_query_once(self, walks):
+        """``_audit`` files the re-execution under the query's hash and
+        ``_finish_audit`` verifies the payload the query is part of:
+        one walk between them."""
+        system = ReplicationSystem.build(DeploymentSpec(
+            num_masters=2, slaves_per_master=1, num_clients=1, seed=3,
+            store_factory=lambda: KeyValueStore({"k0": 0, "k1": 1})))
+        system.start()
+        system.run_for(5.0)
+        auditor = system.auditor
+        slave = system.slaves[0]
+        stamp = slave.latest_stamp
+        sender, receiver = codec.WireContext(), codec.WireContext()
+        query = KVGet(key="k1").to_wire()
+        result_hash = sha1_hex(slave.store.execute_read(
+            KVGet(key="k1")).result)
+
+        def forwarded(request_id):
+            pledge = Pledge.make(slave.keys, query, result_hash, stamp,
+                                 request_id)
+            batch = codec.decode_frame(codec.encode_frame(
+                AuditBatch((pledge,)), sender), receiver)
+            return batch.pledges
+
+        auditor._intake(forwarded("r0"))  # the miss that fills the cache
+        system.run_for(1.0)
+        hits, audited = auditor.cache_hits, auditor.pledges_audited
+        pledges = forwarded("r1")
+        before = walks()
+        auditor._intake(pledges)
+        system.run_for(1.0)
+        assert auditor.cache_hits == hits + 1
+        assert auditor.pledges_audited == audited + 1
+        assert system.metrics.count("audits_bad_signature") == 0
+        assert walks() - before == 1
+
+    def test_simulator_run_walks_no_more_than_the_parent(self, walks):
+        """Over the simulator objects travel by reference, so a pledge
+        reaches client and auditor with the memos its slave seeded: the
+        parent made 1 220 walks over this run (two hashes of the result,
+        the query under the payload, the auditor's hash of the query),
+        and the last of the four is now the slave's own walk."""
+        system = ReplicationSystem.build(DeploymentSpec(
+            num_masters=2, slaves_per_master=2, num_clients=3, seed=5,
+            store_factory=lambda: KeyValueStore(
+                {f"k{i}": i for i in range(20)})))
+        system.start()
+        start = system.now
+        before = walks()
+        for i in range(300):
+            system.schedule_op(system.clients[i % 3],
+                               start + 0.5 + i * 0.05,
+                               KVGet(key=f"k{i % 20}"))
+        system.run_for(60.0)
+        assert system.metrics.count("reads_accepted") == 300
+        assert system.metrics.count("pledges_audited") > 250
+        assert walks() - before <= 1220 - 250
+
 
 class TestEndToEndRSA:
     def test_rsa_system_accepts_reads(self):
         """Clients (HMAC-keyed) complete setup and accept reads on an
         RSA deployment -- the seed looped forever in setup here."""
-        from repro.content.kvstore import KVGet, KeyValueStore
-
         protocol = ProtocolConfig(signer_scheme="rsa", rsa_bits=256,
                                   double_check_probability=0.0)
         system = ReplicationSystem.build(DeploymentSpec(

@@ -109,6 +109,22 @@ class TestGoldenPayloads:
             assert rebuilt._payload_cache is None
             assert rebuilt.signed_payload() == signed.signed_payload()
 
+    def test_a_pledge_signed_by_an_earlier_commit_verifies(self):
+        """The cross-commit fixture: the golden Pledge frame carries
+        the signatures an earlier build made over the golden payloads.
+        Decoded here it rebuilds those payloads and verifies; and the
+        signatures this build makes are the ones in the frame, so an
+        earlier build verifies ours."""
+        pledge = decode_value(GOLDEN_FRAMES[wire_type_id(m.Pledge)][
+            HEADER_SIZE:])
+        assert pledge.signed_payload().hex() == GOLDEN["payloads"]["Pledge"]
+        assert pledge.stamp.signed_payload().hex() \
+            == GOLDEN["payloads"]["VersionStamp"]
+        assert pledge.verify(MASTER, SLAVE.public_key)
+        assert pledge.stamp.verify(SLAVE, MASTER.public_key)
+        assert pledge.signature == PLEDGE.signature
+        assert pledge.stamp.signature == STAMP.signature
+
     def test_golden_covers_every_signed_record(self):
         assert set(GOLDEN["payloads"]) == {
             m.Pledge.__name__, m.VersionStamp.__name__,
