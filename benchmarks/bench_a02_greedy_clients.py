@@ -7,7 +7,10 @@ on vs off, and reports:
 
 * master double-check load (what the throttle protects);
 * honest-client read latency (must be unaffected either way);
-* greedy-client read latency (the throttle's intended victim).
+* greedy-client read latency (the throttle's intended victim), measured
+  from submit; a read whose double-checks keep being dropped ages past
+  ``max_latency``, is retried, and *fails* when its budget is spent, so
+  under throttling fewer of the greedy client's reads complete at all.
 """
 
 from __future__ import annotations
@@ -37,6 +40,7 @@ def run_mode(throttle: bool, reads: int, seed: int = 16) -> dict:
     rng = random.Random(seed)
     latencies: dict[str, list[float]] = {c.node_id: []
                                          for c in system.clients}
+    failed = dict.fromkeys(latencies, 0)
     t = system.now
     for i in range(reads):
         t += 0.1
@@ -45,6 +49,8 @@ def run_mode(throttle: bool, reads: int, seed: int = 16) -> dict:
         def record(outcome, client_id=client.node_id):
             if outcome["status"] == "accepted":
                 latencies[client_id].append(outcome["latency"])
+            else:
+                failed[client_id] += 1
 
         system.schedule_op(client, t,
                            KVGet(key=f"k{rng.randrange(200):04d}"),
@@ -64,6 +70,8 @@ def run_mode(throttle: bool, reads: int, seed: int = 16) -> dict:
         "honest_latency": mean(honest),
         "greedy_latency": mean(greedy),
         "greedy_done": len(greedy),
+        "greedy_failed": failed["client-00"],
+        "honest_failed": sum(failed.values()) - failed["client-00"],
     }
 
 
@@ -95,6 +103,12 @@ def test_a02_greedy_clients(benchmark):
                - unthrottled["honest_latency"]) < 0.05
     # The abuser pays: its latency degrades vs the unthrottled world.
     assert throttled["greedy_latency"] > 2 * unthrottled["greedy_latency"]
+    # Every read resolved, and only the abuser's ever fail.
+    share = scaled(800, 200) // 4
+    for result in results:
+        assert result["greedy_done"] + result["greedy_failed"] == share
+        assert result["honest_failed"] == 0
+    assert unthrottled["greedy_failed"] == 0
 
 
 if __name__ == "__main__":

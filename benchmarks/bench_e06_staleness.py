@@ -5,7 +5,9 @@ Claims: (a) stale answers are always rejected (the inconsistency window
 is a hard guarantee); (b) "by carefully selecting the value for
 max_latency, and the frequency masters send keep-alive packets, the
 probability of such events occurring can be reduced"; (c) clients behind
-slow links may never get fresh answers unless they relax their own bound.
+slow links may never get fresh answers unless they relax their own bound:
+their reads *fail* once the retry budget is spent, and every read is
+accounted for (accepted + failed == submitted).
 
 Sweep (max_latency, keepalive_interval, client link delay); measure the
 fraction of slave replies rejected as stale and compare with the
@@ -94,12 +96,16 @@ def test_e06_staleness(benchmark):
     for row in rows:
         # The hard guarantee: never a consistency-window violation.
         assert row[7] == 0
+        # Every read resolved: none is still circulating when the run ends.
+        assert row[5] + row[6] == scaled(600, 150)
     # Comfortable configuration: essentially no stale replies.
     assert rows[0][3] < 0.02
     # Tight bound + slow link: substantial staleness, roughly as modelled.
     tight = rows[1]
     assert tight[3] > 0.2
     assert abs(tight[3] - tight[4]) < 0.35
+    # ... and some reads starve: the budget ends (Section 3.2).
+    assert tight[6] > 0
 
 
 if __name__ == "__main__":

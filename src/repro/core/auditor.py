@@ -38,7 +38,6 @@ from __future__ import annotations
 from collections import deque
 from typing import Any, Iterable, Sequence
 
-from repro.content.queries import ReadQuery, operation_from_wire
 from repro.core.messages import (
     Accusation,
     AuditBatch,
@@ -205,25 +204,19 @@ class AuditorServer(TrustedServer):
             if cert is None:
                 unknown.append(entry)
                 continue
-            version = pledge.stamp.version
             # Signature checks: the slave's pledge signature and the
             # master stamp inside it.  Both are verifications, not
             # signatures.
             charge = 2 * config.verify_time
             trusted_hash = None
             if cache is not None:
-                cache_key = (version, pledge.query_hash())
+                cache_key = (pledge.stamp.version, pledge.query_hash())
                 trusted_hash = cache.get(cache_key)
             if trusted_hash is None:
-                snapshot = self.store_at(version)
-                if snapshot is None:
+                outcome = self.reexecute(pledge)
+                if outcome is None:
                     unverifiable += 1
                     continue
-                query = operation_from_wire(pledge.query_wire)
-                if not isinstance(query, ReadQuery):
-                    unverifiable += 1
-                    continue
-                outcome = snapshot.execute_read(query)
                 trusted_hash = sha1_hex(outcome.result)
                 if cache is not None:
                     cache[cache_key] = trusted_hash

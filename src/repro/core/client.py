@@ -9,10 +9,10 @@ Read protocol (Sections 3.2-3.4), per read:
 
 1. send the query to the assigned slave(s) -- ``read_quorum`` of them in
    the Section 4 variant;
-2. on each reply, verify: result hash matches the pledge, the slave's
-   signature on the pledge, the master's signature on the version stamp,
-   and the stamp's age against ``max_latency`` (stale answers are dropped
-   and retried);
+2. on each reply, verify (:func:`judge_reply`): result hash matches the
+   pledge, the slave's signature on the pledge, the master's signature on
+   the version stamp, and the stamp's age against ``max_latency`` (stale
+   answers are dropped and retried);
 3. with probability ``p`` double-check against the master: a hash
    mismatch at the same version is immediate discovery -- forward the
    incriminating pledge as an accusation, await reassignment, re-issue
@@ -23,6 +23,11 @@ Read protocol (Sections 3.2-3.4), per read:
    per scheduler tick, not per read: the pledge joins the client's audit
    outbox, which leaves as one ``AuditBatch`` at once when no other read
    is in flight and otherwise when the tick ends.
+
+An operation is one attempt from ``submit_*`` to its verdict: it keeps
+its request id, start time, retry count and span while it waits for the
+setup phase, is re-sent or re-routed, and leaves ``_reads`` only through
+``_finish_read`` or ``_fail_read`` (docs/PROTOCOL.md, "A read's life").
 
 Security levels (Section 4): pass ``level=`` to
 :meth:`Client.submit_read`; level probabilities come from
@@ -37,7 +42,7 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass, field
-from typing import TYPE_CHECKING, Any, Callable
+from typing import TYPE_CHECKING, Any, Callable, Iterable, Literal
 
 if TYPE_CHECKING:  # pragma: no cover - typing only (obs is optional)
     from repro.obs.spans import Span
@@ -58,6 +63,7 @@ from repro.core.messages import (
     ReadRequest,
     SetupFailed,
     SlaveAssignment,
+    VersionStamp,
     WriteReply,
     WriteRequest,
 )
@@ -72,6 +78,83 @@ from repro.crypto.signatures import verify_many  # noqa: F401
 from repro.metrics import MetricsRegistry
 from repro.sim.network import Network, Node
 from repro.sim.simulator import EventHandle, Simulator
+
+#: :func:`judge_reply`'s answers; ``read_reply_<verdict>`` counts each.
+Verdict = Literal["ok", "out_of_sync", "bad_pledge", "hash_mismatch",
+                  "bad_signature", "bad_stamp", "stale"]
+
+#: Where a read is in its life (docs/PROTOCOL.md, "A read's life").
+ReadState = Literal["awaiting_setup", "waiting_slaves", "master_read",
+                    "double_checking", "await_reassign", "done"]
+
+
+# -- the decision: pure functions over values (docs/PROTOCOL.md R1-R6) ---
+
+def is_fresh(stamp: VersionStamp, now: float, max_latency: float) -> bool:
+    """R5: "the client makes sure the time-stamp is not older than
+    max_latency."  Asked again, alone, of a read that lingered."""
+    return now - stamp.timestamp < max_latency
+
+
+def judge_reply(reply: ReadReply, slave_id: str, request_id: str,
+                query_wire: Any, slave_key: PublicKey | None,
+                master_key_of: Callable[[str], PublicKey | None],
+                verifier: KeyPair, now: float,
+                max_latency: float) -> Verdict:
+    """R1-R5, in order, for the reply ``slave_id`` gave to ``request_id``
+    for ``query_wire``.  ``slave_key`` and ``master_key_of(master_id)``
+    are certified keys, None where the client holds no certificate."""
+    # R1. Sync: a slave behind on keep-alives refuses instead.
+    if not reply.in_sync or reply.pledge is None:
+        return "out_of_sync"
+    pledge = reply.pledge
+    if pledge.slave_id != slave_id:
+        return "bad_pledge"
+    # R2. Binding: the pledge must commit to *this* request.  Without
+    #    it a malicious slave could answer query A with a perfectly
+    #    valid (result, pledge) pair for query B -- every other check
+    #    would pass and the audit of pledge B would come back clean.
+    #    The pledge carries "a copy of the request" (Section 3.2)
+    #    exactly so the client can pin it.
+    if pledge.request_id != request_id:
+        return "bad_pledge"
+    if pledge.query_wire != query_wire:
+        return "bad_pledge"
+    # R3. Result integrity: hash(result) must equal the pledged hash.
+    if not constant_time_equals(sha1_hex(reply.result), pledge.result_hash):
+        return "hash_mismatch"
+    # R4. Slave signature over the pledge, then the master's signature
+    #    over the version stamp.
+    if slave_key is None or not pledge.verify(verifier, slave_key):
+        return "bad_signature"
+    master_key = master_key_of(pledge.stamp.master_id)
+    if master_key is None or not pledge.stamp.verify(verifier, master_key):
+        return "bad_stamp"
+    if not is_fresh(pledge.stamp, now, max_latency):  # R5
+        return "stale"
+    return "ok"
+
+
+def pledges_agree(pledges: Iterable[Pledge]) -> bool:
+    """R6: every slave of the quorum pledged the same result hash at the
+    same version."""
+    first, *rest = pledges
+    return all(constant_time_equals(pledge.result_hash, first.result_hash)
+               and pledge.stamp.version == first.stamp.version
+               for pledge in rest)
+
+
+def compare_with_master(
+        pledge: Pledge, trusted_hash: str,
+        trusted_version: int) -> Literal["match", "mismatch", "skew"]:
+    """A pledge against the master's double-check answer.  A different
+    hash proves a lie only at the master's own version: otherwise the
+    master committed a write in between (skew)."""
+    if constant_time_equals(pledge.result_hash, trusted_hash):
+        return "match"
+    if pledge.stamp.version == trusted_version:
+        return "mismatch"
+    return "skew"
 
 
 @dataclass
@@ -91,15 +174,16 @@ class AcceptedRead:
 class _ReadAttempt:
     request_id: str
     query_wire: Any
-    level: str | None
     probability: float
     callback: Callable[[dict], None] | None
-    quorum: int
     started_at: float
+    quorum: int = 0
+    #: Re-sends over the read's whole life (stale answers and time-outs).
     retries: int = 0
     dc_retries: int = 0
-    state: str = "waiting_slaves"
+    state: ReadState = "awaiting_setup"
     replies: dict[str, ReadReply] = field(default_factory=dict)
+    #: The attempt's one wake-up; whatever moves the attempt on cancels it.
     timer: EventHandle | None = None
     #: Root tracing span (None when tracing is off or unsampled).
     span: "Span | None" = None
@@ -114,6 +198,8 @@ class _WriteAttempt:
     callback: Callable[[dict], None] | None
     started_at: float
     retries: int = 0
+    #: Held, not sent: no master to send it to until setup finishes.
+    awaiting_setup: bool = False
     timer: EventHandle | None = None
     #: Root tracing span (None when tracing is off or unsampled).
     span: "Span | None" = None
@@ -165,10 +251,9 @@ class Client(Node):
         # (hash-spread across the master set), advanced on unresponsiveness.
         self._master_preference = int(sha1_hex(node_id)[:4], 16)
         self._request_counter = itertools.count()
+        #: Every operation between its submit and its verdict.
         self._reads: dict[str, _ReadAttempt] = {}
         self._writes: dict[str, _WriteAttempt] = {}
-        self._queued: list[tuple[Operation, str | None,
-                                 Callable[[dict], None] | None]] = []
         self.accepted_log: list[AcceptedRead] = []
         #: Accepted reads later implicated by an exclusion (Section 3.5's
         #: delayed discovery: "the harm may be undone, by rolling back
@@ -194,15 +279,15 @@ class Client(Node):
         super().crash()
 
     def on_recover(self) -> None:
-        # Every operation in flight is held here; the time-outs that
-        # drove them died with the crash, so send each again.
+        # Every operation in flight is held here; its time-out died with
+        # the crash.  Sent again, or (waiting for setup) re-armed.
         if self._setup_in_progress:
             self._setup_in_progress = False
             self._begin_setup()
-        for request_id in list(self._reads):
-            self._resend_read(request_id)
-        for attempt in list(self._writes.values()):
-            self._send_write(attempt)
+        for read in list(self._reads.values()):
+            self._route(read)
+        for write in list(self._writes.values()):
+            self._send_write(write)
 
     def _begin_setup(self) -> None:
         if self._setup_in_progress:
@@ -274,9 +359,17 @@ class Client(Node):
         self.ready = True
         self._setup_in_progress = False
         self.metrics.incr("client_setup_completed")
-        queued, self._queued = self._queued, []
-        for op, level, callback in queued:
-            self.submit(op, level=level, callback=callback)
+        # Everything that waited for this goes out.
+        for read in list(self._reads.values()):
+            if read.state == "awaiting_setup":
+                self._in_span(read.span, self._route, read)
+        for write in list(self._writes.values()):
+            if write.awaiting_setup:
+                self._in_span(write.span, self._send_write, write)
+
+    def _master_key(self, master_id: str) -> PublicKey | None:
+        cert = self.master_certs.get(master_id)
+        return None if cert is None else cert.subject_public_key
 
     # -- public operation API ---------------------------------------------
 
@@ -292,47 +385,25 @@ class Client(Node):
 
     def submit_read(self, query: ReadQuery, level: str | None = None,
                     callback: Callable[[dict], None] | None = None) -> None:
-        if not self.ready:
-            self._queued.append((query, level, callback))
-            self._begin_setup()
-            return
-        probability = self._double_check_probability(level)
         request_id = f"{self.node_id}:r{next(self._request_counter)}"
         attempt = _ReadAttempt(
             request_id=request_id,
             query_wire=query.to_wire(),
-            level=level,
-            probability=probability,
+            probability=self._double_check_probability(level),
             callback=callback,
-            quorum=len(self.assigned_slaves),
             started_at=self.now,
         )
         self._reads[request_id] = attempt
         self.metrics.incr("reads_submitted")
-        # Probability 1.0 *by security level* means "execute only on
-        # trusted hosts" (Section 4).  A greedy client's override of 1.0
-        # is different: it still reads from its slave, then abuses the
-        # double-check quota (Section 3.3).
         obs = self.simulator.obs
         if obs is not None:
             attempt.span = obs.trace(self.node_id, "client.read",
                                      request_id=request_id,
                                      level=level or "default")
-        route = (self._read_on_master
-                 if probability >= 1.0 and self.double_check_override is None
-                 else self._send_to_slaves)
-        if obs is not None and attempt.span is not None:
-            with obs.activation(attempt.span):
-                route(attempt)
-        else:
-            route(attempt)
+        self._in_span(attempt.span, self._route, attempt)
 
     def submit_write(self, op: WriteOp,
                      callback: Callable[[dict], None] | None = None) -> None:
-        if not self.ready:
-            self._queued.append((op, None, callback))
-            self._begin_setup()
-            return
         request_id = f"{self.node_id}:w{next(self._request_counter)}"
         attempt = _WriteAttempt(request_id=request_id, op_wire=op.to_wire(),
                                 callback=callback, started_at=self.now)
@@ -342,11 +413,17 @@ class Client(Node):
         if obs is not None:
             attempt.span = obs.trace(self.node_id, "client.write",
                                      request_id=request_id)
-        if obs is not None and attempt.span is not None:
-            with obs.activation(attempt.span):
-                self._send_write(attempt)
+        self._in_span(attempt.span, self._send_write, attempt)
+
+    def _in_span(self, span: "Span | None", send: Callable[[Any], None],
+                 attempt: _ReadAttempt | _WriteAttempt) -> None:
+        """Send under the operation's own trace context, if it has one."""
+        obs = self.simulator.obs
+        if obs is not None and span is not None:
+            with obs.activation(span):
+                send(attempt)
         else:
-            self._send_write(attempt)
+            send(attempt)
 
     def _double_check_probability(self, level: str | None) -> float:
         if self.double_check_override is not None:
@@ -363,27 +440,35 @@ class Client(Node):
 
     # -- read path ------------------------------------------------------------
 
-    def _send_to_slaves(self, attempt: _ReadAttempt) -> None:
-        attempt.state = "waiting_slaves"
-        attempt.replies.clear()
-        request = ReadRequest(client_id=self.node_id,
-                              request_id=attempt.request_id,
-                              query_wire=attempt.query_wire)
-        for slave in self.assigned_slaves:
-            self.send(slave, request)
-        attempt.quorum = len(self.assigned_slaves)
+    def _route(self, attempt: _ReadAttempt) -> None:
+        """Start the read (again) from the top: held while the client has
+        no assignment, else sent where its level says -- under one
+        ``request_timeout`` deadline either way."""
+        _cancel(attempt.timer)
+        if not self.ready:
+            attempt.state = "awaiting_setup"
+            self._begin_setup()
+        elif attempt.probability >= 1.0 and self.double_check_override is None:
+            # Probability 1.0 *by security level* means "execute only on
+            # trusted hosts" (Section 4).  A greedy client's override of
+            # 1.0 still reads from its slave, then over-checks (3.3).
+            attempt.state = "master_read"
+            self.metrics.incr("sensitive_reads")
+            assert self.master_id is not None
+            self.send(self.master_id, DoubleCheckRequest(
+                client_id=self.node_id, request_id=attempt.request_id,
+                query_wire=attempt.query_wire, want_result=True))
+        else:
+            attempt.state = "waiting_slaves"
+            attempt.replies.clear()
+            request = ReadRequest(client_id=self.node_id,
+                                  request_id=attempt.request_id,
+                                  query_wire=attempt.query_wire)
+            for slave in self.assigned_slaves:
+                self.send(slave, request)
+            attempt.quorum = len(self.assigned_slaves)
         attempt.timer = self.after(self.config.request_timeout,
-                                   self._read_timeout, attempt.request_id)
-
-    def _read_on_master(self, attempt: _ReadAttempt) -> None:
-        attempt.state = "master_read"
-        self.metrics.incr("sensitive_reads")
-        assert self.master_id is not None
-        self.send(self.master_id, DoubleCheckRequest(
-            client_id=self.node_id, request_id=attempt.request_id,
-            query_wire=attempt.query_wire, want_result=True))
-        attempt.timer = self.after(self.config.request_timeout,
-                                   self._read_timeout, attempt.request_id)
+                                   self._read_timeout, attempt)
 
     def _handle_read_reply(self, slave_id: str, reply: ReadReply) -> None:
         attempt = self._reads.get(reply.request_id)
@@ -417,70 +502,33 @@ class Client(Node):
         if len(valid) < attempt.quorum:
             # At least one reply was stale / out-of-sync / malformed: the
             # paper's answer is drop and retry (Section 3.2).
-            self._retry_read(attempt)
-            return
-        hashes = {reply.pledge.result_hash for reply in valid.values()}
-        versions = {reply.pledge.stamp.version for reply in valid.values()}
-        if len(hashes) > 1 or len(versions) > 1:
+            self._escalate(attempt, backoff=True)
+        elif attempt.quorum > 1 and not pledges_agree(valid):
             # Quorum variant: disagreement forces a double-check --
             # "if not all answers match, the client automatically
             # double-checks, since at least one of the slaves has to be
             # malicious" (Section 4).
             self.metrics.incr("quorum_disagreements")
             self._start_double_check(attempt, forced=True)
-            return
-        if self.rng.random() < attempt.probability:
+        elif self.rng.random() < attempt.probability:
             self._start_double_check(attempt, forced=False)
         else:
             self._accept_via_auditor(attempt)
 
-    def _verify_replies(self, attempt: _ReadAttempt) -> dict[str, ReadReply]:
-        valid: dict[str, ReadReply] = {}
+    def _verify_replies(self, attempt: _ReadAttempt) -> list[Pledge]:
+        """The pledges of the replies that pass R1-R5, each verdict counted."""
+        valid: list[Pledge] = []
         for slave_id, reply in attempt.replies.items():
-            verdict = self._validate_reply(slave_id, reply)
+            cert = self.slave_certs.get(slave_id)
+            verdict = judge_reply(
+                reply, slave_id, attempt.request_id, attempt.query_wire,
+                None if cert is None else cert.subject_public_key,
+                self._master_key, self.keys, self.now, self.max_latency)
             self.metrics.incr(f"read_reply_{verdict}")
             if verdict == "ok":
-                valid[slave_id] = reply
+                assert reply.pledge is not None
+                valid.append(reply.pledge)
         return valid
-
-    def _validate_reply(self, slave_id: str, reply: ReadReply) -> str:
-        if not reply.in_sync or reply.pledge is None:
-            return "out_of_sync"
-        pledge = reply.pledge
-        if pledge.slave_id != slave_id:
-            return "bad_pledge"
-        # 0. Binding: the pledge must commit to *this* request.  Without
-        #    these checks a malicious slave could answer query A with a
-        #    perfectly valid (result, pledge) pair for query B -- every
-        #    other check would pass and the audit of pledge B would come
-        #    back clean.  The pledge carries "a copy of the request"
-        #    (Section 3.2) exactly so the client can pin it.
-        attempt = self._reads.get(reply.request_id)
-        if attempt is None:
-            return "bad_pledge"
-        if pledge.request_id != reply.request_id:
-            return "bad_pledge"
-        if pledge.query_wire != attempt.query_wire:
-            return "bad_pledge"
-        # 1. Result integrity: hash(result) must equal the pledged hash.
-        if not constant_time_equals(sha1_hex(reply.result),
-                                    pledge.result_hash):
-            return "hash_mismatch"
-        # 2. Slave signature over the pledge.
-        cert = self.slave_certs.get(slave_id)
-        if cert is None or not pledge.verify(self.keys,
-                                             cert.subject_public_key):
-            return "bad_signature"
-        # 3. Master signature over the version stamp.
-        master_cert = self.master_certs.get(pledge.stamp.master_id)
-        if master_cert is None or not pledge.stamp.verify(
-                self.keys, master_cert.subject_public_key):
-            return "bad_stamp"
-        # 4. Freshness: "the client makes sure the time-stamp is not older
-        #    than max_latency."
-        if pledge.stamp.age(self.now) >= self.max_latency:
-            return "stale"
-        return "ok"
 
     def _start_double_check(self, attempt: _ReadAttempt,
                             forced: bool) -> None:
@@ -498,8 +546,7 @@ class Client(Node):
             client_id=self.node_id, request_id=attempt.request_id,
             query_wire=attempt.query_wire))
         attempt.timer = self.after(self.config.request_timeout,
-                                   self._double_check_timeout,
-                                   attempt.request_id)
+                                   self._double_check_timeout, attempt)
 
     def _handle_double_check_reply(self, reply: DoubleCheckReply) -> None:
         attempt = self._reads.get(reply.request_id)
@@ -527,13 +574,13 @@ class Client(Node):
             pledge = slave_reply.pledge
             if pledge is None:
                 continue
-            if constant_time_equals(pledge.result_hash, reply.result_hash):
+            outcome = compare_with_master(pledge, reply.result_hash,
+                                          reply.version)
+            if outcome == "match":
                 matching.append((slave_id, slave_reply))
-            elif pledge.stamp.version == reply.version:
+            elif outcome == "mismatch":
                 mismatching.append((slave_id, slave_reply))
             else:
-                # Version skew: master committed a write between the
-                # slave's answer and the double-check; inconclusive.
                 self.metrics.incr("double_checks_inconclusive")
         if mismatching:
             # Caught red-handed (immediate discovery, Section 3.5).
@@ -550,16 +597,13 @@ class Client(Node):
             # Re-issued once the master reassigns us (ExclusionNotice), or
             # after a timeout if the accusation was dismissed.
             attempt.timer = self.after(self.config.request_timeout,
-                                       self._reissue_after_accusation,
-                                       attempt.request_id)
+                                       self._route, attempt)
             return
         if not matching:
             # Every slave answer was from a different version; retry.
-            self._retry_read(attempt)
+            self._escalate(attempt, backoff=True)
             return
-        if not self._still_fresh(attempt):
-            self.metrics.incr("reads_stale_at_accept")
-            self._retry_read(attempt)
+        if self._aged_while_held(attempt):
             return
         slave_ids = tuple(slave_id for slave_id, _reply in matching)
         first_reply = matching[0][1]
@@ -571,12 +615,7 @@ class Client(Node):
 
     def _accept_via_auditor(self, attempt: _ReadAttempt) -> None:
         """Forward pledges to the auditor, then accept (Section 3.4)."""
-        if not self._still_fresh(attempt):
-            # The reply was fresh when validated but aged past max_latency
-            # while we waited (e.g. on a timed-out double-check).  Accepting
-            # now would breach the inconsistency window; retry instead.
-            self.metrics.incr("reads_stale_at_accept")
-            self._retry_read(attempt)
+        if self._aged_while_held(attempt):
             return
         slave_ids = []
         pledges = []
@@ -586,7 +625,7 @@ class Client(Node):
                 # Held across a reassignment (parked behind timed-out
                 # double-checks): never accept on an ex-slave's word.
                 self.metrics.incr("read_replies_unassigned")
-                self._resend_read(attempt.request_id)
+                self._route(attempt)
                 return
             slave_ids.append(slave_id)
             pledges.append(reply.pledge)
@@ -613,15 +652,6 @@ class Client(Node):
         if pledges:
             self._audit_outbox = []
             self.send(self.auditor_id, AuditBatch(pledges=tuple(pledges)))
-
-    def _still_fresh(self, attempt: _ReadAttempt) -> bool:
-        """Re-check every held pledge's stamp age at acceptance time."""
-        for reply in attempt.replies.values():
-            if reply.pledge is None:
-                return False
-            if reply.pledge.stamp.age(self.now) >= self.max_latency:
-                return False
-        return True
 
     def _finish_read(self, attempt: _ReadAttempt, result: Any,
                      result_hash: str, version: int, double_checked: bool,
@@ -654,69 +684,53 @@ class Client(Node):
 
     # -- retries / failures ------------------------------------------------------
 
-    def _retry_read(self, attempt: _ReadAttempt) -> None:
+    def _escalate(self, attempt: _ReadAttempt, backoff: bool) -> None:
+        """The one retry ladder.  A stale or invalid answer (``backoff``)
+        or a time-out costs one of the read's ``max_read_retries``
+        re-sends; the last of them goes out after a fresh setup, and the
+        failure after that fails the read."""
+        self.metrics.incr("read_retries" if backoff else "read_timeouts")
         attempt.retries += 1
-        self.metrics.incr("read_retries")
         if attempt.retries > self.config.max_read_retries:
-            self._fail_read(attempt, reason="retries exhausted")
-            return
-        if attempt.retries == self.config.max_read_retries:
-            # Persistent invalid/stale replies from the current slave:
-            # assume it is broken (e.g. garbled signatures) and go back
-            # through the setup phase for a fresh assignment.
+            self._fail_read(attempt, reason=("retries exhausted" if backoff
+                                             else "timeout"))
+        elif attempt.retries == self.config.max_read_retries:
+            # Penultimate attempt: assume our slave is broken (garbled
+            # signatures) or died, maybe our master too; set up afresh.
             self.ready = False
-            self._queued.append((_rebuild_query(attempt), attempt.level,
-                                 attempt.callback))
-            del self._reads[attempt.request_id]
             self.metrics.incr("reads_resetup")
-            self._begin_setup()
-            return
-        # Small backoff so a just-stale slave has time to resync.
-        self.after(self.config.keepalive_interval,
-                   self._resend_read, attempt.request_id)
-
-    def _resend_read(self, request_id: str) -> None:
-        attempt = self._reads.get(request_id)
-        if attempt is None or attempt.state == "done":
-            return
-        # Same routing rule as submit_read: only a *security level* of
-        # 1.0 routes to the master; a greedy client's override keeps the
-        # slave path (it merely over-checks).
-        if attempt.probability >= 1.0 and self.double_check_override is None:
-            self._read_on_master(attempt)
+            self._route(attempt)
+        elif backoff:
+            # Small backoff so a just-stale slave has time to resync.
+            attempt.timer = self.after(self.config.keepalive_interval,
+                                       self._route, attempt)
         else:
-            self._send_to_slaves(attempt)
+            self._route(attempt)
 
-    def _read_timeout(self, request_id: str) -> None:
-        attempt = self._reads.get(request_id)
-        if attempt is None or attempt.state not in ("waiting_slaves",
-                                                    "master_read"):
-            return
+    def _aged_while_held(self, attempt: _ReadAttempt) -> bool:
+        """R5 again, at acceptance time: a reply fresh when validated may
+        have aged past ``max_latency`` while the read lingered (e.g. on a
+        timed-out double-check); accepting it would breach the
+        inconsistency window, so the read is retried (True)."""
+        now, max_latency = self.now, self.max_latency
+        for reply in attempt.replies.values():
+            if reply.pledge is None or not is_fresh(reply.pledge.stamp, now,
+                                                    max_latency):
+                self.metrics.incr("reads_stale_at_accept")
+                self._escalate(attempt, backoff=True)
+                return True
+        return False
+
+    def _read_timeout(self, attempt: _ReadAttempt) -> None:
         if attempt.state == "waiting_slaves" and attempt.replies:
             # Partial quorum: evaluate what arrived (missing slaves count
             # as invalid, forcing a retry unless quorum was 1 and answered).
             attempt.quorum = len(attempt.replies)
             self._evaluate_replies(attempt)
-            return
-        self.metrics.incr("read_timeouts")
-        attempt.retries += 1
-        if attempt.retries > self.config.max_read_retries:
-            self._fail_read(attempt, reason="timeout")
-            return
-        if attempt.retries == self.config.max_read_retries:
-            # Penultimate attempt: assume our master/slave died; re-setup.
-            self.ready = False
-            self._queued.append((_rebuild_query(attempt), attempt.level,
-                                 attempt.callback))
-            del self._reads[attempt.request_id]
-            self._begin_setup()
-            return
-        self._resend_read(request_id)
+        else:  # nothing came: from a slave, the master, or the setup
+            self._escalate(attempt, backoff=False)
 
-    def _double_check_timeout(self, request_id: str) -> None:
-        attempt = self._reads.get(request_id)
-        if attempt is None or attempt.state != "double_checking":
-            return
+    def _double_check_timeout(self, attempt: _ReadAttempt) -> None:
         attempt.dc_retries += 1
         self.metrics.incr("double_check_timeouts")
         obs = self.simulator.obs
@@ -729,12 +743,6 @@ class Client(Node):
         # The master is unresponsive (or throttling us as greedy).  Fall
         # back to the audit path rather than hanging the read forever.
         self._accept_via_auditor(attempt)
-
-    def _reissue_after_accusation(self, request_id: str) -> None:
-        attempt = self._reads.get(request_id)
-        if attempt is None or attempt.state != "await_reassign":
-            return
-        self._resend_read(request_id)
 
     def _fail_read(self, attempt: _ReadAttempt, reason: str) -> None:
         del self._reads[attempt.request_id]
@@ -750,12 +758,19 @@ class Client(Node):
     # -- write path --------------------------------------------------------------
 
     def _send_write(self, attempt: _WriteAttempt) -> None:
-        assert self.master_id is not None
-        self.send(self.master_id, WriteRequest(
-            client_id=self.node_id, request_id=attempt.request_id,
-            op_wire=attempt.op_wire))
+        """Send the write to our master, or hold it until setup names
+        one -- under one ``3 * request_timeout`` deadline either way."""
+        _cancel(attempt.timer)
+        attempt.awaiting_setup = not self.ready
+        if attempt.awaiting_setup:
+            self._begin_setup()
+        else:
+            assert self.master_id is not None
+            self.send(self.master_id, WriteRequest(
+                client_id=self.node_id, request_id=attempt.request_id,
+                op_wire=attempt.op_wire))
         attempt.timer = self.after(self.config.request_timeout * 3,
-                                   self._write_timeout, attempt.request_id)
+                                   self._write_timeout, attempt)
 
     def _handle_write_reply(self, reply: WriteReply) -> None:
         attempt = self._writes.pop(reply.request_id, None)
@@ -780,14 +795,11 @@ class Client(Node):
                               "latency": latency,
                               "reason": reply.reason})
 
-    def _write_timeout(self, request_id: str) -> None:
-        attempt = self._writes.get(request_id)
-        if attempt is None:
-            return
+    def _write_timeout(self, attempt: _WriteAttempt) -> None:
         attempt.retries += 1
         self.metrics.incr("write_timeouts")
         if attempt.retries > 2:
-            del self._writes[request_id]
+            del self._writes[attempt.request_id]
             self.metrics.incr("writes_failed")
             obs = self.simulator.obs
             if obs is not None:
@@ -796,14 +808,13 @@ class Client(Node):
             if attempt.callback is not None:
                 attempt.callback({"status": "failed", "reason": "timeout"})
             return
-        # Master may have crashed: redo setup against another master, then
-        # resubmit (write dedup is the master's job via request ids; in
-        # this model resubmission after a commit would double-apply, so we
-        # only resubmit when no reply ever arrived -- at-most-once).
-        self.ready = False
-        self._master_preference += 1
-        self._begin_setup()
-        self.after(self.config.request_timeout, self._send_write, attempt)
+        if not attempt.awaiting_setup:
+            # Our master may have crashed: redo setup against another.
+            self.ready = False
+            self._master_preference += 1
+        # Same request id: the masters de-duplicate by ``(client_id,
+        # request_id)``, so a write that did commit is confirmed.
+        self._send_write(attempt)
 
     # -- reassignment (Section 3.5) -----------------------------------------------
 
@@ -827,21 +838,18 @@ class Client(Node):
         # Re-issue any read that was waiting on the excluded slave.
         for attempt in list(self._reads.values()):
             if attempt.state in ("await_reassign", "waiting_slaves"):
-                _cancel(attempt.timer)
                 self.metrics.incr("reads_reissued_after_exclusion")
-                self._resend_read(attempt.request_id)
+                self._route(attempt)
 
     def rehome(self) -> None:
         """Drop the cached assignment and redo setup from the directory.
 
         The shard router calls this when the client's shard moved to a
         different master group (``WrongShard`` redirect or a new map
-        epoch).  Pending reads are requeued and re-issued against the
-        new home; pending writes are deliberately left on their own
-        timeout path, preserving at-most-once semantics (resubmitting a
-        write that may have committed would double-apply).  Pledges not
-        yet forwarded go to the old home's auditor: its slaves signed
-        them.
+        epoch).  Reads in flight wait for the new assignment and go to
+        the new home under their own request ids; writes already sent
+        are left on their time-out path.  Pledges not yet forwarded go
+        to the old home's auditor: its slaves signed them.
         """
         self._flush_audit()
         self.ready = False
@@ -850,13 +858,10 @@ class Client(Node):
         self.slave_certs = {}
         self.assigned_slaves = ()
         self.master_id = None
-        for attempt in list(self._reads.values()):
-            _cancel(attempt.timer)
-            self._queued.append((_rebuild_query(attempt), attempt.level,
-                                 attempt.callback))
-            del self._reads[attempt.request_id]
         self.metrics.incr("client_rehomes")
         self._begin_setup()
+        for attempt in self._reads.values():
+            self._route(attempt)
 
     def _install_assignment(self, assignment: SlaveAssignment) -> None:
         slaves = self._verified_slaves(assignment.slave_certificates)
@@ -896,11 +901,3 @@ class Client(Node):
 def _cancel(timer: EventHandle | None) -> None:
     if timer is not None:
         timer.cancel()
-
-
-def _rebuild_query(attempt: _ReadAttempt) -> ReadQuery:
-    from repro.content.queries import operation_from_wire
-
-    query = operation_from_wire(attempt.query_wire)
-    assert isinstance(query, ReadQuery)
-    return query

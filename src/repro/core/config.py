@@ -86,8 +86,12 @@ class ProtocolConfig:
     # -- client behaviour ---------------------------------------------------
     #: Client-side timeout for read/write/double-check responses.
     request_timeout: float = 10.0
-    #: Read retries (stale or timed-out answers) before a client gives up
-    #: and redoes the setup phase.
+    #: Re-sends one read may spend over its whole life, a stale answer
+    #: and a time-out costing one each.  The last of them goes out after
+    #: the client has redone the setup phase (waiting for which is on the
+    #: same budget); the failure after that fails the read, so every read
+    #: resolves within ``(max_read_retries + 2) * request_timeout`` plus
+    #: its stale-retry back-offs.
     max_read_retries: int = 5
     #: Per-client override of max_latency (Section 3.2 lets slow clients
     #: "settle with more modest expectations"); None = system value.

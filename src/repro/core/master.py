@@ -453,13 +453,9 @@ class MasterServer(TrustedServer):
             return "unverifiable"
         if not pledge.verify(self.keys, cert.subject_public_key):
             return "forged"  # cannot frame without the slave's key
-        snapshot = self.store_at(pledge.stamp.version)
-        if snapshot is None:
+        outcome = self.reexecute(pledge)
+        if outcome is None:
             return "unverifiable"
-        query = operation_from_wire(pledge.query_wire)
-        if not isinstance(query, ReadQuery):
-            return "unverifiable"
-        outcome = snapshot.execute_read(query)
         if constant_time_equals(sha1_hex(outcome.result),
                                 pledge.result_hash):
             return "innocent"

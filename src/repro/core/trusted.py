@@ -19,8 +19,8 @@ from dataclasses import dataclass
 from typing import Any, Callable
 
 from repro.broadcast.totalorder import BroadcastEnvelope, TotalOrderBroadcast
-from repro.content.queries import operation_from_wire
-from repro.content.store import ContentStore
+from repro.content.queries import ReadQuery, operation_from_wire
+from repro.content.store import ContentStore, ReadOutcome
 from repro.core.config import ProtocolConfig
 from repro.core.history import History
 from repro.core.messages import (
@@ -29,6 +29,7 @@ from repro.core.messages import (
     BcastSlaveList,
     BcastWrite,
     BroadcastWrapper,
+    Pledge,
     VersionStamp,
 )
 from repro.crypto.certificates import Certificate
@@ -274,6 +275,19 @@ class TrustedServer(Node):
     def store_at(self, version: int) -> ContentStore | None:
         """Historical snapshot, or None if outside the retained window."""
         return self.history.store_at(version)
+
+    def reexecute(self, pledge: Pledge) -> ReadOutcome | None:
+        """What a trusted host answers for this pledge: its query run on
+        the content as of its version.  None when that cannot be said --
+        the version is outside the retained window, or the pledged
+        "read" is not one."""
+        snapshot = self.store_at(pledge.stamp.version)
+        if snapshot is None:
+            return None
+        query = operation_from_wire(pledge.query_wire)
+        if not isinstance(query, ReadQuery):
+            return None
+        return snapshot.execute_read(query)
 
     def execution_time(self, cost_units: float) -> float:
         """Simulated compute time for executing a query of given cost."""

@@ -358,6 +358,50 @@ class TestSlaveCrash:
 
         run(scenario())
 
+    def test_slave_down_past_the_budget_fails_the_read(self):
+        """A read's retry budget ends over sockets too: with its one
+        slave gone the read is ``failed`` -- once, within
+        ``(max_read_retries + 2) * request_timeout`` -- instead of being
+        re-submitted for ever; the rest of the cluster never notices."""
+        async def scenario():
+            timeout, retries = 0.3, 2
+            spec = NetDeploymentSpec(
+                num_masters=1, slaves_per_master=1, num_clients=1, seed=24,
+                protocol=fast_protocol_config(double_check_probability=0.0,
+                                              request_timeout=timeout,
+                                              max_read_retries=retries),
+                store_factory=lambda: KeyValueStore({"k": "v"}))
+            cluster = await LocalCluster.launch(spec, settle=0.6)
+            try:
+                slave, client = cluster.slaves[0], cluster.clients[0]
+                await cluster.crash_node(slave.node_id)
+                started = cluster.scheduler.now
+                outcome = await cluster.read(client, KVGet(key="k"))
+                took = cluster.scheduler.now - started
+                assert outcome == {"status": "failed", "reason": "timeout"}
+                # Half a time-out of slack for a loaded event loop.
+                assert (retries + 1) * timeout <= took \
+                    <= (retries + 2.5) * timeout
+                count = cluster.metrics.count
+                assert count("reads_submitted") == 1
+                assert count("reads_failed") == 1
+                assert not client._reads
+
+                await cluster.restart_node(slave.node_id)
+                await cluster.wait_for(slave.is_fresh, 5.0,
+                                       what="the slave back in sync")
+                outcome = await cluster.read(client, KVGet(key="k"))
+                assert outcome["status"] == "accepted"
+                written = await cluster.write(client, KVPut(key="k2",
+                                                            value=1))
+                assert written["status"] == "committed"
+                assert count("reads_submitted") == 2
+                assert cluster.handler_errors() == []
+            finally:
+                await cluster.aclose()
+
+        run(scenario())
+
     def test_slave_down_past_the_ops_log_installs_the_snapshot_as_sent(self):
         """A slave that missed more than ``ops_log_depth`` writes gets a
         full state transfer.  The transfer is held back while the master

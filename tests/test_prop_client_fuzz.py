@@ -10,16 +10,46 @@ client and asserts the safety envelope afterwards.
 from __future__ import annotations
 
 import dataclasses
+import random
 
+import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
-from repro.content.kvstore import KVGet
+from repro.content.kvstore import KVGet, KVPut
+from repro.core.adversary import (
+    AlwaysLie,
+    AnswerSubstitution,
+    BrokenSignature,
+    Colluding,
+    CorruptState,
+    StaleServe,
+)
+from repro.core.client import (
+    compare_with_master,
+    is_fresh,
+    judge_reply,
+    pledges_agree,
+)
 from repro.core.config import ProtocolConfig
-from repro.core.messages import Pledge, ReadReply, VersionStamp
+from repro.core.messages import (
+    Pledge,
+    ReadReply,
+    ReadRequest,
+    SlaveUpdate,
+    VersionStamp,
+)
+from repro.core.slave import SlaveServer
+from repro.crypto.certificates import Certificate
 from repro.crypto.hashing import sha1_hex
+from repro.crypto.keys import KeyPair
+from repro.crypto.signatures import new_signer
+from repro.metrics import MetricsRegistry
+from repro.sim.network import Network
+from repro.sim.simulator import Simulator
 
-from .conftest import make_system
+from .conftest import default_store, make_system
+from .test_slave_unit import Sink
 
 slow = settings(max_examples=20, deadline=None,
                 suppress_health_check=[HealthCheck.too_slow])
@@ -30,29 +60,26 @@ MUTATIONS = ["honest", "wrong_result", "forged_signature", "stale_stamp",
              "duplicate", "garbage_hash"]
 
 
-def craft_reply(system, client, slave, request_id, query, mutation):
-    """Build one ReadReply applying the requested corruption."""
-    outcome = slave.store.execute_read(query)
-    result = outcome.result
-    stamp = slave.latest_stamp
+def craft_reply(master_keys, slave_keys, store, stamp, now, request_id,
+                query, mutation):
+    """Build one ReadReply applying the requested corruption.
+
+    Plain values in, a reply out: ``master_keys`` signed ``stamp``,
+    ``slave_keys`` signs the pledge, ``store`` answers the query."""
+    result = store.execute_read(query).result
     pledged_query = query.to_wire()
     pledged_request = request_id
     if mutation == "wrong_result":
         result = {"forged": True}
     elif mutation == "stale_stamp":
-        stamp = VersionStamp.make(
-            next(m for m in system.masters
-                 if m.node_id == stamp.master_id).keys
-            if any(m.node_id == stamp.master_id for m in system.masters)
-            else system.masters[0].keys,
-            stamp.version, system.now - 100.0)
+        stamp = VersionStamp.make(master_keys, stamp.version, now - 100.0)
     elif mutation == "fake_stamp":
-        stamp = VersionStamp.make(slave.keys, stamp.version, system.now)
+        stamp = VersionStamp.make(slave_keys, stamp.version, now)
     elif mutation == "other_query":
         pledged_query = KVGet(key="k099").to_wire()
     elif mutation == "other_request":
         pledged_request = "client-99:r0"
-    pledge = Pledge.make(slave.keys, pledged_query, sha1_hex(result),
+    pledge = Pledge.make(slave_keys, pledged_query, sha1_hex(result),
                          stamp, pledged_request)
     if mutation == "forged_signature":
         pledge = dataclasses.replace(pledge, signature=b"junk")
@@ -62,6 +89,14 @@ def craft_reply(system, client, slave, request_id, query, mutation):
         return ReadReply(request_id=request_id, result=None, pledge=None,
                          in_sync=False)
     return ReadReply(request_id=request_id, result=result, pledge=pledge)
+
+
+def craft_live_reply(system, slave, request_id, query, mutation):
+    """:func:`craft_reply` from a running deployment's own values."""
+    stamp = slave.latest_stamp
+    master = next(m for m in system.masters if m.node_id == stamp.master_id)
+    return craft_reply(master.keys, slave.keys, slave.store, stamp,
+                       system.now, request_id, query, mutation)
 
 
 class TestClientFuzz:
@@ -89,8 +124,8 @@ class TestClientFuzz:
                 system.run_for(5.0)
                 continue
             request_id = pending[-1]
-            reply = craft_reply(system, client, slave, request_id, query,
-                                mutation)
+            reply = craft_live_reply(system, slave, request_id, query,
+                                     mutation)
             client.on_message(slave.node_id, reply)
             if mutation == "duplicate":
                 client.on_message(slave.node_id, reply)
@@ -123,8 +158,8 @@ class TestClientFuzz:
         slave = next(s for s in system.slaves
                      if s.node_id == client.assigned_slaves[0])
         query = KVGet(key="k001")
-        reply = craft_reply(system, client, slave, "client-00:r999",
-                            query, "honest")
+        reply = craft_live_reply(system, slave, "client-00:r999", query,
+                                 "honest")
         client.on_message(slave.node_id, reply)
         from repro.core.messages import DoubleCheckReply, WriteReply
 
@@ -135,3 +170,181 @@ class TestClientFuzz:
         system.run_for(5.0)
         assert system.metrics.count("reads_accepted") == 0
         assert not client._reads
+
+
+# -- the decision, tested without a system -------------------------------
+#
+# ``judge_reply`` is docs/PROTOCOL.md's R1-R5 as a function of values: no
+# ReplicationSystem, no event loop, no Client.  Each mutation above maps
+# to exactly one verdict.
+
+NOW = 100.0
+MAX_LATENCY = 5.0
+REQUEST_ID = "client-00:r7"
+QUERY = KVGet(key="k001")
+
+
+def keypair(owner_id):
+    return KeyPair(owner_id, new_signer("hmac",
+                                        rng=random.Random(owner_id)))
+
+
+MASTER, SLAVE, OTHER_SLAVE, VERIFIER = (
+    keypair(owner) for owner in
+    ("master-00", "slave-00-00", "slave-00-01", "client-00"))
+STAMP = VersionStamp.make(MASTER, 0, NOW - 0.5)
+MASTER_KEYS = {MASTER.owner_id: MASTER.public_key}
+
+
+def judge(reply, slave_id=SLAVE.owner_id, slave_key=SLAVE.public_key,
+          now=NOW):
+    return judge_reply(reply, slave_id, REQUEST_ID, QUERY.to_wire(),
+                       slave_key, MASTER_KEYS.get, VERIFIER, now, MAX_LATENCY)
+
+
+def mutated(mutation, slave_keys=SLAVE):
+    return craft_reply(MASTER, slave_keys, default_store(), STAMP, NOW,
+                       REQUEST_ID, QUERY, mutation)
+
+
+def with_pledge(reply, **changes):
+    return dataclasses.replace(
+        reply, pledge=dataclasses.replace(reply.pledge, **changes))
+
+
+HONEST = mutated("honest")
+
+
+VERDICTS = {
+    "honest": "ok",
+    # A consistently pledged lie passes R1-R5 -- nothing in the reply
+    # contradicts itself.  The pledge is the evidence: the audit
+    # re-executes it (see the adversary rows below).
+    "wrong_result": "ok",
+    "forged_signature": "bad_signature",
+    "stale_stamp": "stale",
+    "fake_stamp": "bad_stamp",
+    "other_query": "bad_pledge",
+    "other_request": "bad_pledge",
+    "out_of_sync": "out_of_sync",
+    # Judged like the honest reply it repeats; it is
+    # ``_handle_read_reply`` that drops a slave's second answer.
+    "duplicate": "ok",
+    "garbage_hash": "hash_mismatch",
+}
+
+
+class TestJudgeReplyTable:
+    @pytest.mark.parametrize("mutation", MUTATIONS)
+    def test_each_mutation_has_one_verdict(self, mutation):
+        assert judge(mutated(mutation)) == VERDICTS[mutation]
+
+    def test_a_pledge_by_another_slave_is_refused(self):
+        reply = mutated("honest", slave_keys=OTHER_SLAVE)
+        assert judge(reply) == "bad_pledge"  # delivered as SLAVE's
+        assert judge(reply, slave_id=OTHER_SLAVE.owner_id) \
+            == "bad_signature"  # under SLAVE's key
+
+    def test_an_uncertified_slave_is_refused(self):
+        assert judge(mutated("honest"), slave_key=None) == "bad_signature"
+
+    def test_freshness_is_a_strict_bound_on_the_stamp_alone(self):
+        reply = mutated("honest")
+        assert judge(reply, now=STAMP.timestamp + MAX_LATENCY - 0.001) == "ok"
+        assert judge(reply, now=STAMP.timestamp + MAX_LATENCY) == "stale"
+        assert not is_fresh(STAMP, STAMP.timestamp + MAX_LATENCY,
+                            MAX_LATENCY)
+
+    @pytest.mark.parametrize("reply, verdict", [
+        # Two defects: the earlier check names the verdict.
+        (with_pledge(mutated("other_query"), result_hash="zz" * 20),
+         "bad_pledge"),                                   # R2 before R3
+        (with_pledge(mutated("garbage_hash"), signature=b"junk"),
+         "hash_mismatch"),                                # R3 before R4
+        (with_pledge(mutated("stale_stamp"), signature=b"junk"),
+         "bad_signature"),                      # R4 (pledge) before R5
+        (ReadReply(request_id=REQUEST_ID, result=HONEST.result,
+                   pledge=Pledge.make(
+                       SLAVE, QUERY.to_wire(), HONEST.pledge.result_hash,
+                       VersionStamp.make(SLAVE, 0, NOW - 100.0),
+                       REQUEST_ID)),
+         "bad_stamp"),                           # R4 (stamp) before R5
+    ], ids=["binding-then-hash", "hash-then-signature",
+            "signature-then-age", "stamp-then-age"])
+    def test_checks_run_in_order(self, reply, verdict):
+        assert judge(reply) == verdict
+
+
+def fabricated_by(strategy):
+    """The reply a real slave running ``strategy`` gives to QUERY, after
+    one committed write to the queried key, and what a trusted host
+    answers at that version."""
+    sim = Simulator(seed=3)
+    net = Network(sim)
+    config = ProtocolConfig(max_latency=MAX_LATENCY,
+                            simulate_service_times=False)
+    certs = {MASTER.owner_id: Certificate.issue(
+        MASTER, MASTER.owner_id, "addr", MASTER.public_key, 0.0)}
+    slave = SlaveServer(SLAVE.owner_id, sim, net, config, default_store(),
+                        certs, MetricsRegistry(), strategy=strategy)
+    sink = Sink("client-00", sim, net)
+    write = KVPut(key=QUERY.key, value="new")
+    slave.on_message(MASTER.owner_id, SlaveUpdate(
+        from_version=0, ops_wire=(write.to_wire(),),
+        stamp=VersionStamp.make(MASTER, 1, sim.now)))
+    slave.on_message(sink.node_id, ReadRequest(
+        client_id=sink.node_id, request_id=REQUEST_ID,
+        query_wire=QUERY.to_wire()))
+    sim.run_for(1.0)
+    ((_slave_id, reply),) = sink.inbox
+    trusted = default_store()
+    trusted.apply_write(write)
+    verdict = judge_reply(
+        reply, slave.node_id, REQUEST_ID, QUERY.to_wire(),
+        slave.public_key, MASTER_KEYS.get, VERIFIER, sim.now, MAX_LATENCY)
+    return reply, verdict, sha1_hex(trusted.execute_read(QUERY).result)
+
+
+class TestAdversariesAgainstTheDecision:
+    """One row per ``core/adversary.py`` strategy that answers at all:
+    the reply it fabricates is refused by ``judge_reply``, or it is a
+    consistently pledged lie -- which R1-R5 cannot see and the pledge
+    convicts: the master's double-check finds a mismatch at the pledged
+    version, and the audit re-executes the same comparison."""
+
+    @pytest.mark.parametrize("strategy, verdict", [
+        # Garbage signature: refused, and nothing to incriminate.
+        (lambda: BrokenSignature(), "bad_signature"),
+        # A truthful pledge for another query: only R2 stops it -- the
+        # audit of that pledge would come back clean.
+        (lambda: AnswerSubstitution(KVGet(key="k002")), "bad_pledge"),
+    ])
+    def test_refused_by_the_client(self, strategy, verdict):
+        _reply, judged, _trusted = fabricated_by(strategy())
+        assert judged == verdict
+
+    @pytest.mark.parametrize("strategy", [
+        lambda: AlwaysLie(),         # a wrong result, consistently pledged
+        lambda: StaleServe(),        # the old value under the new stamp
+        lambda: CorruptState(),      # the write mangled as it was applied
+        lambda: Colluding(group_seed=7),  # the group's common lie
+    ])
+    def test_caught_by_double_check_and_audit(self, strategy):
+        reply, judged, trusted_hash = fabricated_by(strategy())
+        assert judged == "ok"
+        assert compare_with_master(reply.pledge, trusted_hash, 1) \
+            == "mismatch"
+        # A master that has moved on proves nothing by its own answer
+        # (the audit still re-executes at the pledged version).
+        assert compare_with_master(reply.pledge, trusted_hash, 2) == "skew"
+
+    def test_colluders_agree_with_each_other(self):
+        """R6 cannot see a common lie; it does see a lone liar."""
+        lie, _judged, _trusted = fabricated_by(Colluding(group_seed=7))
+        same, _judged, _trusted = fabricated_by(Colluding(group_seed=7))
+        honest, judged, trusted_hash = fabricated_by(None)
+        assert judged == "ok"
+        assert compare_with_master(honest.pledge, trusted_hash, 1) == "match"
+        assert pledges_agree([lie.pledge, same.pledge])
+        assert not pledges_agree([lie.pledge, honest.pledge])
+        assert pledges_agree([honest.pledge])
