@@ -232,13 +232,14 @@ class AnswerSubstitution(AdversaryStrategy):
     """Answer query A with a *valid* (result, pledge) pair for query B.
 
     The substituted pledge is honestly computed -- correct result, real
-    signature, fresh stamp -- just for the wrong query.  The hash check,
-    the signature checks and the freshness check all pass; only the
-    client's binding check (pledge.query == the query it actually asked,
-    pledge.request_id == its request) stops it.  Were the client to
-    accept, the audit would come back *clean*, because the pledge itself
-    is truthful -- making this the one adversary the audit cannot catch
-    and therefore a mandatory client-side check.
+    signature, fresh stamp -- just for the wrong query.  What stops it
+    is the binding of the pledge to the client's own request: the
+    client rebuilds the pledge from the query and request id it sent,
+    and the slave's signature does not cover that (``bad_signature``).
+    Were the client to accept, the audit would come back *clean*,
+    because the pledge itself is truthful -- making this the one
+    adversary the audit cannot catch and therefore a mandatory
+    client-side check.
 
     Implemented via :meth:`substitute_query`: the slave executes and
     pledges a decoy query instead of the requested one.

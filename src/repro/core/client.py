@@ -9,10 +9,12 @@ Read protocol (Sections 3.2-3.4), per read:
 
 1. send the query to the assigned slave(s) -- ``read_quorum`` of them in
    the Section 4 variant;
-2. on each reply, verify (:func:`judge_reply`): result hash matches the
-   pledge, the slave's signature on the pledge, the master's signature on
-   the version stamp, and the stamp's age against ``max_latency`` (stale
-   answers are dropped and retried);
+2. on each reply, rebuild the pledge from the client's own request, the
+   hash of the result received and the stamp and signature the reply
+   carries, and verify it (:func:`judge_reply`): the slave's signature on
+   that pledge, the master's signature on the version stamp, and the
+   stamp's age against ``max_latency`` (stale answers are dropped and
+   retried);
 3. with probability ``p`` double-check against the master: a hash
    mismatch at the same version is immediate discovery -- forward the
    incriminating pledge as an accusation, await reassignment, re-issue
@@ -80,8 +82,7 @@ from repro.sim.network import Network, Node
 from repro.sim.simulator import EventHandle, Simulator
 
 #: :func:`judge_reply`'s answers; ``read_reply_<verdict>`` counts each.
-Verdict = Literal["ok", "out_of_sync", "bad_pledge", "hash_mismatch",
-                  "bad_signature", "bad_stamp", "stale"]
+Verdict = Literal["ok", "out_of_sync", "bad_signature", "bad_stamp", "stale"]
 
 #: Where a read is in its life (docs/PROTOCOL.md, "A read's life").
 ReadState = Literal["awaiting_setup", "waiting_slaves", "master_read",
@@ -96,43 +97,49 @@ def is_fresh(stamp: VersionStamp, now: float, max_latency: float) -> bool:
     return now - stamp.timestamp < max_latency
 
 
+def rebuild_pledge(reply: ReadReply, slave_id: str, request_id: str,
+                   query_wire: Any) -> Pledge:
+    """The pledge ``slave_id`` signed if ``reply`` answers this client's
+    request ``request_id`` for ``query_wire``: "a copy of the request,
+    the secure hash (SHA-1) of the result, and the latest time-stamped
+    content_version" (Section 3.2).  Of ``reply.pledge`` only the stamp
+    and the signature are read; everything else is the client's own."""
+    seal = reply.pledge
+    assert seal is not None
+    return Pledge(query_wire=query_wire, result_hash=sha1_hex(reply.result),
+                  stamp=seal.stamp, slave_id=slave_id, request_id=request_id,
+                  signature=seal.signature)
+
+
 def judge_reply(reply: ReadReply, slave_id: str, request_id: str,
                 query_wire: Any, slave_key: PublicKey | None,
                 master_key_of: Callable[[str], PublicKey | None],
                 verifier: KeyPair, now: float,
-                max_latency: float) -> Verdict:
-    """R1-R5, in order, for the reply ``slave_id`` gave to ``request_id``
-    for ``query_wire``.  ``slave_key`` and ``master_key_of(master_id)``
-    are certified keys, None where the client holds no certificate."""
+                max_latency: float) -> tuple[Verdict, Pledge | None]:
+    """R1, R4 and R5, in order, for the reply ``slave_id`` gave to
+    ``request_id`` for ``query_wire``; with the verdict, the pledge
+    rebuilt from the client's request (None for an out-of-sync refusal).
+    ``slave_key`` and ``master_key_of(master_id)`` are certified keys,
+    None where the client holds no certificate."""
     # R1. Sync: a slave behind on keep-alives refuses instead.
     if not reply.in_sync or reply.pledge is None:
-        return "out_of_sync"
-    pledge = reply.pledge
-    if pledge.slave_id != slave_id:
-        return "bad_pledge"
-    # R2. Binding: the pledge must commit to *this* request.  Without
-    #    it a malicious slave could answer query A with a perfectly
-    #    valid (result, pledge) pair for query B -- every other check
-    #    would pass and the audit of pledge B would come back clean.
-    #    The pledge carries "a copy of the request" (Section 3.2)
-    #    exactly so the client can pin it.
-    if pledge.request_id != request_id:
-        return "bad_pledge"
-    if pledge.query_wire != query_wire:
-        return "bad_pledge"
-    # R3. Result integrity: hash(result) must equal the pledged hash.
-    if not constant_time_equals(sha1_hex(reply.result), pledge.result_hash):
-        return "hash_mismatch"
+        return "out_of_sync", None
+    # R2 (binding) and R3 (integrity) are this rebuild: the query and
+    # request are the client's, the hash is of the result it received,
+    # so a slave that signed another query, request, result or name --
+    # answering query A with a valid pledge for query B, which an audit
+    # of B would pass -- fails R4.
+    pledge = rebuild_pledge(reply, slave_id, request_id, query_wire)
     # R4. Slave signature over the pledge, then the master's signature
     #    over the version stamp.
     if slave_key is None or not pledge.verify(verifier, slave_key):
-        return "bad_signature"
+        return "bad_signature", pledge
     master_key = master_key_of(pledge.stamp.master_id)
     if master_key is None or not pledge.stamp.verify(verifier, master_key):
-        return "bad_stamp"
+        return "bad_stamp", pledge
     if not is_fresh(pledge.stamp, now, max_latency):  # R5
-        return "stale"
-    return "ok"
+        return "stale", pledge
+    return "ok", pledge
 
 
 def pledges_agree(pledges: Iterable[Pledge]) -> bool:
@@ -157,7 +164,7 @@ def compare_with_master(
     return "skew"
 
 
-@dataclass
+@dataclass(slots=True)
 class AcceptedRead:
     """Post-run classification record for one accepted read."""
 
@@ -183,6 +190,9 @@ class _ReadAttempt:
     dc_retries: int = 0
     state: ReadState = "awaiting_setup"
     replies: dict[str, ReadReply] = field(default_factory=dict)
+    #: The replies' pledges as the client rebuilt and verified them; from
+    #: here on *the* pledges -- compared, audited, used as evidence.
+    pledges: dict[str, Pledge] = field(default_factory=dict)
     #: The attempt's one wake-up; whatever moves the attempt on cancels it.
     timer: EventHandle | None = None
     #: Root tracing span (None when tracing is off or unsampled).
@@ -259,6 +269,8 @@ class Client(Node):
         #: delayed discovery: "the harm may be undone, by rolling back
         #: the client to the state before that particular read").
         self.tainted_reads: list[AcceptedRead] = []
+        #: ``request_id`` of every record in :attr:`tainted_reads`.
+        self._tainted_ids: set[str] = set()
         #: Application rollback hook, invoked once per tainted read.
         self.rollback_handler: Callable[[AcceptedRead], None] | None = None
         self.last_result: Any = None
@@ -499,11 +511,12 @@ class Client(Node):
                     vspan.attrs["valid"] = len(valid)
         else:
             valid = self._verify_replies(attempt)
+        attempt.pledges = valid
         if len(valid) < attempt.quorum:
             # At least one reply was stale / out-of-sync / malformed: the
             # paper's answer is drop and retry (Section 3.2).
             self._escalate(attempt, backoff=True)
-        elif attempt.quorum > 1 and not pledges_agree(valid):
+        elif attempt.quorum > 1 and not pledges_agree(valid.values()):
             # Quorum variant: disagreement forces a double-check --
             # "if not all answers match, the client automatically
             # double-checks, since at least one of the slaves has to be
@@ -515,19 +528,20 @@ class Client(Node):
         else:
             self._accept_via_auditor(attempt)
 
-    def _verify_replies(self, attempt: _ReadAttempt) -> list[Pledge]:
-        """The pledges of the replies that pass R1-R5, each verdict counted."""
-        valid: list[Pledge] = []
+    def _verify_replies(self, attempt: _ReadAttempt) -> dict[str, Pledge]:
+        """The rebuilt pledges of the replies that pass R1-R5, by slave,
+        each verdict counted."""
+        valid: dict[str, Pledge] = {}
         for slave_id, reply in attempt.replies.items():
             cert = self.slave_certs.get(slave_id)
-            verdict = judge_reply(
+            verdict, pledge = judge_reply(
                 reply, slave_id, attempt.request_id, attempt.query_wire,
                 None if cert is None else cert.subject_public_key,
                 self._master_key, self.keys, self.now, self.max_latency)
             self.metrics.incr(f"read_reply_{verdict}")
             if verdict == "ok":
-                assert reply.pledge is not None
-                valid.append(reply.pledge)
+                assert pledge is not None
+                valid[slave_id] = pledge
         return valid
 
     def _start_double_check(self, attempt: _ReadAttempt,
@@ -568,30 +582,27 @@ class Client(Node):
             obs.end(attempt.dc_span, outcome="reply",
                     version=reply.version)
             attempt.dc_span = None
-        matching: list[tuple[str, ReadReply]] = []
-        mismatching: list[tuple[str, ReadReply]] = []
-        for slave_id, slave_reply in attempt.replies.items():
-            pledge = slave_reply.pledge
-            if pledge is None:
-                continue
+        matching: list[str] = []
+        mismatching: list[Pledge] = []
+        for slave_id, pledge in attempt.pledges.items():
             outcome = compare_with_master(pledge, reply.result_hash,
                                           reply.version)
             if outcome == "match":
-                matching.append((slave_id, slave_reply))
+                matching.append(slave_id)
             elif outcome == "mismatch":
-                mismatching.append((slave_id, slave_reply))
+                mismatching.append(pledge)
             else:
                 self.metrics.incr("double_checks_inconclusive")
         if mismatching:
             # Caught red-handed (immediate discovery, Section 3.5).
-            for slave_id, slave_reply in mismatching:
+            for pledge in mismatching:
                 self.metrics.incr("immediate_detections")
                 if obs is not None:
                     obs.event(self.node_id, "client.accuse",
-                              slave=slave_id, discovery="immediate")
+                              slave=pledge.slave_id, discovery="immediate")
                 assert self.master_id is not None
                 self.send(self.master_id, Accusation(
-                    pledge=slave_reply.pledge, accuser_id=self.node_id,
+                    pledge=pledge, accuser_id=self.node_id,
                     discovery="immediate"))
             attempt.state = "await_reassign"
             # Re-issued once the master reassigns us (ExclusionNotice), or
@@ -605,45 +616,42 @@ class Client(Node):
             return
         if self._aged_while_held(attempt):
             return
-        slave_ids = tuple(slave_id for slave_id, _reply in matching)
-        first_reply = matching[0][1]
         self.metrics.incr("double_checks_confirmed")
-        self._finish_read(attempt, result=first_reply.result,
-                          result_hash=first_reply.pledge.result_hash,
-                          version=first_reply.pledge.stamp.version,
-                          double_checked=True, slave_ids=slave_ids)
+        self._accept_pledged(attempt, tuple(matching), double_checked=True)
 
     def _accept_via_auditor(self, attempt: _ReadAttempt) -> None:
         """Forward pledges to the auditor, then accept (Section 3.4)."""
         if self._aged_while_held(attempt):
             return
-        slave_ids = []
-        pledges = []
-        for slave_id, reply in attempt.replies.items():
-            assert reply.pledge is not None
-            if slave_id not in self.assigned_slaves:
-                # Held across a reassignment (parked behind timed-out
-                # double-checks): never accept on an ex-slave's word.
-                self.metrics.incr("read_replies_unassigned")
-                self._route(attempt)
-                return
-            slave_ids.append(slave_id)
-            pledges.append(reply.pledge)
+        slave_ids = tuple(attempt.pledges)
+        if any(slave_id not in self.assigned_slaves
+               for slave_id in slave_ids):
+            # Held across a reassignment (parked behind timed-out
+            # double-checks): never accept on an ex-slave's word.
+            self.metrics.incr("read_replies_unassigned")
+            self._route(attempt)
+            return
         if self.auditor_id:
             armed = bool(self._audit_outbox)
-            self._audit_outbox += pledges
+            self._audit_outbox += attempt.pledges.values()
             if len(self._reads) == 1:
                 # No other read in flight: nothing can join this batch.
                 self._flush_audit()
             elif not armed:
                 self.after(0.0, self._flush_audit)
-        first = next(iter(attempt.replies.values()))
-        assert first.pledge is not None
-        self._finish_read(attempt, result=first.result,
-                          result_hash=first.pledge.result_hash,
-                          version=first.pledge.stamp.version,
-                          double_checked=False,
-                          slave_ids=tuple(slave_ids))
+        self._accept_pledged(attempt, slave_ids, double_checked=False)
+
+    def _accept_pledged(self, attempt: _ReadAttempt,
+                        slave_ids: tuple[str, ...],
+                        double_checked: bool) -> None:
+        """Accept the result the first of ``slave_ids`` served, as its
+        rebuilt pledge describes it."""
+        first = slave_ids[0]
+        pledge = attempt.pledges[first]
+        self._finish_read(attempt, result=attempt.replies[first].result,
+                          result_hash=pledge.result_hash,
+                          version=pledge.stamp.version,
+                          double_checked=double_checked, slave_ids=slave_ids)
 
     def _flush_audit(self) -> None:
         """Forward every pledge accepted since the last flush, as one
@@ -713,9 +721,8 @@ class Client(Node):
         timed-out double-check); accepting it would breach the
         inconsistency window, so the read is retried (True)."""
         now, max_latency = self.now, self.max_latency
-        for reply in attempt.replies.values():
-            if reply.pledge is None or not is_fresh(reply.pledge.stamp, now,
-                                                    max_latency):
+        for pledge in attempt.pledges.values():
+            if not is_fresh(pledge.stamp, now, max_latency):
                 self.metrics.incr("reads_stale_at_accept")
                 self._escalate(attempt, backoff=True)
                 return True
@@ -830,7 +837,8 @@ class Client(Node):
         for record in self.accepted_log:
             if (excluded in record.slave_ids
                     and not record.double_checked
-                    and record not in self.tainted_reads):
+                    and record.request_id not in self._tainted_ids):
+                self._tainted_ids.add(record.request_id)
                 self.tainted_reads.append(record)
                 self.metrics.incr("reads_tainted")
                 if self.rollback_handler is not None:

@@ -232,6 +232,22 @@ class Pledge:
                                     self.signature)
 
 
+@dataclass(frozen=True, slots=True)
+class Seal:
+    """What a slave vouches for a read with: the stamp it pledged under
+    and its signature over the pledge.
+
+    The rest of the pledge -- the query, the request id, the result's
+    hash and the slave's name -- is what the client already holds, so a
+    read reply carries only this and the client rebuilds the pledge from
+    its own request (``repro.core.client.rebuild_pledge``).  A full
+    :class:`Pledge` has the same two attributes and serves as well.
+    """
+
+    stamp: VersionStamp
+    signature: Signature
+
+
 # -- setup phase (Section 2) ---------------------------------------------
 
 
@@ -347,8 +363,11 @@ class ReadRequest:
 
 @dataclass(frozen=True, slots=True)
 class ReadReply:
-    """Slave -> client: the result plus the signed pledge.
+    """Slave -> client: the result plus the seal of the signed pledge.
 
+    The client reads ``pledge.stamp`` and ``pledge.signature`` and
+    nothing else, so a whole :class:`Pledge` in place of the slave's
+    :class:`Seal` is only a longer encoding of the same reply.
     ``in_sync=False`` signals the honest-slave refusal from Section 3:
     a slave whose keep-alive is older than ``max_latency`` "should stop
     handling user requests until they are back in sync".
@@ -356,7 +375,7 @@ class ReadReply:
 
     request_id: str
     result: Any
-    pledge: Pledge | None
+    pledge: Seal | Pledge | None
     in_sync: bool = True
 
 
@@ -524,4 +543,5 @@ WIRE_MESSAGE_TYPES: tuple[type, ...] = (
     BcastExcludeSlave,
     BroadcastWrapper,
     AuditBatch,
+    Seal,
 )

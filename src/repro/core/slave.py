@@ -10,7 +10,9 @@ trusted".  Honest behaviour, per Sections 3.1-3.2:
   user requests until they are back in sync");
 * for each read: execute the query, build a pledge containing the
   request, the SHA-1 of the result and the latest master-signed stamp,
-  sign the pledge, and return result + pledge.
+  sign the pledge, and return the result with the pledge's
+  :class:`~repro.core.messages.Seal` (stamp and signature: the rest of
+  the pledge is the client's own request and the result it receives).
 
 Byzantine behaviour is injected through an
 :class:`~repro.core.adversary.AdversaryStrategy`: the strategy may corrupt
@@ -35,6 +37,7 @@ from repro.core.messages import (
     ReadReply,
     ReadRequest,
     ResyncRequest,
+    Seal,
     SlaveSnapshot,
     SlaveUpdate,
     VersionStamp,
@@ -235,7 +238,8 @@ class SlaveServer(Node):
         # Answer-substitution attack: execute and pledge a decoy query
         # instead of the requested one (the pledge itself stays honest --
         # valid signature over a truthful result -- just for the wrong
-        # query; the client's binding check must reject it).
+        # query; the client rebuilds the pledge from the query it asked,
+        # which that signature does not cover).
         pledged_wire = message.query_wire
         substitute = getattr(self.strategy, "substitute_query", None)
         if substitute is not None:
@@ -282,24 +286,25 @@ class SlaveServer(Node):
         # read from arming another.
         self._pending_reads.clear()
 
-    def _maybe_garble(self, pledge: Pledge) -> Pledge:
+    def _maybe_garble(self, seal: Seal) -> Seal:
         garble = getattr(self.strategy, "garble_signature", None)
         if garble is not None and garble():
             # A malicious slave withholding its real signature: clients
             # will reject the reply, but there is nothing to incriminate.
             self.metrics.incr("slave_garbled_signatures")
-            return dataclasses.replace(pledge, signature=b"\x00garbage")
-        return pledge
+            return dataclasses.replace(seal, signature=b"\x00garbage")
+        return seal
 
     def _flush_reads(self) -> None:
         """Pledge and reply to every read parked this tick as one batch.
 
         Pledge payloads and signatures are byte-identical to one
         :meth:`Pledge.make` per read (:meth:`Pledge.make_many` only
-        amortises signer setup); each reply is still its own protocol
-        message, so per-message adversary and chaos behaviour is that
-        of a slave answering one read at a time, and each is sent under
-        the trace context of its own read.
+        amortises signer setup); a reply carries its pledge's seal.
+        Each reply is still its own protocol message, so per-message
+        adversary and chaos behaviour is that of a slave answering one
+        read at a time, and each is sent under the trace context of its
+        own read.
         """
         pending, self._pending_reads = self._pending_reads, []
         if not pending:
@@ -314,8 +319,9 @@ class SlaveServer(Node):
         obs = self.simulator.obs
         for (client_id, _wire, request_id, served_result, _stamp, context), \
                 pledge in zip(pending, pledges):
+            seal = Seal(stamp=pledge.stamp, signature=pledge.signature)
             reply = ReadReply(request_id=request_id, result=served_result,
-                              pledge=self._maybe_garble(pledge))
+                              pledge=self._maybe_garble(seal))
             if obs is None:
                 self.send(client_id, reply, 2048)
             else:

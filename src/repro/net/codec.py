@@ -14,14 +14,15 @@ tuples, dicts, sets) plus *extensions*: registered dataclasses encoded
 as their wire type id followed by the tuple of ``__init__`` field
 values -- except where a field would repeat what the receiver already
 holds: a :class:`~repro.core.messages.VersionStamp` this connection has
-carried in full travels as a reference to it (:class:`WireContext`), a
-pledge's SHA-1 as its 20 bytes instead of 40 hex characters, and a
-reply's request id as one marker byte when its pledge names the same
-one.  All three are transport only.  Dataclasses still round-trip
-field-for-field, so the ``canonical_bytes`` signed payloads rebuilt on
-the receiving side are byte-identical to the sender's and **signatures
-verify unchanged across the wire** -- no re-signing, no trusted
-serialisation step.
+carried in full travels as a reference to it (:class:`WireContext`),
+and a pledge's SHA-1 as its 20 bytes instead of 40 hex characters.
+Both are transport only.  (What a read reply leaves out -- everything
+of its pledge but the stamp and the signature -- is the protocol's
+choice, not the codec's: see :class:`~repro.core.messages.Seal`.)
+Dataclasses still round-trip field-for-field, so the
+``canonical_bytes`` signed payloads rebuilt on the receiving side are
+byte-identical to the sender's and **signatures verify unchanged
+across the wire** -- no re-signing, no trusted serialisation step.
 
 The extension registry is append-only: ids 1-31 are reserved for
 infrastructure carriers (handshake, certificates, public keys, broadcast
@@ -48,7 +49,6 @@ from repro.core.messages import (
     WIRE_MESSAGE_TYPES,
     Accusation,
     Pledge,
-    ReadReply,
     VersionStamp,
 )
 from repro.core.trusted import CertAnnouncement
@@ -84,9 +84,10 @@ from repro.shard.wire import (
 )
 
 MAGIC = b"RN"
-#: 2 since PR 22: a version-1 peer cannot read the two value tags and
-#: the field marker added then.
-WIRE_VERSION = 2
+#: 3 since a read reply carries a ``Seal`` (wire id 58) in place of its
+#: pledge; 2 added the stamp reference and the raw digest.  A peer
+#: speaking any other version is refused at its hello.
+WIRE_VERSION = 3
 HEADER_SIZE = 8
 #: Upper bound on a frame body; a full MiniDB snapshot fits comfortably,
 #: while a hostile 4 GiB length prefix is rejected before allocation.
@@ -117,9 +118,6 @@ _T_DIGEST = 0x68  # 'h'
 #: the 8 bytes of its timestamp; decodes to that very object.
 _T_STAMP_REF = 0x72  # 'r'
 _TUPLE_TAG = bytes((_T_TUPLE,))
-#: Not a value tag: stands for ``ReadReply.request_id`` -- there and
-#: nowhere else -- when the reply's pledge names the same request.
-_SAME_REQUEST = b"="
 
 #: Stamps one direction of one connection remembers.  A connection sees
 #: the old and the new stamp around each keep-alive, for each master
@@ -830,13 +828,13 @@ del _registration
 
 # -- say it once per connection ----------------------------------------------
 #
-# Three fields of the read path repeat what the receiver already holds
-# or could read two fields further on.  Each is elided by its class's
-# one encoder and restored by its one decoder, so the decoded object is
-# field-for-field the one that was sent and neither what is *signed*
-# nor what is *checked* can tell.  The four classes concerned are
-# registered above like every other message; the hand-written codecs
-# below then take the compiled ones' places in the tables.
+# Two fields of the read path repeat what the receiver already holds or
+# spell 20 bytes in 40.  Each is elided by its class's one encoder and
+# restored by its one decoder, so the decoded object is field-for-field
+# the one that was sent and neither what is *signed* nor what is
+# *checked* can tell.  The classes concerned are registered above like
+# every other message; the hand-written codecs below then take the
+# compiled ones' places in the tables.
 
 # (1) A stamp crosses a connection once.
 
@@ -915,50 +913,6 @@ def _encode_pledge(value: Any, out: bytearray) -> None:
     _ENCODE[item.__class__](item, out)
 
 
-# (3) A reply names its request once.
-
-_READ_REPLY_FIELDS = _TUPLE_TAG + b"\x04"
-_READ_REPLY_PREFIX = bytes((_T_EXT, _BY_TYPE[ReadReply])) + _READ_REPLY_FIELDS
-
-
-def _encode_read_reply(value: Any, out: bytearray) -> None:
-    out += _READ_REPLY_PREFIX
-    item = value.request_id
-    pledge = value.pledge
-    if pledge.__class__ is Pledge and item.__class__ is str \
-            and item == pledge.request_id:
-        out += _SAME_REQUEST
-    else:
-        _ENCODE[item.__class__](item, out)
-    item = value.result
-    _ENCODE[item.__class__](item, out)
-    _ENCODE[pledge.__class__](pledge, out)
-    item = value.in_sync
-    _ENCODE[item.__class__](item, out)
-
-
-def _decode_read_reply(buf: bytes, pos: int) -> tuple[Any, int]:
-    if buf.startswith(_READ_REPLY_FIELDS, pos):
-        pos += 2
-    else:
-        pos = _odd_fields_header(buf, pos, "ReadReply", 4)
-    same_request = buf.startswith(_SAME_REQUEST, pos)
-    if same_request:
-        pos += 1
-    else:
-        request_id, pos = _decode_value(buf, pos)
-    result, pos = _decode_value(buf, pos)
-    pledge, pos = _decode_value(buf, pos)
-    in_sync, pos = _decode_value(buf, pos)
-    if same_request:
-        if pledge.__class__ is not Pledge:
-            raise CodecError(
-                "ReadReply takes its request id from a pledge it does "
-                "not carry")
-        request_id = pledge.request_id
-    return ReadReply(request_id, result, pledge, in_sync), pos
-
-
 # Evidence is self-contained in its own frame: whoever is handed an
 # accusation's bytes -- a master, a log, an outsider -- can read the
 # pledge without the connection it once crossed.  So no reference goes
@@ -978,8 +932,6 @@ def _decode_accusation(buf: bytes, pos: int) -> tuple[Any, int]:
 
 
 _ENCODE.update({VersionStamp: _encode_stamp, Pledge: _encode_pledge,
-                ReadReply: _encode_read_reply,
                 Accusation: _encode_accusation})
 _DECODERS.update({_BY_TYPE[VersionStamp]: _decode_stamp,
-                  _BY_TYPE[ReadReply]: _decode_read_reply,
                   _BY_TYPE[Accusation]: _decode_accusation})

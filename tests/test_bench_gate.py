@@ -30,15 +30,17 @@ def test_gate(monkeypatch, correct, value, expected):
 
 
 @pytest.mark.parametrize("correct,value,expected", [
-    (True, 410.8, 0),
+    (True, 347.9, 0),
+    (True, 410.8, 1),   # the whole pledge in every reply again
     (True, 548.1, 1),   # every stamp whole, every hash in hex again
+    (False, 347.9, 1),
     (False, 410.8, 1),
 ])
 def test_gate_on_wire_bytes(monkeypatch, correct, value, expected):
     result = {"correct": correct, "metrics": {
         "net.transport.msgs_per_read": {"value": 3.03, "unit": "1/read"},
         "wire_bytes_per_read": {"value": value, "unit": "B/read"}}}
-    assert gate(monkeypatch, result, "440",
+    assert gate(monkeypatch, result, "385",
                 name="wire_bytes_per_read") == expected
 
 

@@ -6,10 +6,12 @@ commit must reproduce them byte for byte: a serialiser change that
 alters what is signed or what crosses the wire fails here, not in a
 peer running the previous build.  The signed payloads were written by
 the commit *before* the serialisers were rewritten (templated signed
-payloads, compiled wire codec) and have never moved; the frames were
-regenerated once, for wire version 2 (the version byte everywhere, a
-pledge's hash raw instead of hex in the seven frames that hold one, and
-the hello, which carries the version).
+payloads, compiled wire codec) and have never moved.  The frames were
+regenerated for wire version 2 (the version byte everywhere, a pledge's
+hash raw instead of hex in the seven frames that hold one, and the
+hello, which carries the version) and once more for wire version 3 (the
+version byte again, the read reply carrying a seal, and the ``Seal``
+frame itself).
 
 The same frames then drive the hostile-input checks: every prefix and
 every single-byte corruption of a real frame may raise nothing but a
@@ -50,6 +52,7 @@ from tests.test_net_codec import (
     EXAMPLES,
     MASTER,
     PLEDGE,
+    SEAL,
     SHARD_MAP,
     SLAVE,
     STAMP,
@@ -148,9 +151,8 @@ class TestGoldenFrames:
 
 def _context_frames() -> list[bytes]:
     """One connection's worth of frames that lean on its context: a
-    stamp in full, then by reference alone, in a reply that also names
-    its request once, twice in an audit batch, and defined and used
-    inside one batch frame."""
+    stamp in full, then by reference alone, in a reply's seal, twice in
+    an audit batch, and defined and used inside one batch frame."""
     later = m.VersionStamp.make(MASTER, version=4, timestamp=13.0)
     pledge = m.Pledge.make(SLAVE, {"kind": "kv_get", "key": "k2"},
                            "cd" * 20, later, request_id="req-8")
@@ -159,11 +161,12 @@ def _context_frames() -> list[bytes]:
         m.KeepAlive(stamp=STAMP),
         m.KeepAlive(stamp=STAMP),
         m.ReadReply(request_id=PLEDGE.request_id, result={"value": 7},
-                    pledge=PLEDGE),
+                    pledge=SEAL),
         m.AuditBatch(pledges=(PLEDGE, PLEDGE)),
         codec.FrameBatch(messages=(
             m.KeepAlive(stamp=later),
-            m.ReadReply(request_id="req-8", result=None, pledge=pledge))),
+            m.ReadReply(request_id="req-8", result=None, pledge=m.Seal(
+                stamp=pledge.stamp, signature=pledge.signature)))),
     )]
 
 

@@ -2,7 +2,7 @@
 
 Three layers of guarantee:
 
-* **round-trip**: every registered wire type -- all 25 protocol messages
+* **round-trip**: every registered wire type -- all 27 protocol messages
   plus the infrastructure carriers -- decodes back to an equal value,
   and the signed ones (stamps, pledges, certificates) still *verify*
   after the trip, under both signature schemes;
@@ -89,6 +89,7 @@ SHARD_MAP = ShardMap.make(
 STAMP = m.VersionStamp.make(MASTER, version=3, timestamp=12.5)
 PLEDGE = m.Pledge.make(SLAVE, {"kind": "kv_get", "key": "k1"},
                        "ab" * 20, STAMP, request_id="req-7")
+SEAL = m.Seal(stamp=PLEDGE.stamp, signature=PLEDGE.signature)
 CERT = Certificate.issue(MASTER, "slave-00-00", "127.0.0.1:9001",
                          SLAVE.public_key, issued_at=1.0)
 
@@ -140,7 +141,7 @@ EXAMPLES: dict[type, object] = {
     m.ReadRequest: m.ReadRequest(client_id="client-00", request_id="r-1",
                                  query_wire={"kind": "kv_get", "key": "k"}),
     m.ReadReply: m.ReadReply(request_id="r-1", result={"value": 7},
-                             pledge=PLEDGE, in_sync=True),
+                             pledge=SEAL, in_sync=True),
     m.DoubleCheckRequest: m.DoubleCheckRequest(
         client_id="client-00", request_id="r-1",
         query_wire={"kind": "kv_get"}, pledge=PLEDGE, want_result=True),
@@ -149,6 +150,7 @@ EXAMPLES: dict[type, object] = {
         result={"value": 7}, include_result=True),
     m.AuditSubmission: m.AuditSubmission(pledge=PLEDGE),
     m.AuditBatch: m.AuditBatch(pledges=(PLEDGE, PLEDGE)),
+    m.Seal: SEAL,
     m.Accusation: m.Accusation(pledge=PLEDGE, accuser_id="client-00",
                                discovery="audit"),
     m.ExclusionNotice: m.ExclusionNotice(
@@ -498,7 +500,7 @@ class TestFraming:
 
 # -- what a connection remembers (WireContext) ---------------------------
 #
-# The three elisions are transport only: whatever goes in one end of a
+# The two elisions are transport only: whatever goes in one end of a
 # connection comes out of the other field-for-field equal, signing the
 # same bytes, whether or not the codec was given the connection's
 # context.  The pools below are built to hit every rule the context
@@ -538,17 +540,20 @@ PLEDGES = tuple(
 
 _stamps = st.sampled_from(STAMPS)
 _pledges = st.sampled_from(PLEDGES)
+_seals = st.sampled_from(tuple(
+    m.Seal(stamp=pledge.stamp, signature=pledge.signature)
+    for pledge in PLEDGES))
 _protocol_messages = st.one_of(
     st.builds(m.KeepAlive, stamp=_stamps),
     st.builds(m.SlaveUpdate, from_version=st.integers(0, 9),
               ops_wire=st.just(({"kind": "kv_put"},)), stamp=_stamps),
-    # A reply that names its pledge's request, and one that does not.
-    _pledges.map(lambda pledge: m.ReadReply(
-        request_id=pledge.request_id, result={"value": 7}, pledge=pledge)),
+    # A reply as a slave sends it, and any other shape it may take.
+    st.builds(m.ReadReply, request_id=st.just("client-00:r1"),
+              result=st.just({"value": 7}), pledge=_seals),
     st.builds(m.ReadReply,
               request_id=st.sampled_from(("r-other", None, 7)),
               result=st.just({"value": 7}),
-              pledge=st.none() | _pledges, in_sync=st.booleans()),
+              pledge=st.none() | _pledges | _seals, in_sync=st.booleans()),
     st.builds(m.AuditBatch,
               pledges=st.lists(_pledges, max_size=4).map(tuple)),
     st.builds(m.AuditSubmission, pledge=_pledges),
@@ -666,7 +671,7 @@ class TestWireContext:
     def test_a_stamp_crosses_once_and_decodes_to_one_object(self):
         sender, receiver = codec.WireContext(), codec.WireContext()
         reply = m.ReadReply(request_id=PLEDGE.request_id,
-                            result={"value": 7}, pledge=PLEDGE)
+                            result={"value": 7}, pledge=SEAL)
         first = encode_frame(reply, sender)
         second = encode_frame(reply, sender)
         in_full = encode_value(STAMP)
@@ -683,12 +688,30 @@ class TestWireContext:
         assert stamps[0]._payload_cache == STAMP.signed_payload()
 
     def test_the_three_elisions_by_the_byte(self):
+        """The codec's two -- (1) a stamp by reference, (2) a raw
+        digest -- and the protocol's one: (3) a reply vouches with a
+        seal, leaving out what the client holds."""
         reply = m.ReadReply(request_id=PLEDGE.request_id,
-                            result={"value": 7}, pledge=PLEDGE)
-        other = dataclasses.replace(reply, request_id="r-other")
-        # (3) the marker stands for the tag, the length and the id.
-        assert len(encode_value(other)) - len(encode_value(reply)) \
-            == len(encode_value("r-other")) - 1
+                            result={"value": 7}, pledge=SEAL)
+        whole = dataclasses.replace(reply, pledge=PLEDGE)
+        sender = codec.WireContext()
+        in_full = encode_frame(reply, sender)
+        # (1) the 9-byte name where the stamp went in full.
+        assert len(in_full) - len(encode_frame(reply, sender)) \
+            == len(encode_value(STAMP)) - 9
+        # (3) the request id once, and no query, hash or slave name; a
+        #     whole pledge is the same reply spelt longer, by exactly
+        #     those four fields.
+        body = encode_value(reply)
+        assert body.count(encode_value(PLEDGE.request_id)) == 1
+        assert encode_value(whole).count(
+            encode_value(PLEDGE.request_id)) == 2
+        for held in (PLEDGE.query_wire, PLEDGE.slave_id):
+            assert encode_value(held) not in body
+        assert bytes.fromhex(PLEDGE.result_hash) not in body
+        assert len(encode_value(whole)) - len(body) == 21 + sum(
+            len(encode_value(field)) for field in (
+                PLEDGE.query_wire, PLEDGE.slave_id, PLEDGE.request_id))
         # (2) 20 bytes behind a tag, not 40 characters behind two.
         digest = bytes.fromhex(PLEDGE.result_hash)
         assert b"h" + digest in encode_value(PLEDGE)
@@ -705,6 +728,42 @@ class TestWireContext:
         for context in (None, codec.WireContext()):
             with pytest.raises(UnknownReference):
                 decode_frame(referring, context)
+
+    def test_a_seals_stamp_is_defined_in_full_then_referenced(self):
+        """The slave's replies under one stamp: the first seal carries
+        it whole, every later one its name, and each decodes to the one
+        stamp the client rebuilds and verifies its pledges under."""
+        sender, receiver = codec.WireContext(), codec.WireContext()
+        frames = [encode_frame(m.ReadReply(
+            request_id=f"client-00:r{n}", result={"value": n},
+            pledge=m.Seal(stamp=STAMP, signature=b"s" * 20)), sender)
+            for n in range(3)]
+        name = b"r" + stamp_name(STAMP)
+        assert encode_value(STAMP) in frames[0] and name not in frames[0]
+        assert all(name in frame and encode_value(STAMP) not in frame
+                   for frame in frames[1:])
+        seals = [decode_frame(frame, receiver).pledge for frame in frames]
+        assert all(isinstance(seal, m.Seal) for seal in seals)
+        assert seals[0].stamp is seals[1].stamp is seals[2].stamp
+        assert seals[0].stamp == STAMP
+        assert seals[2].stamp.verify(_VERIFIER, MASTER.public_key)
+
+    def test_a_seal_naming_a_stamp_never_sent_is_unknown_reference(self):
+        """Connection-fatal (the inbound side aborts on it,
+        tests/test_net_inbound.py::TestUnknownReference): the seal's
+        stamp is not there to verify, and guessing is not an option."""
+        sender = codec.WireContext()
+        reply = m.ReadReply(request_id=PLEDGE.request_id,
+                            result={"value": 7}, pledge=SEAL)
+        defining = encode_frame(reply, sender)
+        referring = encode_frame(reply, sender)
+        assert len(referring) < len(defining)
+        for context in (None, codec.WireContext()):
+            with pytest.raises(UnknownReference):
+                decode_frame(referring, context)
+        receiver = codec.WireContext()
+        decode_frame(defining, receiver)
+        assert decode_frame(referring, receiver) == reply
 
     def test_a_failed_frame_leaves_the_context_as_it_found_it(self):
         class NotWire:

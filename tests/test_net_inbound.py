@@ -35,7 +35,7 @@ from repro.sim.network import Network, Node
 from repro.sim.simulator import Simulator
 
 from tests.test_golden_bytes import GOLDEN
-from tests.test_net_codec import PLEDGE, STAMP
+from tests.test_net_codec import PLEDGE, SEAL, STAMP
 
 HELLO = encode_frame(NetHello(node_id="tester"))
 FRAMES = [bytes.fromhex(frame) for _wire_id, frame in
@@ -245,13 +245,14 @@ class TestHalting:
 
 def _leaning_frames() -> tuple[bytes, bytes, bytes]:
     """A keep-alive that carries ``STAMP`` in full, the same frame with
-    garbage where its batch mate was, and a reply that only refers to
-    the stamp -- all three as one connection's pool would write them."""
+    garbage where its batch mate was, and a reply whose seal only
+    refers to the stamp -- all three as one connection's pool would
+    write them."""
     sender = WireContext()
     batch = encode_frame(FrameBatch(messages=(m.KeepAlive(stamp=STAMP),
                                               "mate")), sender)
     reply = encode_frame(m.ReadReply(request_id=PLEDGE.request_id,
-                                     result={"value": 7}, pledge=PLEDGE),
+                                     result={"value": 7}, pledge=SEAL),
                          sender)
     assert codec.encode_value(STAMP) in batch
     assert codec.encode_value(STAMP) not in reply
@@ -310,7 +311,7 @@ class TestUnknownReference:
     def test_next_connection_from_the_same_peer_starts_empty(self, inbound):
         expected = _wire([m.KeepAlive(stamp=STAMP), "mate",
                           m.ReadReply(request_id=PLEDGE.request_id,
-                                      result={"value": 7}, pledge=PLEDGE)])
+                                      result={"value": 7}, pledge=SEAL)])
         inbound.feed(HELLO + DEFINING + REFERRING + REFERRING)
         assert inbound.take() == expected + expected[-1:]
         assert not inbound.transport.aborted

@@ -339,12 +339,12 @@ class TestChaosDeterminismWithPipelining:
 class TestWireBytesPerRead:
     """``wire_bytes_per_read`` is the benchmark's one metric that speaks
     to the paper's wide-area setting, and it is a count: what a read
-    puts on the wire does not depend on the machine.  The parent of the
-    change that added this gate reads ~550 B on this cast; a stamp that
-    crosses each connection once, a SHA-1 sent as 20 bytes and a reply
-    that names its request once read ~412."""
+    puts on the wire does not depend on the machine.  Every stamp whole
+    and every hash in hex read ~550 B on this cast; a stamp that crosses
+    each connection once and a SHA-1 sent as 20 bytes read ~412; a reply
+    that carries the pledge's seal, not the pledge, reads ~346."""
 
-    def test_a_sequential_read_costs_at_most_470_bytes(self):
+    def test_a_sequential_read_costs_at_most_400_bytes(self):
         async def scenario() -> tuple[float, list[int]]:
             config = fast_protocol_config(double_check_probability=0.0)
             spec = NetDeploymentSpec(num_masters=1, slaves_per_master=1,
@@ -390,7 +390,7 @@ class TestWireBytesPerRead:
                 await cluster.aclose()
 
         per_read, (first, second) = run(scenario())
-        assert per_read <= 470, f"{per_read:.1f} B a read on the wire"
+        assert per_read <= 400, f"{per_read:.1f} B a read on the wire"
         assert first - second >= 38, (first, second)
 
 

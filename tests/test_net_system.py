@@ -27,7 +27,11 @@ import pytest
 from repro.content.kvstore import KVGet, KVPut, KeyValueStore
 from repro.chaos.faults import FaultPlane
 from repro.chaos.invariants import run_safety_checks
-from repro.core.adversary import AlwaysLie, BrokenSignature
+from repro.core.adversary import (
+    AlwaysLie,
+    AnswerSubstitution,
+    BrokenSignature,
+)
 from repro.core.messages import AuditBatch, ReadReply, SlaveSnapshot
 from repro.core.oracle import classify_accepted_reads
 from repro.net import codec
@@ -609,6 +613,51 @@ class TestCorruptSlave:
                 excluded = set().union(
                     *(m.excluded_slaves for m in cluster.masters))
                 assert excluded and "slave-01-01" not in excluded
+                assert cluster.handler_errors() == []
+            finally:
+                await cluster.aclose()
+
+        run(scenario())
+
+
+class TestAnswerSubstitution:
+    def test_a_valid_pledge_for_another_query_is_never_accepted(self):
+        """The slave answers every read with a truthful, signed pledge
+        for a decoy query, sending its seal over TCP.  The client
+        rebuilds the pledge from its own query, the slave's signature
+        does not cover it (``bad_signature``), and after the re-setup
+        the honest slave answers: nothing wrong is accepted, and there
+        is no evidence to audit or exclude on."""
+        async def scenario():
+            content = {f"k{i:03d}": f"v{i}" for i in range(10)}
+            config = fast_protocol_config(double_check_probability=0.0,
+                                          max_read_retries=2,
+                                          request_timeout=1.0)
+            cluster = await LocalCluster.launch(NetDeploymentSpec(
+                num_masters=1, slaves_per_master=2, num_clients=1, seed=1,
+                protocol=config,
+                store_factory=lambda: KeyValueStore(dict(content)),
+                adversaries={0: AnswerSubstitution(KVGet(key="k000"))}),
+                settle=0.6)
+            try:
+                (client,) = cluster.clients
+                # Seed 1 assigns the substituting slave first.
+                assert client.assigned_slaves == ("slave-00-00",)
+                outcomes = [await cluster.read(client, KVGet(key=f"k{i:03d}"),
+                                               timeout=30.0)
+                            for i in range(1, 7)]
+                accepted = [(i, outcome) for i, outcome
+                            in enumerate(outcomes, start=1)
+                            if outcome["status"] == "accepted"]
+                assert accepted
+                assert all(outcome["result"]["value"] == f"v{i}"
+                           for i, outcome in accepted)
+                counters = cluster.metrics.snapshot()
+                assert counters["slave_substituted_queries"] >= 1
+                assert counters["read_reply_bad_signature"] \
+                    == counters["slave_substituted_queries"]
+                assert classify_accepted_reads(cluster).wrong == []
+                assert counters.get("exclusions", 0) == 0
                 assert cluster.handler_errors() == []
             finally:
                 await cluster.aclose()

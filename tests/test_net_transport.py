@@ -783,6 +783,32 @@ class TestNodeServerResilience:
 
         run(scenario())
 
+    def test_handshake_refuses_a_version_2_peer(self):
+        """A version-2 peer would send a whole pledge where this one
+        expects a seal: refused at the hello, whichever header byte it
+        is framed under, and nothing it sent is delivered."""
+        assert codec.WIRE_VERSION == 3
+
+        async def scenario():
+            h = Harness()
+            await h.start()
+            try:
+                body = encode_value(NetHello(node_id="tester",
+                                             wire_version=2))
+                for header_version in (2, codec.WIRE_VERSION):
+                    reader, writer = await h.raw_connection()
+                    writer.write(codec._HEADER.pack(
+                        codec.MAGIC, header_version, 0, len(body)) + body
+                        + encode_frame("after the hello"))
+                    await writer.drain()
+                    assert await reader.read() == b""
+                assert h.metrics.snapshot()["net_handshakes_rejected"] == 2
+                assert h.node.received == []
+            finally:
+                await h.aclose()
+
+        run(scenario())
+
     def test_handler_exception_captured_not_fatal(self):
         async def scenario():
             h = Harness(node_cls=ExplodingNode)

@@ -30,12 +30,14 @@ from repro.core.client import (
     is_fresh,
     judge_reply,
     pledges_agree,
+    rebuild_pledge,
 )
 from repro.core.config import ProtocolConfig
 from repro.core.messages import (
     Pledge,
     ReadReply,
     ReadRequest,
+    Seal,
     SlaveUpdate,
     VersionStamp,
 )
@@ -65,10 +67,13 @@ def craft_reply(master_keys, slave_keys, store, stamp, now, request_id,
     """Build one ReadReply applying the requested corruption.
 
     Plain values in, a reply out: ``master_keys`` signed ``stamp``,
-    ``slave_keys`` signs the pledge, ``store`` answers the query."""
+    ``slave_keys`` signs the pledge, ``store`` answers the query.  The
+    reply carries the whole pledge; :func:`sealed` is what a slave
+    sends."""
     result = store.execute_read(query).result
     pledged_query = query.to_wire()
     pledged_request = request_id
+    pledged_hash = None
     if mutation == "wrong_result":
         result = {"forged": True}
     elif mutation == "stale_stamp":
@@ -79,24 +84,33 @@ def craft_reply(master_keys, slave_keys, store, stamp, now, request_id,
         pledged_query = KVGet(key="k099").to_wire()
     elif mutation == "other_request":
         pledged_request = "client-99:r0"
-    pledge = Pledge.make(slave_keys, pledged_query, sha1_hex(result),
-                         stamp, pledged_request)
+    elif mutation == "garbage_hash":
+        pledged_hash = "zz" * 20  # signed, but no result's hash
+    pledge = Pledge.make(slave_keys, pledged_query,
+                         pledged_hash or sha1_hex(result), stamp,
+                         pledged_request)
     if mutation == "forged_signature":
         pledge = dataclasses.replace(pledge, signature=b"junk")
-    if mutation == "garbage_hash":
-        pledge = dataclasses.replace(pledge, result_hash="zz" * 20)
     if mutation == "out_of_sync":
         return ReadReply(request_id=request_id, result=None, pledge=None,
                          in_sync=False)
     return ReadReply(request_id=request_id, result=result, pledge=pledge)
 
 
+def sealed(reply):
+    """``reply`` as a slave sends it: the pledge's seal, not the pledge."""
+    if reply.pledge is None:
+        return reply
+    return dataclasses.replace(reply, pledge=Seal(
+        stamp=reply.pledge.stamp, signature=reply.pledge.signature))
+
+
 def craft_live_reply(system, slave, request_id, query, mutation):
     """:func:`craft_reply` from a running deployment's own values."""
     stamp = slave.latest_stamp
     master = next(m for m in system.masters if m.node_id == stamp.master_id)
-    return craft_reply(master.keys, slave.keys, slave.store, stamp,
-                       system.now, request_id, query, mutation)
+    return sealed(craft_reply(master.keys, slave.keys, slave.store, stamp,
+                              system.now, request_id, query, mutation))
 
 
 class TestClientFuzz:
@@ -174,9 +188,11 @@ class TestClientFuzz:
 
 # -- the decision, tested without a system -------------------------------
 #
-# ``judge_reply`` is docs/PROTOCOL.md's R1-R5 as a function of values: no
+# ``judge_reply`` is docs/PROTOCOL.md's R1-R6 as a function of values: no
 # ReplicationSystem, no event loop, no Client.  Each mutation above maps
-# to exactly one verdict.
+# to exactly one verdict.  The client rebuilds the pledge from its own
+# request and the result it received, so binding (R2) and integrity (R3)
+# are the slave's signature (R4) over that pledge.
 
 NOW = 100.0
 MAX_LATENCY = 5.0
@@ -198,8 +214,11 @@ MASTER_KEYS = {MASTER.owner_id: MASTER.public_key}
 
 def judge(reply, slave_id=SLAVE.owner_id, slave_key=SLAVE.public_key,
           now=NOW):
-    return judge_reply(reply, slave_id, REQUEST_ID, QUERY.to_wire(),
-                       slave_key, MASTER_KEYS.get, VERIFIER, now, MAX_LATENCY)
+    verdict, _pledge = judge_reply(reply, slave_id, REQUEST_ID,
+                                   QUERY.to_wire(), slave_key,
+                                   MASTER_KEYS.get, VERIFIER, now,
+                                   MAX_LATENCY)
+    return verdict
 
 
 def mutated(mutation, slave_keys=SLAVE):
@@ -224,14 +243,19 @@ VERDICTS = {
     "forged_signature": "bad_signature",
     "stale_stamp": "stale",
     "fake_stamp": "bad_stamp",
-    "other_query": "bad_pledge",
-    "other_request": "bad_pledge",
+    # Signed, but not the client's query, request or result: the
+    # signature does not cover the pledge the client rebuilds.
+    "other_query": "bad_signature",
+    "other_request": "bad_signature",
+    "garbage_hash": "bad_signature",
     "out_of_sync": "out_of_sync",
     # Judged like the honest reply it repeats; it is
     # ``_handle_read_reply`` that drops a slave's second answer.
     "duplicate": "ok",
-    "garbage_hash": "hash_mismatch",
 }
+
+RESULTS = ({"found": True, "value": 1}, {"found": True, "value": 2},
+           {"found": False, "value": None})
 
 
 class TestJudgeReplyTable:
@@ -239,11 +263,58 @@ class TestJudgeReplyTable:
     def test_each_mutation_has_one_verdict(self, mutation):
         assert judge(mutated(mutation)) == VERDICTS[mutation]
 
+    @pytest.mark.parametrize("mutation", MUTATIONS)
+    def test_a_seal_and_its_whole_pledge_get_one_verdict(self, mutation):
+        """The harness still sends whole pledges; only their stamp and
+        signature are read, so what else they say changes nothing."""
+        reply = mutated(mutation)
+        assert judge(sealed(reply)) == judge(reply) == VERDICTS[mutation]
+        if reply.pledge is not None:
+            assert judge(with_pledge(
+                reply, query_wire=KVGet(key="k099").to_wire(),
+                result_hash="zz" * 20, slave_id=OTHER_SLAVE.owner_id,
+                request_id="client-99:r0")) == VERDICTS[mutation]
+
+    @settings(max_examples=200, deadline=None)
+    @given(query=st.sampled_from((QUERY, KVGet(key="k002"))),
+           request_id=st.sampled_from((REQUEST_ID, "client-99:r0")),
+           name=st.sampled_from((SLAVE.owner_id, OTHER_SLAVE.owner_id)),
+           signed=st.sampled_from(RESULTS), received=st.sampled_from(RESULTS),
+           seal=st.booleans())
+    def test_ok_exactly_when_the_slave_signed_the_clients_own_read(
+            self, query, request_id, name, signed, received, seal):
+        """A pledge signed with SLAVE's key, over whatever query, request
+        id, slave name and result hash; the reply carries ``received``.
+        Accepted exactly when what was signed is the client's query and
+        request id, the sender's name and the received result's hash."""
+        signer = KeyPair(name, SLAVE.signer)
+        pledge = Pledge.make(signer, query.to_wire(), sha1_hex(signed),
+                             STAMP, request_id)
+        reply = ReadReply(request_id=REQUEST_ID, result=received,
+                          pledge=pledge)
+        if seal:
+            reply = sealed(reply)
+        assert (judge(reply) == "ok") == (
+            query == QUERY and request_id == REQUEST_ID
+            and name == SLAVE.owner_id
+            and sha1_hex(signed) == sha1_hex(received))
+
+    def test_the_accepted_pledge_is_the_clients_rebuild(self):
+        verdict, pledge = judge_reply(
+            sealed(HONEST), SLAVE.owner_id, REQUEST_ID, QUERY.to_wire(),
+            SLAVE.public_key, MASTER_KEYS.get, VERIFIER, NOW, MAX_LATENCY)
+        assert verdict == "ok" and pledge == HONEST.pledge
+        assert pledge == rebuild_pledge(sealed(HONEST), SLAVE.owner_id,
+                                        REQUEST_ID, QUERY.to_wire())
+        assert pledge.signed_payload() == HONEST.pledge.signed_payload()
+
     def test_a_pledge_by_another_slave_is_refused(self):
         reply = mutated("honest", slave_keys=OTHER_SLAVE)
-        assert judge(reply) == "bad_pledge"  # delivered as SLAVE's
+        assert judge(reply) == "bad_signature"  # delivered as SLAVE's
         assert judge(reply, slave_id=OTHER_SLAVE.owner_id) \
             == "bad_signature"  # under SLAVE's key
+        assert judge(reply, slave_id=OTHER_SLAVE.owner_id,
+                     slave_key=OTHER_SLAVE.public_key) == "ok"
 
     def test_an_uncertified_slave_is_refused(self):
         assert judge(mutated("honest"), slave_key=None) == "bad_signature"
@@ -257,10 +328,10 @@ class TestJudgeReplyTable:
 
     @pytest.mark.parametrize("reply, verdict", [
         # Two defects: the earlier check names the verdict.
-        (with_pledge(mutated("other_query"), result_hash="zz" * 20),
-         "bad_pledge"),                                   # R2 before R3
-        (with_pledge(mutated("garbage_hash"), signature=b"junk"),
-         "hash_mismatch"),                                # R3 before R4
+        (dataclasses.replace(mutated("other_query"), in_sync=False),
+         "out_of_sync"),                        # R1 before R4 (pledge)
+        (with_pledge(mutated("fake_stamp"), signature=b"junk"),
+         "bad_signature"),                # R4 (pledge) before R4 (stamp)
         (with_pledge(mutated("stale_stamp"), signature=b"junk"),
          "bad_signature"),                      # R4 (pledge) before R5
         (ReadReply(request_id=REQUEST_ID, result=HONEST.result,
@@ -269,16 +340,18 @@ class TestJudgeReplyTable:
                        VersionStamp.make(SLAVE, 0, NOW - 100.0),
                        REQUEST_ID)),
          "bad_stamp"),                           # R4 (stamp) before R5
-    ], ids=["binding-then-hash", "hash-then-signature",
+    ], ids=["sync-then-signature", "signature-then-stamp",
             "signature-then-age", "stamp-then-age"])
     def test_checks_run_in_order(self, reply, verdict):
         assert judge(reply) == verdict
+        assert judge(sealed(reply)) == verdict
 
 
 def fabricated_by(strategy):
-    """The reply a real slave running ``strategy`` gives to QUERY, after
-    one committed write to the queried key, and what a trusted host
-    answers at that version."""
+    """The pledge the client rebuilds from the reply a real slave
+    running ``strategy`` gives to QUERY, after one committed write to
+    the queried key; the verdict on it; and what a trusted host answers
+    at that version."""
     sim = Simulator(seed=3)
     net = Network(sim)
     config = ProtocolConfig(max_latency=MAX_LATENCY,
@@ -297,12 +370,13 @@ def fabricated_by(strategy):
         query_wire=QUERY.to_wire()))
     sim.run_for(1.0)
     ((_slave_id, reply),) = sink.inbox
+    assert isinstance(reply.pledge, Seal)
     trusted = default_store()
     trusted.apply_write(write)
-    verdict = judge_reply(
+    verdict, pledge = judge_reply(
         reply, slave.node_id, REQUEST_ID, QUERY.to_wire(),
         slave.public_key, MASTER_KEYS.get, VERIFIER, sim.now, MAX_LATENCY)
-    return reply, verdict, sha1_hex(trusted.execute_read(QUERY).result)
+    return pledge, verdict, sha1_hex(trusted.execute_read(QUERY).result)
 
 
 class TestAdversariesAgainstTheDecision:
@@ -315,12 +389,13 @@ class TestAdversariesAgainstTheDecision:
     @pytest.mark.parametrize("strategy, verdict", [
         # Garbage signature: refused, and nothing to incriminate.
         (lambda: BrokenSignature(), "bad_signature"),
-        # A truthful pledge for another query: only R2 stops it -- the
-        # audit of that pledge would come back clean.
-        (lambda: AnswerSubstitution(KVGet(key="k002")), "bad_pledge"),
+        # A truthful pledge for another query: its signature does not
+        # cover the client's query -- and the audit of that pledge would
+        # come back clean.
+        (lambda: AnswerSubstitution(KVGet(key="k002")), "bad_signature"),
     ])
     def test_refused_by_the_client(self, strategy, verdict):
-        _reply, judged, _trusted = fabricated_by(strategy())
+        _pledge, judged, _trusted = fabricated_by(strategy())
         assert judged == verdict
 
     @pytest.mark.parametrize("strategy", [
@@ -330,13 +405,12 @@ class TestAdversariesAgainstTheDecision:
         lambda: Colluding(group_seed=7),  # the group's common lie
     ])
     def test_caught_by_double_check_and_audit(self, strategy):
-        reply, judged, trusted_hash = fabricated_by(strategy())
+        pledge, judged, trusted_hash = fabricated_by(strategy())
         assert judged == "ok"
-        assert compare_with_master(reply.pledge, trusted_hash, 1) \
-            == "mismatch"
+        assert compare_with_master(pledge, trusted_hash, 1) == "mismatch"
         # A master that has moved on proves nothing by its own answer
         # (the audit still re-executes at the pledged version).
-        assert compare_with_master(reply.pledge, trusted_hash, 2) == "skew"
+        assert compare_with_master(pledge, trusted_hash, 2) == "skew"
 
     def test_colluders_agree_with_each_other(self):
         """R6 cannot see a common lie; it does see a lone liar."""
@@ -344,7 +418,7 @@ class TestAdversariesAgainstTheDecision:
         same, _judged, _trusted = fabricated_by(Colluding(group_seed=7))
         honest, judged, trusted_hash = fabricated_by(None)
         assert judged == "ok"
-        assert compare_with_master(honest.pledge, trusted_hash, 1) == "match"
-        assert pledges_agree([lie.pledge, same.pledge])
-        assert not pledges_agree([lie.pledge, honest.pledge])
-        assert pledges_agree([honest.pledge])
+        assert compare_with_master(honest, trusted_hash, 1) == "match"
+        assert pledges_agree([lie, same])
+        assert not pledges_agree([lie, honest])
+        assert pledges_agree([honest])

@@ -11,12 +11,14 @@ from repro.content.kvstore import KVGet, KVPut, KeyValueStore
 from repro.core.adversary import BrokenSignature
 from repro.core.config import ProtocolConfig
 from repro.core.master import MasterServer
+from repro.core.client import rebuild_pledge
 from repro.core.messages import (
     KeepAlive,
     Pledge,
     ReadReply,
     ReadRequest,
     ResyncRequest,
+    Seal,
     SlaveUpdate,
     VersionStamp,
 )
@@ -178,12 +180,16 @@ class TestReadHandling:
         replies = [m for _s, m in sink.inbox if isinstance(m, ReadReply)]
         assert len(replies) == 1
         reply = replies[0]
-        assert reply.in_sync and reply.pledge is not None
+        # The reply carries the pledge's seal; the rest of the pledge is
+        # the client's own request and the result it receives.
+        assert reply.in_sync and isinstance(reply.pledge, Seal)
         assert reply.result == {"found": True, "value": 1}
-        assert reply.pledge.slave_id == "slave-00-00"
-        # Pledge verifies under the slave's public key.
+        assert reply.pledge.stamp is slave.latest_stamp
+        pledge = rebuild_pledge(reply, "slave-00-00", "client-00:r0",
+                                KVGet(key="a").to_wire())
+        # The pledge verifies under the slave's public key.
         verifier = KeyPair("v", HMACSigner())
-        assert reply.pledge.verify(verifier, slave.keys.public_key)
+        assert pledge.verify(verifier, slave.keys.public_key)
 
     def test_stale_slave_refuses(self, world):
         sim, master, slave, sink, metrics = self.prime(world)
@@ -282,8 +288,8 @@ class TestReplyPath:
                 result_hash=sha1_hex(reply.result),
                 stamp=slave.latest_stamp,
                 request_id=f"client-00:r{index}")
-            assert reply.pledge == alone
-            assert reply.pledge.signed_payload() == alone.signed_payload()
+            assert reply.pledge == Seal(stamp=alone.stamp,
+                                        signature=alone.signature)
             assert bytes(reply.pledge.signature) == bytes(alone.signature)
 
     def test_a_lone_read_is_a_batch_of_one(self, world):

@@ -2,11 +2,14 @@
 
 A malicious slave can serve query A with a perfectly *valid*
 (result, pledge) pair for a decoy query B: correct result, real
-signature, fresh stamp.  Hash, signature and freshness checks all pass,
-and the audit of the (truthful) pledge comes back clean -- so the
-client-side binding check (pledge.query == the query actually asked,
-pledge.request_id == this request) is the only line of defence.  These
-tests pin that check.
+signature, fresh stamp.  The audit of that (truthful) pledge comes back
+clean, so the defence has to be the client's: the binding of the pledge
+to the query actually asked and to this request.  The client rebuilds
+the pledge from its own request and the result it received and checks
+the slave's signature over *that*, so the binding check is the signature
+check -- still load-bearing, but no longer a comparison that could be
+left out.  A pledge for B, for another request, by another slave or over
+another result is ``read_reply_bad_signature``.  These tests pin it.
 """
 
 from __future__ import annotations
@@ -17,7 +20,7 @@ import random
 from repro.content.kvstore import KVGet
 from repro.core.adversary import AnswerSubstitution
 from repro.core.config import ProtocolConfig
-from repro.core.messages import Pledge, ReadReply
+from repro.core.messages import Pledge, ReadReply, Seal
 from repro.crypto.hashing import sha1_hex
 
 from .conftest import make_system
@@ -48,7 +51,7 @@ class TestAnswerSubstitution:
         drive(system, 40)
         system.run_for(180.0)
         assert system.metrics.count("slave_substituted_queries") >= 1
-        assert system.metrics.count("read_reply_bad_pledge") >= 1
+        assert system.metrics.count("read_reply_bad_signature") >= 1
         # The decisive property: nothing wrong was ever accepted.
         assert system.classify_accepted_reads()["accepted_wrong"] == 0
 
@@ -72,7 +75,9 @@ class TestAnswerSubstitution:
 
 
 class TestBindingChecksUnit:
-    """Hand-crafted replies against a live client, per binding field."""
+    """Hand-crafted replies against a live client, per binding field:
+    each carries a real seal, as a slave sends it, over a pledge that
+    differs from the client's rebuild in that one field."""
 
     def setup_scene(self):
         system = make_system(protocol=ProtocolConfig(
@@ -83,11 +88,14 @@ class TestBindingChecksUnit:
                      if s.node_id == client.assigned_slaves[0])
         return system, client, slave
 
-    def make_honest_pledge(self, slave, query, request_id):
+    def make_honest_seal(self, slave, query, request_id):
+        """The result of ``query`` and the seal of a truthful pledge."""
         outcome = slave.store.execute_read(query)
-        return outcome.result, Pledge.make(
+        pledge = Pledge.make(
             slave.keys, query.to_wire(), sha1_hex(outcome.result),
             slave.latest_stamp, request_id)
+        return outcome.result, Seal(stamp=pledge.stamp,
+                                    signature=pledge.signature)
 
     def test_wrong_query_in_pledge_rejected(self):
         system, client, slave = self.setup_scene()
@@ -95,12 +103,12 @@ class TestBindingChecksUnit:
         client.submit_read(KVGet(key="k001"), callback=results.append)
         system.run_for(0.001)  # request registered, reply not yet back
         request_id = next(iter(client._reads))
-        decoy_result, decoy_pledge = self.make_honest_pledge(
+        decoy_result, decoy_seal = self.make_honest_seal(
             slave, KVGet(key="k002"), request_id)
         reply = ReadReply(request_id=request_id, result=decoy_result,
-                          pledge=decoy_pledge)
+                          pledge=decoy_seal)
         client.on_message(slave.node_id, reply)
-        assert system.metrics.count("read_reply_bad_pledge") == 1
+        assert system.metrics.count("read_reply_bad_signature") == 1
         assert not results  # nothing accepted
 
     def test_wrong_request_id_in_pledge_rejected(self):
@@ -108,12 +116,12 @@ class TestBindingChecksUnit:
         client.submit_read(KVGet(key="k001"))
         system.run_for(0.001)
         request_id = next(iter(client._reads))
-        result, pledge = self.make_honest_pledge(
+        result, seal = self.make_honest_seal(
             slave, KVGet(key="k001"), "client-99:r0")  # someone else's
         reply = ReadReply(request_id=request_id, result=result,
-                          pledge=pledge)
+                          pledge=seal)
         client.on_message(slave.node_id, reply)
-        assert system.metrics.count("read_reply_bad_pledge") == 1
+        assert system.metrics.count("read_reply_bad_signature") == 1
 
     def test_pledge_from_wrong_slave_rejected(self):
         system, client, slave = self.setup_scene()
@@ -121,14 +129,14 @@ class TestBindingChecksUnit:
         client.submit_read(KVGet(key="k001"))
         system.run_for(0.001)
         request_id = next(iter(client._reads))
-        result, pledge = self.make_honest_pledge(
+        result, seal = self.make_honest_seal(
             other, KVGet(key="k001"), request_id)
         # Delivered as if it came from the assigned slave.
         reply = ReadReply(request_id=request_id, result=result,
-                          pledge=pledge)
+                          pledge=seal)
         client.on_message(slave.node_id, reply)
-        # slave_id inside the pledge doesn't match the sender.
-        assert system.metrics.count("read_reply_bad_pledge") == 1
+        # The other slave signed its own name, not the sender's.
+        assert system.metrics.count("read_reply_bad_signature") == 1
 
     def test_honest_binding_accepts(self):
         system, client, slave = self.setup_scene()
@@ -136,17 +144,17 @@ class TestBindingChecksUnit:
         client.submit_read(KVGet(key="k001"), callback=results.append)
         system.run_for(5.0)  # let the real protocol answer
         assert results and results[0]["status"] == "accepted"
-        assert system.metrics.count("read_reply_bad_pledge") == 0
+        assert system.metrics.count("read_reply_bad_signature") == 0
 
     def test_tampered_result_with_honest_pledge_rejected(self):
         system, client, slave = self.setup_scene()
         client.submit_read(KVGet(key="k001"))
         system.run_for(0.001)
         request_id = next(iter(client._reads))
-        result, pledge = self.make_honest_pledge(
+        result, seal = self.make_honest_seal(
             slave, KVGet(key="k001"), request_id)
         reply = ReadReply(request_id=request_id,
                           result={"found": True, "value": 666},
-                          pledge=pledge)
+                          pledge=seal)
         client.on_message(slave.node_id, reply)
-        assert system.metrics.count("read_reply_hash_mismatch") == 1
+        assert system.metrics.count("read_reply_bad_signature") == 1

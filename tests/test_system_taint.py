@@ -12,7 +12,9 @@ import random
 
 from repro.content.kvstore import KVGet
 from repro.core.adversary import AlwaysLie, BrokenSignature
+from repro.core.client import AcceptedRead
 from repro.core.config import ProtocolConfig
+from repro.core.messages import ExclusionNotice, SlaveAssignment
 
 from .conftest import make_system
 
@@ -78,6 +80,46 @@ class TestTaintTracking:
         for client in system.clients:
             for record in client.tainted_reads:
                 assert not record.double_checked
+
+
+class TestTaintSweep:
+    def test_each_record_is_tainted_and_rolled_back_once(self,
+                                                         monkeypatch):
+        """An exclusion notice -- and the same notice again -- taints
+        every read accepted on the excluded slave's word alone exactly
+        once, and the sweep keys by request id: it never compares two
+        records field by field (O(reads x taints) a notice)."""
+        system = make_system()
+        system.start()
+        client = system.clients[0]
+        excluded = client.assigned_slaves[0]
+        records = [AcceptedRead(
+            request_id=f"{client.node_id}:r{n}", query_wire={"key": n},
+            result_hash="00" * 20, version=0, accepted_at=0.0,
+            double_checked=n % 3 == 0,
+            slave_ids=(excluded,) if n % 2 == 0 else ("slave-99-99",))
+            for n in range(300)]
+        client.accepted_log.extend(records)
+        rolled_back = []
+        client.rollback_handler = rolled_back.append
+        compared = []
+        monkeypatch.setattr(AcceptedRead, "__eq__",
+                            lambda a, b: compared.append((a, b)) or a is b)
+        notice = ExclusionNotice(
+            excluded_slave_id=excluded,
+            replacement=SlaveAssignment(slave_certificates=(),
+                                        auditor_id=""))
+        for _ in range(2):
+            client.on_message(client.master_id, notice)
+        expected = [record for record in records
+                    if record.slave_ids == (excluded,)
+                    and not record.double_checked]
+        assert len(expected) == 100
+        assert [id(r) for r in client.tainted_reads] \
+            == [id(r) for r in expected]
+        assert [id(r) for r in rolled_back] == [id(r) for r in expected]
+        assert system.metrics.count("reads_tainted") == 100
+        assert compared == []
 
 
 class TestBrokenSignatureAdversary:

@@ -5,7 +5,7 @@
         | python -m tools.bench_gate net.transport.msgs_per_read 2.5
     python3 benchmarks/harness/run.py --workload read_seq --seed 1 \
         --seconds 2 --trace 0 \
-        | python -m tools.bench_gate wire_bytes_per_read 440
+        | python -m tools.bench_gate wire_bytes_per_read 385
 
 Reads the run's output on standard input -- its last line is the result
 object -- and exits non-zero unless the run was ``correct`` (oracle,
