@@ -14,8 +14,13 @@ Layers:
   link answers to it;
 * :mod:`repro.chaos.invariants` -- the safety oracle's verdicts (zero
   accepted stale/forged reads, consistency window, convergence);
-* :mod:`repro.chaos.scenarios` -- the named scenario catalog with
-  per-scenario JSON verdicts (also behind ``repro-sim chaos``).
+* :mod:`repro.chaos.scenarios` -- scenarios as values: a cast (a
+  deployment spec), a schedule of steps from a closed vocabulary
+  (write, settle, start/stop read load, crash, restart,
+  partition, heal, link faults, shard move, mark, wait-until, check)
+  with node references as values, and checks -- the named catalog of
+  seven, and the one interpreter that runs any such value into a JSON
+  verdict (also behind ``repro-sim chaos``).
 """
 
 from repro.chaos.faults import (
@@ -28,7 +33,9 @@ from repro.chaos.faults import (
 from repro.chaos.invariants import CheckResult, run_safety_checks
 from repro.chaos.scenarios import (
     SCENARIOS,
+    Scenario,
     ScenarioVerdict,
+    play_scenario,
     run_scenario,
     run_scenario_sync,
 )
@@ -41,7 +48,9 @@ __all__ = [
     "FramePlan",
     "LinkFaults",
     "SCENARIOS",
+    "Scenario",
     "ScenarioVerdict",
+    "play_scenario",
     "run_safety_checks",
     "run_scenario",
     "run_scenario_sync",

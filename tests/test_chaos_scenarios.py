@@ -21,7 +21,8 @@ pytestmark = pytest.mark.chaos
 #: Per scenario, the check-name sequence and the ``timings`` keys of a
 #: passing verdict, as ``repro-sim chaos --seed 7`` printed them on the
 #: commit before the scenarios were rewritten onto one skeleton (a
-#: passing verdict's shape does not depend on the seed).
+#: passing verdict's shape does not depend on the seed).  Read off the
+#: scenario values without sockets by tests/test_chaos_values.py.
 VERDICT_SHAPE = json.loads(
     (pathlib.Path(__file__).parent / "data" / "chaos_verdict_shape.json")
     .read_text())
@@ -104,14 +105,15 @@ def test_flash_crowd_slo_judges_sheds_not_the_stopwatch(
     build, is reported beside it."""
     from repro.chaos import scenarios
 
-    async def burst(seed, qos):
+    async def burst(name, cast, schedule):
+        qos = cast.protocol.qos_frame_rate is not None
         timings = {"burst_p50": 0.001 if qos else 0.04,
                    "burst_p99": p99 if qos else reference_p99,
                    "honest_sheds_in_burst": float(sheds if qos else 0)}
-        return scenarios.ScenarioVerdict("flash_crowd", seed, True,
+        return scenarios.ScenarioVerdict(name, cast.seed, True,
                                          timings=timings)
 
-    monkeypatch.setattr(scenarios, "_flash_crowd_burst", burst)
+    monkeypatch.setattr(scenarios, "run_once", burst)
     verdict = run_scenario_sync("flash_crowd")
     slo = next(c for c in verdict.checks if c.name == "honest_p99_slo")
     assert slo.passed is passes and verdict.passed is passes

@@ -11,7 +11,7 @@ life").  Simulator only, unmarked: CI's no-sockets step runs these.
 
 from __future__ import annotations
 
-from repro.chaos.scenarios import _honest_read_durations
+from repro.chaos.scenarios import read_durations
 from repro.content.kvstore import KVGet, KVPut
 from repro.core.config import ProtocolConfig
 from repro.core.messages import WriteRequest
@@ -155,8 +155,8 @@ class TestOneReadOneRecord:
         assert (RETRIES + 1) * TIMEOUT <= span.end - span.start <= BOUND
         # ... so the chaos percentiles do include it, as their docstring
         # says (no survivorship bias).
-        assert _honest_read_durations(system, {client.node_id}, 0.0,
-                                      system.now) == [span.end - span.start]
+        assert read_durations(system, {client.node_id}, 0.0,
+                              system.now) == [span.end - span.start]
 
 
 class TestWaitingForSetup:

@@ -21,12 +21,14 @@ from __future__ import annotations
 
 import random
 
+import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 from repro.content.kvstore import KVGet, KVPut
 from repro.core.adversary import ProbabilisticLie
 from repro.core.config import ProtocolConfig
+from repro.sim.failures import ScheduledFault
 
 from .conftest import make_system
 
@@ -38,17 +40,30 @@ ops_strategy = st.lists(
     min_size=5, max_size=40,
 )
 
-# Benign crashes in the trusted set, one after another: (index into
-# masters + auditors, seconds up since the previous recovery, seconds
-# down).  Three masters and an auditor need three for a majority, so one
-# member down at a time is what the broadcast promises to ride out; see
-# ROADMAP "Known holes" for two schedules with more down at once.
+TRUSTED = ("master-00", "master-01", "master-02", "zz-auditor-00")
+
+
+def one_at_a_time(faults):
+    """(node, seconds up since the previous recovery, seconds down) ->
+    the ``ScheduledFault`` values, each crash after the last recovery."""
+    script, at = [], 0.0
+    for node_id, up_for, down_for in faults:
+        script.append(ScheduledFault(node_id, at + up_for, down_for))
+        at += up_for + down_for
+    return script
+
+
+# Benign crashes in the trusted set, one after another, as the fault
+# values ``repro-sim run --crash`` and ``FailureInjector.apply_script``
+# take.  Three masters and an auditor need three for a majority, so one
+# member down at a time is what the broadcast promises to ride out;
+# TestOverlappingCrashes pins two schedules with more down at once.
 faults_strategy = st.lists(
-    st.tuples(st.integers(min_value=0, max_value=3),
+    st.tuples(st.sampled_from(TRUSTED),
               st.floats(min_value=0.0, max_value=8.0),
               st.floats(min_value=0.05, max_value=12.0)),
     max_size=4,
-)
+).map(one_at_a_time)
 
 slow_settings = settings(max_examples=10, deadline=None,
                          suppress_health_check=[HealthCheck.too_slow])
@@ -68,6 +83,34 @@ def run_workload(system, ops, spacing=0.4):
     writes = sum(1 for kind, _k, _v in ops if kind == "write")
     system.run_for(len(ops) * spacing
                    + writes * system.config.max_latency + 60.0)
+
+
+def crashed_run(faults, ops, seed=0, keepalive_interval=0.5):
+    """Three masters, an auditor and four clients under ``faults``
+    (applied at start) while ``ops`` go out 0.6 s apart from the clients
+    in turn: the system after 300 s, and every write's outcome."""
+    system = make_system(
+        seed=seed, num_masters=3, num_clients=4,
+        protocol=ProtocolConfig(max_latency=2.0,
+                                keepalive_interval=keepalive_interval,
+                                slave_list_broadcast_interval=2.0,
+                                request_timeout=2.0,
+                                double_check_probability=0.1))
+    system.start()
+    system.failures.apply_script(faults, {
+        node.node_id: node for node in (*system.masters, *system.auditors)})
+    outcomes = []
+    t = system.now
+    for index, (kind, key_index, value) in enumerate(ops):
+        t += 0.6
+        client, key = system.clients[index % 4], f"k{key_index:03d}"
+        if kind == "write":
+            system.schedule_op(client, t, KVPut(key=key, value=value),
+                               callback=outcomes.append)
+        else:
+            system.schedule_op(client, t, KVGet(key=key))
+    system.run_for(300.0)
+    return system, outcomes
 
 
 def armed_timers(system):
@@ -162,37 +205,7 @@ class TestProtocolProperties:
         the trusted servers converge, and every node is left with
         exactly the timers an unfaulted run of the same length ends
         with -- no chain lost to a crash, none doubled by a recovery."""
-        def run(faults):
-            system = make_system(
-                seed=seed, num_masters=3, num_clients=4,
-                protocol=ProtocolConfig(max_latency=2.0,
-                                        keepalive_interval=0.5,
-                                        slave_list_broadcast_interval=2.0,
-                                        request_timeout=2.0,
-                                        double_check_probability=0.1))
-            system.start()
-            trusted = [*system.masters, *system.auditors]
-            at = system.now
-            for index, up_for, down_for in faults:
-                system.failures.crash_for(trusted[index], at + up_for,
-                                          down_for)
-                at += up_for + down_for
-            outcomes = []
-            t = system.now
-            for index, (kind, key_index, value) in enumerate(ops):
-                t += 0.6
-                if kind == "write":
-                    system.schedule_op(
-                        system.clients[index % 4], t,
-                        KVPut(key=f"k{key_index:03d}", value=value),
-                        callback=outcomes.append)
-                else:
-                    system.schedule_op(system.clients[index % 4], t,
-                                       KVGet(key=f"k{key_index:03d}"))
-            system.run_for(300.0)
-            return system, outcomes
-
-        system, outcomes = run(faults)
+        system, outcomes = crashed_run(faults, ops, seed)
         writes = sum(1 for kind, _k, _v in ops if kind == "write")
         assert [o["status"] for o in outcomes] == ["committed"] * writes
         trusted = [*system.masters, *system.auditors]
@@ -201,5 +214,43 @@ class TestProtocolProperties:
         assert len({node.store.state_digest() for node in trusted}) == 1
         assert system.classify_accepted_reads()["accepted_wrong"] == 0
         assert system.check_consistency_window() == []
-        unfaulted, _outcomes = run([])
+        unfaulted, _outcomes = crashed_run([], ops, seed)
         assert armed_timers(system) == armed_timers(unfaulted)
+
+
+#: 24 operations 0.6 s apart, every third a write (8 writes on 5 keys).
+OVERLAPPING_OPS = [("write" if i % 3 == 2 else "read", i % 5, i)
+                   for i in range(24)]
+
+
+class TestOverlappingCrashes:
+    """Two trusted servers down at once (ROADMAP "Known holes", item
+    12).  Three masters and an auditor need three for a majority, so
+    the broadcast promises no liveness here; safety must still hold,
+    and convergence once everyone is back.  Seed 0, keep-alives 1 s."""
+
+    @pytest.mark.xfail(strict=True, reason="known hole (a): stale trust")
+    def test_stale_trust_after_an_overlapping_crash(self):
+        """master-02 down from +4 s for 12 s and master-01 from +8 s for
+        5 s: client-03's r3 and r4 are accepted 2.16 s after the commit
+        they miss.  Not with one of the crashes alone, nor at 0.5 s
+        keep-alives."""
+        system, _outcomes = crashed_run(
+            [ScheduledFault("master-02", 4.0, 12.0),
+             ScheduledFault("master-01", 8.0, 5.0)],
+            OVERLAPPING_OPS, keepalive_interval=1.0)
+        assert system.check_consistency_window() == []
+
+    @pytest.mark.xfail(strict=True, reason="known hole (b): a forked order")
+    def test_sequencer_and_auditor_down_together_fork_the_order(self):
+        """master-00 (the sequencer) down from +6.7 s for 5 s and the
+        auditor from +8 s for 5 s: all 8 writes are acknowledged
+        committed, yet the trusted versions end at [6, 7, 7, 6] with two
+        digests, and 5 accepted reads are wrong."""
+        system, _outcomes = crashed_run(
+            [ScheduledFault("master-00", 6.7, 5.0),
+             ScheduledFault("zz-auditor-00", 8.0, 5.0)],
+            OVERLAPPING_OPS, keepalive_interval=1.0)
+        trusted = [*system.masters, *system.auditors]
+        assert len({node.store.state_digest() for node in trusted}) == 1
+        assert [node.version for node in trusted] == [8] * 4
