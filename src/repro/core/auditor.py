@@ -15,7 +15,9 @@ The throughput advantages the paper enumerates are all modelled:
 * **no client replies** -- no response messages are sent;
 * **query caching** -- re-executions are memoised per
   ``(version, request-hash)``, so popular queries cost one execution and
-  then only a hash compare;
+  then only a hash compare; a version's entries go when its snapshot
+  leaves the retained history, so the cache answers for exactly the
+  versions ``store_at`` can;
 * **deliberate lag** -- the auditor executes a write only after
   ``max_latency + audit_grace`` has passed since the masters committed
   it, guaranteeing no client will still accept reads for the version it
@@ -71,8 +73,9 @@ class AuditorServer(TrustedServer):
         #: with the attempts made so far; :meth:`_retry_unknown` audits
         #: them again.
         self._unknown: list[tuple[list[_Entry], int]] = []
-        #: (version, request_hash) -> trusted result hash.
-        self._cache: dict[tuple[int, str], str] = {}
+        #: version -> request_hash -> trusted result hash, for the
+        #: versions the history retains (:meth:`_apply_write` trims it).
+        self._cache: dict[int, dict[str, str]] = {}
         self.cache_hits = 0
         self.cache_misses = 0
         self.pledges_received = 0
@@ -116,6 +119,8 @@ class AuditorServer(TrustedServer):
 
     def _apply_write(self, payload: BcastWrite) -> None:
         self.commit_op(payload.op_wire)
+        for version in [v for v in self._cache if self.store_at(v) is None]:
+            del self._cache[version]
         self.metrics.incr("auditor_version_advances")
         obs = self.simulator.obs
         if obs is not None:
@@ -210,8 +215,10 @@ class AuditorServer(TrustedServer):
             charge = 2 * config.verify_time
             trusted_hash = None
             if cache is not None:
-                cache_key = (pledge.stamp.version, pledge.query_hash())
-                trusted_hash = cache.get(cache_key)
+                query_hash = pledge.query_hash()
+                at_version = cache.get(pledge.stamp.version)
+                if at_version is not None:
+                    trusted_hash = at_version.get(query_hash)
             if trusted_hash is None:
                 outcome = self.reexecute(pledge)
                 if outcome is None:
@@ -219,7 +226,8 @@ class AuditorServer(TrustedServer):
                     continue
                 trusted_hash = sha1_hex(outcome.result)
                 if cache is not None:
-                    cache[cache_key] = trusted_hash
+                    cache.setdefault(pledge.stamp.version,
+                                     {})[query_hash] = trusted_hash
                     self.cache_misses += 1
                 charge += (outcome.cost_units * config.service_time_per_unit
                            + config.hash_time)

@@ -36,8 +36,10 @@ Security levels (Section 4): pass ``level=`` to
 ``config.security_levels`` and a level with probability 1.0 is executed
 only on the trusted master ("execute only on trusted hosts").
 
-Every accepted read is logged with its result hash and version so the
-harness can classify correctness offline against trusted history.
+Every accepted read is logged with its result hash and version
+(:class:`~repro.core.accepted.AcceptedLog`), for rollback after an
+exclusion and so the harness can classify correctness offline against
+trusted history.
 """
 
 from __future__ import annotations
@@ -50,6 +52,7 @@ if TYPE_CHECKING:  # pragma: no cover - typing only (obs is optional)
     from repro.obs.spans import Span
 
 from repro.content.queries import Operation, ReadQuery, WriteOp
+from repro.core.accepted import AcceptedLog, AcceptedRead
 from repro.core.config import ProtocolConfig
 from repro.core.messages import (
     Accusation,
@@ -70,7 +73,11 @@ from repro.core.messages import (
     WriteRequest,
 )
 from repro.crypto.certificates import Certificate, CertificateError
-from repro.crypto.hashing import constant_time_equals, sha1_hex
+from repro.crypto.hashing import (
+    canonical_bytes,
+    constant_time_equals,
+    sha1_hex,
+)
 from repro.crypto.keys import KeyPair
 from repro.crypto.signatures import PublicKey, key_fingerprint, new_signer
 # Unused here: bound only because ``benchmarks/harness/tracing.py``
@@ -164,21 +171,10 @@ def compare_with_master(
     return "skew"
 
 
-@dataclass(slots=True)
-class AcceptedRead:
-    """Post-run classification record for one accepted read."""
-
-    request_id: str
-    query_wire: Any
-    result_hash: str
-    version: int
-    accepted_at: float
-    double_checked: bool
-    slave_ids: tuple[str, ...]
-
-
 @dataclass
 class _ReadAttempt:
+    #: The ``n`` of ``request_id`` ``<client>:r<n>``.
+    number: int
     request_id: str
     query_wire: Any
     probability: float
@@ -264,13 +260,13 @@ class Client(Node):
         #: Every operation between its submit and its verdict.
         self._reads: dict[str, _ReadAttempt] = {}
         self._writes: dict[str, _WriteAttempt] = {}
-        self.accepted_log: list[AcceptedRead] = []
+        self.accepted_log = AcceptedLog(node_id)
         #: Accepted reads later implicated by an exclusion (Section 3.5's
         #: delayed discovery: "the harm may be undone, by rolling back
         #: the client to the state before that particular read").
         self.tainted_reads: list[AcceptedRead] = []
-        #: ``request_id`` of every record in :attr:`tainted_reads`.
-        self._tainted_ids: set[str] = set()
+        #: :attr:`accepted_log` row of every record in :attr:`tainted_reads`.
+        self._tainted_rows: set[int] = set()
         #: Application rollback hook, invoked once per tainted read.
         self.rollback_handler: Callable[[AcceptedRead], None] | None = None
         self.last_result: Any = None
@@ -397,8 +393,10 @@ class Client(Node):
 
     def submit_read(self, query: ReadQuery, level: str | None = None,
                     callback: Callable[[dict], None] | None = None) -> None:
-        request_id = f"{self.node_id}:r{next(self._request_counter)}"
+        number = next(self._request_counter)
+        request_id = f"{self.node_id}:r{number}"
         attempt = _ReadAttempt(
+            number=number,
             request_id=request_id,
             query_wire=query.to_wire(),
             probability=self._double_check_probability(level),
@@ -572,7 +570,8 @@ class Client(Node):
             self._finish_read(attempt, result=reply.result,
                               result_hash=reply.result_hash,
                               version=reply.version, double_checked=True,
-                              slave_ids=())
+                              slave_ids=(),
+                              query=canonical_bytes(attempt.query_wire))
             return
         if attempt.state != "double_checking":
             return
@@ -651,7 +650,8 @@ class Client(Node):
         self._finish_read(attempt, result=attempt.replies[first].result,
                           result_hash=pledge.result_hash,
                           version=pledge.stamp.version,
-                          double_checked=double_checked, slave_ids=slave_ids)
+                          double_checked=double_checked, slave_ids=slave_ids,
+                          query=pledge.query_bytes())
 
     def _flush_audit(self) -> None:
         """Forward every pledge accepted since the last flush, as one
@@ -663,7 +663,10 @@ class Client(Node):
 
     def _finish_read(self, attempt: _ReadAttempt, result: Any,
                      result_hash: str, version: int, double_checked: bool,
-                     slave_ids: tuple[str, ...]) -> None:
+                     slave_ids: tuple[str, ...], query: bytes) -> None:
+        """Accept: log the read and answer the caller.  ``query`` is
+        ``canonical_bytes(attempt.query_wire)``, which the log interns
+        the query by."""
         del self._reads[attempt.request_id]
         attempt.state = "done"
         self.last_result = result
@@ -675,16 +678,9 @@ class Client(Node):
             obs.end(attempt.span, status="accepted", version=version,
                     double_checked=double_checked,
                     retries=attempt.retries)
-        record = AcceptedRead(
-            request_id=attempt.request_id,
-            query_wire=attempt.query_wire,
-            result_hash=result_hash,
-            version=version,
-            accepted_at=self.now,
-            double_checked=double_checked,
-            slave_ids=slave_ids,
-        )
-        self.accepted_log.append(record)
+        self.accepted_log.add(attempt.number, query, attempt.query_wire,
+                              result_hash, version, self.now,
+                              double_checked, slave_ids)
         if attempt.callback is not None:
             attempt.callback({"status": "accepted", "result": result,
                               "latency": latency, "version": version,
@@ -834,11 +830,11 @@ class Client(Node):
         # Delayed-discovery damage control: any read this client accepted
         # on the now-excluded slave's word alone is suspect.  Surface it
         # to the application for rollback.
-        for record in self.accepted_log:
-            if (excluded in record.slave_ids
-                    and not record.double_checked
-                    and record.request_id not in self._tainted_ids):
-                self._tainted_ids.add(record.request_id)
+        log = self.accepted_log
+        for row in log.unchecked_rows_of(excluded):
+            if row not in self._tainted_rows:
+                self._tainted_rows.add(row)
+                record = log[row]
                 self.tainted_reads.append(record)
                 self.metrics.incr("reads_tainted")
                 if self.rollback_handler is not None:

@@ -166,7 +166,8 @@ class Pledge:
         return _PLEDGE_RECORD.encode(query, result_hash, stamp_fields,
                                      slave_id, request_id)
 
-    def _query(self) -> bytes:
+    def query_bytes(self) -> bytes:
+        """``canonical_bytes(self.query_wire)``, walked once per pledge."""
         cached = self._query_cache
         if cached is not None:
             return cached
@@ -177,14 +178,14 @@ class Pledge:
     def query_hash(self) -> str:
         """``sha1_hex(self.query_wire)``: what the auditor files a
         re-execution under."""
-        return hashlib.sha1(self._query()).hexdigest()
+        return hashlib.sha1(self.query_bytes()).hexdigest()
 
     def signed_payload(self) -> bytes:
         """The exact bytes this pledge's signature covers (memoised)."""
         cached = self._payload_cache
         if cached is not None:
             return cached
-        payload = self._payload(self._query(), self.result_hash,
+        payload = self._payload(self.query_bytes(), self.result_hash,
                                 self.stamp.pledge_fields(), self.slave_id,
                                 self.request_id)
         object.__setattr__(self, "_payload_cache", payload)

@@ -28,6 +28,7 @@ the cache changes wall-clock speed only, never simulated results.
 
 from __future__ import annotations
 
+from collections import OrderedDict
 from typing import Any
 
 #: Sentinel distinguishing "not cached" from a cached falsy value.
@@ -37,11 +38,13 @@ MISS = object()
 class LRUCache:
     """A small bounded LRU map with hit/miss counters.
 
-    Backed by the insertion order of a plain ``dict``: a hit re-inserts
-    the key (moving it to the most-recent end) and eviction pops the
-    oldest entry.  Not thread-safe -- the simulator is single-threaded
-    and the multiprocessing sweep runner gives each worker its own
-    process (and therefore its own caches).
+    Backed by an ``OrderedDict``: a hit moves the key to the most-recent
+    end and eviction pops the oldest entry, both O(1).  Not a plain
+    ``dict``: re-inserting a key on every hit fills its entry table with
+    dead slots that each eviction's search for the oldest key steps past.
+    Not thread-safe -- the simulator is single-threaded and the
+    multiprocessing sweep runner gives each worker its own process (and
+    therefore its own caches).
     """
 
     __slots__ = ("maxsize", "_data", "hits", "misses")
@@ -50,7 +53,7 @@ class LRUCache:
         if maxsize < 1:
             raise ValueError(f"cache size must be positive, got {maxsize}")
         self.maxsize = maxsize
-        self._data: dict[Any, Any] = {}
+        self._data: OrderedDict[Any, Any] = OrderedDict()
         self.hits = 0
         self.misses = 0
 
@@ -58,20 +61,20 @@ class LRUCache:
         """Return the cached value or :data:`MISS`, updating recency."""
         data = self._data
         try:
-            value = data.pop(key)
+            value = data[key]
         except KeyError:
             self.misses += 1
             return MISS
-        data[key] = value
+        data.move_to_end(key)
         self.hits += 1
         return value
 
     def put(self, key: Any, value: Any) -> None:
         data = self._data
         if key in data:
-            del data[key]
+            data.move_to_end(key)
         elif len(data) >= self.maxsize:
-            del data[next(iter(data))]
+            data.popitem(last=False)
         data[key] = value
 
     def clear(self) -> None:

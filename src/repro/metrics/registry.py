@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import math
+from array import array
 from collections import defaultdict
 from dataclasses import dataclass, field
 from typing import Sequence
@@ -216,8 +217,9 @@ class MetricsRegistry:
 
     counters: dict[str, float] = field(
         default_factory=lambda: defaultdict(float))
-    samples: dict[str, list[float]] = field(
-        default_factory=lambda: defaultdict(list))
+    #: One ``array('d')`` per name: 8 bytes a sample, no object per sample.
+    samples: dict[str, array[float]] = field(
+        default_factory=lambda: defaultdict(lambda: array("d")))
     timelines: dict[str, Timeline] = field(
         default_factory=lambda: defaultdict(Timeline))
     histograms: dict[str, Histogram] = field(
@@ -247,10 +249,10 @@ class MetricsRegistry:
         return dict(self.counters)
 
 
-def summarize(values: list[float]) -> dict[str, float]:
-    """Count/mean/percentile summary of a sample list.
+def summarize(values: Sequence[float]) -> dict[str, float]:
+    """Count/mean/percentile summary of a sequence of samples.
 
-    Percentiles use the nearest-rank method; an empty list yields NaNs so
+    Percentiles use the nearest-rank method; an empty one yields NaNs so
     downstream table formatting stays uniform.
     """
     if not values:

@@ -132,7 +132,8 @@ class TestOneReadOneRecord:
         assert outage <= accepted_at - t0 <= BOUND
         assert outcome["latency"] == accepted_at - t0
         assert system.metrics.count("reads_submitted") == 1
-        assert system.metrics.samples["read_latency"] == [outcome["latency"]]
+        assert list(system.metrics.samples["read_latency"]) == \
+            [outcome["latency"]]
         assert client.accepted_log[0].request_id == request_id
         spans = [span for span in system.obs.collector.spans()
                  if span.op == "client.read"]

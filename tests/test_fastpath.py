@@ -89,6 +89,20 @@ class TestLRUCache:
         assert cache.get("a") == 10
         assert "b" not in cache
 
+    def test_order_across_hits_and_evictions(self):
+        cache = fastpath.LRUCache(3)
+        for key in "abc":
+            cache.put(key, key)
+        assert cache.get("a") == "a"     # b c a
+        cache.put("d", "d")              # evicts b: c a d
+        assert cache.get("c") == "c"     # a d c
+        cache.put("a", "A")              # an update is a use: d c a
+        cache.put("e", "e")              # evicts d: c a e
+        assert cache.get("b") is fastpath.MISS
+        assert list(cache._data.items()) == [("c", "c"), ("a", "A"),
+                                             ("e", "e")]
+        assert (cache.hits, cache.misses, len(cache)) == (2, 1, 3)
+
     def test_rejects_nonpositive_size(self):
         with pytest.raises(ValueError):
             fastpath.LRUCache(0)

@@ -10,6 +10,8 @@ import random
 
 from repro.content.kvstore import KVGet, KVPut
 from repro.core.config import ProtocolConfig
+from repro.core.messages import AuditBatch, Pledge, VersionStamp
+from repro.crypto.hashing import sha1_hex
 
 from .conftest import make_system
 
@@ -137,6 +139,54 @@ class TestAuditorCache:
         assert system.auditor.cache_misses == 0
         assert system.auditor._cache == {}
         assert system.auditor.pledges_audited > 0
+
+    DEPTH = 2
+
+    def _read_past_the_history(self, cache_enabled):
+        """Reads at 3 x depth versions, then an honest pledge at version
+        0, which the history has dropped: what the audit says of it, and
+        whether the history still holds each version the cache does."""
+        system = make_system(protocol=ProtocolConfig(
+            double_check_probability=0.0, max_latency=1.0,
+            keepalive_interval=0.5, audit_grace=0.5,
+            version_history_depth=self.DEPTH,
+            auditor_cache_enabled=cache_enabled))
+        system.start()
+        client, auditor = system.clients[0], system.auditor
+        for i in range(3 * self.DEPTH):
+            client.submit_read(KVGet(key="k001"))
+            system.run_for(1.0)
+            client.submit_write(KVPut(key=f"w{i}", value=i))
+            system.run_for(3.0)
+        assert auditor.version == 3 * self.DEPTH
+        assert auditor.store_at(0) is None
+        query = KVGet(key="k001")
+        pledge = Pledge.make(
+            system.slaves[0].keys, query.to_wire(),
+            sha1_hex(system.initial_store.execute_read(query).result),
+            VersionStamp.make(system.masters[0].keys, 0, system.now),
+            f"{client.node_id}:r99")
+        names = ("pledges_audited", "audits_clean", "audits_unverifiable",
+                 "audit_detections")
+        before = [system.metrics.count(name) for name in names]
+        auditor.on_message(client.node_id, AuditBatch((pledge,)))
+        system.run_for(3.0)
+        outcome = {name: system.metrics.count(name) - was
+                   for name, was in zip(names, before)}
+        return outcome, {version: auditor.store_at(version) is not None
+                         for version in auditor._cache}
+
+    def test_cache_answers_only_for_retained_versions(self):
+        """A pledge at a version the history dropped is unverifiable
+        whether or not the cache is on (A3 turns it off), and the cache
+        holds no more versions than the history does."""
+        cached, versions = self._read_past_the_history(True)
+        uncached, _ = self._read_past_the_history(False)
+        assert cached == uncached == {
+            "pledges_audited": 0, "audits_clean": 0,
+            "audits_unverifiable": 1, "audit_detections": 0}
+        assert 0 < len(versions) <= self.DEPTH
+        assert all(versions.values())
 
 
 class TestSampledAuditing:

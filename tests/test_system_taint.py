@@ -87,8 +87,8 @@ class TestTaintSweep:
                                                          monkeypatch):
         """An exclusion notice -- and the same notice again -- taints
         every read accepted on the excluded slave's word alone exactly
-        once, and the sweep keys by request id: it never compares two
-        records field by field (O(reads x taints) a notice)."""
+        once, and the sweep scans the log's columns: it never compares
+        two records field by field (O(reads x taints) a notice)."""
         system = make_system()
         system.start()
         client = system.clients[0]
@@ -115,9 +115,9 @@ class TestTaintSweep:
                     if record.slave_ids == (excluded,)
                     and not record.double_checked]
         assert len(expected) == 100
-        assert [id(r) for r in client.tainted_reads] \
-            == [id(r) for r in expected]
-        assert [id(r) for r in rolled_back] == [id(r) for r in expected]
+        expected_ids = [record.request_id for record in expected]
+        assert [r.request_id for r in client.tainted_reads] == expected_ids
+        assert [r.request_id for r in rolled_back] == expected_ids
         assert system.metrics.count("reads_tainted") == 100
         assert compared == []
 
