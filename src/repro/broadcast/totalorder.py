@@ -295,11 +295,13 @@ class TotalOrderBroadcast:
             payload=stamped,
             epoch=self.epoch,
         )
-        for member in self.alive_view:
-            if member == self.transport.node_id:
-                self._handle_order(order)
-            else:
+        # The order goes out before the local delivery: whatever that
+        # delivery sends (a commit's reply) must not overtake it, and a
+        # delivery that changes the view must not skip a member.
+        for member in list(self.alive_view):
+            if member != self.transport.node_id:
                 self.transport.send(member, order)
+        self._handle_order(order)
 
     def _handle_order(self, envelope: BroadcastEnvelope) -> None:
         if envelope.epoch < self.epoch:

@@ -204,8 +204,9 @@ class _WriteAttempt:
     callback: Callable[[dict], None] | None
     started_at: float
     retries: int = 0
-    #: Held, not sent: no master to send it to until setup finishes.
-    awaiting_setup: bool = False
+    #: The master it was last sent to; None while held for setup (no
+    #: master to send it to until setup finishes).
+    sent_to: str | None = None
     timer: EventHandle | None = None
     #: Root tracing span (None when tracing is off or unsampled).
     span: "Span | None" = None
@@ -248,6 +249,10 @@ class Client(Node):
 
         self.master_certs: dict[str, Certificate] = {}
         self.master_id: str | None = None
+        #: Where writes go: the certified master that answered the last
+        #: committed write -- the one that orders them -- else
+        #: ``master_id``.  Setup forgets it.
+        self._write_master: str | None = None
         self.slave_certs: dict[str, Certificate] = {}
         self.assigned_slaves: tuple[str, ...] = ()
         self.auditor_id: str = ""
@@ -302,6 +307,7 @@ class Client(Node):
             return
         self._setup_in_progress = True
         self.ready = False
+        self._write_master = None
         self.metrics.incr("client_setups")
         self.send(self.directory_id, DirectoryLookup(
             content_key_fingerprint=self.lookup_fingerprint))
@@ -372,7 +378,7 @@ class Client(Node):
             if read.state == "awaiting_setup":
                 self._in_span(read.span, self._route, read)
         for write in list(self._writes.values()):
-            if write.awaiting_setup:
+            if write.sent_to is None:
                 self._in_span(write.span, self._send_write, write)
 
     def _master_key(self, master_id: str) -> PublicKey | None:
@@ -761,27 +767,33 @@ class Client(Node):
     # -- write path --------------------------------------------------------------
 
     def _send_write(self, attempt: _WriteAttempt) -> None:
-        """Send the write to our master, or hold it until setup names
-        one -- under one ``3 * request_timeout`` deadline either way."""
+        """Send the write to the master that answered our last one (else
+        our own), or hold it until setup names one -- under one
+        ``3 * request_timeout`` deadline either way."""
         _cancel(attempt.timer)
-        attempt.awaiting_setup = not self.ready
-        if attempt.awaiting_setup:
+        if not self.ready:
+            attempt.sent_to = None
             self._begin_setup()
         else:
-            assert self.master_id is not None
-            self.send(self.master_id, WriteRequest(
+            attempt.sent_to = self._write_master or self.master_id
+            assert attempt.sent_to is not None
+            self.send(attempt.sent_to, WriteRequest(
                 client_id=self.node_id, request_id=attempt.request_id,
                 op_wire=attempt.op_wire))
         attempt.timer = self.after(self.config.request_timeout * 3,
                                    self._write_timeout, attempt)
 
-    def _handle_write_reply(self, reply: WriteReply) -> None:
+    def _handle_write_reply(self, master_id: str, reply: WriteReply) -> None:
+        """The first reply decides; a second one (the origin's, after the
+        orderer's) finds no attempt and is dropped."""
         attempt = self._writes.pop(reply.request_id, None)
         if attempt is None:
             return
         _cancel(attempt.timer)
         latency = self.now - attempt.started_at
         if reply.committed:
+            if master_id in self.master_certs:
+                self._write_master = master_id
             self.metrics.incr("writes_committed")
             self.metrics.observe("write_latency", latency)
         else:
@@ -811,7 +823,13 @@ class Client(Node):
             if attempt.callback is not None:
                 attempt.callback({"status": "failed", "reason": "timeout"})
             return
-        if not attempt.awaiting_setup:
+        if attempt.sent_to is None:
+            pass  # held for setup, which has a time-out of its own
+        elif attempt.sent_to != self.master_id:
+            # The master that answered our last write went quiet: our
+            # own master takes this one, without a new setup.
+            self._write_master = None
+        else:
             # Our master may have crashed: redo setup against another.
             self.ready = False
             self._master_preference += 1
@@ -852,7 +870,8 @@ class Client(Node):
         different master group (``WrongShard`` redirect or a new map
         epoch).  Reads in flight wait for the new assignment and go to
         the new home under their own request ids; writes already sent
-        are left on their time-out path.  Pledges not yet forwarded go
+        are left on their time-out path, which re-sends them to the new
+        home's master.  Pledges not yet forwarded go
         to the old home's auditor: its slaves signed them.
         """
         self._flush_audit()
@@ -886,7 +905,7 @@ class Client(Node):
         elif isinstance(message, DoubleCheckReply):
             self._handle_double_check_reply(message)
         elif isinstance(message, WriteReply):
-            self._handle_write_reply(message)
+            self._handle_write_reply(src_id, message)
         elif isinstance(message, ExclusionNotice):
             self._handle_exclusion(message)
         elif isinstance(message, SetupFailed):

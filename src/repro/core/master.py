@@ -316,11 +316,17 @@ class MasterServer(TrustedServer):
         for slave in self.slaves:
             if slave not in self.excluded_slaves:
                 self.send(slave, update, size_bytes=1024)
-        if payload.origin_master == self.node_id:
-            self._write_inflight = False
+        # The master that ordered the write answers too: it delivers in
+        # the call that orders it, so its reply is the first one out.
+        # The origin still answers, so a crashed sequencer never leaves
+        # a write unanswered; the client drops whichever comes second.
+        origin = payload.origin_master == self.node_id
+        if origin or self.broadcast.is_sequencer:
             self.send(payload.client_id, WriteReply(
                 request_id=payload.request_id, committed=True,
                 version=self.version))
+        if origin:
+            self._write_inflight = False
             self._pump_writes()
 
     def _keepalive_round(self) -> None:

@@ -201,9 +201,10 @@ class TrustedServer(Node):
     # -- from delivery to version ------------------------------------------
 
     def _defer(self, due_at: float, payload: BcastWrite) -> None:
-        """Apply ``payload`` at ``due_at``, behind all delivered before it."""
+        """Apply ``payload`` at ``due_at``, behind all delivered before it:
+        in this call when it is due already, else off the drain timer."""
         self._apply_queue.append((due_at, payload))
-        self._arm_drain()
+        self._drain()
 
     def _drain(self, timer_gone: bool = False) -> None:
         """Apply the queued writes whose time has come, in delivery order,

@@ -571,7 +571,12 @@ class TestMasterCrash:
                 await cluster.restart_node(victim.node_id)
                 assert (await asyncio.wait_for(first, 3.0))["status"] \
                     == "committed"
-                assert not victim._write_inflight
+                # The sequencer's answer may reach the client before the
+                # order reaches the victim: its flag clears on its commit.
+                await cluster.wait_for(
+                    lambda: not victim._write_inflight, 2.0,
+                    what="the victim free to submit again")
+                assert not victim._write_queue
                 await asyncio.sleep(cluster.config.max_latency)
                 second = await cluster.write(
                     client, KVPut(key="b", value=2), timeout=2.0)

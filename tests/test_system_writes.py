@@ -2,10 +2,15 @@
 
 from __future__ import annotations
 
+import pytest
+
 from repro.content.kvstore import KVGet, KVPut
 from repro.core.config import ProtocolConfig
+from repro.sim.latency import ConstantLatency
 
 from .conftest import make_system
+
+LINK = 0.01
 
 
 class TestWriteSpacing:
@@ -55,6 +60,86 @@ class TestWriteSpacing:
         assert sorted(times) == list(range(len(times)))
         ordered = [times[v] for v in sorted(times)]
         assert ordered == sorted(ordered)
+
+
+def write_latencies(system, client, count, wait=0.0):
+    """Commit ``count`` writes from ``client`` one at a time, each after
+    the last one's W2 spacing has passed (and ``wait`` more); their
+    latencies."""
+    latencies = []
+    for i in range(count):
+        outcomes = []
+        client.submit_write(KVPut(key=f"{client.node_id}-{i}", value=i),
+                            callback=outcomes.append)
+        system.run_for(system.config.max_latency + 1.0 + wait)
+        (outcome,) = outcomes
+        assert outcome["status"] == "committed"
+        latencies.append(outcome["latency"])
+    return latencies
+
+
+class TestWriteLinkCount:
+    """A write costs two links -- client to the master that orders it and
+    back -- once the client knows which master that is; the first write
+    of a client homed off the sequencer costs three (client, its master,
+    the sequencer, which answers).  Four links is a reply waiting for
+    the order to travel back to the origin."""
+
+    @pytest.fixture
+    def system(self):
+        system = make_system(
+            seed=0, num_masters=3, num_clients=3,
+            latency=ConstantLatency(LINK),
+            protocol=ProtocolConfig(double_check_probability=0.0))
+        system.start()
+        return system
+
+    def homed(self, system, on_sequencer):
+        sequencer = system.masters[0].broadcast.sequencer_id
+        return next(c for c in system.clients
+                    if (c.master_id == sequencer) == on_sequencer)
+
+    def test_client_homed_on_the_sequencer(self, system):
+        client = self.homed(system, on_sequencer=True)
+        assert write_latencies(system, client, 3) == \
+            [pytest.approx(2 * LINK, abs=1e-9)] * 3
+
+    def test_client_homed_off_the_sequencer(self, system):
+        client = self.homed(system, on_sequencer=False)
+        home = client.master_id
+        assert write_latencies(system, client, 3) == [
+            pytest.approx(3 * LINK, abs=1e-9),
+            pytest.approx(2 * LINK, abs=1e-9),
+            pytest.approx(2 * LINK, abs=1e-9)]
+        assert client.master_id == home  # reads still go home
+
+    def test_sequencer_crash_falls_back_to_the_clients_master(self, system):
+        client = self.homed(system, on_sequencer=False)
+        home = client.master_id
+        write_latencies(system, client, 1)
+        sequencer = next(m for m in system.masters
+                         if m.broadcast.is_sequencer)
+        setups = system.metrics.count("client_setups")
+        sequencer.crash()
+        timeout = 3 * system.config.request_timeout
+        (latency,) = write_latencies(system, client, 1, wait=timeout)
+        # One time-out at the dead orderer, then two links: the client's
+        # master orders the write itself by then.
+        assert latency == pytest.approx(timeout + 2 * LINK, abs=1e-9)
+        assert system.metrics.count("write_timeouts") == 1
+        assert system.metrics.count("client_setups") == setups
+        assert client.master_id == home
+        assert write_latencies(system, client, 1) == \
+            [pytest.approx(2 * LINK, abs=1e-9)]
+
+    def test_setup_and_rehome_forget_the_orderer(self, system):
+        client = self.homed(system, on_sequencer=False)
+        write_latencies(system, client, 1)
+        client.rehome()
+        system.run_for(1.0)
+        assert client.ready
+        assert write_latencies(system, client, 1) == \
+            [pytest.approx(3 * LINK, abs=1e-9)]
 
 
 class TestAccessControl:

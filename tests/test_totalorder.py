@@ -117,6 +117,60 @@ class TestOrdering:
                 "m1", BroadcastEnvelope(kind="gibberish"))
 
 
+class RecordingTransport:
+    """A host that only records, in one log: every send, and (through
+    the engine's ``on_deliver``) every delivery."""
+
+    def __init__(self, node_id, log):
+        self.node_id = node_id
+        self.now = 0.0
+        self.log = log
+
+    def send(self, dst_id, message, size_bytes=256):
+        self.log.append(("send", dst_id, message.kind))
+
+    def every(self, interval, callback):
+        pass
+
+
+class TestOrderBeforeAcknowledgement:
+    """The sequencer sends the order to every other member before it
+    delivers locally: what its own delivery sends -- a commit's reply --
+    must not overtake the order it acknowledges."""
+
+    def sequencer(self, on_deliver=None):
+        log = []
+        engine = TotalOrderBroadcast(
+            RecordingTransport("m0", log), ["m0", "m1", "m2"],
+            on_deliver=on_deliver or (
+                lambda seq, origin, payload: log.append(
+                    ("deliver", origin, payload))))
+        return engine, log
+
+    def test_a_members_request(self):
+        engine, log = self.sequencer()
+        engine.handle_message("m2", BroadcastEnvelope(
+            kind="request", origin="m2", local_seq=0, payload="w"))
+        assert log == [("send", "m1", "order"), ("send", "m2", "order"),
+                       ("deliver", "m2", "w")]
+
+    def test_its_own_request(self):
+        engine, log = self.sequencer()
+        engine.broadcast("w")
+        assert log == [("send", "m1", "order"), ("send", "m2", "order"),
+                       ("deliver", "m0", "w")]
+
+    def test_a_delivery_that_shrinks_the_view_skips_no_member(self):
+        def on_deliver(seq, origin, payload):
+            engine.alive_view.remove("m1")
+            log.append(("deliver", origin, payload))
+
+        engine, log = self.sequencer(on_deliver)
+        engine.broadcast("w")
+        assert [entry[1] for entry in log if entry[0] == "send"] == \
+            ["m1", "m2"]
+
+
 class TestRetransmission:
     def test_lost_request_retransmitted(self):
         sim, net, members = build_group(seed=2)
