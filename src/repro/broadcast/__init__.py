@@ -16,8 +16,10 @@ implements:
   arrivals and requesting retransmission of gaps;
 * requests unacknowledged by an ordering are retransmitted;
 * if the sequencer crashes, surviving members detect the silence via
-  missed heartbeats and deterministically promote the next member in rank
-  order, who resumes numbering after the highest sequence it has seen.
+  missed heartbeats; the lowest-ranked member of a majority that answers
+  claims the next epoch, merges the majority's histories slot by slot
+  and only then resumes numbering (one view change, docs/PROTOCOL.md
+  §2.8a).
 
 The engine (:class:`~repro.broadcast.totalorder.TotalOrderBroadcast`) is
 transport-agnostic: the master server embeds one and routes envelope

@@ -22,14 +22,18 @@ benign faults:
 * *gap repair*: a member receiving sequence ``n + k`` while expecting
   ``n`` asks the sequencer to retransmit the missing range; heartbeats
   carry the sequencer's high-water mark so silent gaps are also found.
-* *view change with epochs*: the sequencer emits heartbeats stamped with
-  an epoch number.  A member missing ``suspect_after`` seconds of
-  heartbeats deposes the sequencer, promotes the next member in rank
-  order and bumps the epoch.  The promoted leader gathers history above
-  its own high-water mark from the surviving members (``sync`` messages)
-  before assigning new numbers, so sequence numbers are never reused.
-  A deposed leader that recovers learns of the newer epoch from the
-  first heartbeat it sees and rejoins as a follower.
+* *one view change*: the sequencer emits heartbeats stamped with its
+  epoch.  A follower that misses ``suspect_after`` seconds of them, a
+  sequencer that hears from less than a majority, and a member that
+  recovers from a crash all become leaderless and probe the group.  The
+  lowest-ranked member of a majority that answered claims ``epoch + 1``
+  (a ``state`` naming itself).  A member that adopts the claim votes,
+  once per epoch, with a ``sync`` carrying its history above the
+  claimant's delivered mark, each entry tagged with the epoch that
+  assigned it.  With a majority's histories in, the claimant takes each
+  slot from the highest epoch that assigned it, fills a hole with a
+  no-op, re-issues that tail in its own epoch and only then orders.  A
+  minority never gathers the votes, so it orders nothing.
 
 This is the structure of the Kaashoek et al. protocol the paper cites as
 [8], restricted to benign (non-Byzantine) failures exactly as Section 3
@@ -60,7 +64,7 @@ class Transport(Protocol):
 class BroadcastEnvelope:
     """Wrapper for every broadcast-protocol message on the wire.
 
-    ``kind`` is one of: request, order, nack, heartbeat, state, sync.
+    ``kind`` is one of: request, order, nack, heartbeat, ack, state, sync.
     """
 
     kind: str
@@ -77,6 +81,13 @@ class BroadcastEnvelope:
 #: Marker keys for engine-internal membership notices riding the total order.
 _MEMBER_DOWN_KEY = "__tob_member_down__"
 _MEMBER_UP_KEY = "__tob_member_up__"
+
+#: What a view change orders into a slot no voter holds: (origin, stamped
+#: payload, epoch).  No origin, so no member delivers it to its host.
+_NOOP = ("", {"local_seq": -1, "data": None}, -1)
+
+#: ``_leader_have_seq`` before the regime's first heartbeat.
+_UNHEARD = float("inf")
 
 
 @dataclass
@@ -118,28 +129,32 @@ class TotalOrderBroadcast:
         self.suspect_after = suspect_after
 
         self.epoch = 0
-        #: Minimum members (including self) for leadership: a leader that
-        #: cannot reach a majority abdicates, and a candidate without a
-        #: majority view never assumes -- otherwise a partitioned
-        #: minority could elect itself, order conflicting writes and sign
-        #: stale trust, then hijack the epoch on heal.
+        #: Members (including self) a sequencer must hear from, and a
+        #: claimant must have votes from: otherwise a partitioned minority
+        #: could order conflicting writes and sign stale trust.
         self.majority = len(self.ranked_members) // 2 + 1
         self._leader_id = self.ranked_members[0]
+        #: While our claim to the current epoch is out: voter -> the
+        #: history it sent.  None otherwise.
+        self._votes: dict[str, tuple[Any, ...]] | None = None
         self._next_local_seq = 0
         self._pending: dict[int, _PendingRequest] = {}
         self._delivered_up_to = -1  # highest contiguously delivered seq
         self._buffer: dict[int, tuple[str, Any]] = {}
-        self._history: dict[int, tuple[str, Any]] = {}  # every order seen
+        #: Every order seen: seq -> (origin, stamped payload, epoch that
+        #: assigned it).
+        self._history: dict[int, tuple[str, Any, int]] = {}
         self._ordered_keys: set[tuple[str, int]] = set()  # sequencer dedup
         self._next_global_seq = 0  # sequencer-side counter
+        #: Follower: the leader's last heartbeat.  Claimant: the claim.
         self._last_heartbeat_at = 0.0
         #: Highest global sequence the leader has advertised (heartbeats).
-        self._leader_have_seq = -1
-        #: Leader-side liveness: member -> time of its last heartbeat ack.
+        self._leader_have_seq: float = -1
+        #: Member -> when it last answered: a heartbeat ack (at the
+        #: sequencer), a probe, a claim or a vote.
         self._last_ack: dict[str, float] = {}
-        #: When this engine last (re)started; suspicion is suppressed for
-        #: one suspect_after window afterwards so a recovered node cannot
-        #: misjudge peers from pre-crash timestamps.
+        #: When this engine started; the sequencer's suspicion is
+        #: suppressed for one suspect_after window afterwards.
         self._resumed_at = 0.0
         self._stopped = False
         self.view_changes = 0
@@ -171,41 +186,29 @@ class TotalOrderBroadcast:
         """Has this member delivered everything the leader advertised?
 
         False for a follower that is still repairing a gap -- e.g. a
-        freshly recovered node whose local state is behind the group.
-        Hosts use this to avoid serving *trusted* answers (double-checks,
-        keep-alive stamps) from stale state.  The leader itself is always
-        caught up by definition; a follower that has not heard a
-        heartbeat yet conservatively reports False after recovery.
+        freshly recovered node whose local state is behind the group --
+        and for any member that has not yet heard its regime's first
+        heartbeat.  Hosts use this to avoid serving *trusted* answers
+        (double-checks, keep-alive stamps) from stale state.  The leader
+        itself is always caught up: it orders only once it has merged a
+        majority's histories.
         """
-        if not self._leader_id:
-            return False  # leaderless (minority partition): trust nothing
         if self.is_sequencer:
             return True
-        return self._delivered_up_to >= self._leader_have_seq
+        return bool(self._leader_id) \
+            and self._delivered_up_to >= self._leader_have_seq
 
     def announce_recovery(self) -> None:
-        """Rejoin after a benign crash: request catch-up from the leader.
+        """Rejoin after a benign crash: leaderless, whatever we were.
 
-        The nack carries our delivered-up-to mark; the sequencer re-admits
-        us and retransmits what we missed.  If a newer epoch exists we
-        learn it from the next heartbeat.  The host restarts the tick.
+        The group may have changed regimes while we were down, so we
+        trust nothing until a live regime's heartbeat arrives (or we win
+        a claim).  The host restarts the tick, which probes.
         """
         self._stopped = False
-        self._last_heartbeat_at = self.transport.now
-        self._resumed_at = self.transport.now
+        self._leader_id = ""
+        self._votes = None
         self._last_ack.clear()
-        if self.is_sequencer:
-            # Leadership does not survive a crash: the group may have
-            # elected someone else while we were down, and ordering on a
-            # stale epoch would fork the sequence.  Rejoin leaderless and
-            # let the quorum path re-establish a regime (adopting the
-            # live leader's heartbeats, or re-claiming with a fresh epoch
-            # if we are still the lowest-ranked of a reachable majority).
-            self._leader_id = ""
-        elif self._leader_id:
-            self.transport.send(self._leader_id, BroadcastEnvelope(
-                kind="nack", have_seq=self._delivered_up_to,
-                epoch=self.epoch))
 
     def broadcast(self, payload: Any) -> int:
         """Submit ``payload`` for total ordering; returns the local seq.
@@ -234,7 +237,7 @@ class TotalOrderBroadcast:
         elif envelope.kind == "heartbeat":
             self._handle_heartbeat(src_id, envelope)
         elif envelope.kind == "ack":
-            self._handle_ack(src_id, envelope)
+            self._handle_ack(src_id)
         elif envelope.kind == "state":
             self._handle_state(src_id, envelope)
         elif envelope.kind == "sync":
@@ -242,10 +245,6 @@ class TotalOrderBroadcast:
         else:
             raise ValueError(f"unknown broadcast envelope kind "
                              f"{envelope.kind!r}")
-
-    def note_member_crashed(self, member_id: str) -> None:
-        """External crash notice (e.g. from the membership layer)."""
-        self._depose_or_remove(member_id)
 
     # -- submission / ordering ---------------------------------------------
 
@@ -279,22 +278,23 @@ class TotalOrderBroadcast:
                 self.transport.send(self._leader_id, envelope)
             return
         self._readmit(envelope.origin)
-        key = (envelope.origin, envelope.local_seq)
-        if key in self._ordered_keys:
+        if (envelope.origin, envelope.local_seq) in self._ordered_keys:
             return  # duplicate retransmission; already ordered
-        self._ordered_keys.add(key)
-        global_seq = self._next_global_seq
-        self._next_global_seq += 1
-        stamped = {"local_seq": envelope.local_seq, "data": envelope.payload}
-        self._history[global_seq] = (envelope.origin, stamped)
+        self._order(envelope.origin, {"local_seq": envelope.local_seq,
+                                      "data": envelope.payload})
+
+    def _order(self, origin: str, stamped: dict[str, Any]) -> None:
+        """Sequencer: assign the next global sequence and broadcast it."""
+        self._ordered_keys.add((origin, stamped["local_seq"]))
         order = BroadcastEnvelope(
             kind="order",
-            origin=envelope.origin,
-            local_seq=envelope.local_seq,
-            global_seq=global_seq,
+            origin=origin,
+            local_seq=stamped["local_seq"],
+            global_seq=self._next_global_seq,
             payload=stamped,
             epoch=self.epoch,
         )
+        self._next_global_seq += 1
         # The order goes out before the local delivery: whatever that
         # delivery sends (a commit's reply) must not overtake it, and a
         # delivery that changes the view must not skip a member.
@@ -305,30 +305,26 @@ class TotalOrderBroadcast:
 
     def _handle_order(self, envelope: BroadcastEnvelope) -> None:
         if envelope.epoch < self.epoch:
-            # In-flight ordering from a deposed leader: refuse.  Whatever
-            # the old regime agreed on is already in the survivors'
-            # history and will reach us via the new leader's repair path.
+            # In-flight ordering from a deposed leader: refuse.  What the
+            # old regime agreed on reaches the new leader in the votes and
+            # us through its re-issue or repair.
             return
         seq = envelope.global_seq
         if seq <= self._delivered_up_to:
             return  # duplicate
         self._buffer[seq] = (envelope.origin, envelope.payload)
-        self._history[seq] = (envelope.origin, envelope.payload)
-        if self.is_sequencer:
-            self._ordered_keys.add(
-                (envelope.origin, envelope.payload["local_seq"]))
+        self._history[seq] = (envelope.origin, envelope.payload,
+                              envelope.epoch)
         self._drain_buffer()
         # Gap detection: something beyond the next expected seq is buffered.
         if self._buffer and min(self._buffer) > self._delivered_up_to + 1:
             self._send_nack()
 
     def _send_nack(self) -> None:
-        nack = BroadcastEnvelope(kind="nack", have_seq=self._delivered_up_to,
-                                 epoch=self.epoch)
-        if self.is_sequencer:
-            self._handle_nack(self.transport.node_id, nack)
-        elif self._leader_id:
-            self.transport.send(self._leader_id, nack)
+        if self._leader_id and not self.is_sequencer:
+            self.transport.send(self._leader_id, BroadcastEnvelope(
+                kind="nack", have_seq=self._delivered_up_to,
+                epoch=self.epoch))
 
     def _drain_buffer(self) -> None:
         while self._delivered_up_to + 1 in self._buffer:
@@ -336,6 +332,8 @@ class TotalOrderBroadcast:
             origin, stamped = self._buffer.pop(seq)
             self._delivered_up_to = seq
             self.delivered_count += 1
+            if not origin:
+                continue  # a no-op that filled a view change's hole
             if origin == self.transport.node_id:
                 self._pending.pop(stamped["local_seq"], None)
             data = stamped["data"]
@@ -375,17 +373,12 @@ class TotalOrderBroadcast:
         for seq in range(envelope.have_seq + 1, self._next_global_seq):
             if seq not in self._history:
                 continue
-            origin, stamped = self._history[seq]
-            order = BroadcastEnvelope(kind="order", origin=origin,
-                                      local_seq=stamped["local_seq"],
-                                      global_seq=seq, payload=stamped,
-                                      epoch=self.epoch)
-            if src_id == self.transport.node_id:
-                self._handle_order(order)
-            else:
-                self.transport.send(src_id, order)
+            origin, stamped, _epoch = self._history[seq]
+            self.transport.send(src_id, BroadcastEnvelope(
+                kind="order", origin=origin, local_seq=stamped["local_seq"],
+                global_seq=seq, payload=stamped, epoch=self.epoch))
 
-    # -- heartbeats / view changes -------------------------------------------
+    # -- heartbeats / the view change -----------------------------------------
 
     def _tick(self) -> None:
         if self._stopped:
@@ -393,13 +386,7 @@ class TotalOrderBroadcast:
         now = self.transport.now
         self._resubmit(older_than=self.request_timeout)
         if self.is_sequencer:
-            heartbeat = BroadcastEnvelope(kind="heartbeat",
-                                          have_seq=self._next_global_seq - 1,
-                                          epoch=self.epoch)
-            for member in self.ranked_members:
-                if member != self.transport.node_id:
-                    self.transport.send(member, heartbeat)
-            self._last_heartbeat_at = now
+            self._heartbeat()
             if now - self._resumed_at > self.suspect_after:
                 # Quorum check: a leader that cannot reach a majority of
                 # the group (itself included) must abdicate rather than
@@ -418,17 +405,27 @@ class TotalOrderBroadcast:
                         self.alive_view.remove(member)
                         self.broadcast({_MEMBER_DOWN_KEY: member})
         elif not self._leader_id:
-            # Leaderless (abdicated, or candidate without quorum): probe
-            # the whole group so healing re-establishes a regime.
-            probe = BroadcastEnvelope(kind="state", epoch=self.epoch,
-                                      leader="",
-                                      have_seq=self._delivered_up_to)
-            for member in self.ranked_members:
-                if member != self.transport.node_id:
-                    self.transport.send(member, probe)
-            self._try_claim_leadership()
+            self._probe_or_claim()
         elif now - self._last_heartbeat_at > self.suspect_after:
-            self._depose_or_remove(self._leader_id)
+            # The leader went silent: leave it and probe from the next
+            # tick on.
+            leader, self._leader_id = self._leader_id, ""
+            self.view_changes += 1
+            if leader in self.alive_view:
+                self.alive_view.remove(leader)
+                if self.on_member_removed is not None:
+                    self.on_member_removed(leader)
+
+    def _heartbeat(self) -> None:
+        self._send_to_group(BroadcastEnvelope(
+            kind="heartbeat", have_seq=self._next_global_seq - 1,
+            epoch=self.epoch))
+
+    def _send_to_group(self, message: BroadcastEnvelope) -> None:
+        """To every other member, in the view or not."""
+        for member in self.ranked_members:
+            if member != self.transport.node_id:
+                self.transport.send(member, message)
 
     def _reachable(self) -> list[str]:
         """Members (incl. self) heard from within the suspicion window,
@@ -440,28 +437,91 @@ class TotalOrderBroadcast:
                if member != self.transport.node_id
                and now - last <= self.suspect_after])
 
-    def _try_claim_leadership(self) -> None:
-        """While leaderless: re-establish a regime once peers respond.
+    def _probe_or_claim(self) -> None:
+        """Leaderless: probe the group, or claim the next epoch when the
+        members that answered are a majority and we rank lowest.
 
-        Peers answering our probes refresh ``_last_ack``; with a majority
-        reachable the lowest-ranked reachable member becomes leader (us,
-        with an epoch bump, if that is us; otherwise we ask it).
+        A claim that has not gathered a majority's votes within
+        ``suspect_after`` lapses, and the next tick may claim again.
         """
-        reachable = self._reachable()
-        if len(reachable) < self.majority:
+        now = self.transport.now
+        if self._votes is not None \
+                and now - self._last_heartbeat_at <= self.suspect_after:
             return
-        if reachable[0] == self.transport.node_id:
+        self._votes = None
+        reachable = self._reachable()
+        claim = len(reachable) >= self.majority \
+            and reachable[0] == self.transport.node_id
+        if claim:
             self.epoch += 1
-            self._leader_id = self.transport.node_id
-            self._assume_leadership()
-        else:
-            self._leader_id = reachable[0]
-            self._last_heartbeat_at = self.transport.now
-            self.transport.send(self._leader_id, BroadcastEnvelope(
-                kind="state", epoch=self.epoch, leader=self._leader_id,
-                have_seq=self._delivered_up_to))
+            self._votes = {self.transport.node_id:
+                           self._entries_above(self._delivered_up_to)}
+            self._last_heartbeat_at = now
+        self._send_to_group(BroadcastEnvelope(
+            kind="state", epoch=self.epoch, have_seq=self._delivered_up_to,
+            leader=self.transport.node_id if claim else ""))
 
-    def _handle_ack(self, src_id: str, envelope: BroadcastEnvelope) -> None:
+    def _entries_above(self, mark: int) -> tuple[Any, ...]:
+        """Our history above ``mark``: (seq, origin, stamped, epoch)."""
+        return tuple((seq, *self._history[seq])
+                     for seq in sorted(s for s in self._history if s > mark))
+
+    def _handle_state(self, src_id: str, envelope: BroadcastEnvelope) -> None:
+        """A probe (names no one) or a claim (names its sender)."""
+        self._last_ack[src_id] = self.transport.now
+        if envelope.epoch <= self.epoch:
+            return  # nothing newer; at most one vote per epoch
+        if envelope.leader == src_id:
+            # Vote: our history above the claimant's delivered mark.
+            self.transport.send(src_id, BroadcastEnvelope(
+                kind="sync", epoch=envelope.epoch,
+                entries=self._entries_above(envelope.have_seq)))
+            self._adopt(src_id, envelope.epoch)
+        else:
+            # A leaderless member carries a newer epoch (a claim that
+            # lapsed): step down to it; a fresh claim needs a majority.
+            self.epoch = envelope.epoch
+            self._leader_id = ""
+            self._votes = None
+
+    def _handle_sync(self, src_id: str, envelope: BroadcastEnvelope) -> None:
+        """A vote for our claim."""
+        self._last_ack[src_id] = self.transport.now
+        votes = self._votes
+        if votes is None or envelope.epoch != self.epoch:
+            return
+        votes[src_id] = envelope.entries
+        if len(votes) >= self.majority:
+            self._merge(votes)
+
+    def _merge(self, votes: dict[str, tuple[Any, ...]]) -> None:
+        """A majority voted: adopt each slot above our delivered mark
+        from the highest epoch that assigned it, re-issue that tail in our
+        epoch, then order."""
+        chosen: dict[int, tuple[Any, ...]] = {}
+        for entries in votes.values():
+            for seq, origin, stamped, epoch in entries:
+                if seq not in chosen or epoch > chosen[seq][2]:
+                    chosen[seq] = (origin, stamped, epoch)
+        self._votes = None
+        self._leader_id = self.transport.node_id
+        self._buffer.clear()
+        delivered = self._delivered_up_to
+        self._ordered_keys = {(origin, stamped["local_seq"])
+                              for seq, (origin, stamped, _e)
+                              in self._history.items() if seq <= delivered}
+        self._next_global_seq = delivered + 1
+        # The heartbeat goes first: voters that hear the regime before
+        # its re-issued tail commit that tail spaced, as a live group.
+        self._heartbeat()
+        for seq in range(delivered + 1, max(chosen, default=delivered) + 1):
+            origin, stamped, _epoch = chosen.get(seq, _NOOP)
+            if (origin, stamped["local_seq"]) in self._ordered_keys:
+                origin, stamped, _epoch = _NOOP  # ordered at two slots
+            self._order(origin, stamped)
+        self._resubmit()
+
+    def _handle_ack(self, src_id: str) -> None:
         if not self.is_sequencer:
             return
         self._readmit(src_id)
@@ -470,20 +530,18 @@ class TotalOrderBroadcast:
     def _handle_heartbeat(self, src_id: str,
                           envelope: BroadcastEnvelope) -> None:
         if envelope.epoch < self.epoch:
-            # A stale leader (or one we outpaced while partitioned);
-            # tell it about our epoch so it steps down / catches up.
-            self.transport.send(src_id, BroadcastEnvelope(
-                kind="state", epoch=self.epoch, leader=self._leader_id,
-                have_seq=self._delivered_up_to))
-            return
+            return  # a deposed regime; it abdicates once acks stop
         if envelope.epoch > self.epoch or not self._leader_id:
-            # We missed a view change (crashed or partitioned): adopt the
-            # live regime.
-            self._adopt_leader(envelope.leader or src_id,
-                               max(envelope.epoch, self.epoch))
+            # We missed a view change (crashed, partitioned or leaderless
+            # at this epoch): follow the live regime.
+            self._adopt(src_id, envelope.epoch)
         if src_id != self._leader_id:
             return
         self._last_heartbeat_at = self.transport.now
+        if self._leader_have_seq == _UNHEARD:
+            # The regime's first heartbeat: hand it what we hold.
+            self._leader_have_seq = envelope.have_seq
+            self._resubmit()
         self._leader_have_seq = max(self._leader_have_seq,
                                     envelope.have_seq)
         # Ack so the leader's follower-liveness detector sees us alive.
@@ -498,142 +556,16 @@ class TotalOrderBroadcast:
                 and min(self._buffer) > self._delivered_up_to + 1):
             self._send_nack()
 
-    def _adopt_leader(self, leader_id: str, epoch: int) -> None:
+    def _adopt(self, leader_id: str, epoch: int) -> None:
+        """Follow ``leader_id``, the regime of ``epoch``; trust nothing
+        until its first heartbeat."""
         self.epoch = epoch
         self._leader_id = leader_id
+        self._votes = None
+        self._buffer.clear()  # orders of an older regime may be replaced
+        self._leader_have_seq = _UNHEARD
         self._last_heartbeat_at = self.transport.now
         self._readmit(leader_id)
-        if self.is_sequencer:
-            # We just learned that a newer epoch elected *us* (a follower
-            # deposed the old leader and we are next in rank).
-            self._assume_leadership()
-            return
-        # Re-submit anything the old leader never ordered.
-        self._resubmit()
-
-    def _depose_or_remove(self, member_id: str) -> None:
-        """Remove ``member_id`` from the view; run election if it led."""
-        if member_id == self.transport.node_id:
-            return
-        if member_id in self.alive_view:
-            self.alive_view.remove(member_id)
-            if self.on_member_removed is not None:
-                self.on_member_removed(member_id)
-        if member_id != self._leader_id:
-            return
-        # Elect the next alive member in rank order -- but only claim
-        # leadership ourselves with a majority view (minority partitions
-        # must freeze, not fork).
-        self.view_changes += 1
-        self.epoch += 1
-        candidates = [m for m in self.alive_view]
-        new_leader = candidates[0] if candidates else self.transport.node_id
-        self._last_heartbeat_at = self.transport.now
-        if new_leader == self.transport.node_id:
-            if len(self.alive_view) >= self.majority:
-                self._leader_id = new_leader
-                self._assume_leadership()
-            else:
-                self._leader_id = ""  # leaderless; probe until heal
-            return
-        self._leader_id = new_leader
-        # Tell the new leader it has been elected (it may not have
-        # noticed the crash itself yet), then re-submit unordered
-        # requests to it.
-        self.transport.send(self._leader_id, BroadcastEnvelope(
-            kind="state", epoch=self.epoch, leader=self._leader_id,
-            have_seq=self._delivered_up_to))
-        self._resubmit()
-
-    def _assume_leadership(self) -> None:
-        """Promoted to sequencer: sync history, then resume numbering."""
-        highest = max([self._delivered_up_to] + list(self._history)
-                      + list(self._buffer))
-        self._next_global_seq = max(self._next_global_seq, highest + 1)
-        # Rebuild the dedup table from history so retransmitted requests
-        # the old leader already ordered are not ordered twice.
-        for _seq, (origin, stamped) in self._history.items():
-            self._ordered_keys.add((origin, stamped["local_seq"]))
-        state = BroadcastEnvelope(kind="state", epoch=self.epoch,
-                                  leader=self.transport.node_id,
-                                  have_seq=self._next_global_seq - 1)
-        for member in self.ranked_members:
-            if member != self.transport.node_id:
-                self.transport.send(member, state)
-        self._resubmit()
-
-    def _handle_state(self, src_id: str, envelope: BroadcastEnvelope) -> None:
-        # State traffic doubles as liveness evidence for quorum counting.
-        self._last_ack[src_id] = self.transport.now
-        if envelope.epoch > self.epoch:
-            if envelope.leader:
-                self._adopt_leader(envelope.leader, envelope.epoch)
-            else:
-                # A leaderless node surfaced a higher epoch (failed
-                # elections in a minority partition).  Raft-style: step
-                # down to that epoch; re-election needs a majority.
-                self.epoch = envelope.epoch
-                self._leader_id = ""
-                return
-        elif envelope.epoch < self.epoch:
-            # Inform the stale sender of the current regime.
-            self.transport.send(src_id, BroadcastEnvelope(
-                kind="state", epoch=self.epoch, leader=self._leader_id,
-                have_seq=self._delivered_up_to))
-            return
-        elif not self._leader_id and envelope.leader:
-            # Equal epoch, we are leaderless, the sender names a live
-            # regime: adopt it.
-            self._adopt_leader(envelope.leader, envelope.epoch)
-        elif self._leader_id and not envelope.leader:
-            # Equal epoch, sender is leaderless and probing: name our
-            # regime.
-            self.transport.send(src_id, BroadcastEnvelope(
-                kind="state", epoch=self.epoch, leader=self._leader_id,
-                have_seq=self._delivered_up_to))
-            return
-        # Same epoch: if the sender (the leader) is missing orders we hold,
-        # ship them so sequence numbers are never reused.
-        if src_id == self._leader_id and not self.is_sequencer:
-            missing = [
-                (seq, self._history[seq][0], self._history[seq][1])
-                for seq in sorted(self._history)
-                if seq > envelope.have_seq
-            ]
-            if missing:
-                self.transport.send(src_id, BroadcastEnvelope(
-                    kind="sync", epoch=self.epoch, entries=tuple(missing)))
-            # Also pull anything the new leader has that we do not.
-            if envelope.have_seq > self._delivered_up_to:
-                self._send_nack()
-
-    def _handle_sync(self, src_id: str, envelope: BroadcastEnvelope) -> None:
-        if not self.is_sequencer or envelope.epoch != self.epoch:
-            return
-        advanced = False
-        for seq, origin, stamped in envelope.entries:
-            if seq not in self._history:
-                self._history[seq] = (origin, stamped)
-                self._ordered_keys.add((origin, stamped["local_seq"]))
-                advanced = True
-            order = BroadcastEnvelope(kind="order", origin=origin,
-                                      local_seq=stamped["local_seq"],
-                                      global_seq=seq, payload=stamped,
-                                      epoch=self.epoch)
-            self._handle_order(order)
-        if advanced:
-            highest = max(self._history)
-            self._next_global_seq = max(self._next_global_seq, highest + 1)
-            # Re-propagate so every member converges on the merged history.
-            for member in self.alive_view:
-                if member == self.transport.node_id:
-                    continue
-                for seq in sorted(self._history):
-                    origin, stamped = self._history[seq]
-                    self.transport.send(member, BroadcastEnvelope(
-                        kind="order", origin=origin,
-                        local_seq=stamped["local_seq"], global_seq=seq,
-                        payload=stamped, epoch=self.epoch))
 
     def _readmit(self, member_id: str) -> None:
         """Re-admit a recovered member to the delivery view (as follower)."""

@@ -331,6 +331,11 @@ def cmd_run(args: argparse.Namespace) -> int:
     summary = system.summary()
     summary["consistency_window_violations"] = len(
         system.check_consistency_window())
+    # Replicas that delivered the same commits hold the same state: the
+    # masters still up must end at one version and one digest.
+    live = [m for m in system.masters if not m.crashed]
+    summary["masters_converged"] = len(
+        {(m.version, m.store.state_digest()) for m in live}) <= 1
     if args.json:
         print(json.dumps(summary, indent=2, default=str))
     else:
@@ -344,7 +349,7 @@ def cmd_run(args: argparse.Namespace) -> int:
     wrong = summary["classification"]["accepted_wrong"]
     detections = summary["auditor"]["detections"]
     ok = (summary["consistency_window_violations"] == 0
-          and detections >= wrong)
+          and detections >= wrong and summary["masters_converged"])
     return 0 if ok else 1
 
 
@@ -368,6 +373,10 @@ def _print_summary(summary: dict) -> None:
           f"of {classification['accepted_total']}")
     print(f"window violations       : "
           f"{summary['consistency_window_violations']}")
+    versions = ", ".join(f"{node} {version}" for node, version
+                         in summary["versions"].items())
+    print(f"master versions         : {versions}"
+          + ("" if summary["masters_converged"] else " (DIVERGED)"))
     print(f"auditor coverage        : "
           f"{summary['auditor']['pledges_audited']}/"
           f"{summary['auditor']['pledges_received']} pledges, "

@@ -285,14 +285,16 @@ class MasterServer(TrustedServer):
         self._write_states[key] = "committed"
         if self.broadcast.is_caught_up():
             commit_at = max(self.now, self._next_commit_floor)
+            self._next_commit_floor = commit_at + self.config.max_latency
         else:
             # Catch-up replay after a crash: the master set already spaced
             # these commits >= max_latency apart in global time when they
             # were first committed; a straggler replays them immediately,
             # otherwise it would stay (and serve trusted answers) minutes
-            # behind the group.
+            # behind the group.  Nor does a replay space the next live
+            # write: the set committed it already, and a floor set from
+            # the replay would hold that write a max_latency behind.
             commit_at = self.now
-        self._next_commit_floor = commit_at + self.config.max_latency
         self._defer(commit_at, payload)
 
     def _apply_write(self, payload: BcastWrite) -> None:

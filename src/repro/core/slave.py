@@ -192,7 +192,11 @@ class SlaveServer(Node):
     def _adopt_stamp(self, stamp: VersionStamp) -> None:
         if stamp.version != self.version:
             return
+        # A stamp for a version we just reached replaces the last one
+        # even when both were signed in the same instant (a recovered
+        # master replaying missed commits).
         if (self.latest_stamp is None
+                or self.latest_stamp.version != stamp.version
                 or stamp.timestamp > self.latest_stamp.timestamp):
             self.latest_stamp = stamp
 

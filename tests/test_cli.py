@@ -121,6 +121,22 @@ class TestRunCommand:
         assert failures["recoveries"] == 0
         assert failures["events"][0]["node"] == "master-02"
 
+    def test_overlapping_crashes_converge(self):
+        """The sequencer and the auditor down together: the run exits 0
+        only if every master ends at one version (a forked order ended
+        this run at 8, 7, 7)."""
+        code, output = self.run_cli(
+            "--seed", "0",
+            "--masters", "3", "--clients", "4", "--content-size", "5",
+            "--reads", "24", "--read-rate", "1.6667", "--write-every", "3",
+            "--max-latency", "2", "--keepalive-interval", "1", "-p", "0.1",
+            "--crash", "master-00@5.7,5", "--crash", "zz-auditor-00@6.2,5",
+            "--json")
+        summary = json.loads(output)
+        assert code == 0
+        assert summary["masters_converged"]
+        assert len(set(summary["versions"].values())) == 1
+
     def test_bad_crash_spec_rejected(self):
         with pytest.raises(SystemExit, match="bad --crash"):
             self.run_cli("--crash", "nonsense")

@@ -21,7 +21,6 @@ from __future__ import annotations
 
 import random
 
-import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
@@ -57,13 +56,46 @@ def one_at_a_time(faults):
 # values ``repro-sim run --crash`` and ``FailureInjector.apply_script``
 # take.  Three masters and an auditor need three for a majority, so one
 # member down at a time is what the broadcast promises to ride out;
-# TestOverlappingCrashes pins two schedules with more down at once.
+# with two down at once (``two_down_strategy``) it promises safety, and
+# convergence once both are back.
 faults_strategy = st.lists(
     st.tuples(st.sampled_from(TRUSTED),
               st.floats(min_value=0.0, max_value=8.0),
               st.floats(min_value=0.05, max_value=12.0)),
     max_size=4,
 ).map(one_at_a_time)
+
+
+def two_at_a_time(rounds):
+    """(pair, seconds up since the previous round, the first's outage,
+    seconds from the first crash to the second, the second's outage) ->
+    the ``ScheduledFault`` values: two outages that overlap, each round
+    after both of the last round's recoveries."""
+    script, at = [], 0.0
+    for (first, second), up_for, down_for, gap, second_down in rounds:
+        start = at + up_for
+        second_at = start + min(gap, down_for / 2)
+        script += [ScheduledFault(first, start, down_for),
+                   ScheduledFault(second, second_at, second_down)]
+        at = max(start + down_for, second_at + second_down)
+    return script
+
+
+def _pairs(with_sequencer):
+    return [(a, b) for a in TRUSTED for b in TRUSTED
+            if a != b and ("master-00" in (a, b)) == with_sequencer]
+
+
+# Two trusted servers down at once, in one or two rounds, the second
+# crash often inside the suspicion window of the first.  Half the
+# examples take master-00, the sequencer, in every round.
+two_down_strategy = st.booleans().flatmap(lambda sequencer: st.lists(
+    st.tuples(st.sampled_from(_pairs(sequencer)),
+              st.floats(min_value=0.0, max_value=8.0),
+              st.floats(min_value=0.5, max_value=12.0),
+              st.floats(min_value=0.0, max_value=3.0),
+              st.floats(min_value=0.5, max_value=12.0)),
+    min_size=1, max_size=2)).map(two_at_a_time)
 
 slow_settings = settings(max_examples=10, deadline=None,
                          suppress_health_check=[HealthCheck.too_slow])
@@ -224,29 +256,29 @@ OVERLAPPING_OPS = [("write" if i % 3 == 2 else "read", i % 5, i)
 
 
 class TestOverlappingCrashes:
-    """Two trusted servers down at once (ROADMAP "Known holes", item
-    12).  Three masters and an auditor need three for a majority, so
-    the broadcast promises no liveness here; safety must still hold,
-    and convergence once everyone is back.  Seed 0, keep-alives 1 s."""
+    """Two trusted servers down at once (ROADMAP item 12).  Three
+    masters and an auditor need three for a majority, so the broadcast
+    promises no liveness while both are down; safety must still hold,
+    and convergence once everyone is back.  Keep-alives 1 s."""
 
-    @pytest.mark.xfail(strict=True, reason="known hole (a): stale trust")
     def test_stale_trust_after_an_overlapping_crash(self):
         """master-02 down from +4 s for 12 s and master-01 from +8 s for
-        5 s: client-03's r3 and r4 are accepted 2.16 s after the commit
-        they miss.  Not with one of the crashes alone, nor at 0.5 s
-        keep-alives."""
+        5 s: master-00 abdicates at 2 of 4 reachable and must stay
+        leaderless -- a peer naming it does not make it sequencer again
+        -- so no read is accepted outside its window (client-03's r3 and
+        r4 were, 2.16 s after the commit they miss)."""
         system, _outcomes = crashed_run(
             [ScheduledFault("master-02", 4.0, 12.0),
              ScheduledFault("master-01", 8.0, 5.0)],
             OVERLAPPING_OPS, keepalive_interval=1.0)
         assert system.check_consistency_window() == []
 
-    @pytest.mark.xfail(strict=True, reason="known hole (b): a forked order")
     def test_sequencer_and_auditor_down_together_fork_the_order(self):
         """master-00 (the sequencer) down from +6.7 s for 5 s and the
-        auditor from +8 s for 5 s: all 8 writes are acknowledged
-        committed, yet the trusted versions end at [6, 7, 7, 6] with two
-        digests, and 5 accepted reads are wrong."""
+        auditor from +8 s for 5 s: no member orders while only two are
+        up, and the recovered master-00 orders only after merging a
+        majority's histories, so every slot is held once -- one digest
+        at version 8 (the versions ended at [6, 7, 7, 6])."""
         system, _outcomes = crashed_run(
             [ScheduledFault("master-00", 6.7, 5.0),
              ScheduledFault("zz-auditor-00", 8.0, 5.0)],
@@ -254,3 +286,38 @@ class TestOverlappingCrashes:
         trusted = [*system.masters, *system.auditors]
         assert len({node.store.state_digest() for node in trusted}) == 1
         assert [node.version for node in trusted] == [8] * 4
+
+    def test_a_replay_does_not_hold_back_the_next_write(self):
+        """master-01 down from +1 s for 8 s and master-02 from +3 s for
+        4 s, then both down for 1 s at +9 s: master-02 comes back behind
+        the new regime and replays what it missed at once.  The next
+        live write must not then wait a max_latency behind that replay
+        (it committed 2 s after the sequencer's, and client-03's r3 was
+        accepted outside its window)."""
+        system, _outcomes = crashed_run(
+            [ScheduledFault("master-01", 1.0, 8.0),
+             ScheduledFault("master-02", 3.0, 4.0),
+             ScheduledFault("master-01", 9.0, 1.0),
+             ScheduledFault("master-02", 9.0, 1.0)],
+            OVERLAPPING_OPS, keepalive_interval=1.0)
+        assert system.check_consistency_window() == []
+
+    @slow_settings
+    @given(seed=st.integers(min_value=0, max_value=10**6),
+           faults=two_down_strategy)
+    def test_two_down_at_once_forks_and_loses_nothing(self, seed, faults):
+        """Any two trusted servers down together, once or twice: one
+        order, no read accepted outside its window, and -- once all are
+        back -- one version that holds every write acknowledged
+        committed."""
+        system, outcomes = crashed_run(faults, OVERLAPPING_OPS, seed,
+                                       keepalive_interval=1.0)
+        trusted = [*system.masters, *system.auditors]
+        assert not any(node.crashed for node in trusted)
+        assert len({node.store.state_digest() for node in trusted}) == 1
+        assert system.classify_accepted_reads()["accepted_wrong"] == 0
+        assert system.check_consistency_window() == []
+        versions = {node.version for node in trusted}
+        assert len(versions) == 1
+        acknowledged = sum(1 for o in outcomes if o["status"] == "committed")
+        assert versions.pop() >= acknowledged

@@ -146,6 +146,18 @@ class TestUpdateOrdering:
         assert slave.version == 2
         assert slave.store.execute_read(KVGet(key="y")).result["value"] == 2
 
+    def test_stamp_follows_the_version_when_updates_share_a_time(self, world):
+        """A master replaying missed commits signs them in one instant:
+        the slave must serve version 2 under the version-2 stamp, not
+        keep the version-1 stamp because it is no older."""
+        sim, master, slave, _sink, _m = world
+        slave.on_message("master-00", update(
+            master, 0, [KVPut(key="x", value=1)], sim.now))
+        slave.on_message("master-00", update(
+            master, 1, [KVPut(key="y", value=2)], sim.now))
+        assert slave.version == 2
+        assert slave.latest_stamp.version == 2
+
     def test_superseded_updates_dropped(self, world):
         sim, master, slave, _sink, _m = world
         batch = update(master, 0,

@@ -320,6 +320,112 @@ class TestViewChange:
         assert removed == ["m0"]
 
 
+def run_watching(sim, members, seconds, step=0.01):
+    """Run ``seconds`` in ``step`` slices: the members that were ever
+    sequencer at a slice boundary."""
+    seen = set()
+    for _ in range(round(seconds / step)):
+        sim.run_for(step)
+        seen.update(m.node_id for m in members
+                    if not m.crashed and m.engine.is_sequencer)
+    return seen
+
+
+class TestOneViewChange:
+    """A member becomes sequencer one way: it claims the next epoch, a
+    majority votes with its history, and it orders only after merging
+    those histories."""
+
+    def test_no_sequencer_while_two_of_four_are_up(self):
+        """m0 crashes, then m3 before anyone suspects it: the view m1
+        and m2 hold still lists m3, but only two members answer."""
+        sim, _net, members = build_group(n=4)
+        members[0].crash()
+        sim.run_for(0.5)
+        members[3].crash()
+        assert run_watching(sim, members, 8.0) == set()
+        members[1].engine.broadcast("held")
+        assert run_watching(sim, members, 3.0) == set()
+        assert payloads(members[1]) == []
+        members[0].recover()
+        sim.run_for(10.0)
+        for member in members[:3]:
+            assert payloads(member) == ["held"]
+        members[3].recover()
+        sim.run_for(10.0)
+        assert payloads(members[3]) == ["held"]
+
+    def test_an_abdicated_sequencer_is_not_remade_by_a_peer(self):
+        """m0 abdicates at 2 of 4 reachable; m1, still its follower,
+        names it in a state: m0 stays leaderless."""
+        sim, _net, members = build_group(n=4)
+        members[2].crash()
+        members[3].crash()
+        sim.run_for(2.0)
+        engine = members[0].engine
+        assert engine.sequencer_id == ""  # abdicated
+        assert members[1].engine.sequencer_id == "m0"
+        engine.handle_message("m1", BroadcastEnvelope(
+            kind="state", epoch=engine.epoch, leader="m0"))
+        assert not engine.is_sequencer
+        assert run_watching(sim, members, 5.0) == set()
+
+    def test_not_caught_up_after_recovery_until_a_heartbeat(self):
+        sim, _net, members = build_group(n=3)
+        members[0].engine.broadcast("before")
+        sim.run_for(1.0)
+        members[2].crash()
+        members[0].engine.broadcast("while-down")
+        sim.run_for(0.5)
+        members[2].recover()
+        engine = members[2].engine
+        assert not engine.is_caught_up()
+        sim.run_for(0.005)  # shorter than a link: no heartbeat yet
+        assert not engine.is_caught_up()
+        sim.run_for(1.0)
+        assert engine.is_caught_up()
+        assert payloads(members[2]) == ["before", "while-down"]
+
+    @staticmethod
+    def claimant():
+        """m1 of three holds slot 1 from epoch 0 behind a gap, learns of
+        epoch 1 from m2's probe and claims epoch 2."""
+        log = []
+        engine = TotalOrderBroadcast(
+            RecordingTransport("m1", log), ["m0", "m1", "m2"],
+            on_deliver=lambda seq, origin, payload: log.append(
+                ("deliver", seq, origin, payload)))
+        engine.handle_message("m0", BroadcastEnvelope(
+            kind="order", origin="m0", local_seq=0, global_seq=1,
+            payload={"local_seq": 0, "data": "old"}, epoch=0))
+        engine.handle_message("m2", BroadcastEnvelope(kind="state",
+                                                      epoch=1))
+        engine._tick()
+        assert engine.epoch == 2
+        assert not engine.is_sequencer and not engine.is_caught_up()
+        assert ("send", "m2", "state") in log
+        return engine, log
+
+    def test_merge_takes_each_slot_from_the_newest_epoch(self):
+        engine, log = self.claimant()
+        engine.handle_message("m2", BroadcastEnvelope(kind="sync", epoch=2,
+            entries=((0, "m2", {"local_seq": 0, "data": "zero"}, 1),
+                     (1, "m2", {"local_seq": 1, "data": "new"}, 1))))
+        assert engine.is_sequencer and engine.is_caught_up()
+        assert [e for e in log if e[0] == "deliver"] == [
+            ("deliver", 0, "m2", "zero"), ("deliver", 1, "m2", "new")]
+
+    def test_a_slot_no_voter_holds_becomes_a_no_op(self):
+        engine, log = self.claimant()
+        engine.handle_message("m2", BroadcastEnvelope(
+            kind="sync", epoch=2, entries=()))
+        assert engine.is_sequencer
+        assert [e for e in log if e[0] == "deliver"] == [
+            ("deliver", 1, "m0", "old")]
+        engine.broadcast("next")
+        assert log[-1] == ("deliver", 2, "m1", "next")
+
+
 class TestRecovery:
     """What a member needs after a crash is held on the member; its one
     tick, restarted by the host, drives all of it."""
