@@ -34,6 +34,10 @@ benign faults:
   slot from the highest epoch that assigned it, fills a hole with a
   no-op, re-issues that tail in its own epoch and only then orders.  A
   minority never gathers the votes, so it orders nothing.
+* *ordered membership*: the sequencer orders a member's removal once
+  its acks stop and its readmission once it is heard again; hosts learn
+  of either only at delivery, at every member, so members that
+  delivered the same slots hold the same view.
 
 This is the structure of the Kaashoek et al. protocol the paper cites as
 [8], restricted to benign (non-Byzantine) failures exactly as Section 3
@@ -198,6 +202,13 @@ class TotalOrderBroadcast:
         return bool(self._leader_id) \
             and self._delivered_up_to >= self._leader_have_seq
 
+    def is_live(self, seq: int) -> bool:
+        """Was slot ``seq`` ordered after the regime's last advertised
+        mark -- live, rather than one the group delivered already and we
+        replay?  The mark's own slot is a replay: ``_delivered_up_to``
+        has reached it before its delivery runs."""
+        return self.is_sequencer or seq > self._leader_have_seq
+
     def announce_recovery(self) -> None:
         """Rejoin after a benign crash: leaderless, whatever we were.
 
@@ -347,19 +358,18 @@ class TotalOrderBroadcast:
                 continue
             self.on_deliver(seq, origin, data)
 
+    # The view changes only here, at delivery, at every member and the
+    # subject too, so members that delivered the same slots hold the same
+    # view.  (A sequencer edits its own view a call before: it delivers
+    # what it orders in the same call.)
     def _member_down_delivered(self, member_id: str) -> None:
-        if member_id == self.transport.node_id:
-            return  # we are evidently alive; rejoin via the next ack
         if member_id in self.alive_view:
             self.alive_view.remove(member_id)
         if self.on_member_removed is not None:
             self.on_member_removed(member_id)
 
     def _member_up_delivered(self, member_id: str) -> None:
-        if member_id == self.transport.node_id:
-            return
-        if member_id not in self.alive_view \
-                and member_id in self.ranked_members:
+        if member_id not in self.alive_view:
             self.alive_view.append(member_id)
             self.alive_view.sort()
             self._last_ack[member_id] = self.transport.now
@@ -408,13 +418,11 @@ class TotalOrderBroadcast:
             self._probe_or_claim()
         elif now - self._last_heartbeat_at > self.suspect_after:
             # The leader went silent: leave it and probe from the next
-            # tick on.
-            leader, self._leader_id = self._leader_id, ""
+            # tick on.  Its removal is ordered, not taken here: whoever
+            # leads next finds it silent since then at its first tick.
+            self._last_ack[self._leader_id] = self._last_heartbeat_at
+            self._leader_id = ""
             self.view_changes += 1
-            if leader in self.alive_view:
-                self.alive_view.remove(leader)
-                if self.on_member_removed is not None:
-                    self.on_member_removed(leader)
 
     def _heartbeat(self) -> None:
         self._send_to_group(BroadcastEnvelope(
@@ -519,6 +527,9 @@ class TotalOrderBroadcast:
             if (origin, stamped["local_seq"]) in self._ordered_keys:
                 origin, stamped, _epoch = _NOOP  # ordered at two slots
             self._order(origin, stamped)
+        # A regime we missed may have ordered us down, and no one else
+        # readmits a leader.
+        self._readmit(self.transport.node_id)
         self._resubmit()
 
     def _handle_ack(self, src_id: str) -> None:
@@ -565,20 +576,13 @@ class TotalOrderBroadcast:
         self._buffer.clear()  # orders of an older regime may be replaced
         self._leader_have_seq = _UNHEARD
         self._last_heartbeat_at = self.transport.now
-        self._readmit(leader_id)
 
     def _readmit(self, member_id: str) -> None:
-        """Re-admit a recovered member to the delivery view (as follower)."""
-        if member_id in self.alive_view or member_id == self.transport.node_id:
-            return
-        if member_id not in self.ranked_members:
+        """Sequencer: order the return of a member the view holds down."""
+        if member_id in self.alive_view \
+                or member_id not in self.ranked_members:
             return
         self.alive_view.append(member_id)
         self.alive_view.sort()
         self._last_ack[member_id] = self.transport.now
-        if self.on_member_readmitted is not None:
-            self.on_member_readmitted(member_id)
-        if self.is_sequencer:
-            # Tell the whole group, in total order, that the member is
-            # back (followers cannot see the rejoin nack themselves).
-            self.broadcast({_MEMBER_UP_KEY: member_id})
+        self.broadcast({_MEMBER_UP_KEY: member_id})

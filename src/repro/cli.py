@@ -39,6 +39,7 @@ from repro.core.adversary import (
     ProbabilisticLie,
     Unresponsive,
 )
+from repro.core import oracle
 from repro.core.config import ProtocolConfig
 from repro.core.system import DeploymentSpec, ReplicationSystem
 from repro.crypto.hashing import sha1_hex
@@ -336,6 +337,11 @@ def cmd_run(args: argparse.Namespace) -> int:
     live = [m for m in system.masters if not m.crashed]
     summary["masters_converged"] = len(
         {(m.version, m.store.state_digest()) for m in live}) <= 1
+    # And hold one ownership map: every slave served by one live master.
+    summary["slave_owners"] = oracle.slave_owners(system.masters,
+                                                  system.slaves)
+    summary["ownership_violations"] = oracle.ownership_violations(
+        [*system.masters, *system.auditors], system.slaves)
     if args.json:
         print(json.dumps(summary, indent=2, default=str))
     else:
@@ -349,7 +355,8 @@ def cmd_run(args: argparse.Namespace) -> int:
     wrong = summary["classification"]["accepted_wrong"]
     detections = summary["auditor"]["detections"]
     ok = (summary["consistency_window_violations"] == 0
-          and detections >= wrong and summary["masters_converged"])
+          and detections >= wrong and summary["masters_converged"]
+          and not summary["ownership_violations"])
     return 0 if ok else 1
 
 
@@ -377,6 +384,10 @@ def _print_summary(summary: dict) -> None:
                          in summary["versions"].items())
     print(f"master versions         : {versions}"
           + ("" if summary["masters_converged"] else " (DIVERGED)"))
+    problems = summary["ownership_violations"]
+    print(f"slave ownership         : "
+          + ("one live master each" if not problems
+             else f"{len(problems)} violations: " + "; ".join(problems[:4])))
     print(f"auditor coverage        : "
           f"{summary['auditor']['pledges_audited']}/"
           f"{summary['auditor']['pledges_received']} pledges, "

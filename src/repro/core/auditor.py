@@ -58,8 +58,6 @@ _Entry = tuple[Pledge, float]
 
 #: Seconds between two samples of the backlog timelines.
 _BACKLOG_PROBE_INTERVAL = 1.0
-#: Seconds between two looks for the certificate of an unknown slave.
-_UNKNOWN_SLAVE_RETRY = 1.0
 
 
 class AuditorServer(TrustedServer):
@@ -69,10 +67,6 @@ class AuditorServer(TrustedServer):
         super().__init__(*args, **kwargs)
         #: Pledges whose version the auditor has not reached yet.
         self._parked: dict[int, deque[_Entry]] = {}
-        #: Sub-batches naming a slave we hold no certificate for yet,
-        #: with the attempts made so far; :meth:`_retry_unknown` audits
-        #: them again.
-        self._unknown: list[tuple[list[_Entry], int]] = []
         #: version -> request_hash -> trusted result hash, for the
         #: versions the history retains (:meth:`_apply_write` trims it).
         self._cache: dict[int, dict[str, str]] = {}
@@ -89,7 +83,6 @@ class AuditorServer(TrustedServer):
     def start(self) -> None:
         super().start()
         self.every(_BACKLOG_PROBE_INTERVAL, self._probe_backlog)
-        self.every(_UNKNOWN_SLAVE_RETRY, self._retry_unknown)
 
     # -- write lag (Section 3.4) ------------------------------------------
 
@@ -181,33 +174,28 @@ class AuditorServer(TrustedServer):
 
     # -- audit execution ---------------------------------------------------------
 
-    def _audit(self, entries: Iterable[_Entry], attempts: int = 0) -> None:
+    def _audit(self, entries: Iterable[_Entry]) -> None:
         """Re-execute (or cache-probe) every entry and queue the batch's
         verification as one unit of work.
 
-        An entry that cannot be audited -- unknown slave, version outside
-        the retained history, a pledged "read" that is not one -- leaves
-        the batch on its own; its batch mates are never held back.
+        An entry that cannot be audited -- a slave no enrolled certificate
+        names, a version outside the retained history, a pledged "read"
+        that is not one -- leaves the batch on its own; its batch mates
+        are never held back.
         """
         config = self.config
         # With the cache disabled (experiment A3's baseline) the cache
         # must stay completely out of the picture: no lookups, no stores,
         # no hit/miss accounting -- every audit is a full re-execution.
         cache = self._cache if config.auditor_cache_enabled else None
-        certs: dict[str, Certificate | None] = {}
         batch: list[tuple[Pledge, float, Certificate, str]] = []
-        unknown: list[_Entry] = []
-        unverifiable = 0
+        unknown = unverifiable = 0
         service = 0.0
-        for entry in entries:
-            pledge, received_at = entry
-            slave_id = pledge.slave_id
-            try:
-                cert = certs[slave_id]
-            except KeyError:
-                cert = certs[slave_id] = self.find_slave_cert(slave_id)
+        archive = self._cert_archive
+        for pledge, received_at in entries:
+            cert = archive.get(pledge.slave_id)
             if cert is None:
-                unknown.append(entry)
+                unknown += 1
                 continue
             # Signature checks: the slave's pledge signature and the
             # master stamp inside it.  Both are verifications, not
@@ -239,24 +227,13 @@ class AuditorServer(TrustedServer):
         if unverifiable:
             self.metrics.incr("audits_unverifiable", unverifiable)
         if unknown:
-            # Before the first slave-list gossip round we may not know the
-            # slave yet; retry shortly rather than dropping evidence.
-            if attempts < 30:
-                self._unknown.append((unknown, attempts + 1))
-            else:
-                self.metrics.incr("audits_unknown_slave", len(unknown))
+            self.metrics.incr("audits_unknown_slave", unknown)
         if batch:
             # The single-server queue finishes the batch when it would
             # have finished the last of its pledges one by one.
             if not config.simulate_service_times:
                 service = 0.0
             self.work.submit(service, self._finish_audit, batch)
-
-    def _retry_unknown(self) -> None:
-        """Audit again what waits for its slave's certificate."""
-        waiting, self._unknown = self._unknown, []
-        for entries, attempts in waiting:
-            self._audit(entries, attempts)
 
     def _finish_audit(
             self, batch: list[tuple[Pledge, float, Certificate, str]],
@@ -302,11 +279,7 @@ class AuditorServer(TrustedServer):
         self.metrics.incr("audit_detections")
         self.metrics.observe("audit_detection_latency",
                              self.now - pledge.stamp.timestamp)
-        owner = self.master_of.get(pledge.slave_id)
-        if owner is None:
-            owner = sorted(m for m in self.broadcast.ranked_members
-                           if m != self.node_id)[0]
-        self.send(owner, Accusation(pledge=pledge,
+        self.send(self.master_of[pledge.slave_id], Accusation(pledge=pledge,
                                     accuser_id=self.node_id,
                                     discovery="audit"))
 

@@ -146,9 +146,6 @@ class ProtocolConfig:
     #: slave resyncs; a slave further behind receives a full state
     #: snapshot instead.
     ops_log_depth: int = 1024
-    #: How often masters broadcast their slave lists to the master set
-    #: (Section 3.1; enables crash takeover).
-    slave_list_broadcast_interval: float = 10.0
     #: Heartbeat/suspicion settings for the master broadcast protocol.
     broadcast_heartbeat_interval: float = 0.25
     broadcast_suspect_after: float = 1.5

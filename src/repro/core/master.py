@@ -12,22 +12,26 @@ Masters jointly:
 * verify accusations (from clients or the auditor) against historical
   snapshots, and exclude proven-malicious slaves, reassigning their
   clients (Section 3.5);
-* periodically broadcast their slave lists so that when a master crashes
-  the survivors divide its slave set (Section 3.1).
+* divide a crashed master's slave set among the survivors (Section 3.1)
+  and hand it back when it returns.  Who owns which slave is
+  ``master_of``, a function every trusted server computes from the
+  slave certificates it was enrolled with and the membership notices
+  the broadcast delivered (:meth:`TrustedServer.owners`), so no gossip
+  of slave lists is needed and members that delivered the same slots
+  agree on it.
 """
 
 from __future__ import annotations
 
 import functools
 from collections import deque
-from typing import Any
+from typing import Any, Iterable
 
 from repro.content.queries import ReadQuery, operation_from_wire
 from repro.core.messages import (
     Accusation,
     BcastElectAuditor,
     BcastExcludeSlave,
-    BcastSlaveList,
     BcastWrite,
     ClientHello,
     DoubleCheckReply,
@@ -43,7 +47,7 @@ from repro.core.messages import (
     WriteReply,
     WriteRequest,
 )
-from repro.core.trusted import CertAnnouncement, TrustedServer
+from repro.core.trusted import TrustedServer
 from repro.crypto.certificates import Certificate
 from repro.crypto.hashing import constant_time_equals, sha1_hex
 from repro.crypto.signatures import PublicKey
@@ -67,8 +71,8 @@ class MasterServer(TrustedServer):
     def __init__(self, *args: Any, **kwargs: Any) -> None:
         super().__init__(*args, **kwargs)
         # -- slave set ----------------------------------------------------
+        #: The non-excluded slaves ``master_of`` gives this master.
         self.slaves: list[str] = []
-        self.slave_certs: dict[str, Certificate] = {}
         self.excluded_slaves: set[str] = set()
         # -- clients --------------------------------------------------------
         #: client -> slave ids currently assigned to it (quorum-sized).
@@ -93,8 +97,6 @@ class MasterServer(TrustedServer):
     def start(self) -> None:
         super().start()
         self.every(self.config.keepalive_interval, self._keepalive_round)
-        self.every(self.config.slave_list_broadcast_interval,
-                   self._gossip_slave_list)
 
     def on_recover(self) -> None:
         super().on_recover()
@@ -102,13 +104,15 @@ class MasterServer(TrustedServer):
 
     def register_slave(self, slave_id: str, address: str,
                        public_key: PublicKey) -> Certificate:
-        """Owner-time registration: certify and adopt a slave."""
-        cert = Certificate.issue(self.keys, slave_id, address, public_key,
+        """Owner-time registration: certify a slave, which makes this
+        master its home once the trusted set is enrolled with the
+        certificate (:meth:`TrustedServer.enroll`)."""
+        return Certificate.issue(self.keys, slave_id, address, public_key,
                                  issued_at=self.now)
-        self.slaves.append(slave_id)
-        self.slave_certs[slave_id] = cert
-        self.master_of[slave_id] = self.node_id
-        return cert
+
+    def enroll(self, certs: Iterable[Certificate]) -> None:
+        super().enroll(certs)
+        self.slaves = self._owned()
 
     def elect_auditors(self, auditor_ids: tuple[str, ...]) -> None:
         """Propose the auditor set via the broadcast (rank-0 master)."""
@@ -157,32 +161,20 @@ class MasterServer(TrustedServer):
         the quorum variant, makes collusion statistics match the
         hypergeometric model of experiment E9).
         """
-        usable = [s for s in self.slaves if s not in self.excluded_slaves]
-        quorum = self.config.read_quorum
-        certs: list[Certificate] = []
-        picked: list[str] = []
+        usable, quorum = self.slaves, self.config.read_quorum
         if len(usable) >= quorum:
             picked = self.rng.sample(usable, quorum)
-            certs = [self.slave_certs[s] for s in picked]
         else:
-            # Not enough local slaves: borrow from other masters' announced
-            # lists (still certified; clients verify any master's signature).
-            pool: list[Certificate] = [self.slave_certs[s] for s in usable]
-            for certs_tuple in self.announced_lists.values():
-                pool.extend(c for c in certs_tuple
-                            if c.subject_id not in self.excluded_slaves)
-            seen: set[str] = set()
-            for cert in pool:
-                if cert.subject_id not in seen:
-                    seen.add(cert.subject_id)
-                    picked.append(cert.subject_id)
-                    certs.append(cert)
-                if len(picked) == quorum:
-                    break
+            # Not enough local slaves: borrow other masters' (still
+            # certified; clients verify any master's signature).
+            picked = [*usable, *(s for s in self.master_of
+                                 if s not in self.excluded_slaves
+                                 and s not in usable)][:quorum]
             if len(picked) < quorum:
                 return None
         self.client_assignments[client_id] = tuple(picked)
-        return SlaveAssignment(slave_certificates=tuple(certs),
+        certs = tuple(self._cert_archive[s] for s in picked)
+        return SlaveAssignment(slave_certificates=certs,
                                auditor_id=self._auditor_for(client_id))
 
     def _auditor_for_static(self, client_id: str) -> str:
@@ -283,7 +275,7 @@ class MasterServer(TrustedServer):
                 self._pump_writes()
             return
         self._write_states[key] = "committed"
-        if self.broadcast.is_caught_up():
+        if self.broadcast.is_live(seq):
             commit_at = max(self.now, self._next_commit_floor)
             self._next_commit_floor = commit_at + self.config.max_latency
         else:
@@ -316,8 +308,7 @@ class MasterServer(TrustedServer):
         update = SlaveUpdate(from_version=self.version - 1,
                              ops_wire=(payload.op_wire,), stamp=stamp)
         for slave in self.slaves:
-            if slave not in self.excluded_slaves:
-                self.send(slave, update, size_bytes=1024)
+            self.send(slave, update, size_bytes=1024)
         # The master that ordered the write answers too: it delivers in
         # the call that orders it, so its reply is the first one out.
         # The origin still answers, so a crashed sequencer never leaves
@@ -345,8 +336,7 @@ class MasterServer(TrustedServer):
         # arrival gap (``keepalive_rx@``) against the send gap.
         self.metrics.record(f"keepalive_tx@{self.node_id}", self.now, 1.0)
         for slave in self.slaves:
-            if slave not in self.excluded_slaves:
-                self.send(slave, KeepAlive(stamp=stamp))
+            self.send(slave, KeepAlive(stamp=stamp))
         for auditor in self.auditor_ids:
             # Auditors time their version advancement off keep-alives too.
             self.send(auditor, KeepAlive(stamp=stamp))
@@ -456,7 +446,7 @@ class MasterServer(TrustedServer):
         hash that differs from the trusted re-execution at the pledged
         version.
         """
-        cert = self._cert_for(pledge.slave_id)
+        cert = self.find_slave_cert(pledge.slave_id)
         if cert is None:
             return "unverifiable"
         if not pledge.verify(self.keys, cert.subject_public_key):
@@ -469,12 +459,6 @@ class MasterServer(TrustedServer):
             return "innocent"
         return "guilty"
 
-    def _cert_for(self, slave_id: str) -> Certificate | None:
-        cert = self.slave_certs.get(slave_id)
-        if cert is not None:
-            return cert
-        return self.find_slave_cert(slave_id)
-
     def deliver_exclusion(self, payload: BcastExcludeSlave) -> None:
         if payload.slave_id in self.excluded_slaves:
             return
@@ -484,66 +468,36 @@ class MasterServer(TrustedServer):
             obs.event(self.node_id, "master.exclusion",
                       slave=payload.slave_id,
                       discovery=payload.discovery)
-        if payload.owning_master == self.node_id or (
-                payload.owning_master not in self.broadcast.alive_view
-                and self.broadcast.alive_view
-                and self.broadcast.alive_view[0] == self.node_id):
-            # Count each exclusion once systemwide: at the owning master
-            # (or the lead survivor when the owner is gone).
+        if self.master_of.get(payload.slave_id) == self.node_id:
+            # Count each exclusion once systemwide: at its owner, which
+            # every member names alike at this stream point.
             self.metrics.incr("exclusions")
             self.metrics.incr(f"exclusions_{payload.discovery}")
-        if payload.slave_id in self.slaves:
-            self.slaves.remove(payload.slave_id)
-            # Contact every client of ours assigned to the excluded slave
-            # and move it to a replacement (Section 3.5).
-            for client_id, assigned in list(self.client_assignments.items()):
-                if payload.slave_id not in assigned:
-                    continue
-                replacement = self._make_assignment(client_id)
-                if replacement is None:
-                    self.send(client_id, SetupFailed(
-                        reason="no replacement slaves"))
-                    continue
-                self.send(client_id, ExclusionNotice(
-                    excluded_slave_id=payload.slave_id,
-                    replacement=replacement))
-                self.metrics.incr("clients_reassigned")
+        self.slaves = self._owned()
+        # Contact every client of ours assigned to the excluded slave,
+        # whoever owns it -- a client set up on an adopter keeps the
+        # slave after its home takes it back -- and move it to a
+        # replacement (Section 3.5).
+        for client_id, assigned in list(self.client_assignments.items()):
+            if payload.slave_id not in assigned:
+                continue
+            replacement = self._make_assignment(client_id)
+            if replacement is None:
+                self.send(client_id, SetupFailed(
+                    reason="no replacement slaves"))
+                continue
+            self.send(client_id, ExclusionNotice(
+                excluded_slave_id=payload.slave_id,
+                replacement=replacement))
+            self.metrics.incr("clients_reassigned")
 
-    def on_trusted_member_recovered(self, member_id: str) -> None:
-        """A recovered auditor rejoins the failover rotation."""
-        if member_id in self._dead_auditors:
-            self._dead_auditors.discard(member_id)
-            self.metrics.incr("auditor_recovery_noticed")
-
-    # -- slave-list gossip and crash takeover (Section 3.1) --------------------
-
-    def _gossip_slave_list(self) -> None:
-        certs = tuple(self.slave_certs[s] for s in self.slaves
-                      if s not in self.excluded_slaves)
-        self.broadcast.broadcast(BcastSlaveList(
-            master_id=self.node_id,
-            slave_ids=tuple(c.subject_id for c in certs)))
-        # Certificates ride outside the envelope: deliver_slave_list only
-        # records ids; certs are synced point-to-point to keep broadcast
-        # payloads canonical.
-        self._announce_certs(certs)
-
-    def _announce_certs(self, certs: tuple[Certificate, ...]) -> None:
-        """Point-to-point cert dissemination accompanying the broadcast."""
-        for member in self.broadcast.ranked_members:
-            if member != self.node_id:
-                self.send(member, CertAnnouncement(
-                    master_id=self.node_id, certs=certs), size_bytes=2048)
+    # -- crash takeover and hand-back (Section 3.1) ---------------------------
 
     def on_trusted_member_crashed(self, member_id: str) -> None:
-        """Divide a crashed master's slave set among the survivors.
-
-        Section 3.1: "in the event of a master crash, the remaining ones
-        will divide its slave set."  The division is deterministic
-        (rank-ordered round-robin over the crashed master's last announced
-        list), so every survivor adopts a disjoint share without extra
-        coordination.
-        """
+        """A delivered notice took ``member_id`` out of the view: the
+        survivors divide a master's slave set (``master_of`` now says
+        how), and an auditor's clients fail over."""
+        super().on_trusted_member_crashed(member_id)
         if member_id in self.auditor_ids:
             # Auditor failover: clients whose pledge stream targeted the
             # crashed auditor are re-pointed at a surviving one so their
@@ -561,30 +515,43 @@ class MasterServer(TrustedServer):
                             excluded_slave_id="", replacement=replacement))
                         self.metrics.incr("clients_auditor_failover")
             return
-        self.metrics.incr("master_crash_noticed")
-        # Timestamped so harnesses can measure detection latency (the gap
-        # between injecting a crash and the survivors acting on it).
-        self.metrics.record("master_crash_detections", self.now, 1.0)
-        obs = self.simulator.obs
-        if obs is not None:
-            obs.event(self.node_id, "master.takeover",
-                      crashed=member_id)
-        orphan_certs = self.announced_lists.pop(member_id, ())
-        survivors = sorted(m for m in self.broadcast.alive_view
-                           if m not in self.auditor_ids)
-        if not survivors or self.node_id not in survivors:
-            return
-        my_rank = survivors.index(self.node_id)
-        for index, cert in enumerate(orphan_certs):
-            if index % len(survivors) != my_rank:
-                continue
-            slave_id = cert.subject_id
-            if slave_id in self.excluded_slaves or slave_id in self.slaves:
-                continue
-            self.slaves.append(slave_id)
-            self.slave_certs[slave_id] = cert
-            self.master_of[slave_id] = self.node_id
-            self.metrics.incr("slaves_adopted")
-            # The adopted slave hears our next keep-alive, notices the
-            # version gap (if any) and resyncs from us.
-            self.send(slave_id, KeepAlive(stamp=self.current_stamp()))
+        if member_id != self.node_id:
+            self.metrics.incr("master_crash_noticed")
+            # Timestamped so harnesses can measure detection latency (the
+            # gap between injecting a crash and the survivors acting).
+            self.metrics.record("master_crash_detections", self.now, 1.0)
+            obs = self.simulator.obs
+            if obs is not None:
+                obs.event(self.node_id, "master.takeover",
+                          crashed=member_id)
+        self._take_ownership()
+
+    def on_trusted_member_recovered(self, member_id: str) -> None:
+        """A recovered auditor rejoins the failover rotation; a recovered
+        master takes its slaves back."""
+        super().on_trusted_member_recovered(member_id)
+        if member_id in self._dead_auditors:
+            self._dead_auditors.discard(member_id)
+            self.metrics.incr("auditor_recovery_noticed")
+        self._take_ownership()
+
+    def _owned(self) -> list[str]:
+        return [slave for slave, owner in self.master_of.items()
+                if owner == self.node_id
+                and slave not in self.excluded_slaves]
+
+    def _take_ownership(self) -> None:
+        """Serve exactly the slaves ``master_of`` now gives us."""
+        owned = self._owned()
+        gained = [slave for slave in owned if slave not in self.slaves]
+        self.slaves = owned
+        if gained:
+            self.metrics.incr("slaves_adopted", len(gained))
+            if self.broadcast.is_caught_up():
+                # An adopted slave hears our stamp now, notices the
+                # version gap (if any) and resyncs from us; a master still
+                # replaying signs nothing stale and reaches it at its
+                # next round.
+                stamp = self.current_stamp()
+                for slave in gained:
+                    self.send(slave, KeepAlive(stamp=stamp))

@@ -484,7 +484,9 @@ class BcastElectAuditor:
 
 @dataclass(frozen=True, slots=True)
 class BcastSlaveList:
-    """Periodic slave-list announcement (enables crash takeover)."""
+    """Retired slave-list announcement, delivered as a no-op: slave
+    ownership is a function of the enrolled certificates and the
+    delivered membership, so nothing sends one.  Kept for its wire id."""
 
     master_id: str
     slave_ids: tuple[str, ...]

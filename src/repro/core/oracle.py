@@ -16,18 +16,23 @@ longest archive.  The simulator's post-run methods pin rank 0 instead.
 Presentations of these results live with their consumers: count dicts
 on ``ReplicationSystem``, named pass/fail verdicts in
 :mod:`repro.chaos.invariants`.
+
+:func:`ownership_violations` judges the trusted set's other replicated
+state, who serves which slave, the same way: from outside, at the end.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Any, Protocol
+from typing import Any, Protocol, Sequence
 
 from repro.content.queries import ReadQuery, operation_from_wire
 from repro.content.store import ContentStore
 from repro.core.client import Client
 from repro.core.config import ProtocolConfig
 from repro.core.master import MasterServer
+from repro.core.slave import SlaveServer
+from repro.core.trusted import TrustedServer
 from repro.crypto.hashing import constant_time_equals, sha1_hex
 from repro.sim.network import Node
 
@@ -149,11 +154,48 @@ def consistency_window_violations(
     return violations
 
 
+def slave_owners(masters: Sequence[MasterServer],
+                 slaves: Sequence[SlaveServer]) -> dict[str, list[str]]:
+    """Every slave no live master has excluded -> the live masters
+    whose ``slaves`` hold it."""
+    live = [m for m in masters if not m.crashed]
+    excluded = {slave for m in live for slave in m.excluded_slaves}
+    return {slave.node_id: [m.node_id for m in live
+                            if slave.node_id in m.slaves]
+            for slave in slaves if slave.node_id not in excluded}
+
+
+def ownership_violations(trusted: Sequence[TrustedServer],
+                         slaves: Sequence[SlaveServer]) -> list[str]:
+    """Section 3.1's division, judged once the run is over: each slave
+    of :func:`slave_owners` is held by exactly one live master, every
+    live trusted server's ``master_of`` names that master, and the
+    slave, if up, is fresh."""
+    masters = [n for n in trusted if isinstance(n, MasterServer)]
+    maps = {n.node_id: n.master_of for n in trusted if not n.crashed}
+    up = {slave.node_id: slave for slave in slaves if not slave.crashed}
+    problems: list[str] = []
+    for slave_id, owners in slave_owners(masters, slaves).items():
+        if len(owners) != 1:
+            problems.append(f"{slave_id} held by {owners or 'no live master'}")
+            continue
+        dissent = sorted(node for node, master_of in maps.items()
+                         if master_of.get(slave_id) != owners[0])
+        if dissent:
+            problems.append(f"{slave_id} held by {owners[0]}, but "
+                            f"master_of at {dissent} names another")
+        if slave_id in up and not up[slave_id].is_fresh():
+            problems.append(f"{slave_id} is not fresh")
+    return problems
+
+
 __all__ = [
     "ClusterLike",
     "ReadClassification",
     "classify_accepted_reads",
     "consistency_window_violations",
+    "ownership_violations",
     "reference_master",
+    "slave_owners",
     "trusted_version_stores",
 ]

@@ -189,6 +189,7 @@ class CastBuilder:
             self.directory.publish(cast.fingerprint,
                                    cast.certs[master.node_id])
 
+        slave_certs: list[Certificate] = []
         for i, master in enumerate(cast.masters):
             for j in range(spec.slaves_per_master):
                 slave_id = cast.name(f"slave-{i:02d}-{j:02d}")
@@ -200,8 +201,13 @@ class CastBuilder:
                 self._slaves_built += 1
                 cast.slaves.append(slave)
                 yield slave
-                master.register_slave(slave_id, self.address_of(slave_id),
-                                      slave.keys.public_key)
+                slave_certs.append(master.register_slave(
+                    slave_id, self.address_of(slave_id),
+                    slave.keys.public_key))
+        # Every trusted server knows every slave and its home from the
+        # start: ownership is then a function of the delivered view.
+        for server in (*cast.masters, *cast.auditors):
+            server.enroll(slave_certs)
 
     def clients(self, cast: Cast,
                 max_latency_overrides: Mapping[int, float] | None = None,
@@ -299,9 +305,9 @@ class ReplicationSystem:
     def start(self, settle: float = 3.0) -> None:
         """Start every node, run the auditor election, let things settle.
 
-        ``settle`` seconds of simulated time give the election, the first
-        keep-alives and the first slave-list gossip time to propagate, so
-        clients connecting afterwards get complete assignments.
+        ``settle`` seconds of simulated time give the election and the
+        first keep-alives time to propagate, so clients connecting
+        afterwards find fresh slaves.
         """
         if self._started:
             raise RuntimeError("system already started")

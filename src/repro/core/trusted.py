@@ -4,7 +4,9 @@ Everything in Section 3 that is common to the whole trusted set lives
 here:
 
 * membership in the totally-ordered broadcast and the dispatch of
-  delivered payloads (writes, auditor election, slave lists, exclusions);
+  delivered payloads (writes, auditor election, exclusions);
+* slave ownership, a function of the enrolled certificates and the
+  delivered membership (:meth:`TrustedServer.owners`);
 * the signed ``content_version`` state and bounded version history used
   to verify accusations against past versions;
 * the single-server work queue that turns content-store cost units and
@@ -16,7 +18,7 @@ from __future__ import annotations
 
 from collections import deque
 from dataclasses import dataclass
-from typing import Any, Callable
+from typing import Any, Callable, Iterable
 
 from repro.broadcast.totalorder import BroadcastEnvelope, TotalOrderBroadcast
 from repro.content.queries import ReadQuery, operation_from_wire
@@ -42,12 +44,9 @@ from repro.sim.simulator import EventHandle, Simulator
 
 @dataclass(frozen=True)
 class CertAnnouncement:
-    """Master -> trusted set: certificates backing a slave-list broadcast.
-
-    Certificates travel point-to-point (not in the broadcast payload) so
-    broadcast payloads stay small; the ordered :class:`BcastSlaveList`
-    remains the authoritative ownership record.
-    """
+    """Retired: master -> trusted set slave certificates.  Nothing sends
+    it since every trusted server is enrolled with every certificate at
+    build time; its wire id stays reserved."""
 
     master_id: str
     certs: tuple
@@ -120,14 +119,14 @@ class TrustedServer(Node):
         self._drain_timer: EventHandle | None = None
         #: The elected auditor set (empty until the election delivers).
         self.auditor_ids: tuple[str, ...] = ()
-        #: slave -> owning master, systemwide (from slave-list broadcasts).
+        #: slave -> owning master, systemwide: :meth:`owners` as of the
+        #: last delivered membership notice.
         self.master_of: dict[str, str] = {}
-        #: master -> its announced slave certificates (point-to-point
-        #: dissemination accompanying the slave-list broadcasts).
-        self.announced_lists: dict[str, tuple[Certificate, ...]] = {}
-        #: Every slave certificate ever seen, kept forever so historical
+        #: Every enrolled slave certificate, kept forever so historical
         #: pledge signatures stay verifiable after exclusions/takeovers.
         self._cert_archive: dict[str, Certificate] = {}
+        #: Home master -> its slaves, in enrollment order.
+        self._homes: dict[str, list[str]] = {}
         self.work = WorkQueue(self)
         self.broadcast = TotalOrderBroadcast(
             self,
@@ -159,12 +158,6 @@ class TrustedServer(Node):
     def on_message(self, src_id: str, message: Any) -> None:
         if isinstance(message, BroadcastWrapper):
             self.broadcast.handle_message(src_id, message.envelope)
-        elif isinstance(message, CertAnnouncement):
-            self.announced_lists[message.master_id] = message.certs
-            # Archive permanently: pledges signed by a since-excluded
-            # slave must remain verifiable (the pledge is the evidence).
-            for cert in message.certs:
-                self._cert_archive[cert.subject_id] = cert
         else:
             self.handle_protocol_message(src_id, message)
 
@@ -187,7 +180,7 @@ class TrustedServer(Node):
         elif isinstance(payload, BcastElectAuditor):
             self.deliver_auditor_election(payload)
         elif isinstance(payload, BcastSlaveList):
-            self.deliver_slave_list(payload)
+            pass  # retired: ownership follows the delivered membership
         elif isinstance(payload, BcastExcludeSlave):
             self.deliver_exclusion(payload)
         else:
@@ -235,31 +228,50 @@ class TrustedServer(Node):
         if not self.auditor_ids:
             self.auditor_ids = tuple(payload.auditor_ids)
 
-    def deliver_slave_list(self, payload: BcastSlaveList) -> None:
-        """Track slave ownership systemwide (enables accusation routing
-        and crash takeover)."""
-        for slave_id in payload.slave_ids:
-            self.master_of[slave_id] = payload.master_id
-
     def find_slave_cert(self, slave_id: str) -> Certificate | None:
         """Locate a slave's certificate (archived forever), or None."""
-        cert = self._cert_archive.get(slave_id)
-        if cert is not None:
-            return cert
-        for certs in self.announced_lists.values():
-            for candidate in certs:
-                if candidate.subject_id == slave_id:
-                    return candidate
-        return None
+        return self._cert_archive.get(slave_id)
 
     def deliver_exclusion(self, payload: BcastExcludeSlave) -> None:
         """A slave was proven malicious; subclasses react."""
 
+    # -- slave ownership (Section 3.1) ---------------------------------------
+
+    def enroll(self, certs: Iterable[Certificate]) -> None:
+        """Build time: learn every slave certificate of the trusted set.
+        A slave's home is the master that issued its certificate."""
+        for cert in certs:
+            self._cert_archive[cert.subject_id] = cert
+            self._homes.setdefault(cert.issuer_id, []).append(
+                cert.subject_id)
+        self.master_of = self.owners()
+
+    def owners(self) -> dict[str, str]:
+        """slave -> master, from the enrolled certificates and the
+        delivered view alone, so every member computes the same map.
+
+        A slave stays at its home while the home is up; otherwise it
+        goes to ``live[i % len(live)]``, ``live`` being the masters up in
+        rank order and ``i`` its index among its home's slaves (Section
+        3.1: "the remaining ones will divide its slave set").  A home
+        that comes back up takes its slaves back.
+        """
+        view = self.broadcast.alive_view
+        live = [m for m in view if m in self._homes]
+        return {slave: home if home in view or not live
+                else live[i % len(live)]
+                for home, slaves in self._homes.items()
+                for i, slave in enumerate(slaves)}
+
     def on_trusted_member_crashed(self, member_id: str) -> None:
-        """Broadcast layer suspects ``member_id`` crashed; subclasses react."""
+        """A delivered notice took ``member_id`` out of the view, at
+        every member, the subject too: ownership follows.  Subclasses
+        extend."""
+        self.master_of = self.owners()
 
     def on_trusted_member_recovered(self, member_id: str) -> None:
-        """A previously-suspected member rejoined; subclasses react."""
+        """A delivered notice put ``member_id`` back: so do its slaves."""
+        self.master_of = self.owners()
 
     # -- version state ----------------------------------------------------------
 

@@ -102,7 +102,6 @@ def fast_protocol_config(**overrides: Any) -> ProtocolConfig:
         audit_grace=0.4,
         request_timeout=2.0,
         max_read_retries=5,
-        slave_list_broadcast_interval=2.0,
         broadcast_heartbeat_interval=0.25,
         broadcast_suspect_after=1.5,
         # Wall time IS the service time over sockets: charging the

@@ -124,7 +124,9 @@ class TestRunCommand:
     def test_overlapping_crashes_converge(self):
         """The sequencer and the auditor down together: the run exits 0
         only if every master ends at one version (a forked order ended
-        this run at 8, 7, 7)."""
+        this run at 8, 7, 7) and every slave is served by exactly one
+        live master (divided by per-member views, both of master-00's
+        slaves ended it served by two)."""
         code, output = self.run_cli(
             "--seed", "0",
             "--masters", "3", "--clients", "4", "--content-size", "5",
@@ -136,6 +138,10 @@ class TestRunCommand:
         assert code == 0
         assert summary["masters_converged"]
         assert len(set(summary["versions"].values())) == 1
+        assert summary["ownership_violations"] == []
+        assert len(summary["slave_owners"]) == 6
+        assert all(len(owners) == 1
+                   for owners in summary["slave_owners"].values())
 
     def test_bad_crash_spec_rejected(self):
         with pytest.raises(SystemExit, match="bad --crash"):

@@ -133,7 +133,7 @@ class TestSlaveCertificateCheck:
         stranger = system.clients[1].keys
         unknown_issuer = Certificate.issue(
             stranger, "slave-x", "x:1", slave.keys.public_key, issued_at=0.0)
-        good = master.slave_certs[master.slaves[0]]
+        good = master.find_slave_cert(master.slaves[0])
         forged = dataclasses.replace(good, subject_id="slave-y")
         getattr(client, entry)(SlaveAssignment(
             slave_certificates=(unknown_issuer, forged),

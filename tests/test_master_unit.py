@@ -8,7 +8,7 @@ from repro.content.kvstore import KVGet, KeyValueStore
 from repro.core.config import ProtocolConfig
 from repro.core.master import MasterServer
 from repro.qos.tokens import TokenBucket
-from repro.core.messages import Pledge, VersionStamp
+from repro.core.messages import BcastExcludeSlave, Pledge, VersionStamp
 from repro.crypto.hashing import sha1_hex
 from repro.crypto.keys import KeyPair
 from repro.crypto.signatures import HMACSigner
@@ -53,7 +53,8 @@ def master():
 @pytest.fixture
 def slave_keys(master):
     keys = KeyPair("slave-00-00", HMACSigner())
-    master.register_slave("slave-00-00", "addr", keys.public_key)
+    master.enroll([master.register_slave("slave-00-00", "addr",
+                                         keys.public_key)])
     return keys
 
 
@@ -124,8 +125,11 @@ class TestAssignment:
     def test_assignment_excludes_excluded(self, master, slave_keys):
         master.auditor_ids = ("zz-auditor-00",)
         keys2 = KeyPair("slave-00-01", HMACSigner())
-        master.register_slave("slave-00-01", "addr2", keys2.public_key)
-        master.excluded_slaves.add("slave-00-00")
+        master.enroll([master.register_slave("slave-00-01", "addr2",
+                                             keys2.public_key)])
+        master.deliver_exclusion(BcastExcludeSlave(
+            slave_id="slave-00-00", owning_master="master-00",
+            evidence_request_id="c:r0", discovery="audit"))
         for _ in range(10):
             assignment = master._make_assignment("client-00")
             assert assignment is not None

@@ -27,6 +27,7 @@ from hypothesis import strategies as st
 from repro.content.kvstore import KVGet, KVPut
 from repro.core.adversary import ProbabilisticLie
 from repro.core.config import ProtocolConfig
+from repro.core.oracle import ownership_violations
 from repro.sim.failures import ScheduledFault
 
 from .conftest import make_system
@@ -125,7 +126,6 @@ def crashed_run(faults, ops, seed=0, keepalive_interval=0.5):
         seed=seed, num_masters=3, num_clients=4,
         protocol=ProtocolConfig(max_latency=2.0,
                                 keepalive_interval=keepalive_interval,
-                                slave_list_broadcast_interval=2.0,
                                 request_timeout=2.0,
                                 double_check_probability=0.1))
     system.start()
@@ -214,7 +214,6 @@ class TestProtocolProperties:
             seed=seed, num_masters=3, num_clients=4,
             protocol=ProtocolConfig(max_latency=2.0,
                                     keepalive_interval=0.5,
-                                    slave_list_broadcast_interval=2.0,
                                     double_check_probability=0.1))
         system.start()
         system.failures.crash_at(system.masters[crash_master],
@@ -234,9 +233,10 @@ class TestProtocolProperties:
     def test_trusted_set_rides_out_crashes(self, seed, faults, ops):
         """Whichever trusted server crashes and recovers, one at a
         time, and whenever: every submitted write commits exactly once,
-        the trusted servers converge, and every node is left with
-        exactly the timers an unfaulted run of the same length ends
-        with -- no chain lost to a crash, none doubled by a recovery."""
+        the trusted servers converge -- content and slave ownership --
+        and every node is left with exactly the timers an unfaulted run
+        of the same length ends with -- no chain lost to a crash, none
+        doubled by a recovery."""
         system, outcomes = crashed_run(faults, ops, seed)
         writes = sum(1 for kind, _k, _v in ops if kind == "write")
         assert [o["status"] for o in outcomes] == ["committed"] * writes
@@ -244,6 +244,7 @@ class TestProtocolProperties:
         assert not any(node.crashed for node in trusted)
         assert [node.version for node in trusted] == [writes] * 4
         assert len({node.store.state_digest() for node in trusted}) == 1
+        assert ownership_violations(trusted, system.slaves) == []
         assert system.classify_accepted_reads()["accepted_wrong"] == 0
         assert system.check_consistency_window() == []
         unfaulted, _outcomes = crashed_run([], ops, seed)
@@ -309,12 +310,13 @@ class TestOverlappingCrashes:
         """Any two trusted servers down together, once or twice: one
         order, no read accepted outside its window, and -- once all are
         back -- one version that holds every write acknowledged
-        committed."""
+        committed, and every slave served by one master all agree on."""
         system, outcomes = crashed_run(faults, OVERLAPPING_OPS, seed,
                                        keepalive_interval=1.0)
         trusted = [*system.masters, *system.auditors]
         assert not any(node.crashed for node in trusted)
         assert len({node.store.state_digest() for node in trusted}) == 1
+        assert ownership_violations(trusted, system.slaves) == []
         assert system.classify_accepted_reads()["accepted_wrong"] == 0
         assert system.check_consistency_window() == []
         versions = {node.version for node in trusted}

@@ -1,17 +1,22 @@
 """Integration tests: benign crash failures of trusted servers.
 
-Section 3.1: masters periodically broadcast their slave lists "so in the
-event of a master crash, the remaining ones will divide its slave set.
-This also entails that all the clients connected to the crashed server
-will have to go through the setup process again."
+Section 3.1: "in the event of a master crash, the remaining ones will
+divide its slave set.  This also entails that all the clients connected
+to the crashed server will have to go through the setup process again."
+Who owns which slave is replicated state: every trusted server computes
+it from its enrolled certificates and the delivered membership.
 """
 
 from __future__ import annotations
 
 import random
 
+import pytest
+
 from repro.content.kvstore import KVGet, KVPut
+from repro.core import oracle
 from repro.core.config import ProtocolConfig
+from repro.core.messages import BcastExcludeSlave
 
 from .conftest import make_system
 
@@ -31,12 +36,11 @@ class TestMasterCrash:
     def build(self, **kwargs):
         defaults = dict(
             num_masters=3, slaves_per_master=2, num_clients=6,
-            protocol=ProtocolConfig(double_check_probability=0.05,
-                                    slave_list_broadcast_interval=3.0))
+            protocol=ProtocolConfig(double_check_probability=0.05))
         defaults.update(kwargs)
         system = make_system(**defaults)
         system.start()
-        system.run_for(5.0)  # let slave-list gossip land
+        system.run_for(5.0)
         return system
 
     def test_survivors_divide_slave_set(self):
@@ -111,6 +115,73 @@ class TestMasterCrash:
         system.run_for(60.0)
         assert results and results[0]["status"] == "committed"
         assert system.masters[1].version == system.masters[2].version == 1
+
+
+def owned_once(system):
+    """The ownership invariant's violations (none when it holds)."""
+    return oracle.ownership_violations(
+        [*system.masters, *system.auditors], system.slaves)
+
+
+class TestOwnership:
+    """A crashed master's slaves are divided by the delivered view, so
+    no slave ends with no live owner or two, and every member holds the
+    same ``master_of``."""
+
+    @pytest.mark.parametrize("num_masters, seed, second, second_at", [
+        (4, 85, 2, 0.14),   # slave-00-01 used to end with no owner
+        (5, 205, 1, 0.19),  # slave-00-00 likewise
+    ])
+    def test_sequencer_then_a_follower_crash_orphan_nothing(
+            self, num_masters, seed, second, second_at):
+        """The sequencer crashes for good, a second master 0.13-0.18 s
+        later, inside the first's suspicion window: the survivors keep
+        a majority, and every slave ends owned once and fresh."""
+        system = make_system(num_masters=num_masters, slaves_per_master=2,
+                             num_clients=4, seed=seed,
+                             protocol=ProtocolConfig())
+        system.start()
+        system.run_for(5.5)
+        system.failures.crash_at(system.masters[0], system.now + 0.01)
+        system.failures.crash_at(system.masters[second],
+                                 system.now + second_at)
+        system.run_for(40.0)
+        assert owned_once(system) == []
+        assert all(slave.is_fresh() for slave in system.slaves)
+
+    def test_an_adopted_slave_excluded_after_going_home(self):
+        """A client set up on an adopter keeps the adopted slave when
+        its home takes it back; excluded after that, the slave must
+        still be taken from the client and what it vouched for alone
+        tainted."""
+        system = make_system(
+            num_masters=3, slaves_per_master=1, num_clients=6,
+            protocol=ProtocolConfig(read_quorum=2,
+                                    double_check_probability=0.0))
+        home, adopted = system.masters[2], "slave-02-00"
+        system.failures.crash_at(home, 0.1)
+        system.start(settle=5.0)
+        adopter = system.node(system.masters[0].master_of[adopted])
+        assert adopted in adopter.slaves and owned_once(system) == []
+        client = next(c for c in system.clients
+                      if c.master_id == adopter.node_id)
+        assert adopted in client.assigned_slaves
+        for index in range(3):
+            system.schedule_op(client, system.now + 0.5 * index,
+                               KVGet(key=f"k{index:03d}"))
+        system.run_for(3.0)
+        system.failures.recover_at(home, system.now)
+        system.run_for(5.0)
+        assert home.slaves == [adopted] and adopted not in adopter.slaves
+        assert owned_once(system) == []
+        assert adopted in client.assigned_slaves  # no notice on hand-back
+        system.masters[1].broadcast.broadcast(BcastExcludeSlave(
+            slave_id=adopted, owning_master=home.node_id,
+            evidence_request_id="c:r0", discovery="audit"))
+        system.run_for(2.0)
+        assert adopted not in client.assigned_slaves
+        assert len(client.tainted_reads) == 3
+        assert system.metrics.count("exclusions") == 1
 
 
 class TestMasterRecovery:
@@ -256,8 +327,7 @@ class TestCombinedChaos:
         system = make_system(
             num_masters=3, slaves_per_master=2, num_clients=6,
             loss_probability=0.02, seed=31,
-            protocol=ProtocolConfig(double_check_probability=0.1,
-                                    slave_list_broadcast_interval=3.0),
+            protocol=ProtocolConfig(double_check_probability=0.1),
             adversaries={0: ProbabilisticLie(0.2, rng=random.Random(8))})
         system.start()
         system.run_for(5.0)

@@ -24,8 +24,7 @@ def build():
     system = make_system(
         num_masters=3, num_clients=6,
         protocol=ProtocolConfig(max_latency=3.0, keepalive_interval=0.8,
-                                double_check_probability=0.0,
-                                slave_list_broadcast_interval=4.0))
+                                double_check_probability=0.0))
     system.start()
     return system
 
@@ -124,8 +123,7 @@ class TestCommitDueWhileDown:
         system = make_system(
             num_masters=3, num_clients=6,
             protocol=ProtocolConfig(max_latency=3.0, keepalive_interval=0.8,
-                                    double_check_probability=1.0,
-                                    slave_list_broadcast_interval=4.0))
+                                    double_check_probability=1.0))
         system.start()
         system.run_for(5.0)
         home = {}

@@ -39,7 +39,6 @@ def soak_system():
         keepalive_interval=0.8,
         double_check_probability=0.08,
         read_quorum=2,
-        slave_list_broadcast_interval=4.0,
         max_read_retries=4,
         # Tight double-check budget so the greedy client (0.5 checks/s)
         # actually exceeds it.

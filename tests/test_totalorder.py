@@ -248,9 +248,12 @@ class TestViewChange:
         sim.run_for(5.0)
         members[1].engine.broadcast("c")
         sim.run_for(5.0)
+        # Slot 2 is m0's member_down, ordered by m1 at its first tick
+        # as sequencer and delivered to no host as a payload.
         seqs = [seq for seq, _o, _p in members[2].delivered]
-        assert seqs == [0, 1, 2]
+        assert seqs == [0, 1, 3]
         assert payloads(members[2]) == ["a", "b", "c"]
+        assert members[1].delivered == members[2].delivered
 
     def test_recovered_member_catches_up(self):
         sim, _net, members = build_group(n=3)
@@ -306,18 +309,45 @@ class TestViewChange:
         assert members[1].engine.view_changes == 1
 
     def test_member_removed_callback_fires(self):
-        sim = Simulator()
-        net = Network(sim, latency=ConstantLatency(0.01))
-        ids = ["m0", "m1"]
+        """At delivery of the ordered notice: two members would have no
+        majority to order it, so three."""
         removed = []
-        a = Member("m0", sim, net, ids)
-        b = Member("m1", sim, net, ids,
-                   on_member_removed=removed.append)
-        a.start()
-        b.start()
-        a.crash()
+        sim, _net, members = build_group(
+            n=3, on_member_removed=removed.append)
+        members[0].crash()
         sim.run_for(5.0)
-        assert removed == ["m0"]
+        assert removed == ["m0", "m0"]  # at m1 and at m2
+
+    def test_every_member_sees_one_membership_sequence(self):
+        """A follower crashes and recovers, then the sequencer: every
+        member, the subject included, delivers the same up/down notices
+        in the same order -- none acts on a suspicion of its own."""
+        notices = {}
+
+        def watch(member):
+            seen = notices[member.node_id] = []
+            member.engine.on_member_removed = \
+                lambda m: seen.append(("down", m))
+            member.engine.on_member_readmitted = \
+                lambda m: seen.append(("up", m))
+
+        sim, _net, members = build_group(n=3, before_start=watch)
+        members[2].crash()
+        members[1].engine.broadcast("while-m2-down")
+        sim.run_for(4.0)
+        members[2].recover()
+        sim.run_for(4.0)
+        members[0].crash()
+        sim.run_for(4.0)
+        members[1].engine.broadcast("while-m0-down")
+        members[0].recover()
+        sim.run_for(8.0)
+        expected = [("down", "m2"), ("up", "m2"),
+                    ("down", "m0"), ("up", "m0")]
+        assert notices == {"m0": expected, "m1": expected, "m2": expected}
+        assert members[0].delivered == members[1].delivered \
+            == members[2].delivered
+        assert payloads(members[0]) == ["while-m2-down", "while-m0-down"]
 
 
 def run_watching(sim, members, seconds, step=0.01):
