@@ -118,17 +118,28 @@ def _serialise(value: Any, out: list[bytes]) -> None:
     framer = _SCALAR_FRAMERS.get(cls)
     if framer is not None:
         out.append(framer(value))
-    elif isinstance(value, list):
-        out.append(b"L%d;" % len(value))
-        for item in value:
-            _serialise(item, out)
-    elif isinstance(value, tuple):
-        out.append(b"T%d;" % len(value))
-        for item in value:
-            _serialise(item, out)
     elif isinstance(value, dict):
+        shape = tuple(value)
+        plan = _PLANS.get(shape)
+        if plan is None and len(_PLANS) < PLAN_LIMIT:
+            plan = _make_plan(shape)
+        if plan is not None:
+            for key in shape:
+                if key.__class__ is not str:
+                    break  # equal to a planned key, but not a plain str
+            else:
+                out.append(plan[0])
+                for key, framed in plan[1]:
+                    item = value[key]
+                    if item.__class__ is str:
+                        data = item.encode()
+                        out.append(b"%bS%d:%b" % (framed, len(data), data))
+                    else:
+                        out.append(framed)
+                        _serialise(item, out)
+                return
         out.append(b"D%d;" % len(value))
-        for key in value:
+        for key in shape:
             if key.__class__ is not str:
                 keys = sorted(value, key=_sort_key)
                 break
@@ -140,6 +151,14 @@ def _serialise(value: Any, out: list[bytes]) -> None:
         for key in keys:
             _serialise(key, out)
             _serialise(value[key], out)
+    elif isinstance(value, list):
+        out.append(b"L%d;" % len(value))
+        for item in value:
+            _serialise(item, out)
+    elif isinstance(value, tuple):
+        out.append(b"T%d;" % len(value))
+        for item in value:
+            _serialise(item, out)
     elif isinstance(value, (set, frozenset)):
         out.append(b"E%d;" % len(value))
         for item in sorted(value, key=_sort_key):
@@ -158,6 +177,46 @@ def _serialise(value: Any, out: list[bytes]) -> None:
 def _sort_key(value: Any) -> tuple[str, str]:
     """Total order across mixed-type keys: by type name, then by repr."""
     return (type(value).__name__, repr(value))
+
+
+# -- dict plans ------------------------------------------------------------
+#
+# The dicts a read walks -- its query, its result -- repeat a handful of
+# key sets, and sorting those keys by ``repr`` was most of a walk.  A
+# plan holds one key set's canonical order and framed key bytes; it is
+# found by the dict's keys alone, so nothing of a value is ever kept.
+# The table never evicts: past its bounds a dict is walked as before,
+# so the bytes never depend on what the table holds.
+
+#: Most plans the table holds (worst case PLAN_LIMIT x PLAN_BYTES).
+PLAN_LIMIT = 256
+#: Most keys a planned dict has.
+PLAN_KEYS = 16
+#: Most framed key bytes one plan holds.
+PLAN_BYTES = 256
+
+#: Key set in insertion order -> (dict head, ((key, framed key), ...)).
+_PLANS: dict[tuple[str, ...],
+             tuple[bytes, tuple[tuple[str, bytes], ...]]] = {}
+
+
+def _make_plan(shape: tuple[Any, ...]
+               ) -> tuple[bytes, tuple[tuple[str, bytes], ...]] | None:
+    """Plan (and file) a dict with the keys ``shape``, or ``None`` when
+    a key is not exactly a ``str`` or the key set is past the bounds."""
+    if len(shape) > PLAN_KEYS:
+        return None
+    for key in shape:
+        if key.__class__ is not str:
+            return None
+    if sum(map(len, shape)) > PLAN_BYTES:
+        return None  # a character frames to a byte or more
+    steps = tuple((key, _frame_str(key)) for key in sorted(shape, key=repr))
+    if sum(len(framed) for _, framed in steps) > PLAN_BYTES:
+        return None
+    plan = (b"D%d;" % len(shape), steps)
+    _PLANS[shape] = plan
+    return plan
 
 
 # -- fixed-shape signed records -------------------------------------------

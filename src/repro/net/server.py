@@ -26,6 +26,8 @@ crash a server.
 from __future__ import annotations
 
 import asyncio
+import heapq
+import math
 import random
 from typing import Any, Callable
 
@@ -55,32 +57,15 @@ from repro.sim.simulator import EventHandle, Simulator, restore_context
 PROTECTED_MESSAGE_TYPES: tuple[type, ...] = (KeepAlive, Accusation)
 
 
-class RealtimeHandle(EventHandle):
-    """An :class:`EventHandle` backed by a loop timer.
-
-    ``live`` is the scheduler's set of outstanding handles; a handle
-    leaves it when it fires *or* is cancelled, so the set never holds
-    more than the timers still to run.
-    """
-
-    __slots__ = ("_timer", "_live")
-
-    def __init__(self, fire_at: float,
-                 live: "set[RealtimeHandle]") -> None:
-        super().__init__(fire_at)
-        self._timer: asyncio.TimerHandle | None = None
-        self._live = live
-
-    def cancel(self) -> None:
-        super().cancel()
-        self._live.discard(self)
-        if self._timer is not None:
-            self._timer.cancel()
-            self._timer = None
-
-
 class RealtimeScheduler(Simulator):
     """A :class:`Simulator` whose clock is the asyncio event loop's.
+
+    Timers go on the simulator's own queue, as ``(fire_at, seq, handle,
+    callback, args)`` entries, and one loop timer stays armed at the
+    queue's head: a timer is a heap push, not a loop timer, and
+    ``cancel()`` is the base :class:`EventHandle` flag.  A cancelled
+    entry stays queued until it reaches the head or the queue has
+    doubled since it was last compacted.
 
     ``fork_rng`` keeps the simulator's deterministic derivation (seed +
     fork order + label), so key material for a given deployment spec is
@@ -88,10 +73,16 @@ class RealtimeScheduler(Simulator):
     ``run_*`` methods are disabled: in real time, the loop runs itself.
     """
 
+    #: Queue length below which cancelled entries are never compacted.
+    COMPACT_FLOOR = 64
+
     def __init__(self, seed: int, loop: asyncio.AbstractEventLoop) -> None:
         super().__init__(seed)
         self._loop = loop
-        self._live: set[RealtimeHandle] = set()
+        self._timer: asyncio.TimerHandle | None = None
+        #: When the armed loop timer fires; ``inf`` when none is armed.
+        self._armed_at = math.inf
+        self._compact_at = self.COMPACT_FLOOR
 
     @property
     def now(self) -> float:
@@ -103,31 +94,73 @@ class RealtimeScheduler(Simulator):
         # protocol code computing "deadline - now" can legitimately come
         # out a few microseconds negative.  "In the past" means "as soon
         # as possible" here.
-        delay = max(0.0, delay)
         obs = self.obs
         if obs is not None and obs.current is not None:
             args = (obs, obs.current, callback, args)
             callback = restore_context
-        live = self._live
-        handle = RealtimeHandle(self.now + delay, live)
-
-        def fire() -> None:
-            live.discard(handle)
-            if not handle.cancelled:
-                self.events_processed += 1
-                callback(*args)
-
-        handle._timer = self._loop.call_later(delay, fire)
-        live.add(handle)
+        fire_at = self._loop.time() + max(0.0, delay)
+        handle = EventHandle(fire_at)
+        queue = self._queue
+        heapq.heappush(queue, (fire_at, next(self._counter), handle,
+                               callback, args))
+        if fire_at < self._armed_at:
+            self._arm(fire_at)
+        if len(queue) >= self._compact_at:
+            queue[:] = [entry for entry in queue if not entry[2].cancelled]
+            heapq.heapify(queue)
+            self._compact_at = max(2 * len(queue), self.COMPACT_FLOOR)
         return handle
+
+    def _arm(self, fire_at: float) -> None:
+        if self._timer is not None:
+            self._timer.cancel()
+        self._timer = self._loop.call_at(fire_at, self._fire)
+        self._armed_at = fire_at
+
+    def _fire(self) -> None:
+        """Run every due, uncancelled entry that was queued when the
+        loop timer fired, in ``(fire_at, seq)`` order, then re-arm.
+
+        Due means by the loop's clock or by the deadline the timer was
+        armed for, whichever is later (the loop fires a timer up to its
+        clock resolution early).  An entry queued by one of these
+        callbacks waits for a later loop iteration, as a zero-delay
+        ``call_later`` does.
+        """
+        self._timer = None
+        due = max(self._loop.time(), self._armed_at)
+        self._armed_at = -math.inf  # nothing re-arms until the drain ends
+        last = next(self._counter)
+        queue = self._queue
+        try:
+            while queue and queue[0][0] <= due and queue[0][1] < last:
+                _, _, handle, callback, args = heapq.heappop(queue)
+                if handle.cancelled:
+                    continue
+                self.events_processed += 1
+                try:
+                    callback(*args)
+                except Exception as exc:
+                    # What asyncio reports for a raising loop callback.
+                    self._loop.call_exception_handler({
+                        "message": f"Exception in callback {callback!r}",
+                        "exception": exc})
+        finally:
+            self._armed_at = math.inf
+            while queue and queue[0][2].cancelled:
+                heapq.heappop(queue)
+            if queue:
+                self._arm(queue[0][0])
 
     def cancel_all(self) -> None:
         """Cancel every outstanding timer (deployment shutdown)."""
-        for handle in list(self._live):
-            handle.cancel()
-
-    def pending_events(self) -> int:
-        return len(self._live)
+        for entry in self._queue:
+            entry[2].cancel()
+        self._queue.clear()
+        if self._timer is not None:
+            self._timer.cancel()
+            self._timer = None
+        self._armed_at = math.inf
 
     def run_until(self, deadline: float) -> None:
         raise RuntimeError("RealtimeScheduler cannot be stepped; "

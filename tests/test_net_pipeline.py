@@ -51,7 +51,7 @@ from repro.net.transport import (
 from repro.sim.network import Node
 
 from tests.test_net_codec import EXAMPLES, stamp_name
-from tests.test_net_transport import written_to
+from tests.test_net_transport import record_call_at, written_to
 
 
 def run(coro, timeout: float = 30.0):
@@ -392,6 +392,60 @@ class TestWireBytesPerRead:
         per_read, (first, second) = run(scenario())
         assert per_read <= 400, f"{per_read:.1f} B a read on the wire"
         assert first - second >= 38, (first, second)
+
+
+@pytest.mark.net
+class TestLoopTimersPerRead:
+    """A read's time-out and the nodes' zero-delay flushes are entries
+    on the scheduler's own queue; the loop holds one timer at its head.
+    Under 8-deep load one loop timer serves many reads, so ``call_at``
+    calls per accepted read is a count that holds on any machine: a
+    loop timer per scheduled event read 1.29 a read on the benchmark's
+    saturated workload, the one queue 0.13."""
+
+    READS = 2000
+
+    def test_at_most_three_loop_timers_per_ten_reads(self):
+        async def scenario() -> tuple[int, list[str]]:
+            config = fast_protocol_config(double_check_probability=0.0)
+            spec = NetDeploymentSpec(num_masters=1, slaves_per_master=2,
+                                     num_clients=4, seed=5, protocol=config)
+            cluster = await LocalCluster.launch(spec, settle=0.6)
+            try:
+                for client in cluster.clients:  # dials, hellos, stamps
+                    for i in range(20):
+                        await cluster.read(client, KVGet(key=f"k{i}"))
+                loop = asyncio.get_running_loop()
+                finished = loop.create_future()
+                issued = [0]
+                outcomes: list[str] = []
+
+                def issue(client, slot: int) -> None:
+                    issued[0] += 1
+                    client.submit(KVGet(key=f"k{slot}"), None,
+                                  lambda outcome: done(client, slot, outcome))
+
+                def done(client, slot: int, outcome) -> None:
+                    outcomes.append(outcome["status"])
+                    if issued[0] < self.READS:
+                        issue(client, slot)
+                    elif len(outcomes) == self.READS:
+                        finished.set_result(None)
+
+                armed = record_call_at(loop)
+                for client in cluster.clients:  # 8 in flight each
+                    for slot in range(8):
+                        issue(client, slot)
+                await asyncio.wait_for(finished, 30.0)
+                del loop.call_at
+                return len(armed) - 1, outcomes  # less wait_for's own
+            finally:
+                await cluster.aclose()
+
+        timers, outcomes = run(scenario())
+        assert outcomes == ["accepted"] * self.READS
+        assert timers / self.READS <= 0.3, \
+            f"{timers / self.READS:.2f} loop timers a read"
 
 
 # -- throughput bound ------------------------------------------------------

@@ -854,6 +854,21 @@ class TestNodeServerResilience:
 # -- realtime scheduler --------------------------------------------------
 
 
+def record_call_at(loop: asyncio.AbstractEventLoop) -> list[asyncio.TimerHandle]:
+    """Record every timer armed through ``loop.call_at`` from now on."""
+    armed: list[asyncio.TimerHandle] = []
+    original = loop.call_at
+
+    def call_at(when: float, callback: Any, *args: Any,
+                **kwargs: Any) -> asyncio.TimerHandle:
+        timer = original(when, callback, *args, **kwargs)
+        armed.append(timer)
+        return timer
+
+    loop.call_at = call_at  # type: ignore[method-assign]
+    return armed
+
+
 class TestRealtimeScheduler:
     def test_timers_fire_and_cancel(self):
         async def scenario():
@@ -873,20 +888,124 @@ class TestRealtimeScheduler:
         run(scenario())
 
     def test_cancelled_timers_are_not_retained(self):
-        """Every accepted read cancels its request timeout: a handle
-        that stayed in ``_live`` until it would have fired was one
+        """Every accepted read cancels its request timeout: a cancelled
+        entry that stayed queued until it would have fired was one
         retained object per read and an O(all reads) shutdown."""
         async def scenario():
             sched = RealtimeScheduler(0, asyncio.get_running_loop())
             for _ in range(10_000):
                 sched.schedule(2.0, lambda: None).cancel()
             assert sched.pending_events() == 0
-            assert len(sched._live) == 0
+            assert len(sched._queue) < RealtimeScheduler.COMPACT_FLOOR
             keeper = sched.schedule(2.0, lambda: None)
-            assert sched._live == {keeper}
+            assert sched.pending_events() == 1
             keeper.cancel()
             keeper.cancel()  # idempotent
-            assert not sched._live
+            assert sched.pending_events() == 0
+            # Shutdown walks what is left, not what was ever scheduled.
+            assert len(sched._queue) <= RealtimeScheduler.COMPACT_FLOOR
+            sched.cancel_all()
+            assert not sched._queue
+
+        run(scenario())
+
+    def test_equal_deadlines_fire_in_scheduling_order(self):
+        async def scenario():
+            loop = asyncio.get_running_loop()
+            sched = RealtimeScheduler(0, loop)
+            fired: list[int] = []
+            frozen = loop.time()
+            loop.time = lambda: frozen  # one deadline for all of them
+            try:
+                for i in range(50):
+                    sched.schedule(0.01, fired.append, i)
+            finally:
+                del loop.time
+            assert len({entry[0] for entry in sched._queue}) == 1
+            await asyncio.sleep(0.05)
+            assert fired == list(range(50))
+
+        run(scenario())
+
+    def test_a_raising_callback_is_reported_and_the_drain_goes_on(self):
+        from tests.conftest import recorded_loop_errors
+
+        def boom() -> None:
+            raise RuntimeError("timer exploded")
+
+        async def scenario():
+            sched = RealtimeScheduler(0, asyncio.get_running_loop())
+            fired: list[str] = []
+            sched.schedule(0.01, boom)
+            sched.schedule(0.01, fired.append, "next")
+            await asyncio.sleep(0.05)
+            assert fired == ["next"]
+
+        with recorded_loop_errors() as swallowed:
+            run(scenario())
+        assert [str(context["exception"]) for context in swallowed] \
+            == ["timer exploded"]
+        assert "boom" in swallowed[0]["message"]  # names the callback
+
+    @pytest.mark.parametrize("tick", [0.0, 0.016])
+    def test_zero_delay_from_a_callback_waits_for_a_later_iteration(
+            self, tick):
+        """What the slave's reply batching relies on: work queued with
+        ``call_soon`` by a timer callback runs before a zero-delay timer
+        the same callback set, as with ``call_later(0)`` -- also on a
+        clock as coarse as Windows' (``tick``), where that timer's
+        deadline is the one being drained."""
+        async def scenario():
+            loop = asyncio.get_running_loop()
+            if tick:
+                fine = loop.time
+                loop.time = lambda: fine() // tick * tick
+            sched = RealtimeScheduler(0, loop)
+            order: list[str] = []
+
+            def first() -> None:
+                order.append("timer")
+                sched.schedule(0.0, order.append, "zero-delay timer")
+                loop.call_soon(order.append, "call_soon")
+
+            try:
+                sched.schedule(0.0, first)
+                await asyncio.sleep(0.05)
+            finally:
+                if tick:
+                    del loop.time
+            assert order == ["timer", "call_soon", "zero-delay timer"]
+
+        run(scenario())
+
+    def test_an_earlier_event_rearms_the_loop_timer(self):
+        async def scenario():
+            loop = asyncio.get_running_loop()
+            armed = record_call_at(loop)
+            sched = RealtimeScheduler(0, loop)
+            fired: list[str] = []
+            sched.schedule(30.0, fired.append, "late")
+            sched.schedule(40.0, fired.append, "later")
+            assert len(armed) == 1  # a later event is a heap push
+            sched.schedule(0.01, fired.append, "early")
+            assert len(armed) == 2 and armed[0].cancelled()
+            await asyncio.sleep(0.05)
+            assert fired == ["early"]
+            sched.cancel_all()
+
+        run(scenario())
+
+    def test_cancel_all_leaves_no_loop_timer(self):
+        async def scenario():
+            loop = asyncio.get_running_loop()
+            armed = record_call_at(loop)
+            sched = RealtimeScheduler(0, loop)
+            for delay in (5.0, 1.0, 0.5, 3.0):
+                sched.schedule(delay, lambda: None)
+            assert armed
+            sched.cancel_all()
+            assert all(timer.cancelled() for timer in armed)
+            assert sched.pending_events() == 0
 
         run(scenario())
 
