@@ -1088,7 +1088,3 @@ def run_scenario_sync(name: str, seed: int = 0) -> ScenarioVerdict:
     """Synchronous wrapper for the CLI and tests."""
     return asyncio.run(run_scenario(name, seed))
 
-
-async def run_all(seed: int = 0) -> list[ScenarioVerdict]:
-    """Run the full catalog sequentially (each gets a fresh cluster)."""
-    return [await run_scenario(name, seed) for name in SCENARIOS]

@@ -25,6 +25,7 @@ import argparse
 import json
 import random
 import sys
+from collections import Counter
 from pathlib import Path
 from typing import Any, Sequence
 
@@ -337,11 +338,13 @@ def cmd_run(args: argparse.Namespace) -> int:
     live = [m for m in system.masters if not m.crashed]
     summary["masters_converged"] = len(
         {(m.version, m.store.state_digest()) for m in live}) <= 1
-    # And hold one ownership map: every slave served by one live master.
+    # And hold one ownership map: every slave served by one live master,
+    # every client forwarding to the auditor every live master names.
     summary["slave_owners"] = oracle.slave_owners(system.masters,
                                                   system.slaves)
+    summary["client_auditors"] = oracle.client_auditors(system.clients)
     summary["ownership_violations"] = oracle.ownership_violations(
-        [*system.masters, *system.auditors], system.slaves)
+        [*system.masters, *system.auditors], system.slaves, system.clients)
     if args.json:
         print(json.dumps(summary, indent=2, default=str))
     else:
@@ -386,8 +389,12 @@ def _print_summary(summary: dict) -> None:
           + ("" if summary["masters_converged"] else " (DIVERGED)"))
     problems = summary["ownership_violations"]
     print(f"slave ownership         : "
-          + ("one live master each" if not problems
+          + ("one live master each, one auditor per client"
+             if not problems
              else f"{len(problems)} violations: " + "; ".join(problems[:4])))
+    per_auditor = Counter(summary["client_auditors"].values())
+    print("clients per auditor     : "
+          + ", ".join(f"{a} {n}" for a, n in sorted(per_auditor.items())))
     print(f"auditor coverage        : "
           f"{summary['auditor']['pledges_audited']}/"
           f"{summary['auditor']['pledges_received']} pledges, "

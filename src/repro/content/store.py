@@ -131,12 +131,6 @@ def register_store_engine(cls: _StoreT) -> _StoreT:
     return cls
 
 
-def registered_store_engines() -> dict[str, type[ContentStore]]:
-    """Engine name -> store class, for the wire codec and tests."""
-    _import_engines()
-    return dict(_ENGINE_REGISTRY)
-
-
 def store_from_wire(payload: dict[str, Any]) -> ContentStore:
     """Decode a snapshot produced by :meth:`ContentStore.snapshot_wire`."""
     _import_engines()

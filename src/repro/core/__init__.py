@@ -13,7 +13,7 @@ Module map (one per protocol role or mechanism):
   management, double-checks, greedy-client throttling, corrective action.
 * :mod:`repro.core.slave` -- slave servers: read execution, pledge
   signing, lazy state updates, freshness discipline.
-* :mod:`repro.core.auditor` -- the elected auditor: lagging re-execution
+* :mod:`repro.core.auditor` -- the auditor: lagging re-execution
   of every pledged read, query caching, delayed discovery.
 * :mod:`repro.core.client` -- clients: setup phase, read/write protocol,
   probabilistic double-checks, pledge forwarding, retry logic.

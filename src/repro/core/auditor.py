@@ -1,7 +1,7 @@
 """The auditor: background re-execution of every pledged read.
 
-Section 3.4.  The auditor is a trusted server elected through the master
-broadcast; it has no slave set and serves no clients.  Clients forward
+Section 3.4.  The auditor is a trusted server that every member is told
+of at build time; it has no slave set and serves no clients.  Clients forward
 every accepted-but-not-double-checked pledge to it; the auditor re-executes
 the pledged query against its own replica *at the pledged version* and
 compares secure hashes.  A mismatch is delayed discovery: the auditor
@@ -61,7 +61,7 @@ _BACKLOG_PROBE_INTERVAL = 1.0
 
 
 class AuditorServer(TrustedServer):
-    """The elected auditor."""
+    """One auditor of the trusted set."""
 
     def __init__(self, *args: Any, **kwargs: Any) -> None:
         super().__init__(*args, **kwargs)

@@ -3,7 +3,9 @@
 Setup phase (Section 2): query the directory for master certificates,
 verify them against the content public key (known a priori, e.g. embedded
 in the content identifier), connect to one master, receive a slave
-assignment (certified slave keys plus the auditor's address).
+assignment (certified slave keys plus the auditor's address).  When an
+auditor crashes or returns, that master re-sends the assignment with only
+the auditor changed; a ready client takes it from that master alone.
 
 Read protocol (Sections 3.2-3.4), per read:
 
@@ -899,7 +901,13 @@ class Client(Node):
         if isinstance(message, DirectoryListing):
             self._handle_listing(message)
         elif isinstance(message, SlaveAssignment):
-            self._handle_assignment(message)
+            if not self.ready:
+                self._handle_assignment(message)
+            elif src_id == self.master_id:
+                # A re-point (our auditor moved), not a setup.  Only the
+                # master we set up with may send one: a master that still
+                # lists us from an earlier setup must not move our slaves.
+                self._install_assignment(message)
         elif isinstance(message, ReadReply):
             self._handle_read_reply(src_id, message)
         elif isinstance(message, DoubleCheckReply):

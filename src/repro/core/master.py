@@ -18,19 +18,21 @@ Masters jointly:
   slave certificates it was enrolled with and the membership notices
   the broadcast delivered (:meth:`TrustedServer.owners`), so no gossip
   of slave lists is needed and members that delivered the same slots
-  agree on it.
+  agree on it.  Which auditor a client's pledges go to is likewise a
+  function of the build-time auditor set and the delivered view
+  (:meth:`MasterServer._auditor_for`).
 """
 
 from __future__ import annotations
 
 import functools
 from collections import deque
+from dataclasses import replace
 from typing import Any, Iterable
 
 from repro.content.queries import ReadQuery, operation_from_wire
 from repro.core.messages import (
     Accusation,
-    BcastElectAuditor,
     BcastExcludeSlave,
     BcastWrite,
     ClientHello,
@@ -59,8 +61,8 @@ def _client_digest(client_id: str) -> int:
     """Stable 32-bit digest of a client id (auditor-partition hashing).
 
     Memoised because the master recomputes it on every assignment and on
-    every auditor-failover sweep; client-id strings are interned-ish and
-    few, so the cache stays tiny.
+    every delivered membership change; client-id strings are interned-ish
+    and few, so the cache stays tiny.
     """
     return int(sha1_hex(client_id)[:8], 16)
 
@@ -75,13 +77,11 @@ class MasterServer(TrustedServer):
         self.slaves: list[str] = []
         self.excluded_slaves: set[str] = set()
         # -- clients --------------------------------------------------------
-        #: client -> slave ids currently assigned to it (quorum-sized).
-        self.client_assignments: dict[str, tuple[str, ...]] = {}
+        #: client -> the assignment last sent to it (quorum-sized).
+        self.client_assignments: dict[str, SlaveAssignment] = {}
         #: Per-client double-check allowance (Section 3.3 greedy-client
         #: throttling; the bucket itself now lives in ``repro.qos``).
         self._buckets: dict[str, TokenBucket] = {}
-        #: Auditors the broadcast layer suspects crashed (failover set).
-        self._dead_auditors: set[str] = set()
         # -- writes -----------------------------------------------------------
         self._write_queue: deque[WriteRequest] = deque()
         self._write_inflight = False
@@ -110,20 +110,16 @@ class MasterServer(TrustedServer):
         return Certificate.issue(self.keys, slave_id, address, public_key,
                                  issued_at=self.now)
 
-    def enroll(self, certs: Iterable[Certificate]) -> None:
-        super().enroll(certs)
+    def enroll(self, certs: Iterable[Certificate],
+               auditor_ids: Iterable[str] = ()) -> None:
+        super().enroll(certs, auditor_ids)
         self.slaves = self._owned()
-
-    def elect_auditors(self, auditor_ids: tuple[str, ...]) -> None:
-        """Propose the auditor set via the broadcast (rank-0 master)."""
-        self.broadcast.broadcast(BcastElectAuditor(
-            auditor_ids=tuple(auditor_ids)))
 
     # -- protocol message handling ----------------------------------------------
 
     def handle_protocol_message(self, src_id: str, message: Any) -> None:
         if isinstance(message, ClientHello):
-            self._handle_hello(src_id, message)
+            self._handle_hello(src_id)
         elif isinstance(message, WriteRequest):
             self._handle_write_request(src_id, message)
         elif isinstance(message, DoubleCheckRequest):
@@ -140,12 +136,7 @@ class MasterServer(TrustedServer):
 
     # -- setup phase (Section 2) ------------------------------------------------
 
-    def _handle_hello(self, client_id: str, message: ClientHello) -> None:
-        if not self.auditor_ids:
-            # The auditor election has not been delivered yet; a client
-            # assigned now would not know where to forward pledges.
-            self.after(0.5, self._handle_hello, client_id, message)
-            return
+    def _handle_hello(self, client_id: str) -> None:
         assignment = self._make_assignment(client_id)
         if assignment is None:
             self.send(client_id, SetupFailed(reason="no slaves available"))
@@ -172,34 +163,34 @@ class MasterServer(TrustedServer):
                                  and s not in usable)][:quorum]
             if len(picked) < quorum:
                 return None
-        self.client_assignments[client_id] = tuple(picked)
         certs = tuple(self._cert_archive[s] for s in picked)
-        return SlaveAssignment(slave_certificates=certs,
-                               auditor_id=self._auditor_for(client_id))
-
-    def _auditor_for_static(self, client_id: str) -> str:
-        """The hash-preferred auditor, ignoring liveness."""
-        if not self.auditor_ids:
-            return ""
-        return self.auditor_ids[_client_digest(client_id)
-                                % len(self.auditor_ids)]
+        assignment = SlaveAssignment(slave_certificates=certs,
+                                     auditor_id=self._auditor_for(client_id))
+        self.client_assignments[client_id] = assignment
+        return assignment
 
     def _auditor_for(self, client_id: str) -> str:
-        """Pick the client's auditor: stable hash over the auditor set.
+        """The client's auditor, from the build-time auditor set and the
+        delivered view alone, so members that delivered the same slots
+        name the same one.
 
         With several auditors (Section 3.4's "add extra auditors") the
-        pledge stream partitions by client, so each pledge is audited
-        exactly once and a client's pledges always meet the same auditor.
-        Auditors believed crashed are skipped (failover to the next
-        survivor in hash order).
+        pledge stream partitions by client hash, so each pledge is
+        audited once and a client's pledges meet the same auditor.  While
+        the client's hash auditor is down it goes to
+        ``alive[digest % len(alive)]``, and back once the hash auditor is
+        up again; with none up, to the hash auditor.
         """
-        if not self.auditor_ids:
+        auditors = self.auditor_ids
+        if not auditors:
             return ""
-        alive = [a for a in self.auditor_ids
-                 if a not in self._dead_auditors]
-        if not alive:
-            return self._auditor_for_static(client_id)
-        return alive[_client_digest(client_id) % len(alive)]
+        digest = _client_digest(client_id)
+        home = auditors[digest % len(auditors)]
+        view = self.broadcast.alive_view
+        alive = [a for a in auditors if a in view]
+        if home in view or not alive:
+            return home
+        return alive[digest % len(alive)]
 
     # -- write protocol (Section 3.1) ------------------------------------------------
 
@@ -479,7 +470,8 @@ class MasterServer(TrustedServer):
         # slave after its home takes it back -- and move it to a
         # replacement (Section 3.5).
         for client_id, assigned in list(self.client_assignments.items()):
-            if payload.slave_id not in assigned:
+            if all(cert.subject_id != payload.slave_id
+                   for cert in assigned.slave_certificates):
                 continue
             replacement = self._make_assignment(client_id)
             if replacement is None:
@@ -498,22 +490,9 @@ class MasterServer(TrustedServer):
         survivors divide a master's slave set (``master_of`` now says
         how), and an auditor's clients fail over."""
         super().on_trusted_member_crashed(member_id)
+        self._repoint_auditors()
         if member_id in self.auditor_ids:
-            # Auditor failover: clients whose pledge stream targeted the
-            # crashed auditor are re-pointed at a surviving one so their
-            # reads stay auditable.  (Pledges in flight to the dead node
-            # are lost -- the paper's statistical guarantee is unaffected
-            # because those reads were already accepted; coverage resumes
-            # with the next read.)
             self.metrics.incr("auditor_crash_noticed")
-            self._dead_auditors.add(member_id)
-            for client_id in list(self.client_assignments):
-                if self._auditor_for_static(client_id) == member_id:
-                    replacement = self._make_assignment(client_id)
-                    if replacement is not None:
-                        self.send(client_id, ExclusionNotice(
-                            excluded_slave_id="", replacement=replacement))
-                        self.metrics.incr("clients_auditor_failover")
             return
         if member_id != self.node_id:
             self.metrics.incr("master_crash_noticed")
@@ -527,13 +506,29 @@ class MasterServer(TrustedServer):
         self._take_ownership()
 
     def on_trusted_member_recovered(self, member_id: str) -> None:
-        """A recovered auditor rejoins the failover rotation; a recovered
-        master takes its slaves back."""
+        """A recovered auditor takes its clients back; a recovered
+        master, its slaves."""
         super().on_trusted_member_recovered(member_id)
-        if member_id in self._dead_auditors:
-            self._dead_auditors.discard(member_id)
+        self._repoint_auditors()
+        if member_id in self.auditor_ids:
             self.metrics.incr("auditor_recovery_noticed")
+            return
         self._take_ownership()
+
+    def _repoint_auditors(self) -> None:
+        """Send each of our clients whose auditor :meth:`_auditor_for`
+        now names differently the assignment it holds, with only the
+        auditor changed, so its reads stay auditable.  (Pledges in
+        flight to a crashed auditor are lost -- the paper's statistical
+        guarantee is unaffected because those reads were already
+        accepted; coverage resumes with the next read.)"""
+        for client_id, assignment in self.client_assignments.items():
+            auditor = self._auditor_for(client_id)
+            if auditor != assignment.auditor_id:
+                assignment = replace(assignment, auditor_id=auditor)
+                self.client_assignments[client_id] = assignment
+                self.send(client_id, assignment)
+                self.metrics.incr("clients_auditor_failover")
 
     def _owned(self) -> list[str]:
         return [slave for slave, owner in self.master_of.items()

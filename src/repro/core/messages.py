@@ -471,13 +471,9 @@ class BcastWrite:
 
 @dataclass(frozen=True, slots=True)
 class BcastElectAuditor:
-    """First delivered election message fixes the auditor set.
-
-    Section 3.4: "If the auditor is over-used, the solution is to either
-    add extra auditors, or weaken the security guarantees" -- the set may
-    therefore contain several auditors; each client is assigned exactly
-    one, so every pledge is audited exactly once.
-    """
+    """Retired auditor election, delivered as a no-op: every trusted
+    server is enrolled with the auditor set at build time, so nothing
+    sends one.  Kept for its wire id."""
 
     auditor_ids: tuple[str, ...]
 

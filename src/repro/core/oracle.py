@@ -18,7 +18,8 @@ on ``ReplicationSystem``, named pass/fail verdicts in
 :mod:`repro.chaos.invariants`.
 
 :func:`ownership_violations` judges the trusted set's other replicated
-state, who serves which slave, the same way: from outside, at the end.
+state, who serves which slave and which auditor each client's pledges go
+to, the same way: from outside, at the end.
 """
 
 from __future__ import annotations
@@ -165,12 +166,21 @@ def slave_owners(masters: Sequence[MasterServer],
             for slave in slaves if slave.node_id not in excluded}
 
 
+def client_auditors(clients: Sequence[Client]) -> dict[str, str]:
+    """Every ready client that is up -> the auditor it forwards to."""
+    return {client.node_id: client.auditor_id for client in clients
+            if client.ready and not client.crashed}
+
+
 def ownership_violations(trusted: Sequence[TrustedServer],
-                         slaves: Sequence[SlaveServer]) -> list[str]:
+                         slaves: Sequence[SlaveServer],
+                         clients: Sequence[Client] = ()) -> list[str]:
     """Section 3.1's division, judged once the run is over: each slave
     of :func:`slave_owners` is held by exactly one live master, every
     live trusted server's ``master_of`` names that master, and the
-    slave, if up, is fresh."""
+    slave, if up, is fresh.  Likewise each client of
+    :func:`client_auditors` names an auditor that is up, when one is,
+    and the one every live master's ``_auditor_for`` names."""
     masters = [n for n in trusted if isinstance(n, MasterServer)]
     maps = {n.node_id: n.master_of for n in trusted if not n.crashed}
     up = {slave.node_id: slave for slave in slaves if not slave.crashed}
@@ -186,6 +196,15 @@ def ownership_violations(trusted: Sequence[TrustedServer],
                             f"master_of at {dissent} names another")
         if slave_id in up and not up[slave_id].is_fresh():
             problems.append(f"{slave_id} is not fresh")
+    live = [m for m in masters if not m.crashed]
+    auditors_up = {n.node_id for n in trusted
+                   if not n.crashed and n.node_id in n.auditor_ids}
+    for client_id, auditor in client_auditors(clients).items():
+        named = {m._auditor_for(client_id) for m in live}
+        if named != {auditor} or (auditors_up
+                                  and auditor not in auditors_up):
+            problems.append(f"{client_id} forwards to {auditor}; live "
+                            f"masters name {sorted(named)}")
     return problems
 
 
@@ -193,6 +212,7 @@ __all__ = [
     "ClusterLike",
     "ReadClassification",
     "classify_accepted_reads",
+    "client_auditors",
     "consistency_window_violations",
     "ownership_violations",
     "reference_master",

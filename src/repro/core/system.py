@@ -8,11 +8,12 @@ the offline oracle used to classify accepted reads as correct or wrong
 
 Topology notes:
 
-* ``num_masters`` serving masters plus one additional trusted server that
-  the masters elect as auditor at startup (the paper has the masters
-  "elect one of them to function as an auditor"; the elected one serves
-  no slaves, so provisioning it as a dedicated node is the same thing
-  from the protocol's point of view).
+* ``num_masters`` serving masters plus ``num_auditors`` dedicated
+  trusted servers that audit.  The paper has the masters "elect one of
+  them to function as an auditor"; the auditor serves no slaves, so
+  provisioning it as a dedicated node, named to every trusted server at
+  build time, is the same thing from the protocol's point of view
+  (docs/PROTOCOL.md §2.6).
 * Slaves are distributed round-robin: ``slaves_per_master`` each.
 * Byzantine behaviour is injected per slave index via ``adversaries``.
 """
@@ -20,7 +21,7 @@ Topology notes:
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Any, Callable, Iterable, Iterator, Mapping, Sequence
+from typing import Any, Callable, Iterator, Mapping
 
 from repro.content.kvstore import KeyValueStore
 from repro.content.queries import Operation
@@ -121,12 +122,9 @@ class Cast:
         return base
 
     def start_servers(self) -> None:
-        """Start the trusted set and the slaves; the rank-0 master then
-        proposes the dedicated trusted nodes as auditors."""
+        """Start the trusted set and the slaves."""
         for node in (*self.masters, *self.auditors, *self.slaves):
             node.start()
-        self.masters[0].elect_auditors(
-            tuple(a.node_id for a in self.auditors))
 
 
 @dataclass
@@ -204,10 +202,12 @@ class CastBuilder:
                 slave_certs.append(master.register_slave(
                     slave_id, self.address_of(slave_id),
                     slave.keys.public_key))
-        # Every trusted server knows every slave and its home from the
-        # start: ownership is then a function of the delivered view.
+        # Every trusted server knows every slave and its home, and every
+        # auditor, from the start: ownership and each client's auditor
+        # are then functions of the delivered view.
+        auditor_ids = member_ids[spec.num_masters:]
         for server in (*cast.masters, *cast.auditors):
-            server.enroll(slave_certs)
+            server.enroll(slave_certs, auditor_ids)
 
     def clients(self, cast: Cast,
                 max_latency_overrides: Mapping[int, float] | None = None,
@@ -303,11 +303,11 @@ class ReplicationSystem:
     # -- lifecycle ---------------------------------------------------------------
 
     def start(self, settle: float = 3.0) -> None:
-        """Start every node, run the auditor election, let things settle.
+        """Start every node and let things settle.
 
-        ``settle`` seconds of simulated time give the election and the
-        first keep-alives time to propagate, so clients connecting
-        afterwards find fresh slaves.
+        ``settle`` seconds of simulated time give the first keep-alives
+        time to propagate, so clients connecting afterwards find fresh
+        slaves.
         """
         if self._started:
             raise RuntimeError("system already started")
@@ -333,22 +333,6 @@ class ReplicationSystem:
                     callback: Callable[[dict], None] | None = None) -> None:
         """Schedule one operation submission at absolute time ``at``."""
         self.simulator.schedule_at(at, client.submit, op, level, callback)
-
-    def schedule_workload(self, operations: Iterable[Operation],
-                          arrival_times: Iterable[float],
-                          clients: Sequence[Client] | None = None) -> int:
-        """Spread (operation, time) pairs round-robin across clients.
-
-        Returns the number of operations scheduled.
-        """
-        clients = list(clients if clients is not None else self.clients)
-        if not clients:
-            raise ValueError("no clients to schedule onto")
-        count = 0
-        for index, (op, at) in enumerate(zip(operations, arrival_times)):
-            self.schedule_op(clients[index % len(clients)], at, op)
-            count += 1
-        return count
 
     # -- ground-truth oracle ---------------------------------------------------------
 

@@ -4,9 +4,10 @@ Everything in Section 3 that is common to the whole trusted set lives
 here:
 
 * membership in the totally-ordered broadcast and the dispatch of
-  delivered payloads (writes, auditor election, exclusions);
+  delivered payloads (writes, exclusions);
 * slave ownership, a function of the enrolled certificates and the
-  delivered membership (:meth:`TrustedServer.owners`);
+  delivered membership (:meth:`TrustedServer.owners`), and the auditor
+  set, enrolled at build time beside them;
 * the signed ``content_version`` state and bounded version history used
   to verify accusations against past versions;
 * the single-server work queue that turns content-store cost units and
@@ -117,7 +118,7 @@ class TrustedServer(Node):
         #: timer per write: a crash loses the timer, never the queue.
         self._apply_queue: deque[tuple[float, BcastWrite]] = deque()
         self._drain_timer: EventHandle | None = None
-        #: The elected auditor set (empty until the election delivers).
+        #: The auditor set, enrolled at build time (:meth:`enroll`).
         self.auditor_ids: tuple[str, ...] = ()
         #: slave -> owning master, systemwide: :meth:`owners` as of the
         #: last delivered membership notice.
@@ -177,10 +178,8 @@ class TrustedServer(Node):
     def _on_deliver(self, seq: int, origin: str, payload: Any) -> None:
         if isinstance(payload, BcastWrite):
             self.deliver_write(seq, origin, payload)
-        elif isinstance(payload, BcastElectAuditor):
-            self.deliver_auditor_election(payload)
-        elif isinstance(payload, BcastSlaveList):
-            pass  # retired: ownership follows the delivered membership
+        elif isinstance(payload, (BcastSlaveList, BcastElectAuditor)):
+            pass  # retired: both sets are enrolled at build time
         elif isinstance(payload, BcastExcludeSlave):
             self.deliver_exclusion(payload)
         else:
@@ -223,11 +222,6 @@ class TrustedServer(Node):
         """Role-specific commit of one due write (ends in ``commit_op``)."""
         raise NotImplementedError
 
-    def deliver_auditor_election(self, payload: BcastElectAuditor) -> None:
-        """Record the elected auditors; first delivery fixes the set."""
-        if not self.auditor_ids:
-            self.auditor_ids = tuple(payload.auditor_ids)
-
     def find_slave_cert(self, slave_id: str) -> Certificate | None:
         """Locate a slave's certificate (archived forever), or None."""
         return self._cert_archive.get(slave_id)
@@ -237,9 +231,12 @@ class TrustedServer(Node):
 
     # -- slave ownership (Section 3.1) ---------------------------------------
 
-    def enroll(self, certs: Iterable[Certificate]) -> None:
-        """Build time: learn every slave certificate of the trusted set.
-        A slave's home is the master that issued its certificate."""
+    def enroll(self, certs: Iterable[Certificate],
+               auditor_ids: Iterable[str] = ()) -> None:
+        """Build time: learn every slave certificate of the trusted set,
+        and which members are auditors.  A slave's home is the master that
+        issued its certificate."""
+        self.auditor_ids += tuple(auditor_ids)
         for cert in certs:
             self._cert_archive[cert.subject_id] = cert
             self._homes.setdefault(cert.issuer_id, []).append(

@@ -59,6 +59,3 @@ class HandshakeError(TransportError):
 class PeerUnknown(TransportError):
     """Destination node id has no known address."""
 
-
-class RetriesExhausted(TransportError):
-    """Connect/send retry budget spent without success."""

@@ -112,11 +112,6 @@ def prometheus_text(metrics: MetricsRegistry, namespace: str = "repro",
     return "\n".join(lines) + ("\n" if lines else "")
 
 
-def histogram_text(name: str, histogram: Histogram) -> str:
-    """Prometheus text for one standalone histogram."""
-    return "\n".join(_histogram_lines(_sanitize(name), histogram)) + "\n"
-
-
 def _histogram_lines(metric: str, histogram: Histogram) -> Sequence[str]:
     lines = [f"# TYPE {metric} histogram"]
     for bound, cumulative in histogram.cumulative_buckets():

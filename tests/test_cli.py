@@ -143,6 +143,20 @@ class TestRunCommand:
         assert all(len(owners) == 1
                    for owners in summary["slave_owners"].values())
 
+    def test_clients_follow_the_live_auditor(self):
+        """Two auditors, each down in turn, the second for good: the run
+        exits 0 only if every client ends on the live auditor, the one
+        every master names (a client failed over twice was once left on
+        the dead one)."""
+        code, output = self.run_cli(
+            "--auditors", "2", "--crash", "zz-auditor-01@2,3",
+            "--crash", "zz-auditor-00@8", "--json")
+        summary = json.loads(output)
+        assert code == 0
+        assert summary["ownership_violations"] == []
+        assert summary["client_auditors"] == {
+            f"client-{i:02d}": "zz-auditor-01" for i in range(4)}
+
     def test_bad_crash_spec_rejected(self):
         with pytest.raises(SystemExit, match="bad --crash"):
             self.run_cli("--crash", "nonsense")

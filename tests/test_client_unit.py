@@ -44,7 +44,6 @@ class TestClientQueueing:
         system.auditor.start()
         for slave in system.slaves:
             slave.start()
-        system.masters[0].elect_auditors((system.auditor.node_id,))
         system.simulator.run_for(2.0)
         client = system.clients[0]
         results = []
@@ -60,7 +59,6 @@ class TestClientQueueing:
         system.auditor.start()
         for slave in system.slaves:
             slave.start()
-        system.masters[0].elect_auditors((system.auditor.node_id,))
         system.simulator.run_for(2.0)
         client = system.clients[1]
         results = []

@@ -143,11 +143,24 @@ class TestAssignment:
         assert all(master._auditor_for("client-07") == first
                    for _ in range(5))
 
-    def test_auditor_failover_skips_dead(self, master):
-        master.auditor_ids = ("zz-auditor-00", "zz-auditor-01")
-        before = {master._auditor_for(f"client-{i:02d}")
-                  for i in range(10)}
-        assert before == {"zz-auditor-00", "zz-auditor-01"}
-        master._dead_auditors.add("zz-auditor-00")
-        after = {master._auditor_for(f"client-{i:02d}") for i in range(10)}
+    def test_auditor_failover_skips_dead(self):
+        """The delivered view decides: a ``down`` moves the dead
+        auditor's clients to the survivor, the ``up`` hands them back,
+        and with no auditor up each keeps its hash auditor."""
+        auditors = ("zz-auditor-00", "zz-auditor-01")
+        sim = Simulator(seed=4)
+        master = MasterServer("master-00", sim, Network(sim),
+                              ProtocolConfig(), KeyValueStore(),
+                              ["master-00", *auditors], MetricsRegistry())
+        master.enroll([], auditors)
+        clients = [f"client-{i:02d}" for i in range(10)]
+        before = {c: master._auditor_for(c) for c in clients}
+        assert set(before.values()) == set(auditors)
+        master.broadcast._member_down_delivered("zz-auditor-00")
+        after = {master._auditor_for(c) for c in clients}
         assert after == {"zz-auditor-01"}
+        master.broadcast._member_up_delivered("zz-auditor-00")
+        assert {c: master._auditor_for(c) for c in clients} == before
+        for auditor in auditors:
+            master.broadcast._member_down_delivered(auditor)
+        assert {c: master._auditor_for(c) for c in clients} == before

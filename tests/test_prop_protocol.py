@@ -98,6 +98,17 @@ two_down_strategy = st.booleans().flatmap(lambda sequencer: st.lists(
               st.floats(min_value=0.5, max_value=12.0)),
     min_size=1, max_size=2)).map(two_at_a_time)
 
+AUDITORS = ("zz-auditor-00", "zz-auditor-01")
+TWO_AUDITORS = (*TRUSTED, "zz-auditor-01")
+
+# The same one-at-a-time crashes over three masters and two auditors.
+two_auditor_faults = st.lists(
+    st.tuples(st.sampled_from(TWO_AUDITORS),
+              st.floats(min_value=0.0, max_value=8.0),
+              st.floats(min_value=0.05, max_value=12.0)),
+    max_size=4,
+).map(one_at_a_time)
+
 slow_settings = settings(max_examples=10, deadline=None,
                          suppress_health_check=[HealthCheck.too_slow])
 
@@ -118,12 +129,14 @@ def run_workload(system, ops, spacing=0.4):
                    + writes * system.config.max_latency + 60.0)
 
 
-def crashed_run(faults, ops, seed=0, keepalive_interval=0.5):
-    """Three masters, an auditor and four clients under ``faults``
-    (applied at start) while ``ops`` go out 0.6 s apart from the clients
-    in turn: the system after 300 s, and every write's outcome."""
+def crashed_run(faults, ops, seed=0, keepalive_interval=0.5,
+                num_auditors=1):
+    """Three masters, ``num_auditors`` auditors and four clients under
+    ``faults`` (applied at start) while ``ops`` go out 0.6 s apart from
+    the clients in turn: the system after 300 s, and every write's
+    outcome."""
     system = make_system(
-        seed=seed, num_masters=3, num_clients=4,
+        seed=seed, num_masters=3, num_clients=4, num_auditors=num_auditors,
         protocol=ProtocolConfig(max_latency=2.0,
                                 keepalive_interval=keepalive_interval,
                                 request_timeout=2.0,
@@ -244,11 +257,41 @@ class TestProtocolProperties:
         assert not any(node.crashed for node in trusted)
         assert [node.version for node in trusted] == [writes] * 4
         assert len({node.store.state_digest() for node in trusted}) == 1
-        assert ownership_violations(trusted, system.slaves) == []
+        assert ownership_violations(trusted, system.slaves,
+                                    system.clients) == []
         assert system.classify_accepted_reads()["accepted_wrong"] == 0
         assert system.check_consistency_window() == []
         unfaulted, _outcomes = crashed_run([], ops, seed)
         assert armed_timers(system) == armed_timers(unfaulted)
+
+    @slow_settings
+    @given(seed=st.integers(min_value=0, max_value=10**6),
+           faults=two_auditor_faults,
+           last=st.sampled_from((None, *AUDITORS)), ops=ops_strategy)
+    def test_every_client_forwards_to_a_live_auditor(self, seed, faults,
+                                                     last, ops):
+        """Two auditors; masters and auditors crash and recover one at a
+        time, and maybe one auditor stays down at the end: every write
+        commits once, the live trusted servers converge, and every ready
+        client forwards to an auditor that is up and that every live
+        master names (a client failed over twice was left on a dead
+        one)."""
+        if last is not None:
+            end = max((f.at + f.duration for f in faults), default=0.0)
+            faults = [*faults, ScheduledFault(last, end + 1.0)]
+        system, outcomes = crashed_run(faults, ops, seed, num_auditors=2)
+        writes = sum(1 for kind, _k, _v in ops if kind == "write")
+        assert [o["status"] for o in outcomes] == ["committed"] * writes
+        trusted = [*system.masters, *system.auditors]
+        live = [node for node in trusted if not node.crashed]
+        assert [node.node_id for node in trusted if node.crashed] == (
+            [] if last is None else [last])
+        assert {node.version for node in live} == {writes}
+        assert len({node.store.state_digest() for node in live}) == 1
+        assert ownership_violations(trusted, system.slaves,
+                                    system.clients) == []
+        assert system.classify_accepted_reads()["accepted_wrong"] == 0
+        assert system.check_consistency_window() == []
 
 
 #: 24 operations 0.6 s apart, every third a write (8 writes on 5 keys).
@@ -316,7 +359,8 @@ class TestOverlappingCrashes:
         trusted = [*system.masters, *system.auditors]
         assert not any(node.crashed for node in trusted)
         assert len({node.store.state_digest() for node in trusted}) == 1
-        assert ownership_violations(trusted, system.slaves) == []
+        assert ownership_violations(trusted, system.slaves,
+                                    system.clients) == []
         assert system.classify_accepted_reads()["accepted_wrong"] == 0
         assert system.check_consistency_window() == []
         versions = {node.version for node in trusted}

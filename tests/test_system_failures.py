@@ -120,7 +120,7 @@ class TestMasterCrash:
 def owned_once(system):
     """The ownership invariant's violations (none when it holds)."""
     return oracle.ownership_violations(
-        [*system.masters, *system.auditors], system.slaves)
+        [*system.masters, *system.auditors], system.slaves, system.clients)
 
 
 class TestOwnership:
