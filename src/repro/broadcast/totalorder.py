@@ -115,8 +115,7 @@ class TotalOrderBroadcast:
         request_timeout: float = 1.0,
         heartbeat_interval: float = 0.25,
         suspect_after: float = 1.5,
-        on_member_removed: Callable[[str], None] | None = None,
-        on_member_readmitted: Callable[[str], None] | None = None,
+        on_membership: Callable[[str, bool], None] | None = None,
     ) -> None:
         if transport.node_id not in members:
             raise ValueError(
@@ -124,9 +123,11 @@ class TotalOrderBroadcast:
             )
         self.transport = transport
         self.on_deliver = on_deliver
-        self.on_member_removed = on_member_removed
-        self.on_member_readmitted = on_member_readmitted
+        self.on_membership = on_membership
         self.ranked_members = sorted(members)
+        #: Who this engine routes orders to and suspects.  Private to the
+        #: engine: a sequencer edits it a call before it delivers the
+        #: notice, so hosts read the delivered view (``on_membership``).
         self.alive_view = list(self.ranked_members)
         self.request_timeout = request_timeout
         self.heartbeat_interval = heartbeat_interval
@@ -365,16 +366,16 @@ class TotalOrderBroadcast:
     def _member_down_delivered(self, member_id: str) -> None:
         if member_id in self.alive_view:
             self.alive_view.remove(member_id)
-        if self.on_member_removed is not None:
-            self.on_member_removed(member_id)
+        if self.on_membership is not None:
+            self.on_membership(member_id, False)
 
     def _member_up_delivered(self, member_id: str) -> None:
         if member_id not in self.alive_view:
             self.alive_view.append(member_id)
             self.alive_view.sort()
             self._last_ack[member_id] = self.transport.now
-        if self.on_member_readmitted is not None:
-            self.on_member_readmitted(member_id)
+        if self.on_membership is not None:
+            self.on_membership(member_id, True)
 
     def _handle_nack(self, src_id: str, envelope: BroadcastEnvelope) -> None:
         if not self.is_sequencer:

@@ -9,6 +9,8 @@ Module map (one per protocol role or mechanism):
 * :mod:`repro.core.directory` -- the public directory of master certs.
 * :mod:`repro.core.trusted` -- shared machinery of trusted servers
   (broadcast membership, version history, commit spacing).
+* :mod:`repro.core.view` -- the trusted view: slave owners, client
+  auditors and exclusions as one value replaced at delivery.
 * :mod:`repro.core.master` -- master servers: writes, keep-alives, slave
   management, double-checks, greedy-client throttling, corrective action.
 * :mod:`repro.core.slave` -- slave servers: read execution, pledge

@@ -279,9 +279,9 @@ class AuditorServer(TrustedServer):
         self.metrics.incr("audit_detections")
         self.metrics.observe("audit_detection_latency",
                              self.now - pledge.stamp.timestamp)
-        self.send(self.master_of[pledge.slave_id], Accusation(pledge=pledge,
-                                    accuser_id=self.node_id,
-                                    discovery="audit"))
+        self.send(self.view.owners[pledge.slave_id],
+                  Accusation(pledge=pledge, accuser_id=self.node_id,
+                             discovery="audit"))
 
     # -- instrumentation ----------------------------------------------------------
 

@@ -841,12 +841,15 @@ class Client(Node):
 
     # -- reassignment (Section 3.5) -----------------------------------------------
 
-    def _handle_exclusion(self, notice: ExclusionNotice) -> None:
+    def _handle_exclusion(self, src_id: str, notice: ExclusionNotice) -> None:
         self.metrics.incr("client_reassignments")
         excluded = notice.excluded_slave_id
         self.assigned_slaves = tuple(
             slave for slave in self.assigned_slaves if slave != excluded)
-        self._install_assignment(notice.replacement)
+        # Any master may tell us a slave is out; only ours may move us:
+        # one that lists us from an earlier setup samples its own slaves.
+        if src_id == self.master_id:
+            self._install_assignment(notice.replacement)
         # Delayed-discovery damage control: any read this client accepted
         # on the now-excluded slave's word alone is suspect.  Surface it
         # to the application for rollback.
@@ -915,7 +918,7 @@ class Client(Node):
         elif isinstance(message, WriteReply):
             self._handle_write_reply(src_id, message)
         elif isinstance(message, ExclusionNotice):
-            self._handle_exclusion(message)
+            self._handle_exclusion(src_id, message)
         elif isinstance(message, SetupFailed):
             self._setup_in_progress = False
             self.metrics.incr("client_setup_failed")

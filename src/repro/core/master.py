@@ -13,22 +13,18 @@ Masters jointly:
   snapshots, and exclude proven-malicious slaves, reassigning their
   clients (Section 3.5);
 * divide a crashed master's slave set among the survivors (Section 3.1)
-  and hand it back when it returns.  Who owns which slave is
-  ``master_of``, a function every trusted server computes from the
-  slave certificates it was enrolled with and the membership notices
-  the broadcast delivered (:meth:`TrustedServer.owners`), so no gossip
-  of slave lists is needed and members that delivered the same slots
-  agree on it.  Which auditor a client's pledges go to is likewise a
-  function of the build-time auditor set and the delivered view
-  (:meth:`MasterServer._auditor_for`).
+  and hand it back when it returns.  Who owns which slave, which slaves
+  are excluded and which auditor a client's pledges go to are reads of
+  the :class:`~repro.core.view.TrustedView` every trusted server folds
+  from its enrollment and the delivered notices, so no gossip of slave
+  lists is needed and members that delivered the same slots agree.
 """
 
 from __future__ import annotations
 
-import functools
 from collections import deque
 from dataclasses import replace
-from typing import Any, Iterable
+from typing import Any
 
 from repro.content.queries import ReadQuery, operation_from_wire
 from repro.core.messages import (
@@ -56,26 +52,11 @@ from repro.crypto.signatures import PublicKey
 from repro.qos.tokens import TokenBucket
 
 
-@functools.lru_cache(maxsize=65536)
-def _client_digest(client_id: str) -> int:
-    """Stable 32-bit digest of a client id (auditor-partition hashing).
-
-    Memoised because the master recomputes it on every assignment and on
-    every delivered membership change; client-id strings are interned-ish
-    and few, so the cache stays tiny.
-    """
-    return int(sha1_hex(client_id)[:8], 16)
-
-
 class MasterServer(TrustedServer):
     """One trusted master server."""
 
     def __init__(self, *args: Any, **kwargs: Any) -> None:
         super().__init__(*args, **kwargs)
-        # -- slave set ----------------------------------------------------
-        #: The non-excluded slaves ``master_of`` gives this master.
-        self.slaves: list[str] = []
-        self.excluded_slaves: set[str] = set()
         # -- clients --------------------------------------------------------
         #: client -> the assignment last sent to it (quorum-sized).
         self.client_assignments: dict[str, SlaveAssignment] = {}
@@ -110,10 +91,15 @@ class MasterServer(TrustedServer):
         return Certificate.issue(self.keys, slave_id, address, public_key,
                                  issued_at=self.now)
 
-    def enroll(self, certs: Iterable[Certificate],
-               auditor_ids: Iterable[str] = ()) -> None:
-        super().enroll(certs, auditor_ids)
-        self.slaves = self._owned()
+    @property
+    def slaves(self) -> list[str]:
+        """The non-excluded slaves the view gives this master."""
+        return self.view.slaves_of(self.node_id)
+
+    @property
+    def excluded_slaves(self) -> frozenset[str]:
+        """Every slave an exclusion was delivered for."""
+        return self.view.excluded
 
     # -- protocol message handling ----------------------------------------------
 
@@ -158,39 +144,16 @@ class MasterServer(TrustedServer):
         else:
             # Not enough local slaves: borrow other masters' (still
             # certified; clients verify any master's signature).
-            picked = [*usable, *(s for s in self.master_of
+            picked = [*usable, *(s for s in self.view.owners
                                  if s not in self.excluded_slaves
                                  and s not in usable)][:quorum]
             if len(picked) < quorum:
                 return None
-        certs = tuple(self._cert_archive[s] for s in picked)
-        assignment = SlaveAssignment(slave_certificates=certs,
-                                     auditor_id=self._auditor_for(client_id))
+        assignment = SlaveAssignment(
+            slave_certificates=tuple(self._cert_archive[s] for s in picked),
+            auditor_id=self.view.auditor_for(client_id))
         self.client_assignments[client_id] = assignment
         return assignment
-
-    def _auditor_for(self, client_id: str) -> str:
-        """The client's auditor, from the build-time auditor set and the
-        delivered view alone, so members that delivered the same slots
-        name the same one.
-
-        With several auditors (Section 3.4's "add extra auditors") the
-        pledge stream partitions by client hash, so each pledge is
-        audited once and a client's pledges meet the same auditor.  While
-        the client's hash auditor is down it goes to
-        ``alive[digest % len(alive)]``, and back once the hash auditor is
-        up again; with none up, to the hash auditor.
-        """
-        auditors = self.auditor_ids
-        if not auditors:
-            return ""
-        digest = _client_digest(client_id)
-        home = auditors[digest % len(auditors)]
-        view = self.broadcast.alive_view
-        alive = [a for a in auditors if a in view]
-        if home in view or not alive:
-            return home
-        return alive[digest % len(alive)]
 
     # -- write protocol (Section 3.1) ------------------------------------------------
 
@@ -328,7 +291,7 @@ class MasterServer(TrustedServer):
         self.metrics.record(f"keepalive_tx@{self.node_id}", self.now, 1.0)
         for slave in self.slaves:
             self.send(slave, KeepAlive(stamp=stamp))
-        for auditor in self.auditor_ids:
+        for auditor in self.view.auditors:
             # Auditors time their version advancement off keep-alives too.
             self.send(auditor, KeepAlive(stamp=stamp))
 
@@ -421,7 +384,7 @@ class MasterServer(TrustedServer):
                       discovery=message.discovery)
         if verdict != "guilty":
             return
-        owner = self.master_of.get(pledge.slave_id, self.node_id)
+        owner = self.view.owners.get(pledge.slave_id, self.node_id)
         self.broadcast.broadcast(BcastExcludeSlave(
             slave_id=pledge.slave_id,
             owning_master=owner,
@@ -451,20 +414,16 @@ class MasterServer(TrustedServer):
         return "guilty"
 
     def deliver_exclusion(self, payload: BcastExcludeSlave) -> None:
-        if payload.slave_id in self.excluded_slaves:
-            return
-        self.excluded_slaves.add(payload.slave_id)
         obs = self.simulator.obs
         if obs is not None:
             obs.event(self.node_id, "master.exclusion",
                       slave=payload.slave_id,
                       discovery=payload.discovery)
-        if self.master_of.get(payload.slave_id) == self.node_id:
+        if self.view.owners.get(payload.slave_id) == self.node_id:
             # Count each exclusion once systemwide: at its owner, which
             # every member names alike at this stream point.
             self.metrics.incr("exclusions")
             self.metrics.incr(f"exclusions_{payload.discovery}")
-        self.slaves = self._owned()
         # Contact every client of ours assigned to the excluded slave,
         # whoever owns it -- a client set up on an adopter keeps the
         # slave after its home takes it back -- and move it to a
@@ -485,16 +444,30 @@ class MasterServer(TrustedServer):
 
     # -- crash takeover and hand-back (Section 3.1) ---------------------------
 
-    def on_trusted_member_crashed(self, member_id: str) -> None:
-        """A delivered notice took ``member_id`` out of the view: the
-        survivors divide a master's slave set (``master_of`` now says
-        how), and an auditor's clients fail over."""
-        super().on_trusted_member_crashed(member_id)
-        self._repoint_auditors()
-        if member_id in self.auditor_ids:
-            self.metrics.incr("auditor_crash_noticed")
+    def on_membership(self, member_id: str, up: bool) -> None:
+        """A delivered notice moved ``member_id``.  First, each of our
+        clients whose auditor the view now names differently is sent the
+        assignment it holds, with only the auditor changed, so its reads
+        stay auditable.  (Pledges in flight to a crashed auditor are lost
+        -- the paper's statistical guarantee is unaffected because those
+        reads were already accepted; coverage resumes with the next
+        read.)  Then we adopt the slaves the view newly gives us: the
+        survivors divide a crashed master's set, a recovered master takes
+        its own back."""
+        held = self.slaves
+        super().on_membership(member_id, up)
+        for client_id, assignment in self.client_assignments.items():
+            auditor = self.view.auditor_for(client_id)
+            if auditor != assignment.auditor_id:
+                assignment = replace(assignment, auditor_id=auditor)
+                self.client_assignments[client_id] = assignment
+                self.send(client_id, assignment)
+                self.metrics.incr("clients_auditor_failover")
+        if member_id in self.view.auditors:
+            self.metrics.incr("auditor_recovery_noticed" if up
+                              else "auditor_crash_noticed")
             return
-        if member_id != self.node_id:
+        if not up and member_id != self.node_id:
             self.metrics.incr("master_crash_noticed")
             # Timestamped so harnesses can measure detection latency (the
             # gap between injecting a crash and the survivors acting).
@@ -503,43 +476,7 @@ class MasterServer(TrustedServer):
             if obs is not None:
                 obs.event(self.node_id, "master.takeover",
                           crashed=member_id)
-        self._take_ownership()
-
-    def on_trusted_member_recovered(self, member_id: str) -> None:
-        """A recovered auditor takes its clients back; a recovered
-        master, its slaves."""
-        super().on_trusted_member_recovered(member_id)
-        self._repoint_auditors()
-        if member_id in self.auditor_ids:
-            self.metrics.incr("auditor_recovery_noticed")
-            return
-        self._take_ownership()
-
-    def _repoint_auditors(self) -> None:
-        """Send each of our clients whose auditor :meth:`_auditor_for`
-        now names differently the assignment it holds, with only the
-        auditor changed, so its reads stay auditable.  (Pledges in
-        flight to a crashed auditor are lost -- the paper's statistical
-        guarantee is unaffected because those reads were already
-        accepted; coverage resumes with the next read.)"""
-        for client_id, assignment in self.client_assignments.items():
-            auditor = self._auditor_for(client_id)
-            if auditor != assignment.auditor_id:
-                assignment = replace(assignment, auditor_id=auditor)
-                self.client_assignments[client_id] = assignment
-                self.send(client_id, assignment)
-                self.metrics.incr("clients_auditor_failover")
-
-    def _owned(self) -> list[str]:
-        return [slave for slave, owner in self.master_of.items()
-                if owner == self.node_id
-                and slave not in self.excluded_slaves]
-
-    def _take_ownership(self) -> None:
-        """Serve exactly the slaves ``master_of`` now gives us."""
-        owned = self._owned()
-        gained = [slave for slave in owned if slave not in self.slaves]
-        self.slaves = owned
+        gained = [slave for slave in self.slaves if slave not in held]
         if gained:
             self.metrics.incr("slaves_adopted", len(gained))
             if self.broadcast.is_caught_up():

@@ -18,8 +18,9 @@ on ``ReplicationSystem``, named pass/fail verdicts in
 :mod:`repro.chaos.invariants`.
 
 :func:`ownership_violations` judges the trusted set's other replicated
-state, who serves which slave and which auditor each client's pledges go
-to, the same way: from outside, at the end.
+state, the :class:`~repro.core.view.TrustedView` (who serves which
+slave, which slaves are out, which auditor each client's pledges go
+to), the same way: from outside, at the end.
 """
 
 from __future__ import annotations
@@ -175,36 +176,42 @@ def client_auditors(clients: Sequence[Client]) -> dict[str, str]:
 def ownership_violations(trusted: Sequence[TrustedServer],
                          slaves: Sequence[SlaveServer],
                          clients: Sequence[Client] = ()) -> list[str]:
-    """Section 3.1's division, judged once the run is over: each slave
-    of :func:`slave_owners` is held by exactly one live master, every
-    live trusted server's ``master_of`` names that master, and the
-    slave, if up, is fresh.  Likewise each client of
-    :func:`client_auditors` names an auditor that is up, when one is,
-    and the one every live master's ``_auditor_for`` names."""
-    masters = [n for n in trusted if isinstance(n, MasterServer)]
-    maps = {n.node_id: n.master_of for n in trusted if not n.crashed}
-    up = {slave.node_id: slave for slave in slaves if not slave.crashed}
+    """Sections 3.1, 3.4 and 3.5, judged once the run is over: every live
+    trusted server holds one equal ``view``.  By that view each slave not
+    excluded is owned by a live master and, if up, is fresh; each client
+    of :func:`client_auditors` forwards to the auditor it names, which
+    is up when one is, and holds only slaves its live master's last
+    assignment to it lists."""
+    live = [n for n in trusted if not n.crashed]
+    if not live:
+        return ["no trusted server is up"]
+    view, ids = live[0].view, {n.node_id for n in live}
+    split = sorted(n.node_id for n in live if n.view != view)
+    if split:
+        return [f"the views at {split} differ from {live[0].node_id}'s"]
     problems: list[str] = []
-    for slave_id, owners in slave_owners(masters, slaves).items():
-        if len(owners) != 1:
-            problems.append(f"{slave_id} held by {owners or 'no live master'}")
+    for slave in (s for s in slaves if s.node_id not in view.excluded):
+        owner = view.owners.get(slave.node_id)
+        if owner not in ids:
+            problems.append(f"{slave.node_id} held by {owner}, not live")
+        elif not (slave.crashed or slave.is_fresh()):
+            problems.append(f"{slave.node_id} is not fresh")
+    auditors_up = ids.intersection(view.auditors)
+    masters = {n.node_id: n for n in live if isinstance(n, MasterServer)}
+    for client in clients:
+        if not client.ready or client.crashed:
             continue
-        dissent = sorted(node for node, master_of in maps.items()
-                         if master_of.get(slave_id) != owners[0])
-        if dissent:
-            problems.append(f"{slave_id} held by {owners[0]}, but "
-                            f"master_of at {dissent} names another")
-        if slave_id in up and not up[slave_id].is_fresh():
-            problems.append(f"{slave_id} is not fresh")
-    live = [m for m in masters if not m.crashed]
-    auditors_up = {n.node_id for n in trusted
-                   if not n.crashed and n.node_id in n.auditor_ids}
-    for client_id, auditor in client_auditors(clients).items():
-        named = {m._auditor_for(client_id) for m in live}
-        if named != {auditor} or (auditors_up
-                                  and auditor not in auditors_up):
-            problems.append(f"{client_id} forwards to {auditor}; live "
-                            f"masters name {sorted(named)}")
+        auditor, named = client.auditor_id, view.auditor_for(client.node_id)
+        if auditor != named or (auditors_up and auditor not in auditors_up):
+            problems.append(f"{client.node_id} forwards to {auditor}, "
+                            f"the view names {named}")
+        master = masters.get(client.master_id or "")
+        record = master and master.client_assignments.get(client.node_id)
+        listed = {c.subject_id for c in record.slave_certificates} \
+            if record else set()
+        if master and not listed.issuperset(client.assigned_slaves):
+            problems.append(f"{client.node_id} holds {client.assigned_slaves}"
+                            f", {master.node_id} lists {sorted(listed)}")
     return problems
 
 

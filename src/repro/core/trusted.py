@@ -5,9 +5,9 @@ here:
 
 * membership in the totally-ordered broadcast and the dispatch of
   delivered payloads (writes, exclusions);
-* slave ownership, a function of the enrolled certificates and the
-  delivered membership (:meth:`TrustedServer.owners`), and the auditor
-  set, enrolled at build time beside them;
+* the :class:`~repro.core.view.TrustedView` every member holds: slave
+  ownership, client auditors and exclusions, set by :meth:`enroll` and
+  replaced only where a notice is delivered;
 * the signed ``content_version`` state and bounded version history used
   to verify accusations against past versions;
 * the single-server work queue that turns content-store cost units and
@@ -35,6 +35,7 @@ from repro.core.messages import (
     Pledge,
     VersionStamp,
 )
+from repro.core.view import TrustedView
 from repro.crypto.certificates import Certificate
 from repro.crypto.keys import KeyPair
 from repro.crypto.signatures import new_signer
@@ -118,16 +119,9 @@ class TrustedServer(Node):
         #: timer per write: a crash loses the timer, never the queue.
         self._apply_queue: deque[tuple[float, BcastWrite]] = deque()
         self._drain_timer: EventHandle | None = None
-        #: The auditor set, enrolled at build time (:meth:`enroll`).
-        self.auditor_ids: tuple[str, ...] = ()
-        #: slave -> owning master, systemwide: :meth:`owners` as of the
-        #: last delivered membership notice.
-        self.master_of: dict[str, str] = {}
         #: Every enrolled slave certificate, kept forever so historical
         #: pledge signatures stay verifiable after exclusions/takeovers.
         self._cert_archive: dict[str, Certificate] = {}
-        #: Home master -> its slaves, in enrollment order.
-        self._homes: dict[str, list[str]] = {}
         self.work = WorkQueue(self)
         self.broadcast = TotalOrderBroadcast(
             self,
@@ -135,9 +129,11 @@ class TrustedServer(Node):
             on_deliver=self._on_deliver,
             heartbeat_interval=config.broadcast_heartbeat_interval,
             suspect_after=config.broadcast_suspect_after,
-            on_member_removed=self.on_trusted_member_crashed,
-            on_member_readmitted=self.on_trusted_member_recovered,
+            on_membership=self.on_membership,
         )
+        #: Owners, auditors and exclusions: :meth:`enroll` sets it, and
+        #: only a delivered notice replaces it.
+        self.view = TrustedView(alive=tuple(self.broadcast.ranked_members))
         self.rng = simulator.fork_rng(f"server:{node_id}")
 
     # -- lifecycle -------------------------------------------------------
@@ -181,7 +177,9 @@ class TrustedServer(Node):
         elif isinstance(payload, (BcastSlaveList, BcastElectAuditor)):
             pass  # retired: both sets are enrolled at build time
         elif isinstance(payload, BcastExcludeSlave):
-            self.deliver_exclusion(payload)
+            if payload.slave_id not in self.view.excluded:
+                self.view = self.view.exclude(payload.slave_id)
+                self.deliver_exclusion(payload)
         else:
             raise TypeError(
                 f"unexpected broadcast payload {type(payload).__name__}"
@@ -227,48 +225,25 @@ class TrustedServer(Node):
         return self._cert_archive.get(slave_id)
 
     def deliver_exclusion(self, payload: BcastExcludeSlave) -> None:
-        """A slave was proven malicious; subclasses react."""
+        """A slave was proven malicious, and is out of the view now;
+        subclasses react."""
 
-    # -- slave ownership (Section 3.1) ---------------------------------------
+    # -- the view (Sections 3.1, 3.4, 3.5) ----------------------------------
 
     def enroll(self, certs: Iterable[Certificate],
                auditor_ids: Iterable[str] = ()) -> None:
         """Build time: learn every slave certificate of the trusted set,
         and which members are auditors.  A slave's home is the master that
         issued its certificate."""
-        self.auditor_ids += tuple(auditor_ids)
-        for cert in certs:
-            self._cert_archive[cert.subject_id] = cert
-            self._homes.setdefault(cert.issuer_id, []).append(
-                cert.subject_id)
-        self.master_of = self.owners()
+        certs = tuple(certs)
+        self._cert_archive.update((cert.subject_id, cert) for cert in certs)
+        self.view = self.view.enroll(
+            ((c.issuer_id, c.subject_id) for c in certs), auditor_ids)
 
-    def owners(self) -> dict[str, str]:
-        """slave -> master, from the enrolled certificates and the
-        delivered view alone, so every member computes the same map.
-
-        A slave stays at its home while the home is up; otherwise it
-        goes to ``live[i % len(live)]``, ``live`` being the masters up in
-        rank order and ``i`` its index among its home's slaves (Section
-        3.1: "the remaining ones will divide its slave set").  A home
-        that comes back up takes its slaves back.
-        """
-        view = self.broadcast.alive_view
-        live = [m for m in view if m in self._homes]
-        return {slave: home if home in view or not live
-                else live[i % len(live)]
-                for home, slaves in self._homes.items()
-                for i, slave in enumerate(slaves)}
-
-    def on_trusted_member_crashed(self, member_id: str) -> None:
-        """A delivered notice took ``member_id`` out of the view, at
-        every member, the subject too: ownership follows.  Subclasses
-        extend."""
-        self.master_of = self.owners()
-
-    def on_trusted_member_recovered(self, member_id: str) -> None:
-        """A delivered notice put ``member_id`` back: so do its slaves."""
-        self.master_of = self.owners()
+    def on_membership(self, member_id: str, up: bool) -> None:
+        """A delivered notice took ``member_id`` out of the view or put
+        it back, at every member, the subject too.  Subclasses extend."""
+        self.view = (self.view.up if up else self.view.down)(member_id)
 
     # -- version state ----------------------------------------------------------
 

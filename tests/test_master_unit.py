@@ -119,29 +119,35 @@ class TestEvaluatePledge:
 
 class TestAssignment:
     def test_no_slaves_yields_none(self, master):
-        master.auditor_ids = ("zz-auditor-00",)
+        master.enroll([], ["zz-auditor-00"])
+        assert master.view.auditor_for("client-00") == "zz-auditor-00"
         assert master._make_assignment("client-00") is None
 
     def test_assignment_excludes_excluded(self, master, slave_keys):
-        master.auditor_ids = ("zz-auditor-00",)
+        master.enroll([], ["zz-auditor-00"])
         keys2 = KeyPair("slave-00-01", HMACSigner())
         master.enroll([master.register_slave("slave-00-01", "addr2",
                                              keys2.public_key)])
-        master.deliver_exclusion(BcastExcludeSlave(
+        assert master.slaves == ["slave-00-00", "slave-00-01"]
+        master._on_deliver(0, "master-00", BcastExcludeSlave(
             slave_id="slave-00-00", owning_master="master-00",
             evidence_request_id="c:r0", discovery="audit"))
+        assert master.excluded_slaves == {"slave-00-00"}
         for _ in range(10):
             assignment = master._make_assignment("client-00")
             assert assignment is not None
             ids = [c.subject_id for c in assignment.slave_certificates]
             assert ids == ["slave-00-01"]
+            assert assignment.auditor_id == "zz-auditor-00"
 
     def test_auditor_partition_stable(self, master):
-        master.auditor_ids = ("zz-auditor-00", "zz-auditor-01",
-                              "zz-auditor-02")
-        first = master._auditor_for("client-07")
-        assert all(master._auditor_for("client-07") == first
+        auditors = ("zz-auditor-00", "zz-auditor-01", "zz-auditor-02")
+        master.enroll([], auditors)
+        first = master.view.auditor_for("client-07")
+        assert first in auditors
+        assert all(master.view.auditor_for("client-07") == first
                    for _ in range(5))
+        assert master._make_assignment("client-07") is None
 
     def test_auditor_failover_skips_dead(self):
         """The delivered view decides: a ``down`` moves the dead
@@ -154,13 +160,13 @@ class TestAssignment:
                               ["master-00", *auditors], MetricsRegistry())
         master.enroll([], auditors)
         clients = [f"client-{i:02d}" for i in range(10)]
-        before = {c: master._auditor_for(c) for c in clients}
+        before = {c: master.view.auditor_for(c) for c in clients}
         assert set(before.values()) == set(auditors)
         master.broadcast._member_down_delivered("zz-auditor-00")
-        after = {master._auditor_for(c) for c in clients}
+        after = {master.view.auditor_for(c) for c in clients}
         assert after == {"zz-auditor-01"}
         master.broadcast._member_up_delivered("zz-auditor-00")
-        assert {c: master._auditor_for(c) for c in clients} == before
+        assert {c: master.view.auditor_for(c) for c in clients} == before
         for auditor in auditors:
             master.broadcast._member_down_delivered(auditor)
-        assert {c: master._auditor_for(c) for c in clients} == before
+        assert {c: master.view.auditor_for(c) for c in clients} == before

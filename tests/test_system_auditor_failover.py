@@ -1,6 +1,6 @@
 """Integration tests: auditor failover across a multi-auditor set.
 
-A client's auditor is ``MasterServer._auditor_for``, a function of the
+A client's auditor is ``TrustedView.auditor_for``, a function of the
 build-time auditor set and the delivered view; a master re-sends its
 clients' assignments, auditor changed, wherever a delivered membership
 change moves one (docs/PROTOCOL.md §2.6).
@@ -86,8 +86,8 @@ class TestAuditorFailover:
         # view, so new assignments use the full set again ...
         clients = [f"client-{i:02d}" for i in range(8)]
         for master in system.masters:
-            assert victim.node_id in master.broadcast.alive_view
-            assert {master._auditor_for(c) for c in clients} == {
+            assert victim.node_id in master.view.alive
+            assert {master.view.auditor_for(c) for c in clients} == {
                 a.node_id for a in system.auditors}
         # ... and the clients it lost are handed back.
         assert {c.node_id: c.auditor_id for c in system.clients} == home

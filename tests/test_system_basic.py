@@ -41,8 +41,8 @@ class TestSetupPhase:
 
     def test_auditor_elected_everywhere(self, small_system):
         for master in small_system.masters:
-            assert master.auditor_ids == (AUDITOR_NODE_ID,)
-        assert small_system.auditor.auditor_ids == (AUDITOR_NODE_ID,)
+            assert master.view.auditors == (AUDITOR_NODE_ID,)
+        assert small_system.auditor.view.auditors == (AUDITOR_NODE_ID,)
 
     def test_directory_served_lookups(self, small_system):
         assert small_system.directory.lookups_served >= len(

@@ -126,7 +126,7 @@ def owned_once(system):
 class TestOwnership:
     """A crashed master's slaves are divided by the delivered view, so
     no slave ends with no live owner or two, and every member holds the
-    same ``master_of``."""
+    same ``view``."""
 
     @pytest.mark.parametrize("num_masters, seed, second, second_at", [
         (4, 85, 2, 0.14),   # slave-00-01 used to end with no owner
@@ -161,7 +161,7 @@ class TestOwnership:
         home, adopted = system.masters[2], "slave-02-00"
         system.failures.crash_at(home, 0.1)
         system.start(settle=5.0)
-        adopter = system.node(system.masters[0].master_of[adopted])
+        adopter = system.node(system.masters[0].view.owners[adopted])
         assert adopted in adopter.slaves and owned_once(system) == []
         client = next(c for c in system.clients
                       if c.master_id == adopter.node_id)
@@ -182,6 +182,39 @@ class TestOwnership:
         assert adopted not in client.assigned_slaves
         assert len(client.tainted_reads) == 3
         assert system.metrics.count("exclusions") == 1
+
+    def test_a_master_the_client_left_moves_none_of_its_slaves(self):
+        """A client re-set-up on another master is still in its first
+        master's ``client_assignments``.  An exclusion of a slave that
+        stale record lists must not install that master's replacement:
+        the client would hold a slave its own master never gave it."""
+        system = make_system(
+            num_masters=3, slaves_per_master=2, num_clients=6, seed=23,
+            protocol=ProtocolConfig(double_check_probability=0.0,
+                                    request_timeout=1.0))
+        system.start(settle=3.0)
+        first = system.masters[1]
+        client = next(c for c in system.clients
+                      if c.master_id == first.node_id)
+        for node in (first, *map(system.node, client.assigned_slaves)):
+            system.failures.crash_for(node, system.now, 20.0)
+        for index in range(6):
+            system.schedule_op(client, system.now + 0.5 * index,
+                               KVGet(key=f"k{index:03d}"))
+        system.run_for(30.0)
+        assert client.master_id == "master-02"
+        own = system.node(client.master_id)
+        stale = first.client_assignments[client.node_id]
+        gone = next(cert.subject_id for cert in stale.slave_certificates
+                    if cert.subject_id not in client.assigned_slaves)
+        system.masters[0].broadcast.broadcast(BcastExcludeSlave(
+            slave_id=gone, owning_master=first.node_id,
+            evidence_request_id="c:r0", discovery="audit"))
+        system.run_for(3.0)
+        listed = {cert.subject_id for cert in
+                  own.client_assignments[client.node_id].slave_certificates}
+        assert set(client.assigned_slaves) <= listed
+        assert owned_once(system) == []
 
 
 class TestMasterRecovery:

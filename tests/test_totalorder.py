@@ -311,12 +311,12 @@ class TestViewChange:
     def test_member_removed_callback_fires(self):
         """At delivery of the ordered notice: two members would have no
         majority to order it, so three."""
-        removed = []
+        notices = []
         sim, _net, members = build_group(
-            n=3, on_member_removed=removed.append)
+            n=3, on_membership=lambda m, up: notices.append((m, up)))
         members[0].crash()
         sim.run_for(5.0)
-        assert removed == ["m0", "m0"]  # at m1 and at m2
+        assert notices == [("m0", False)] * 2  # at m1 and at m2
 
     def test_every_member_sees_one_membership_sequence(self):
         """A follower crashes and recovers, then the sequencer: every
@@ -326,10 +326,8 @@ class TestViewChange:
 
         def watch(member):
             seen = notices[member.node_id] = []
-            member.engine.on_member_removed = \
-                lambda m: seen.append(("down", m))
-            member.engine.on_member_readmitted = \
-                lambda m: seen.append(("up", m))
+            member.engine.on_membership = \
+                lambda m, up: seen.append(("up" if up else "down", m))
 
         sim, _net, members = build_group(n=3, before_start=watch)
         members[2].crash()
