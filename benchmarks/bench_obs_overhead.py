@@ -176,8 +176,7 @@ def carrier_codec_rate(frames: int, wrapped: bool) -> float:
     stamp = m.VersionStamp.make(keys, version=3, timestamp=12.5)
     message: object = m.KeepAlive(stamp=stamp)
     if wrapped:
-        message = TraceCarrier(TraceContext("t000001", "s000002", True),
-                               message)
+        message = TraceCarrier(TraceContext("t000001", "s000002"), message)
     start = time.perf_counter()
     for _ in range(frames):
         decode_frame(encode_frame(message))

@@ -280,8 +280,7 @@ class AuditorServer(TrustedServer):
         self.metrics.observe("audit_detection_latency",
                              self.now - pledge.stamp.timestamp)
         self.send(self.view.owners[pledge.slave_id],
-                  Accusation(pledge=pledge, accuser_id=self.node_id,
-                             discovery="audit"))
+                  Accusation(pledge=pledge, discovery="audit"))
 
     # -- instrumentation ----------------------------------------------------------
 

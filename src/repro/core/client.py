@@ -474,7 +474,7 @@ class Client(Node):
             self.metrics.incr("sensitive_reads")
             assert self.master_id is not None
             self.send(self.master_id, DoubleCheckRequest(
-                client_id=self.node_id, request_id=attempt.request_id,
+                request_id=attempt.request_id,
                 query_wire=attempt.query_wire, want_result=True))
         else:
             attempt.state = "waiting_slaves"
@@ -563,8 +563,7 @@ class Client(Node):
                 parent=obs.current or attempt.span, forced=forced)
         assert self.master_id is not None
         self.send(self.master_id, DoubleCheckRequest(
-            client_id=self.node_id, request_id=attempt.request_id,
-            query_wire=attempt.query_wire))
+            request_id=attempt.request_id, query_wire=attempt.query_wire))
         attempt.timer = self.after(self.config.request_timeout,
                                    self._double_check_timeout, attempt)
 
@@ -609,8 +608,7 @@ class Client(Node):
                               slave=pledge.slave_id, discovery="immediate")
                 assert self.master_id is not None
                 self.send(self.master_id, Accusation(
-                    pledge=pledge, accuser_id=self.node_id,
-                    discovery="immediate"))
+                    pledge=pledge, discovery="immediate"))
             attempt.state = "await_reassign"
             # Re-issued once the master reassigns us (ExclusionNotice), or
             # after a timeout if the accusation was dismissed.

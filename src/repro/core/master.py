@@ -366,7 +366,6 @@ class MasterServer(TrustedServer):
             result_hash=sha1_hex(outcome.result),
             version=self.version,
             result=outcome.result if message.want_result else None,
-            include_result=message.want_result,
         )
         self.work.submit(service, self.send, client_id, reply)
 
@@ -384,13 +383,8 @@ class MasterServer(TrustedServer):
                       discovery=message.discovery)
         if verdict != "guilty":
             return
-        owner = self.view.owners.get(pledge.slave_id, self.node_id)
         self.broadcast.broadcast(BcastExcludeSlave(
-            slave_id=pledge.slave_id,
-            owning_master=owner,
-            evidence_request_id=pledge.request_id,
-            discovery=message.discovery,
-        ))
+            slave_id=pledge.slave_id, discovery=message.discovery))
 
     def evaluate_pledge(self, pledge: Pledge) -> str:
         """Classify a pledge: 'guilty', 'innocent' or 'unverifiable'.

@@ -384,10 +384,8 @@ class ReadReply:
 class DoubleCheckRequest:
     """Client -> master: re-execute this query on trusted state."""
 
-    client_id: str
     request_id: str
     query_wire: Any
-    pledge: Pledge | None = None
     #: True for Section 4 "sensitive" reads executed only on the master:
     #: the client needs the result itself, not just the hash.
     want_result: bool = False
@@ -402,7 +400,6 @@ class DoubleCheckReply:
     result_hash: str
     version: int
     result: Any = None
-    include_result: bool = False
 
 
 # -- audit path (Section 3.4) -------------------------------------------------
@@ -436,7 +433,6 @@ class Accusation:
     """Client/auditor -> master: signed evidence of slave misbehaviour."""
 
     pledge: Pledge
-    accuser_id: str
     discovery: str  # "immediate" (double-check) | "audit" (delayed)
 
 
@@ -470,15 +466,6 @@ class BcastWrite:
 
 
 @dataclass(frozen=True, slots=True)
-class BcastElectAuditor:
-    """Retired auditor election, delivered as a no-op: every trusted
-    server is enrolled with the auditor set at build time, so nothing
-    sends one.  Kept for its wire id."""
-
-    auditor_ids: tuple[str, ...]
-
-
-@dataclass(frozen=True, slots=True)
 class BcastSlaveList:
     """Retired slave-list announcement, delivered as a no-op: slave
     ownership is a function of the enrolled certificates and the
@@ -493,8 +480,6 @@ class BcastExcludeSlave:
     """Totally-ordered exclusion of a proven-malicious slave."""
 
     slave_id: str
-    owning_master: str
-    evidence_request_id: str
     discovery: str
 
 
@@ -537,7 +522,6 @@ WIRE_MESSAGE_TYPES: tuple[type, ...] = (
     ExclusionNotice,
     SetupFailed,
     BcastWrite,
-    BcastElectAuditor,
     BcastSlaveList,
     BcastExcludeSlave,
     BroadcastWrapper,

@@ -18,7 +18,6 @@ here:
 from __future__ import annotations
 
 from collections import deque
-from dataclasses import dataclass
 from typing import Any, Callable, Iterable
 
 from repro.broadcast.totalorder import BroadcastEnvelope, TotalOrderBroadcast
@@ -27,7 +26,6 @@ from repro.content.store import ContentStore, ReadOutcome
 from repro.core.config import ProtocolConfig
 from repro.core.history import History
 from repro.core.messages import (
-    BcastElectAuditor,
     BcastExcludeSlave,
     BcastSlaveList,
     BcastWrite,
@@ -42,16 +40,6 @@ from repro.crypto.signatures import new_signer
 from repro.metrics import MetricsRegistry
 from repro.sim.network import Network, Node
 from repro.sim.simulator import EventHandle, Simulator
-
-
-@dataclass(frozen=True)
-class CertAnnouncement:
-    """Retired: master -> trusted set slave certificates.  Nothing sends
-    it since every trusted server is enrolled with every certificate at
-    build time; its wire id stays reserved."""
-
-    master_id: str
-    certs: tuple
 
 
 class WorkQueue:
@@ -174,8 +162,8 @@ class TrustedServer(Node):
     def _on_deliver(self, seq: int, origin: str, payload: Any) -> None:
         if isinstance(payload, BcastWrite):
             self.deliver_write(seq, origin, payload)
-        elif isinstance(payload, (BcastSlaveList, BcastElectAuditor)):
-            pass  # retired: both sets are enrolled at build time
+        elif isinstance(payload, BcastSlaveList):
+            pass  # retired: slave ownership is enrolled at build time
         elif isinstance(payload, BcastExcludeSlave):
             if payload.slave_id not in self.view.excluded:
                 self.view = self.view.exclude(payload.slave_id)

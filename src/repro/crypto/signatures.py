@@ -9,11 +9,14 @@ Two interchangeable signers implement the :class:`Signer` protocol:
     paper's claim that the auditor wins by not signing.
 
 :class:`HMACSigner`
-    An HMAC-SHA1 "signature" where the verification key equals the signing
-    key.  Within a simulation this is sound because adversary code never
-    reads other nodes' key material -- exactly the paper's model, where a
-    malicious slave can lie about *results* but cannot forge another
-    party's signature.  It makes 100k-read simulations fast.
+    An HMAC-SHA1 "signature" with the usual ideal-signature treatment of
+    a simulation: the public key is a handle, ``sha1(key)``, and
+    verification looks the key up by handle in a table private to this
+    module.  So whoever holds a public key -- a client with its slaves'
+    certificates, a slave with its masters' -- can verify but not sign,
+    and a pledge stays evidence against its slave alone (the paper's
+    §3.2-3.3).  It makes 100k-read simulations fast.  The table is one
+    process's: a deployment across processes uses RSA.
 
 ``new_signer`` picks a scheme by name so system configs can select one with
 a string.
@@ -24,6 +27,7 @@ from __future__ import annotations
 import hashlib
 import hmac
 import random
+from dataclasses import dataclass
 from typing import Protocol, Union
 
 from repro.crypto import entropy, fastpath
@@ -53,10 +57,6 @@ class Signer(Protocol):
     def sign(self, message: bytes) -> Signature:
         """Produce a signature over ``message`` with the private half."""
 
-    def verify_with(self, public_key: object, message: bytes,
-                    signature: object) -> bool:
-        """Check ``signature`` over ``message`` against ``public_key``."""
-
 
 class RSASigner:
     """RSA-FDH signer; the production-faithful scheme."""
@@ -75,44 +75,35 @@ class RSASigner:
     def sign(self, message: bytes) -> int:
         return _rsa.rsa_sign(self._keypair, message)
 
-    def sign_many(self, messages: "list[bytes]") -> "list[int]":
-        """Sign a batch.  RSA signing is dominated by the CRT private
-        operation, which cannot be shared across messages, so this is a
-        plain loop -- provided for interface symmetry with
-        :meth:`HMACSigner.sign_many`."""
-        return [_rsa.rsa_sign(self._keypair, m) for m in messages]
 
-    def verify_with(self, public_key: object, message: bytes,
-                    signature: object) -> bool:
-        if not isinstance(public_key, _rsa.RSAPublicKey):
-            return False
-        return _rsa.rsa_verify(public_key, message, signature)
+#: Handle -> key of every :class:`HMACSigner` made in this process.
+#: Only this module reads it: a node holding another's public key holds
+#: the handle, which cannot sign.  The table does not cross processes,
+#: so a deployment with a process per node signs with ``rsa``.
+_HMAC_KEYS: dict[bytes, bytes] = {}
 
 
+@dataclass(frozen=True, slots=True)
 class HMACPublicKey:
-    """Wrapper marking an HMAC key as the 'public' verification handle.
+    """The public half of an HMAC key: ``sha1(key)``, the handle under
+    which :func:`verify_signature` finds the key of the signer that made
+    it.  Verifies, and cannot sign."""
 
-    Simulation-only: possession of this object allows verification *and*
-    forgery, so protocol code must never hand a node another node's key
-    except through the certified channels the paper defines.  Honest and
-    adversarial node implementations in :mod:`repro.core` uphold this.
-    """
+    handle: bytes
 
-    __slots__ = ("key_bytes",)
-
-    def __init__(self, key_bytes: bytes) -> None:
-        self.key_bytes = key_bytes
+    def __post_init__(self) -> None:
+        if self.handle.__class__ is not bytes:
+            raise TypeError("an HMAC handle is bytes")
 
     def fingerprint(self) -> str:
-        return hashlib.sha1(self.key_bytes).hexdigest()[:16]
-
-    def __eq__(self, other: object) -> bool:
-        return isinstance(other, HMACPublicKey) and other.key_bytes == self.key_bytes
+        return self.handle.hex()[:16]
 
     def __hash__(self) -> int:
-        return hash(self.key_bytes)
+        # Explicit: the verify cache hashes the key on every lookup.
+        return hash(self.handle)
 
     def __repr__(self) -> str:
+        # Part of every certificate's signed payload; do not change.
         return f"HMACPublicKey({self.fingerprint()})"
 
 
@@ -126,7 +117,9 @@ class HMACSigner:
         if key_bytes is None:
             rng = rng or entropy.fallback_rng()
             key_bytes = rng.getrandbits(256).to_bytes(32, "big")
-        self._key = key_bytes
+        handle = hashlib.sha1(key_bytes).digest()
+        _HMAC_KEYS[handle] = key_bytes
+        self._public_key = HMACPublicKey(handle)
         # The HMAC key schedule (ipad/opad absorption) depends only on
         # the key; precompute it once and .copy() per signature.  Tags
         # are byte-identical to hmac.new(key, message, sha1).
@@ -134,7 +127,7 @@ class HMACSigner:
 
     @property
     def public_key(self) -> HMACPublicKey:
-        return HMACPublicKey(self._key)
+        return self._public_key
 
     def sign(self, message: bytes) -> bytes:
         mac = self._mac.copy()
@@ -152,12 +145,6 @@ class HMACSigner:
             tags.append(mac.digest())
         return tags
 
-    def verify_with(self, public_key: object, message: bytes,
-                    signature: object) -> bool:
-        if not isinstance(public_key, HMACPublicKey):
-            return False
-        return _hmac_verify(public_key, message, signature)
-
 
 #: The public-key objects the two schemes publish; certificates and
 #: directory listings carry one of these.
@@ -172,11 +159,12 @@ def key_fingerprint(public_key: PublicKey) -> str:
 
 def _hmac_verify(public_key: HMACPublicKey, message: bytes,
                  signature: object) -> bool:
-    if not isinstance(signature, (bytes, bytearray)):
+    key = _HMAC_KEYS.get(public_key.handle)
+    if key is None or not isinstance(signature, (bytes, bytearray)):
         return False
     # One-shot digest: no HMAC object and no key schedule rebuilt in
     # Python per verification (tags equal hmac.new(...).digest()).
-    expected = hmac.digest(public_key.key_bytes, message, "sha1")
+    expected = hmac.digest(key, message, "sha1")
     return hmac.compare_digest(expected, bytes(signature))
 
 
@@ -189,10 +177,9 @@ def verify_signature(public_key: object, message: bytes, signature: object,
     rather than on the verifier's own signer is what lets a client whose
     personal keys are cheap HMAC verify RSA-signed certificates, stamps
     and pledges -- the mixed deployment every ``signer_scheme="rsa"``
-    system actually is.  (Routing through the verifier's signer, as
-    ``Signer.verify_with`` does, makes cross-scheme verification
-    silently fail: clients could never complete setup against RSA
-    masters.)
+    system actually is.  (A verifier's own signer cannot verify: routed
+    through it, cross-scheme verification would silently fail and
+    clients could never complete setup against RSA masters.)
 
     Repeated verifications of the identical ``(public key, payload,
     signature)`` triple -- the same master stamp checked by every read
@@ -251,9 +238,6 @@ def _verify_dispatch(public_key: object, message: bytes,
     return False
 
 
-_SCHEMES = {"rsa": RSASigner, "hmac": HMACSigner}
-
-
 def new_signer(scheme: str, rng: random.Random | None = None,
                rsa_bits: int = _rsa.DEFAULT_KEY_BITS) -> Signer:
     """Instantiate a signer by scheme name (``"rsa"`` or ``"hmac"``)."""
@@ -262,5 +246,4 @@ def new_signer(scheme: str, rng: random.Random | None = None,
     if scheme == "hmac":
         return HMACSigner(rng=rng)
     raise ValueError(
-        f"unknown signature scheme {scheme!r}; expected one of {sorted(_SCHEMES)}"
-    )
+        f"unknown signature scheme {scheme!r}; expected 'hmac' or 'rsa'")

@@ -51,7 +51,6 @@ from repro.core.messages import (
     Pledge,
     VersionStamp,
 )
-from repro.core.trusted import CertAnnouncement
 from repro.crypto.certificates import Certificate
 from repro.crypto.rsa import RSAPublicKey
 from repro.crypto.signatures import HMACPublicKey
@@ -84,10 +83,11 @@ from repro.shard.wire import (
 )
 
 MAGIC = b"RN"
-#: 3 since a read reply carries a ``Seal`` (wire id 58) in place of its
-#: pledge; 2 added the stamp reference and the raw digest.  A peer
-#: speaking any other version is refused at its hello.
-WIRE_VERSION = 3
+#: 4 since the wire types and fields nothing read were retired and an
+#: HMAC public key became a handle; 3 put a ``Seal`` in a read reply in
+#: place of its pledge; 2 added the stamp reference and the raw digest.
+#: A peer speaking any other version is refused at its hello.
+WIRE_VERSION = 4
 HEADER_SIZE = 8
 #: Upper bound on a frame body; a full MiniDB snapshot fits comfortably,
 #: while a hostile 4 GiB length prefix is rejected before allocation.
@@ -720,17 +720,6 @@ def _odd_fields_header(buf: bytes, pos: int, name: str, arity: int) -> int:
     raise CodecError(f"{name} payload must be a {arity}-tuple")
 
 
-def _encode_hmac_key(value: Any, out: bytearray) -> None:
-    _encode_bytes(value.key_bytes, out)
-
-
-def _decode_hmac_key(buf: bytes, pos: int) -> tuple[Any, int]:
-    raw, pos = _decode_value(buf, pos)
-    if not isinstance(raw, bytes):
-        raise CodecError("HMACPublicKey payload must be bytes")
-    return HMACPublicKey(raw), pos
-
-
 def _encode_store(value: Any, out: bytearray) -> None:
     try:
         payload = value.snapshot_wire()
@@ -752,7 +741,7 @@ def _decode_store(buf: bytes, pos: int) -> tuple[Any, int]:
 # out by hand: the same bytes as the compiled dataclass codec, without
 # its per-field getter and dispatch (3.3 us against 4.1 us a carrier).
 # The 8 is TraceContext's wire id in the table below.
-_TRACE_CTX_PREFIX = _TUPLE_TAG + b"\x03"
+_TRACE_CTX_PREFIX = _TUPLE_TAG + b"\x02"
 _TRACE_CARRIER_PREFIX = _TUPLE_TAG + b"\x02" + bytes((_T_EXT, 8))
 
 
@@ -760,7 +749,6 @@ def _encode_trace_context(value: Any, out: bytearray) -> None:
     out += _TRACE_CTX_PREFIX
     _encode_str(value.trace_id, out)
     _encode_str(value.span_id, out)
-    out.append(_T_TRUE if value.sampled else _T_FALSE)
 
 
 def _encode_trace_carrier(value: Any, out: bytearray) -> None:
@@ -780,9 +768,9 @@ def _iter_registrations() -> Iterator[_Registration]:
     yield (1, NetHello, None, None)
     yield (2, Certificate, None, None)
     yield (3, RSAPublicKey, None, None)
-    yield (4, HMACPublicKey, _encode_hmac_key, _decode_hmac_key)
+    yield (4, HMACPublicKey, None, None)
     yield (5, BroadcastEnvelope, None, None)
-    yield (6, CertAnnouncement, None, None)
+    # 6 was the retired CertAnnouncement (wire version 3 and earlier).
     yield (7, ContentStore, _encode_store, _decode_store)
     # Observability (PR 5): the trace-context envelope and the admin
     # plane.  Appended after the PR 3 carriers -- an older peer that

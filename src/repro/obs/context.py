@@ -1,8 +1,8 @@
 """Trace context: the causal identity that rides protocol operations.
 
-A :class:`TraceContext` is deliberately tiny -- trace id, span id and
-the sampling decision -- because it crosses two very different
-boundaries:
+A :class:`TraceContext` is deliberately tiny -- trace id and span id
+(a context exists only for a sampled operation) -- because it crosses
+two very different boundaries:
 
 * **in-process**: the scheduler (``Simulator.schedule`` and
   ``RealtimeScheduler.schedule``) captures the active context at
@@ -30,7 +30,6 @@ class TraceContext:
 
     trace_id: str
     span_id: str
-    sampled: bool = True
 
 
 @dataclass(frozen=True, slots=True)

@@ -62,7 +62,7 @@ class Span:
     @property
     def context(self) -> TraceContext:
         """The context a child of this span should inherit."""
-        return TraceContext(self.trace_id, self.span_id, True)
+        return TraceContext(self.trace_id, self.span_id)
 
 
 class ObsRuntime:

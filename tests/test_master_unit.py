@@ -130,8 +130,7 @@ class TestAssignment:
                                              keys2.public_key)])
         assert master.slaves == ["slave-00-00", "slave-00-01"]
         master._on_deliver(0, "master-00", BcastExcludeSlave(
-            slave_id="slave-00-00", owning_master="master-00",
-            evidence_request_id="c:r0", discovery="audit"))
+            slave_id="slave-00-00", discovery="audit"))
         assert master.excluded_slaves == {"slave-00-00"}
         for _ in range(10):
             assignment = master._make_assignment("client-00")

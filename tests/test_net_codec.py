@@ -28,7 +28,6 @@ from repro.broadcast.totalorder import BroadcastEnvelope
 from repro.content.kvstore import KeyValueStore
 from repro.content.store import ContentStore
 from repro.core import messages as m
-from repro.core.trusted import CertAnnouncement
 from repro.crypto.certificates import Certificate
 from repro.crypto.keys import KeyPair
 from repro.crypto.rsa import RSAPublicKey
@@ -111,13 +110,11 @@ EXAMPLES: dict[type, object] = {
     NetHello: NetHello(node_id="client-00"),
     Certificate: CERT,
     RSAPublicKey: RSAPublicKey(n=2**512 + 9, e=65537),
-    HMACPublicKey: HMACPublicKey(b"\x00" * 32),
+    HMACPublicKey: HMACPublicKey(b"\x00" * 20),
     BroadcastEnvelope: BroadcastEnvelope(
         kind="order", origin="master-00", local_seq=4, global_seq=9,
         payload=("anything", 1), epoch=2, leader="master-00",
         have_seq=8, entries=((9, "master-00", 4),)),
-    CertAnnouncement: CertAnnouncement(master_id="master-00",
-                                       certs=(CERT,)),
     ContentStore: KeyValueStore({"k1": "v1", "k2": 2}),
     m.VersionStamp: STAMP,
     m.Pledge: PLEDGE,
@@ -143,16 +140,14 @@ EXAMPLES: dict[type, object] = {
     m.ReadReply: m.ReadReply(request_id="r-1", result={"value": 7},
                              pledge=SEAL, in_sync=True),
     m.DoubleCheckRequest: m.DoubleCheckRequest(
-        client_id="client-00", request_id="r-1",
-        query_wire={"kind": "kv_get"}, pledge=PLEDGE, want_result=True),
+        request_id="r-1", query_wire={"kind": "kv_get"}, want_result=True),
     m.DoubleCheckReply: m.DoubleCheckReply(
         request_id="r-1", result_hash="cd" * 20, version=4,
-        result={"value": 7}, include_result=True),
+        result={"value": 7}),
     m.AuditSubmission: m.AuditSubmission(pledge=PLEDGE),
     m.AuditBatch: m.AuditBatch(pledges=(PLEDGE, PLEDGE)),
     m.Seal: SEAL,
-    m.Accusation: m.Accusation(pledge=PLEDGE, accuser_id="client-00",
-                               discovery="audit"),
+    m.Accusation: m.Accusation(pledge=PLEDGE, discovery="audit"),
     m.ExclusionNotice: m.ExclusionNotice(
         excluded_slave_id="slave-00-00",
         replacement=m.SlaveAssignment(slave_certificates=(CERT,),
@@ -161,19 +156,15 @@ EXAMPLES: dict[type, object] = {
     m.BcastWrite: m.BcastWrite(origin_master="master-01",
                                client_id="client-00", request_id="w-1",
                                op_wire={"kind": "kv_put"}),
-    m.BcastElectAuditor: m.BcastElectAuditor(
-        auditor_ids=("zz-auditor-00",)),
     m.BcastSlaveList: m.BcastSlaveList(master_id="master-00",
                                        slave_ids=("slave-00-00",)),
     m.BcastExcludeSlave: m.BcastExcludeSlave(
-        slave_id="slave-00-00", owning_master="master-00",
-        evidence_request_id="r-1", discovery="immediate"),
+        slave_id="slave-00-00", discovery="immediate"),
     m.BroadcastWrapper: m.BroadcastWrapper(
         envelope=BroadcastEnvelope(kind="heartbeat", origin="master-00")),
-    TraceContext: TraceContext(trace_id="t000001", span_id="s000002",
-                               sampled=True),
+    TraceContext: TraceContext(trace_id="t000001", span_id="s000002"),
     TraceCarrier: TraceCarrier(
-        context=TraceContext("t000001", "s000002", True),
+        context=TraceContext("t000001", "s000002"),
         message=m.KeepAlive(stamp=STAMP)),
     ObsDumpRequest: ObsDumpRequest(max_spans=128, clear=True),
     ObsDumpReply: ObsDumpReply(
@@ -268,12 +259,12 @@ class TestRegisteredTypes:
             assert wire_type_id(cls) >= 32
 
     def test_registry_layout_pinned(self):
-        # Append-only contract: existing ids never move.  New entries
-        # must extend this mapping, not alter it.
+        # Append-only contract: between wire-version bumps existing ids
+        # never move.  New entries must extend this mapping, not alter
+        # it.  (Version 4 retired id 6 and one protocol message.)
         expected_infra = {1: "NetHello", 2: "Certificate",
                           3: "RSAPublicKey", 4: "HMACPublicKey",
-                          5: "BroadcastEnvelope", 6: "CertAnnouncement",
-                          7: "ContentStore",
+                          5: "BroadcastEnvelope", 7: "ContentStore",
                           8: "TraceContext", 9: "TraceCarrier",
                           10: "ObsDumpRequest", 11: "ObsDumpReply",
                           12: "ObsHealthRequest", 13: "ObsHealthReply",
@@ -450,6 +441,15 @@ class TestFraming:
         with pytest.raises(CodecError):
             decode_value(body)
 
+    def test_hmac_handle_must_be_bytes(self):
+        # Anything else off the wire would be a key nothing can look up,
+        # hash or fingerprint; it is refused at decode, as ever.
+        body = (bytes((codec._T_EXT,))
+                + codec._encode_varint(wire_type_id(HMACPublicKey))
+                + encode_value(("not bytes",)))
+        with pytest.raises(CodecError, match="HMACPublicKey"):
+            decode_value(body)
+
     def test_wrong_arity_extension_payload(self):
         body = (bytes((codec._T_EXT,))
                 + codec._encode_varint(wire_type_id(NetHello))
@@ -557,11 +557,9 @@ _protocol_messages = st.one_of(
     st.builds(m.AuditBatch,
               pledges=st.lists(_pledges, max_size=4).map(tuple)),
     st.builds(m.AuditSubmission, pledge=_pledges),
-    st.builds(m.DoubleCheckRequest, client_id=st.just("client-00"),
-              request_id=st.just("r-1"), query_wire=st.just({"q": 1}),
-              pledge=st.none() | _pledges),
-    st.builds(m.Accusation, pledge=_pledges,
-              accuser_id=st.just("client-00"), discovery=st.just("audit")),
+    st.builds(m.DoubleCheckRequest, request_id=st.just("r-1"),
+              query_wire=st.just({"q": 1})),
+    st.builds(m.Accusation, pledge=_pledges, discovery=st.just("audit")),
 )
 _carried_messages = st.recursive(
     _protocol_messages,
@@ -572,7 +570,7 @@ _carried_messages = st.recursive(
                   src=st.just("s00:slave-00-00"),
                   dst=st.just("s00:client-00"), message=inner),
         st.builds(TraceCarrier,
-                  context=st.just(TraceContext("t000001", "s000002", True)),
+                  context=st.just(TraceContext("t000001", "s000002")),
                   message=inner)),
     max_leaves=6)
 
@@ -655,13 +653,11 @@ class TestWireContext:
             encode_frame(message, sender)
         encode_frame(m.KeepAlive(stamp=pledge.stamp), sender)
         remembered = sender.stamps
-        accusation = m.Accusation(pledge=pledge, accuser_id="client-00",
-                                  discovery="immediate")
+        accusation = m.Accusation(pledge=pledge, discovery="immediate")
         for carried in (accusation,
                         ShardEnvelope(shard_id="s00", src="a", dst="b",
                                       message=TraceCarrier(
-                                          context=TraceContext("t", "s",
-                                                               True),
+                                          context=TraceContext("t", "s"),
                                           message=accusation))):
             frame = encode_frame(carried, sender)
             assert frame == encode_frame(carried)

@@ -199,7 +199,6 @@ class TestWireAdmission:
             try:
                 keepalive = m.KeepAlive(stamp=STAMP)
                 accusation = m.Accusation(pledge=PLEDGE,
-                                          accuser_id="client-00",
                                           discovery="immediate")
                 _reader, writer = await h.raw_connection()
                 for message in ("plain-0", keepalive, "plain-1",

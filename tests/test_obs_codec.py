@@ -11,6 +11,7 @@ arbitrary pledge contents.
 
 from __future__ import annotations
 
+import dataclasses
 import random
 
 import pytest
@@ -49,7 +50,7 @@ def _keys(owner_id: str, scheme: str = "hmac", seed: int = 1) -> KeyPair:
 MASTER = _keys("master-00")
 SLAVE = _keys("slave-00-00", seed=2)
 STAMP = m.VersionStamp.make(MASTER, version=3, timestamp=12.5)
-CTX = TraceContext("t00000a", "s00000b", True)
+CTX = TraceContext("t00000a", "s00000b")
 
 
 def _pledge(request_id: str = "req-7",
@@ -65,7 +66,10 @@ def roundtrip(value):
 class TestTraceContextWire:
     def test_context_roundtrip(self):
         assert roundtrip(CTX) == CTX
-        assert roundtrip(TraceContext("t1", "s1", False)).sampled is False
+        # Two fields: a context exists only for a sampled operation.
+        assert roundtrip(TraceContext("t1", "s1")) == TraceContext("t1", "s1")
+        assert [f.name for f in dataclasses.fields(TraceContext)] == [
+            "trace_id", "span_id"]
 
     def test_carrier_roundtrip_preserves_message(self):
         carrier = TraceCarrier(context=CTX, message=m.KeepAlive(stamp=STAMP))
@@ -116,14 +120,12 @@ class TestTraceContextWire:
            result_hash=st.text(
                alphabet="0123456789abcdef", min_size=40, max_size=40),
            trace_id=st.text(min_size=1, max_size=16),
-           span_id=st.text(min_size=1, max_size=16),
-           sampled=st.booleans())
+           span_id=st.text(min_size=1, max_size=16))
     def test_signed_payload_identical_inside_carrier(
-            self, request_id, result_hash, trace_id, span_id, sampled):
+            self, request_id, result_hash, trace_id, span_id):
         pledge = _pledge(request_id=request_id, result_hash=result_hash)
         submission = m.AuditSubmission(pledge=pledge)
-        carrier = TraceCarrier(TraceContext(trace_id, span_id, sampled),
-                               submission)
+        carrier = TraceCarrier(TraceContext(trace_id, span_id), submission)
         back = decode_frame(encode_frame(carrier))
         carried = back.message.pledge
         assert carried.signed_payload() == pledge.signed_payload()

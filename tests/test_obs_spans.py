@@ -105,7 +105,7 @@ class TestRuntime:
 
     def test_explicit_parent_overrides_current(self):
         _sim, obs = make_runtime()
-        ctx = TraceContext("tX", "sX", True)
+        ctx = TraceContext("tX", "sX")
         span = obs.begin("n", "op", parent=ctx)
         assert span.trace_id == "tX" and span.parent_id == "sX"
 
@@ -121,7 +121,7 @@ class TestRuntime:
     def test_span_context_property(self):
         span = Span(trace_id="t1", span_id="s1", parent_id=None,
                     node="n", op="op", start=0.0)
-        assert span.context == TraceContext("t1", "s1", True)
+        assert span.context == TraceContext("t1", "s1")
         assert span.duration is None
 
 

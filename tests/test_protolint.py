@@ -435,11 +435,27 @@ class TestPL004VerifyDispatch:
         """
         assert codes(source) == []
 
+    def test_hmac_key_table_flagged(self):
+        source = """
+            from repro.crypto import signatures
+            from repro.crypto.signatures import _HMAC_KEYS
+
+            def forge(handle):
+                return (_HMAC_KEYS[handle],
+                        signatures._HMAC_KEYS.get(handle),
+                        getattr(signatures, "_HMAC_KEYS"))
+        """
+        assert codes(source) == ["PL004"] * 4
+        assert codes(source, path="benchmarks/bench_x.py") == ["PL004"] * 4
+
     def test_crypto_package_itself_exempt(self):
         # The dispatcher's own implementation must be allowed to call the
-        # primitives it dispatches to.
+        # primitives it dispatches to, and to hold the key table.
         source = """
+            _HMAC_KEYS: dict[bytes, bytes] = {}
+
             def _dispatch(signer, public_key, message, signature):
+                _HMAC_KEYS.get(public_key.handle)
                 return signer.verify_with(public_key, message, signature)
         """
         assert codes(source, path="src/repro/crypto/signatures.py") == []

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import hashlib
 import random
 
 import pytest
@@ -12,6 +13,7 @@ from repro.crypto.signatures import (
     HMACSigner,
     RSASigner,
     new_signer,
+    verify_signature,
 )
 
 
@@ -19,27 +21,50 @@ class TestHMACSigner:
     def test_roundtrip(self):
         signer = HMACSigner(rng=random.Random(1))
         sig = signer.sign(b"payload")
-        assert signer.verify_with(signer.public_key, b"payload", sig)
+        assert verify_signature(signer.public_key, b"payload", sig)
 
     def test_tamper_fails(self):
         signer = HMACSigner(rng=random.Random(1))
         sig = signer.sign(b"payload")
-        assert not signer.verify_with(signer.public_key, b"other", sig)
+        assert not verify_signature(signer.public_key, b"other", sig)
 
     def test_wrong_key_fails(self):
         a = HMACSigner(rng=random.Random(1))
         b = HMACSigner(rng=random.Random(2))
         sig = a.sign(b"m")
-        assert not a.verify_with(b.public_key, b"m", sig)
+        assert not verify_signature(b.public_key, b"m", sig)
 
     def test_non_bytes_signature_rejected(self):
         signer = HMACSigner(rng=random.Random(1))
-        assert not signer.verify_with(signer.public_key, b"m", 12345)
+        assert not verify_signature(signer.public_key, b"m", 12345)
 
     def test_public_key_equality(self):
+        # Equal keys give equal handles; the handle is not the key.
         signer = HMACSigner(key_bytes=b"k" * 32)
-        assert signer.public_key == HMACPublicKey(b"k" * 32)
-        assert hash(signer.public_key) == hash(HMACPublicKey(b"k" * 32))
+        handle = hashlib.sha1(b"k" * 32).digest()
+        assert signer.public_key == HMACPublicKey(handle)
+        assert hash(signer.public_key) == hash(HMACPublicKey(handle))
+        assert signer.public_key == HMACSigner(key_bytes=b"k" * 32).public_key
+        assert signer.public_key != HMACSigner(key_bytes=b"j" * 32).public_key
+        assert signer.public_key.fingerprint() == handle.hex()[:16]
+
+    def test_unknown_handle_verifies_nothing(self):
+        signer = HMACSigner(rng=random.Random(1))
+        sig = signer.sign(b"m")
+        stranger = HMACPublicKey(hashlib.sha1(b"never a signer").digest())
+        assert not verify_signature(stranger, b"m", sig)
+
+    def test_public_key_cannot_sign(self):
+        # Whatever bytes a public key holds, an HMAC over them is not a
+        # signature its owner made.
+        signer = HMACSigner(rng=random.Random(1))
+        held = [value for name in dir(signer.public_key)
+                if isinstance(value := getattr(signer.public_key, name),
+                              bytes)]
+        assert held
+        for value in held:
+            forged = HMACSigner(key_bytes=value).sign(b"m")
+            assert not verify_signature(signer.public_key, b"m", forged)
 
     def test_fingerprint_stable(self):
         signer = HMACSigner(key_bytes=b"k" * 32)
@@ -54,15 +79,16 @@ class TestRSASignerScheme:
 
     def test_roundtrip(self, signer):
         sig = signer.sign(b"payload")
-        assert signer.verify_with(signer.public_key, b"payload", sig)
+        assert verify_signature(signer.public_key, b"payload", sig)
 
     def test_cross_scheme_verification_fails(self, signer):
         hmac_signer = HMACSigner(rng=random.Random(4))
         sig = hmac_signer.sign(b"m")
-        # HMAC signature + RSA public key must not verify, and vice versa.
-        assert not signer.verify_with(hmac_signer.public_key, b"m", sig)
-        rsa_sig = signer.sign(b"m")
-        assert not hmac_signer.verify_with(signer.public_key, b"m", rsa_sig)
+        # An RSA signature under an HMAC key must not verify, and an HMAC
+        # tag under an RSA key must not either.
+        assert not verify_signature(hmac_signer.public_key, b"m",
+                                    signer.sign(b"m"))
+        assert not verify_signature(signer.public_key, b"m", sig)
 
 
 class TestNewSigner:

@@ -17,8 +17,28 @@ from repro.core.adversary import (
     Unresponsive,
 )
 from repro.core.config import ProtocolConfig
+from repro.crypto.keys import KeyPair
+from repro.crypto.signatures import HMACSigner
 
 from .conftest import make_system
+
+
+def certified_key_system():
+    """3 masters x 2 slaves, 2 clients, no double-checks, started."""
+    system = make_system(
+        num_masters=3, slaves_per_master=2, num_clients=2, seed=3,
+        protocol=ProtocolConfig(double_check_probability=0.0))
+    system.start()
+    system.run_for(5.0)
+    return system
+
+
+def signers_from(public_key):
+    """Every signer an adversary can make of a public key it holds: each
+    of its ``bytes`` attributes, taken as an HMAC key."""
+    held = (getattr(public_key, name) for name in dir(public_key))
+    return [HMACSigner(key_bytes=value) for value in held
+            if isinstance(value, bytes)]
 
 
 def drive_reads(system, count, rate=5.0, clients=None, seed=1):
@@ -116,40 +136,53 @@ class TestImmediateDiscovery:
                              slave.latest_stamp, "client-00:r999")
         assert master.evaluate_pledge(pledge) == "innocent"
         master._handle_accusation("client-00", Accusation(
-            pledge=pledge, accuser_id="client-00", discovery="immediate"))
+            pledge=pledge, discovery="immediate"))
         system.run_for(10.0)
         assert system.metrics.count("exclusions") == 0
         assert slave.node_id not in master.excluded_slaves
 
     def test_client_cannot_frame_slave_with_forged_pledge(self):
-        """Section 3.3: framing requires faking the slave's signature."""
-        system = make_system()
-        system.start()
-        system.run_for(5.0)
-        from repro.core.messages import Accusation, Pledge, VersionStamp
+        """Section 3.3: framing requires faking the slave's signature --
+        with the client's own key, or with anything the slave's
+        certificate holds, which is a public key and signs nothing."""
+        from repro.core.messages import Accusation, Pledge
         from repro.content.kvstore import KVGet as Get
 
+        system = certified_key_system()
         master = system.masters[0]
         slave = system.slaves[0]
         client = system.clients[0]
-        # The client signs the pledge with ITS OWN key, claiming it came
-        # from the slave, with a wrong result hash.
-        stamp = slave.latest_stamp
-        forged = Pledge(
-            query_wire=Get(key="k001").to_wire(),
-            result_hash="00" * 20,
-            stamp=stamp,
-            slave_id=slave.node_id,
-            request_id="client-00:r123",
-            signature=client.keys.sign(b"fake"),
-        )
-        assert master.evaluate_pledge(forged) == "forged"
-        master._handle_accusation(client.node_id, Accusation(
-            pledge=forged, accuser_id=client.node_id,
-            discovery="immediate"))
+        cert = master.find_slave_cert(slave.node_id)
+        forgers = [client.keys.signer, *signers_from(cert.subject_public_key)]
+        assert len(forgers) > 1
+        for forger in forgers:
+            # Claimed to come from the slave, with a wrong result hash.
+            forged = Pledge.make(KeyPair(slave.node_id, forger),
+                                 Get(key="k001").to_wire(), "00" * 20,
+                                 slave.latest_stamp, "client-00:r123")
+            assert master.evaluate_pledge(forged) == "forged"
+            master._handle_accusation(client.node_id, Accusation(
+                pledge=forged, discovery="immediate"))
         system.run_for(10.0)
         assert system.metrics.count("exclusions") == 0
-        assert system.metrics.count("accusations_forged") == 1
+        assert system.metrics.count("accusations_forged") == len(forgers)
+        assert all(not m.excluded_slaves for m in system.masters)
+
+    def test_slave_cannot_mint_its_masters_stamp(self):
+        """A slave holds its masters' public keys to check keep-alives;
+        it cannot make a stamp a client accepts with them."""
+        from repro.core.messages import VersionStamp
+
+        system = certified_key_system()
+        slave = system.slaves[0]
+        client = system.clients[0]
+        forgers = signers_from(slave.master_keys["master-00"])
+        assert forgers
+        for forger in forgers:
+            minted = VersionStamp.make(KeyPair("master-00", forger),
+                                       0, system.now)
+            assert not minted.verify(client.keys,
+                                     client._master_key("master-00"))
 
 
 class TestDelayedDiscovery:

@@ -176,8 +176,7 @@ class TestOwnership:
         assert owned_once(system) == []
         assert adopted in client.assigned_slaves  # no notice on hand-back
         system.masters[1].broadcast.broadcast(BcastExcludeSlave(
-            slave_id=adopted, owning_master=home.node_id,
-            evidence_request_id="c:r0", discovery="audit"))
+            slave_id=adopted, discovery="audit"))
         system.run_for(2.0)
         assert adopted not in client.assigned_slaves
         assert len(client.tainted_reads) == 3
@@ -208,8 +207,7 @@ class TestOwnership:
         gone = next(cert.subject_id for cert in stale.slave_certificates
                     if cert.subject_id not in client.assigned_slaves)
         system.masters[0].broadcast.broadcast(BcastExcludeSlave(
-            slave_id=gone, owning_master=first.node_id,
-            evidence_request_id="c:r0", discovery="audit"))
+            slave_id=gone, discovery="audit"))
         system.run_for(3.0)
         listed = {cert.subject_id for cert in
                   own.client_assignments[client.node_id].slave_certificates}

@@ -11,8 +11,9 @@ Hosts", HotOS 2003) rests on invariants the type system cannot see:
   a tampered message, so message/crypto dataclasses follow a strict
   shape (PL003);
 * all signature verification must flow through the scheme-dispatching
-  ``verify_signature`` entry point, never through a raw
-  ``Signer.verify_with`` (PL004);
+  ``verify_signature`` entry point, never through a signer's own
+  ``verify_with`` or a raw primitive, and nothing outside
+  ``repro.crypto`` may touch the HMAC key table (PL004);
 * a node's timers die with a crash, so periodic work is declared with
   ``Node.every`` and never by a method re-arming itself (PL007);
 * plus two general hygiene rules: no mutable default arguments (PL005)

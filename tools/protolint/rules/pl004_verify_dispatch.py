@@ -1,21 +1,25 @@
 """PL004: all signature verification goes through the scheme dispatch.
 
-Invariant (PR 1 fix, documented in
-``repro.crypto.signatures.verify_signature``): verification must
-dispatch on the *public key's* scheme, not on the verifier's own
-signer.  Routing through ``Signer.verify_with`` silently fails
-cross-scheme -- an HMAC-keyed client handed an RSA-signed certificate
-verifies nothing, which in the seed tree meant ``signer_scheme="rsa"``
-systems accepted zero reads.  Calling the scheme primitives
-(``rsa_verify``, ``_hmac_verify``) directly bypasses both the dispatch
-and the process-wide verify cache and its metrics.
+Invariant (documented in ``repro.crypto.signatures.verify_signature``):
+verification must dispatch on the *public key's* scheme, not on the
+verifier's own signer.  A ``Signer.verify_with`` method, deleted at
+wire version 4, did the latter and silently failed cross-scheme -- an
+HMAC-keyed client handed an RSA-signed certificate verified nothing,
+which once meant ``signer_scheme="rsa"`` systems accepted zero reads.
+Calling the scheme primitives (``rsa_verify``, ``_hmac_verify``)
+directly bypasses both the dispatch and the process-wide verify cache
+and its metrics.  And the HMAC key table (``_HMAC_KEYS``) holds every
+HMAC signer's key: code that can reach it can sign as anyone, which is
+what an HMAC public key being only a handle rules out.
 
 Flags, everywhere outside ``src/repro/crypto/`` (the one package
 allowed to touch primitives):
 
-* any ``<obj>.verify_with(...)`` call;
+* any ``<obj>.verify_with(...)`` call, so the deleted path stays gone;
 * any call whose target resolves to ``rsa_verify`` / ``_hmac_verify``
-  (however imported).
+  (however imported);
+* any reference to ``_HMAC_KEYS``: a name, an attribute, an import or
+  the string (``getattr``).
 
 Fix: call ``KeyPair.verify(public_key, payload, signature)`` (counts
 the operation against the verifying node and hits the verify cache) or
@@ -33,6 +37,17 @@ from tools.protolint.names import import_aliases, resolve_call_target, terminal_
 from tools.protolint.registry import Rule, Violation, register
 
 _RAW_PRIMITIVES = {"rsa_verify", "_hmac_verify"}
+_KEY_TABLE = "_HMAC_KEYS"
+
+
+def _names_key_table(node: ast.AST) -> bool:
+    if isinstance(node, ast.Name):
+        return node.id == _KEY_TABLE
+    if isinstance(node, ast.Attribute):
+        return node.attr == _KEY_TABLE
+    if isinstance(node, ast.alias):
+        return node.name == _KEY_TABLE
+    return isinstance(node, ast.Constant) and node.value == _KEY_TABLE
 
 
 @register
@@ -50,6 +65,13 @@ class VerifyThroughDispatch(Rule):
     def check(self, ctx: FileContext) -> Iterator[Violation]:
         aliases = import_aliases(ctx.tree)
         for node in ast.walk(ctx.tree):
+            if _names_key_table(node):
+                yield self.violation(
+                    ctx, node,
+                    f"`{_KEY_TABLE}` holds every HMAC signer's key and is "
+                    "private to repro.crypto; verify with KeyPair.verify "
+                    "or crypto.signatures.verify_signature")
+                continue
             if not isinstance(node, ast.Call):
                 continue
             name = terminal_name(node.func)
