@@ -28,7 +28,8 @@ The extension registry is append-only: ids 1-31 are reserved for
 infrastructure carriers (handshake, certificates, public keys, broadcast
 envelopes, content-store snapshots); ids 32+ map positionally onto
 :data:`repro.core.messages.WIRE_MESSAGE_TYPES`.  Reordering either is a
-wire-format break and requires bumping :data:`WIRE_VERSION`.
+wire-format break and requires bumping :data:`WIRE_VERSION`.  A retired
+id is never reused: 6 and 53 stay unassigned.
 
 Hostile input is expected: every decode error is a
 :class:`~repro.net.errors.CodecError` subclass, never an uncaught
@@ -804,9 +805,13 @@ def _iter_registrations() -> Iterator[_Registration]:
     yield (21, WrongShard, None, None)
     yield (22, ShardStatusRequest, None, None)
     yield (23, ShardStatusReply, None, None)
-    # Protocol messages: ids 32+, positional on WIRE_MESSAGE_TYPES.
-    for offset, message_cls in enumerate(WIRE_MESSAGE_TYPES):
+    # Protocol messages: ids 32+, positional on WIRE_MESSAGE_TYPES.  53
+    # was the retired BcastElectAuditor (wire version 3 and earlier) and
+    # is never reused: the types after it keep their ids.
+    for offset, message_cls in enumerate(WIRE_MESSAGE_TYPES[:21]):
         yield (32 + offset, message_cls, None, None)
+    for offset, message_cls in enumerate(WIRE_MESSAGE_TYPES[21:]):
+        yield (54 + offset, message_cls, None, None)
 
 
 for _registration in _iter_registrations():

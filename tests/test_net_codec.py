@@ -261,7 +261,7 @@ class TestRegisteredTypes:
     def test_registry_layout_pinned(self):
         # Append-only contract: between wire-version bumps existing ids
         # never move.  New entries must extend this mapping, not alter
-        # it.  (Version 4 retired id 6 and one protocol message.)
+        # it.  (Version 4 retired ids 6 and 53; neither is reused.)
         expected_infra = {1: "NetHello", 2: "Certificate",
                           3: "RSAPublicKey", 4: "HMACPublicKey",
                           5: "BroadcastEnvelope", 7: "ContentStore",
@@ -276,8 +276,10 @@ class TestRegisteredTypes:
                           23: "ShardStatusReply"}
         table = registered_wire_types()
         assert {k: v for k, v in table.items() if k < 32} == expected_infra
-        for offset, cls in enumerate(m.WIRE_MESSAGE_TYPES):
-            assert table[32 + offset] == cls.__name__
+        protocol_ids = [i for i in range(32, 59) if i != 53]
+        assert [table[i] for i in protocol_ids] \
+            == [cls.__name__ for cls in m.WIRE_MESSAGE_TYPES]
+        assert table[58] == "Seal"
 
     @pytest.mark.parametrize(
         "cls", list(EXAMPLES), ids=lambda cls: cls.__name__)
@@ -410,9 +412,11 @@ class TestFraming:
             encode_frame(b"\x00" * (MAX_FRAME_BYTES + 1))
 
     def test_unknown_type_id(self):
-        body = bytes((codec._T_EXT,)) + codec._encode_varint(29)
-        with pytest.raises(UnknownWireType):
-            decode_value(body)
+        # 29 was never assigned; 6 and 53 are retired.
+        for type_id in (29, 6, 53):
+            body = bytes((codec._T_EXT,)) + codec._encode_varint(type_id)
+            with pytest.raises(UnknownWireType):
+                decode_value(body)
 
     def test_unknown_tag(self):
         with pytest.raises(CodecError):

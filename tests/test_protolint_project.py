@@ -491,6 +491,29 @@ class TestPL201WireLock:
                             project=lock_project("1\tonly-two-fields\n"))
         assert found == ["PL201"]
 
+    def test_sliced_block_skips_a_retired_id(self):
+        codec = (CODEC_FIXTURE[0], CODEC_FIXTURE[1].replace(
+            "        for offset, message_cls in enumerate(WIRE_MESSAGE_TYPES):\n"
+            "            yield (32 + offset, message_cls, None, None)",
+            "        for offset, message_cls in enumerate(WIRE_MESSAGE_TYPES[:1]):\n"
+            "            yield (32 + offset, message_cls, None, None)\n"
+            "        for offset, message_cls in enumerate(WIRE_MESSAGE_TYPES[1:]):\n"
+            "            yield (34 + offset, message_cls, None, None)"))
+        lock = GOOD_LOCK.replace("33\tPong", "34\tPong")
+        assert multi_codes(codec, MESSAGES_FIXTURE,
+                           project=lock_project(lock)) == []
+        # Pong moved 33 -> 34: a removed id and an unrecorded one.
+        assert multi_codes(codec, MESSAGES_FIXTURE,
+                           project=lock_project(GOOD_LOCK)) \
+            == ["PL201", "PL201"]
+
+    def test_slice_without_literal_bounds_flagged(self):
+        codec = (CODEC_FIXTURE[0], CODEC_FIXTURE[1].replace(
+            "enumerate(WIRE_MESSAGE_TYPES)",
+            "enumerate(WIRE_MESSAGE_TYPES[:CUT])"))
+        assert "PL201" in multi_codes(codec, MESSAGES_FIXTURE,
+                                      project=lock_project(GOOD_LOCK))
+
 
 class TestPL202UnregisteredWireType:
     def test_frozen_dataclass_missing_from_tuple_flagged(self):

@@ -58,4 +58,4 @@ def test_the_scan_reports_a_field_nobody_reads():
     # registered field of that name is reported, admin plane excepted.
     reads = attribute_reads() - {"slave_id"}
     assert unread_fields(reads) == ["33 Pledge.slave_id",
-                                    "54 BcastExcludeSlave.slave_id"]
+                                    "55 BcastExcludeSlave.slave_id"]

@@ -13,7 +13,8 @@ machine-readable:
   generator against a :class:`~tools.protolint.project.ProjectModel`
   -- explicit ``yield (N, Cls, ...)`` entries plus the
   ``for offset, cls in enumerate(WIRE_MESSAGE_TYPES)`` positional tail
-  -- and resolves every class to its init-field order;
+  (sliced where it steps over a retired id) -- and resolves every class
+  to its init-field order;
 * :func:`format_lock` / :func:`parse_lock` read and write
   ``tools/protolint/wire_registry.lock``, the committed golden copy.
 
@@ -122,12 +123,23 @@ def _positional_tail(node: ast.For, codec: ModuleInfo,
                      model: ProjectModel,
                      extraction: RegistryExtraction) -> None:
     """Record the ``for offset, cls in enumerate(TUPLE): yield (BASE +
-    offset, cls, ...)`` positional block."""
+    offset, cls, ...)`` positional block; ``TUPLE`` may be sliced with
+    int literals (``TUPLE[:21]``), which is how a retired id is skipped."""
     if not (isinstance(node.iter, ast.Call)
             and terminal_name(node.iter.func) == "enumerate"
             and node.iter.args):
         return
-    tuple_name = terminal_name(node.iter.args[0])
+    target = node.iter.args[0]
+    window = slice(None)
+    if isinstance(target, ast.Subscript):
+        window = _literal_slice(target.slice)
+        if window is None:
+            extraction.problems.append(
+                ("a positional block may slice its tuple only with int "
+                 "literals", codec.path, node.lineno))
+            return
+        target = target.value
+    tuple_name = terminal_name(target)
     if tuple_name is None:
         return
     base = _positional_base(node)
@@ -144,13 +156,30 @@ def _positional_tail(node: ast.For, codec: ModuleInfo,
              "paths?)", codec.path, node.lineno))
         return
     assert origin is not None
-    for offset, cls_name in enumerate(members):
+    for offset, cls_name in enumerate(members[window]):
         cls = model.resolve_class(origin, cls_name)
         extraction.entries.append(WireEntry(
             wire_id=base + offset, type_name=cls_name,
             fields=cls.init_fields if cls is not None else UNRESOLVED,
             path=cls.path if cls is not None else origin.path,
             lineno=cls.lineno if cls is not None else node.lineno))
+
+
+def _literal_slice(node: ast.expr) -> slice | None:
+    """``slice(a, b)`` for a ``[a:b]`` subscript whose given bounds are
+    int literals, else ``None``."""
+    if not isinstance(node, ast.Slice) or node.step is not None:
+        return None
+    bounds: list[int | None] = []
+    for bound in (node.lower, node.upper):
+        if bound is None:
+            bounds.append(None)
+        elif isinstance(bound, ast.Constant) \
+                and isinstance(bound.value, int):
+            bounds.append(bound.value)
+        else:
+            return None
+    return slice(*bounds)
 
 
 def _positional_base(node: ast.For) -> int | None:
