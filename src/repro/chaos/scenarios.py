@@ -304,6 +304,36 @@ class MaxGap:
                        f"{self.bound:.2f}s)", (gap, self.bound))
 
 
+@dataclass(frozen=True)
+class ReadBack:
+    """A read of ``key`` at ``level`` by each node ``by`` names is
+    accepted with ``value``."""
+
+    value: Any
+    key: Key = "k"
+    by: Ref = "client-01"
+    level: str | None = None
+
+    async def __call__(self, run: ScenarioRun) -> Outcome:
+        replies = await asyncio.gather(*(run.cluster.read(
+            run.node(n), KVGet(key=run.key(self.key)), self.level, 14.0)
+            for n in run.ids(self.by)))
+        seen = [(r["status"], (r.get("result") or {}).get("value"))
+                for r in replies]
+        return Outcome(all(s == ("accepted", self.value) for s in seen),
+                       f"{self.level or 'plain'} reads: {seen}")
+
+
+@dataclass(frozen=True)
+class NoHandlerErrors:
+    """No node's message handler raised."""
+
+    def __call__(self, run: ScenarioRun) -> Outcome:
+        errors = [f"{node} <- {src}: {exc!r}"
+                  for node, src, exc in run.cluster.handler_errors()]
+        return Outcome(not errors, f"handler errors: {errors or 'none'}")
+
+
 # The steps.  ``Write`` writes ``value`` from every node ``by`` names
 # (``{i}`` in the key becomes its index) and checks all committed; with
 # ``check=None`` the writes are probes, left in flight and reaped with
@@ -674,6 +704,34 @@ def _takeover_span(run: ScenarioRun) -> Outcome:
                    f"{latency:.2f}s after the crash", (latency,))
 
 
+# net_demo: no fault at all.  One write, a plain and a sensitive read of
+# it, the audit of their pledges -- the protocol's whole cycle over real
+# sockets -- and one write from a client the owner does not allow.
+_ND = fast_protocol_config(double_check_probability=0.0,
+                           writers_allowed=frozenset({"client-00"}))
+
+
+async def _unauthorised_write(run: ScenarioRun) -> Outcome:
+    reply = await run.cluster.write(run.node("client-01"), KVPut(
+        key="demo", value="unauthorised"))
+    return Outcome(reply["status"] == "rejected", f"client-01's write: "
+                   f"{reply['status']} ({reply.get('reason')})")
+
+
+NET_DEMO = Scenario("net_demo", (NetDeploymentSpec(
+    num_masters=2, slaves_per_master=2, num_clients=2, protocol=_ND),), (
+    Write("write_committed", "demo", "over-the-wire"),
+    Check("unauthorised_write_rejected", _unauthorised_write),
+    # Reads reflect a write max_latency after its commit.
+    Settle(_ND.max_latency + _ND.keepalive_interval),
+    Check("read_accepted", ReadBack("over-the-wire", "demo")),
+    Check("sensitive_read_accepted", ReadBack(
+        "over-the-wire", "demo", level="sensitive")),
+    # The auditor lets the consistency window pass, then drains.
+    Settle(_ND.max_latency + _ND.audit_grace + 0.5),
+    Check("pledges_audited", Count("pledges_audited")),
+    Check("no_handler_errors", NoHandlerErrors())))
+
 # master_crash: survivors detect a crashed follower within the keep-alive
 # bound, divide its slave set and re-home its clients; the restart
 # rejoins and catches up.
@@ -758,16 +816,6 @@ _ASYNC = LinkFaults(drop=0.03, duplicate=0.05, reorder=0.05, delay=0.002,
                     delay_jitter=0.004)
 
 
-async def _read_back(run: ScenarioRun) -> Outcome:
-    """A clean read once the faults are lifted proves liveness."""
-    reply = await run.cluster.read(run.node("client-01"), KVGet(key="k"),
-                                   timeout=14.0)
-    value = (reply.get("result") or {}).get("value")
-    return Outcome(reply["status"] == "accepted" and value == "v1",
-                   f"read after faults lifted: {reply['status']} -> "
-                   f"{value!r}")
-
-
 CORRUPT_FRAMES = Scenario("corrupt_frames", (NetDeploymentSpec(
     num_masters=2, slaves_per_master=2, num_clients=2, protocol=_CF),), (
     *_opening(_CF), SetLinks(_ASYNC), SetLinks(dataclasses.replace(
@@ -777,8 +825,9 @@ CORRUPT_FRAMES = Scenario("corrupt_frames", (NetDeploymentSpec(
     Mark(timing="corruption_window", since="chaos"), Heal(), StopLoad("load"),
     Check("frames_actually_corrupted", Count("chaos_corrupted_frames", 5)),
     Check("reads_survived", ReadsSurvived(at_least=10)),
+    # A clean read once the faults are lifted proves liveness.
     Settle(_CF.max_latency + _CF.keepalive_interval),
-    Check("post_chaos_read", _read_back)))
+    Check("post_chaos_read", ReadBack("v1"))))
 
 # auditor_failover: crash the auditor client-00 reports to; the masters
 # fail its clients over to the survivor, pledges keep flowing to it, and
@@ -1055,13 +1104,14 @@ SHARD_REBALANCE = Scenario("shard_rebalance", (ShardDeploymentSpec(
         "read_unavailability", "read_unavailability_bound"), _GAP_BOUND)),
     Check("bystander_shard_unaffected", MaxGap(
         "calm", "move", "end", ("bystander_max_gap",), _GAP_BOUND / 2)),
-    Check("rebalance_span_recorded", _rebalance_span)))
+    Check("rebalance_span_recorded", _rebalance_span),
+    Check("no_handler_errors", NoHandlerErrors())))
 
 
 # -- registry and runners --------------------------------------------------------
 
 SCENARIOS: dict[str, Scenario] = {scenario.name: scenario for scenario in (
-    MASTER_CRASH, PARTITION_HEAL, CORRUPT_FRAMES, AUDITOR_FAILOVER,
+    NET_DEMO, MASTER_CRASH, PARTITION_HEAL, CORRUPT_FRAMES, AUDITOR_FAILOVER,
     SLAVE_CRASH, FLASH_CROWD, SHARD_REBALANCE)}
 
 #: Hard wall-clock ceiling per scenario.  Normal runs finish in well

@@ -1,22 +1,32 @@
 """Command-line front-end: build and run deployments without writing code.
 
-Two subcommands::
+Five subcommands::
 
     repro-sim run   [topology/protocol/workload/adversary flags]
     repro-sim demo  [--scenario cdn|byzantine|quorum]
+    repro-sim chaos [--scenario NAME]... [--seed N] [--list]
+    repro-sim obs   [topology/traffic flags] [--out DIR]
+    repro-sim lint  [-- protolint arguments]
 
-``run`` builds a deployment, drives a random read/write workload and
-prints the run summary (counters, accepted-read classification, auditor
-stats) as text or JSON.  ``demo`` runs a canned scenario with a
-compromised replica and narrates what the protocol did about it.
+``run`` builds a simulator deployment, drives a random read/write
+workload and prints the run summary (counters, accepted-read
+classification, auditor stats) as text or JSON.  ``demo`` runs a canned
+scenario with a compromised replica and narrates what the protocol did
+about it.  ``chaos`` plays named scenarios of
+:mod:`repro.chaos.scenarios` over real sockets -- ``net_demo`` is the
+fault-free write/read/audit cycle, ``shard_rebalance`` an online shard
+move -- and prints their verdicts.  ``obs`` traces a socket cluster with
+a lying slave; ``lint`` runs protolint.
 
 Adversaries are specified as ``INDEX:KIND[:PARAM]``, e.g.::
 
     --adversary 0:always-lie --adversary 3:probabilistic:0.2
     --adversary 1:colluding:7 --adversary 2:unresponsive:0.5
 
-Exit code is 0 when the run completed and every wrongly accepted read
-was detected by the audit, 1 otherwise.
+``run`` exits 0 when its :class:`~repro.report.RunVerdict` passes (no
+consistency-window violation, every wrongly accepted read detected by
+the audit, the live masters converged, no ownership violation), 1
+otherwise.
 """
 
 from __future__ import annotations
@@ -40,10 +50,10 @@ from repro.core.adversary import (
     ProbabilisticLie,
     Unresponsive,
 )
-from repro.core import oracle
 from repro.core.config import ProtocolConfig
 from repro.core.system import DeploymentSpec, ReplicationSystem
 from repro.crypto.hashing import sha1_hex
+from repro.report import judge_run, render_markdown_report
 from repro.sim.failures import parse_crash_spec
 from repro.workloads import (
     catalog_dataset,
@@ -202,35 +212,11 @@ def build_parser() -> argparse.ArgumentParser:
                       default="cdn")
     demo.add_argument("--seed", type=int, default=7)
 
-    net_demo = sub.add_parser(
-        "net-demo",
-        help="boot the protocol over real localhost sockets and run a "
-             "write/read/audit cycle")
-    net_demo.add_argument("--seed", type=int, default=0)
-    net_demo.add_argument("--masters", type=int, default=2)
-    net_demo.add_argument("--slaves-per-master", type=int, default=2)
-    net_demo.add_argument("--clients", type=int, default=2)
-    net_demo.add_argument("--settle", type=float, default=1.0,
-                          help="seconds to let the topology hand-shake "
-                               "before the first client op")
-
-    shard_demo = sub.add_parser(
-        "shard-demo",
-        help="boot a multi-tenant sharded cluster over real sockets, "
-             "spread writes across shards, move one shard online and "
-             "print the JSON report (placement, rebalance timings, "
-             "per-shard safety verdicts)")
-    shard_demo.add_argument("--seed", type=int, default=0)
-    shard_demo.add_argument("--shards", type=int, default=2)
-    shard_demo.add_argument("--hosts", type=int, default=2)
-    shard_demo.add_argument("--settle", type=float, default=1.0,
-                            help="seconds to let the topology "
-                                 "hand-shake before the first client op")
-
     chaos = sub.add_parser(
         "chaos",
-        help="replay named fault scenarios over real sockets and check "
-             "the Section 3.5 recovery obligations")
+        help="play named scenarios over real sockets -- the Section 3.5 "
+             "fault schedules, the fault-free net_demo cycle, an online "
+             "shard move -- and check their obligations")
     chaos.add_argument("--scenario", action="append", default=[],
                        metavar="NAME",
                        help="scenario to run (repeatable; default: all)")
@@ -330,37 +316,16 @@ def cmd_run(args: argparse.Namespace) -> int:
     drain = 60.0 + writes * protocol.max_latency
     system.run_for(t - system.now + drain)
 
-    summary = system.summary()
-    summary["consistency_window_violations"] = len(
-        system.check_consistency_window())
-    # Replicas that delivered the same commits hold the same state: the
-    # masters still up must end at one version and one digest.
-    live = [m for m in system.masters if not m.crashed]
-    summary["masters_converged"] = len(
-        {(m.version, m.store.state_digest()) for m in live}) <= 1
-    # And hold one ownership map: every slave served by one live master,
-    # every client forwarding to the auditor every live master names.
-    summary["slave_owners"] = oracle.slave_owners(system.masters,
-                                                  system.slaves)
-    summary["client_auditors"] = oracle.client_auditors(system.clients)
-    summary["ownership_violations"] = oracle.ownership_violations(
-        [*system.masters, *system.auditors], system.slaves, system.clients)
+    verdict = judge_run(system)
     if args.json:
-        print(json.dumps(summary, indent=2, default=str))
+        print(json.dumps(verdict.summary, indent=2, default=str))
     else:
-        _print_summary(summary)
+        _print_summary(verdict.summary)
     if getattr(args, "report", None):
-        from repro.report import render_markdown_report
-
         with open(args.report, "w") as handle:
-            handle.write(render_markdown_report(system))
+            handle.write(render_markdown_report(system, verdict=verdict))
         print(f"report written to {args.report}")
-    wrong = summary["classification"]["accepted_wrong"]
-    detections = summary["auditor"]["detections"]
-    ok = (summary["consistency_window_violations"] == 0
-          and detections >= wrong and summary["masters_converged"]
-          and not summary["ownership_violations"])
-    return 0 if ok else 1
+    return 0 if verdict.passed else 1
 
 
 def _print_summary(summary: dict) -> None:
@@ -436,47 +401,6 @@ def cmd_demo(args: argparse.Namespace) -> int:
         + [flag for spec in preset["adversary"]
            for flag in ("--adversary", spec)])
     return cmd_run(namespace)
-
-
-def cmd_net_demo(args: argparse.Namespace) -> int:
-    from repro.net.deploy import run_net_demo_sync
-
-    summary = run_net_demo_sync(
-        args.seed,
-        num_masters=args.masters,
-        slaves_per_master=args.slaves_per_master,
-        num_clients=args.clients,
-        settle=args.settle,
-    )
-    print(json.dumps(summary, indent=2, default=str))
-    ok = (summary["write"]["status"] == "committed"
-          and summary["write_denied"]["status"] in ("rejected", "failed")
-          and summary["read"]["status"] == "accepted"
-          and summary["sensitive_read"]["status"] == "accepted"
-          and not summary["handler_errors"])
-    return 0 if ok else 1
-
-
-def cmd_shard_demo(args: argparse.Namespace) -> int:
-    from repro.shard.deploy import run_shard_demo_sync
-
-    report = run_shard_demo_sync(
-        args.seed,
-        num_shards=args.shards,
-        num_hosts=args.hosts,
-        settle=args.settle,
-    )
-    print(json.dumps(report, indent=2, default=str))
-    total_keys = sum(len(shard["keys"])
-                     for shard in report["shards"].values())
-    safety_ok = all(check["passed"]
-                    for checks in report["safety"].values()
-                    for check in checks)
-    ok = (report["reads_ok_before"] == total_keys
-          and report["reads_ok_after"] == total_keys
-          and safety_ok
-          and not report["handler_errors"])
-    return 0 if ok else 1
 
 
 def cmd_chaos(args: argparse.Namespace) -> int:
@@ -636,10 +560,6 @@ def main(argv: Sequence[str] | None = None) -> int:
         return cmd_run(args)
     if args.command == "demo":
         return cmd_demo(args)
-    if args.command == "net-demo":
-        return cmd_net_demo(args)
-    if args.command == "shard-demo":
-        return cmd_shard_demo(args)
     if args.command == "chaos":
         return cmd_chaos(args)
     if args.command == "obs":

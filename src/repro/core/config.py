@@ -63,9 +63,6 @@ class ProtocolConfig:
     qos_frame_rate: float | None = None
     #: Burst allowance on top of the sustained frame rate.
     qos_frame_burst: float = 200.0
-    #: Seeded fraction of over-quota frames actually shed (mirrors
-    #: ``greedy_drop_fraction``; 1.0 = shed every over-quota frame).
-    qos_shed_fraction: float = 1.0
     #: Bounded inbox depth between frame decode and protocol dispatch
     #: (keep-alives and accusations are never shed from it).
     qos_inbox_limit: int = 1024
@@ -174,10 +171,6 @@ class ProtocolConfig:
         if self.qos_frame_burst <= 0:
             raise ValueError(f"qos_frame_burst must be positive, "
                              f"got {self.qos_frame_burst}")
-        if not 0.0 <= self.qos_shed_fraction <= 1.0:
-            raise ValueError(
-                f"qos_shed_fraction must be in [0, 1], "
-                f"got {self.qos_shed_fraction}")
         if self.qos_inbox_limit < 1:
             raise ValueError(
                 f"qos_inbox_limit must be >= 1, got {self.qos_inbox_limit}")

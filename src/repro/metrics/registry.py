@@ -184,20 +184,6 @@ class Histogram:
             "max": self.max_value,
         }
 
-    def cumulative_buckets(self) -> list[tuple[float, int]]:
-        """(upper_bound, cumulative_count) pairs, ending with +inf.
-
-        This is exactly the shape Prometheus text exposition wants for
-        ``_bucket{le=...}`` lines.
-        """
-        pairs: list[tuple[float, int]] = []
-        cumulative = 0
-        for bound, bucket_count in zip(self.bounds, self.bucket_counts):
-            cumulative += bucket_count
-            pairs.append((bound, cumulative))
-        pairs.append((math.inf, self.count))
-        return pairs
-
 
 def _bucket_index(bounds: tuple[float, ...], value: float) -> int:
     """Binary search: first bucket whose upper bound >= value."""
@@ -213,7 +199,7 @@ def _bucket_index(bounds: tuple[float, ...], value: float) -> int:
 
 @dataclass
 class MetricsRegistry:
-    """Named counters, samples, timelines and histograms for one run."""
+    """Named counters, samples and timelines for one run."""
 
     counters: dict[str, float] = field(
         default_factory=lambda: defaultdict(float))
@@ -222,18 +208,12 @@ class MetricsRegistry:
         default_factory=lambda: defaultdict(lambda: array("d")))
     timelines: dict[str, Timeline] = field(
         default_factory=lambda: defaultdict(Timeline))
-    histograms: dict[str, Histogram] = field(
-        default_factory=lambda: defaultdict(Histogram))
 
     def incr(self, name: str, amount: float = 1.0) -> None:
         self.counters[name] += amount
 
     def observe(self, name: str, value: float) -> None:
         self.samples[name].append(value)
-
-    def observe_hist(self, name: str, value: float) -> None:
-        """Record into a fixed-bucket histogram (O(1) memory per name)."""
-        self.histograms[name].observe(value)
 
     def record(self, name: str, at: float, value: float) -> None:
         self.timelines[name].record(at, value)

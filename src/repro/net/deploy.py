@@ -266,7 +266,6 @@ class LocalCluster:
         return AdmissionPolicy(
             frame_rate=config.qos_frame_rate,
             frame_burst=config.qos_frame_burst,
-            shed_fraction=config.qos_shed_fraction,
             inbox_limit=config.qos_inbox_limit,
             idle_timeout=idle)
 
@@ -502,62 +501,3 @@ class LocalCluster:
         await asyncio.gather(*(server.aclose()
                                for server in self.servers.values()))
 
-
-async def run_net_demo(seed: int = 0, *, num_masters: int = 2,
-                       slaves_per_master: int = 2, num_clients: int = 2,
-                       settle: float = 1.0) -> dict[str, Any]:
-    """One write + verified read + audited sensitive read, summarised.
-
-    Powers the ``net-demo`` CLI subcommand; returns a JSON-shaped dict.
-    """
-    from repro.content.kvstore import KVGet, KVPut
-
-    config = fast_protocol_config(
-        double_check_probability=0.0,
-        writers_allowed=frozenset({"client-00"}),
-    )
-    spec = NetDeploymentSpec(
-        num_masters=num_masters, slaves_per_master=slaves_per_master,
-        num_clients=num_clients, seed=seed, protocol=config)
-    cluster = await LocalCluster.launch(spec, settle=settle)
-    try:
-        write = await cluster.write(
-            cluster.clients[0], KVPut(key="demo", value="over-the-wire"))
-        denied = await cluster.write(
-            cluster.clients[1], KVPut(key="demo", value="unauthorised"))
-        # Let the committed write reach the slaves (the paper only
-        # guarantees reads reflect a write max_latency after commit).
-        await asyncio.sleep(cluster.config.max_latency
-                            + cluster.config.keepalive_interval)
-        read = await cluster.read(cluster.clients[1], KVGet(key="demo"))
-        sensitive = await cluster.read(
-            cluster.clients[1], KVGet(key="demo"), level="sensitive")
-        # Let the auditor pass the consistency window and drain its queue.
-        await asyncio.sleep(cluster.config.max_latency
-                            + cluster.config.audit_grace + 0.5)
-        summary = cluster.summary()
-        troubles = [(node, src, repr(exc))
-                    for node, src, exc in cluster.handler_errors()]
-        return {
-            "seed": seed,
-            "write": {"status": write.get("status"),
-                      "version": write.get("version")},
-            "write_denied": {"status": denied.get("status"),
-                             "reason": denied.get("reason")},
-            "read": {
-                "status": read.get("status"),
-                "value": (read.get("result") or {}).get("value"),
-            },
-            "sensitive_read": {"status": sensitive.get("status")},
-            "audit": summary["auditor"],
-            "versions": summary["versions"],
-            "transport": summary["transport"],
-            "handler_errors": troubles,
-        }
-    finally:
-        await cluster.aclose()
-
-
-def run_net_demo_sync(seed: int = 0, **kwargs: Any) -> dict[str, Any]:
-    """Synchronous wrapper for CLI / tests without an event loop."""
-    return asyncio.run(run_net_demo(seed, **kwargs))

@@ -12,12 +12,11 @@ themselves always come from the owning scheduler's clock.
 from __future__ import annotations
 
 import json
-import math
 import re
 import time
-from typing import Iterable, Sequence
+from typing import Iterable
 
-from repro.metrics.registry import Histogram, MetricsRegistry
+from repro.metrics.registry import MetricsRegistry
 from repro.obs.spans import Span
 
 _NAME_RE = re.compile(r"[^a-zA-Z0-9_:]")
@@ -78,8 +77,7 @@ def prometheus_text(metrics: MetricsRegistry, namespace: str = "repro",
     Counters become ``counter`` families; per-node counters named
     ``base@node`` (the registry's convention, e.g. ``commits@master-00``)
     fold into one family with a ``node`` label.  Timelines export their
-    latest value as a ``gauge``; histograms use the native histogram
-    format with cumulative ``le`` buckets.
+    latest value as a ``gauge``.
     """
     lines: list[str] = []
     if stamp:
@@ -105,21 +103,7 @@ def prometheus_text(metrics: MetricsRegistry, namespace: str = "repro",
         lines.append(f"# TYPE {metric} gauge")
         lines.append(f"{metric} {_num(last)}")
 
-    for name in sorted(metrics.histograms):
-        lines.extend(_histogram_lines(
-            f"{namespace}_{_sanitize(name)}", metrics.histograms[name]))
-
     return "\n".join(lines) + ("\n" if lines else "")
-
-
-def _histogram_lines(metric: str, histogram: Histogram) -> Sequence[str]:
-    lines = [f"# TYPE {metric} histogram"]
-    for bound, cumulative in histogram.cumulative_buckets():
-        le = "+Inf" if math.isinf(bound) else _num(bound)
-        lines.append(f'{metric}_bucket{{le="{le}"}} {cumulative}')
-    lines.append(f"{metric}_sum {_num(histogram.total)}")
-    lines.append(f"{metric}_count {histogram.count}")
-    return lines
 
 
 def _sanitize(name: str) -> str:

@@ -1,20 +1,66 @@
-"""Markdown run reports: one readable document per simulation run.
+"""The verdict of a simulator run, and its markdown report.
 
-``render_markdown_report(system)`` turns a finished
-:class:`~repro.core.system.ReplicationSystem` run into a self-contained
-markdown document: deployment shape, traffic and defence counters,
-latency percentiles, auditor statistics with backlog sparkline, the
-accepted-read classification and the consistency-window verdict.
+:func:`judge_run` judges a finished
+:class:`~repro.core.system.ReplicationSystem` run once: the run summary
+with the checks' keys added, and a :class:`RunVerdict` that passes when
+no accepted read falls outside the consistency window, every wrongly
+accepted read is known to the audit, the live masters converged and no
+slave or client has a dead or double owner.  ``repro-sim run`` exits,
+prints its JSON and its text by it.
 
-The CLI exposes it as ``repro-sim run --report FILE``.
+``render_markdown_report(system)`` turns the same run into a
+self-contained markdown document: deployment shape, traffic and defence
+counters, latency percentiles, auditor statistics with backlog
+sparkline, and the verdict.  The CLI exposes it as
+``repro-sim run --report FILE``.
 """
 
 from __future__ import annotations
 
-from typing import Iterable, Sequence
+from dataclasses import dataclass
+from typing import Any, Iterable, Sequence
 
+from repro.core import oracle
 from repro.core.system import ReplicationSystem
 from repro.metrics import summarize
+
+
+@dataclass(frozen=True)
+class RunVerdict:
+    """The summary ``repro-sim run`` prints, and the full list of
+    consistency-window violations behind its count."""
+
+    summary: dict[str, Any]
+    violations: list[dict[str, Any]]
+
+    @property
+    def passed(self) -> bool:
+        summary = self.summary
+        return (not self.violations
+                and summary["auditor"]["detections"]
+                >= summary["classification"]["accepted_wrong"]
+                and summary["masters_converged"]
+                and not summary["ownership_violations"])
+
+
+def judge_run(system: ReplicationSystem) -> RunVerdict:
+    """Judge a finished run: ``system.summary()`` plus the checks."""
+    summary = system.summary()
+    violations = system.check_consistency_window()
+    summary["consistency_window_violations"] = len(violations)
+    # Replicas that delivered the same commits hold the same state: the
+    # masters still up must end at one version and one digest.
+    live = [m for m in system.masters if not m.crashed]
+    summary["masters_converged"] = len(
+        {(m.version, m.store.state_digest()) for m in live}) <= 1
+    # And hold one ownership map: every slave served by one live master,
+    # every client forwarding to the auditor every live master names.
+    summary["slave_owners"] = oracle.slave_owners(system.masters,
+                                                  system.slaves)
+    summary["client_auditors"] = oracle.client_auditors(system.clients)
+    summary["ownership_violations"] = oracle.ownership_violations(
+        [*system.masters, *system.auditors], system.slaves, system.clients)
+    return RunVerdict(summary, violations)
 
 
 def _table(headers: Sequence[str], rows: Iterable[Sequence[object]]) -> str:
@@ -32,15 +78,19 @@ def _fmt(cell: object) -> str:
 
 
 def render_markdown_report(system: ReplicationSystem,
-                           title: str = "Simulation run report") -> str:
-    """Render the run's outcome as a markdown document."""
-    counters = system.metrics.snapshot()
+                           title: str = "Simulation run report",
+                           verdict: RunVerdict | None = None) -> str:
+    """Render the run and its verdict (judged here if not given) as a
+    markdown document."""
+    verdict = verdict or judge_run(system)
+    summary, violations = verdict.summary, verdict.violations
+    counters = summary["counters"]
 
     def c(name: str) -> int:
         return int(counters.get(name, 0))
 
-    classification = system.classify_accepted_reads()
-    violations = system.check_consistency_window()
+    classification = summary["classification"]
+    detections = summary["auditor"]["detections"]
     config = system.config
     sections: list[str] = [f"# {title}", ""]
 
@@ -92,7 +142,7 @@ def render_markdown_report(system: ReplicationSystem,
         _table(["lies served", "caught red-handed", "caught by audit",
                 "slaves excluded", "clients reassigned", "reads tainted"],
                [(c("slave_lies_served"), c("immediate_detections"),
-                 sum(a.detections for a in system.auditors),
+                 detections,
                  c("exclusions"), c("clients_reassigned"),
                  c("reads_tainted"))]),
         "",
@@ -126,16 +176,27 @@ def render_markdown_report(system: ReplicationSystem,
 
     # -- verdict ------------------------------------------------------------
     wrong = classification["accepted_wrong"]
-    detections = sum(a.detections for a in system.auditors)
+    problems = summary["ownership_violations"]
     sections += [
         "## Verdict",
         "",
         _table(["accepted total", "accepted wrong",
-                "wrong known to audit", "window violations"],
+                "wrong known to audit", "window violations",
+                "masters converged", "ownership violations"],
                [(classification["accepted_total"], wrong,
-                 min(wrong, detections), len(violations))]),
+                 min(wrong, detections), len(violations),
+                 "yes" if summary["masters_converged"] else "**no**",
+                 len(problems))]),
         "",
     ]
+    if not summary["masters_converged"]:
+        sections += ["**MASTERS DIVERGED:** " + ", ".join(
+            f"{m.node_id} at version {m.version}, state "
+            f"{m.store.state_digest()[:12]}"
+            for m in system.masters if not m.crashed), ""]
+    if problems:
+        sections += ["**OWNERSHIP VIOLATIONS:**", "",
+                     *(f"- {problem}" for problem in problems), ""]
     if violations:
         sections += ["**CONSISTENCY VIOLATIONS:**", ""]
         sections.append(_table(
@@ -145,10 +206,9 @@ def render_markdown_report(system: ReplicationSystem,
               v["accepted_at"], v["next_commit_at"])
              for v in violations]))
         sections.append("")
-    healthy = (len(violations) == 0 and detections >= wrong)
     sections.append(
         "**Run verdict: "
-        + ("SAFE — the accountability guarantee held.**" if healthy
+        + ("SAFE — the accountability guarantee held.**" if verdict.passed
            else "UNSAFE — see violations above.**"))
     sections.append("")
     return "\n".join(sections)

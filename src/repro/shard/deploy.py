@@ -26,7 +26,6 @@ import asyncio
 from dataclasses import dataclass
 from typing import TYPE_CHECKING, Any
 
-from repro.content.kvstore import KVGet, KVPut
 from repro.core.client import Client
 from repro.core.system import Cast
 from repro.net.deploy import LocalCluster, NetDeploymentSpec, \
@@ -293,89 +292,11 @@ def run_shard_safety_checks(cluster: ShardedCluster,
     }
 
 
-async def run_shard_demo(seed: int = 0, *, num_shards: int = 2,
-                         num_hosts: int = 2,
-                         settle: float = 1.0) -> dict[str, Any]:
-    """Boot a sharded cluster, spread writes, rebalance, verify.
-
-    Powers the ``shard-demo`` CLI subcommand; returns a JSON-shaped
-    dict with per-shard placement, the rebalance report and the
-    per-shard safety-oracle verdicts.
-    """
-    from repro.shard.rebalance import Rebalancer
-
-    config = fast_protocol_config(double_check_probability=0.0)
-    spec = ShardDeploymentSpec(
-        num_masters=2, slaves_per_master=1, num_clients=1,
-        num_shards=num_shards, num_hosts=num_hosts, seed=seed,
-        protocol=config, obs_enabled=True)
-    cluster = await ShardedCluster.launch(spec, settle=settle)
-    assert isinstance(cluster, ShardedCluster)
-    router = cluster.routers[0]
-    keys = [f"demo-{i}" for i in range(4 * num_shards)]
-    try:
-        placement: dict[str, str] = {}
-        for key in keys:
-            placement[key] = router.shard_for(KVPut(key=key, value=""))
-            await cluster.write(router, KVPut(key=key, value=f"v:{key}"))
-        await asyncio.sleep(cluster.config.max_latency
-                            + cluster.config.keepalive_interval)
-        reads_before = {
-            key: (await cluster.read(router, KVGet(key=key)))
-            for key in keys
-        }
-        moved = placement[keys[0]]
-        report = await Rebalancer(cluster).move_shard(moved)
-        reads_after = {
-            key: (await cluster.read(router, KVGet(key=key),
-                                     timeout=20.0))
-            for key in keys
-        }
-        checks = run_shard_safety_checks(cluster)
-        return {
-            "seed": seed,
-            "shards": {
-                shard_id: {
-                    "generation": state.generation,
-                    "keys": sorted(k for k, s in placement.items()
-                                   if s == shard_id),
-                }
-                for shard_id, state in cluster.shards.items()
-            },
-            "map_epoch": cluster.map_epoch,
-            "moved_shard": moved,
-            "rebalance": report,
-            "reads_ok_before": sum(
-                1 for r in reads_before.values()
-                if r.get("status") == "accepted"),
-            "reads_ok_after": sum(
-                1 for r in reads_after.values()
-                if r.get("status") == "accepted"),
-            "safety": {
-                shard_id: [c.to_json() for c in results]
-                for shard_id, results in checks.items()
-            },
-            "handler_errors": [
-                (node, src, repr(exc))
-                for node, src, exc in cluster.handler_errors()
-            ],
-        }
-    finally:
-        await cluster.aclose()
-
-
-def run_shard_demo_sync(seed: int = 0, **kwargs: Any) -> dict[str, Any]:
-    """Synchronous wrapper for CLI / tests without an event loop."""
-    return asyncio.run(run_shard_demo(seed, **kwargs))
-
-
 __all__ = [
     "HostNode",
     "ShardDeploymentSpec",
     "ShardState",
     "ShardView",
     "ShardedCluster",
-    "run_shard_demo",
-    "run_shard_demo_sync",
     "run_shard_safety_checks",
 ]

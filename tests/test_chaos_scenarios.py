@@ -138,9 +138,18 @@ def test_shard_rebalance_online_move():
         verdict.timings["read_unavailability_bound"]
 
 
+def test_net_demo_cycle():
+    """No fault: a write, a plain and a sensitive read of it, their
+    pledges audited, and a write the owner does not allow refused."""
+    verdict = _assert_verdict("net_demo", seed=11)
+    # The refused write never reached the order; the two reads did.
+    assert verdict.counters["writes_committed"] == 1
+    assert verdict.counters["reads_accepted"] == 2
+
+
 def test_registry_complete():
     assert set(SCENARIOS) == {
-        "master_crash", "partition_heal", "corrupt_frames",
+        "net_demo", "master_crash", "partition_heal", "corrupt_frames",
         "auditor_failover", "slave_crash", "flash_crowd",
         "shard_rebalance",
     }

@@ -195,42 +195,32 @@ class TestDemoCommand:
 @pytest.mark.net
 class TestNetDemoCommand:
     def test_full_cycle_over_sockets(self):
+        """The write/read/audit cycle is a chaos scenario: its named
+        checks, then the safety oracle's four."""
         import contextlib
         import io
 
         out = io.StringIO()
         with contextlib.redirect_stdout(out):
-            code = main(["net-demo", "--seed", "11", "--settle", "0.5"])
+            code = main(["chaos", "--scenario", "net_demo", "--seed", "11"])
         assert code == 0, out.getvalue()
-        summary = json.loads(out.getvalue())
-        assert summary["write"]["status"] == "committed"
-        assert summary["write"]["version"] == 1
-        assert summary["write_denied"]["status"] == "rejected"
-        assert summary["read"]["value"] == "over-the-wire"
-        assert summary["sensitive_read"]["status"] == "accepted"
-        assert summary["audit"]["pledges_audited"] >= 1
-        assert summary["handler_errors"] == []
-        assert summary["transport"]["net_frames_received"] > 0
+        [verdict] = json.loads(out.getvalue())
+        assert verdict["scenario"] == "net_demo" and verdict["passed"]
+        assert [check["name"] for check in verdict["checks"]] == [
+            "write_committed", "unauthorised_write_rejected",
+            "read_accepted", "sensitive_read_accepted", "pledges_audited",
+            "no_handler_errors", "no_forged_reads", "consistency_window",
+            "survivors_converged", "clients_on_live_masters"]
 
 
-@pytest.mark.shard
-class TestShardDemoCommand:
-    def test_rebalance_cycle_over_sockets(self):
-        import contextlib
-        import io
+class TestChaosCommand:
+    def test_list_names_every_scenario(self, capsys):
+        from repro.chaos import SCENARIOS
 
-        out = io.StringIO()
-        with contextlib.redirect_stdout(out):
-            code = main(["shard-demo", "--seed", "3", "--settle", "0.8"])
-        assert code == 0, out.getvalue()
-        report = json.loads(out.getvalue())
-        assert report["map_epoch"] == 2
-        assert report["reads_ok_after"] == report["reads_ok_before"]
-        assert report["shards"][report["moved_shard"]]["generation"] == 1
-        assert all(check["passed"]
-                   for checks in report["safety"].values()
-                   for check in checks)
-        assert report["handler_errors"] == []
+        assert main(["chaos", "--list"]) == 0
+        listed = capsys.readouterr().out.split()
+        assert listed == sorted(SCENARIOS)
+        assert {"net_demo", "shard_rebalance"} <= set(listed)
 
 
 class TestParser:
@@ -242,19 +232,6 @@ class TestParser:
         args = build_parser().parse_args(["run"])
         assert args.masters == 3
         assert args.double_check_probability == 0.05
-
-    def test_net_demo_defaults(self):
-        args = build_parser().parse_args(["net-demo"])
-        assert args.masters == 2
-        assert args.slaves_per_master == 2
-        assert args.clients == 2
-        assert args.settle == 1.0
-
-    def test_shard_demo_defaults(self):
-        args = build_parser().parse_args(["shard-demo"])
-        assert args.shards == 2
-        assert args.hosts == 2
-        assert args.settle == 1.0
 
     def test_obs_defaults(self):
         args = build_parser().parse_args(["obs"])

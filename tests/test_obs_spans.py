@@ -284,12 +284,8 @@ class TestExport:
         metrics = MetricsRegistry()
         metrics.incr("reads_accepted", 3)
         metrics.incr("commits@master-00", 2)
-        metrics.observe_hist("read_latency", 0.01)
-        metrics.observe_hist("read_latency", 0.02)
         text = prometheus_text(metrics)
         assert "repro_reads_accepted 3" in text
         assert 'repro_commits{node="master-00"} 2' in text
-        assert 'repro_read_latency_bucket{le="+Inf"} 2' in text
-        assert "repro_read_latency_count 2" in text
         # Deterministic by default: no wall-clock stamp line.
         assert "exported_at" not in text

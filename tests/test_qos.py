@@ -344,7 +344,6 @@ def test_protocol_config_qos_knob_validation():
                             qos_inbox_limit=256, qos_idle_multiple=10.0)
     assert config.qos_frame_rate == 50.0
     for bad in (dict(qos_frame_rate=0.0), dict(qos_frame_burst=0.0),
-                dict(qos_shed_fraction=2.0), dict(qos_inbox_limit=0),
-                dict(qos_idle_multiple=0.0)):
+                dict(qos_inbox_limit=0), dict(qos_idle_multiple=0.0)):
         with pytest.raises(ValueError):
             ProtocolConfig(**bad)

@@ -7,15 +7,20 @@ import random
 from repro.content.kvstore import KVGet, KVPut
 from repro.core.adversary import AlwaysLie
 from repro.core.config import ProtocolConfig
-from repro.report import render_markdown_report
+from repro.report import judge_run, render_markdown_report
 
 from .conftest import make_system
 
 
-def run_small(adversaries=None, p=0.1):
+SAFE = "**Run verdict: SAFE — the accountability guarantee held.**"
+UNSAFE = "**Run verdict: UNSAFE — see violations above.**"
+
+
+def run_small(adversaries=None, p=0.1, **overrides):
     system = make_system(protocol=ProtocolConfig(
         double_check_probability=p, max_latency=2.0,
-        keepalive_interval=0.5), adversaries=adversaries or {})
+        keepalive_interval=0.5), adversaries=adversaries or {},
+        **overrides)
     system.start()
     rng = random.Random(1)
     t = system.now
@@ -39,7 +44,7 @@ class TestReport:
 
     def test_safe_verdict_for_honest_run(self):
         report = render_markdown_report(run_small())
-        assert "SAFE" in report
+        assert SAFE in report
         assert "CONSISTENCY VIOLATIONS" not in report
 
     def test_counts_reflected(self):
@@ -53,7 +58,20 @@ class TestReport:
         the accountability guarantee, not wrongness prevention."""
         system = run_small(adversaries={0: AlwaysLie()}, p=0.0)
         report = render_markdown_report(system)
-        assert "SAFE" in report
+        assert SAFE in report
+
+    def test_diverged_masters_render_unsafe(self):
+        """The report and ``repro-sim run`` read one verdict: masters
+        that end at one version with two states fail both."""
+        system = run_small(seed=3)
+        system.masters[1].store.apply_write(KVPut(key="w", value="forked"))
+        verdict = judge_run(system)
+        assert not verdict.passed
+        assert not verdict.summary["masters_converged"]
+        report = render_markdown_report(system, verdict=verdict)
+        assert UNSAFE in report and SAFE not in report
+        assert "**MASTERS DIVERGED:**" in report
+        assert render_markdown_report(system) == report
 
     def test_custom_title(self):
         report = render_markdown_report(run_small(), title="Nightly soak")

@@ -21,7 +21,6 @@ from repro.net.deploy import fast_protocol_config
 from repro.shard.deploy import (
     ShardDeploymentSpec,
     ShardedCluster,
-    run_shard_demo,
     run_shard_safety_checks,
 )
 from repro.shard.rebalance import RebalanceError, Rebalancer
@@ -127,21 +126,6 @@ class TestMultiTenantHosting:
 
 
 class TestRebalance:
-    def test_demo_moves_shard_without_violations(self):
-        report = run(run_shard_demo(seed=0, settle=0.8))
-        assert report["reads_ok_before"] == len(
-            [k for ks in report["shards"].values()
-             for k in ks["keys"]])
-        assert report["reads_ok_after"] == report["reads_ok_before"]
-        moved = report["moved_shard"]
-        assert report["shards"][moved]["generation"] == 1
-        assert report["map_epoch"] == 2
-        assert report["rebalance"]["snapshot_version"] > 0
-        for shard_id, checks in report["safety"].items():
-            for check in checks:
-                assert check["passed"], (shard_id, check)
-        assert report["handler_errors"] == []
-
     def test_unknown_shard_raises(self):
         async def scenario():
             cluster = await ShardedCluster.launch(shard_spec(),
