@@ -1004,7 +1004,7 @@ def _flash_cast(qos: bool) -> NetDeploymentSpec:
     # served below its quota: held *to* 15/s at each of three
     # listeners, six principals would still get a full core's worth.
     limits = dict(qos_frame_rate=15.0, qos_frame_burst=20.0,
-                  qos_inbox_limit=512, qos_idle_multiple=10.0) if qos else {}
+                  qos_idle_multiple=10.0) if qos else {}
     return NetDeploymentSpec(
         num_masters=2, slaves_per_master=2, num_clients=8, obs_enabled=True,
         client_double_check_overrides={i: 1.0 for i in range(2, 8)},

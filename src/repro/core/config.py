@@ -63,9 +63,6 @@ class ProtocolConfig:
     qos_frame_rate: float | None = None
     #: Burst allowance on top of the sustained frame rate.
     qos_frame_burst: float = 200.0
-    #: Bounded inbox depth between frame decode and protocol dispatch
-    #: (keep-alives and accusations are never shed from it).
-    qos_inbox_limit: int = 1024
     #: Idle-connection reaper: abort a handshaked-but-silent inbound
     #: connection after this many keep-alive intervals (None = never).
     qos_idle_multiple: float | None = None
@@ -171,9 +168,6 @@ class ProtocolConfig:
         if self.qos_frame_burst <= 0:
             raise ValueError(f"qos_frame_burst must be positive, "
                              f"got {self.qos_frame_burst}")
-        if self.qos_inbox_limit < 1:
-            raise ValueError(
-                f"qos_inbox_limit must be >= 1, got {self.qos_inbox_limit}")
         if self.qos_idle_multiple is not None and self.qos_idle_multiple <= 0:
             raise ValueError(
                 f"qos_idle_multiple must be positive, "

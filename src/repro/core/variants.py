@@ -1,22 +1,18 @@
-"""Section 4 variants as reusable policies.
+"""Section 4 variants as a reusable policy.
 
 The two variants the paper sketches are implemented in the protocol
 itself -- security levels in :meth:`repro.core.client.Client.submit_read`
+(the table is :attr:`repro.core.config.ProtocolConfig.security_levels`)
 and quorum reads via :attr:`repro.core.config.ProtocolConfig.read_quorum`.
-This module provides the policy layer applications use to drive them:
-
-* :class:`SecurityLevelPolicy` -- classify queries into levels (the
-  "further refinement" that "assigns even more security levels for read
-  operations and sets the double-check probability based on the read's
-  security level");
-* :func:`quorum_config` / :func:`sensitive_reads_config` -- config
-  constructors for the two variant deployments, used by the E9 benchmark
-  and the examples.
+This module provides the policy layer applications use to drive the
+first: :class:`SecurityLevelPolicy` classifies queries into levels (the
+"further refinement" that "assigns even more security levels for read
+operations and sets the double-check probability based on the read's
+security level").
 """
 
 from __future__ import annotations
 
-import dataclasses
 from typing import Callable
 
 from repro.content.queries import ReadQuery
@@ -60,27 +56,3 @@ class SecurityLevelPolicy:
 
     def probability_for(self, query: ReadQuery) -> float:
         return self.config.security_levels[self.level_for(query)]
-
-
-def quorum_config(base: ProtocolConfig, quorum: int) -> ProtocolConfig:
-    """A copy of ``base`` running the multi-slave quorum-read variant.
-
-    "Another possibility is to send the same read request to more than one
-    untrusted server ... a number of malicious slaves would have to
-    collude in order to pass an incorrect answer."
-    """
-    if quorum < 1:
-        raise ValueError(f"quorum must be >= 1, got {quorum}")
-    return dataclasses.replace(base, read_quorum=quorum)
-
-
-def sensitive_reads_config(base: ProtocolConfig,
-                           levels: dict[str, float]) -> ProtocolConfig:
-    """A copy of ``base`` with a custom security-level table.
-
-    Any level with probability 1.0 is executed only on trusted masters,
-    "which guarantees that clients always get correct results".
-    """
-    merged = dict(base.security_levels)
-    merged.update(levels)
-    return dataclasses.replace(base, security_levels=merged)

@@ -155,19 +155,6 @@ class Histogram:
                 return self.max_value
         return self.max_value  # pragma: no cover - ranks always <= count
 
-    def merge(self, other: "Histogram") -> None:
-        """Fold ``other`` into this histogram (same bucket bounds only)."""
-        if other.bounds != self.bounds:
-            raise ValueError(
-                f"cannot merge histograms with different bounds: "
-                f"{self.bounds} vs {other.bounds}")
-        for index, bucket_count in enumerate(other.bucket_counts):
-            self.bucket_counts[index] += bucket_count
-        self.count += other.count
-        self.total += other.total
-        self.min_value = min(self.min_value, other.min_value)
-        self.max_value = max(self.max_value, other.max_value)
-
     def summary(self) -> dict[str, float]:
         """Same shape as :func:`summarize`, from buckets."""
         if self.count == 0:

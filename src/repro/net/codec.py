@@ -84,11 +84,12 @@ from repro.shard.wire import (
 )
 
 MAGIC = b"RN"
-#: 4 since the wire types and fields nothing read were retired and an
-#: HMAC public key became a handle; 3 put a ``Seal`` in a read reply in
-#: place of its pledge; 2 added the stamp reference and the raw digest.
-#: A peer speaking any other version is refused at its hello.
-WIRE_VERSION = 4
+#: 5 since ``QosStatusReply`` lost its two inbox fields; 4 retired the
+#: wire types and fields nothing read and made an HMAC public key a
+#: handle; 3 put a ``Seal`` in a read reply in place of its pledge; 2
+#: added the stamp reference and the raw digest.  A peer speaking any
+#: other version is refused at its hello.
+WIRE_VERSION = 5
 HEADER_SIZE = 8
 #: Upper bound on a frame body; a full MiniDB snapshot fits comfortably,
 #: while a hostile 4 GiB length prefix is rejected before allocation.

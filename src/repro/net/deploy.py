@@ -254,7 +254,7 @@ class LocalCluster:
 
         Wire-level admission control is opt-in: with every ``qos_*``
         rate and the idle multiple unset (the ProtocolConfig defaults)
-        the listeners run exactly the pre-qos inline-dispatch path.
+        the listeners charge no bucket and reap no idle connection.
         """
         config = self.config
         if (config.qos_frame_rate is None
@@ -266,7 +266,6 @@ class LocalCluster:
         return AdmissionPolicy(
             frame_rate=config.qos_frame_rate,
             frame_burst=config.qos_frame_burst,
-            inbox_limit=config.qos_inbox_limit,
             idle_timeout=idle)
 
     async def _listen(self, node: Node) -> str:

@@ -39,7 +39,6 @@ from repro.net.transport import ConnectionPool
 from repro.obs.admin import AdminPlane, QosStatusReply, QosStatusRequest
 from repro.obs.context import TraceCarrier
 from repro.qos.ledger import AdmissionLedger
-from repro.qos.queue import InboundQueue
 from repro.qos.tokens import AdmissionPolicy, ClientAdmission
 from repro.shard.wire import (
     ShardEnvelope,
@@ -365,7 +364,7 @@ class _Connection(asyncio.Protocol):
             metrics.incr("net_frames_received", len(message.messages))
             shed = False
             for inner in message.messages:
-                if server._admit(src_id, inner):
+                if server._receive(src_id, inner):
                     shed = True
         else:
             metrics.incr("net_frames_received")
@@ -381,7 +380,7 @@ class _Connection(asyncio.Protocol):
                     metrics.incr("obs_admin_requests")
                     self.transport.write(codec.encode_frame(reply))
                     return
-            shed = server._admit(src_id, message)
+            shed = server._receive(src_id, message)
         if shed and qos is not None and qos.shed_penalty > 0:
             # Turn the shed into backpressure: stall this connection so
             # the over-quota pipeline slows at the source instead of
@@ -479,13 +478,12 @@ class NodeServer:
     message) so tests can assert clean runs; production callers would
     drain it into logging.
 
-    With a :class:`~repro.qos.tokens.AdmissionPolicy` the listener grows
-    a serving plane: per-client frame token buckets ahead of
-    dispatch (seeded shed decisions, per-reason ``qos_shed_*``
-    counters), a bounded inbox between decode and dispatch
-    (:class:`~repro.qos.queue.InboundQueue`; keep-alives and accusations
-    are never shed) and an idle-connection reaper.  ``qos=None`` (the
-    default) keeps the pre-qos behaviour: unbounded inline dispatch.
+    Every decoded message is dispatched inline, in the callback that
+    decoded it.  With a :class:`~repro.qos.tokens.AdmissionPolicy` the
+    listener grows a serving plane: a per-client frame token bucket
+    checked just before dispatch (seeded shed decisions, per-reason
+    ``qos_shed_*`` counters; keep-alives and accusations are never
+    charged) and an idle-connection reaper.
     """
 
     def __init__(self, node: Node, metrics: MetricsRegistry,
@@ -523,10 +521,6 @@ class NodeServer:
         self._server: asyncio.Server | None = None
         self._connections: set[_Connection] = set()
         self._admission: dict[str, ClientAdmission] = {}
-        self._inbox = InboundQueue(qos.inbox_limit) if qos is not None \
-            else None
-        self._inbox_ready = asyncio.Event()
-        self._dispatch_task: "asyncio.Task[None] | None" = None
 
     async def start(self, host: str = "127.0.0.1",
                     port: int = 0) -> tuple[str, int]:
@@ -536,10 +530,6 @@ class NodeServer:
             lambda: _Connection(self, loop), host, port)
         sockname = self._server.sockets[0].getsockname()
         self.host, self.port = sockname[0], sockname[1]
-        if self._inbox is not None and self._dispatch_task is None:
-            self._dispatch_task = asyncio.get_running_loop().create_task(
-                self._dispatch_loop(),
-                name=f"qos-dispatch:{self.node.node_id}")
         return self.host, self.port
 
     # -- multi-tenancy (repro.shard) ----------------------------------------
@@ -578,41 +568,65 @@ class NodeServer:
                          for shard_id, ids in sorted(shards.items())),
             unsharded=tuple(sorted(unsharded)))
 
-    # -- wire-level admission (repro.qos) -----------------------------------
+    # -- receive: wire-level admission (repro.qos), then dispatch ----------
 
-    def _admit(self, src_id: str, message: Any) -> bool:
-        """Rate-limit and enqueue one decoded message, or shed it.
+    def _receive(self, src_id: str, message: Any) -> bool:
+        """Admit one decoded message and dispatch it inline, or shed it.
 
-        Returns True when the admission caused a shed (this message
-        went over quota, or its arrival evicted a queued one), so the
-        connection it arrived on can be penalized.
+        The envelopes are opened once, here: a ShardEnvelope names the
+        *tenant* that sent the message (the principal charged -- the
+        connection's hello only names the peer host, and many tenants
+        share one connection) and the tenant it is for; a TraceCarrier
+        carries the trace context the handler runs under.  Keep-alives
+        and accusations are never charged, so never shed.
+
+        Returns True when the message went over quota and was shed, so
+        the connection it arrived on can be penalized.
         """
-        qos = self.qos
-        if qos is None:
-            self._dispatch(src_id, message)
-            return False
-        protected = self._is_protected(message)
-        # Attribution: a ShardEnvelope names the *tenant* that sent the
-        # message; the connection-level hello only names the peer host.
-        # Charging the envelope's source keeps per-shard/per-principal
-        # accounting meaningful when many tenants share one connection.
+        envelope = None
+        shard_id = ""
         if isinstance(message, ShardEnvelope):
-            principal, shard_id = message.src, message.shard_id
-        else:
-            principal, shard_id = src_id, ""
-        if not protected and qos.limits_frames:
+            envelope = message
+            src_id, shard_id = envelope.src, envelope.shard_id
+            message = envelope.message
+        context = None
+        if isinstance(message, TraceCarrier):
+            context, message = message.context, message.message
+        qos = self.qos
+        if qos is not None and qos.limits_frames \
+                and not isinstance(message, PROTECTED_MESSAGE_TYPES):
             now = self.node.simulator.now
-            client = self._account_for(principal, now)
+            client = self._account_for(src_id, now)
             reason = client.admit(now, 0.0, self.qos_rng, qos)
             if reason is not None:
-                self._count_shed(principal, reason, shard_id)
+                self._count_shed(src_id, reason, shard_id)
                 return True
-        assert self._inbox is not None
-        victim = self._inbox.put((principal, message), protected=protected)
-        self._inbox_ready.set()
-        if victim is not None:
-            self._count_shed(victim[0], "queue_full")
-            return True
+        node = self.node
+        if envelope is not None:
+            tenant = self._tenants.get(envelope.dst)
+            if tenant is None:
+                self.metrics.incr("net_frames_dropped")
+                self.metrics.incr("shard_drop_unknown_tenant")
+                return False
+            node = tenant
+            if shard_id:
+                self.metrics.incr(f"shard_{shard_id}_frames")
+        if node.crashed:
+            self.metrics.incr("net_frames_dropped")
+            self.metrics.incr("net_drop_node_crashed")
+            return False
+        node.messages_received += 1
+        obs = node.simulator.obs
+        try:
+            if context is not None and obs is not None:
+                obs.contexts_received += 1
+                restore_context(obs, context,
+                                node.on_message, (src_id, message))
+            else:
+                node.on_message(src_id, message)
+        except Exception as exc:
+            self.metrics.incr("net_handler_errors")
+            self.errors.append((src_id, exc))
         return False
 
     def _account_for(self, principal: str, now: float) -> ClientAdmission:
@@ -625,14 +639,6 @@ class NodeServer:
             client = ClientAdmission(self.qos, now)
             self._admission[principal] = client
         return client
-
-    def _is_protected(self, message: Any) -> bool:
-        """Keep-alives and accusations bypass every shed decision."""
-        if isinstance(message, ShardEnvelope):
-            message = message.message
-        if isinstance(message, TraceCarrier):
-            message = message.message
-        return isinstance(message, PROTECTED_MESSAGE_TYPES)
 
     def _count_shed(self, src_id: str, reason: str,
                     shard_id: str = "") -> None:
@@ -662,45 +668,6 @@ class NodeServer:
         if qos is not None and qos.limits_frames:
             self._account_for(src_id, self.node.simulator.now).strike()
 
-    async def _dispatch_loop(self) -> None:
-        """Drain the bounded inbox into the protocol handler."""
-        inbox = self._inbox
-        assert inbox is not None
-        while True:
-            # Clear-then-drain-then-wait: no await between the clear and
-            # the wait, so a put landing mid-drain re-sets the event and
-            # the next iteration picks it up (never a lost wakeup).
-            self._inbox_ready.clear()
-            drained = 0
-            while True:
-                entry = inbox.get()
-                if entry is None:
-                    break
-                self._dispatch(entry[0], entry[1])
-                drained += 1
-                if drained % 16 == 0:
-                    # Yield mid-backlog so a deep inbox cannot stall
-                    # the loop (readers and keep-alive timers keep
-                    # running); puts landing during the yield re-set
-                    # the event and are drained before the wait below.
-                    await asyncio.sleep(0)
-            await self._inbox_ready.wait()
-
-    async def _stop_dispatch(self) -> None:
-        # Swap-then-await (see suspend): a concurrent stop must observe
-        # the task slot already relinquished before we block.
-        task, self._dispatch_task = self._dispatch_task, None
-        if task is not None:
-            task.cancel()
-            try:
-                await task
-            except asyncio.CancelledError:
-                pass
-        if self._inbox is not None:
-            # A crashed host loses its queued-but-undispatched frames.
-            self._inbox.clear()
-            self._inbox_ready.clear()
-
     def qos_status(self) -> QosStatusReply:
         """This listener's admission state (QosStatus admin reply).
 
@@ -718,43 +685,8 @@ class NodeServer:
             node_id=self.node.node_id,
             now=self.node.simulator.now,
             shed_total=float(self.shed_total),
-            inbox_depth=len(self._inbox) if self._inbox is not None else 0,
-            inbox_shed=self._inbox.shed if self._inbox is not None else 0,
             breakers=breakers,
             breaker_trips=trips)
-
-    def _dispatch(self, src_id: str, message: Any) -> None:
-        node = self.node
-        if isinstance(message, ShardEnvelope):
-            envelope = message
-            src_id, message = envelope.src, envelope.message
-            tenant = self._tenants.get(envelope.dst)
-            if tenant is None:
-                self.metrics.incr("net_frames_dropped")
-                self.metrics.incr("shard_drop_unknown_tenant")
-                return
-            node = tenant
-            if envelope.shard_id:
-                self.metrics.incr(f"shard_{envelope.shard_id}_frames")
-        if node.crashed:
-            self.metrics.incr("net_frames_dropped")
-            self.metrics.incr("net_drop_node_crashed")
-            return
-        context = None
-        if isinstance(message, TraceCarrier):
-            context, message = message.context, message.message
-        node.messages_received += 1
-        obs = node.simulator.obs
-        try:
-            if context is not None and obs is not None:
-                obs.contexts_received += 1
-                restore_context(obs, context,
-                                node.on_message, (src_id, message))
-            else:
-                node.on_message(src_id, message)
-        except Exception as exc:
-            self.metrics.incr("net_handler_errors")
-            self.errors.append((src_id, exc))
 
     def abort_connections(self) -> int:
         """Abort every accepted inbound connection; returns the count.
@@ -781,7 +713,6 @@ class NodeServer:
             server.close()
             await server.wait_closed()
         self.abort_connections()
-        await self._stop_dispatch()
 
     async def resume(self) -> tuple[str, int]:
         """Rebind the previously bound (host, port) after a crash."""

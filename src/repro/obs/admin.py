@@ -68,8 +68,8 @@ class QosStatusRequest:
 
     Part of the ObsHealth admin plane (PR 8): answered inline by
     ``NodeServer`` on any admin-enabled listener, it surfaces the
-    :mod:`repro.qos` layer's degradation signals -- shed totals, inbox
-    depth and the outbound pool's per-peer circuit-breaker states -- so
+    :mod:`repro.qos` layer's degradation signals -- shed totals and
+    the outbound pool's per-peer circuit-breaker states -- so
     a monitoring agent can tell backpressure from failure.
     """
 
@@ -82,10 +82,6 @@ class QosStatusReply:
     now: float
     #: Frames shed by wire-level admission since boot (all reasons).
     shed_total: float
-    #: Current depth of the bounded decode->dispatch inbox.
-    inbox_depth: int
-    #: Entries evicted from the inbox to make room.
-    inbox_shed: int
     #: (peer id, breaker state) for every peer the outbound pool has
     #: breaker state for; states are ``closed``/``open``/``half_open``.
     breakers: tuple[tuple[str, str], ...]

@@ -9,9 +9,6 @@ into a reusable serving-plane layer, wired through :mod:`repro.net`,
 * :mod:`repro.qos.tokens` -- the extracted :class:`TokenBucket` plus
   per-client wire admission (frames/s and bytes/s buckets, strike
   penalties for malformed traffic);
-* :mod:`repro.qos.queue` -- bounded inbound queue between frame decode
-  and protocol dispatch, with an explicit oldest-first drop policy that
-  NEVER sheds keep-alives or accusations;
 * :mod:`repro.qos.breaker` -- per-peer circuit breaker
   (closed -> open -> half-open) wrapping the connection pool's retry
   budget so dead peers stop consuming it.
@@ -23,7 +20,6 @@ given seed.  The asyncio wiring lives in :mod:`repro.net`.
 """
 
 from repro.qos.breaker import BreakerPolicy, CircuitBreaker
-from repro.qos.queue import InboundQueue
 from repro.qos.tokens import AdmissionPolicy, ClientAdmission, TokenBucket
 
 __all__ = [
@@ -31,6 +27,5 @@ __all__ = [
     "BreakerPolicy",
     "CircuitBreaker",
     "ClientAdmission",
-    "InboundQueue",
     "TokenBucket",
 ]

@@ -1,7 +1,9 @@
-"""Queue-based load leveling between frame decode and dispatch.
+"""A bounded inbound queue with an explicit drop policy.
 
-:class:`InboundQueue` is the bounded buffer a listener places between
-``read_frame`` and protocol dispatch.  Its drop policy is explicit:
+Nothing in ``src/`` uses it: a listener admits and dispatches each
+frame where it decodes it.  The benchmark harness still times and
+traces :class:`InboundQueue`, so it stays until the harness drops it.
+Its drop policy is explicit:
 
 * when full, the *oldest* sheddable entry is evicted to make room --
   under overload a reader is better served by the freshest requests
@@ -13,8 +15,7 @@
   queue past its limit; its volume is bounded by timer frequency, not
   by workload, so the overshoot is a few entries at worst.
 
-The queue is synchronous and pure -- the asyncio drain task lives in
-:class:`repro.net.server.NodeServer` -- so its policy is unit-testable
+The queue is synchronous and pure, so its policy is unit-testable
 without an event loop and stays inside the determinism lint scope.
 """
 

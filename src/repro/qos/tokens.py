@@ -65,10 +65,10 @@ class AdmissionPolicy:
     """Wire-level admission knobs for one node's listener.
 
     A ``None`` ``frame_rate`` disables the bucket; the policy still
-    buys the bounded inbox and (when ``idle_timeout`` is set) the
-    idle-connection reaper.  ``shed_fraction`` mirrors the
-    master's ``greedy_drop_fraction``: the seeded fraction of over-quota
-    frames actually shed (1.0 = shed all of them).
+    buys (when ``idle_timeout`` is set) the idle-connection reaper.
+    ``shed_fraction`` mirrors the master's ``greedy_drop_fraction``: the
+    seeded fraction of over-quota frames actually shed (1.0 = shed all
+    of them).
     """
 
     #: Sustained protocol messages/s admitted per client connection.
@@ -84,8 +84,6 @@ class AdmissionPolicy:
     #: offending connection is delayed -- other peers' connections
     #: (and the keep-alives riding them) are unaffected.
     shed_penalty: float = 0.05
-    #: Bounded inbox depth between decode and dispatch.
-    inbox_limit: int = 1024
     #: Abort a handshaked-but-silent connection after this many seconds
     #: (deployments derive it as a multiple of ``keepalive_interval``).
     idle_timeout: float | None = None
@@ -103,9 +101,6 @@ class AdmissionPolicy:
         if self.shed_penalty < 0:
             raise ValueError(
                 f"shed_penalty must be >= 0, got {self.shed_penalty}")
-        if self.inbox_limit < 1:
-            raise ValueError(
-                f"inbox_limit must be >= 1, got {self.inbox_limit}")
         if self.idle_timeout is not None and self.idle_timeout <= 0:
             raise ValueError(
                 f"idle_timeout must be positive, got {self.idle_timeout}")

@@ -193,24 +193,47 @@ class TestDemoCommand:
 
 
 @pytest.mark.net
-class TestNetDemoCommand:
-    def test_full_cycle_over_sockets(self):
-        """The write/read/audit cycle is a chaos scenario: its named
-        checks, then the safety oracle's four."""
-        import contextlib
-        import io
+def _stub_scenarios(monkeypatch, passed: bool) -> list[tuple[str, int]]:
+    """Make ``run_scenario_sync`` return a canned verdict; returns the
+    (name, seed) calls it receives."""
+    import repro.chaos
+    from repro.chaos.invariants import CheckResult
+    from repro.chaos.scenarios import ScenarioVerdict
 
-        out = io.StringIO()
-        with contextlib.redirect_stdout(out):
-            code = main(["chaos", "--scenario", "net_demo", "--seed", "11"])
-        assert code == 0, out.getvalue()
-        [verdict] = json.loads(out.getvalue())
-        assert verdict["scenario"] == "net_demo" and verdict["passed"]
-        assert [check["name"] for check in verdict["checks"]] == [
-            "write_committed", "unauthorised_write_rejected",
-            "read_accepted", "sensitive_read_accepted", "pledges_audited",
-            "no_handler_errors", "no_forged_reads", "consistency_window",
-            "survivors_converged", "clients_on_live_masters"]
+    calls: list[tuple[str, int]] = []
+
+    def run_scenario_sync(name: str, seed: int = 0) -> ScenarioVerdict:
+        calls.append((name, seed))
+        return ScenarioVerdict(
+            scenario=name, seed=seed, passed=passed,
+            checks=[CheckResult("write_committed", True, "1 of 1"),
+                    CheckResult("no_forged_reads", passed, "0 wrong")],
+            counters={"reads_accepted": 2.0})
+
+    monkeypatch.setattr(repro.chaos, "run_scenario_sync", run_scenario_sync)
+    return calls
+
+
+class TestNetDemoCommand:
+    def test_full_cycle_over_sockets(self, monkeypatch, capsys):
+        """``chaos --scenario net_demo`` runs the scenario at the given
+        seed and prints its verdict as JSON, exit 0 when it passes (the
+        live run and its check names: test_chaos_scenarios.py::
+        test_net_demo_cycle)."""
+        calls = _stub_scenarios(monkeypatch, passed=True)
+        code = main(["chaos", "--scenario", "net_demo", "--seed", "11"])
+        captured = capsys.readouterr()
+        assert code == 0, captured.err
+        assert calls == [("net_demo", 11)]
+        assert json.loads(captured.out) == [{
+            "scenario": "net_demo", "seed": 11, "passed": True,
+            "checks": [
+                {"name": "write_committed", "passed": True,
+                 "detail": "1 of 1"},
+                {"name": "no_forged_reads", "passed": True,
+                 "detail": "0 wrong"}],
+            "timings": {}, "counters": {"reads_accepted": 2.0}}]
+        assert captured.err == ""
 
 
 class TestChaosCommand:
@@ -221,6 +244,17 @@ class TestChaosCommand:
         listed = capsys.readouterr().out.split()
         assert listed == sorted(SCENARIOS)
         assert {"net_demo", "shard_rebalance"} <= set(listed)
+
+    def test_a_failed_scenario_exits_1(self, monkeypatch, capsys):
+        calls = _stub_scenarios(monkeypatch, passed=False)
+        code = main(["chaos", "--scenario", "net_demo",
+                     "--scenario", "master_crash", "--seed", "3"])
+        captured = capsys.readouterr()
+        assert code == 1
+        assert calls == [("net_demo", 3), ("master_crash", 3)]
+        assert [verdict["passed"] for verdict in json.loads(captured.out)] \
+            == [False, False]
+        assert captured.err == "FAILED: ['net_demo', 'master_crash']\n"
 
 
 class TestParser:

@@ -136,18 +136,6 @@ class TestHistogram:
         assert set(histogram.summary()) == set(summarize([1.0]))
         assert math.isnan(histogram.summary()["mean"])
 
-    def test_merge(self):
-        left, right = Histogram(bounds=(1.0, 2.0)), Histogram(bounds=(1.0, 2.0))
-        left.observe(0.5)
-        right.observe(1.5)
-        right.observe(9.0)
-        left.merge(right)
-        assert left.count == 3
-        assert left.total == pytest.approx(11.0)
-        assert left.max_value == 9.0
-        with pytest.raises(ValueError, match="different bounds"):
-            left.merge(Histogram(bounds=(3.0,)))
-
     def test_validation(self):
         with pytest.raises(ValueError, match="ascend"):
             Histogram(bounds=(2.0, 1.0))

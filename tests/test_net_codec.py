@@ -178,8 +178,8 @@ EXAMPLES: dict[type, object] = {
         contexts_received=12, events_processed=99),
     QosStatusRequest: QosStatusRequest(probe=1),
     QosStatusReply: QosStatusReply(
-        node_id="master-00", now=4.5, shed_total=11.0, inbox_depth=3,
-        inbox_shed=2, breakers=(("slave-00-00", "open"),),
+        node_id="master-00", now=4.5, shed_total=11.0,
+        breakers=(("slave-00-00", "open"),),
         breaker_trips=1),
     codec.FrameBatch: codec.FrameBatch(
         messages=(m.KeepAlive(stamp=STAMP),

@@ -97,9 +97,9 @@ class StandInTransport(asyncio.Transport):
 
 class RecordingServer(NodeServer):
     """Records what reaches admission -- the seam the old per-frame
-    reader loop handed each decoded message to -- instead of running
-    it (dispatch unwraps carriers and envelopes; that is not under
-    test here)."""
+    reader loop handed each decoded message to -- instead of admitting
+    and dispatching it (which unwraps carriers and envelopes; that is
+    not under test here)."""
 
     def __init__(self) -> None:
         simulator = Simulator(0)
@@ -107,7 +107,7 @@ class RecordingServer(NodeServer):
                          MetricsRegistry())
         self.admitted: list[Any] = []
 
-    def _admit(self, src_id: str, message: Any) -> bool:
+    def _receive(self, src_id: str, message: Any) -> bool:
         assert src_id == "tester"
         self.admitted.append(message)
         return False

@@ -9,8 +9,9 @@ serving-plane overload behaviour end to end:
   with every shed attributed per reason and per client;
 * a shed stalls the offending connection only, and what it sent during
   the stall is served afterwards in order;
-* keep-alives and accusations are NEVER shed, whatever the budget;
-* the bounded inbox evicts oldest-first under burst;
+* keep-alives and accusations are NEVER shed, whatever the budget, and
+  never wait: they reach the handler before the callback that decoded
+  them returns, bare or inside a shard envelope;
 * malformed frames land on split ``framing``/``body`` counters and
   burn the sender's admission tokens (strikes);
 * the per-peer circuit breaker opens after consecutive delivery
@@ -32,13 +33,20 @@ from repro.metrics import MetricsRegistry
 from repro.net import codec
 from repro.net.codec import NetHello, encode_frame
 from repro.net.peers import PeerDirectory
-from repro.net.server import NodeServer, RealtimeScheduler, SocketNetwork
+from repro.net.server import (
+    NodeServer,
+    RealtimeScheduler,
+    SocketNetwork,
+    _Connection,
+)
 from repro.net.transport import ConnectionPool, RetryPolicy, read_frame
 from repro.obs.admin import AdminPlane, QosStatusReply, QosStatusRequest
 from repro.obs.spans import ObsRuntime
 from repro.qos.breaker import BreakerPolicy
 from repro.qos.tokens import AdmissionPolicy
+from repro.shard.wire import ShardEnvelope
 
+from .test_net_inbound import StandInTransport
 from .test_net_transport import RecordingNode, run
 
 MASTER = KeyPair("master-00", new_signer("hmac", random.Random(1)))
@@ -216,28 +224,45 @@ class TestWireAdmission:
 
         run(scenario())
 
-    def test_inbox_overflow_sheds_oldest_first(self):
+    @pytest.mark.parametrize("enveloped", [False, True],
+                             ids=["bare", "enveloped"])
+    def test_protected_messages_dispatched_before_data_received_returns(
+            self, enveloped):
+        """Admission on, a keep-alive and an accusation reach the
+        tenant's handler inside the callback that decoded them: nothing
+        queues between decode and dispatch for them to wait in."""
         async def scenario():
-            # No rate buckets: only the bounded inbox stands between
-            # decode and dispatch.  A batch enqueues its messages in one
-            # synchronous sweep, so a 4-deep batch overflows limit=2
-            # deterministically before the drain task can run.
-            h = QosHarness(AdmissionPolicy(inbox_limit=2))
-            await h.start()
+            h = QosHarness(AdmissionPolicy(frame_rate=0.1, frame_burst=1.0))
+            tenant = RecordingNode("s00:master-00", h.scheduler,
+                                   h.node.network)
+            h.server.add_tenant(tenant)
+            keepalive = m.KeepAlive(stamp=STAMP)
+            accusation = m.Accusation(pledge=PLEDGE, discovery="immediate")
+            sent = ("plain-0", keepalive, accusation, "plain-1")
+            if enveloped:
+                sender, target = "s00:client-00", tenant
+                sent = tuple(ShardEnvelope(shard_id="s00", src=sender,
+                                           dst=tenant.node_id,
+                                           message=message)
+                             for message in sent)
+            else:
+                sender, target = "tester", h.node
+            connection = _Connection(h.server, asyncio.get_running_loop())
+            connection.connection_made(StandInTransport())
             try:
-                batch = codec.FrameBatch(
-                    messages=("m1", "m2", "m3", "m4"))
-                _reader, writer = await h.raw_connection()
-                writer.write(encode_frame(batch))
-                await writer.drain()
-                await h.wait_received(2)
+                connection.data_received(
+                    encode_frame(NetHello(node_id="tester"))
+                    + b"".join(encode_frame(message) for message in sent))
+                # plain-0 spends the burst and plain-1 is shed: admission
+                # is on, and the protected pair went through it.
+                assert target.received == [(sender, "plain-0"),
+                                           (sender, keepalive),
+                                           (sender, accusation)]
                 snap = h.metrics.snapshot()
-                assert snap["qos_shed_queue_full"] == 2
-                assert snap["qos_shed_from_tester"] == 2
-                # Oldest-first: m1/m2 evicted, the freshest two served.
-                assert [msg for _src, msg in h.node.received] \
-                    == ["m3", "m4"]
+                assert snap["qos_shed_rate"] == 1
+                assert snap[f"qos_shed_from_{sender}"] == 1
             finally:
+                connection.connection_lost(None)
                 await h.aclose()
 
         run(scenario())
@@ -306,7 +331,6 @@ class TestWireAdmission:
                 assert isinstance(reply, QosStatusReply)
                 assert reply.node_id == "target"
                 assert reply.shed_total == 2.0
-                assert reply.inbox_shed == 0
                 assert reply.breaker_trips == 0
             finally:
                 await h.aclose()

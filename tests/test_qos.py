@@ -334,16 +334,15 @@ def test_admission_policy_validation():
     assert AdmissionPolicy(frame_rate=10.0).limits_frames
     for bad in (dict(frame_rate=0.0),
                 dict(frame_burst=0.0), dict(shed_fraction=1.5),
-                dict(inbox_limit=0), dict(idle_timeout=0.0)):
+                dict(idle_timeout=0.0)):
         with pytest.raises(ValueError):
             AdmissionPolicy(**bad)
 
 
 def test_protocol_config_qos_knob_validation():
-    config = ProtocolConfig(qos_frame_rate=50.0,
-                            qos_inbox_limit=256, qos_idle_multiple=10.0)
+    config = ProtocolConfig(qos_frame_rate=50.0, qos_idle_multiple=10.0)
     assert config.qos_frame_rate == 50.0
     for bad in (dict(qos_frame_rate=0.0), dict(qos_frame_burst=0.0),
-                dict(qos_inbox_limit=0), dict(qos_idle_multiple=0.0)):
+                dict(qos_idle_multiple=0.0)):
         with pytest.raises(ValueError):
             ProtocolConfig(**bad)

@@ -6,6 +6,7 @@ executed only on trusted masters) and multi-slave quorum reads.
 
 from __future__ import annotations
 
+import dataclasses
 import random
 
 import pytest
@@ -13,11 +14,7 @@ import pytest
 from repro.content.kvstore import KVAggregate, KVGet
 from repro.core.adversary import AlwaysLie, Colluding
 from repro.core.config import ProtocolConfig
-from repro.core.variants import (
-    SecurityLevelPolicy,
-    quorum_config,
-    sensitive_reads_config,
-)
+from repro.core.variants import SecurityLevelPolicy
 
 from .conftest import make_system
 
@@ -72,8 +69,9 @@ class TestSecurityLevels:
                                           level="ultraviolet")
 
     def test_policy_maps_queries_to_levels(self):
-        config = sensitive_reads_config(
-            ProtocolConfig(), {"aggregate": 1.0})
+        base = ProtocolConfig()
+        config = dataclasses.replace(
+            base, security_levels={**base.security_levels, "aggregate": 1.0})
         policy = SecurityLevelPolicy(config)
         policy.add_rule(lambda q: isinstance(q, KVAggregate), "aggregate")
         assert policy.level_for(KVAggregate(prefix="", func="count")) == \
@@ -93,7 +91,7 @@ class TestSecurityLevels:
 class TestQuorumReads:
     def test_quorum_clients_get_multiple_slaves(self):
         system = make_system(
-            protocol=quorum_config(ProtocolConfig(), 2),
+            protocol=dataclasses.replace(ProtocolConfig(), read_quorum=2),
             slaves_per_master=3)
         system.start()
         for client in system.clients:
@@ -102,8 +100,8 @@ class TestQuorumReads:
 
     def test_single_liar_triggers_forced_double_check(self):
         system = make_system(
-            protocol=quorum_config(
-                ProtocolConfig(double_check_probability=0.0), 2),
+            protocol=dataclasses.replace(
+                ProtocolConfig(double_check_probability=0.0), read_quorum=2),
             slaves_per_master=3,
             adversaries={0: AlwaysLie()})
         system.start()
@@ -123,8 +121,8 @@ class TestQuorumReads:
         """If every quorum member colludes, the cross-check passes -- the
         paper's residual risk -- and the audit still catches them."""
         system = make_system(
-            protocol=quorum_config(
-                ProtocolConfig(double_check_probability=0.0), 2),
+            protocol=dataclasses.replace(
+                ProtocolConfig(double_check_probability=0.0), read_quorum=2),
             slaves_per_master=2,
             adversaries={i: Colluding(group_seed=5) for i in range(4)})
         system.start()
@@ -141,7 +139,7 @@ class TestQuorumReads:
 
     def test_quorum_of_honest_slaves_never_disagrees(self):
         system = make_system(
-            protocol=quorum_config(ProtocolConfig(), 2),
+            protocol=dataclasses.replace(ProtocolConfig(), read_quorum=2),
             slaves_per_master=3)
         system.start()
         rng = random.Random(4)
@@ -154,5 +152,5 @@ class TestQuorumReads:
         assert system.metrics.count("reads_accepted") == 30
 
     def test_quorum_config_validation(self):
-        with pytest.raises(ValueError):
-            quorum_config(ProtocolConfig(), 0)
+        with pytest.raises(ValueError, match="read_quorum"):
+            dataclasses.replace(ProtocolConfig(), read_quorum=0)
