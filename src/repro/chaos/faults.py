@@ -104,8 +104,6 @@ class FaultPlane:
         self._links: dict[tuple[str, str], LinkFaults] = {}
         self._rngs: dict[tuple[str, str], random.Random] = {}
         self._partitions: set[frozenset[str]] = set()
-        #: Total frames planned; a cheap determinism fingerprint.
-        self.decisions = 0
 
     def pool(self, *args: Any, **kwargs: Any) -> "ChaosConnectionPool":
         """A connection pool (same arguments as
@@ -175,7 +173,6 @@ class FaultPlane:
         faults = self.faults_for(src, dst)
         if faults.healthy:
             return _PASS
-        self.decisions += 1
         rng = self._rng(src, dst)
         drop = rng.random() < faults.drop
         corrupt = rng.random() < faults.corrupt

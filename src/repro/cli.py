@@ -433,7 +433,7 @@ def cmd_obs(args: argparse.Namespace) -> int:
         NetDeploymentSpec,
         fast_protocol_config,
     )
-    from repro.obs.admin import span_from_wire
+    from repro.obs.admin import ObsDumpRequest, StatusRequest, span_from_wire
     from repro.obs.analyze import run_report
     from repro.obs.export import chrome_trace, prometheus_text, spans_jsonl
     from repro.obs.spans import Span
@@ -476,9 +476,9 @@ def cmd_obs(args: argparse.Namespace) -> int:
             spans: list[Span] = []
             health: dict[str, Any] = {}
             for node_id in sorted(cluster.servers):
-                dump = await cluster.scrape_admin(node_id, "spans")
+                dump = await cluster.scrape(node_id, ObsDumpRequest())
                 spans.extend(span_from_wire(wire) for wire in dump.spans)
-                probe = await cluster.scrape_admin(node_id, "health")
+                probe = await cluster.scrape(node_id, StatusRequest())
                 health[node_id] = {
                     "spans_buffered": probe.spans_buffered,
                     "spans_dropped": probe.spans_dropped,

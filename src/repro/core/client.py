@@ -276,7 +276,6 @@ class Client(Node):
         self._tainted_rows: set[int] = set()
         #: Application rollback hook, invoked once per tainted read.
         self.rollback_handler: Callable[[AcceptedRead], None] | None = None
-        self.last_result: Any = None
         #: Pledges of reads accepted this tick, not yet forwarded to the
         #: auditor.  See :meth:`_flush_audit`.
         self._audit_outbox: list[Pledge] = []
@@ -675,7 +674,6 @@ class Client(Node):
         the query by."""
         del self._reads[attempt.request_id]
         attempt.state = "done"
-        self.last_result = result
         latency = self.now - attempt.started_at
         self.metrics.incr("reads_accepted")
         self.metrics.observe("read_latency", latency)

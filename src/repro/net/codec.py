@@ -29,7 +29,7 @@ infrastructure carriers (handshake, certificates, public keys, broadcast
 envelopes, content-store snapshots); ids 32+ map positionally onto
 :data:`repro.core.messages.WIRE_MESSAGE_TYPES`.  Reordering either is a
 wire-format break and requires bumping :data:`WIRE_VERSION`.  A retired
-id is never reused: 6 and 53 stay unassigned.
+id is never reused: 6, 12-13, 15-16, 22-23 and 53 stay unassigned.
 
 Hostile input is expected: every decode error is a
 :class:`~repro.net.errors.CodecError` subclass, never an uncaught
@@ -67,10 +67,8 @@ from repro.net.errors import (
 from repro.obs.admin import (
     ObsDumpReply,
     ObsDumpRequest,
-    ObsHealthReply,
-    ObsHealthRequest,
-    QosStatusReply,
-    QosStatusRequest,
+    StatusReply,
+    StatusRequest,
 )
 from repro.obs.context import TraceCarrier, TraceContext
 from repro.shard.map import ShardMap
@@ -78,18 +76,18 @@ from repro.shard.wire import (
     ShardEnvelope,
     ShardMapReply,
     ShardMapRequest,
-    ShardStatusReply,
-    ShardStatusRequest,
     WrongShard,
 )
 
 MAGIC = b"RN"
-#: 5 since ``QosStatusReply`` lost its two inbox fields; 4 retired the
-#: wire types and fields nothing read and made an HMAC public key a
-#: handle; 3 put a ``Seal`` in a read reply in place of its pledge; 2
-#: added the stamp reference and the raw digest.  A peer speaking any
-#: other version is refused at its hello.
-WIRE_VERSION = 5
+#: 6 since one status pair (ids 24-25) replaced the trace-health,
+#: admission-status and shard-status pairs; 5 took two inbox fields out
+#: of the admission-status reply; 4 retired the wire types and fields
+#: nothing read and made an HMAC public key a handle; 3 put a ``Seal``
+#: in a read reply in place of its pledge; 2 added the stamp reference
+#: and the raw digest.  A peer speaking any other version is refused at
+#: its hello.
+WIRE_VERSION = 6
 HEADER_SIZE = 8
 #: Upper bound on a frame body; a full MiniDB snapshot fits comfortably,
 #: while a hostile 4 GiB length prefix is rejected before allocation.
@@ -783,29 +781,29 @@ def _iter_registrations() -> Iterator[_Registration]:
     yield (9, TraceCarrier, _encode_trace_carrier, None)
     yield (10, ObsDumpRequest, None, None)
     yield (11, ObsDumpReply, None, None)
-    yield (12, ObsHealthRequest, None, None)
-    yield (13, ObsHealthReply, None, None)
+    # 12-13 were the retired trace-health pair (wire version 5 and
+    # earlier).
     # Batched hot path (PR 6): several messages coalesced into one frame
     # by the pipelined sender.  Appended after the PR 5 carriers -- same
     # back-compat contract: an older peer rejects the whole batch frame
     # (UnknownWireType -> net_frames_rejected) and stays aligned.
     yield (14, FrameBatch, None, None)
-    # Serving-plane admission control (PR 8): the qos status pair joins
-    # the admin plane.  Appended after the PR 6 carrier -- same
-    # back-compat contract as ids 10-13.
-    yield (15, QosStatusRequest, None, None)
-    yield (16, QosStatusReply, None, None)
+    # 15-16 were the retired admission-status pair (wire version 5 and
+    # earlier).
     # Namespace sharding (PR 10): the multi-tenant envelope, the
-    # owner-signed shard map and its distribution pair, the re-home
-    # redirect, and the shard admin-status pair.  Appended after the
-    # PR 8 carriers -- same back-compat contract as ids 10-16.
+    # owner-signed shard map and its distribution pair, and the re-home
+    # redirect.  Appended after the PR 6 carrier -- same back-compat
+    # contract as ids 10-14.
     yield (17, ShardEnvelope, None, None)
     yield (18, ShardMap, None, None)
     yield (19, ShardMapRequest, None, None)
     yield (20, ShardMapReply, None, None)
     yield (21, WrongShard, None, None)
-    yield (22, ShardStatusRequest, None, None)
-    yield (23, ShardStatusReply, None, None)
+    # 22-23 were the retired shard-status pair (wire version 5 and
+    # earlier).  The one status pair every listener answers, traced or
+    # not, in their place:
+    yield (24, StatusRequest, None, None)
+    yield (25, StatusReply, None, None)
     # Protocol messages: ids 32+, positional on WIRE_MESSAGE_TYPES.  53
     # was the retired BcastElectAuditor (wire version 3 and earlier) and
     # is never reused: the types after it keep their ids.

@@ -40,7 +40,7 @@ from repro.core.directory import DirectoryServer
 from repro.core.master import MasterServer
 from repro.core.owner import ContentOwner
 from repro.core.slave import SlaveServer
-from repro.core.system import Cast, CastBuilder, audit_summary
+from repro.core.system import Cast, CastBuilder
 from repro.crypto.certificates import Certificate
 from repro.metrics import MetricsRegistry
 from repro.net.codec import NetHello
@@ -48,32 +48,14 @@ from repro.net.peers import PeerDirectory, format_address
 from repro.net.server import NodeServer, RealtimeScheduler, SocketNetwork
 from repro.net.transport import ConnectionPool, RetryPolicy, read_frame, \
     write_frame
-from repro.obs.admin import (
-    AdminPlane,
-    ObsDumpRequest,
-    ObsHealthRequest,
-    QosStatusRequest,
-)
 from repro.obs.spans import ObsRuntime
 from repro.qos.breaker import BreakerPolicy
 from repro.qos.ledger import AdmissionLedger
 from repro.qos.tokens import AdmissionPolicy
-from repro.shard.wire import ShardStatusRequest
 from repro.sim.network import Node
 
 if TYPE_CHECKING:  # pragma: no cover - repro.net must not import repro.chaos
     from repro.chaos.faults import FaultPlane
-
-#: Admin-plane scrape vocabulary: kind -> request factory.  One table
-#: instead of one near-identical helper per request type; new admin
-#: requests only add a row.
-_ADMIN_REQUESTS: dict[str, Any] = {
-    "spans": ObsDumpRequest,
-    "health": ObsHealthRequest,
-    "qos": QosStatusRequest,
-    "shards": ShardStatusRequest,
-}
-
 
 class OperationSink(Protocol):
     """Anything that accepts client operations (structural).
@@ -138,8 +120,8 @@ class NetDeploymentSpec:
     #: On by default for deployments: a crashed peer should fast-fail,
     #: not cost every queued frame a full backoff ladder.
     breaker: BreakerPolicy | None = field(default_factory=BreakerPolicy)
-    #: Attach a ``repro.obs`` runtime and serve the admin plane
-    #: (ObsDump/ObsHealth) on every node's listener.
+    #: Attach a ``repro.obs`` runtime: spans and trace contexts for
+    #: every node (the admin plane is served either way).
     obs_enabled: bool = False
     #: Fraction of client-operation traces recorded (seeded sampler).
     obs_sample_rate: float = 1.0
@@ -166,13 +148,11 @@ class LocalCluster:
         self.metrics = MetricsRegistry()
         self.scheduler = RealtimeScheduler(spec.seed, loop)
         self.obs: ObsRuntime | None = None
-        self.admin: AdminPlane | None = None
         if spec.obs_enabled:
             self.obs = ObsRuntime(
                 self.scheduler, seed=spec.seed,
                 sample_rate=spec.obs_sample_rate)
             self.scheduler.obs = self.obs
-            self.admin = AdminPlane(self.obs)
         self.peers = PeerDirectory()
         self.owner = ContentOwner(
             "content-owner", signer_scheme=self.config.signer_scheme,
@@ -270,15 +250,8 @@ class LocalCluster:
 
     async def _listen(self, node: Node) -> str:
         """Start ``node``'s listener; returns its ``host:port`` address."""
-        policy = self._admission_policy()
-        # Fork the shed rng only when admission is on, so the default
-        # path's rng derivation order is untouched (key material is a
-        # pure function of the seed and the fork sequence).
-        qos_rng = None
-        if policy is not None:
-            qos_rng = self.scheduler.fork_rng(f"qos:{node.node_id}")
-        server = NodeServer(node, self.metrics, admin=self.admin,
-                            qos=policy, qos_rng=qos_rng,
+        server = NodeServer(node, self.metrics,
+                            qos=self._admission_policy(),
                             ledger=self.ledger)
         host, port = await server.start(self.spec.host)
         self.servers[node.node_id] = server
@@ -426,14 +399,13 @@ class LocalCluster:
                      timeout: float = 5.0) -> Any:
         """Send one admin request to a live node over a fresh connection.
 
-        Dials the node's real listener and speaks the real wire format
-        (NetHello handshake, then request frame, then one reply frame),
-        so a scrape exercises exactly the path an external monitoring
-        agent would.  Requires ``spec.obs_enabled``.
+        ``request`` is a :class:`~repro.obs.admin.StatusRequest` or an
+        :class:`~repro.obs.admin.ObsDumpRequest`; every listener answers
+        both, traced or not.  Dials the node's real listener and speaks
+        the real wire format (NetHello handshake, then request frame,
+        then one reply frame), so a scrape exercises exactly the path an
+        external monitoring agent would.
         """
-        if self.admin is None:
-            raise RuntimeError(
-                "admin plane is off; launch with obs_enabled=True")
         host, port = self.peers.endpoint(node_id)
         reader, writer = await asyncio.wait_for(
             asyncio.open_connection(host, port), timeout)
@@ -446,40 +418,7 @@ class LocalCluster:
         finally:
             writer.transport.abort()
 
-    async def scrape_admin(self, node_id: str, kind: str,
-                           **request_kwargs: Any) -> Any:
-        """Generic admin scrape: build the ``kind`` request and send it.
-
-        ``kind`` is a key of :data:`_ADMIN_REQUESTS` (``spans`` /
-        ``health`` / ``qos`` / ``shards``); keyword arguments go to the
-        request constructor.
-        """
-        factory = _ADMIN_REQUESTS.get(kind)
-        if factory is None:
-            raise ValueError(f"unknown admin scrape kind {kind!r}; "
-                             f"known: {sorted(_ADMIN_REQUESTS)}")
-        return await self.scrape(node_id, factory(**request_kwargs))
-
     # -- reporting ---------------------------------------------------------
-
-    def summary(self) -> dict[str, Any]:
-        """Counters, auditor stats and per-master versions, JSON-shaped."""
-        return {
-            "topology": {
-                "masters": len(self.masters),
-                "slaves": len(self.slaves),
-                "clients": len(self.clients),
-                "auditors": len(self.auditors),
-            },
-            "counters": self.metrics.snapshot(),
-            "auditor": audit_summary(self.auditors),
-            "versions": {m.node_id: m.version for m in self.masters},
-            "transport": {
-                name: value
-                for name, value in sorted(self.metrics.snapshot().items())
-                if name.startswith("net_")
-            },
-        }
 
     def handler_errors(self) -> list[tuple[str, str, Exception]]:
         """(node, source, exception) for every captured handler failure."""

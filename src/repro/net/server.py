@@ -36,16 +36,17 @@ from repro.metrics import MetricsRegistry
 from repro.net import codec
 from repro.net.errors import CodecError, TruncatedFrame, UnknownReference
 from repro.net.transport import ConnectionPool
-from repro.obs.admin import AdminPlane, QosStatusReply, QosStatusRequest
+from repro.obs.admin import (
+    ObsDumpReply,
+    ObsDumpRequest,
+    StatusReply,
+    StatusRequest,
+    span_to_wire,
+)
 from repro.obs.context import TraceCarrier
 from repro.qos.ledger import AdmissionLedger
 from repro.qos.tokens import AdmissionPolicy, ClientAdmission
-from repro.shard.wire import (
-    ShardEnvelope,
-    ShardStatusReply,
-    ShardStatusRequest,
-    shard_of,
-)
+from repro.shard.wire import ShardEnvelope, shard_of
 from repro.sim.network import Network, Node
 from repro.sim.simulator import EventHandle, Simulator, restore_context
 
@@ -368,18 +369,14 @@ class _Connection(asyncio.Protocol):
                     shed = True
         else:
             metrics.incr("net_frames_received")
-            if server.admin is not None:
-                reply: object | None
-                if isinstance(message, QosStatusRequest):
-                    reply = server.qos_status()
-                elif isinstance(message, ShardStatusRequest):
-                    reply = server.shard_status()
-                else:
-                    reply = server.admin.maybe_handle(server.node, message)
-                if reply is not None:
-                    metrics.incr("obs_admin_requests")
-                    self.transport.write(codec.encode_frame(reply))
-                    return
+            if isinstance(message, (StatusRequest, ObsDumpRequest)):
+                # The admin plane: answered here, traced or not, and
+                # never charged to the sender's quota.
+                metrics.incr("obs_admin_requests")
+                self.transport.write(codec.encode_frame(
+                    server.status() if isinstance(message, StatusRequest)
+                    else server.obs_dump(message)))
+                return
             shed = server._receive(src_id, message)
         if shed and qos is not None and qos.shed_penalty > 0:
             # Turn the shed into backpressure: stall this connection so
@@ -479,26 +476,24 @@ class NodeServer:
     drain it into logging.
 
     Every decoded message is dispatched inline, in the callback that
-    decoded it.  With a :class:`~repro.qos.tokens.AdmissionPolicy` the
-    listener grows a serving plane: a per-client frame token bucket
-    checked just before dispatch (seeded shed decisions, per-reason
-    ``qos_shed_*`` counters; keep-alives and accusations are never
-    charged) and an idle-connection reaper.
+    decoded it, but for the admin plane's two requests, which the
+    listener answers itself (:meth:`status`, :meth:`obs_dump`).  With a
+    :class:`~repro.qos.tokens.AdmissionPolicy` the listener grows a
+    serving plane: a per-client frame token bucket checked just before
+    dispatch (per-reason ``qos_shed_*`` counters; keep-alives and
+    accusations are never charged) and an idle-connection reaper.
+    ``qos_rng`` is accepted and not read (the benchmark harness passes
+    it).
     """
 
     def __init__(self, node: Node, metrics: MetricsRegistry,
                  handshake_timeout: float = 5.0,
-                 admin: AdminPlane | None = None,
                  qos: AdmissionPolicy | None = None,
                  qos_rng: random.Random | None = None,
                  ledger: AdmissionLedger | None = None) -> None:
         self.node = node
         self.metrics = metrics
         self.handshake_timeout = handshake_timeout
-        #: Opt-in admin plane: when set, ObsDump/ObsHealth/QosStatus
-        #: requests are answered inline on the inbound connection instead
-        #: of being dispatched to the protocol handler.
-        self.admin = admin
         self.qos = qos
         #: Opt-in per-principal admission: when set, buckets come from
         #: the (deployment-shared) ledger keyed by key fingerprint, so
@@ -510,13 +505,10 @@ class NodeServer:
         #: :class:`~repro.shard.wire.ShardEnvelope` frames route here;
         #: bare frames go to the anchor (single-tenant back-compat).
         self._tenants: dict[str, Node] = {node.node_id: node}
-        #: Seeded stream for shed decisions (deployments derive it from
-        #: the spec seed so a shed schedule replays).
-        self.qos_rng = qos_rng if qos_rng is not None else random.Random(0)
         self.host = ""
         self.port = 0
         self.errors: list[tuple[str, Exception]] = []
-        #: Frames shed by this listener (all reasons), for QosStatus.
+        #: Frames shed by this listener (all reasons), for :meth:`status`.
         self.shed_total = 0
         self._server: asyncio.Server | None = None
         self._connections: set[_Connection] = set()
@@ -551,23 +543,6 @@ class NodeServer:
     def tenants(self) -> dict[str, Node]:
         return dict(self._tenants)
 
-    def shard_status(self) -> ShardStatusReply:
-        """Hosted tenants grouped by shard (ShardStatus admin reply)."""
-        shards: dict[str, list[str]] = {}
-        unsharded: list[str] = []
-        for tenant_id in self._tenants:
-            shard_id = shard_of(tenant_id)
-            if shard_id is None:
-                unsharded.append(tenant_id)
-            else:
-                shards.setdefault(shard_id, []).append(tenant_id)
-        return ShardStatusReply(
-            host_id=self.node.node_id,
-            now=self.node.simulator.now,
-            shards=tuple((shard_id, tuple(sorted(ids)))
-                         for shard_id, ids in sorted(shards.items())),
-            unsharded=tuple(sorted(unsharded)))
-
     # -- receive: wire-level admission (repro.qos), then dispatch ----------
 
     def _receive(self, src_id: str, message: Any) -> bool:
@@ -597,7 +572,7 @@ class NodeServer:
                 and not isinstance(message, PROTECTED_MESSAGE_TYPES):
             now = self.node.simulator.now
             client = self._account_for(src_id, now)
-            reason = client.admit(now, 0.0, self.qos_rng, qos)
+            reason = client.admit(now, 0.0, None, qos)
             if reason is not None:
                 self._count_shed(src_id, reason, shard_id)
                 return True
@@ -668,25 +643,64 @@ class NodeServer:
         if qos is not None and qos.limits_frames:
             self._account_for(src_id, self.node.simulator.now).strike()
 
-    def qos_status(self) -> QosStatusReply:
-        """This listener's admission state (QosStatus admin reply).
+    # -- the admin plane ---------------------------------------------------
 
-        Built from server-local state, not the metrics registry: the
-        registry is shared across a deployment, so its ``qos_shed_*``
-        counters cannot be attributed to one node.
+    def status(self) -> StatusReply:
+        """This listener's state (the :class:`StatusRequest` reply).
+
+        Shed totals come from server-local state, not the metrics
+        registry: the registry is shared across a deployment, so its
+        ``qos_shed_*`` counters cannot be attributed to one node.
         """
-        pool = getattr(self.node.network, "pool", None)
+        node = self.node
+        pool = getattr(node.network, "pool", None)
         breakers: tuple[tuple[str, str], ...] = ()
         trips = 0
         if pool is not None:
             breakers = tuple(sorted(pool.breaker_states().items()))
             trips = pool.breaker_trips()
-        return QosStatusReply(
-            node_id=self.node.node_id,
-            now=self.node.simulator.now,
-            shed_total=float(self.shed_total),
-            breakers=breakers,
-            breaker_trips=trips)
+        shards: dict[str, list[str]] = {}
+        unsharded: list[str] = []
+        for hosted in self._tenants:
+            shard_id = shard_of(hosted)
+            if shard_id is None:
+                unsharded.append(hosted)
+            else:
+                shards.setdefault(shard_id, []).append(hosted)
+        buffered = dropped = contexts = 0
+        obs = node.simulator.obs
+        if obs is not None:
+            buffer = obs.collector.buffers.get(node.node_id)
+            buffered = len(buffer) if buffer is not None else 0
+            dropped = obs.collector.dropped(node.node_id)
+            contexts = obs.contexts_received
+        return StatusReply(
+            node_id=node.node_id, now=node.simulator.now,
+            events_processed=node.simulator.events_processed,
+            shed_total=self.shed_total, breakers=breakers,
+            breaker_trips=trips,
+            shards=tuple((shard_id, tuple(sorted(ids)))
+                         for shard_id, ids in sorted(shards.items())),
+            unsharded=tuple(sorted(unsharded)),
+            spans_buffered=buffered, spans_dropped=dropped,
+            contexts_received=contexts)
+
+    def obs_dump(self, request: ObsDumpRequest) -> ObsDumpReply:
+        """This node's most recent ``request.max_spans`` spans, oldest
+        first; empty when no tracing runtime is attached."""
+        node_id = self.node.node_id
+        obs = self.node.simulator.obs
+        if obs is None:
+            return ObsDumpReply(node_id=node_id, spans=(), dropped=0)
+        collector = obs.collector
+        spans = collector.spans(node_id)
+        spans = spans[max(0, len(spans) - request.max_spans):]
+        reply = ObsDumpReply(
+            node_id=node_id, spans=tuple(span_to_wire(s) for s in spans),
+            dropped=collector.dropped(node_id))
+        if request.clear:
+            collector.clear(node_id)
+        return reply
 
     def abort_connections(self) -> int:
         """Abort every accepted inbound connection; returns the count.

@@ -11,9 +11,9 @@ simulator and the real socket stack (``repro.net``):
 * :mod:`repro.obs.collect` -- bounded per-node span buffers;
 * :mod:`repro.obs.export` -- Prometheus text, JSONL and Chrome
   trace-event exporters;
-* :mod:`repro.obs.admin` -- ``ObsDump``/``ObsHealth``/``QosStatus``
-  served over the existing frame transport so clusters can scrape live
-  nodes;
+* :mod:`repro.obs.admin` -- the ``ObsDump`` and ``Status`` pairs every
+  listener answers over the existing frame transport, so clusters can
+  scrape live nodes;
 * :mod:`repro.obs.analyze` -- critical paths, per-op latency
   percentiles and the Section 3.4 / 3.5 invariant cross-checks.
 
@@ -21,13 +21,10 @@ See docs/OBSERVABILITY.md for the full tour.
 """
 
 from repro.obs.admin import (
-    AdminPlane,
     ObsDumpReply,
     ObsDumpRequest,
-    ObsHealthReply,
-    ObsHealthRequest,
-    QosStatusReply,
-    QosStatusRequest,
+    StatusReply,
+    StatusRequest,
     span_from_wire,
     span_to_wire,
 )
@@ -45,17 +42,14 @@ from repro.obs.export import chrome_trace, prometheus_text, spans_jsonl
 from repro.obs.spans import ObsRuntime, Span
 
 __all__ = [
-    "AdminPlane",
     "ObsDumpReply",
     "ObsDumpRequest",
-    "ObsHealthReply",
-    "ObsHealthRequest",
     "ObsRuntime",
-    "QosStatusReply",
-    "QosStatusRequest",
     "Span",
     "SpanBuffer",
     "SpanCollector",
+    "StatusReply",
+    "StatusRequest",
     "TraceCarrier",
     "TraceContext",
     "audit_lag_check",

@@ -7,16 +7,15 @@ into a reusable serving-plane layer, wired through :mod:`repro.net`,
 :mod:`repro.chaos` and :mod:`repro.obs`:
 
 * :mod:`repro.qos.tokens` -- the extracted :class:`TokenBucket` plus
-  per-client wire admission (frames/s and bytes/s buckets, strike
-  penalties for malformed traffic);
+  per-client wire admission (a frames/s bucket, strike penalties for
+  malformed and over-quota traffic);
 * :mod:`repro.qos.breaker` -- per-peer circuit breaker
   (closed -> open -> half-open) wrapping the connection pool's retry
   budget so dead peers stop consuming it.
 
 Every class here is pure and deterministic: clocks are passed in as
-``now`` arguments and shed randomness comes from caller-seeded
-``random.Random`` streams, so the same decision sequence replays for a
-given seed.  The asyncio wiring lives in :mod:`repro.net`.
+``now`` arguments, so the same call sequence replays the same
+decisions.  The asyncio wiring lives in :mod:`repro.net`.
 """
 
 from repro.qos.breaker import BreakerPolicy, CircuitBreaker

@@ -66,16 +66,11 @@ class AdmissionPolicy:
 
     A ``None`` ``frame_rate`` disables the bucket; the policy still
     buys (when ``idle_timeout`` is set) the idle-connection reaper.
-    ``shed_fraction`` mirrors the master's ``greedy_drop_fraction``: the
-    seeded fraction of over-quota frames actually shed (1.0 = shed all
-    of them).
     """
 
     #: Sustained protocol messages/s admitted per client connection.
     frame_rate: float | None = None
     frame_burst: float = 200.0
-    #: Seeded fraction of over-quota frames shed (1.0 = all).
-    shed_fraction: float = 1.0
     #: Seconds the listener stalls an over-quota connection's reader
     #: per shed frame (0 disables).  Shedding alone still pays decode
     #: for every flooded frame; the stall turns the shed into TCP
@@ -95,9 +90,6 @@ class AdmissionPolicy:
         if self.frame_burst <= 0:
             raise ValueError(
                 f"frame_burst must be positive, got {self.frame_burst}")
-        if not 0.0 <= self.shed_fraction <= 1.0:
-            raise ValueError(
-                f"shed_fraction must be in [0, 1], got {self.shed_fraction}")
         if self.shed_penalty < 0:
             raise ValueError(
                 f"shed_penalty must be >= 0, got {self.shed_penalty}")
@@ -130,27 +122,23 @@ class ClientAdmission:
                                    now))
         self.strikes = 0
 
-    def admit(self, now: float, size: float, rng: random.Random,
+    def admit(self, now: float, size: float, rng: random.Random | None,
               policy: AdmissionPolicy) -> str | None:
         """Charge one frame; returns the shed reason (``"rate"``) or
-        ``None`` when admitted.  ``size`` is not charged (a frame is
-        bounded by ``MAX_FRAME_BYTES``); the argument stays for the
-        benchmark kernel that passes it.
+        ``None`` when admitted.  Only ``now`` is read: ``size``, ``rng``
+        and ``policy`` stay for the benchmark kernel that passes them (a
+        frame is bounded by ``MAX_FRAME_BYTES``, and every over-quota
+        frame is shed).
 
-        The shed decision is seeded: an over-quota frame is shed with
-        probability ``policy.shed_fraction`` drawn from the caller's
-        rng stream, exactly like the master's greedy-drop decision.  A
-        shed frame burns :data:`STRIKE_COST` frame tokens like a
+        A shed frame burns :data:`STRIKE_COST` frame tokens like a
         rejected one: per-client quotas only protect a listener if
         exceeding one is not free (six clients each *held to* 15 bulk
         reads/s still add up to a saturated core).
         """
         if self.frames is None or self.frames.try_consume(now):
             return None
-        if rng.random() < policy.shed_fraction:
-            self.frames.penalize(STRIKE_COST)
-            return "rate"
-        return None
+        self.frames.penalize(STRIKE_COST)
+        return "rate"
 
     def strike(self) -> None:
         """Record one rejected/oversized frame from this client."""

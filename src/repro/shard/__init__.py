@@ -16,8 +16,6 @@ from repro.shard.wire import (
     ShardEnvelope,
     ShardMapReply,
     ShardMapRequest,
-    ShardStatusReply,
-    ShardStatusRequest,
     WrongShard,
     shard_of,
     tenant_id,
@@ -29,8 +27,6 @@ __all__ = [
     "ShardMapError",
     "ShardMapReply",
     "ShardMapRequest",
-    "ShardStatusReply",
-    "ShardStatusRequest",
     "WrongShard",
     "shard_fingerprint",
     "shard_of",

@@ -266,19 +266,6 @@ class ShardedCluster(LocalCluster):
         return {shard_id: ShardView(self, state)
                 for shard_id, state in self.shards.items()}
 
-    def summary(self) -> dict[str, Any]:
-        summary = super().summary()
-        summary["shards"] = {
-            shard_id: {
-                "generation": state.generation,
-                "masters": [m.node_id for m in state.masters],
-                "version": max(m.version for m in state.masters),
-            }
-            for shard_id, state in self.shards.items()
-        }
-        summary["map_epoch"] = self.map_epoch
-        return summary
-
 
 def run_shard_safety_checks(cluster: ShardedCluster,
                             window_slack: float = 0.05) -> dict[str, Any]:

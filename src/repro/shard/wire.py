@@ -1,6 +1,6 @@
 """Wire vocabulary for the sharded, multi-tenant deployment.
 
-These are infrastructure carriers (explicit codec ids 17-23 in
+These are infrastructure carriers (explicit codec ids 17-21 in
 :mod:`repro.net.codec`), not protocol messages: they wrap, distribute,
 or redirect the Section 3 protocol without changing it.
 
@@ -16,8 +16,6 @@ or redirect the Section 3 protocol without changing it.
   (untrusted) directory.
 * :class:`WrongShard` -- a retired tenant's redirect: "this shard moved;
   fetch a map at or beyond ``epoch`` and re-home".
-* :class:`ShardStatusRequest` / :class:`ShardStatusReply` -- the admin
-  plane's view of which tenants a host currently serves.
 
 Tenant ids are ``"{shard_id}:{base}"`` (rebalance generations insert a
 ``g{n}`` segment: ``"{shard_id}:g{n}:{base}"``), so shard membership is
@@ -95,22 +93,3 @@ class WrongShard:
 
     shard_id: str
     epoch: int
-
-
-@dataclass(frozen=True, slots=True)
-class ShardStatusRequest:
-    """Admin -> host: which tenants do you serve?"""
-
-    probe: float = 0.0
-
-
-@dataclass(frozen=True, slots=True)
-class ShardStatusReply:
-    """Host -> admin: hosted shards and their tenant ids."""
-
-    host_id: str
-    now: float
-    #: ``(shard_id, (tenant_id, ...))`` pairs, sorted by shard id.
-    shards: tuple[tuple[str, tuple[str, ...]], ...]
-    #: Tenants not belonging to any shard (the host's anchor node).
-    unsharded: tuple[str, ...] = ()

@@ -9,7 +9,6 @@ import pytest
 
 from repro.analysis import detection_cdf, detection_quantile
 from repro.content.kvstore import KVGet, KVPut
-from repro.core.config import ProtocolConfig
 
 from .conftest import make_system
 
@@ -99,17 +98,6 @@ class TestWriteTimeouts:
                                        callback=results.append)
         system.run_for(400.0)
         assert results and results[0]["status"] == "failed"
-
-
-class TestLastResult:
-    def test_last_result_tracks_most_recent_accept(self):
-        system = make_system(protocol=ProtocolConfig(
-            double_check_probability=0.0))
-        system.start()
-        client = system.clients[0]
-        client.submit_read(KVGet(key="k003"))
-        system.run_for(5.0)
-        assert client.last_result == {"found": True, "value": 3}
 
 
 class TestSlaveCertificateCheck:

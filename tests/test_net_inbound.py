@@ -29,8 +29,7 @@ from repro.net import codec
 from repro.net.codec import FrameBatch, NetHello, WireContext, encode_frame
 from repro.net.server import NodeServer, _Connection
 from repro.net.transport import read_frame
-from repro.obs.admin import AdminPlane, QosStatusRequest
-from repro.obs.spans import ObsRuntime
+from repro.obs.admin import ObsDumpRequest, StatusRequest
 from repro.sim.network import Network, Node
 from repro.sim.simulator import Simulator
 
@@ -68,6 +67,11 @@ def _wire(messages: list[Any]) -> list[bytes]:
 
 MESSAGES = _via_read_frame(FRAMES)
 BATCH = encode_frame(FrameBatch(messages=tuple(MESSAGES)))
+#: What of ``FRAMES`` reaches admission: the listener answers a bare
+#: admin request itself (one written reply each).
+ADMIN_REQUESTS = (ObsDumpRequest, StatusRequest)
+ADMITTED = [message for message in MESSAGES
+            if not isinstance(message, ADMIN_REQUESTS)]
 
 
 class StandInTransport(asyncio.Transport):
@@ -157,13 +161,18 @@ class TestSegmentation:
     @pytest.mark.parametrize("index", range(len(FRAMES)))
     def test_golden_frame_split_at_every_offset(self, inbound, index):
         frame = FRAMES[index]
-        expected = _wire(_via_read_frame([frame]))
+        # A bare admin request is answered by the listener, once per
+        # whole frame; everything else reaches admission.
+        admin = isinstance(codec.decode_frame(frame), ADMIN_REQUESTS)
+        expected = [] if admin else _wire(_via_read_frame([frame]))
         inbound.feed(HELLO)
         for cut in range(1, len(frame)):
             inbound.feed(frame[:cut])
             assert inbound.take() == [], f"dispatched at cut {cut}"
+            assert len(inbound.transport.written) == (cut - 1) * admin
             inbound.feed(frame[cut:])
             assert inbound.take() == expected, f"cut {cut}"
+            assert len(inbound.transport.written) == cut * admin
         assert inbound.metrics.snapshot().get("net_frames_rejected", 0) == 0
 
     def test_batch_of_them_split_at_every_offset(self, inbound):
@@ -184,7 +193,9 @@ class TestSegmentation:
         stream = HELLO + b"".join(FRAMES) + BATCH + b"".join(FRAMES)
         inbound.feed(*(stream[at:at + segment]
                        for at in range(0, len(stream), segment)))
-        assert inbound.take() == _wire(MESSAGES * 3)
+        assert inbound.take() == _wire(ADMITTED + MESSAGES + ADMITTED)
+        assert len(inbound.transport.written) == \
+            2 * (len(MESSAGES) - len(ADMITTED))
         snap = inbound.metrics.snapshot()
         assert snap["net_frames_received"] == len(MESSAGES) * 3
         assert snap["net_bytes_received"] == len(stream) - len(HELLO)
@@ -226,9 +237,7 @@ class TestHalting:
         """The write buffer over its high-water mark is the callback
         form of a ``drain()`` that blocks: requests behind it wait,
         in order, until the peer has read its replies."""
-        inbound.server.admin = AdminPlane(
-            ObsRuntime(clock=lambda: 0.0, seed=0))
-        request = encode_frame(QosStatusRequest())
+        request = encode_frame(StatusRequest())
         inbound.transport.on_write = inbound.connection.pause_writing
         inbound.feed(HELLO + request + request + FRAMES[3])
         assert len(inbound.transport.written) == 1

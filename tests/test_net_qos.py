@@ -16,7 +16,8 @@ serving-plane overload behaviour end to end:
   burn the sender's admission tokens (strikes);
 * the per-peer circuit breaker opens after consecutive delivery
   failures, fast-fails while open, and heals through a half-open probe;
-* ``QosStatusRequest`` scrapes the listener's admission state inline.
+* a ``StatusRequest`` scrapes the listener's admission state inline,
+  traced or not, on a bare listener and on a deployed master.
 """
 
 from __future__ import annotations
@@ -32,6 +33,11 @@ from repro.crypto.signatures import new_signer
 from repro.metrics import MetricsRegistry
 from repro.net import codec
 from repro.net.codec import NetHello, encode_frame
+from repro.net.deploy import (
+    LocalCluster,
+    NetDeploymentSpec,
+    fast_protocol_config,
+)
 from repro.net.peers import PeerDirectory
 from repro.net.server import (
     NodeServer,
@@ -40,8 +46,7 @@ from repro.net.server import (
     _Connection,
 )
 from repro.net.transport import ConnectionPool, RetryPolicy, read_frame
-from repro.obs.admin import AdminPlane, QosStatusReply, QosStatusRequest
-from repro.obs.spans import ObsRuntime
+from repro.obs.admin import StatusReply, StatusRequest
 from repro.qos.breaker import BreakerPolicy
 from repro.qos.tokens import AdmissionPolicy
 from repro.shard.wire import ShardEnvelope
@@ -60,8 +65,7 @@ class QosHarness:
     """A listening node with an admission policy, plus raw TCP access."""
 
     def __init__(self, qos: AdmissionPolicy | None,
-                 breaker: BreakerPolicy | None = None,
-                 admin: AdminPlane | None = None) -> None:
+                 breaker: BreakerPolicy | None = None) -> None:
         loop = asyncio.get_running_loop()
         self.metrics = MetricsRegistry()
         self.scheduler = RealtimeScheduler(0, loop)
@@ -74,8 +78,7 @@ class QosHarness:
         self.node = RecordingNode("target", self.scheduler,
                                   SocketNetwork(self.scheduler, self.pool))
         self.server = NodeServer(self.node, self.metrics,
-                                 handshake_timeout=1.0, admin=admin,
-                                 qos=qos, qos_rng=random.Random(42))
+                                 handshake_timeout=1.0, qos=qos)
 
     async def start(self) -> None:
         host, port = await self.server.start()
@@ -312,10 +315,7 @@ class TestWireAdmission:
 
     def test_qos_status_scrape_inline(self):
         async def scenario():
-            loop = asyncio.get_running_loop()
-            runtime = ObsRuntime(clock=lambda: loop.time(), seed=0)
-            h = QosHarness(AdmissionPolicy(frame_rate=1.0, frame_burst=1.0),
-                           admin=AdminPlane(runtime))
+            h = QosHarness(AdmissionPolicy(frame_rate=1.0, frame_burst=1.0))
             await h.start()
             try:
                 _reader, writer = await h.raw_connection()
@@ -324,14 +324,16 @@ class TestWireAdmission:
                 await writer.drain()
                 await h.wait_counter("qos_shed_total", 2)
                 reader2, writer2 = await h.raw_connection()
-                writer2.write(encode_frame(QosStatusRequest()))
+                writer2.write(encode_frame(StatusRequest()))
                 await writer2.drain()
                 reply, _size = await asyncio.wait_for(
                     read_frame(reader2, 2.0), 2.0)
-                assert isinstance(reply, QosStatusReply)
+                assert isinstance(reply, StatusReply)
                 assert reply.node_id == "target"
-                assert reply.shed_total == 2.0
+                assert reply.shed_total == 2
                 assert reply.breaker_trips == 0
+                # No tracing runtime: the trace counts read zero.
+                assert reply.spans_buffered == reply.contexts_received == 0
             finally:
                 await h.aclose()
 
@@ -398,5 +400,51 @@ class TestPoolBreaker:
                     == ["three", "four"]
             finally:
                 await h.aclose()
+
+        run(scenario())
+
+
+@pytest.mark.net
+class TestUntracedStatus:
+    def test_status_answered_without_tracing(self):
+        """With admission on and tracing off, a master's listener
+        answers a status request with its shed total and breakers, and
+        no handler sees the request."""
+        async def scenario():
+            spec = NetDeploymentSpec(
+                num_masters=1, slaves_per_master=1, num_clients=1, seed=5,
+                protocol=fast_protocol_config(qos_frame_rate=10.0,
+                                              qos_frame_burst=10.0))
+            cluster = await LocalCluster.launch(spec, settle=0.4)
+            try:
+                assert cluster.obs is None
+                host, port = cluster.peers.endpoint("master-00")
+                _reader, writer = await asyncio.open_connection(host, port)
+                writer.write(encode_frame(NetHello(node_id="flooder")))
+                # Charged to "flooder" and addressed to no tenant: the
+                # ten the burst admits are dropped, the other two shed.
+                # (The cluster's own traffic stays under 10 frames/s.)
+                for index in range(12):
+                    writer.write(encode_frame(ShardEnvelope(
+                        shard_id="", src="flooder", dst="nobody",
+                        message=f"flood-{index}")))
+                await writer.drain()
+                try:
+                    await cluster.wait_for(
+                        lambda: cluster.metrics.count(
+                            "qos_shed_from_flooder") == 2,
+                        2.0, "two frames shed")
+                    reply = await cluster.scrape(
+                        "master-00", StatusRequest(), timeout=1.5)
+                finally:
+                    writer.transport.abort()
+                assert isinstance(reply, StatusReply)
+                assert reply.node_id == "master-00"
+                assert reply.shed_total == 2
+                assert "slave-00-00" in dict(reply.breakers)
+                assert reply.spans_buffered == reply.contexts_received == 0
+                assert cluster.handler_errors() == []
+            finally:
+                await cluster.aclose()
 
         run(scenario())

@@ -787,7 +787,7 @@ class TestNodeServerResilience:
         """A version-2 peer would send a whole pledge where this one
         expects a seal: refused at the hello, whichever header byte it
         is framed under, and nothing it sent is delivered."""
-        assert codec.WIRE_VERSION == 5
+        assert codec.WIRE_VERSION == 6
 
         async def scenario():
             h = Harness()

@@ -34,8 +34,8 @@ from repro.net.errors import UnknownWireType
 from repro.obs.admin import (
     ObsDumpReply,
     ObsDumpRequest,
-    ObsHealthReply,
-    ObsHealthRequest,
+    StatusReply,
+    StatusRequest,
     span_from_wire,
     span_to_wire,
 )
@@ -80,14 +80,15 @@ class TestTraceContextWire:
 
     def test_carrier_ids_are_appended_infrastructure(self):
         # Extension slots: infra < 32, protocol messages >= 32.  The
-        # obs types must stay in the appended 8..13 infra range so the
-        # registry remains append-only (wire back-compat).
+        # obs types must stay in the appended infra range (8-11, and the
+        # status pair at 24-25) so the registry remains append-only
+        # (wire back-compat).
         ids = {cls: wire_type_id(cls)
                for cls in (TraceContext, TraceCarrier, ObsDumpRequest,
-                           ObsDumpReply, ObsHealthRequest, ObsHealthReply)}
+                           ObsDumpReply, StatusRequest, StatusReply)}
         assert ids == {TraceContext: 8, TraceCarrier: 9,
                        ObsDumpRequest: 10, ObsDumpReply: 11,
-                       ObsHealthRequest: 12, ObsHealthReply: 13}
+                       StatusRequest: 24, StatusReply: 25}
 
     def test_carried_message_encoding_is_byte_identical(self):
         # The envelope wraps, never rewrites: the carried message's
@@ -160,8 +161,10 @@ class TestSpanWire:
     def test_admin_requests_roundtrip(self):
         assert roundtrip(ObsDumpRequest(max_spans=7, clear=True)) == \
             ObsDumpRequest(max_spans=7, clear=True)
-        assert roundtrip(ObsHealthRequest(probe=9)) == ObsHealthRequest(9)
-        health = ObsHealthReply(node_id="n", now=1.25, spans_buffered=3,
-                                spans_dropped=0, contexts_received=8,
-                                events_processed=100)
-        assert roundtrip(health) == health
+        assert roundtrip(StatusRequest()) == StatusRequest()
+        status = StatusReply(node_id="n", now=1.25, events_processed=100,
+                             shed_total=2, breakers=(("m", "closed"),),
+                             breaker_trips=0, shards=(), unsharded=("n",),
+                             spans_buffered=3, spans_dropped=0,
+                             contexts_received=8)
+        assert roundtrip(status) == status

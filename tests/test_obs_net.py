@@ -5,9 +5,9 @@ Two wire-crossing guarantees:
 * **causal propagation**: a ``TraceCarrier`` envelope carries the
   active context on every TCP send, so spans recorded on the receiving
   node join the originating client's trace;
-* **admin plane**: ``ObsDump``/``ObsHealth`` are answered on each
-  node's ordinary listener over the ordinary frame codec -- a scrape is
-  just another (handshaken) connection.
+* **admin plane**: ``ObsDump``/``Status`` are answered on each node's
+  ordinary listener over the ordinary frame codec, traced or not -- a
+  scrape is just another (handshaken) connection.
 
 Same harness rules as test_net_system: no pytest-asyncio, every test
 drives its own ``asyncio.run`` under a hard timeout.
@@ -26,7 +26,13 @@ from repro.net.deploy import (
     NetDeploymentSpec,
     fast_protocol_config,
 )
-from repro.obs.admin import ObsDumpReply, ObsHealthReply, span_from_wire
+from repro.obs.admin import (
+    ObsDumpReply,
+    ObsDumpRequest,
+    StatusReply,
+    StatusRequest,
+    span_from_wire,
+)
 from repro.obs.analyze import group_traces
 
 pytestmark = [pytest.mark.net, pytest.mark.obs]
@@ -125,8 +131,17 @@ class TestContextPropagation:
             try:
                 await _workload(cluster)
                 assert cluster.obs is None
-                with pytest.raises(RuntimeError, match="admin plane"):
-                    await cluster.scrape_admin("master-00", "health")
+                # The admin plane answers without tracing: no spans, no
+                # contexts (every frame arrived bare), events counted.
+                health = await cluster.scrape("slave-00-00", StatusRequest())
+                assert isinstance(health, StatusReply)
+                assert health.contexts_received == 0
+                assert health.spans_buffered == health.spans_dropped == 0
+                assert health.events_processed > 0
+                dump = await cluster.scrape("master-00", ObsDumpRequest())
+                assert dump == ObsDumpReply(node_id="master-00", spans=(),
+                                            dropped=0)
+                assert cluster.handler_errors() == []
             finally:
                 await cluster.aclose()
 
@@ -139,7 +154,7 @@ class TestAdminPlane:
             cluster = await LocalCluster.launch(obs_spec(), settle=0.6)
             try:
                 await _workload(cluster)
-                dump = await cluster.scrape_admin("master-00", "spans")
+                dump = await cluster.scrape("master-00", ObsDumpRequest())
                 assert isinstance(dump, ObsDumpReply)
                 assert dump.node_id == "master-00"
                 spans = [span_from_wire(wire) for wire in dump.spans]
@@ -149,8 +164,8 @@ class TestAdminPlane:
                 # The wire tuples rebuild into JSON-serializable spans.
                 json.dumps([list(wire) for wire in dump.spans])
 
-                health = await cluster.scrape_admin("slave-00-00", "health")
-                assert isinstance(health, ObsHealthReply)
+                health = await cluster.scrape("slave-00-00", StatusRequest())
+                assert isinstance(health, StatusReply)
                 assert health.node_id == "slave-00-00"
                 assert health.contexts_received > 0
                 assert health.events_processed > 0
@@ -162,8 +177,6 @@ class TestAdminPlane:
         run(scenario())
 
     def test_dump_clear_empties_buffer(self):
-        from repro.obs.admin import ObsDumpRequest
-
         async def scenario():
             cluster = await LocalCluster.launch(obs_spec(), settle=0.6)
             try:
@@ -171,7 +184,7 @@ class TestAdminPlane:
                 first = await cluster.scrape(
                     "master-00", ObsDumpRequest(max_spans=4096, clear=True))
                 assert first.spans
-                second = await cluster.scrape_admin("master-00", "spans")
+                second = await cluster.scrape("master-00", ObsDumpRequest())
                 # Only spans finished after the clear remain.
                 assert len(second.spans) < len(first.spans)
             finally:

@@ -4,9 +4,8 @@ Covers the pure building blocks the serving plane's overload story
 hangs off:
 
 * :class:`TokenBucket` -- refill monotonicity, the burst ceiling, and
-  determinism of seeded shed decisions (property-based);
-* :class:`ClientAdmission` -- shed reasons, seeded shed_fraction, and
-  strike-driven penalties;
+  determinism of shed decisions (property-based);
+* :class:`ClientAdmission` -- shed reasons and strike-driven penalties;
 * :class:`InboundQueue` -- oldest-first eviction, the protected-never-
   shed invariant, and protected overflow accounting;
 * :class:`CircuitBreaker` -- the closed/open/half-open machine,
@@ -74,9 +73,8 @@ def test_burst_ceiling_never_exceeded(rate, burst, gaps):
 
 @given(rate=rates, burst=bursts, gaps=gaps, seed=st.integers(0, 2**32 - 1))
 def test_seeded_decisions_are_deterministic(rate, burst, gaps, seed):
-    """Two identically seeded admissions replay identical decisions."""
-    policy = AdmissionPolicy(frame_rate=rate, frame_burst=burst,
-                             shed_fraction=0.5)
+    """Two admissions fed the same clock replay identical decisions."""
+    policy = AdmissionPolicy(frame_rate=rate, frame_burst=burst)
     first = ClientAdmission(policy, now=0.0)
     second = ClientAdmission(policy, now=0.0)
     rng_a, rng_b = random.Random(seed), random.Random(seed)
@@ -141,15 +139,6 @@ def test_admit_reports_rate():
     assert client.admit(0.0, 10.0, rng, policy) == "rate"
     # Frames refill; a frame's size is not charged.
     assert client.admit(10.0, 1e9, rng, policy) is None
-
-
-def test_shed_fraction_zero_never_sheds():
-    policy = AdmissionPolicy(frame_rate=1.0, frame_burst=1.0,
-                             shed_fraction=0.0)
-    client = ClientAdmission(policy, now=0.0)
-    rng = random.Random(7)
-    assert all(client.admit(0.0, 8.0, rng, policy) is None
-               for _ in range(50))
 
 
 def test_strike_burns_frame_tokens():
@@ -333,8 +322,7 @@ def test_admission_policy_validation():
     assert not AdmissionPolicy().limits_frames
     assert AdmissionPolicy(frame_rate=10.0).limits_frames
     for bad in (dict(frame_rate=0.0),
-                dict(frame_burst=0.0), dict(shed_fraction=1.5),
-                dict(idle_timeout=0.0)):
+                dict(frame_burst=0.0), dict(idle_timeout=0.0)):
         with pytest.raises(ValueError):
             AdmissionPolicy(**bad)
 

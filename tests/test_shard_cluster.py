@@ -18,6 +18,7 @@ import pytest
 
 from repro.content.kvstore import KVGet, KVPut
 from repro.net.deploy import fast_protocol_config
+from repro.obs.admin import StatusReply, StatusRequest
 from repro.shard.deploy import (
     ShardDeploymentSpec,
     ShardedCluster,
@@ -97,6 +98,34 @@ class TestMultiTenantHosting:
                 # shard.
                 assert all(shards == set(cluster.shards)
                            for shards in by_host.values())
+            finally:
+                await cluster.aclose()
+
+        run(scenario())
+
+    def test_host_status_lists_its_tenants_by_shard(self):
+        """A host answers the admin plane's status request, untraced,
+        with exactly the tenants placed on it, grouped by shard."""
+        async def scenario():
+            cluster = await ShardedCluster.launch(shard_spec(),
+                                                  settle=0.8)
+            try:
+                for host in cluster.hosts:
+                    placed: dict[str, list[str]] = {}
+                    for tid, host_id in sorted(cluster.host_of.items()):
+                        if host_id == host.node_id:
+                            placed.setdefault(shard_of(tid), []).append(tid)
+                    status = await cluster.scrape(host.node_id,
+                                                  StatusRequest())
+                    assert isinstance(status, StatusReply)
+                    assert status.node_id == host.node_id
+                    assert status.unsharded == (host.node_id,)
+                    assert status.shards == tuple(
+                        (shard_id, tuple(ids))
+                        for shard_id, ids in sorted(placed.items()))
+                    assert {shard_id for shard_id, _ in status.shards} \
+                        == set(cluster.shards)
+                assert cluster.handler_errors() == []
             finally:
                 await cluster.aclose()
 

@@ -9,8 +9,8 @@ every field by construction.  The match is by attribute name, so it is
 coarse in the lenient direction: a field shares a reader with any
 attribute of the same name.
 
-The admin-plane types (ids 10-16 and 22-23) are exempt: their readers
-are operators and tests, not the protocol.
+The four admin-plane types (ids 10-11 and 24-25) are exempt: their
+readers are operators and tests, not the protocol.
 """
 
 from __future__ import annotations
@@ -22,7 +22,7 @@ import pathlib
 from repro.net import codec
 
 SRC = pathlib.Path(__file__).resolve().parent.parent / "src" / "repro"
-ADMIN_PLANE = frozenset((*range(10, 17), 22, 23))
+ADMIN_PLANE = frozenset((10, 11, 24, 25))
 
 
 def attribute_reads() -> set[str]:
