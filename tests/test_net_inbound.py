@@ -5,7 +5,8 @@ hold several frames, or end anywhere inside one.  However the bytes are
 cut, the protocol must hand admission exactly what one ``read_frame``
 per frame would have -- same messages, same order -- and an EOF inside
 a frame must count as a framing reject.  The golden frames (one per wire
-id, ``tests/data/golden_wire.json``) are the corpus.
+id, ``tests/data/golden_wire.json``) and the status reply in the shapes
+the per-plane replies it replaced took are the corpus.
 
 The one failure tier the connection's
 :class:`~repro.net.codec.WireContext` adds is pinned the same way: a
@@ -19,6 +20,7 @@ stand-in transport, so every cut is exact and repeatable.
 from __future__ import annotations
 
 import asyncio
+from dataclasses import replace
 from typing import Any, Iterator
 
 import pytest
@@ -29,7 +31,7 @@ from repro.net import codec
 from repro.net.codec import FrameBatch, NetHello, WireContext, encode_frame
 from repro.net.server import NodeServer, _Connection
 from repro.net.transport import read_frame
-from repro.obs.admin import ObsDumpRequest, StatusRequest
+from repro.obs.admin import ObsDumpRequest, StatusReply, StatusRequest
 from repro.sim.network import Network, Node
 from repro.sim.simulator import Simulator
 
@@ -37,8 +39,35 @@ from tests.test_golden_bytes import GOLDEN
 from tests.test_net_codec import PLEDGE, SEAL, STAMP
 
 HELLO = encode_frame(NetHello(node_id="tester"))
+
+
+def _status_shapes() -> list[bytes]:
+    """One status reply per part of it that used to be a reply of its
+    own: a bare untraced listener's health, a pool's breakers in every
+    state, a shard host's tenants, and a traced listener's counters
+    past the one-byte varints."""
+    bare = StatusReply(
+        node_id="host-00", now=0.0, events_processed=0, shed_total=0,
+        breakers=(), breaker_trips=0, shards=(), unsharded=("host-00",),
+        spans_buffered=0, spans_dropped=0, contexts_received=0)
+    return [encode_frame(reply) for reply in (
+        bare,
+        replace(bare, breakers=(("host-01", "closed"), ("host-02", "open"),
+                                ("host-03", "half_open")),
+                breaker_trips=3, shed_total=250),
+        replace(bare, shards=(
+            ("s00", ("s00:master-00", "s00:slave-00-00",
+                     "s00:slave-00-01")),
+            ("s01", ("s01:master-00",))), unsharded=()),
+        replace(bare, now=86400.125, events_processed=2**40,
+                spans_buffered=4096, spans_dropped=70000,
+                contexts_received=2**33),
+    )]
+
+
 FRAMES = [bytes.fromhex(frame) for _wire_id, frame in
-          sorted(GOLDEN["frames"].items(), key=lambda item: int(item[0]))]
+          sorted(GOLDEN["frames"].items(), key=lambda item: int(item[0]))
+          ] + _status_shapes()
 
 
 def _via_read_frame(frames: list[bytes]) -> list[Any]:
