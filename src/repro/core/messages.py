@@ -211,10 +211,7 @@ class Pledge:
         slave_id = keys.owner_id
         queries = [canonical_bytes(query_wire)
                    for query_wire, _hash, _stamp, _request_id in specs]
-        payloads = [cls._payload(query, result_hash, stamp.pledge_fields(),
-                                 slave_id, request_id)
-                    for query, (_wire, result_hash, stamp, request_id)
-                    in zip(queries, specs)]
+        payloads = cls._payloads(slave_id, specs, queries)
         signatures = keys.sign_many(payloads)
         pledges = []
         for (query_wire, result_hash, stamp, request_id), query, payload, \
@@ -226,6 +223,26 @@ class Pledge:
             object.__setattr__(pledge, "_query_cache", query)
             pledges.append(pledge)
         return pledges
+
+    @classmethod
+    def payloads(cls, slave_id: str,
+                 specs: "list[tuple[Any, str, VersionStamp, str]]",
+                 ) -> "list[bytes]":
+        """The bytes :meth:`make_many` signs for ``specs``, in order: what
+        a slave hands :meth:`~repro.sim.network.Node.sign_batch`."""
+        return cls._payloads(
+            slave_id, specs,
+            [canonical_bytes(query_wire)
+             for query_wire, _hash, _stamp, _request_id in specs])
+
+    @classmethod
+    def _payloads(cls, slave_id: str,
+                  specs: "list[tuple[Any, str, VersionStamp, str]]",
+                  queries: "list[bytes]") -> "list[bytes]":
+        return [cls._payload(query, result_hash, stamp.pledge_fields(),
+                             slave_id, request_id)
+                for query, (_wire, result_hash, stamp, request_id)
+                in zip(queries, specs)]
 
     def verify(self, verifier_keys: KeyPair,
                slave_public_key: PublicKey) -> bool:

@@ -25,6 +25,7 @@ can never forge another principal's signature.
 from __future__ import annotations
 
 import dataclasses
+import functools
 from typing import Any
 
 from repro.content.queries import ReadQuery, operation_from_wire
@@ -46,7 +47,7 @@ from repro.core.trusted import WorkQueue
 from repro.crypto.certificates import Certificate
 from repro.crypto.hashing import sha1_hex
 from repro.crypto.keys import KeyPair
-from repro.crypto.signatures import PublicKey, new_signer
+from repro.crypto.signatures import PublicKey, Signature, new_signer
 from repro.metrics import MetricsRegistry
 from repro.sim.network import Network, Node
 from repro.sim.simulator import Simulator, restore_context
@@ -302,9 +303,13 @@ class SlaveServer(Node):
     def _flush_reads(self) -> None:
         """Pledge and reply to every read parked this tick as one batch.
 
-        Pledge payloads and signatures are byte-identical to one
-        :meth:`Pledge.make` per read (:meth:`Pledge.make_many` only
-        amortises signer setup); a reply carries its pledge's seal.
+        The batch's pledge payloads (:meth:`Pledge.payloads`) go to
+        :meth:`~repro.sim.network.Node.sign_batch`; payloads and
+        signatures are byte-identical to one :meth:`Pledge.make` per
+        read.  The replies leave from its continuation, in the batch's
+        order, each carrying its pledge's seal: in the simulator at
+        once, over sockets when the signatures are back -- and never
+        after a crash of this slave, as an :meth:`after` timer would.
         Each reply is still its own protocol message, so per-message
         adversary and chaos behaviour is that of a slave answering one
         read at a time, and each is sent under the trace context of its
@@ -313,17 +318,22 @@ class SlaveServer(Node):
         pending, self._pending_reads = self._pending_reads, []
         if not pending:
             return
-        pledges = Pledge.make_many(
-            self.keys,
+        payloads = Pledge.payloads(
+            self.keys.owner_id,
             [(pledged_wire, sha1_hex(served_result), stamp, request_id)
              for _client, pledged_wire, request_id, served_result, stamp,
              _context in pending])
         if len(pending) > 1:
             self.metrics.incr("slave_read_batches")
+        self.sign_batch(payloads, functools.partial(self._reply, pending))
+
+    def _reply(self, pending: list[_ParkedRead],
+               signatures: list[Signature]) -> None:
+        """Send one signed batch's replies (:meth:`_flush_reads`)."""
         obs = self.simulator.obs
-        for (client_id, _wire, request_id, served_result, _stamp, context), \
-                pledge in zip(pending, pledges):
-            seal = Seal(stamp=pledge.stamp, signature=pledge.signature)
+        for (client_id, _wire, request_id, served_result, stamp, context), \
+                signature in zip(pending, signatures):
+            seal = Seal(stamp=stamp, signature=signature)
             reply = ReadReply(request_id=request_id, result=served_result,
                               pledge=self._maybe_garble(seal))
             if obs is None:

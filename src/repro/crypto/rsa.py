@@ -110,7 +110,9 @@ class RSAKeyPair:
 
     The private members (``d``, ``p``, ``q`` and the CRT exponents) never
     leave the owning server object in the simulation, mirroring the paper's
-    "content private key is known only by the content owner" rule.
+    "content private key is known only by the content owner" rule.  Over
+    sockets a slave's numbers also cross one pipe, to the signing worker
+    process its own deployment starts (:mod:`repro.net.signworker`).
     """
 
     n: int

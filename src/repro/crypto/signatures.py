@@ -72,6 +72,12 @@ class RSASigner:
     def public_key(self) -> _rsa.RSAPublicKey:
         return self._keypair.public_key
 
+    @property
+    def keypair(self) -> _rsa.RSAKeyPair:
+        """The private numbers, for the one signing worker process a
+        socket deployment owns (:mod:`repro.net.signworker`)."""
+        return self._keypair
+
     def sign(self, message: bytes) -> int:
         return _rsa.rsa_sign(self._keypair, message)
 

@@ -181,6 +181,9 @@ class LocalCluster:
             AdmissionLedger(policy)
             if policy is not None and self.config.qos_per_principal
             else None)
+        #: The trusted servers' ids (masters, auditors), shared with
+        #: every listener: admission never charges their frames.
+        self.trusted: set[str] = set()
         self._closed = False
 
     # -- construction -----------------------------------------------------
@@ -252,7 +255,7 @@ class LocalCluster:
         """Start ``node``'s listener; returns its ``host:port`` address."""
         server = NodeServer(node, self.metrics,
                             qos=self._admission_policy(),
-                            ledger=self.ledger)
+                            ledger=self.ledger, trusted=self.trusted)
         host, port = await server.start(self.spec.host)
         self.servers[node.node_id] = server
         self.peers.add(node.node_id, host, port)
@@ -269,11 +272,17 @@ class LocalCluster:
         # certificate (or slave registration) names its address.
         for node in self._builder.servers(cast):
             await self._listen(node)
+        self._trust(cast)
         for client in self._builder.clients(cast):
             await self._listen(client)
             if self.ledger is not None:
                 self.ledger.register_key(client.node_id,
                                          client.keys.public_key)
+
+    def _trust(self, cast: Cast) -> None:
+        """Register a cast's masters and auditors as trusted principals."""
+        self.trusted.update(node.node_id
+                            for node in (*cast.masters, *cast.auditors))
 
     async def _start(self, settle: float) -> None:
         self.cast.start_servers()
@@ -429,11 +438,13 @@ class LocalCluster:
     # -- shutdown ----------------------------------------------------------
 
     async def aclose(self) -> None:
-        """Cancel timers, abort connections, close listeners."""
+        """Cancel timers, stop the signing worker, abort connections,
+        close listeners."""
         if self._closed:
             return
         self._closed = True
         self.scheduler.cancel_all()
+        self.scheduler.close()
         await asyncio.gather(*(pool.aclose()
                                for pool in self.pools.values()))
         await asyncio.gather(*(server.aclose()

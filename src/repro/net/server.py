@@ -2,9 +2,11 @@
 
 The protocol core touches its environment through exactly three seams:
 ``simulator.fork_rng`` / ``Node.after`` / ``Node.now`` (time and
-randomness) and ``network.transmit`` (messaging).  This module provides
-real-time implementations of both seams --
-:class:`RealtimeScheduler` maps timers onto the asyncio event loop, and
+randomness), ``Node.sign_batch`` (batch signing) and
+``network.transmit`` (messaging).  This module provides real-time
+implementations of all three -- :class:`RealtimeScheduler` maps timers
+onto the asyncio event loop and RSA batches onto the deployment's
+signing worker (:mod:`repro.net.signworker`), and
 :class:`SocketNetwork` maps ``send`` onto a framed TCP connection pool
 -- so ``MasterServer``, ``SlaveServer``, ``DirectoryServer``,
 ``AuditorServer`` and ``Client`` run over sockets without a single line
@@ -28,13 +30,17 @@ from __future__ import annotations
 import asyncio
 import heapq
 import math
+import os
 import random
-from typing import Any, Callable
+from typing import Any, Callable, Container
 
 from repro.core.messages import Accusation, KeepAlive
+from repro.crypto.keys import KeyPair
+from repro.crypto.signatures import RSASigner, Signature
 from repro.metrics import MetricsRegistry
 from repro.net import codec
 from repro.net.errors import CodecError, TruncatedFrame, UnknownReference
+from repro.net.signworker import SigningWorker
 from repro.net.transport import ConnectionPool
 from repro.obs.admin import (
     ObsDumpReply,
@@ -71,6 +77,12 @@ class RealtimeScheduler(Simulator):
     fork order + label), so key material for a given deployment spec is
     reproducible even though event *timing* is real.  The discrete-event
     ``run_*`` methods are disabled: in real time, the loop runs itself.
+
+    :meth:`sign_batch` sends RSA batches to the deployment's one
+    :class:`~repro.net.signworker.SigningWorker` when the process may
+    run on more than one CPU, started at the first such batch and
+    stopped by :meth:`close`; HMAC batches, a one-CPU process and a
+    dead or stopped worker sign inline, as the simulator does.
     """
 
     #: Queue length below which cancelled entries are never compacted.
@@ -83,10 +95,47 @@ class RealtimeScheduler(Simulator):
         #: When the armed loop timer fires; ``inf`` when none is armed.
         self._armed_at = math.inf
         self._compact_at = self.COMPACT_FLOOR
+        #: The signing worker; ``None`` until the first RSA batch.
+        self.signing_worker: SigningWorker | None = None
+        #: One start per deployment: set at the first RSA batch, and by
+        #: :meth:`close`.
+        self._worker_tried = False
 
     @property
     def now(self) -> float:
         return self._loop.time()
+
+    def sign_batch(self, keys: KeyPair, payloads: list[bytes],
+                   then: Callable[[list[Signature]], None]) -> None:
+        signer = keys.signer
+        if isinstance(signer, RSASigner):
+            worker = self.signing_worker or self._start_worker()
+            if worker is not None and worker.alive:
+                # Made on this key's behalf, so counted on it.
+                keys.signatures_made += len(payloads)
+                worker.submit(signer.keypair, payloads, then)
+                return
+        super().sign_batch(keys, payloads, then)
+
+    def _start_worker(self) -> SigningWorker | None:
+        if self._worker_tried:
+            return None
+        self._worker_tried = True
+        affinity = getattr(os, "sched_getaffinity", None)
+        cpus = affinity(0) if affinity is not None else set()
+        if len(cpus) > 1:
+            try:
+                self.signing_worker = SigningWorker(self._loop, cpus)
+            except OSError:
+                pass  # no child to be had: sign inline
+        return self.signing_worker
+
+    def close(self) -> None:
+        """Stop the signing worker (deployment shutdown); every later
+        batch signs inline."""
+        self._worker_tried = True
+        if self.signing_worker is not None:
+            self.signing_worker.close()
 
     def schedule(self, delay: float, callback: Callable[..., None],
                  *args: Any) -> EventHandle:
@@ -483,18 +532,23 @@ class NodeServer:
     dispatch (per-reason ``qos_shed_*`` counters; keep-alives and
     accusations are never charged) and an idle-connection reaper.
     ``qos_rng`` is accepted and not read (the benchmark harness passes
-    it).
+    it).  ``trusted`` names the deployment's trusted servers (masters
+    and auditors): their frames are never charged either, so admission
+    cannot shed the total order's own orders and heartbeats.
     """
 
     def __init__(self, node: Node, metrics: MetricsRegistry,
                  handshake_timeout: float = 5.0,
                  qos: AdmissionPolicy | None = None,
                  qos_rng: random.Random | None = None,
-                 ledger: AdmissionLedger | None = None) -> None:
+                 ledger: AdmissionLedger | None = None,
+                 trusted: Container[str] = ()) -> None:
         self.node = node
         self.metrics = metrics
         self.handshake_timeout = handshake_timeout
         self.qos = qos
+        #: Principals never charged (deployment-owned, may still grow).
+        self.trusted = trusted
         #: Opt-in per-principal admission: when set, buckets come from
         #: the (deployment-shared) ledger keyed by key fingerprint, so
         #: reconnect churn cannot mint fresh allowances.
@@ -552,8 +606,9 @@ class NodeServer:
         *tenant* that sent the message (the principal charged -- the
         connection's hello only names the peer host, and many tenants
         share one connection) and the tenant it is for; a TraceCarrier
-        carries the trace context the handler runs under.  Keep-alives
-        and accusations are never charged, so never shed.
+        carries the trace context the handler runs under.  Keep-alives,
+        accusations and whatever a trusted server sends are never
+        charged, so never shed.
 
         Returns True when the message went over quota and was shed, so
         the connection it arrived on can be penalized.
@@ -569,7 +624,8 @@ class NodeServer:
             context, message = message.context, message.message
         qos = self.qos
         if qos is not None and qos.limits_frames \
-                and not isinstance(message, PROTECTED_MESSAGE_TYPES):
+                and not isinstance(message, PROTECTED_MESSAGE_TYPES) \
+                and src_id not in self.trusted:
             now = self.node.simulator.now
             client = self._account_for(src_id, now)
             reason = client.admit(now, 0.0, None, qos)

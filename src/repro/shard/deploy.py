@@ -217,6 +217,7 @@ class ShardedCluster(LocalCluster):
                 self.owner.content_key_fingerprint(), shard_id))
         for node in self._builder.servers(state):
             self._host_tenant(node)
+        self._trust(state)
         self.masters.extend(state.masters)
         self.auditors.extend(state.auditors)
         self.slaves.extend(state.slaves)

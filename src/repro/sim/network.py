@@ -16,14 +16,21 @@ data secrecy is out of scope.
 
 from __future__ import annotations
 
-from typing import Any, Callable
+from typing import TYPE_CHECKING, Any, Callable
 
 from repro.sim.latency import ConstantLatency, LatencyModel
 from repro.sim.simulator import EventHandle, Simulator
 
+if TYPE_CHECKING:  # pragma: no cover - typing only
+    from repro.crypto.keys import KeyPair
+    from repro.crypto.signatures import Signature
+
 
 class Node:
     """Base class for every networked principal in the simulation."""
+
+    #: This principal's own key pair; set by every role that signs.
+    keys: "KeyPair"
 
     def __init__(self, node_id: str, simulator: Simulator,
                  network: "Network") -> None:
@@ -95,6 +102,23 @@ class Node:
             if life == self._life and not self.crashed:
                 callback(*args)
         return self.simulator.schedule(delay, guarded)
+
+    def sign_batch(self, payloads: list[bytes],
+                   then: Callable[[list["Signature"]], None]) -> None:
+        """Sign ``payloads`` with this node's key, then call
+        ``then(signatures)`` -- in this life of the node only, as
+        :meth:`after` fires.
+
+        The one way protocol code signs a batch: the simulator signs
+        inline and calls ``then`` at once; a socket runtime may sign on
+        another core and call it from a later loop callback.
+        """
+        life = self._life
+
+        def guarded(signatures: list["Signature"]) -> None:
+            if life == self._life and not self.crashed:
+                then(signatures)
+        self.simulator.sign_batch(self.keys, payloads, guarded)
 
     def every(self, interval: float, callback: Callable[[], None]) -> None:
         """Run ``callback`` now and then every ``interval`` seconds.

@@ -20,6 +20,8 @@ import random
 from typing import TYPE_CHECKING, Any, Callable
 
 if TYPE_CHECKING:  # pragma: no cover - typing only (obs is optional)
+    from repro.crypto.keys import KeyPair
+    from repro.crypto.signatures import Signature
     from repro.obs.spans import ObsRuntime
     from repro.obs.context import TraceContext
 
@@ -115,6 +117,16 @@ class Simulator:
                     *args: Any) -> EventHandle:
         """Run ``callback(*args)`` at absolute virtual time ``when``."""
         return self.schedule(when - self._now, callback, *args)
+
+    def sign_batch(self, keys: "KeyPair", payloads: list[bytes],
+                   then: Callable[[list["Signature"]], None]) -> None:
+        """Sign ``payloads`` with ``keys``, then ``then(signatures)``.
+
+        Here both happen at once, in the caller's event: the simulator
+        charges signing as modelled service time, not as wall time.  A
+        socket runtime may sign elsewhere and call ``then`` later.
+        """
+        then(keys.sign_many(payloads))
 
     def run_until(self, deadline: float) -> None:
         """Process events with fire time <= ``deadline``; clock ends there.

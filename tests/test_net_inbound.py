@@ -41,7 +41,7 @@ from tests.test_net_codec import PLEDGE, SEAL, STAMP
 HELLO = encode_frame(NetHello(node_id="tester"))
 
 
-def _status_shapes() -> list[bytes]:
+def _status_shapes() -> dict[str, bytes]:
     """One status reply per part of it that used to be a reply of its
     own: a bare untraced listener's health, a pool's breakers in every
     state, a shard host's tenants, and a traced listener's counters
@@ -50,24 +50,31 @@ def _status_shapes() -> list[bytes]:
         node_id="host-00", now=0.0, events_processed=0, shed_total=0,
         breakers=(), breaker_trips=0, shards=(), unsharded=("host-00",),
         spans_buffered=0, spans_dropped=0, contexts_received=0)
-    return [encode_frame(reply) for reply in (
-        bare,
-        replace(bare, breakers=(("host-01", "closed"), ("host-02", "open"),
-                                ("host-03", "half_open")),
-                breaker_trips=3, shed_total=250),
-        replace(bare, shards=(
+    return {name: encode_frame(reply) for name, reply in {
+        "status-bare": bare,
+        "status-breakers": replace(
+            bare, breakers=(("host-01", "closed"), ("host-02", "open"),
+                            ("host-03", "half_open")),
+            breaker_trips=3, shed_total=250),
+        "status-tenants": replace(bare, shards=(
             ("s00", ("s00:master-00", "s00:slave-00-00",
                      "s00:slave-00-01")),
             ("s01", ("s01:master-00",))), unsharded=()),
-        replace(bare, now=86400.125, events_processed=2**40,
-                spans_buffered=4096, spans_dropped=70000,
-                contexts_received=2**33),
-    )]
+        "status-wide-counters": replace(
+            bare, now=86400.125, events_processed=2**40,
+            spans_buffered=4096, spans_dropped=70000,
+            contexts_received=2**33),
+    }.items()}
 
 
-FRAMES = [bytes.fromhex(frame) for _wire_id, frame in
-          sorted(GOLDEN["frames"].items(), key=lambda item: int(item[0]))
-          ] + _status_shapes()
+#: The corpus by name: each golden frame under its wire id (as
+#: tests/test_golden_bytes.py names them, so retiring or adding an id
+#: renames no other case), then the status shapes.
+NAMED_FRAMES = {
+    **{str(wire_id): bytes.fromhex(frame) for wire_id, frame in
+       sorted(GOLDEN["frames"].items(), key=lambda item: int(item[0]))},
+    **_status_shapes()}
+FRAMES = list(NAMED_FRAMES.values())
 
 
 def _via_read_frame(frames: list[bytes]) -> list[Any]:
@@ -187,9 +194,9 @@ def inbound() -> Iterator[Inbound]:
 
 
 class TestSegmentation:
-    @pytest.mark.parametrize("index", range(len(FRAMES)))
-    def test_golden_frame_split_at_every_offset(self, inbound, index):
-        frame = FRAMES[index]
+    @pytest.mark.parametrize("name", NAMED_FRAMES)
+    def test_golden_frame_split_at_every_offset(self, inbound, name):
+        frame = NAMED_FRAMES[name]
         # A bare admin request is answered by the listener, once per
         # whole frame; everything else reaches admission.
         admin = isinstance(codec.decode_frame(frame), ADMIN_REQUESTS)

@@ -27,6 +27,7 @@ import random
 
 import pytest
 
+from repro.content.kvstore import KVPut
 from repro.core import messages as m
 from repro.crypto.keys import KeyPair
 from repro.crypto.signatures import new_signer
@@ -443,6 +444,38 @@ class TestUntracedStatus:
                 assert reply.shed_total == 2
                 assert "slave-00-00" in dict(reply.breakers)
                 assert reply.spans_buffered == reply.contexts_received == 0
+                assert cluster.handler_errors() == []
+            finally:
+                await cluster.aclose()
+
+        run(scenario())
+
+
+@pytest.mark.net
+class TestTrustedServersUncharged:
+    def test_masters_frames_never_shed(self):
+        """A trusted server is never charged: at 2 frames/s and a burst
+        of 5, the sequencer's orders and heartbeats (4/s) reach the
+        other master and the auditor in full, and a write commits."""
+        async def scenario():
+            spec = NetDeploymentSpec(
+                num_masters=2, slaves_per_master=1, num_clients=1, seed=5,
+                protocol=fast_protocol_config(qos_frame_rate=2.0,
+                                              qos_frame_burst=5.0))
+            cluster = await LocalCluster.launch(spec, settle=0.4)
+            try:
+                assert cluster.obs is None
+                assert cluster.trusted == {
+                    "master-00", "master-01", "zz-auditor-00"}
+                await asyncio.sleep(3.0)
+                assert cluster.metrics.count(
+                    "qos_shed_from_master-00") == 0
+                assert cluster.metrics.count(
+                    "qos_shed_from_master-01") == 0
+                outcome = await cluster.write(
+                    cluster.clients[0], KVPut(key="k", value=1),
+                    timeout=10.0)
+                assert outcome["status"] == "committed", outcome
                 assert cluster.handler_errors() == []
             finally:
                 await cluster.aclose()
