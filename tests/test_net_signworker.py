@@ -9,7 +9,9 @@ at the first such batch and stopped by ``aclose``.  What must hold:
 * the child holds no socket of the parent's, and no child outlives its
   deployment;
 * a slave that crashes with a batch at the worker never answers it;
-* a killed worker loses no read: what it owed is signed inline.
+* a killed worker loses no read: what it owed is signed inline;
+* a sharded deployment has one worker for all its shards, and its
+  ``aclose`` stops it too.
 """
 
 from __future__ import annotations
@@ -33,6 +35,7 @@ from repro.net.codec import NetHello, encode_frame
 from repro.net.deploy import LocalCluster, NetDeploymentSpec, \
     fast_protocol_config
 from repro.net.server import RealtimeScheduler
+from repro.shard.deploy import ShardDeploymentSpec, ShardedCluster
 from repro.sim.network import Network, Node
 from repro.sim.simulator import Simulator
 
@@ -197,7 +200,10 @@ class TestWorker:
                 assert worker is not None and worker.alive
                 fds = f"/proc/{worker.pid}/fd"
                 if os.path.isdir(fds):
-                    assert sorted(os.listdir(fds)) == ["0", "1", "2"]
+                    held = [os.readlink(f"{fds}/{fd}")
+                            for fd in os.listdir(fds)]
+                    assert not [link for link in held
+                                if link.startswith("socket:")], held
                 # Closing our end reaches the peer: nobody else holds it.
                 writer.close()
                 await cluster.wait_for(
@@ -307,3 +313,43 @@ class TestWorker:
                 await cluster.aclose()
 
         run(scenario())
+
+    @needs_two_cpus
+    def test_one_worker_for_every_shard_stopped_by_aclose(self):
+        async def scenario():
+            affinity = os.sched_getaffinity(0)
+            spec = ShardDeploymentSpec(
+                num_masters=1, slaves_per_master=1, num_clients=1,
+                num_shards=2, num_hosts=2, seed=3,
+                protocol=fast_protocol_config(
+                    signer_scheme="rsa", double_check_probability=0.0))
+            cluster = await ShardedCluster.launch(spec, settle=0.8)
+            try:
+                router = cluster.routers[0]
+                keys: dict[str, str] = {}
+                index = 0
+                while set(keys) != set(cluster.shards):
+                    key = f"k-{index}"
+                    keys.setdefault(router.shard_for(KVGet(key=key)), key)
+                    index += 1
+                for key in keys.values():
+                    outcome = await cluster.write(router,
+                                                  KVPut(key=key, value=1))
+                    assert outcome["status"] == "committed", outcome
+                await asyncio.sleep(cluster.config.max_latency)
+                for key in keys.values():
+                    outcome = await cluster.read(router, KVGet(key=key))
+                    assert outcome["status"] == "accepted", outcome
+                worker = cluster.scheduler.signing_worker
+                assert worker is not None and worker.alive
+                # Both shards' slaves signed, on the one worker.
+                assert all(slave.keys.signatures_made > 0
+                           for slave in cluster.slaves)
+                assert len(worker._key_ids) == len(cluster.slaves)
+                assert cluster.handler_errors() == []
+            finally:
+                await cluster.aclose()
+            assert worker.returncode == 0
+            assert os.sched_getaffinity(0) == affinity
+
+        run(scenario(), timeout=60.0)
