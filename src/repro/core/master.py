@@ -24,6 +24,7 @@ from __future__ import annotations
 
 from collections import deque
 from dataclasses import replace
+from functools import partial
 from typing import Any
 
 from repro.content.queries import ReadQuery, operation_from_wire
@@ -42,6 +43,7 @@ from repro.core.messages import (
     SlaveAssignment,
     SlaveSnapshot,
     SlaveUpdate,
+    VersionStamp,
     WriteReply,
     WriteRequest,
 )
@@ -258,11 +260,10 @@ class MasterServer(TrustedServer):
     def _do_commit(self, payload: BcastWrite) -> None:
         self.commit_op(payload.op_wire)
         self.metrics.incr(f"commits@{self.node_id}")
-        stamp = self.current_stamp()
-        update = SlaveUpdate(from_version=self.version - 1,
-                             ops_wire=(payload.op_wire,), stamp=stamp)
-        for slave in self.slaves:
-            self.send(slave, update, size_bytes=1024)
+        # The slaves hear of the commit when its stamp is signed; the
+        # client's answer below does not wait for the signature.
+        self.sign_stamp(partial(self._update_slaves, self.version - 1,
+                                (payload.op_wire,)))
         # The master that ordered the write answers too: it delivers in
         # the call that orders it, so its reply is the first one out.
         # The origin still answers, so a crashed sequencer never leaves
@@ -276,6 +277,13 @@ class MasterServer(TrustedServer):
             self._write_inflight = False
             self._pump_writes()
 
+    def _update_slaves(self, from_version: int, ops_wire: tuple[Any, ...],
+                       stamp: VersionStamp) -> None:
+        update = SlaveUpdate(from_version=from_version, ops_wire=ops_wire,
+                             stamp=stamp)
+        for slave in self.slaves:
+            self.send(slave, update, size_bytes=1024)
+
     def _keepalive_round(self) -> None:
         """Periodic signed stamps so slaves stay fresh between writes."""
         if not self.broadcast.is_caught_up():
@@ -284,16 +292,19 @@ class MasterServer(TrustedServer):
             # state inside the max_latency window.  Stay silent until the
             # broadcast repair finishes; slaves simply see us as late.
             return
-        stamp = self.current_stamp()
+        self.sign_stamp(self._send_keepalives)
+
+    def _send_keepalives(self, stamp: VersionStamp) -> None:
         self.metrics.incr(f"keepalives@{self.node_id}")
         # Send timeline per master: overload scenarios judge a slave's
         # arrival gap (``keepalive_rx@``) against the send gap.
         self.metrics.record(f"keepalive_tx@{self.node_id}", self.now, 1.0)
-        for slave in self.slaves:
-            self.send(slave, KeepAlive(stamp=stamp))
-        for auditor in self.view.auditors:
-            # Auditors time their version advancement off keep-alives too.
-            self.send(auditor, KeepAlive(stamp=stamp))
+        # Auditors time their version advancement off keep-alives too.
+        self._keepalive_to([*self.slaves, *self.view.auditors], stamp)
+
+    def _keepalive_to(self, node_ids: list[str], stamp: VersionStamp) -> None:
+        for node_id in node_ids:
+            self.send(node_id, KeepAlive(stamp=stamp))
 
     def _handle_resync(self, slave_id: str, message: ResyncRequest) -> None:
         """Bring a lagging slave back in sync.
@@ -314,13 +325,15 @@ class MasterServer(TrustedServer):
                                            self.config.ops_log_depth)
         if missing is None:
             self.metrics.incr("slave_snapshots_sent")
-            self.send(slave_id, SlaveSnapshot(
-                store=self.store.snapshot(), stamp=self.current_stamp()),
-                size_bytes=64 * 1024)
+            # Taken now, at the stamp's version, however late it leaves.
+            store = self.store.snapshot()
+            self.sign_stamp(lambda stamp: self.send(
+                slave_id, SlaveSnapshot(store=store, stamp=stamp),
+                size_bytes=64 * 1024))
             return
-        self.send(slave_id, SlaveUpdate(
-            from_version=have, ops_wire=missing,
-            stamp=self.current_stamp()), size_bytes=1024 * len(missing))
+        self.sign_stamp(lambda stamp: self.send(slave_id, SlaveUpdate(
+            from_version=have, ops_wire=missing, stamp=stamp),
+            size_bytes=1024 * len(missing)))
 
     # -- double-checks (Section 3.3) ---------------------------------------------------
 
@@ -478,6 +491,4 @@ class MasterServer(TrustedServer):
                 # version gap (if any) and resyncs from us; a master still
                 # replaying signs nothing stale and reaches it at its
                 # next round.
-                stamp = self.current_stamp()
-                for slave in gained:
-                    self.send(slave, KeepAlive(stamp=stamp))
+                self.sign_stamp(partial(self._keepalive_to, gained))

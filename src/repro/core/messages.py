@@ -110,13 +110,30 @@ class VersionStamp:
         return fields
 
     @classmethod
-    def make(cls, keys: KeyPair, version: int,
-             timestamp: float) -> "VersionStamp":
-        payload = cls._payload(version, timestamp, keys.owner_id)
+    def payload(cls, version: int, timestamp: float,
+                master_id: str) -> bytes:
+        """The bytes a stamp of these fields signs: what a master hands
+        :meth:`~repro.sim.network.Node.sign_batch`."""
+        return cls._payload(version, timestamp, master_id)
+
+    @classmethod
+    def signed(cls, payload: bytes, version: int, timestamp: float,
+               master_id: str, signature: Signature) -> "VersionStamp":
+        """The stamp whose ``signature`` covers ``payload``, which
+        :meth:`payload` built from the same fields."""
         stamp = cls(version=version, timestamp=timestamp,
-                    master_id=keys.owner_id, signature=keys.sign(payload))
+                    master_id=master_id, signature=signature)
         object.__setattr__(stamp, "_payload_cache", payload)
         return stamp
+
+    @classmethod
+    def make(cls, keys: KeyPair, version: int,
+             timestamp: float) -> "VersionStamp":
+        """Sign a stamp inline.  A trusted server signs its stamps
+        through :meth:`~repro.core.trusted.TrustedServer.sign_stamp`."""
+        payload = cls._payload(version, timestamp, keys.owner_id)
+        return cls.signed(payload, version, timestamp, keys.owner_id,
+                          keys.sign(payload))
 
     def verify(self, verifier_keys: KeyPair,
                master_public_key: PublicKey) -> bool:

@@ -36,7 +36,7 @@ from repro.core.messages import (
 from repro.core.view import TrustedView
 from repro.crypto.certificates import Certificate
 from repro.crypto.keys import KeyPair
-from repro.crypto.signatures import new_signer
+from repro.crypto.signatures import Signature, new_signer
 from repro.metrics import MetricsRegistry
 from repro.sim.network import Network, Node
 from repro.sim.simulator import EventHandle, Simulator
@@ -235,9 +235,25 @@ class TrustedServer(Node):
 
     # -- version state ----------------------------------------------------------
 
-    def current_stamp(self) -> VersionStamp:
-        """A freshly signed stamp for the current version."""
-        return VersionStamp.make(self.keys, self.version, self.now)
+    def sign_stamp(self, then: Callable[[VersionStamp], None]) -> None:
+        """Sign a stamp for the current version, timestamped now, then
+        ``then(stamp)``: the one way a trusted server makes a stamp.
+
+        The version and the timestamp are fixed here, so whatever the
+        caller reads beside them belongs to this moment too.  The
+        signature is made where :meth:`~repro.sim.network.Node.sign_batch`
+        makes it: at once in the simulator, on the signing worker over
+        sockets, first in first out, so stamps leave in the order they
+        were asked for.  ``then`` runs in this life of the server only.
+        """
+        version, timestamp = self.version, self.now
+        master_id = self.keys.owner_id
+        payload = VersionStamp.payload(version, timestamp, master_id)
+
+        def signed(signatures: list[Signature]) -> None:
+            then(VersionStamp.signed(payload, version, timestamp, master_id,
+                                     signatures[0]))
+        self.sign_batch([payload], signed)
 
     def commit_op(self, op_wire: Any) -> None:
         """Apply a committed write locally and archive the snapshot."""

@@ -199,6 +199,11 @@ class MetricsRegistry:
     def incr(self, name: str, amount: float = 1.0) -> None:
         self.counters[name] += amount
 
+    def peak(self, name: str, value: float) -> None:
+        """Raise counter ``name`` to ``value``: a high-water mark."""
+        if value > self.counters[name]:
+            self.counters[name] = value
+
     def observe(self, name: str, value: float) -> None:
         self.samples[name].append(value)
 

@@ -146,7 +146,7 @@ class LocalCluster:
         #: is built by it and every link answers to it.
         self.plane = plane
         self.metrics = MetricsRegistry()
-        self.scheduler = RealtimeScheduler(spec.seed, loop)
+        self.scheduler = RealtimeScheduler(spec.seed, loop, self.metrics)
         self.obs: ObsRuntime | None = None
         if spec.obs_enabled:
             self.obs = ObsRuntime(

@@ -28,6 +28,7 @@ crash a server.
 from __future__ import annotations
 
 import asyncio
+import functools
 import heapq
 import math
 import os
@@ -63,6 +64,12 @@ from repro.sim.simulator import EventHandle, Simulator, restore_context
 PROTECTED_MESSAGE_TYPES: tuple[type, ...] = (KeepAlive, Accusation)
 
 
+def _traced(obs: Any, context: Any,
+            then: Callable[[list[Signature]], None],
+            signatures: list[Signature]) -> None:
+    restore_context(obs, context, then, (signatures,))
+
+
 class RealtimeScheduler(Simulator):
     """A :class:`Simulator` whose clock is the asyncio event loop's.
 
@@ -82,15 +89,19 @@ class RealtimeScheduler(Simulator):
     :class:`~repro.net.signworker.SigningWorker` when the process may
     run on more than one CPU, started at the first such batch and
     stopped by :meth:`close`; HMAC batches, a one-CPU process and a
-    dead or stopped worker sign inline, as the simulator does.
+    dead or stopped worker sign inline, as the simulator does.  ``then``
+    runs under the trace context of the call, as it would inline.
     """
 
     #: Queue length below which cancelled entries are never compacted.
     COMPACT_FLOOR = 64
 
-    def __init__(self, seed: int, loop: asyncio.AbstractEventLoop) -> None:
+    def __init__(self, seed: int, loop: asyncio.AbstractEventLoop,
+                 metrics: MetricsRegistry | None = None) -> None:
         super().__init__(seed)
         self._loop = loop
+        #: Where the signing worker counts its batches and their waits.
+        self.metrics = metrics if metrics is not None else MetricsRegistry()
         self._timer: asyncio.TimerHandle | None = None
         #: When the armed loop timer fires; ``inf`` when none is armed.
         self._armed_at = math.inf
@@ -113,6 +124,10 @@ class RealtimeScheduler(Simulator):
             if worker is not None and worker.alive:
                 # Made on this key's behalf, so counted on it.
                 keys.signatures_made += len(payloads)
+                obs = self.obs
+                if obs is not None and obs.current is not None:
+                    # ``then`` runs under the caller's trace, as inline.
+                    then = functools.partial(_traced, obs, obs.current, then)
                 worker.submit(signer.keypair, payloads, then)
                 return
         super().sign_batch(keys, payloads, then)
@@ -125,7 +140,8 @@ class RealtimeScheduler(Simulator):
         cpus = affinity(0) if affinity is not None else set()
         if len(cpus) > 1:
             try:
-                self.signing_worker = SigningWorker(self._loop, cpus)
+                self.signing_worker = SigningWorker(self._loop, cpus,
+                                                    self.metrics)
             except OSError:
                 pass  # no child to be had: sign inline
         return self.signing_worker

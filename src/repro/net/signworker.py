@@ -1,10 +1,11 @@
-"""One signing worker per socket deployment: RSA pledges on another core.
+"""One signing worker per socket deployment: RSA signatures on another core.
 
 A slave's per-read RSA-FDH signature is the one private-key operation
-that dominates a read (docs/PERFORMANCE.md, "RSA signing off the
-loop"), and over sockets every node shares one event loop.  When the
-process may run on more than one CPU, :class:`~repro.net.server.
-RealtimeScheduler` hands each RSA batch of
+that dominates a read, and a master's stamp (every keep-alive, every
+commit) stalls everything else for as long (docs/PERFORMANCE.md, "RSA
+signing off the loop"); over sockets every node shares one event loop.
+When the process may run on more than one CPU, :class:`~repro.net.
+server.RealtimeScheduler` hands each RSA batch of
 :meth:`~repro.sim.network.Node.sign_batch` to a :class:`SigningWorker`:
 a child interpreter running this module, started at the deployment's
 first RSA batch and stopped by the deployment's ``aclose``.
@@ -22,8 +23,10 @@ item is its big-endian bytes.
 
 The child signs with :func:`~repro.crypto.rsa.rsa_sign`, so a signature
 is the same integer the node would have made inline, and exits at EOF
-on its stdin.  If the child dies, the parent signs what it still owed
-inline, in order, and so does every later batch.
+on its stdin.  Batches are answered first in, first out, so a master's
+stamps leave in the order it made them.  If the child dies, the parent
+signs what it still owed inline, in order, and so does every later
+batch.
 """
 
 from __future__ import annotations
@@ -44,6 +47,8 @@ from repro.crypto.rsa import RSAKeyPair, rsa_sign
 if TYPE_CHECKING:  # pragma: no cover - typing only; the child needs no loop
     import asyncio
 
+    from repro.metrics import MetricsRegistry
+
 _LEN = struct.Struct(">I")
 _KEY, _SIGN = b"K", b"S"
 _KEY_FIELDS = tuple(field.name for field in dataclasses.fields(RSAKeyPair))
@@ -52,6 +57,9 @@ _KEY_FIELDS = tuple(field.name for field in dataclasses.fields(RSAKeyPair))
 EXIT_GRACE = 1.0
 
 Then = Callable[[list[Any]], None]
+#: A batch handed over: the key, the payloads, their continuation and
+#: the loop time it was handed over.
+Batch = tuple[RSAKeyPair, list[bytes], Then, float]
 
 
 def _int_bytes(value: int) -> bytes:
@@ -138,11 +146,18 @@ class SigningWorker:
     batch's ``then`` with its signatures, first in, first out.  A
     ``then`` that raises is reported as a raising loop callback is, and
     the batches behind it still run.
+
+    ``metrics`` counts the batches (``signworker_batches``) and
+    signatures (``signworker_signatures``) handed over, the summed wait
+    from submit to answer by the loop's clock (``signworker_wait_s``)
+    and the most batches unanswered at once
+    (``signworker_unanswered_peak``).
     """
 
-    def __init__(self, loop: "asyncio.AbstractEventLoop",
-                 cpus: set[int]) -> None:
+    def __init__(self, loop: "asyncio.AbstractEventLoop", cpus: set[int],
+                 metrics: "MetricsRegistry") -> None:
         self._loop = loop
+        self._metrics = metrics
         # -S: the child needs the stdlib and ``repro`` only, and skips
         # the site packages' start-up work.
         self._process = subprocess.Popen(
@@ -167,7 +182,7 @@ class SigningWorker:
         os.set_blocking(self._from, False)
         self._key_ids: dict[RSAKeyPair, bytes] = {}
         #: Batches sent and not yet answered, oldest first.
-        self._waiting: deque[tuple[RSAKeyPair, list[bytes], Then]] = deque()
+        self._waiting: deque[Batch] = deque()
         self._outbox = bytearray()
         self._inbox = bytearray()
         #: False once the child is gone or stopped: nothing more is sent.
@@ -194,7 +209,12 @@ class SigningWorker:
                 [_KEY, key_id, *(_int_bytes(getattr(keypair, name))
                                  for name in _KEY_FIELDS)]))
         frames.append(encode_frame([_SIGN, key_id, *payloads]))
-        self._waiting.append((keypair, payloads, then))
+        waiting = self._waiting
+        waiting.append((keypair, payloads, then, self._loop.time()))
+        metrics = self._metrics
+        metrics.incr("signworker_batches")
+        metrics.incr("signworker_signatures", len(payloads))
+        metrics.peak("signworker_unanswered_peak", len(waiting))
         self._write(b"".join(frames))
 
     # -- pipes ----------------------------------------------------------------
@@ -246,11 +266,14 @@ class SigningWorker:
             signatures = [int.from_bytes(item, "big") for item in
                           decode_items(bytes(inbox[_LEN.size:end]))]
             del inbox[:end]
-            answered.append((self._waiting.popleft()[2], signatures))
-        for then, signatures in answered:
-            self._call(then, signatures)
+            answered.append((self._waiting.popleft(), signatures))
+        for batch, signatures in answered:
+            self._answer(batch, signatures)
 
-    def _call(self, then: Then, signatures: list[Any]) -> None:
+    def _answer(self, batch: Batch, signatures: list[Any]) -> None:
+        _keypair, _payloads, then, submitted = batch
+        self._metrics.incr("signworker_wait_s",
+                           self._loop.time() - submitted)
         try:
             then(signatures)
         except Exception as exc:
@@ -268,9 +291,10 @@ class SigningWorker:
         self._process.kill()
         self._process.wait()
         waiting, self._waiting = self._waiting, deque()
-        for keypair, payloads, then in waiting:
-            self._call(then, [rsa_sign(keypair, payload)
-                              for payload in payloads])
+        for batch in waiting:
+            keypair, payloads, _then, _submitted = batch
+            self._answer(batch, [rsa_sign(keypair, payload)
+                                 for payload in payloads])
 
     def _detach(self) -> None:
         self.alive = False

@@ -9,7 +9,7 @@ import pytest
 
 from repro.content.kvstore import KVGet, KVPut, KeyValueStore
 from repro.core.config import ProtocolConfig
-from repro.core.messages import BcastWrite
+from repro.core.messages import BcastWrite, VersionStamp
 from repro.core.trusted import TrustedServer, WorkQueue
 from repro.metrics import MetricsRegistry
 from repro.sim.network import Network, Node
@@ -171,12 +171,22 @@ class TestVersionHistory:
         assert server.store_at(200 - 16) is None
         assert abs(end - warm) < 64 * 1024
 
-    def test_current_stamp_signed_and_fresh(self, trusted):
+    def test_sign_stamp_signed_and_fresh(self, trusted):
         trusted.simulator.run_until(7.0)
-        stamp = trusted.current_stamp()
+        stamps = []
+        trusted.sign_stamp(stamps.append)  # the simulator: at once
+        [stamp] = stamps
         assert stamp.version == 0
         assert stamp.timestamp == 7.0
+        assert stamp.master_id == trusted.node_id
         assert stamp.verify(trusted.keys, trusted.keys.public_key)
+        assert stamp == VersionStamp.make(trusted.keys, 0, 7.0)
+
+    def test_crashed_server_gets_no_stamp(self, trusted):
+        trusted.crash()
+        stamps = []
+        trusted.sign_stamp(stamps.append)
+        assert stamps == []
 
     def test_execution_time_scales_with_cost(self, trusted):
         assert trusted.execution_time(10.0) == \
