@@ -19,7 +19,7 @@ Layers:
   (write, settle, start/stop read load, crash, restart,
   partition, heal, link faults, shard move, mark, wait-until, check)
   with node references as values, and checks -- the named catalog of
-  eight, and the one interpreter that runs any such value into a JSON
+  nine, and the one interpreter that runs any such value into a JSON
   verdict (also behind ``repro-sim chaos``).
 """
 

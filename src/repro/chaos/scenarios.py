@@ -33,6 +33,8 @@ from repro.core.config import ProtocolConfig
 from repro.crypto.hashing import sha1_hex
 from repro.net.deploy import LocalCluster, NetDeploymentSpec
 from repro.net.deploy import fast_protocol_config
+from repro.obs.admin import ObsDumpRequest, StatusRequest, span_from_wire
+from repro.obs.analyze import audit_lag_check, detection_check
 from repro.obs.spans import Span
 from repro.shard.deploy import ShardDeploymentSpec, ShardedCluster
 from repro.shard.deploy import run_shard_safety_checks
@@ -41,7 +43,9 @@ from repro.shard.rebalance import Rebalancer
 #: Detection bound as a multiple of ``keepalive_interval``: the
 #: broadcast layer suspects a silent member after
 #: ``broadcast_suspect_after`` (six keep-alive intervals in the chaos
-#: configs below) plus a couple of heartbeat periods of slack.
+#: configs below) plus a couple of heartbeat periods of slack.  A
+#: crash's detection is judged against its run's own interval;
+#: ``BOUND`` is the bound at the catalog's ``KEEPALIVE``.
 K_DETECT = 10
 KEEPALIVE = 0.2
 BOUND = K_DETECT * KEEPALIVE
@@ -159,6 +163,13 @@ class ReadLoad:
 def spans(cluster: Any) -> list[Span]:
     """Every span recorded so far (none when tracing is off)."""
     return [] if cluster.obs is None else cluster.obs.collector.spans()
+
+
+async def scrape_spans(run: "ScenarioRun") -> list[Span]:
+    """Every listener's spans, as its ``ObsDumpRequest`` answers over TCP."""
+    dumps = await asyncio.gather(*(run.cluster.scrape(
+        node_id, ObsDumpRequest()) for node_id in sorted(run.cluster.servers)))
+    return [span_from_wire(wire) for dump in dumps for wire in dump.spans]
 
 
 def read_durations(cluster: Any, clients: set[str], start: float,
@@ -685,14 +696,20 @@ def _since_crash(run: ScenarioRun, events: list[float]) -> float:
     return min((at for at in events if at >= t0), default=math.inf) - t0
 
 
+def _bound(run: ScenarioRun) -> float:
+    """:data:`K_DETECT` keep-alive intervals of the run's own config."""
+    return K_DETECT * run.cluster.config.keepalive_interval
+
+
 @reports("detection_latency", "detection_bound")
 def _detected(run: ScenarioRun) -> Outcome:
     """A survivor acted (its detection timeline) within the bound."""
     line = run.cluster.metrics.timelines.get("master_crash_detections")
     latency = _since_crash(run, [at for at, _ in line.points] if line else [])
-    return Outcome(latency <= BOUND, f"first survivor acted {latency:.2f}s "
-                   f"after the crash (bound {BOUND:.2f}s = {K_DETECT} x "
-                   f"keepalive)", (latency, BOUND))
+    bound = _bound(run)
+    return Outcome(latency <= bound, f"first survivor acted {latency:.2f}s "
+                   f"after the crash (bound {bound:.2f}s = {K_DETECT} x "
+                   f"keepalive)", (latency, bound))
 
 
 @reports("takeover_span_latency")
@@ -700,7 +717,7 @@ def _takeover_span(run: ScenarioRun) -> Outcome:
     """The same bound, observed independently through repro.obs."""
     latency = _since_crash(run, [s.start for s in spans(run.cluster)
                                  if s.op == "master.takeover"])
-    return Outcome(latency <= BOUND, f"first master.takeover span "
+    return Outcome(latency <= _bound(run), f"first master.takeover span "
                    f"{latency:.2f}s after the crash", (latency,))
 
 
@@ -863,6 +880,82 @@ SLAVE_CRASH = Scenario("slave_crash", (NetDeploymentSpec(
     Restart(Crashed()), Mark(timing="outage", since="crash"),
     WaitUntil(CaughtUp(Crashed()), 10.0, timing="resync",
               check="slave_resynced"), *_CLOSING))
+
+# traced_liar: Sections 3.4 and 3.5 judged from spans alone.  Both
+# slaves of client-00's master lie and client-00 double-checks every
+# read, so each lie is discovered at once and its slave excluded;
+# client-01 homes on the honest master and never double-checks, so its
+# reads go the audit path.  Every listener is scraped over TCP, and the
+# audit lag, the detections and the exclusions are read off its spans.
+_TL = fast_protocol_config()
+_TL_HOME = _homed_on("client-00", 2)
+_TL_LIARS = {f"slave-{_TL_HOME:02d}-{j:02d}" for j in range(2)}
+
+
+async def _admin_plane(run: ScenarioRun) -> Outcome:
+    """Every listener answers both admin requests, its dump exactly the
+    spans the collector holds for it."""
+    collector = run.cluster.obs.collector
+    differ, scraped = [], 0
+    for node_id in sorted(run.cluster.servers):
+        status = await run.cluster.scrape(node_id, StatusRequest())
+        dump = await run.cluster.scrape(node_id, ObsDumpRequest())
+        held = collector.spans(node_id)
+        scraped += len(dump.spans)
+        if (status.node_id, status.spans_buffered) != (node_id, len(held)) \
+                or [span_from_wire(w) for w in dump.spans] != held:
+            differ.append(node_id)
+    return Outcome(not differ, f"{scraped} spans scraped over "
+                   f"{len(run.cluster.servers)} listeners; differing from "
+                   f"the collector: {differ or 'none'}")
+
+
+async def _audit_lag(run: ScenarioRun) -> Outcome:
+    """Section 3.4: the auditor advanced to no version sooner than
+    ``max_latency`` after its first commit."""
+    lag = audit_lag_check(await scrape_spans(run),
+                          run.cluster.config.max_latency)
+    return Outcome(bool(lag["ok"]), f"{lag['versions_checked']} versions, "
+                   f"least lag {lag['min_lag']}, violations "
+                   f"{lag['violations'] or 'none'}")
+
+
+async def _detections(run: ScenarioRun) -> Outcome:
+    """Section 3.5: every audit detection came after the auditor
+    advanced to the lied-about version."""
+    found = detection_check(await scrape_spans(run))
+    late = [d for d in found["detections"] if not d["ok"]]
+    return Outcome(bool(found["ok"]), f"{found['count']} audit detections, "
+                   f"out of order: {late or 'none'}")
+
+
+async def _liars_excluded(run: ScenarioRun) -> Outcome:
+    """Every live master excludes both liars, and a ``master.exclusion``
+    span names each."""
+    named = {s.attrs.get("slave") for s in await scrape_spans(run)
+             if s.op == "master.exclusion"}
+    missing = [m.node_id for m in run.cluster.masters
+               if not _TL_LIARS <= m.excluded_slaves]
+    return Outcome(not missing and _TL_LIARS <= named, f"liars "
+                   f"{sorted(_TL_LIARS)}; masters not excluding both: "
+                   f"{missing or 'none'}; master.exclusion spans name "
+                   f"{sorted(map(str, named))}")
+
+
+TRACED_LIAR = Scenario("traced_liar", (NetDeploymentSpec(
+    num_masters=2, slaves_per_master=2, num_clients=2, protocol=_TL,
+    adversaries={2 * _TL_HOME + j: AlwaysLie() for j in range(2)},
+    client_double_check_overrides={0: 1.0}, obs_enabled=True),), (
+    *_opening(_TL), StartLoad("load"),
+    WaitUntil(Count("exclusions", 2), 10.0, timing="exclusions_done"),
+    Write("write_under_load", "k", "v1"), Settle(1.0), *_CLOSING,
+    # The auditor's deliberate lag expires and the audits drain.
+    Settle(2 * (_TL.max_latency + _TL.audit_grace) + 0.5),
+    Check("admin_plane_answers", _admin_plane),
+    Check("audit_lag_check", _audit_lag),
+    Check("detection_check", _detections),
+    Check("liars_excluded", _liars_excluded),
+    Check("no_handler_errors", NoHandlerErrors())))
 
 
 # -- flash_crowd: a greedy burst against admission control (repro.qos) ------
@@ -1112,7 +1205,7 @@ SHARD_REBALANCE = Scenario("shard_rebalance", (ShardDeploymentSpec(
 
 SCENARIOS: dict[str, Scenario] = {scenario.name: scenario for scenario in (
     NET_DEMO, MASTER_CRASH, PARTITION_HEAL, CORRUPT_FRAMES, AUDITOR_FAILOVER,
-    SLAVE_CRASH, FLASH_CROWD, SHARD_REBALANCE)}
+    SLAVE_CRASH, TRACED_LIAR, FLASH_CROWD, SHARD_REBALANCE)}
 
 #: Hard wall-clock ceiling per scenario.  Normal runs finish in well
 #: under 20s; the ceiling turns a wedged wait into a named failure

@@ -5,7 +5,7 @@ Five subcommands::
     repro-sim run   [topology/protocol/workload/adversary flags]
     repro-sim demo  [--scenario cdn|byzantine|quorum]
     repro-sim chaos [--scenario NAME]... [--seed N] [--list]
-    repro-sim obs   [topology/traffic flags] [--out DIR]
+    repro-sim obs   [--seed N] [--out DIR]
     repro-sim lint  [-- protolint arguments]
 
 ``run`` builds a simulator deployment, drives a random read/write
@@ -15,8 +15,8 @@ scenario with a compromised replica and narrates what the protocol did
 about it.  ``chaos`` plays named scenarios of
 :mod:`repro.chaos.scenarios` over real sockets -- ``net_demo`` is the
 fault-free write/read/audit cycle, ``shard_rebalance`` an online shard
-move -- and prints their verdicts.  ``obs`` traces a socket cluster with
-a lying slave; ``lint`` runs protolint.
+move -- and prints their verdicts.  ``obs`` plays ``traced_liar`` and
+writes its spans, trace, metrics and report; ``lint`` runs protolint.
 
 Adversaries are specified as ``INDEX:KIND[:PARAM]``, e.g.::
 
@@ -52,7 +52,6 @@ from repro.core.adversary import (
 )
 from repro.core.config import ProtocolConfig
 from repro.core.system import DeploymentSpec, ReplicationSystem
-from repro.crypto.hashing import sha1_hex
 from repro.report import judge_run, render_markdown_report
 from repro.sim.failures import parse_crash_spec
 from repro.workloads import (
@@ -226,22 +225,14 @@ def build_parser() -> argparse.ArgumentParser:
 
     obs = sub.add_parser(
         "obs",
-        help="boot a traced socket cluster with a lying slave, scrape "
-             "spans over the admin plane and write exporter outputs plus "
-             "a report checking the Section 3.4/3.5 invariants from "
-             "spans alone")
+        help="play the traced_liar scenario (a traced socket cluster "
+             "with two lying slaves, its Section 3.4/3.5 checks judged "
+             "from spans scraped over the admin plane) and write the "
+             "exporter outputs plus a report")
     obs.add_argument("--seed", type=int, default=0)
-    obs.add_argument("--masters", type=int, default=2)
-    obs.add_argument("--slaves-per-master", type=int, default=2)
-    obs.add_argument("--clients", type=int, default=2)
-    obs.add_argument("--reads", type=int, default=12,
-                     help="reads per client")
-    obs.add_argument("--writes", type=int, default=3)
-    obs.add_argument("--sample-rate", type=float, default=1.0)
     obs.add_argument("--out", default="obs-out", metavar="DIR",
                      help="directory for spans.jsonl, trace.json, "
                           "metrics.prom and report.json")
-    obs.add_argument("--settle", type=float, default=1.0)
 
     lint = sub.add_parser(
         "lint",
@@ -425,102 +416,49 @@ def cmd_chaos(args: argparse.Namespace) -> int:
 
 
 def cmd_obs(args: argparse.Namespace) -> int:
+    """Play the ``traced_liar`` scenario and write what its spans say."""
     import asyncio
+    import dataclasses
     import os
 
-    from repro.net.deploy import (
-        LocalCluster,
-        NetDeploymentSpec,
-        fast_protocol_config,
+    from repro.chaos.scenarios import (
+        SCENARIOS,
+        Check,
+        Outcome,
+        play_scenario,
+        scrape_spans,
     )
-    from repro.obs.admin import ObsDumpRequest, StatusRequest, span_from_wire
     from repro.obs.analyze import run_report
     from repro.obs.export import chrome_trace, prometheus_text, spans_jsonl
-    from repro.obs.spans import Span
 
-    async def drive() -> tuple[list[Span], dict[str, Any], Any]:
-        config = fast_protocol_config()
-        # The lying pair sits under the master client-00 deterministically
-        # homes to (the same hash rule the client uses), so the immediate-
-        # discovery path of Section 3.5 is guaranteed to fire; the other
-        # client never double-checks, exercising the audit path.
-        liar_master = int(sha1_hex("client-00")[:4], 16) % args.masters
-        liars = {args.slaves_per_master * liar_master + i: AlwaysLie()
-                 for i in range(args.slaves_per_master)}
-        spec = NetDeploymentSpec(
-            num_masters=args.masters,
-            slaves_per_master=args.slaves_per_master,
-            num_clients=args.clients,
-            seed=args.seed, protocol=config,
-            adversaries=liars,
-            client_double_check_overrides={0: 1.0},
-            obs_enabled=True, obs_sample_rate=args.sample_rate)
-        cluster = await LocalCluster.launch(spec, settle=args.settle)
-        try:
-            for i in range(args.writes):
-                await cluster.write(cluster.clients[0],
-                                    KVPut(key=f"k{i}", value=f"v{i}"),
-                                    timeout=20.0)
-            await asyncio.sleep(config.max_latency)
-            for i in range(args.reads):
-                for client in cluster.clients:
-                    try:
-                        await cluster.read(client,
-                                           KVGet(key=f"k{i % args.writes}"),
-                                           timeout=10.0)
-                    except (TimeoutError, asyncio.TimeoutError):
-                        pass
-            # Let the auditor's deliberate lag expire and audits drain.
-            await asyncio.sleep(2 * (config.max_latency
-                                     + config.audit_grace) + 0.5)
-            spans: list[Span] = []
-            health: dict[str, Any] = {}
-            for node_id in sorted(cluster.servers):
-                dump = await cluster.scrape(node_id, ObsDumpRequest())
-                spans.extend(span_from_wire(wire) for wire in dump.spans)
-                probe = await cluster.scrape(node_id, StatusRequest())
-                health[node_id] = {
-                    "spans_buffered": probe.spans_buffered,
-                    "spans_dropped": probe.spans_dropped,
-                    "contexts_received": probe.contexts_received,
-                }
-            report = run_report(spans, config.max_latency)
-            report["section_3_5"] = {
-                "immediate_detections":
-                    cluster.metrics.count("immediate_detections"),
-                "exclusions": cluster.metrics.count("exclusions"),
-                "exclusion_spans": sum(
-                    1 for s in spans if s.op == "master.exclusion"),
-                "contexts_received":
-                    sum(h["contexts_received"] for h in health.values()),
-                "ok": cluster.metrics.count("exclusions") >= 1 and any(
-                    s.op == "master.exclusion" for s in spans),
-            }
-            report["health"] = health
-            report["ok"] = bool(report["ok"]
-                                and report["section_3_5"]["ok"])
-            return spans, report, cluster.metrics
-        finally:
-            await cluster.aclose()
+    kept: list[Any] = []
 
-    spans, report, metrics = asyncio.run(drive())
+    async def keep(run: Any) -> Outcome:
+        # The spans as every listener answers them, scraped last.
+        kept[:] = [await scrape_spans(run), run.cluster]
+        return Outcome(True, "")
+
+    scenario = SCENARIOS["traced_liar"]
+    verdict = asyncio.run(play_scenario(dataclasses.replace(
+        scenario, schedule=(*scenario.schedule, Check(None, keep))),
+        args.seed))
+    spans, cluster = kept
+    report = run_report(spans, cluster.config.max_latency)
+    report["verdict"] = verdict.to_json()
     os.makedirs(args.out, exist_ok=True)
-
-    def emit(name: str, text: str) -> None:
+    for name, text in (
+            ("spans.jsonl", spans_jsonl(spans)),
+            ("trace.json", json.dumps(chrome_trace(spans), indent=2)),
+            ("metrics.prom", prometheus_text(cluster.metrics)),
+            ("report.json", json.dumps(report, indent=2, default=str))):
         path = os.path.join(args.out, name)
         with open(path, "w") as handle:
             handle.write(text)
         print(f"wrote {path}")
-
-    emit("spans.jsonl", spans_jsonl(spans))
-    emit("trace.json", json.dumps(chrome_trace(spans), indent=2))
-    emit("metrics.prom", prometheus_text(metrics))
-    emit("report.json", json.dumps(report, indent=2, default=str))
     print(f"spans scraped           : {len(spans)}")
-    print(f"audit lag ok (S3.4)     : {report['audit_lag']['ok']}")
-    print(f"detections ok (S3.4)    : {report['detection']['ok']}")
-    print(f"exclusions ok (S3.5)    : {report['section_3_5']['ok']}")
-    return 0 if report["ok"] else 1
+    for check in verdict.checks:
+        print(f"{check.name:<24}: {'ok' if check.passed else 'FAILED'}")
+    return 0 if verdict.passed else 1
 
 
 def cmd_lint(args: argparse.Namespace) -> int:

@@ -123,8 +123,6 @@ class NetDeploymentSpec:
     #: Attach a ``repro.obs`` runtime: spans and trace contexts for
     #: every node (the admin plane is served either way).
     obs_enabled: bool = False
-    #: Fraction of client-operation traces recorded (seeded sampler).
-    obs_sample_rate: float = 1.0
 
     def __post_init__(self) -> None:
         if self.num_masters < 1:
@@ -149,9 +147,7 @@ class LocalCluster:
         self.scheduler = RealtimeScheduler(spec.seed, loop, self.metrics)
         self.obs: ObsRuntime | None = None
         if spec.obs_enabled:
-            self.obs = ObsRuntime(
-                self.scheduler, seed=spec.seed,
-                sample_rate=spec.obs_sample_rate)
+            self.obs = ObsRuntime(self.scheduler, seed=spec.seed)
             self.scheduler.obs = self.obs
         self.peers = PeerDirectory()
         self.owner = ContentOwner(

@@ -53,6 +53,10 @@ from repro.qos.breaker import CLOSED, BreakerPolicy, CircuitBreaker
 
 #: Most messages one peer's backlog holds; ``send`` drops beyond it.
 _BACKLOG_LIMIT = 4096
+#: Seconds a dial may take before it counts as a failed connect.
+CONNECT_TIMEOUT = 2.0
+#: Seconds the hello and a drain of the write buffer may take.
+IO_TIMEOUT = 5.0
 
 
 async def read_frame(reader: asyncio.StreamReader,
@@ -168,8 +172,6 @@ class ConnectionPool:
     def __init__(self, node_id: str, peers: PeerDirectory,
                  metrics: MetricsRegistry, rng: random.Random,
                  retry: RetryPolicy | None = None,
-                 connect_timeout: float = 2.0,
-                 io_timeout: float = 5.0,
                  max_batch: int = 64,
                  breaker: BreakerPolicy | None = None) -> None:
         if max_batch < 1:
@@ -179,8 +181,6 @@ class ConnectionPool:
         self.metrics = metrics
         self.rng = rng
         self.retry = retry or RetryPolicy()
-        self.connect_timeout = connect_timeout
-        self.io_timeout = io_timeout
         #: Most messages one flush coalesces into a single wire frame
         #: (1 disables batching entirely).
         self.max_batch = max_batch
@@ -353,7 +353,7 @@ class ConnectionPool:
         """Own ``peer`` until its backlog is empty: everything that waits.
 
         Dial and hello, retry with backoff, ``drain()`` under
-        ``io_timeout``, breaker fast-fail and half-open probes.  While
+        ``IO_TIMEOUT``, breaker fast-fail and half-open probes.  While
         this task runs ``send`` only appends, so the backlog leaves in
         ``send`` order whichever path wrote the messages before it.
         """
@@ -419,7 +419,7 @@ class ConnectionPool:
             peer.task = None
 
     async def _drain(self, writer: asyncio.StreamWriter) -> None:
-        """Await the writer's flow control, bounded by ``io_timeout``.
+        """Await the writer's flow control, bounded by ``IO_TIMEOUT``.
 
         When the transport has already flushed everything (the common
         localhost case) ``drain()`` is a no-op, so the ``wait_for`` task
@@ -430,7 +430,7 @@ class ConnectionPool:
         if (transport is not None and not transport.is_closing()
                 and transport.get_write_buffer_size() == 0):
             return
-        await asyncio.wait_for(writer.drain(), self.io_timeout)
+        await asyncio.wait_for(writer.drain(), IO_TIMEOUT)
 
     async def _connect(
         self, dst_id: str,
@@ -438,7 +438,7 @@ class ConnectionPool:
         host, port = self.peers.endpoint(dst_id)
         try:
             reader, writer = await asyncio.wait_for(
-                asyncio.open_connection(host, port), self.connect_timeout)
+                asyncio.open_connection(host, port), CONNECT_TIMEOUT)
         except (ConnectionError, OSError, asyncio.TimeoutError):
             self.metrics.incr("net_connect_failures")
             raise
@@ -449,7 +449,7 @@ class ConnectionPool:
             sock.setsockopt(socket.IPPROTO_TCP, socket.TCP_NODELAY, 1)
         try:
             await write_frame(writer, codec.NetHello(node_id=self.node_id),
-                              self.io_timeout)
+                              IO_TIMEOUT)
         except (ConnectionError, OSError, asyncio.TimeoutError):
             self.metrics.incr("net_connect_failures")
             writer.transport.abort()

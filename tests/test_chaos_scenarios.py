@@ -150,6 +150,6 @@ def test_net_demo_cycle():
 def test_registry_complete():
     assert set(SCENARIOS) == {
         "net_demo", "master_crash", "partition_heal", "corrupt_frames",
-        "auditor_failover", "slave_crash", "flash_crowd",
+        "auditor_failover", "slave_crash", "traced_liar", "flash_crowd",
         "shard_rebalance",
     }

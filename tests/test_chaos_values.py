@@ -6,11 +6,14 @@
 the values -- their check names, their timing names and the oracle's --
 so a schedule edit that moves a verdict fails in the fast step.  It
 also checks that every node reference names something its cast boots,
-and that the step vocabulary is closed and every word of it used.
+that the step vocabulary is closed and every word of it used, and that
+the interpreter is the only code outside the benchmark harness that
+launches a cluster.
 """
 
 from __future__ import annotations
 
+import ast
 import dataclasses
 import json
 import pathlib
@@ -22,7 +25,8 @@ import pytest
 from repro.chaos import scenarios as chaos
 from repro.chaos.invariants import run_safety_checks
 from repro.core.system import auditor_node_id
-from repro.net.deploy import NetDeploymentSpec
+from repro.metrics.registry import MetricsRegistry
+from repro.net.deploy import NetDeploymentSpec, fast_protocol_config
 from repro.shard.deploy import ShardDeploymentSpec
 from repro.shard.wire import tenant_id
 
@@ -193,3 +197,55 @@ def test_the_vocabulary_is_closed_and_every_step_type_used():
     assert used == set(chaos.STEPS)
     assert all(dataclasses.is_dataclass(step) and step.__dataclass_params__
                .frozen for step in chaos.STEPS)
+
+
+def test_detection_is_judged_against_the_runs_own_keepalive():
+    # A survivor acted 1.5 s after the crash, at 0.1 s keep-alives.
+    metrics = MetricsRegistry()
+    metrics.record("master_crash_detections", 11.5, 1.0)
+    run = SimpleNamespace(marks={"crash": (10.0, {})}, cluster=SimpleNamespace(
+        metrics=metrics, config=fast_protocol_config(keepalive_interval=0.1)))
+    passed, _detail, (latency, bound) = chaos._detected(run)
+    assert latency == pytest.approx(1.5)
+    assert bound == 1.0 and not passed
+
+
+ROOT = pathlib.Path(__file__).resolve().parent.parent
+CLUSTERS = {"LocalCluster", "ShardedCluster"}
+
+
+def launches(source: str) -> list[int]:
+    """Lines of the calls ``<expr>.launch(...)`` whose receiver names a
+    cluster class; a mention in a string or comment is no call."""
+    return sorted(node.lineno for node in ast.walk(ast.parse(source))
+            if isinstance(node, ast.Call)
+            and isinstance(node.func, ast.Attribute)
+            and node.func.attr == "launch"
+            and CLUSTERS & {name.id for name in ast.walk(node.func.value)
+                            if isinstance(name, ast.Name)})
+
+
+def test_launches_finds_calls_not_mentions():
+    assert launches('"""LocalCluster.launch(spec)"""\n'
+                    "# ShardedCluster.launch(spec)\n"
+                    "plane.launch(spec)\n"
+                    "await LocalCluster.launch(spec)\n"
+                    "(ShardedCluster if s else LocalCluster).launch(s)\n") \
+        == [4, 5]
+
+
+def test_run_once_is_the_only_cluster_launch():
+    """Every live run outside the benchmark harness is a scenario value
+    played by ``run_once``, so the one oracle judges it."""
+    files = [*(ROOT / "src" / "repro").rglob("*.py"),
+             *(path for path in (ROOT / "benchmarks").rglob("*.py")
+               if "harness" not in path.relative_to(ROOT).parts)]
+    found = {str(path.relative_to(ROOT)): lines for path in files
+             if (lines := launches(path.read_text()))}
+    assert list(found) == ["src/repro/chaos/scenarios.py"]
+    (line,) = found["src/repro/chaos/scenarios.py"]
+    source = (ROOT / "src/repro/chaos/scenarios.py").read_text()
+    run_once = next(node for node in ast.walk(ast.parse(source))
+                    if isinstance(node, ast.AsyncFunctionDef)
+                    and node.name == "run_once")
+    assert run_once.lineno <= line <= run_once.end_lineno

@@ -269,16 +269,11 @@ class TestParser:
 
     def test_obs_defaults(self):
         args = build_parser().parse_args(["obs"])
-        assert args.masters == 2
-        assert args.slaves_per_master == 2
-        assert args.clients == 2
-        assert args.sample_rate == 1.0
+        assert args.seed == 0
         assert args.out == "obs-out"
 
     def test_obs_overrides(self):
         args = build_parser().parse_args(
-            ["obs", "--sample-rate", "0.5", "--reads", "40",
-             "--out", "/tmp/traces"])
-        assert args.sample_rate == 0.5
-        assert args.reads == 40
+            ["obs", "--seed", "3", "--out", "/tmp/traces"])
+        assert args.seed == 3
         assert args.out == "/tmp/traces"
