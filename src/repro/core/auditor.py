@@ -108,9 +108,9 @@ class AuditorServer(TrustedServer):
         masters_commit_at = max(self.now, self._next_commit_floor)
         self._next_commit_floor = masters_commit_at + self.config.max_latency
         self._defer(masters_commit_at + self.config.max_latency
-                    + self.config.audit_grace, payload)
+                    + self.config.audit_grace, origin, payload)
 
-    def _apply_write(self, payload: BcastWrite) -> None:
+    def _apply_write(self, origin: str, payload: BcastWrite) -> None:
         self.commit_op(payload.op_wire)
         for version in [v for v in self._cache if self.store_at(v) is None]:
             del self._cache[version]

@@ -343,7 +343,7 @@ class Client(Node):
         # stable preference index, advanced when a master stops answering.
         choice = ordered[self._master_preference % len(ordered)]
         self.master_id = choice
-        self.send(choice, ClientHello(client_id=self.node_id))
+        self.send(choice, ClientHello())
 
     def _verified_slaves(
             self, certificates: tuple[Certificate, ...]) -> tuple[str, ...]:
@@ -776,8 +776,7 @@ class Client(Node):
             attempt.sent_to = self._write_master or self.master_id
             assert attempt.sent_to is not None
             self.send(attempt.sent_to, WriteRequest(
-                client_id=self.node_id, request_id=attempt.request_id,
-                op_wire=attempt.op_wire))
+                request_id=attempt.request_id, op_wire=attempt.op_wire))
         attempt.timer = self.after(self.config.request_timeout * 3,
                                    self._write_timeout, attempt)
 
@@ -831,7 +830,7 @@ class Client(Node):
             # Our master may have crashed: redo setup against another.
             self.ready = False
             self._master_preference += 1
-        # Same request id: the masters de-duplicate by ``(client_id,
+        # Same request id: the masters de-duplicate by ``(sender,
         # request_id)``, so a write that did commit is confirmed.
         self._send_write(attempt)
 

@@ -66,7 +66,9 @@ class MasterServer(TrustedServer):
         #: throttling; the bucket itself now lives in ``repro.qos``).
         self._buckets: dict[str, TokenBucket] = {}
         # -- writes -----------------------------------------------------------
-        self._write_queue: deque[WriteRequest] = deque()
+        #: Admitted writes not yet broadcast: (sender, request).  The
+        #: sender the ACL admitted is the writer from here to the reply.
+        self._write_queue: deque[tuple[str, WriteRequest]] = deque()
         self._write_inflight = False
         self._next_commit_floor = 0.0
         #: (client_id, request_id) -> "queued" | "committed"; gives writes
@@ -127,7 +129,7 @@ class MasterServer(TrustedServer):
     def _handle_hello(self, client_id: str) -> None:
         assignment = self._make_assignment(client_id)
         if assignment is None:
-            self.send(client_id, SetupFailed(reason="no slaves available"))
+            self.send(client_id, SetupFailed())
             return
         self.send(client_id, assignment)
 
@@ -185,7 +187,7 @@ class MasterServer(TrustedServer):
             self.metrics.incr("writes_duplicate_ignored")
             return
         self._write_states[(client_id, message.request_id)] = "queued"
-        self._write_queue.append(message)
+        self._write_queue.append((client_id, message))
         self._pump_writes()
 
     def _pump_writes(self) -> None:
@@ -205,11 +207,10 @@ class MasterServer(TrustedServer):
         if self.now < earliest:
             self.after(earliest - self.now, self._pump_writes)
             return
-        request = self._write_queue.popleft()
+        client_id, request = self._write_queue.popleft()
         self._write_inflight = True
         self.broadcast.broadcast(BcastWrite(
-            origin_master=self.node_id,
-            client_id=request.client_id,
+            client_id=client_id,
             request_id=request.request_id,
             op_wire=request.op_wire,
         ))
@@ -223,7 +224,7 @@ class MasterServer(TrustedServer):
         """
         key = (payload.client_id, payload.request_id)
         if self._write_states.get(key) == "committed":
-            if payload.origin_master == self.node_id:
+            if origin == self.node_id:
                 self._write_inflight = False
                 self.send(payload.client_id, WriteReply(
                     request_id=payload.request_id, committed=True,
@@ -243,21 +244,21 @@ class MasterServer(TrustedServer):
             # write: the set committed it already, and a floor set from
             # the replay would hold that write a max_latency behind.
             commit_at = self.now
-        self._defer(commit_at, payload)
+        self._defer(commit_at, origin, payload)
 
-    def _apply_write(self, payload: BcastWrite) -> None:
+    def _apply_write(self, origin: str, payload: BcastWrite) -> None:
         obs = self.simulator.obs
         if obs is None:
-            self._do_commit(payload)
+            self._do_commit(origin, payload)
             return
         # Always recorded (sampled or not): the Section 3.4 audit-lag
         # check pairs every commit with the auditor's advance.
         with obs.span(self.node_id, "master.commit",
                       request_id=payload.request_id) as span:
-            self._do_commit(payload)
+            self._do_commit(origin, payload)
             span.attrs["version"] = self.version
 
-    def _do_commit(self, payload: BcastWrite) -> None:
+    def _do_commit(self, origin: str, payload: BcastWrite) -> None:
         self.commit_op(payload.op_wire)
         self.metrics.incr(f"commits@{self.node_id}")
         # The slaves hear of the commit when its stamp is signed; the
@@ -268,12 +269,12 @@ class MasterServer(TrustedServer):
         # the call that orders it, so its reply is the first one out.
         # The origin still answers, so a crashed sequencer never leaves
         # a write unanswered; the client drops whichever comes second.
-        origin = payload.origin_master == self.node_id
-        if origin or self.broadcast.is_sequencer:
+        ours = origin == self.node_id
+        if ours or self.broadcast.is_sequencer:
             self.send(payload.client_id, WriteReply(
                 request_id=payload.request_id, committed=True,
                 version=self.version))
-        if origin:
+        if ours:
             self._write_inflight = False
             self._pump_writes()
 
@@ -441,8 +442,7 @@ class MasterServer(TrustedServer):
                 continue
             replacement = self._make_assignment(client_id)
             if replacement is None:
-                self.send(client_id, SetupFailed(
-                    reason="no replacement slaves"))
+                self.send(client_id, SetupFailed())
                 continue
             self.send(client_id, ExclusionNotice(
                 excluded_slave_id=payload.slave_id,

@@ -302,9 +302,8 @@ class DirectoryListing:
 
 @dataclass(frozen=True, slots=True)
 class ClientHello:
-    """Client -> chosen master: request a slave assignment."""
-
-    client_id: str
+    """Client -> chosen master: request a slave assignment.  The master
+    assigns to the sender, so the hello names nobody."""
 
 
 @dataclass(frozen=True, slots=True)
@@ -325,9 +324,10 @@ class SlaveAssignment:
 
 @dataclass(frozen=True, slots=True)
 class WriteRequest:
-    """Client -> master: apply a write operation."""
+    """Client -> master: apply a write operation.  The writer is the
+    sender: the master checks the ACL, de-duplicates and answers by the
+    name it admitted the request from."""
 
-    client_id: str
     request_id: str
     op_wire: Any
 
@@ -482,8 +482,6 @@ class ExclusionNotice:
 class SetupFailed:
     """Master -> client: cannot serve (no slaves / shutting down)."""
 
-    reason: str
-
 
 # -- master <-> master broadcast payloads (plain dicts would do, but typed
 #    payloads keep delivery handlers explicit) ------------------------------
@@ -491,9 +489,10 @@ class SetupFailed:
 
 @dataclass(frozen=True, slots=True)
 class BcastWrite:
-    """Totally-ordered write submission."""
+    """Totally-ordered write submission.  ``client_id`` is the sender the
+    origin master admitted the request from; the origin itself is the
+    broadcast's own (``deliver_write``'s ``origin``)."""
 
-    origin_master: str
     client_id: str
     request_id: str
     op_wire: Any
@@ -517,22 +516,16 @@ class BcastExcludeSlave:
     discovery: str
 
 
-@dataclass(frozen=True, slots=True)
-class BroadcastWrapper:
-    """Envelope distinguishing broadcast-engine traffic on the wire."""
-
-    envelope: Any
-
-
 # -- wire-codec registry hook ---------------------------------------------
 #
 # Every message type that may cross a real socket, in wire-id order.  The
 # position of a class in this tuple IS its wire type id (offset by the
-# codec's base id), so the order is append-only: new types go at the end,
-# and removing or reordering entries is a wire-format break requiring a
-# codec version bump.  ``repro.net.codec`` builds its registry from this
-# tuple plus the crypto/broadcast carriers (certificates, broadcast
-# envelopes, public keys) that travel inside these messages.
+# codec's base id, past the retired ids it skips), so the order is
+# append-only: new types go at the end, and removing or reordering
+# entries is a wire-format break requiring a codec version bump.
+# ``repro.net.codec`` builds its registry from this tuple plus the
+# crypto/broadcast carriers (certificates, broadcast envelopes, public
+# keys) that travel inside these messages.
 
 WIRE_MESSAGE_TYPES: tuple[type, ...] = (
     VersionStamp,
@@ -558,7 +551,6 @@ WIRE_MESSAGE_TYPES: tuple[type, ...] = (
     BcastWrite,
     BcastSlaveList,
     BcastExcludeSlave,
-    BroadcastWrapper,
     AuditBatch,
     Seal,
 )

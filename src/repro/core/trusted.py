@@ -29,7 +29,6 @@ from repro.core.messages import (
     BcastExcludeSlave,
     BcastSlaveList,
     BcastWrite,
-    BroadcastWrapper,
     Pledge,
     VersionStamp,
 )
@@ -103,9 +102,10 @@ class TrustedServer(Node):
         #: ``version_history_depth`` newest snapshots.
         self.history = History(store, config.version_history_depth)
         #: Delivered writes waiting for their due time, in delivery
-        #: order: (due_at, payload).  A queue drained by one timer, not a
-        #: timer per write: a crash loses the timer, never the queue.
-        self._apply_queue: deque[tuple[float, BcastWrite]] = deque()
+        #: order: (due_at, origin, payload).  A queue drained by one
+        #: timer, not a timer per write: a crash loses the timer, never
+        #: the queue.
+        self._apply_queue: deque[tuple[float, str, BcastWrite]] = deque()
         self._drain_timer: EventHandle | None = None
         #: Every enrolled slave certificate, kept forever so historical
         #: pledge signatures stay verifiable after exclusions/takeovers.
@@ -141,21 +141,14 @@ class TrustedServer(Node):
     # -- message routing ----------------------------------------------------
 
     def on_message(self, src_id: str, message: Any) -> None:
-        if isinstance(message, BroadcastWrapper):
-            self.broadcast.handle_message(src_id, message.envelope)
+        if isinstance(message, BroadcastEnvelope):
+            self.broadcast.handle_message(src_id, message)
         else:
             self.handle_protocol_message(src_id, message)
 
     def handle_protocol_message(self, src_id: str, message: Any) -> None:
         """Role-specific traffic (clients, slaves).  Subclasses override."""
         raise NotImplementedError
-
-    # Transport shim: the broadcast engine sends raw envelopes; wrap them
-    # so on_message can distinguish engine traffic from protocol traffic.
-    def send(self, dst_id: str, message: Any, size_bytes: int = 256) -> None:
-        if isinstance(message, BroadcastEnvelope):
-            message = BroadcastWrapper(envelope=message)
-        super().send(dst_id, message, size_bytes)
 
     # -- broadcast delivery dispatch ---------------------------------------
 
@@ -178,10 +171,12 @@ class TrustedServer(Node):
 
     # -- from delivery to version ------------------------------------------
 
-    def _defer(self, due_at: float, payload: BcastWrite) -> None:
-        """Apply ``payload`` at ``due_at``, behind all delivered before it:
-        in this call when it is due already, else off the drain timer."""
-        self._apply_queue.append((due_at, payload))
+    def _defer(self, due_at: float, origin: str,
+               payload: BcastWrite) -> None:
+        """Apply ``payload``, which ``origin`` broadcast, at ``due_at``,
+        behind all delivered before it: in this call when it is due
+        already, else off the drain timer."""
+        self._apply_queue.append((due_at, origin, payload))
         self._drain()
 
     def _drain(self, timer_gone: bool = False) -> None:
@@ -195,7 +190,8 @@ class TrustedServer(Node):
         # early, and then this re-arms for the remainder.
         queue = self._apply_queue
         while queue and queue[0][0] <= self.now:
-            self._apply_write(queue.popleft()[1])
+            _due_at, origin, payload = queue.popleft()
+            self._apply_write(origin, payload)
         self._arm_drain()
 
     def _arm_drain(self) -> None:
@@ -204,7 +200,7 @@ class TrustedServer(Node):
                 max(0.0, self._apply_queue[0][0] - self.now),
                 self._drain, True)
 
-    def _apply_write(self, payload: BcastWrite) -> None:
+    def _apply_write(self, origin: str, payload: BcastWrite) -> None:
         """Role-specific commit of one due write (ends in ``commit_op``)."""
         raise NotImplementedError
 

@@ -29,7 +29,7 @@ infrastructure carriers (handshake, certificates, public keys, broadcast
 envelopes, content-store snapshots); ids 32+ map positionally onto
 :data:`repro.core.messages.WIRE_MESSAGE_TYPES`.  Reordering either is a
 wire-format break and requires bumping :data:`WIRE_VERSION`.  A retired
-id is never reused: 6, 12-13, 15-16, 22-23 and 53 stay unassigned.
+id is never reused: 6, 12-13, 15-16, 22-23, 53 and 56 stay unassigned.
 
 Hostile input is expected: every decode error is a
 :class:`~repro.net.errors.CodecError` subclass, never an uncaught
@@ -80,14 +80,16 @@ from repro.shard.wire import (
 )
 
 MAGIC = b"RN"
-#: 6 since one status pair (ids 24-25) replaced the trace-health,
-#: admission-status and shard-status pairs; 5 took two inbox fields out
-#: of the admission-status reply; 4 retired the wire types and fields
-#: nothing read and made an HMAC public key a handle; 3 put a ``Seal``
-#: in a read reply in place of its pledge; 2 added the stamp reference
-#: and the raw digest.  A peer speaking any other version is refused at
-#: its hello.
-WIRE_VERSION = 6
+#: 7 since a message stopped restating its sender (``WriteRequest``,
+#: ``ClientHello``, ``BcastWrite``'s origin) and engine traffic left its
+#: wrapper (id 56); 6 since one status pair (ids 24-25) replaced the
+#: trace-health, admission-status and shard-status pairs; 5 took two
+#: inbox fields out of the admission-status reply; 4 retired the wire
+#: types and fields nothing read and made an HMAC public key a handle;
+#: 3 put a ``Seal`` in a read reply in place of its pledge; 2 added the
+#: stamp reference and the raw digest.  A peer speaking any other
+#: version is refused at its hello.
+WIRE_VERSION = 7
 HEADER_SIZE = 8
 #: Upper bound on a frame body; a full MiniDB snapshot fits comfortably,
 #: while a hostile 4 GiB length prefix is rejected before allocation.
@@ -806,11 +808,14 @@ def _iter_registrations() -> Iterator[_Registration]:
     yield (25, StatusReply, None, None)
     # Protocol messages: ids 32+, positional on WIRE_MESSAGE_TYPES.  53
     # was the retired BcastElectAuditor (wire version 3 and earlier) and
-    # is never reused: the types after it keep their ids.
+    # 56 the retired BroadcastWrapper (wire version 6 and earlier);
+    # neither is reused, so the types after each keep their ids.
     for offset, message_cls in enumerate(WIRE_MESSAGE_TYPES[:21]):
         yield (32 + offset, message_cls, None, None)
-    for offset, message_cls in enumerate(WIRE_MESSAGE_TYPES[21:]):
+    for offset, message_cls in enumerate(WIRE_MESSAGE_TYPES[21:23]):
         yield (54 + offset, message_cls, None, None)
+    for offset, message_cls in enumerate(WIRE_MESSAGE_TYPES[23:]):
+        yield (57 + offset, message_cls, None, None)
 
 
 for _registration in _iter_registrations():

@@ -46,8 +46,7 @@ from repro.metrics import MetricsRegistry
 from repro.net.codec import NetHello
 from repro.net.peers import PeerDirectory, format_address
 from repro.net.server import NodeServer, RealtimeScheduler, SocketNetwork
-from repro.net.transport import ConnectionPool, RetryPolicy, read_frame, \
-    write_frame
+from repro.net.transport import ConnectionPool, read_frame, write_frame
 from repro.obs.spans import ObsRuntime
 from repro.qos.breaker import BreakerPolicy
 from repro.qos.ledger import AdmissionLedger
@@ -114,12 +113,6 @@ class NetDeploymentSpec:
     client_double_check_overrides: dict[int, float] = field(
         default_factory=dict)
     host: str = "127.0.0.1"
-    retry: RetryPolicy = field(default_factory=RetryPolicy)
-    #: Per-peer circuit breaker wrapping the retry machinery (see
-    #: :class:`~repro.qos.breaker.CircuitBreaker`); None = pure retry.
-    #: On by default for deployments: a crashed peer should fast-fail,
-    #: not cost every queued frame a full backoff ladder.
-    breaker: BreakerPolicy | None = field(default_factory=BreakerPolicy)
     #: Attach a ``repro.obs`` runtime: spans and trace contexts for
     #: every node (the admin plane is served either way).
     obs_enabled: bool = False
@@ -207,7 +200,9 @@ class LocalCluster:
         return factory(
             node_id, self.peers, self.metrics,
             rng=self.scheduler.fork_rng(f"net:{node_id}"),
-            retry=self.spec.retry, breaker=self.spec.breaker)
+            # Every deployment pool has a breaker: a crashed peer should
+            # fast-fail, not cost each queued frame a backoff ladder.
+            breaker=BreakerPolicy())
 
     def _network(self, pool: ConnectionPool) -> SocketNetwork:
         """The ``Network`` seam this topology puts in front of a pool."""

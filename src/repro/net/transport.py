@@ -20,7 +20,7 @@ peer ``send`` only appends, so messages leave in ``send`` order across
 the hand-over.
 
 Both paths are *pipelined*: a flush takes the whole backlog (up to
-``max_batch`` per frame) and ships it with one write, coalescing
+:data:`MAX_BATCH` per frame) and ships it with one write, coalescing
 multiple messages into a single :class:`~repro.net.codec.FrameBatch`
 wire frame that the receiving side unpacks in order.  Connections are
 opened with ``TCP_NODELAY`` so a coalesced flush is not re-buffered by
@@ -57,6 +57,8 @@ _BACKLOG_LIMIT = 4096
 CONNECT_TIMEOUT = 2.0
 #: Seconds the hello and a drain of the write buffer may take.
 IO_TIMEOUT = 5.0
+#: Most messages one flush coalesces into a single wire frame.
+MAX_BATCH = 64
 
 
 async def read_frame(reader: asyncio.StreamReader,
@@ -172,18 +174,12 @@ class ConnectionPool:
     def __init__(self, node_id: str, peers: PeerDirectory,
                  metrics: MetricsRegistry, rng: random.Random,
                  retry: RetryPolicy | None = None,
-                 max_batch: int = 64,
                  breaker: BreakerPolicy | None = None) -> None:
-        if max_batch < 1:
-            raise ValueError(f"max_batch must be >= 1, got {max_batch}")
         self.node_id = node_id
         self.peers = peers
         self.metrics = metrics
         self.rng = rng
         self.retry = retry or RetryPolicy()
-        #: Most messages one flush coalesces into a single wire frame
-        #: (1 disables batching entirely).
-        self.max_batch = max_batch
         #: Per-peer circuit breaker wrapping the retry machinery: after
         #: ``failure_threshold`` consecutive retries-exhausted batches a
         #: peer's breaker opens and frames fast-fail (counted under
@@ -294,12 +290,12 @@ class ConnectionPool:
                 name=f"net-send:{self.node_id}->{dst_id}")
 
     def _take(self, backlog: "deque[Any]") -> list[Any]:
-        """Remove and return the backlog's head, up to ``max_batch``."""
-        if len(backlog) <= self.max_batch:
+        """Remove and return the backlog's head, up to :data:`MAX_BATCH`."""
+        if len(backlog) <= MAX_BATCH:
             batch = list(backlog)
             backlog.clear()
             return batch
-        return [backlog.popleft() for _ in range(self.max_batch)]
+        return [backlog.popleft() for _ in range(MAX_BATCH)]
 
     def _encode(self, dst_id: str, batch: list[Any],
                 context: codec.WireContext | None) -> bytes:

@@ -197,9 +197,9 @@ class TestBatchEqualsSubmissions:
             return schedule(delay, callback, *args)
 
         system.simulator.schedule = counting  # type: ignore[method-assign]
-        auditor._apply_write(BcastWrite(
-            origin_master="master-00", client_id="client-00",
-            request_id="w", op_wire=KVPut(key="x", value=1).to_wire()))
+        auditor._apply_write("master-00", BcastWrite(
+            client_id="client-00", request_id="w",
+            op_wire=KVPut(key="x", value=1).to_wire()))
         del system.simulator.schedule
         assert len(scheduled) == 1
         # ... charged what fifty single audits would have cost in all.

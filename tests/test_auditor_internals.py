@@ -2,8 +2,6 @@
 
 from __future__ import annotations
 
-import dataclasses
-
 import pytest
 
 from repro.content.kvstore import KVGet, KVPut
@@ -69,12 +67,10 @@ class TestApplyQueue:
                                 double_check_probability=0.0)
         system = make_system(protocol=config)
         system.start()
-        write = BcastWrite(origin_master="master-00", client_id="client-00",
-                           request_id="client-00:w0",
+        write = BcastWrite(client_id="client-00", request_id="client-00:w0",
                            op_wire=KVPut(key="x", value=1).to_wire())
         system.masters[0].broadcast.broadcast(write)
-        system.masters[1].broadcast.broadcast(
-            dataclasses.replace(write, origin_master="master-01"))
+        system.masters[1].broadcast.broadcast(write)
         system.run_for(10.0)
         assert [m.version for m in system.masters] == [1, 1]
         assert system.auditor.version == 1

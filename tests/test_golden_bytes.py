@@ -11,7 +11,7 @@ regenerated for wire version 2 (the version byte everywhere, a pledge's
 hash raw instead of hex in the seven frames that hold one, and the
 hello, which carries the version) and once more for wire version 3 (the
 version byte again, the read reply carrying a seal, and the ``Seal``
-frame itself), and again for wire versions 4, 5 and 6 (the version
+frame itself), and again for wire versions 4, 5, 6 and 7 (the version
 byte, and the types and fields each retired; 6 also added the status
 pair).
 

@@ -116,11 +116,10 @@ EXAMPLES: dict[type, object] = {
     m.Pledge: PLEDGE,
     m.DirectoryLookup: m.DirectoryLookup(content_key_fingerprint="ff" * 8),
     m.DirectoryListing: m.DirectoryListing(certificates=(CERT,)),
-    m.ClientHello: m.ClientHello(client_id="client-00"),
+    m.ClientHello: m.ClientHello(),
     m.SlaveAssignment: m.SlaveAssignment(slave_certificates=(CERT,),
                                          auditor_id="zz-auditor-00"),
-    m.WriteRequest: m.WriteRequest(client_id="client-00",
-                                   request_id="w-1",
+    m.WriteRequest: m.WriteRequest(request_id="w-1",
                                    op_wire={"kind": "kv_put", "key": "k"}),
     m.WriteReply: m.WriteReply(request_id="w-1", committed=True,
                                version=4),
@@ -148,16 +147,13 @@ EXAMPLES: dict[type, object] = {
         excluded_slave_id="slave-00-00",
         replacement=m.SlaveAssignment(slave_certificates=(CERT,),
                                       auditor_id="zz-auditor-00")),
-    m.SetupFailed: m.SetupFailed(reason="no slaves"),
-    m.BcastWrite: m.BcastWrite(origin_master="master-01",
-                               client_id="client-00", request_id="w-1",
+    m.SetupFailed: m.SetupFailed(),
+    m.BcastWrite: m.BcastWrite(client_id="client-00", request_id="w-1",
                                op_wire={"kind": "kv_put"}),
     m.BcastSlaveList: m.BcastSlaveList(master_id="master-00",
                                        slave_ids=("slave-00-00",)),
     m.BcastExcludeSlave: m.BcastExcludeSlave(
         slave_id="slave-00-00", discovery="immediate"),
-    m.BroadcastWrapper: m.BroadcastWrapper(
-        envelope=BroadcastEnvelope(kind="heartbeat", origin="master-00")),
     TraceContext: TraceContext(trace_id="t000001", span_id="s000002"),
     TraceCarrier: TraceCarrier(
         context=TraceContext("t000001", "s000002"),
@@ -251,7 +247,7 @@ class TestRegisteredTypes:
         # Append-only contract: between wire-version bumps existing ids
         # never move.  New entries must extend this mapping, not alter
         # it.  (Version 4 retired ids 6 and 53, version 6 ids 12-13,
-        # 15-16 and 22-23; none is reused.)
+        # 15-16 and 22-23, version 7 id 56; none is reused.)
         expected_infra = {1: "NetHello", 2: "Certificate",
                           3: "RSAPublicKey", 4: "HMACPublicKey",
                           5: "BroadcastEnvelope", 7: "ContentStore",
@@ -264,7 +260,7 @@ class TestRegisteredTypes:
                           25: "StatusReply"}
         table = registered_wire_types()
         assert {k: v for k, v in table.items() if k < 32} == expected_infra
-        protocol_ids = [i for i in range(32, 59) if i != 53]
+        protocol_ids = [i for i in range(32, 59) if i not in (53, 56)]
         assert [table[i] for i in protocol_ids] \
             == [cls.__name__ for cls in m.WIRE_MESSAGE_TYPES]
         assert table[58] == "Seal"
@@ -401,7 +397,7 @@ class TestFraming:
 
     def test_unknown_type_id(self):
         # 29 was never assigned; the rest are retired.
-        for type_id in (29, 6, 12, 13, 15, 16, 22, 23, 53):
+        for type_id in (29, 6, 12, 13, 15, 16, 22, 23, 53, 56):
             body = bytes((codec._T_EXT,)) + codec._encode_varint(type_id)
             with pytest.raises(UnknownWireType):
                 decode_value(body)

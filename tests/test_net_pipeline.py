@@ -71,7 +71,7 @@ class Harness:
     """One listening node reached through a (possibly chaos) pool."""
 
     def __init__(self, pool_cls: type = ConnectionPool,
-                 max_batch: int = 64, seed: int = 0, **pool_kwargs) -> None:
+                 seed: int = 0, **pool_kwargs) -> None:
         loop = asyncio.get_running_loop()
         self.metrics = MetricsRegistry()
         self.scheduler = RealtimeScheduler(seed, loop)
@@ -80,7 +80,7 @@ class Harness:
             "tester", self.peers, self.metrics, rng=random.Random(seed + 1),
             retry=RetryPolicy(base_delay=0.01, max_delay=0.05,
                               max_attempts=3),
-            max_batch=max_batch, **pool_kwargs)
+            **pool_kwargs)
         self.node = RecordingNode("target", self.scheduler,
                                   SocketNetwork(self.scheduler, self.pool))
         self.server = NodeServer(self.node, self.metrics,
@@ -136,23 +136,6 @@ class TestPipelinedOrdering:
                 # The backlog really was coalesced, not sent one-by-one.
                 assert snap.get("net_batches_sent", 0) >= 1
                 assert snap.get("net_batches_received", 0) >= 1
-            finally:
-                await h.aclose()
-
-        run(scenario())
-
-    def test_max_batch_one_disables_coalescing(self):
-        async def scenario():
-            h = Harness(max_batch=1)
-            await h.start()
-            try:
-                for n in range(20):
-                    h.pool.send("target", {"n": n})
-                await h.wait_received(20)
-                assert h.node.received == [{"n": n} for n in range(20)]
-                snap = h.metrics.snapshot()
-                assert snap.get("net_batches_sent", 0) == 0
-                assert snap["net_frames_sent"] == 20
             finally:
                 await h.aclose()
 

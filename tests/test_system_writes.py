@@ -6,6 +6,7 @@ import pytest
 
 from repro.content.kvstore import KVGet, KVPut
 from repro.core.config import ProtocolConfig
+from repro.core.messages import WriteRequest
 from repro.sim.latency import ConstantLatency
 
 from .conftest import make_system
@@ -179,6 +180,38 @@ class TestAccessControl:
                                       callback=results.append)
         system.run_for(10.0)
         assert results[0]["status"] == "accepted"
+
+
+class TestTheWriterIsTheSender:
+    """W3 keys a write by the sender its master admitted it from, from
+    the ACL through the broadcast's dedup to the reply."""
+
+    def test_a_request_id_another_client_used_first_still_commits(self):
+        # A request that named its client beside its sender once let
+        # client-01 use up client-00's first request id: client-00's own
+        # write then came back "committed" as a duplicate, at version 1,
+        # and no replica ever applied it.
+        system = make_system(protocol=ProtocolConfig(
+            double_check_probability=0.0))
+        system.start()
+        system.run_for(2.0)
+        mallory, victim = system.clients[1], system.clients[0]
+        mallory.send(mallory.master_id, WriteRequest(
+            request_id="client-00:w0",
+            op_wire=KVPut(key="k001", value="mallory").to_wire()))
+        system.run_for(20.0)
+        outcomes = []
+        victim.submit_write(KVPut(key="k002", value="honest"),
+                            callback=outcomes.append)
+        system.run_for(20.0)
+        assert [(o["status"], o["version"]) for o in outcomes] \
+            == [("committed", 2)]
+        assert system.metrics.count("writes_duplicate_confirmed") == 0
+        replicas = [*system.masters, *system.auditors, *system.slaves]
+        assert {node.node_id: node.store.execute_read(
+                    KVGet(key="k002")).result["value"]
+                for node in replicas} \
+            == {node.node_id: "honest" for node in replicas}
 
 
 class TestWriteVisibility:

@@ -81,7 +81,7 @@ class _BareTrusted(TrustedServer):
     def deliver_write(self, seq, origin, payload):
         pass
 
-    def _apply_write(self, payload):
+    def _apply_write(self, origin, payload):
         self.commit_op(payload.op_wire)
 
 
@@ -194,8 +194,7 @@ class TestVersionHistory:
 
 
 def _write(i):
-    return BcastWrite(origin_master="master-00", client_id="c",
-                      request_id=f"w{i}",
+    return BcastWrite(client_id="c", request_id=f"w{i}",
                       op_wire=KVPut(key=f"k{i}", value=i).to_wire())
 
 
@@ -206,7 +205,7 @@ class TestDeferredApply:
         sim = trusted.simulator
         idle = sim.pending_events()
         for i in range(5):
-            trusted._defer(10.0 + i, _write(i))
+            trusted._defer(10.0 + i, "master-00", _write(i))
         assert sim.pending_events() == idle + 1
         trusted._drain()  # spurious: nothing due, a timer already armed
         assert sim.pending_events() == idle + 1
@@ -220,8 +219,8 @@ class TestDeferredApply:
 
     def test_delivery_order_outranks_due_time(self, trusted):
         # A catch-up replay is due "now" but was delivered second.
-        trusted._defer(5.0, _write(0))
-        trusted._defer(0.0, _write(1))
+        trusted._defer(5.0, "master-00", _write(0))
+        trusted._defer(0.0, "master-00", _write(1))
         trusted.simulator.run_until(4.0)
         assert trusted.version == 0
         trusted.simulator.run_until(5.0)
@@ -229,7 +228,7 @@ class TestDeferredApply:
 
     def test_timer_that_fires_early_rearms(self, trusted):
         # An event loop may fire a handle one clock resolution early.
-        trusted._defer(5.0, _write(0))
+        trusted._defer(5.0, "master-00", _write(0))
         trusted.simulator.run_until(4.999)
         trusted._drain_timer.cancel()
         trusted._drain(timer_gone=True)
@@ -240,8 +239,8 @@ class TestDeferredApply:
     @pytest.mark.parametrize("down_for", [2.0, 20.0])
     def test_crash_loses_the_timer_not_the_queue(self, trusted, down_for):
         sim = trusted.simulator
-        trusted._defer(5.0, _write(0))
-        trusted._defer(6.0, _write(1))
+        trusted._defer(5.0, "master-00", _write(0))
+        trusted._defer(6.0, "master-00", _write(1))
         sim.run_until(1.0)
         trusted.crash()
         sim.run_until(1.0 + down_for)
