@@ -69,8 +69,8 @@ def _status_shapes() -> dict[str, bytes]:
 
 #: The corpus by name: each golden frame under its wire id (as
 #: tests/test_golden_bytes.py names them), then the status shapes.  A
-#: segmentation case is named by its key, so retiring or adding a wire
-#: id renames no other case.
+#: segmentation case keeps its position in the corpus as its id and
+#: gives the name with every failing cut.
 NAMED_FRAMES = {
     **{str(wire_id): bytes.fromhex(frame) for wire_id, frame in
        sorted(GOLDEN["frames"].items(), key=lambda item: int(item[0]))},
@@ -195,9 +195,9 @@ def inbound() -> Iterator[Inbound]:
 
 
 class TestSegmentation:
-    @pytest.mark.parametrize("name", list(NAMED_FRAMES))
-    def test_golden_frame_split_at_every_offset(self, inbound, name):
-        frame = NAMED_FRAMES[name]
+    @pytest.mark.parametrize("index", range(len(FRAMES)))
+    def test_golden_frame_split_at_every_offset(self, inbound, index):
+        name, frame = list(NAMED_FRAMES.items())[index]
         # A bare admin request is answered by the listener, once per
         # whole frame; everything else reaches admission.
         admin = isinstance(codec.decode_frame(frame), ADMIN_REQUESTS)

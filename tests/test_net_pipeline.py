@@ -34,7 +34,7 @@ from repro.crypto.hashing import sha1_hex
 from repro.crypto.keys import KeyPair
 from repro.crypto.signatures import new_signer, verify_signature
 from repro.metrics import MetricsRegistry
-from repro.net import codec
+from repro.net import codec, transport
 from repro.net.deploy import (
     LocalCluster,
     NetDeploymentSpec,
@@ -136,6 +136,25 @@ class TestPipelinedOrdering:
                 # The backlog really was coalesced, not sent one-by-one.
                 assert snap.get("net_batches_sent", 0) >= 1
                 assert snap.get("net_batches_received", 0) >= 1
+            finally:
+                await h.aclose()
+
+        run(scenario())
+
+    def test_max_batch_one_disables_coalescing(self, monkeypatch):
+        monkeypatch.setattr(transport, "MAX_BATCH", 1)
+
+        async def scenario():
+            h = Harness()
+            await h.start()
+            try:
+                for n in range(20):
+                    h.pool.send("target", {"n": n})
+                await h.wait_received(20)
+                assert h.node.received == [{"n": n} for n in range(20)]
+                snap = h.metrics.snapshot()
+                assert snap.get("net_batches_sent", 0) == 0
+                assert snap["net_frames_sent"] == 20
             finally:
                 await h.aclose()
 
