@@ -14,7 +14,7 @@ Delivery is in strict global-sequence order.  Recovery mechanisms for
 benign faults:
 
 * *request retransmission*: a member's tick re-sends every request it
-  has not seen ordered within ``request_timeout`` (requests are
+  has not seen ordered within :data:`REQUEST_TIMEOUT` (requests are
   identified by ``(origin, local_seq)``, so ordering duplicates is
   prevented by a dedup table at the sequencer).  The requests are held
   on the member, so one that recovers from a crash retransmits simply
@@ -92,6 +92,9 @@ _NOOP = ("", {"local_seq": -1, "data": None}, -1)
 
 #: ``_leader_have_seq`` before the regime's first heartbeat.
 _UNHEARD = float("inf")
+#: Seconds a member waits to see its request ordered before its tick
+#: sends it again.
+REQUEST_TIMEOUT = 1.0
 
 
 @dataclass
@@ -112,7 +115,6 @@ class TotalOrderBroadcast:
         transport: Transport,
         members: list[str],
         on_deliver: Callable[[int, str, Any], None],
-        request_timeout: float = 1.0,
         heartbeat_interval: float = 0.25,
         suspect_after: float = 1.5,
         on_membership: Callable[[str, bool], None] | None = None,
@@ -129,7 +131,6 @@ class TotalOrderBroadcast:
         #: engine: a sequencer edits it a call before it delivers the
         #: notice, so hosts read the delivered view (``on_membership``).
         self.alive_view = list(self.ranked_members)
-        self.request_timeout = request_timeout
         self.heartbeat_interval = heartbeat_interval
         self.suspect_after = suspect_after
 
@@ -395,7 +396,7 @@ class TotalOrderBroadcast:
         if self._stopped:
             return
         now = self.transport.now
-        self._resubmit(older_than=self.request_timeout)
+        self._resubmit(older_than=REQUEST_TIMEOUT)
         if self.is_sequencer:
             self._heartbeat()
             if now - self._resumed_at > self.suspect_after:

@@ -123,11 +123,6 @@ class FaultPlane:
         if symmetric:
             self._links[(dst, src)] = faults
 
-    def clear_link(self, src: str, dst: str, symmetric: bool = False) -> None:
-        self._links.pop((src, dst), None)
-        if symmetric:
-            self._links.pop((dst, src), None)
-
     def reset(self) -> None:
         """Drop every profile and partition; decision streams persist."""
         self._default = HEALTHY

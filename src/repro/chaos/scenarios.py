@@ -17,6 +17,7 @@ from __future__ import annotations
 import asyncio
 import copy
 import dataclasses
+import functools
 import inspect
 import itertools
 import math
@@ -72,82 +73,51 @@ class ScenarioVerdict:
         return [check for check in self.checks if not check.passed]
 
 
-async def _cancel_all(tasks: "list[asyncio.Task[Any]]") -> None:
-    """Cancel tasks in rounds until every one has really ended.
-
-    ``wait_for`` can swallow a cancel that races the completion or the
-    timeout of the read it wraps (the 3.11 lost-cancellation window);
-    cancelled and awaited once, the honest readers of the unprotected
-    ``flash_crowd`` burst hung the scenario about one run in four.
-    """
-    pending = set(tasks)
-    while pending:
-        for task in pending:
-            task.cancel()
-        done, pending = await asyncio.wait(pending, timeout=2.0)
-        for task in done:
-            if not task.cancelled():
-                task.exception()  # retrieve, tasks may have failed
-
-
 class ReadLoad:
-    """``concurrency`` read loops per client, each pausing ``interval``
-    between reads.  At ``interval=0`` the next read leaves as the last
-    ends, pinning ``len(clients) * concurrency`` reads in flight --
+    """One closed read loop per entry of ``clients`` (a client listed
+    twice runs two), each a callback chain: a read's completion issues
+    the next ``interval`` later.  At ``interval=0`` the next read leaves
+    as the last ends, pinning ``len(clients)`` reads in flight --
     pressure an open-loop flood, throttled by TCP backpressure, would
-    not keep up.  Accept times give the read-unavailability window."""
+    not keep up.  A read ends within its own client's retry budget.
+    Accept times give the read-unavailability window."""
 
     def __init__(self, cluster: LocalCluster, query: Operation,
-                 interval: float = 0.04, timeout: float = 8.0,
-                 clients: "list[Any] | None" = None,
-                 concurrency: int = 1) -> None:
+                 interval: float, clients: list[Any]) -> None:
         self.cluster, self.query = cluster, query
-        self.interval, self.timeout = interval, timeout
-        #: Operation sinks driving load (default: every client).
-        self.clients: list[Any] = list(cluster.clients) \
-            if clients is None else clients
-        self.concurrency = concurrency
-        self.attempts = self.completed = 0
-        self.accepted = self.rejected = self.timeouts = 0
+        self.interval, self.clients = interval, clients
+        self.attempts = self.accepted = self.rejected = 0
         self.accepted_at: list[float] = []
-        self._stopping = False
-        self._tasks: list["asyncio.Task[None]"] = []
+        self.running = False
 
     def start(self) -> None:
-        loop = asyncio.get_running_loop()
-        self._stopping = False
-        self._tasks = [loop.create_task(self._run_one(client),
-                                        name=f"chaos-load:{client.node_id}")
-                       for client in self.clients
-                       for _ in range(self.concurrency)]
+        self.running = True
+        for client in self.clients:
+            self._issue(client)
 
-    async def _run_one(self, client: Any) -> None:
-        try:
-            while not self._stopping:  # re-checked: see _cancel_all
-                self.attempts += 1
-                try:
-                    reply = await self.cluster.read(
-                        client, self.query, timeout=self.timeout)
-                except (TimeoutError, asyncio.TimeoutError):
-                    self.timeouts += 1
-                else:
-                    self.completed += 1
-                    if reply.get("status") == "accepted":
-                        self.accepted += 1
-                        self.accepted_at.append(self.cluster.scheduler.now)
-                    else:
-                        self.rejected += 1
-                if self.interval:
-                    await asyncio.sleep(self.interval)
-        except asyncio.CancelledError:
-            pass
+    def stop(self) -> None:
+        """Issue and count nothing more; reads in flight end unread."""
+        self.running = False
 
-    async def stop(self) -> None:
-        self._stopping = True
-        # Take the task list before awaiting so a concurrent stop()
-        # cannot re-cancel or re-await half-drained tasks.
-        tasks, self._tasks = self._tasks, []
-        await _cancel_all(tasks)
+    def _issue(self, client: Any) -> None:
+        if self.running:
+            self.attempts += 1
+            client.submit(self.query, None, functools.partial(
+                self._done, client))
+
+    def _done(self, client: Any, outcome: dict[str, Any]) -> None:
+        if not self.running:
+            return
+        if outcome.get("status") == "accepted":
+            self.accepted += 1
+            self.accepted_at.append(self.cluster.scheduler.now)
+        else:
+            self.rejected += 1
+        if self.interval:
+            asyncio.get_running_loop().call_later(self.interval,
+                                                  self._issue, client)
+        else:
+            self._issue(client)
 
     def max_gap(self, start: float, end: float) -> float:
         """Longest stretch inside [start, end] with no accepted read."""
@@ -156,8 +126,8 @@ class ReadLoad:
         return max(b - a for a, b in zip(edges, edges[1:]))
 
     def __str__(self) -> str:
-        return (f"{self.accepted} accepted, {self.timeouts} timed out, "
-                f"{self.rejected} failed of {self.attempts} reads")
+        return (f"{self.accepted} accepted, {self.rejected} failed of "
+                f"{self.attempts} reads")
 
 
 def spans(cluster: Any) -> list[Span]:
@@ -347,17 +317,16 @@ class NoHandlerErrors:
 
 # The steps.  ``Write`` writes ``value`` from every node ``by`` names
 # (``{i}`` in the key becomes its index) and checks all committed; with
-# ``check=None`` the writes are probes, left in flight and reaped with
-# the run.  ``Mark`` keeps ``timing``, the seconds since mark ``since``,
-# then takes mark ``name``: the instant and every counter.
+# ``check=None`` the writes are probes, submitted and never awaited.
+# ``Mark`` keeps ``timing``, the seconds since mark ``since``, then
+# takes mark ``name``: the instant and every counter.
 # ``WaitUntil`` waits up to ``timeout`` for a judgement -- running out
 # of time is not an error -- keeps ``timing`` (the seconds the wait
 # took; inf if it never held) with ``bound`` beside it, and records
 # ``check``: the judgement as the wait left it, within the bound.
 # ``Check`` records a judgement (just its timings if ``name`` is None);
 # a scenario's own may be a coroutine function that acts, then judges.
-# ``Heal`` drops every partition and link profile; ``MoveShard`` checks
-# a generation and map epoch on.
+# ``Heal`` drops every partition and link profile.
 
 
 @dataclass(frozen=True)
@@ -375,13 +344,11 @@ class Settle:
 
 
 @dataclass(frozen=True)
-class StartLoad:  # a ReadLoad on ``key`` from every node ``by`` names
+class StartLoad:  # a ReadLoad on ``key``, a loop per node ``by`` names
     name: str
     key: Key = "k"
     by: Ref = Every("client")
     interval: float = 0.04
-    concurrency: int = 1
-    timeout: float = 8.0
 
 
 @dataclass(frozen=True)
@@ -417,13 +384,6 @@ class SetLinks:  # on each link between two groups, else the default
 
 
 @dataclass(frozen=True)
-class MoveShard:
-    shard: str
-    timing: str
-    check: str
-
-
-@dataclass(frozen=True)
 class Mark:
     name: str | None = None
     timing: str | None = None
@@ -446,9 +406,9 @@ class Check:
 
 
 STEPS = (Write, Settle, StartLoad, StopLoad, Crash, Restart, Partition,
-         Heal, SetLinks, MoveShard, Mark, WaitUntil, Check)
+         Heal, SetLinks, Mark, WaitUntil, Check)
 Step = Union[Write, Settle, StartLoad, StopLoad, Crash, Restart, Partition,
-             Heal, SetLinks, MoveShard, Mark, WaitUntil, Check]
+             Heal, SetLinks, Mark, WaitUntil, Check]
 #: A check on the last run's verdict against the first's, named by its
 #: function: ``judge(reference, verdict) -> Outcome``.
 Compare = Callable[[ScenarioVerdict, ScenarioVerdict], Outcome]
@@ -488,8 +448,6 @@ class ScenarioRun:
         self.marks: dict[str, tuple[float, dict[str, float]]] = {}
         self.loads: dict[str, ReadLoad] = {}
         self.crashed: list[str] = []
-        #: The probe writes (``Write(None, ...)``) still in flight.
-        self.probes: "list[asyncio.Future[Any]]" = []
 
     def ids(self, ref: Ref) -> list[str]:
         match ref:
@@ -532,24 +490,25 @@ class ScenarioRun:
         cluster, plane = self.cluster, self.plane
         match step:
             case Write(check, key, value, by, timeout):
-                writes = [cluster.write(self.node(n), KVPut(
-                    key=self.key(key).format(i=i), value=value), timeout)
-                    for i, n in enumerate(self.ids(by))]
+                writes = [(self.node(n), KVPut(key=self.key(key).format(
+                    i=i), value=value)) for i, n in enumerate(self.ids(by))]
                 if check is None:
-                    self.probes += map(asyncio.ensure_future, writes)
+                    for node, op in writes:
+                        node.submit(op)
                     return
-                statuses = [r["status"] for r in await asyncio.gather(*writes)]
+                statuses = [r["status"] for r in await asyncio.gather(*(
+                    cluster.write(node, op, timeout) for node, op in writes))]
                 self.checks.append(CheckResult(check, all(
                     s == "committed" for s in statuses), f"writes: {statuses}"))
             case Settle(seconds):
                 await asyncio.sleep(seconds)
-            case StartLoad(name, key, by, interval, concurrency, timeout):
+            case StartLoad(name, key, by, interval):
                 self.loads[name] = ReadLoad(
-                    cluster, KVGet(key=self.key(key)), interval, timeout,
-                    [self.node(n) for n in self.ids(by)], concurrency)
+                    cluster, KVGet(key=self.key(key)), interval,
+                    [self.node(n) for n in self.ids(by)])
                 self.loads[name].start()
             case StopLoad(name):
-                await self.loads[name].stop()
+                self.loads[name].stop()
             case Crash(node):
                 self.crashed = self.ids(node)
                 for node_id in self.crashed:
@@ -570,15 +529,6 @@ class ScenarioRun:
                 for a, b in itertools.product(self.ids(left),
                                               self.ids(right)):
                     plane.set_link(a, b, faults, symmetric=True)
-            case MoveShard(shard, timing, check):
-                assert isinstance(cluster, ShardedCluster)
-                before = (cluster.shards[shard].generation, cluster.map_epoch)
-                report = await Rebalancer(cluster).move_shard(shard)
-                self.timings[timing] = report["slaves_resynced_at"]
-                after = (cluster.shards[shard].generation, cluster.map_epoch)
-                self.checks.append(CheckResult(check, after == (
-                    before[0] + 1, before[1] + 1), f"{shard} (generation, "
-                    f"map epoch) {before} -> {after}"))
             case Mark(name, timing, since):
                 now = cluster.scheduler.now
                 if timing is not None and since is not None:
@@ -626,8 +576,7 @@ class ScenarioRun:
 async def run_once(name: str, cast: NetDeploymentSpec,
                    schedule: tuple[Step, ...]) -> ScenarioVerdict:
     """Play ``schedule`` on a fresh copy of ``cast`` booted on a fault
-    plane seeded like it; stop its loads, reap its probe writes and
-    close it however it ends."""
+    plane seeded like it; stop its loads and close it however it ends."""
     cast = copy.deepcopy(cast)
     plane = FaultPlane(seed=cast.seed)
     cluster = await (ShardedCluster if isinstance(cast, ShardDeploymentSpec)
@@ -638,11 +587,8 @@ async def run_once(name: str, cast: NetDeploymentSpec,
             await run.play(step)
         return await run.verdict()
     finally:
-        for load in reversed(run.loads.values()):
-            await load.stop()
-        # Cancelling the awaiting task leaves the client's write alone:
-        # a probe exists only to make its client re-home.
-        await _cancel_all(run.probes)
+        for load in run.loads.values():
+            load.stop()
         await cluster.aclose()
 
 
@@ -768,7 +714,7 @@ MASTER_CRASH = Scenario("master_crash", (NetDeploymentSpec(
     Mark(timing="slave_adoption", since="crash"),
     # A write from each of them times out and re-homes its client:
     # Section 3.5's re-setup.
-    Write(None, "re{i}", "x", by=_STRANDED, timeout=14.0),
+    Write(None, "re{i}", "x", by=_STRANDED),
     WaitUntil(Rehomed(Every("client"), "master-01"), 12.0,
               check="clients_reassigned"),
     Write("post_crash_write", "k", "v1", timeout=14.0),
@@ -1132,8 +1078,7 @@ FLASH_CROWD = Scenario(
         Check(None, _baseline),
         # 6 clients x 48 closed loops: ~288 reads in flight saturate one
         # core, yet the backlog drains in bounded wall-clock time.
-        StartLoad("crowd", "bulk", by=GREEDY, interval=0.0, concurrency=48,
-                  timeout=6.0),
+        StartLoad("crowd", "bulk", by=GREEDY * 48, interval=0.0),
         # Steady state first: the ramp's half-filled pipelines would
         # dilute the burst percentiles.
         Settle(0.5), Mark("burst"), Settle(6.0), Mark("burst_end"),
@@ -1152,6 +1097,19 @@ FLASH_CROWD = Scenario(
 # within the detection bound; the bystander s01 never blips.
 _SR = _detecting_config(max_read_retries=4)
 _GAP_BOUND = BOUND + _SR.request_timeout
+
+
+@reports("slaves_resynced")
+async def _move_s00(run: ScenarioRun) -> Outcome:
+    """Move s00 to a new master group: its generation and the map
+    epoch each go one on."""
+    cluster = run.cluster
+    before = (cluster.shards["s00"].generation, cluster.map_epoch)
+    report = await Rebalancer(cluster).move_shard("s00")
+    after = (cluster.shards["s00"].generation, cluster.map_epoch)
+    return Outcome(after == (before[0] + 1, before[1] + 1), f"s00 "
+                   f"(generation, map epoch) {before} -> {after}",
+                   (report["slaves_resynced_at"],))
 
 
 @reports("rebalance_span")
@@ -1183,8 +1141,7 @@ SHARD_REBALANCE = Scenario("shard_rebalance", (ShardDeploymentSpec(
     Settle(_SR.max_latency + KEEPALIVE),
     StartLoad("load", KeyOn("s00"), by=Every("router")),
     StartLoad("calm", KeyOn("s01"), by=Every("router")), Settle(0.5),
-    Mark("move"), MoveShard("s00", "slaves_resynced",
-                            "new_generation_installed"),
+    Mark("move"), Check("new_generation_installed", _move_s00),
     WaitUntil(_legs_rehomed, 3 * BOUND,
               timing="rehome_latency", bound=("rehome_bound", BOUND),
               check="clients_rehomed_within_bound"),

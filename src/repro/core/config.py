@@ -136,10 +136,6 @@ class ProtocolConfig:
     #: How many past store versions trusted servers retain for verifying
     #: accusations against historical pledges.
     version_history_depth: int = 64
-    #: How many committed write operations masters keep for incremental
-    #: slave resyncs; a slave further behind receives a full state
-    #: snapshot instead.
-    ops_log_depth: int = 1024
     #: Heartbeat/suspicion settings for the master broadcast protocol.
     broadcast_heartbeat_interval: float = 0.25
     broadcast_suspect_after: float = 1.5
@@ -177,8 +173,6 @@ class ProtocolConfig:
                              f"got {self.read_quorum}")
         if self.version_history_depth < 1:
             raise ValueError("version_history_depth must be >= 1")
-        if self.ops_log_depth < 1:
-            raise ValueError("ops_log_depth must be >= 1")
         for level, probability in self.security_levels.items():
             if not 0.0 <= probability <= 1.0:
                 raise ValueError(

@@ -53,6 +53,10 @@ from repro.crypto.hashing import constant_time_equals, sha1_hex
 from repro.crypto.signatures import PublicKey
 from repro.qos.tokens import TokenBucket
 
+#: Committed writes a slave may lag and still be resynced by the ops
+#: themselves; a slave further behind receives a full state snapshot.
+OPS_LOG_DEPTH = 1024
+
 
 class MasterServer(TrustedServer):
     """One trusted master server."""
@@ -312,7 +316,7 @@ class MasterServer(TrustedServer):
 
         Incremental when the op log still covers the slave's version; a
         full state snapshot otherwise (the slave was down longer than
-        ``ops_log_depth`` writes).
+        :data:`OPS_LOG_DEPTH` writes).
         """
         if not self.broadcast.is_caught_up():
             # Resyncing a slave onto stale state (with a stale-but-fresh
@@ -323,7 +327,7 @@ class MasterServer(TrustedServer):
         if have >= self.version:
             return
         missing = self.history.ops_between(have, self.version,
-                                           self.config.ops_log_depth)
+                                           OPS_LOG_DEPTH)
         if missing is None:
             self.metrics.incr("slave_snapshots_sent")
             # Taken now, at the stamp's version, however late it leaves.

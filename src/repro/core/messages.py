@@ -361,9 +361,10 @@ class SlaveSnapshot:
     """Master -> slave: a full state transfer.
 
     Sent when a slave is so far behind that the incremental op log no
-    longer reaches its version (crash longer than ``ops_log_depth``
-    writes).  ``store`` is a frozen snapshot at ``stamp.version``; the
-    receiver installs its own ``clone()`` of it.
+    longer reaches its version (crash longer than
+    :data:`~repro.core.master.OPS_LOG_DEPTH` writes).  ``store`` is a
+    frozen snapshot at ``stamp.version``; the receiver installs its own
+    ``clone()`` of it.
     """
 
     store: ContentStore

@@ -93,12 +93,6 @@ VERIFY_CACHE = LRUCache(4096)
 CANONICAL_CACHE = LRUCache(1)
 
 
-def reset_stats() -> None:
-    """Zero the hit/miss counters (cache contents are kept)."""
-    VERIFY_CACHE.hits = 0
-    VERIFY_CACHE.misses = 0
-
-
 def stats() -> dict[str, int]:
     """Snapshot of the process-wide verification-cache counters."""
     return {

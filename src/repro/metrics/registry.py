@@ -27,35 +27,6 @@ class Timeline:
     def max(self) -> float | None:
         return max(self.values()) if self.points else None
 
-    def time_weighted_mean(self, until: float | None = None) -> float | None:
-        """Mean of the series weighted by how long each value held.
-
-        Without ``until``, the last recorded value carries no weight (its
-        holding period has no end), which understates steady-state series
-        that settle on one value and stop changing.  Pass the observation
-        end time -- e.g. ``simulator.now`` when the run stopped -- to
-        credit the final value with its ``until - last_t`` holding period.
-        """
-        if not self.points:
-            return None
-        if until is not None and until < self.points[-1][0]:
-            raise ValueError(
-                f"until={until} precedes last recorded point at "
-                f"t={self.points[-1][0]}")
-        points = self.points
-        if until is not None:
-            points = points + [(until, points[-1][1])]
-        if len(points) < 2:
-            return points[0][1]
-        total = 0.0
-        duration = 0.0
-        for (t0, v0), (t1, _v1) in zip(points, points[1:]):
-            total += v0 * (t1 - t0)
-            duration += t1 - t0
-        if duration == 0:
-            return points[-1][1]
-        return total / duration
-
     def sparkline(self, width: int = 60) -> str:
         """ASCII sparkline of the series, resampled to ``width`` buckets.
 

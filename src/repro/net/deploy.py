@@ -48,7 +48,6 @@ from repro.net.peers import PeerDirectory, format_address
 from repro.net.server import NodeServer, RealtimeScheduler, SocketNetwork
 from repro.net.transport import ConnectionPool, read_frame, write_frame
 from repro.obs.spans import ObsRuntime
-from repro.qos.breaker import BreakerPolicy
 from repro.qos.ledger import AdmissionLedger
 from repro.qos.tokens import AdmissionPolicy
 from repro.sim.network import Node
@@ -199,10 +198,7 @@ class LocalCluster:
             ConnectionPool if self.plane is None else self.plane.pool
         return factory(
             node_id, self.peers, self.metrics,
-            rng=self.scheduler.fork_rng(f"net:{node_id}"),
-            # Every deployment pool has a breaker: a crashed peer should
-            # fast-fail, not cost each queued frame a backoff ladder.
-            breaker=BreakerPolicy())
+            rng=self.scheduler.fork_rng(f"net:{node_id}"))
 
     def _network(self, pool: ConnectionPool) -> SocketNetwork:
         """The ``Network`` seam this topology puts in front of a pool."""

@@ -17,21 +17,6 @@ def format_address(host: str, port: int) -> str:
     return f"{host}:{port}"
 
 
-def parse_address(address: str) -> tuple[str, int]:
-    """Inverse of :func:`format_address`; raises ValueError on junk."""
-    host, sep, port_text = address.rpartition(":")
-    if not sep or not host:
-        raise ValueError(f"address {address!r} is not 'host:port'")
-    try:
-        port = int(port_text)
-    except ValueError:
-        raise ValueError(f"address {address!r} has a non-numeric port") \
-            from None
-    if not 0 < port < 65536:
-        raise ValueError(f"address {address!r} port out of range")
-    return host, port
-
-
 class PeerDirectory:
     """Mutable node-id -> endpoint map shared by every connection pool."""
 

@@ -52,7 +52,7 @@ from repro.obs.admin import (
 )
 from repro.obs.context import TraceCarrier
 from repro.qos.ledger import AdmissionLedger
-from repro.qos.tokens import AdmissionPolicy, ClientAdmission
+from repro.qos.tokens import SHED_PENALTY, AdmissionPolicy, ClientAdmission
 from repro.shard.wire import ShardEnvelope, shard_of
 from repro.sim.network import Network, Node
 from repro.sim.simulator import EventHandle, Simulator, restore_context
@@ -62,6 +62,8 @@ from repro.sim.simulator import EventHandle, Simulator, restore_context
 #: carry Section 3.5's proof-of-misbehaviour.  Everything else is fair
 #: game under overload (clients retry; the protocol tolerates loss).
 PROTECTED_MESSAGE_TYPES: tuple[type, ...] = (KeepAlive, Accusation)
+#: Seconds an accepted connection has to say hello.
+HANDSHAKE_TIMEOUT = 5.0
 
 
 def _traced(obs: Any, context: Any,
@@ -297,7 +299,7 @@ class _Connection(asyncio.Protocol):
     (a partial tail is spilled to ``_buffer`` until the rest arrives)
     and hands each decoded message to the server's admission and
     dispatch inline.  The first frame must be a
-    :class:`~repro.net.codec.NetHello` within ``handshake_timeout``;
+    :class:`~repro.net.codec.NetHello` within :data:`HANDSHAKE_TIMEOUT`;
     its node id is ``src_id`` for everything after.
 
     Parsing is *halted* -- reading paused on this socket only, arrived
@@ -340,7 +342,7 @@ class _Connection(asyncio.Protocol):
         self.transport = transport  # type: ignore[assignment]
         self.server._connections.add(self)
         self._timer = self.loop.call_later(
-            self.server.handshake_timeout, self._handshake_expired)
+            HANDSHAKE_TIMEOUT, self._handshake_expired)
 
     def connection_lost(self, exc: Exception | None) -> None:
         self.server._connections.discard(self)
@@ -419,7 +421,6 @@ class _Connection(asyncio.Protocol):
             self._handshake(message)
             return
         metrics = server.metrics
-        qos = server.qos
         metrics.incr("net_bytes_received", size)
         if isinstance(message, codec.FrameBatch):
             # One wire frame, several protocol messages: the frame
@@ -443,13 +444,13 @@ class _Connection(asyncio.Protocol):
                     else server.obs_dump(message)))
                 return
             shed = server._receive(src_id, message)
-        if shed and qos is not None and qos.shed_penalty > 0:
+        if shed:
             # Turn the shed into backpressure: stall this connection so
             # the over-quota pipeline slows at the source instead of
             # returning as a synchronized retry wave.  Only this socket
             # stops being read; everyone else's runs on.
             self._halt()
-            self.loop.call_later(qos.shed_penalty, self._release)
+            self.loop.call_later(SHED_PENALTY, self._release)
 
     def _handshake(self, hello: Any) -> None:
         if not isinstance(hello, codec.NetHello) \
@@ -554,14 +555,12 @@ class NodeServer:
     """
 
     def __init__(self, node: Node, metrics: MetricsRegistry,
-                 handshake_timeout: float = 5.0,
                  qos: AdmissionPolicy | None = None,
                  qos_rng: random.Random | None = None,
                  ledger: AdmissionLedger | None = None,
                  trusted: Container[str] = ()) -> None:
         self.node = node
         self.metrics = metrics
-        self.handshake_timeout = handshake_timeout
         self.qos = qos
         #: Principals never charged (deployment-owned, may still grow).
         self.trusted = trusted

@@ -49,7 +49,7 @@ from repro.net.errors import (
     TruncatedFrame,
 )
 from repro.net.peers import PeerDirectory
-from repro.qos.breaker import CLOSED, BreakerPolicy, CircuitBreaker
+from repro.qos.breaker import CLOSED, CircuitBreaker
 
 #: Most messages one peer's backlog holds; ``send`` drops beyond it.
 _BACKLOG_LIMIT = 4096
@@ -59,6 +59,16 @@ CONNECT_TIMEOUT = 2.0
 IO_TIMEOUT = 5.0
 #: Most messages one flush coalesces into a single wire frame.
 MAX_BATCH = 64
+#: Reconnect backoff: the wait after failed attempt ``a`` (0, 1, ...)
+#: is ``BACKOFF_BASE * BACKOFF_MULTIPLIER**a`` capped at ``BACKOFF_MAX``,
+#: then stretched by up to ``BACKOFF_JITTER`` of itself so a restarted
+#: cluster does not reconnect in lockstep.
+BACKOFF_BASE = 0.05
+BACKOFF_MULTIPLIER = 2.0
+BACKOFF_MAX = 2.0
+BACKOFF_JITTER = 0.5
+#: Attempts one batch gets before its messages are dropped.
+MAX_ATTEMPTS = 5
 
 
 async def read_frame(reader: asyncio.StreamReader,
@@ -108,35 +118,10 @@ async def write_frame(writer: asyncio.StreamWriter, value: Any,
     return len(frame)
 
 
-@dataclass(frozen=True)
-class RetryPolicy:
-    """Bounded exponential backoff with multiplicative jitter.
-
-    ``delay(attempt)`` for attempts 0,1,2,... grows as
-    ``base_delay * multiplier**attempt`` capped at ``max_delay``, then
-    stretched by up to ``jitter`` of itself so a restarted cluster does
-    not reconnect in lockstep.  ``max_attempts`` bounds one frame's
-    connect budget.
-    """
-
-    base_delay: float = 0.05
-    multiplier: float = 2.0
-    max_delay: float = 2.0
-    max_attempts: int = 5
-    jitter: float = 0.5
-
-    def __post_init__(self) -> None:
-        if self.base_delay <= 0 or self.multiplier < 1:
-            raise ValueError("backoff must grow from a positive base")
-        if self.max_attempts < 1:
-            raise ValueError("need at least one attempt")
-        if not 0 <= self.jitter <= 1:
-            raise ValueError(f"jitter must be in [0, 1], got {self.jitter}")
-
-    def delay(self, attempt: int, rng: random.Random) -> float:
-        raw = min(self.max_delay,
-                  self.base_delay * self.multiplier ** attempt)
-        return raw * (1.0 + self.jitter * rng.random())
+def backoff(attempt: int, rng: random.Random) -> float:
+    """Seconds to wait after failed attempt ``attempt``."""
+    raw = min(BACKOFF_MAX, BACKOFF_BASE * BACKOFF_MULTIPLIER ** attempt)
+    return raw * (1.0 + BACKOFF_JITTER * rng.random())
 
 
 @dataclass(slots=True)
@@ -172,21 +157,16 @@ class ConnectionPool:
     """
 
     def __init__(self, node_id: str, peers: PeerDirectory,
-                 metrics: MetricsRegistry, rng: random.Random,
-                 retry: RetryPolicy | None = None,
-                 breaker: BreakerPolicy | None = None) -> None:
+                 metrics: MetricsRegistry, rng: random.Random) -> None:
         self.node_id = node_id
         self.peers = peers
         self.metrics = metrics
         self.rng = rng
-        self.retry = retry or RetryPolicy()
-        #: Per-peer circuit breaker wrapping the retry machinery: after
-        #: ``failure_threshold`` consecutive retries-exhausted batches a
+        #: Per-peer circuit breakers wrapping the retry machinery: after
+        #: ``FAILURE_THRESHOLD`` consecutive retries-exhausted batches a
         #: peer's breaker opens and frames fast-fail (counted under
         #: ``net_drop_breaker_open``) instead of burning a full backoff
-        #: ladder each, until a half-open probe succeeds.  ``None``
-        #: (the default) keeps pure retry behaviour.
-        self.breaker = breaker
+        #: ladder each, until a half-open probe succeeds.
         self._breakers: dict[str, CircuitBreaker] = {}
         self._peers: dict[str, _Peer] = {}
         self._closed = False
@@ -219,13 +199,10 @@ class ConnectionPool:
         self.metrics.incr("net_frames_dropped")
         self.metrics.incr(f"net_drop_{reason}")
 
-    def _breaker_for(self, dst_id: str) -> CircuitBreaker | None:
-        if self.breaker is None:
-            return None
+    def _breaker_for(self, dst_id: str) -> CircuitBreaker:
         brk = self._breakers.get(dst_id)
         if brk is None:
-            brk = CircuitBreaker(self.breaker)
-            self._breakers[dst_id] = brk
+            brk = self._breakers[dst_id] = CircuitBreaker()
         return brk
 
     def breaker_states(self) -> dict[str, str]:
@@ -358,7 +335,7 @@ class ConnectionPool:
             while peer.backlog and not self._closed:
                 batch = self._take(peer.backlog)
                 brk = self._breaker_for(dst_id)
-                if brk is not None and not brk.allow(loop.time()):
+                if not brk.allow(loop.time()):
                     # Open breaker: fast-fail the backlog instead of
                     # burning a full backoff ladder against a peer known
                     # to be down.
@@ -366,7 +343,7 @@ class ConnectionPool:
                         self._drop(dst_id, "breaker_open")
                     continue
                 delivered = False
-                for attempt in range(self.retry.max_attempts):
+                for attempt in range(MAX_ATTEMPTS):
                     if self._closed:
                         return
                     try:
@@ -386,29 +363,26 @@ class ConnectionPool:
                             self.metrics.incr("net_timeouts")
                         self._teardown(peer)
                         self.metrics.incr("net_retries")
-                        if attempt + 1 < self.retry.max_attempts:
+                        if attempt + 1 < MAX_ATTEMPTS:
                             # No point backing off after the last
                             # attempt: the frame is already lost either
                             # way.
-                            await asyncio.sleep(
-                                self.retry.delay(attempt, self.rng))
+                            await asyncio.sleep(backoff(attempt, self.rng))
                         continue
                     self.metrics.incr("net_frames_sent", len(batch))
                     self.metrics.incr("net_bytes_sent", len(payload))
                     delivered = True
                     break
                 if delivered:
-                    if brk is not None:
-                        brk.record_success(loop.time())
+                    brk.record_success(loop.time())
                 else:
                     self._teardown(peer)
                     for _message in batch:
                         self._drop(dst_id, "retries_exhausted")
-                    if brk is not None:
-                        trips_before = brk.trips
-                        brk.record_failure(loop.time())
-                        if brk.trips > trips_before:
-                            self.metrics.incr("qos_breaker_opens")
+                    trips_before = brk.trips
+                    brk.record_failure(loop.time())
+                    if brk.trips > trips_before:
+                        self.metrics.incr("qos_breaker_opens")
         finally:
             # Hand the peer back whatever ended the task, so the next
             # ``send`` arms a flush instead of queueing behind a corpse.
@@ -489,7 +463,7 @@ class ConnectionPool:
 
 __all__ = [
     "ConnectionPool",
-    "RetryPolicy",
+    "backoff",
     "read_frame",
     "write_frame",
     "CodecError",

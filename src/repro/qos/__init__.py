@@ -18,12 +18,11 @@ Every class here is pure and deterministic: clocks are passed in as
 decisions.  The asyncio wiring lives in :mod:`repro.net`.
 """
 
-from repro.qos.breaker import BreakerPolicy, CircuitBreaker
+from repro.qos.breaker import CircuitBreaker
 from repro.qos.tokens import AdmissionPolicy, ClientAdmission, TokenBucket
 
 __all__ = [
     "AdmissionPolicy",
-    "BreakerPolicy",
     "CircuitBreaker",
     "ClientAdmission",
     "TokenBucket",

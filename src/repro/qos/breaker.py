@@ -1,8 +1,8 @@
 """Per-peer circuit breaking for the outbound connection pool.
 
-The pool's :class:`~repro.net.transport.RetryPolicy` bounds how hard one
-*frame batch* tries; it says nothing about how hard the pool keeps
-trying against a peer that has been dead for seconds.  Without a
+The pool's retry budget (:data:`~repro.net.transport.MAX_ATTEMPTS`)
+bounds how hard one *frame batch* tries; it says nothing about how hard
+the pool keeps trying against a peer that has been dead for seconds.  Without a
 breaker, every queued batch to a crashed host burns the full retry
 budget (connect timeouts, backoff sleeps) before being dropped --
 budget that live peers' traffic then waits behind.
@@ -10,59 +10,38 @@ budget that live peers' traffic then waits behind.
 :class:`CircuitBreaker` is the classic three-state machine:
 
 * ``closed``    -- deliveries flow; consecutive delivery failures are
-  counted, and ``failure_threshold`` of them trip the breaker;
+  counted, and :data:`FAILURE_THRESHOLD` of them trip the breaker;
 * ``open``      -- sends are refused outright (the caller drops the
   frame immediately, spending zero retry budget) until
-  ``reset_timeout`` has elapsed;
-* ``half_open`` -- up to ``half_open_max`` probe deliveries are allowed
-  through; the first success closes the breaker, the first failure
-  re-opens it for another ``reset_timeout``.
+  :data:`RESET_TIMEOUT` has elapsed;
+* ``half_open`` -- up to :data:`HALF_OPEN_MAX` probe deliveries are
+  allowed through; the first success closes the breaker, the first
+  failure re-opens it for another :data:`RESET_TIMEOUT`.
 
 Pure and deterministic: the clock is always an explicit ``now``.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 CLOSED = "closed"
 OPEN = "open"
 HALF_OPEN = "half_open"
 
-
-@dataclass(frozen=True, slots=True)
-class BreakerPolicy:
-    """Thresholds for one pool's per-peer breakers."""
-
-    #: Consecutive delivery failures (each one a fully exhausted retry
-    #: budget) before the breaker opens.
-    failure_threshold: int = 2
-    #: Seconds an open breaker refuses sends before probing again.
-    reset_timeout: float = 1.0
-    #: Probe deliveries allowed through a half-open breaker.
-    half_open_max: int = 1
-
-    def __post_init__(self) -> None:
-        if self.failure_threshold < 1:
-            raise ValueError(
-                f"failure_threshold must be >= 1, "
-                f"got {self.failure_threshold}")
-        if self.reset_timeout <= 0:
-            raise ValueError(
-                f"reset_timeout must be positive, got {self.reset_timeout}")
-        if self.half_open_max < 1:
-            raise ValueError(
-                f"half_open_max must be >= 1, got {self.half_open_max}")
+#: Consecutive delivery failures (each one a fully exhausted retry
+#: budget) before the breaker opens.
+FAILURE_THRESHOLD = 2
+#: Seconds an open breaker refuses sends before probing again.
+RESET_TIMEOUT = 1.0
+#: Probe deliveries allowed through a half-open breaker.
+HALF_OPEN_MAX = 1
 
 
 class CircuitBreaker:
     """One peer's breaker state (see module docstring for the machine)."""
 
-    __slots__ = ("policy", "state", "failures", "opened_at", "probes",
-                 "trips")
+    __slots__ = ("state", "failures", "opened_at", "probes", "trips")
 
-    def __init__(self, policy: BreakerPolicy) -> None:
-        self.policy = policy
+    def __init__(self) -> None:
         self.state = CLOSED
         self.failures = 0
         self.opened_at = 0.0
@@ -79,11 +58,11 @@ class CircuitBreaker:
         if self.state == CLOSED:
             return True
         if self.state == OPEN:
-            if now - self.opened_at < self.policy.reset_timeout:
+            if now - self.opened_at < RESET_TIMEOUT:
                 return False
             self.state = HALF_OPEN
             self.probes = 0
-        if self.probes < self.policy.half_open_max:
+        if self.probes < HALF_OPEN_MAX:
             self.probes += 1
             return True
         return False
@@ -100,8 +79,7 @@ class CircuitBreaker:
             self._trip(now)
             return
         self.failures += 1
-        if self.state == CLOSED \
-                and self.failures >= self.policy.failure_threshold:
+        if self.state == CLOSED and self.failures >= FAILURE_THRESHOLD:
             self._trip(now)
 
     def _trip(self, now: float) -> None:
@@ -111,4 +89,4 @@ class CircuitBreaker:
         self.trips += 1
 
 
-__all__ = ["BreakerPolicy", "CLOSED", "CircuitBreaker", "HALF_OPEN", "OPEN"]
+__all__ = ["CLOSED", "CircuitBreaker", "HALF_OPEN", "OPEN"]

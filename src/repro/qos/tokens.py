@@ -71,14 +71,6 @@ class AdmissionPolicy:
     #: Sustained protocol messages/s admitted per client connection.
     frame_rate: float | None = None
     frame_burst: float = 200.0
-    #: Seconds the listener stalls an over-quota connection's reader
-    #: per shed frame (0 disables).  Shedding alone still pays decode
-    #: for every flooded frame; the stall turns the shed into TCP
-    #: backpressure, so a greedy client's pipeline slows at the source
-    #: instead of arriving as synchronized retry waves.  Only the
-    #: offending connection is delayed -- other peers' connections
-    #: (and the keep-alives riding them) are unaffected.
-    shed_penalty: float = 0.05
     #: Abort a handshaked-but-silent connection after this many seconds
     #: (deployments derive it as a multiple of ``keepalive_interval``).
     idle_timeout: float | None = None
@@ -90,9 +82,6 @@ class AdmissionPolicy:
         if self.frame_burst <= 0:
             raise ValueError(
                 f"frame_burst must be positive, got {self.frame_burst}")
-        if self.shed_penalty < 0:
-            raise ValueError(
-                f"shed_penalty must be >= 0, got {self.shed_penalty}")
         if self.idle_timeout is not None and self.idle_timeout <= 0:
             raise ValueError(
                 f"idle_timeout must be positive, got {self.idle_timeout}")
@@ -109,6 +98,14 @@ class AdmissionPolicy:
 #: seconds after the last shed frame).  A sender within its quota is
 #: never shed and never pays this.
 STRIKE_COST = 1.0
+#: Seconds the listener stalls an over-quota connection's reader per
+#: shed frame.  Shedding alone still pays decode for every flooded
+#: frame; the stall turns the shed into TCP backpressure, so a greedy
+#: client's pipeline slows at the source instead of arriving as
+#: synchronized retry waves.  Only the offending connection is delayed
+#: -- other peers' connections (and the keep-alives riding them) are
+#: unaffected.
+SHED_PENALTY = 0.05
 
 
 class ClientAdmission:

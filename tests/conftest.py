@@ -8,6 +8,8 @@ own spec via ``make_system``.
 ``loop_errors_fail`` (autouse for socket-marked tests) turns exceptions
 asyncio would only log -- raised inside ``call_soon`` callbacks and
 protocol methods, which is where the transport runs -- into failures.
+``fast_retries`` shrinks the connection pool's reconnect backoff for
+tests that stop the listener their pool dials.
 """
 
 from __future__ import annotations
@@ -23,6 +25,7 @@ import pytest
 from repro.content.kvstore import KeyValueStore
 from repro.core.config import ProtocolConfig
 from repro.core.system import DeploymentSpec, ReplicationSystem
+from repro.net import transport
 
 
 def default_store() -> KeyValueStore:
@@ -55,6 +58,16 @@ def small_system() -> ReplicationSystem:
     system = make_system()
     system.start()
     return system
+
+
+@pytest.fixture
+def fast_retries(monkeypatch: pytest.MonkeyPatch) -> pytest.MonkeyPatch:
+    """Reconnect backoff from 0.01 s capped at 0.05 s, three attempts a
+    batch; returns the monkeypatch for further overrides."""
+    monkeypatch.setattr(transport, "BACKOFF_BASE", 0.01)
+    monkeypatch.setattr(transport, "BACKOFF_MAX", 0.05)
+    monkeypatch.setattr(transport, "MAX_ATTEMPTS", 3)
+    return monkeypatch
 
 
 #: Markers whose tests run the callback-driven socket transport.

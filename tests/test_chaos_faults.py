@@ -34,7 +34,6 @@ from repro.net.deploy import (
 )
 from repro.net.peers import PeerDirectory
 from repro.net.server import NodeServer, RealtimeScheduler, SocketNetwork
-from repro.net.transport import RetryPolicy
 from repro.sim.network import Node
 
 NOISY = LinkFaults(drop=0.2, duplicate=0.2, corrupt=0.2, reorder=0.2,
@@ -102,7 +101,7 @@ class TestFaultPlane:
         first = [plane.plan("x", "y") for _ in range(50)]
         # Heal the link, push traffic through it, then re-arm: the
         # stream resumes exactly where frame 50 left off.
-        plane.clear_link("x", "y")
+        plane.set_link("x", "y", HEALTHY)
         for _ in range(37):
             assert plane.plan("x", "y") == FramePlan()
         plane.set_link("x", "y", NOISY)
@@ -124,7 +123,7 @@ class TestFaultPlane:
         plane = FaultPlane(seed=0)
         plane.set_link("x", "y", NOISY, symmetric=True)
         assert plane.faults_for("y", "x") == NOISY
-        plane.clear_link("x", "y", symmetric=True)
+        plane.set_link("x", "y", HEALTHY, symmetric=True)
         assert plane.faults_for("y", "x").healthy
 
     def test_partitions_are_bidirectional(self):
@@ -165,9 +164,7 @@ class ChaosHarness:
         self.plane = FaultPlane(seed=0)
         self.pool = ChaosConnectionPool(
             "tester", self.peers, self.metrics, rng=random.Random(1),
-            plane=self.plane,
-            retry=RetryPolicy(base_delay=0.01, max_delay=0.05,
-                              max_attempts=3))
+            plane=self.plane)
         self.received: list = []
         outer = self
 
@@ -177,8 +174,7 @@ class ChaosHarness:
 
         self.node = Sink("target", self.scheduler,
                          SocketNetwork(self.scheduler, self.pool))
-        self.server = NodeServer(self.node, self.metrics,
-                                 handshake_timeout=1.0)
+        self.server = NodeServer(self.node, self.metrics)
 
     async def start(self) -> None:
         host, port = await self.server.start()
@@ -199,6 +195,7 @@ class ChaosHarness:
 
 
 @pytest.mark.net
+@pytest.mark.usefixtures("fast_retries")
 class TestChaosConnectionPool:
     def test_healthy_plane_is_transparent(self):
         async def scenario():
@@ -262,7 +259,7 @@ class TestChaosConnectionPool:
                 payload = {"k": "v" * 50}
                 for _ in range(4):
                     h.pool.send("target", payload)
-                h.plane.clear_link("tester", "target")
+                h.plane.set_link("tester", "target", HEALTHY)
                 h.pool.send("target", "clean")
                 await h.wait_received(1, timeout=8.0)
                 # Whatever survived decoding must be bit-exact; the rest

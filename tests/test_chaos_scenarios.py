@@ -8,13 +8,26 @@ and run in their own CI step under a hard timeout.
 
 from __future__ import annotations
 
+import asyncio
 import json
 import pathlib
 
 import pytest
 
 from repro.chaos import SCENARIOS, run_scenario_sync
-from repro.chaos.scenarios import P99_RATIO_BOUND
+from repro.chaos.scenarios import (
+    P99_RATIO_BOUND,
+    Check,
+    Outcome,
+    ReadsSurvived,
+    Scenario,
+    Settle,
+    StartLoad,
+    StopLoad,
+    Write,
+    play_scenario,
+)
+from repro.net.deploy import NetDeploymentSpec, fast_protocol_config
 
 pytestmark = pytest.mark.chaos
 
@@ -120,6 +133,29 @@ def test_flash_crowd_slo_judges_sheds_not_the_stopwatch(
     assert f"{sheds} honest frames shed" in slo.detail
     assert verdict.timings["slo"] == pytest.approx(
         P99_RATIO_BOUND * reference_p99)
+
+
+def test_loads_and_probe_writes_start_no_task():
+    """A read loop is a chain of completion callbacks and a probe write
+    a plain submit, so starting two loops and a probe leaves the event
+    loop's task count where it was."""
+    counts: list[int] = []
+
+    def count_tasks(_run) -> Outcome:
+        counts.append(len(asyncio.all_tasks()))
+        return Outcome(True, "")
+
+    spec = NetDeploymentSpec(
+        num_masters=1, slaves_per_master=1, num_clients=2,
+        protocol=fast_protocol_config(double_check_probability=0.0))
+    verdict = asyncio.run(play_scenario(Scenario("no_tasks", (spec,), (
+        Write("baseline_write", "k", "v0"), Settle(1.0),
+        Check(None, count_tasks), StartLoad("load"),
+        Write(None, "probe", "x"), Check(None, count_tasks),
+        Settle(0.5), StopLoad("load"),
+        Check("reads_survived", ReadsSurvived())))))
+    assert counts[1] == counts[0]
+    assert verdict.passed, [c.to_json() for c in verdict.failures()]
 
 
 def test_unknown_scenario_rejected():

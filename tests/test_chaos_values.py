@@ -14,6 +14,7 @@ launches a cluster.
 from __future__ import annotations
 
 import ast
+import asyncio
 import dataclasses
 import json
 import pathlib
@@ -24,6 +25,7 @@ import pytest
 
 from repro.chaos import scenarios as chaos
 from repro.chaos.invariants import run_safety_checks
+from repro.content.kvstore import KVGet
 from repro.core.system import auditor_node_id
 from repro.metrics.registry import MetricsRegistry
 from repro.net.deploy import NetDeploymentSpec, fast_protocol_config
@@ -75,9 +77,6 @@ def shape(scenario: chaos.Scenario) -> tuple[list[str], list[str]]:
     for step in scenario.schedule:
         match step:
             case chaos.Write(check=str() as name):
-                checks.append(name)
-            case chaos.MoveShard(timing=timing, check=name):
-                timings.append(timing)
                 checks.append(name)
             case chaos.Mark(timing=str() as timing):
                 timings.append(timing)
@@ -197,6 +196,72 @@ def test_the_vocabulary_is_closed_and_every_step_type_used():
     assert used == set(chaos.STEPS)
     assert all(dataclasses.is_dataclass(step) and step.__dataclass_params__
                .frozen for step in chaos.STEPS)
+
+
+class HeldReads:
+    """An operation sink that holds every operation and its completion
+    callback."""
+
+    def __init__(self) -> None:
+        self.ops: list[Any] = []
+        self.pending: list[Any] = []
+
+    def submit(self, op, level=None, callback=None) -> None:
+        self.ops.append(op)
+        self.pending.append(callback)
+
+
+def test_a_probe_write_is_a_submit_nothing_awaits():
+    sinks = {"client-00": HeldReads(), "client-01": HeldReads()}
+    run = chaos.ScenarioRun("probe", SimpleNamespace(node=sinks.get), None)
+    asyncio.run(run.play(chaos.Write(None, "re{i}", "x", by=tuple(sinks))))
+    assert [(s.ops[0].key, s.pending) for s in sinks.values()] == \
+        [("re0", [None]), ("re1", [None])]
+    assert run.checks == []
+
+
+@pytest.mark.parametrize("moved", [True, False])
+def test_the_move_is_judged_one_generation_and_epoch_on(monkeypatch, moved):
+    cluster = SimpleNamespace(shards={"s00": SimpleNamespace(generation=3)},
+                              map_epoch=7)
+
+    class Rebalancer:
+        def __init__(self, target):
+            assert target is cluster
+
+        async def move_shard(self, shard_id):
+            cluster.shards[shard_id].generation += moved
+            cluster.map_epoch += 1
+            return {"slaves_resynced_at": 1.25}
+
+    monkeypatch.setattr(chaos, "Rebalancer", Rebalancer)
+    outcome = asyncio.run(chaos._move_s00(SimpleNamespace(cluster=cluster)))
+    assert outcome.passed is moved and outcome.values == (1.25,)
+    assert f"(3, 7) -> ({3 + moved}, 8)" in outcome.detail
+
+
+def test_a_stopped_load_issues_and_counts_nothing_more():
+    async def scenario():
+        sink = HeldReads()
+        cluster = SimpleNamespace(scheduler=SimpleNamespace(now=3.0))
+        chain = chaos.ReadLoad(cluster, KVGet(key="k"), 0.0, [sink, sink])
+        chain.start()
+        sink.pending.pop(0)({"status": "accepted"})  # issues the next
+        assert (chain.attempts, chain.accepted, len(sink.pending)) == \
+            (3, 1, 2)
+        paced = chaos.ReadLoad(cluster, KVGet(key="k"), 0.01, [sink])
+        paced.start()
+        sink.pending.pop()({"status": "failed"})  # next due in 0.01 s
+        chain.stop()
+        paced.stop()
+        for done in sink.pending:
+            done({"status": "accepted"})
+        await asyncio.sleep(0.05)
+        assert (chain.attempts, chain.accepted, chain.rejected) == (3, 1, 0)
+        assert (paced.attempts, paced.accepted, paced.rejected) == (1, 0, 1)
+        assert len(sink.pending) == 2 and chain.accepted_at == [3.0]
+
+    asyncio.run(scenario())
 
 
 def test_detection_is_judged_against_the_runs_own_keepalive():

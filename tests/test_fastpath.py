@@ -44,7 +44,7 @@ from repro.shard.map import ShardMap
 def _clean_fastpath():
     """Each test starts with a cold cache and zeroed stats."""
     fastpath.VERIFY_CACHE.clear()
-    fastpath.reset_stats()
+    fastpath.VERIFY_CACHE.hits = fastpath.VERIFY_CACHE.misses = 0
 
 
 def _rsa_keys(owner_id: str, seed: int, metrics=None) -> KeyPair:

@@ -64,45 +64,15 @@ class TestTimeline:
         assert timeline.max() == 3.0
         assert timeline.values() == [1.0, 3.0]
 
-    def test_time_weighted_mean(self):
-        timeline = Timeline()
-        timeline.record(0.0, 0.0)
-        timeline.record(10.0, 100.0)  # value 0 held for all 10s
-        assert timeline.time_weighted_mean() == 0.0
-        timeline.record(20.0, 0.0)  # 100 held for 10s of 20s
-        assert timeline.time_weighted_mean() == 50.0
-
     def test_empty_timeline(self):
         timeline = Timeline()
         assert timeline.last() is None
         assert timeline.max() is None
-        assert timeline.time_weighted_mean() is None
 
     def test_registry_timelines_autocreate(self):
         registry = MetricsRegistry()
         registry.record("backlog", 1.0, 5.0)
         assert registry.timelines["backlog"].last() == 5.0
-
-    def test_time_weighted_mean_until_credits_final_value(self):
-        timeline = Timeline()
-        timeline.record(0.0, 0.0)
-        timeline.record(10.0, 100.0)
-        # Without an end time the final value carries no weight; with
-        # until=20 it holds for half the observed window.
-        assert timeline.time_weighted_mean() == 0.0
-        assert timeline.time_weighted_mean(until=20.0) == 50.0
-
-    def test_time_weighted_mean_until_single_point(self):
-        timeline = Timeline()
-        timeline.record(5.0, 3.0)
-        assert timeline.time_weighted_mean(until=15.0) == 3.0
-
-    def test_time_weighted_mean_until_before_last_point(self):
-        timeline = Timeline()
-        timeline.record(0.0, 1.0)
-        timeline.record(10.0, 2.0)
-        with pytest.raises(ValueError, match="precedes"):
-            timeline.time_weighted_mean(until=5.0)
 
 
 class TestHistogram:

@@ -44,7 +44,6 @@ from repro.net.peers import PeerDirectory
 from repro.net.server import NodeServer, RealtimeScheduler, SocketNetwork
 from repro.net.transport import (
     ConnectionPool,
-    RetryPolicy,
     read_frame,
     write_frame,
 )
@@ -78,13 +77,10 @@ class Harness:
         self.peers = PeerDirectory()
         self.pool = pool_cls(
             "tester", self.peers, self.metrics, rng=random.Random(seed + 1),
-            retry=RetryPolicy(base_delay=0.01, max_delay=0.05,
-                              max_attempts=3),
             **pool_kwargs)
         self.node = RecordingNode("target", self.scheduler,
                                   SocketNetwork(self.scheduler, self.pool))
-        self.server = NodeServer(self.node, self.metrics,
-                                 handshake_timeout=1.0)
+        self.server = NodeServer(self.node, self.metrics)
 
     async def start(self) -> None:
         host, port = await self.server.start()
@@ -108,6 +104,7 @@ class Harness:
 
 
 @pytest.mark.net
+@pytest.mark.usefixtures("fast_retries")
 class TestPipelinedOrdering:
     def test_fifo_order_survives_concurrent_sends(self):
         """Messages arrive in exactly the order send() was called, even
@@ -219,6 +216,7 @@ class TestFrameBatchRoundtrip:
 
 
 @pytest.mark.net
+@pytest.mark.usefixtures("fast_retries")
 class TestChaosDeterminismWithPipelining:
     async def _lossy_run(self, seed: int) -> tuple[list, dict]:
         h = Harness(pool_cls=ChaosConnectionPool, seed=seed,

@@ -32,7 +32,8 @@ from repro.core import messages as m
 from repro.crypto.keys import KeyPair
 from repro.crypto.signatures import new_signer
 from repro.metrics import MetricsRegistry
-from repro.net import codec
+from repro.net import codec, transport
+from repro.net import server as net_server
 from repro.net.codec import NetHello, encode_frame
 from repro.net.deploy import (
     LocalCluster,
@@ -46,9 +47,9 @@ from repro.net.server import (
     SocketNetwork,
     _Connection,
 )
-from repro.net.transport import ConnectionPool, RetryPolicy, read_frame
+from repro.net.transport import ConnectionPool, read_frame
 from repro.obs.admin import StatusReply, StatusRequest
-from repro.qos.breaker import BreakerPolicy
+from repro.qos import breaker
 from repro.qos.tokens import AdmissionPolicy
 from repro.shard.wire import ShardEnvelope
 
@@ -65,21 +66,16 @@ PLEDGE = m.Pledge.make(SLAVE, {"kind": "kv_get", "key": "k1"},
 class QosHarness:
     """A listening node with an admission policy, plus raw TCP access."""
 
-    def __init__(self, qos: AdmissionPolicy | None,
-                 breaker: BreakerPolicy | None = None) -> None:
+    def __init__(self, qos: AdmissionPolicy | None) -> None:
         loop = asyncio.get_running_loop()
         self.metrics = MetricsRegistry()
         self.scheduler = RealtimeScheduler(0, loop)
         self.peers = PeerDirectory()
         self.pool = ConnectionPool(
-            "tester", self.peers, self.metrics, rng=random.Random(1),
-            retry=RetryPolicy(base_delay=0.01, max_delay=0.05,
-                              max_attempts=2),
-            breaker=breaker)
+            "tester", self.peers, self.metrics, rng=random.Random(1))
         self.node = RecordingNode("target", self.scheduler,
                                   SocketNetwork(self.scheduler, self.pool))
-        self.server = NodeServer(self.node, self.metrics,
-                                 handshake_timeout=1.0, qos=qos)
+        self.server = NodeServer(self.node, self.metrics, qos=qos)
 
     async def start(self) -> None:
         host, port = await self.server.start()
@@ -116,7 +112,14 @@ class QosHarness:
         await self.server.aclose()
 
 
+@pytest.fixture
+def two_fast_retries(fast_retries):
+    fast_retries.setattr(transport, "MAX_ATTEMPTS", 2)
+    return fast_retries
+
+
 @pytest.mark.net
+@pytest.mark.usefixtures("two_fast_retries")
 class TestWireAdmission:
     def test_idle_connection_reaped(self):
         async def scenario():
@@ -161,11 +164,12 @@ class TestWireAdmission:
 
         run(scenario())
 
-    def test_shed_penalty_stalls_only_the_offender(self):
+    def test_shed_penalty_stalls_only_the_offender(self, monkeypatch):
+        penalty = 0.4
+        monkeypatch.setattr(net_server, "SHED_PENALTY", penalty)
+
         async def scenario():
-            penalty = 0.4
-            h = QosHarness(AdmissionPolicy(frame_rate=20.0, frame_burst=2.0,
-                                           shed_penalty=penalty))
+            h = QosHarness(AdmissionPolicy(frame_rate=20.0, frame_burst=2.0))
             await h.start()
             try:
                 loop = asyncio.get_running_loop()
@@ -343,12 +347,33 @@ class TestWireAdmission:
 
 @pytest.mark.net
 class TestPoolBreaker:
-    def test_breaker_opens_fast_fails_and_heals(self):
+    def test_every_pool_has_breakers(self, two_fast_retries):
+        """A pool built with no more than its node, peers, metrics and
+        rng still fast-fails a dead peer after ``FAILURE_THRESHOLD``
+        exhausted batches."""
         async def scenario():
-            h = QosHarness(
-                qos=None,
-                breaker=BreakerPolicy(failure_threshold=1,
-                                      reset_timeout=0.3))
+            h = QosHarness(qos=None)
+            await h.start()
+            await h.server.aclose()
+            try:
+                for n in range(breaker.FAILURE_THRESHOLD):
+                    h.pool.send("target", n)
+                    await h.wait_counter("net_drop_retries_exhausted",
+                                         n + 1)
+                assert h.pool.breaker_states() == {"target": "open"}
+                h.pool.send("target", "fast-failed")
+                await h.wait_counter("net_drop_breaker_open", 1)
+            finally:
+                await h.aclose()
+
+        run(scenario())
+
+    def test_breaker_opens_fast_fails_and_heals(self, two_fast_retries):
+        two_fast_retries.setattr(breaker, "FAILURE_THRESHOLD", 1)
+        two_fast_retries.setattr(breaker, "RESET_TIMEOUT", 0.3)
+
+        async def scenario():
+            h = QosHarness(qos=None)
             await h.start()
             host, port = h.peers.endpoint("target")
             await h.server.aclose()

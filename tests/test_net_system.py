@@ -41,6 +41,7 @@ from repro.core.adversary import (
     AnswerSubstitution,
     BrokenSignature,
 )
+from repro.core import master as master_module
 from repro.core.messages import AuditBatch, ReadReply, SlaveSnapshot
 from repro.core.oracle import classify_accepted_reads
 from repro.core.system import audit_summary
@@ -416,16 +417,18 @@ class TestSlaveCrash:
 
         run(scenario())
 
-    def test_slave_down_past_the_ops_log_installs_the_snapshot_as_sent(self):
-        """A slave that missed more than ``ops_log_depth`` writes gets a
+    def test_slave_down_past_the_ops_log_installs_the_snapshot_as_sent(
+            self, monkeypatch):
+        """A slave that missed more than ``OPS_LOG_DEPTH`` writes gets a
         full state transfer.  The transfer is held back while the master
         commits once more: what the slave installs is the state at the
         snapshot's stamp, and from there it converges on the master."""
+        monkeypatch.setattr(master_module, "OPS_LOG_DEPTH", 2)
+
         async def scenario():
             spec = NetDeploymentSpec(
                 num_masters=1, slaves_per_master=1, num_clients=1, seed=12,
-                protocol=fast_protocol_config(double_check_probability=0.0,
-                                              ops_log_depth=2))
+                protocol=fast_protocol_config(double_check_probability=0.0))
             cluster = await LocalCluster.launch(spec, settle=0.6)
             try:
                 master, slave = cluster.masters[0], cluster.slaves[0]

@@ -19,14 +19,15 @@ import pytest
 
 from repro.core.messages import AuditBatch, KeepAlive, ReadReply
 from repro.metrics import MetricsRegistry
-from repro.net import codec
+from repro.net import codec, transport
+from repro.net import server as net_server
 from repro.net.codec import NetHello, encode_frame, encode_value
 from repro.net.errors import PeerUnknown, TruncatedFrame
-from repro.net.peers import PeerDirectory, format_address, parse_address
+from repro.net.peers import PeerDirectory
 from repro.net.server import NodeServer, RealtimeScheduler, SocketNetwork
 from repro.net.transport import (
     ConnectionPool,
-    RetryPolicy,
+    backoff,
     read_frame,
     write_frame,
 )
@@ -66,13 +67,10 @@ class Harness:
         self.peers = PeerDirectory()
         self.pool = ConnectionPool(
             "tester", self.peers, self.metrics,
-            rng=random.Random(1),
-            retry=RetryPolicy(base_delay=0.01, max_delay=0.05,
-                              max_attempts=3))
+            rng=random.Random(1))
         self.node = node_cls("target", self.scheduler,
                              SocketNetwork(self.scheduler, self.pool))
-        self.server = NodeServer(self.node, self.metrics,
-                                 handshake_timeout=1.0)
+        self.server = NodeServer(self.node, self.metrics)
 
     async def start(self) -> None:
         host, port = await self.server.start()
@@ -100,16 +98,6 @@ class Harness:
 
 
 class TestAddresses:
-    def test_roundtrip(self):
-        assert parse_address(format_address("127.0.0.1", 9001)) == \
-            ("127.0.0.1", 9001)
-
-    @pytest.mark.parametrize("bad", ["nohost", "host:", "host:notaport",
-                                     "host:-1", "host:70000", ":80"])
-    def test_malformed_rejected(self, bad):
-        with pytest.raises(ValueError):
-            parse_address(bad)
-
     def test_directory(self):
         peers = PeerDirectory()
         peers.add("a", "127.0.0.1", 1)
@@ -125,34 +113,35 @@ class TestAddresses:
 # -- retry policy --------------------------------------------------------
 
 
+def flat_backoff(monkeypatch, delay: float, attempts: int) -> None:
+    """Every backoff ``delay`` exactly, ``attempts`` a batch."""
+    monkeypatch.setattr(transport, "BACKOFF_BASE", delay)
+    monkeypatch.setattr(transport, "BACKOFF_MULTIPLIER", 1.0)
+    monkeypatch.setattr(transport, "BACKOFF_JITTER", 0.0)
+    monkeypatch.setattr(transport, "MAX_ATTEMPTS", attempts)
+
+
 class TestRetryPolicy:
-    def test_exponential_growth_capped(self):
-        policy = RetryPolicy(base_delay=0.1, multiplier=2.0, max_delay=0.5,
-                             jitter=0.0)
+    def test_exponential_growth_capped(self, monkeypatch):
+        monkeypatch.setattr(transport, "BACKOFF_BASE", 0.1)
+        monkeypatch.setattr(transport, "BACKOFF_MAX", 0.5)
+        monkeypatch.setattr(transport, "BACKOFF_JITTER", 0.0)
         rng = random.Random(0)
-        delays = [policy.delay(a, rng) for a in range(5)]
+        delays = [backoff(a, rng) for a in range(5)]
         assert delays == [0.1, 0.2, 0.4, 0.5, 0.5]
 
-    def test_jitter_bounds(self):
-        policy = RetryPolicy(base_delay=0.1, multiplier=1.0, jitter=0.5)
+    def test_jitter_bounds(self, monkeypatch):
+        monkeypatch.setattr(transport, "BACKOFF_BASE", 0.1)
+        monkeypatch.setattr(transport, "BACKOFF_MULTIPLIER", 1.0)
         rng = random.Random(7)
         for attempt in range(50):
-            delay = policy.delay(attempt, rng)
+            delay = backoff(attempt, rng)
             assert 0.1 <= delay <= 0.1 * 1.5
 
     def test_deterministic_given_seed(self):
-        policy = RetryPolicy()
-        a = [policy.delay(i, random.Random(3)) for i in range(4)]
-        b = [policy.delay(i, random.Random(3)) for i in range(4)]
+        a = [backoff(i, random.Random(3)) for i in range(4)]
+        b = [backoff(i, random.Random(3)) for i in range(4)]
         assert a == b
-
-    @pytest.mark.parametrize("kwargs", [
-        dict(base_delay=0.0), dict(base_delay=-1.0), dict(multiplier=0.5),
-        dict(max_attempts=0), dict(jitter=-0.1), dict(jitter=1.5),
-    ])
-    def test_validation(self, kwargs):
-        with pytest.raises(ValueError):
-            RetryPolicy(**kwargs)
 
 
 # -- stream framing over real TCP ---------------------------------------
@@ -235,6 +224,7 @@ class TestStreamFraming:
 
 
 @pytest.mark.net
+@pytest.mark.usefixtures("fast_retries")
 class TestConnectionPool:
     def test_delivery_and_metrics(self):
         async def scenario():
@@ -388,14 +378,14 @@ class TestConnectionPool:
 
         run(scenario())
 
-    def test_no_backoff_sleep_after_final_attempt(self):
+    def test_no_backoff_sleep_after_final_attempt(self, fast_retries):
+        # Two attempts, a long flat backoff: exactly one 0.4s sleep
+        # should happen (between the attempts), none after the last.
+        flat_backoff(fast_retries, 0.4, attempts=2)
+
         async def scenario():
             h = Harness()
             await h.start()
-            # Two attempts, a long flat backoff: exactly one 0.4s sleep
-            # should happen (between the attempts), none after the last.
-            h.pool.retry = RetryPolicy(base_delay=0.4, multiplier=1.0,
-                                       jitter=0.0, max_attempts=2)
             await h.server.aclose()
             try:
                 t0 = asyncio.get_running_loop().time()
@@ -435,6 +425,7 @@ class TestConnectionPool:
 
 
 @pytest.mark.net
+@pytest.mark.usefixtures("fast_retries")
 class TestFlushHandOver:
     """``send`` order is delivery order, whichever of the synchronous
     flush and the recovery task wrote each message."""
@@ -469,12 +460,12 @@ class TestFlushHandOver:
 
         run(scenario())
 
-    def test_sends_during_backoff_keep_their_order(self):
+    def test_sends_during_backoff_keep_their_order(self, fast_retries):
+        flat_backoff(fast_retries, 0.15, attempts=5)
+
         async def scenario():
             h = Harness()
             await h.start()
-            h.pool.retry = RetryPolicy(base_delay=0.15, multiplier=1.0,
-                                       jitter=0.0, max_attempts=5)
             host, port = h.peers.endpoint("target")
             await h.server.aclose()
             try:
@@ -590,6 +581,7 @@ def written_to(pool: ConnectionPool) -> list[tuple[str, list[Any], bytes]]:
 
 
 @pytest.mark.net
+@pytest.mark.usefixtures("fast_retries")
 class TestConnectionContext:
     """The sending half of a connection's memory lives in its ``_Peer``
     beside the writer, the receiving half in the accepted
@@ -682,6 +674,7 @@ class TestConnectionContext:
 
 
 @pytest.mark.net
+@pytest.mark.usefixtures("fast_retries")
 class TestNodeServerResilience:
     async def _hello(self, writer, node_id: str = "tester") -> None:
         writer.write(encode_frame(NetHello(node_id=node_id)))
@@ -760,6 +753,25 @@ class TestNodeServerResilience:
                 snap = h.metrics.snapshot()
                 assert snap["net_handshakes_rejected"] == 1
                 assert h.node.received == []
+            finally:
+                await h.aclose()
+
+        run(scenario())
+
+    def test_silence_past_the_handshake_deadline_is_refused(
+            self, fast_retries):
+        fast_retries.setattr(net_server, "HANDSHAKE_TIMEOUT", 0.1)
+
+        async def scenario():
+            h = Harness()
+            await h.start()
+            try:
+                reader, _writer = await h.raw_connection()
+                # Say nothing: the listener hangs up at the deadline.
+                assert await asyncio.wait_for(reader.read(), 2.0) == b""
+                snap = h.metrics.snapshot()
+                assert snap["net_handshakes_rejected"] == 1
+                assert snap["net_timeouts"] == 1
             finally:
                 await h.aclose()
 
@@ -1049,6 +1061,7 @@ class TestRealtimeScheduler:
 
 
 @pytest.mark.net
+@pytest.mark.usefixtures("fast_retries")
 class TestServerLifecycle:
     def test_suspend_refuses_new_connections(self):
         async def scenario():

@@ -18,6 +18,8 @@ import sys
 import textwrap
 from pathlib import Path
 
+import pytest
+
 REPO_ROOT = Path(__file__).resolve().parent.parent
 if str(REPO_ROOT) not in sys.path:  # `tools` lives at the repo root
     sys.path.insert(0, str(REPO_ROOT))
@@ -506,6 +508,25 @@ class TestPL201WireLock:
         assert multi_codes(codec, MESSAGES_FIXTURE,
                            project=lock_project(GOOD_LOCK)) \
             == ["PL201", "PL201"]
+
+    @pytest.mark.parametrize("loop", [
+        # A tuple of slices, as one codec draft had it.
+        "        for base, block in ((32, WIRE_MESSAGE_TYPES[:1]),\n"
+        "                            (33, WIRE_MESSAGE_TYPES[1:])):\n"
+        "            for offset, message_cls in enumerate(block):\n"
+        "                yield (base + offset, message_cls, None, None)",
+        "        for offset, message_cls in enumerate(message_types()):\n"
+        "            yield (32 + offset, message_cls, None, None)",
+    ], ids=["tuple_of_slices", "call"])
+    def test_unreadable_loop_flagged(self, loop):
+        # Read as nothing, the loop would leave a lock of Hello alone
+        # agreeing with the extraction, as ``--update-lock`` wrote it.
+        codec = (CODEC_FIXTURE[0], CODEC_FIXTURE[1].replace(
+            "        for offset, message_cls in enumerate(WIRE_MESSAGE_TYPES):\n"
+            "            yield (32 + offset, message_cls, None, None)", loop))
+        hello_only = GOOD_LOCK.split("32\t")[0]
+        assert multi_codes(codec, MESSAGES_FIXTURE,
+                           project=lock_project(hello_only)) == ["PL201"]
 
     def test_slice_without_literal_bounds_flagged(self):
         codec = (CODEC_FIXTURE[0], CODEC_FIXTURE[1].replace(

@@ -10,8 +10,8 @@ hangs off:
   shed invariant, and protected overflow accounting;
 * :class:`CircuitBreaker` -- the closed/open/half-open machine,
   including half-open probe success and failure;
-* knob validation on :class:`AdmissionPolicy`, :class:`BreakerPolicy`
-  and the ``qos_*`` fields of :class:`ProtocolConfig`.
+* knob validation on :class:`AdmissionPolicy` and the ``qos_*`` fields
+  of :class:`ProtocolConfig`.
 """
 
 from __future__ import annotations
@@ -24,13 +24,8 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from repro.core.config import ProtocolConfig
-from repro.qos.breaker import (
-    CLOSED,
-    HALF_OPEN,
-    OPEN,
-    BreakerPolicy,
-    CircuitBreaker,
-)
+from repro.qos import breaker as breaker_module
+from repro.qos.breaker import CLOSED, HALF_OPEN, OPEN, CircuitBreaker
 from repro.qos.queue import InboundQueue
 from repro.qos.tokens import AdmissionPolicy, ClientAdmission, TokenBucket
 
@@ -254,13 +249,17 @@ def test_queue_protected_survival_property(entries, limit):
 # ---------------------------------------------------------------------------
 
 
-def make_breaker(threshold=2, reset=1.0, probes=1):
-    return CircuitBreaker(BreakerPolicy(failure_threshold=threshold,
-                                        reset_timeout=reset,
-                                        half_open_max=probes))
+@pytest.fixture
+def make_breaker(monkeypatch):
+    def make(threshold=2, reset=1.0, probes=1):
+        monkeypatch.setattr(breaker_module, "FAILURE_THRESHOLD", threshold)
+        monkeypatch.setattr(breaker_module, "RESET_TIMEOUT", reset)
+        monkeypatch.setattr(breaker_module, "HALF_OPEN_MAX", probes)
+        return CircuitBreaker()
+    return make
 
 
-def test_breaker_trips_after_threshold_failures():
+def test_breaker_trips_after_threshold_failures(make_breaker):
     breaker = make_breaker(threshold=3)
     for _ in range(2):
         breaker.record_failure(0.0)
@@ -271,7 +270,7 @@ def test_breaker_trips_after_threshold_failures():
     assert breaker.trips == 1
 
 
-def test_breaker_success_resets_failure_streak():
+def test_breaker_success_resets_failure_streak(make_breaker):
     breaker = make_breaker(threshold=2)
     breaker.record_failure(0.0)
     breaker.record_success(0.1)
@@ -279,7 +278,7 @@ def test_breaker_success_resets_failure_streak():
     assert breaker.state == CLOSED  # streak broken, one more needed
 
 
-def test_half_open_probe_success_closes():
+def test_half_open_probe_success_closes(make_breaker):
     breaker = make_breaker(reset=1.0, probes=1)
     breaker.record_failure(0.0)
     breaker.record_failure(0.0)
@@ -292,7 +291,7 @@ def test_half_open_probe_success_closes():
     assert breaker.state == CLOSED and breaker.allow(1.8)
 
 
-def test_half_open_probe_failure_reopens():
+def test_half_open_probe_failure_reopens(make_breaker):
     breaker = make_breaker(reset=1.0)
     breaker.record_failure(0.0)
     breaker.record_failure(0.0)
@@ -302,15 +301,6 @@ def test_half_open_probe_failure_reopens():
     # The new open window counts from the re-trip, not the first one.
     assert not breaker.allow(2.4)
     assert breaker.allow(2.7)
-
-
-def test_breaker_policy_validation():
-    with pytest.raises(ValueError):
-        BreakerPolicy(failure_threshold=0)
-    with pytest.raises(ValueError):
-        BreakerPolicy(reset_timeout=0.0)
-    with pytest.raises(ValueError):
-        BreakerPolicy(half_open_max=0)
 
 
 # ---------------------------------------------------------------------------

@@ -2,15 +2,25 @@
 
 from __future__ import annotations
 
+import pytest
+
 from repro.content.kvstore import KVGet, KVPut
+from repro.core import master as master_module
 from repro.core.config import ProtocolConfig
 
 from .conftest import make_system
 
 
+@pytest.fixture(autouse=True)
+def short_ops_log(monkeypatch):
+    """Masters resync a slave by ops only within 3 writes."""
+    monkeypatch.setattr(master_module, "OPS_LOG_DEPTH", 3)
+    return monkeypatch
+
+
 def tight_config(**overrides):
     defaults = dict(max_latency=1.0, keepalive_interval=0.5,
-                    double_check_probability=0.0, ops_log_depth=3)
+                    double_check_probability=0.0)
     defaults.update(overrides)
     return ProtocolConfig(**defaults)
 
@@ -39,8 +49,9 @@ class TestSnapshotTransfer:
         assert slave.store.state_digest() == \
             system.masters[0].store.state_digest()
 
-    def test_slave_within_ops_log_resyncs_incrementally(self):
-        system = make_system(protocol=tight_config(ops_log_depth=100))
+    def test_slave_within_ops_log_resyncs_incrementally(self, short_ops_log):
+        short_ops_log.setattr(master_module, "OPS_LOG_DEPTH", 100)
+        system = make_system(protocol=tight_config())
         system.start()
         slave = system.slaves[0]
         self.isolate(system, slave)
@@ -145,9 +156,9 @@ class TestSnapshotTransfer:
             system.clients[0].submit_write(KVPut(key=f"w{i}", value=i))
         system.run_for(40.0)
         master = system.masters[0]
-        # ops_log_depth = 3: older ops are no longer served incrementally.
+        # OPS_LOG_DEPTH = 3: older ops are no longer served incrementally.
         assert master.version == 8
-        depth = master.config.ops_log_depth
+        depth = master_module.OPS_LOG_DEPTH
         assert len(master.history.ops_between(8 - depth, 8, depth)) == depth
         assert master.history.ops_between(8 - depth - 1, 8, depth) is None
         # The measurement oracle still reconstructs all versions.

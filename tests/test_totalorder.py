@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import pytest
 
+from repro.broadcast import totalorder
 from repro.broadcast.totalorder import BroadcastEnvelope, TotalOrderBroadcast
 from repro.sim.latency import ConstantLatency, UniformLatency
 from repro.sim.network import Network, Node
@@ -183,9 +184,10 @@ class TestRetransmission:
         for member in members:
             assert payloads(member) == ["persistent"]
 
-    def test_duplicate_requests_ordered_once(self):
-        sim, _net, members = build_group(
-            request_timeout=0.05)  # aggressive retransmission
+    def test_duplicate_requests_ordered_once(self, monkeypatch):
+        # Aggressive retransmission.
+        monkeypatch.setattr(totalorder, "REQUEST_TIMEOUT", 0.05)
+        sim, _net, members = build_group()
         members[1].engine.broadcast("once")
         sim.run_for(5.0)
         assert payloads(members[0]) == ["once"]

@@ -124,10 +124,15 @@ def _positional_tail(node: ast.For, codec: ModuleInfo,
                      extraction: RegistryExtraction) -> None:
     """Record the ``for offset, cls in enumerate(TUPLE): yield (BASE +
     offset, cls, ...)`` positional block; ``TUPLE`` may be sliced with
-    int literals (``TUPLE[:21]``), which is how a retired id is skipped."""
+    int literals (``TUPLE[:21]``), which is how a retired id is skipped.
+    Any other loop is a problem: skipped, its ids would be missing from
+    the extraction, and so from a lock written from it."""
     if not (isinstance(node.iter, ast.Call)
             and terminal_name(node.iter.func) == "enumerate"
             and node.iter.args):
+        extraction.problems.append(
+            ("a loop in _iter_registrations must be `for offset, cls in "
+             "enumerate(TUPLE[a:b])`", codec.path, node.lineno))
         return
     target = node.iter.args[0]
     window = slice(None)
@@ -141,6 +146,9 @@ def _positional_tail(node: ast.For, codec: ModuleInfo,
         target = target.value
     tuple_name = terminal_name(target)
     if tuple_name is None:
+        extraction.problems.append(
+            ("a positional block must enumerate a named tuple",
+             codec.path, node.lineno))
         return
     base = _positional_base(node)
     if base is None:
