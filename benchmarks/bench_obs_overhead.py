@@ -14,9 +14,9 @@ three-tier cost model:
 
 This module measures all three tiers plus the wire-envelope cost of
 ``TraceCarrier`` at the codec layer, and records per-op span latency
-percentiles through the same fixed-bucket :class:`Histogram` the
-exporters use.  Wall-clock ratios are the regression-stable signal;
-absolute rates are machine-dependent.
+percentiles through :func:`~repro.metrics.summarize` (nearest rank, as
+the trace report quotes them).  Wall-clock ratios are the
+regression-stable signal; absolute rates are machine-dependent.
 """
 
 from __future__ import annotations
@@ -31,6 +31,7 @@ import time
 
 from repro.content.kvstore import KVGet, KVPut
 from repro.core.config import ProtocolConfig
+from repro.metrics import summarize
 from repro.net.codec import decode_frame, encode_frame
 from repro.obs.context import TraceCarrier, TraceContext
 from repro.obs.spans import ObsRuntime
@@ -38,7 +39,6 @@ from repro.sim.simulator import Simulator
 
 from benchmarks.common import (
     build_system,
-    latency_stats,
     print_table,
     scaled,
 )
@@ -135,9 +135,9 @@ def write_path(mode: str, writes: int, reads: int, seed: int = 8) -> dict:
         "elapsed_s": elapsed,
         "committed": committed,
         "spans_recorded": len(spans),
-        "write_span_stats": latency_stats(
+        "write_span_stats": summarize([
             s.duration for s in spans
-            if s.op == "client.write" and s.duration is not None),
+            if s.op == "client.write" and s.duration is not None]),
     }
 
 

@@ -21,7 +21,6 @@ from typing import Any, Callable, Iterable, Sequence
 from repro.content.kvstore import KVGet, KVPut, KeyValueStore
 from repro.core.config import ProtocolConfig
 from repro.core.system import DeploymentSpec, ReplicationSystem
-from repro.metrics import Histogram
 
 FULL = os.environ.get("REPRO_BENCH_FULL", "") not in ("", "0")
 
@@ -113,20 +112,6 @@ def schedule_uniform_reads(system: ReplicationSystem, count: int,
 def schedule_write(system: ReplicationSystem, at: float, key: str,
                    value: Any) -> None:
     system.schedule_op(system.clients[0], at, KVPut(key=key, value=value))
-
-
-def latency_stats(values: Iterable[float],
-                  bounds: Sequence[float] | None = None) -> dict[str, float]:
-    """count/mean/p50/p90/p99/min/max via the fixed-bucket Histogram.
-
-    O(1) memory however long the sweep runs, and the same bucket
-    layout the obs exporters publish, so benchmark tables and
-    Prometheus scrapes quote comparable percentiles.
-    """
-    histogram = Histogram(bounds)
-    for value in values:
-        histogram.observe(value)
-    return histogram.summary()
 
 
 def print_table(title: str, headers: Sequence[str],

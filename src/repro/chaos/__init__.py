@@ -16,14 +16,15 @@ Layers:
   accepted stale/forged reads, consistency window, convergence);
 * :mod:`repro.chaos.scenarios` -- scenarios as values: a cast (a
   deployment spec), a schedule of steps from a closed vocabulary
-  (write, settle, start/stop read load, crash, restart,
-  partition, heal, link faults, shard move, mark, wait-until, check)
+  (write, settle, start/stop read load, crash, restart, link faults --
+  a partition is a cut link -- mark, wait-until, check)
   with node references as values, and checks -- the named catalog of
   nine, and the one interpreter that runs any such value into a JSON
   verdict (also behind ``repro-sim chaos``).
 """
 
 from repro.chaos.faults import (
+    CUT,
     HEALTHY,
     ChaosConnectionPool,
     FaultPlane,
@@ -41,6 +42,7 @@ from repro.chaos.scenarios import (
 )
 
 __all__ = [
+    "CUT",
     "HEALTHY",
     "ChaosConnectionPool",
     "CheckResult",

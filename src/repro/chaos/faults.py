@@ -21,8 +21,9 @@ when the link is up.
   flush -- a corrupted frame keeps its header intact so the receiver
   stays frame-aligned and must survive the garbage *body* (codec
   rejection, signature failure or a contained handler error);
-* partitions silently eat every frame in both directions until healed,
-  exactly like :meth:`repro.sim.network.Network.partition`.
+* a partition is :data:`CUT` (every frame dropped) on both directions
+  of a link, until the link's profile is replaced, like
+  :meth:`repro.sim.network.Network.partition` until ``heal``.
 
 A deployment gets all of this by being launched with a plane
 (``LocalCluster.launch(spec, plane=FaultPlane(seed))``): the plane
@@ -73,6 +74,8 @@ class LinkFaults:
 
 
 HEALTHY = LinkFaults()
+#: A link that loses every frame: set both ways, a partition.
+CUT = LinkFaults(drop=1.0)
 
 
 @dataclass(frozen=True, slots=True)
@@ -93,9 +96,10 @@ class FaultPlane:
     """Shared, seeded fault-decision authority for every link.
 
     Mirrors the simulator's fault API (:class:`repro.sim.network.Network`
-    partitions plus loss/latency knobs) for the socket stack.  All
-    mutators are plain synchronous calls, so scripted schedules are just
-    code that calls them at chosen times.
+    partitions plus loss/latency knobs) for the socket stack, with one
+    primitive, a link's profile: a partition is :data:`CUT` on both
+    directions.  Both mutators are plain synchronous calls, so scripted
+    schedules are just code that calls them at chosen times.
     """
 
     def __init__(self, seed: int = 0) -> None:
@@ -103,7 +107,6 @@ class FaultPlane:
         self._default = HEALTHY
         self._links: dict[tuple[str, str], LinkFaults] = {}
         self._rngs: dict[tuple[str, str], random.Random] = {}
-        self._partitions: set[frozenset[str]] = set()
 
     def pool(self, *args: Any, **kwargs: Any) -> "ChaosConnectionPool":
         """A connection pool (same arguments as
@@ -113,8 +116,10 @@ class FaultPlane:
     # -- profile management ----------------------------------------------
 
     def set_default(self, faults: LinkFaults) -> None:
-        """Profile for every link without an explicit entry."""
+        """Profile for every link, replacing each per-link profile;
+        decision streams persist."""
         self._default = faults
+        self._links.clear()
 
     def set_link(self, src: str, dst: str, faults: LinkFaults,
                  symmetric: bool = False) -> None:
@@ -123,29 +128,8 @@ class FaultPlane:
         if symmetric:
             self._links[(dst, src)] = faults
 
-    def reset(self) -> None:
-        """Drop every profile and partition; decision streams persist."""
-        self._default = HEALTHY
-        self._links.clear()
-        self._partitions.clear()
-
     def faults_for(self, src: str, dst: str) -> LinkFaults:
         return self._links.get((src, dst), self._default)
-
-    # -- partitions (bidirectional, like the simulator's) ------------------
-
-    def partition(self, a: str, b: str) -> None:
-        """Cut both directions between ``a`` and ``b``."""
-        self._partitions.add(frozenset((a, b)))
-
-    def heal(self, a: str, b: str) -> None:
-        self._partitions.discard(frozenset((a, b)))
-
-    def heal_all(self) -> None:
-        self._partitions.clear()
-
-    def is_partitioned(self, a: str, b: str) -> bool:
-        return frozenset((a, b)) in self._partitions
 
     # -- per-frame decisions ----------------------------------------------
 
@@ -198,9 +182,10 @@ class _Corrupted:
 class ChaosConnectionPool(ConnectionPool):
     """A :class:`ConnectionPool` whose frames answer to a fault plane.
 
-    Message-level faults (drop, duplicate, delay, reorder, partition)
-    are applied in :meth:`send`, before queueing; corruption
-    in :meth:`_encode`, as the flush frames the message.  Reordered
+    Message-level faults (drop -- a cut link's every frame too --,
+    duplicate, delay, reorder) are applied in :meth:`send`, before
+    queueing; corruption in :meth:`_encode`, as the flush frames the
+    message.  Reordered
     frames are parked until the next frame to the same destination
     passes them, with a timer backstop so a quiet link still delivers.
     """
@@ -219,9 +204,6 @@ class ChaosConnectionPool(ConnectionPool):
 
     def send(self, dst_id: str, message: Any) -> None:
         if self._closed:
-            return
-        if self.plane.is_partitioned(self.node_id, dst_id):
-            self._drop(dst_id, "partitioned")
             return
         plan = self.plane.plan(self.node_id, dst_id)
         if plan.drop:
@@ -290,6 +272,7 @@ class ChaosConnectionPool(ConnectionPool):
 
 
 __all__ = [
+    "CUT",
     "HEALTHY",
     "ChaosConnectionPool",
     "FaultPlane",

@@ -24,14 +24,14 @@ import math
 from dataclasses import dataclass, field
 from typing import Any, Callable, NamedTuple, TypeVar, Union
 
-from repro.chaos.faults import FaultPlane, LinkFaults
+from repro.chaos.faults import CUT, HEALTHY, FaultPlane, LinkFaults
 from repro.chaos.invariants import CheckResult, reference_master
 from repro.chaos.invariants import run_safety_checks
 from repro.content.kvstore import KVGet, KVPut
 from repro.content.queries import Operation
 from repro.core.adversary import AlwaysLie
+from repro.core.client import master_preference
 from repro.core.config import ProtocolConfig
-from repro.crypto.hashing import sha1_hex
 from repro.net.deploy import LocalCluster, NetDeploymentSpec
 from repro.net.deploy import fast_protocol_config
 from repro.obs.admin import ObsDumpRequest, StatusRequest, span_from_wire
@@ -326,7 +326,8 @@ class NoHandlerErrors:
 # ``check``: the judgement as the wait left it, within the bound.
 # ``Check`` records a judgement (just its timings if ``name`` is None);
 # a scenario's own may be a coroutine function that acts, then judges.
-# ``Heal`` drops every partition and link profile.
+# ``SetLinks`` with no groups replaces every link's profile; a partition
+# is ``SetLinks(CUT, (node, peers))``, healed by ``SetLinks(HEALTHY)``.
 
 
 @dataclass(frozen=True)
@@ -367,18 +368,7 @@ class Restart:
 
 
 @dataclass(frozen=True)
-class Partition:  # cut ``node`` off from each of ``peers``
-    node: Ref
-    peers: Ref = Every("trusted")
-
-
-@dataclass(frozen=True)
-class Heal:
-    pass
-
-
-@dataclass(frozen=True)
-class SetLinks:  # on each link between two groups, else the default
+class SetLinks:  # both ways on each link between two groups, else all
     faults: LinkFaults
     between: tuple[Ref, Ref] | None = None
 
@@ -405,10 +395,10 @@ class Check:
     judge: Any
 
 
-STEPS = (Write, Settle, StartLoad, StopLoad, Crash, Restart, Partition,
-         Heal, SetLinks, Mark, WaitUntil, Check)
-Step = Union[Write, Settle, StartLoad, StopLoad, Crash, Restart, Partition,
-             Heal, SetLinks, Mark, WaitUntil, Check]
+STEPS = (Write, Settle, StartLoad, StopLoad, Crash, Restart, SetLinks, Mark,
+         WaitUntil, Check)
+Step = Union[Write, Settle, StartLoad, StopLoad, Crash, Restart, SetLinks,
+             Mark, WaitUntil, Check]
 #: A check on the last run's verdict against the first's, named by its
 #: function: ``judge(reference, verdict) -> Outcome``.
 Compare = Callable[[ScenarioVerdict, ScenarioVerdict], Outcome]
@@ -516,19 +506,13 @@ class ScenarioRun:
             case Restart(node):
                 for node_id in self.ids(node):
                     await cluster.restart_node(node_id)
-            case Partition(node, peers):
-                for a, b in itertools.product(self.ids(node),
-                                              self.ids(peers)):
-                    if a != b:
-                        plane.partition(a, b)
-            case Heal():
-                plane.reset()
             case SetLinks(faults, None):
                 plane.set_default(faults)
             case SetLinks(faults, (left, right)):
                 for a, b in itertools.product(self.ids(left),
                                               self.ids(right)):
-                    plane.set_link(a, b, faults, symmetric=True)
+                    if a != b:
+                        plane.set_link(a, b, faults, symmetric=True)
             case Mark(name, timing, since):
                 now = cluster.scheduler.now
                 if timing is not None and since is not None:
@@ -632,11 +616,6 @@ def _opening(config: ProtocolConfig) -> tuple[Step, ...]:
 _CLOSING = (StopLoad("load"), Check("reads_survived", ReadsSurvived()))
 
 
-def _homed_on(client: str, num_masters: int) -> int:
-    """The master a client first homes to (client.py's rule)."""
-    return int(sha1_hex(client)[:4], 16) % num_masters
-
-
 def _since_crash(run: ScenarioRun, events: list[float]) -> float:
     t0 = run.marks["crash"][0]
     return min((at for at in events if at >= t0), default=math.inf) - t0
@@ -701,7 +680,7 @@ NET_DEMO = Scenario("net_demo", (NetDeploymentSpec(
 _MC = _detecting_config(max_read_retries=3)
 #: The clients the victim serves when it crashes.
 _STRANDED = tuple(c for c in (f"client-{i:02d}" for i in range(4))
-                  if _homed_on(c, 3) == 1)
+                  if master_preference(c) % 3 == 1)
 MASTER_CRASH = Scenario("master_crash", (NetDeploymentSpec(
     num_masters=3, slaves_per_master=2, num_clients=4, protocol=_MC,
     obs_enabled=True),), (
@@ -727,7 +706,7 @@ MASTER_CRASH = Scenario("master_crash", (NetDeploymentSpec(
 # double-checks every read, so each lie is an accusation at once.  The
 # target, another follower, is cut from every trusted member, so the
 # exclusions cannot reach it; healed, it repairs what it missed.
-_LIAR = _homed_on("client-00", 3)
+_LIAR = master_preference("client-00") % 3
 _LIARS = {f"slave-{_LIAR:02d}-{j:02d}" for j in range(2)}
 _TARGET = [f"master-{m:02d}" for m in (1, 2) if m != _LIAR][-1]
 _PH = fast_protocol_config(double_check_probability=0.05,
@@ -755,7 +734,8 @@ PARTITION_HEAL = Scenario("partition_heal", (NetDeploymentSpec(
     num_masters=3, slaves_per_master=2, num_clients=3, protocol=_PH,
     adversaries={2 * _LIAR + j: AlwaysLie() for j in range(2)},
     client_double_check_overrides={i: 1.0 for i in range(3)}),), (
-    *_opening(_PH), Mark("partition"), Partition(_TARGET), StartLoad("load"),
+    *_opening(_PH), Mark("partition"),
+    SetLinks(CUT, (_TARGET, Every("trusted"))), StartLoad("load"),
     WaitUntil(Count("exclusions", 2), 12.0, timing="exclusions_done",
               check="liars_excluded_during_partition"),
     # Held past the suspicion window, the target -- leaderless in its
@@ -763,7 +743,8 @@ PARTITION_HEAL = Scenario("partition_heal", (NetDeploymentSpec(
     Write("write_during_partition", "k", "mid", timeout=14.0),
     Settle(2 * _PH.broadcast_suspect_after),
     Check("target_missed_partition_history", _missed),
-    Mark("heal", timing="partition_window", since="partition"), Heal(),
+    Mark("heal", timing="partition_window", since="partition"),
+    SetLinks(HEALTHY),
     WaitUntil(_repaired, 12.0, timing="heal_catchup"),
     Check("accusations_propagated_through_heal", _learned),
     Check("partitioned_master_caught_up", CaughtUp(_TARGET)),
@@ -785,7 +766,8 @@ CORRUPT_FRAMES = Scenario("corrupt_frames", (NetDeploymentSpec(
         _ASYNC, corrupt=0.15), (Every("slave"), Every("client"))),
     Mark("chaos"), StartLoad("load"), Settle(5.0),
     Write("write_under_corruption", "k", "v1", timeout=14.0), Settle(1.0),
-    Mark(timing="corruption_window", since="chaos"), Heal(), StopLoad("load"),
+    Mark(timing="corruption_window", since="chaos"), SetLinks(HEALTHY),
+    StopLoad("load"),
     Check("frames_actually_corrupted", Count("chaos_corrupted_frames", 5)),
     Check("reads_survived", ReadsSurvived(at_least=10)),
     # A clean read once the faults are lifted proves liveness.
@@ -834,7 +816,7 @@ SLAVE_CRASH = Scenario("slave_crash", (NetDeploymentSpec(
 # reads go the audit path.  Every listener is scraped over TCP, and the
 # audit lag, the detections and the exclusions are read off its spans.
 _TL = fast_protocol_config()
-_TL_HOME = _homed_on("client-00", 2)
+_TL_HOME = master_preference("client-00") % 2
 _TL_LIARS = {f"slave-{_TL_HOME:02d}-{j:02d}" for j in range(2)}
 
 

@@ -98,6 +98,14 @@ ReadState = Literal["awaiting_setup", "waiting_slaves", "master_read",
                     "double_checking", "await_reassign", "done"]
 
 
+def master_preference(client_id: str) -> int:
+    """The client's stable, hash-spread master index, modelling
+    "selects one master (the closest one for example)": it first homes
+    to ``sorted(masters)[master_preference(id) % len(masters)]`` and
+    advances the index when a master stops answering."""
+    return int(sha1_hex(client_id)[:4], 16)
+
+
 # -- the decision: pure functions over values (docs/PROTOCOL.md R1-R6) ---
 
 def is_fresh(stamp: VersionStamp, now: float, max_latency: float) -> bool:
@@ -260,9 +268,7 @@ class Client(Node):
         self.auditor_id: str = ""
         self.ready = False
         self._setup_in_progress = False
-        # "The closest master": modelled as a stable per-client preference
-        # (hash-spread across the master set), advanced on unresponsiveness.
-        self._master_preference = int(sha1_hex(node_id)[:4], 16)
+        self._master_preference = master_preference(node_id)
         self._request_counter = itertools.count()
         #: Every operation between its submit and its verdict.
         self._reads: dict[str, _ReadAttempt] = {}
@@ -339,8 +345,6 @@ class Client(Node):
             return
         self.master_certs = {c.subject_id: c for c in verified}
         ordered = sorted(self.master_certs)
-        # "Selects one master (the closest one for example)": modelled as a
-        # stable preference index, advanced when a master stops answering.
         choice = ordered[self._master_preference % len(ordered)]
         self.master_id = choice
         self.send(choice, ClientHello())

@@ -56,8 +56,9 @@ class ProtocolConfig:
     greedy_drop_fraction: float = 0.9
 
     # -- wire-level admission control (repro.qos) ---------------------------
-    #: Sustained protocol messages/s a listener admits per client
-    #: connection before shedding (None = no wire-level frame limit).
+    #: Sustained protocol messages/s a listener admits per principal
+    #: name before shedding (None = no wire-level frame limit); a
+    #: redial under the same name keeps the name's bucket.
     #: Only socket deployments consult these knobs; the simulator's
     #: fabric has no wire to police.
     qos_frame_rate: float | None = None
@@ -67,9 +68,10 @@ class ProtocolConfig:
     #: connection after this many keep-alive intervals (None = never).
     qos_idle_multiple: float | None = None
     #: Key admission buckets by client key fingerprint instead of
-    #: connection (a deployment-shared :class:`repro.qos.ledger.
-    #: AdmissionLedger`), so reconnect churn cannot mint fresh
-    #: allowances.  Unregistered ids share one anonymous account.
+    #: listener and name (a deployment-shared :class:`repro.qos.ledger.
+    #: AdmissionLedger`), so neither another listener nor another name
+    #: mints a fresh allowance.  Unregistered ids share one anonymous
+    #: account.
     qos_per_principal: bool = False
 
     # -- namespace sharding (repro.shard) -----------------------------------

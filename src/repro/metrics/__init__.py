@@ -5,13 +5,6 @@ Every experiment in the benchmark harness reads its numbers from one
 code never prints or aggregates ad hoc.
 """
 
-from repro.metrics.registry import (
-    DEFAULT_LATENCY_BUCKETS,
-    Histogram,
-    MetricsRegistry,
-    Timeline,
-    summarize,
-)
+from repro.metrics.registry import MetricsRegistry, Timeline, summarize
 
-__all__ = ["DEFAULT_LATENCY_BUCKETS", "Histogram", "MetricsRegistry",
-           "Timeline", "summarize"]
+__all__ = ["MetricsRegistry", "Timeline", "summarize"]

@@ -1,4 +1,4 @@
-"""Counters, timestamped series, histograms and percentile summaries."""
+"""Counters, timestamped series and percentile summaries."""
 
 from __future__ import annotations
 
@@ -54,105 +54,6 @@ class Timeline:
             blocks[min(len(blocks) - 1,
                        int(value / peak * (len(blocks) - 1) + 0.5))]
             for value in buckets)
-
-
-#: Default latency buckets (seconds): 1 ms to ~66 s, doubling.  Wide
-#: enough for both simulated protocol latencies (max_latency up to tens
-#: of seconds) and wall-clock socket round-trips.
-DEFAULT_LATENCY_BUCKETS: tuple[float, ...] = tuple(
-    0.001 * 2 ** i for i in range(17))
-
-
-class Histogram:
-    """Fixed-bucket histogram: O(1) memory however many values arrive.
-
-    Buckets are cumulative-style upper bounds (ascending); values above
-    the last bound land in an implicit overflow bucket.  Exact count,
-    sum, min and max are tracked alongside, so ``mean`` is exact while
-    percentiles are bucket-resolution (the reported percentile is the
-    upper bound of the bucket containing that rank -- a conservative,
-    Prometheus-compatible answer).
-    """
-
-    __slots__ = ("bounds", "bucket_counts", "count", "total",
-                 "min_value", "max_value")
-
-    def __init__(self, bounds: Sequence[float] | None = None) -> None:
-        chosen = tuple(bounds) if bounds is not None \
-            else DEFAULT_LATENCY_BUCKETS
-        if not chosen:
-            raise ValueError("histogram needs at least one bucket bound")
-        if list(chosen) != sorted(chosen):
-            raise ValueError(f"bucket bounds must ascend, got {chosen}")
-        self.bounds: tuple[float, ...] = chosen
-        self.bucket_counts: list[int] = [0] * (len(chosen) + 1)
-        self.count: int = 0
-        self.total: float = 0.0
-        self.min_value: float = math.inf
-        self.max_value: float = -math.inf
-
-    def observe(self, value: float) -> None:
-        index = _bucket_index(self.bounds, value)
-        self.bucket_counts[index] += 1
-        self.count += 1
-        self.total += value
-        if value < self.min_value:
-            self.min_value = value
-        if value > self.max_value:
-            self.max_value = value
-
-    @property
-    def mean(self) -> float:
-        return self.total / self.count if self.count else float("nan")
-
-    def percentile(self, q: float) -> float:
-        """Nearest-rank percentile at bucket resolution.
-
-        Returns the upper bound of the bucket holding the q-th ranked
-        value; ranks falling in the overflow bucket return the exact
-        observed maximum (the only sharp bound available there).
-        """
-        if not 0.0 < q <= 1.0:
-            raise ValueError(f"q must be in (0, 1], got {q}")
-        if self.count == 0:
-            return float("nan")
-        rank = max(1, math.ceil(q * self.count))
-        cumulative = 0
-        for index, bucket_count in enumerate(self.bucket_counts):
-            cumulative += bucket_count
-            if cumulative >= rank:
-                if index < len(self.bounds):
-                    return self.bounds[index]
-                return self.max_value
-        return self.max_value  # pragma: no cover - ranks always <= count
-
-    def summary(self) -> dict[str, float]:
-        """Same shape as :func:`summarize`, from buckets."""
-        if self.count == 0:
-            nan = float("nan")
-            return {"count": 0, "mean": nan, "p50": nan, "p90": nan,
-                    "p99": nan, "min": nan, "max": nan}
-        return {
-            "count": self.count,
-            "mean": self.mean,
-            "p50": self.percentile(0.50),
-            "p90": self.percentile(0.90),
-            "p99": self.percentile(0.99),
-            "min": self.min_value,
-            "max": self.max_value,
-        }
-
-
-def _bucket_index(bounds: tuple[float, ...], value: float) -> int:
-    """Binary search: first bucket whose upper bound >= value."""
-    lo, hi = 0, len(bounds)
-    while lo < hi:
-        mid = (lo + hi) // 2
-        if value <= bounds[mid]:
-            hi = mid
-        else:
-            lo = mid + 1
-    return lo
 
 
 @dataclass

@@ -162,8 +162,8 @@ class LocalCluster:
             self.directory, self.initial_store,
             network_for=self._cast_fabric, address_of=self._address_of)
         # One deployment-wide per-principal ledger (opt-in): every
-        # listener charges the same accounts, so reconnecting -- or
-        # dialling a different host -- never refreshes an allowance.
+        # listener charges the same accounts, so dialling a different
+        # host never refreshes an allowance.
         policy = self._admission_policy()
         self.ledger: AdmissionLedger | None = (
             AdmissionLedger(policy)

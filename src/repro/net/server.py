@@ -565,8 +565,8 @@ class NodeServer:
         #: Principals never charged (deployment-owned, may still grow).
         self.trusted = trusted
         #: Opt-in per-principal admission: when set, buckets come from
-        #: the (deployment-shared) ledger keyed by key fingerprint, so
-        #: reconnect churn cannot mint fresh allowances.
+        #: the (deployment-shared) ledger keyed by key fingerprint, not
+        #: from this listener's one account per principal name.
         self.ledger = ledger
         #: Tenant registry: node id -> hosted node.  The anchor node is
         #: always present under its own id; multi-tenant deployments

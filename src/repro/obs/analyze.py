@@ -12,7 +12,7 @@ protocol internals:
   to the lied-about version, and it carries the pledge-age lag that the
   corrective-action analysis quotes.
 
-``run_report`` bundles those checks with per-op latency histograms and
+``run_report`` bundles those checks with per-op latency summaries and
 critical-path extraction; the ``repro-sim obs`` CLI prints it.
 """
 
@@ -21,7 +21,7 @@ from __future__ import annotations
 from collections import defaultdict
 from typing import Iterable, Sequence
 
-from repro.metrics.registry import Histogram
+from repro.metrics.registry import summarize
 from repro.obs.spans import Span
 
 #: Tolerance for float comparisons on scheduler timestamps.
@@ -88,27 +88,14 @@ def critical_path_summary(
     return summary
 
 
-def op_histograms(spans: Iterable[Span],
-                  bounds: Sequence[float] | None = None
-                  ) -> dict[str, Histogram]:
-    """One latency histogram per op, over finished spans."""
-    histograms: dict[str, Histogram] = {}
-    for span in spans:
-        duration = span.duration
-        if duration is None:
-            continue
-        histogram = histograms.get(span.op)
-        if histogram is None:
-            histogram = Histogram(bounds)
-            histograms[span.op] = histogram
-        histogram.observe(duration)
-    return histograms
-
-
 def latency_report(spans: Iterable[Span]) -> dict[str, dict[str, float]]:
-    """count/mean/p50/p90/p99/min/max per op (bucket resolution)."""
-    return {op: histogram.summary()
-            for op, histogram in sorted(op_histograms(spans).items())}
+    """:func:`~repro.metrics.summarize` of each op's finished-span
+    durations: exact nearest-rank percentiles."""
+    durations: dict[str, list[float]] = defaultdict(list)
+    for span in spans:
+        if span.duration is not None:
+            durations[span.op].append(span.duration)
+    return {op: summarize(values) for op, values in sorted(durations.items())}
 
 
 def audit_lag_check(spans: Iterable[Span],

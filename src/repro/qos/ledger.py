@@ -1,14 +1,15 @@
-"""Per-principal admission: buckets keyed by key fingerprint, not
-connection.
+"""Per-principal admission: buckets keyed by key fingerprint, shared
+across listeners.
 
-The per-connection admission in :class:`repro.net.server.NodeServer`
-has a documented evasion: a greedy client that reconnects (or fans out
-across many connections / hosts ids) starts every new connection with a
-fresh burst allowance.  The ledger closes it by keying the
-frame buckets on the client's *key fingerprint* -- the identity
-the protocol already authenticates -- so admission state survives
-reconnect churn and is shared across every connection and listener the
-deployment wires to the same ledger.
+Without a ledger, each :class:`repro.net.server.NodeServer` keeps one
+account per principal name -- the hello's node id, or a
+:class:`~repro.shard.wire.ShardEnvelope`'s ``src`` -- so a client that
+aborts and redials under the same name meets the bucket it left, but
+each listener meters it separately and a new name is a new account.
+The ledger differs in two ways: its buckets are keyed on the client's
+*key fingerprint* -- the identity the protocol already authenticates --
+and shared by every listener the deployment wires to it, so ids bound
+to one key share one allowance deployment-wide.
 
 Unregistered node ids (anything the deployment never bound to a key)
 share a single anonymous account: inventing fresh ids mints no fresh

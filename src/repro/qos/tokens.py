@@ -68,7 +68,9 @@ class AdmissionPolicy:
     buys (when ``idle_timeout`` is set) the idle-connection reaper.
     """
 
-    #: Sustained protocol messages/s admitted per client connection.
+    #: Sustained protocol messages/s admitted per principal name at
+    #: one listener (per key fingerprint, deployment-wide, with a
+    #: ledger).
     frame_rate: float | None = None
     frame_burst: float = 200.0
     #: Abort a handshaked-but-silent connection after this many seconds

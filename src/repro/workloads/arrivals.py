@@ -1,6 +1,6 @@
 """Request arrival processes.
 
-Both generators yield absolute arrival times and are driven by a supplied
+The generator yields absolute arrival times and is driven by a supplied
 ``random.Random``, keeping whole-system runs reproducible.
 """
 
@@ -9,25 +9,6 @@ from __future__ import annotations
 import math
 import random
 from typing import Iterator
-
-
-class PoissonArrivals:
-    """Homogeneous Poisson arrivals at ``rate`` requests/second."""
-
-    def __init__(self, rate: float) -> None:
-        if rate <= 0:
-            raise ValueError(f"arrival rate must be positive, got {rate}")
-        self.rate = rate
-
-    def times(self, start: float, end: float,
-              rng: random.Random) -> Iterator[float]:
-        """Yield arrival times in [start, end)."""
-        t = start
-        while True:
-            t += rng.expovariate(self.rate)
-            if t >= end:
-                return
-            yield t
 
 
 class DiurnalArrivals:

@@ -1,4 +1,4 @@
-"""Operation-stream and seed-dataset generators.
+"""Key-popularity and seed-dataset generators.
 
 The datasets line up with the paper's motivating content types:
 
@@ -13,14 +13,7 @@ The datasets line up with the paper's motivating content types:
 from __future__ import annotations
 
 import random
-from typing import Iterator
 
-from repro.content.kvstore import (
-    KVAggregate,
-    KVGet,
-    KVPut,
-    KVRange,
-)
 from repro.content.minidb import DBCreateTable, DBInsert
 from repro.content.queries import Operation
 
@@ -64,50 +57,6 @@ class ZipfKeys:
 
     def all_keys(self) -> list[str]:
         return [self.key_name(i) for i in range(self.num_keys)]
-
-
-class ReadWriteMix:
-    """Bernoulli mix of KV reads and writes over a Zipf key population.
-
-    ``read_fraction`` defaults to 0.95 -- reads "at least an order of
-    magnitude" above writes, per Section 2.  Reads are a blend of point
-    gets, ranges and aggregates so that both cheap and expensive queries
-    flow through the system.
-    """
-
-    def __init__(self, keys: ZipfKeys, read_fraction: float = 0.95,
-                 range_fraction: float = 0.05,
-                 aggregate_fraction: float = 0.05) -> None:
-        if not 0.0 <= read_fraction <= 1.0:
-            raise ValueError(
-                f"read fraction must be in [0, 1], got {read_fraction}")
-        if range_fraction + aggregate_fraction > 1.0:
-            raise ValueError("range + aggregate fractions exceed 1")
-        self.keys = keys
-        self.read_fraction = read_fraction
-        self.range_fraction = range_fraction
-        self.aggregate_fraction = aggregate_fraction
-
-    def operations(self, count: int, rng: random.Random) -> Iterator[Operation]:
-        """Yield ``count`` operations."""
-        for index in range(count):
-            if rng.random() < self.read_fraction:
-                yield self._read(rng)
-            else:
-                yield KVPut(key=self.keys.sample(rng),
-                            value=f"v{index}")
-
-    def _read(self, rng: random.Random) -> Operation:
-        roll = rng.random()
-        if roll < self.range_fraction:
-            start_index = rng.randrange(self.keys.num_keys)
-            start = self.keys.key_name(start_index)
-            end = self.keys.key_name(
-                min(start_index + 50, self.keys.num_keys - 1))
-            return KVRange(start=start, end=end, limit=50)
-        if roll < self.range_fraction + self.aggregate_fraction:
-            return KVAggregate(prefix=self.keys.prefix, func="count")
-        return KVGet(key=self.keys.sample(rng))
 
 
 _CATEGORIES = ("books", "music", "garden", "tools", "toys", "sports")

@@ -3,11 +3,12 @@
 The plane's contract is determinism: for a given seed the fate of the
 n-th frame on a link is fixed, independent of traffic on other links,
 profile changes, or the order links were first used.  Plus the
-socket-level behaviours riding on the transport: partition drops with
-their own reason counter, corrupted frames that stay frame-aligned,
-duplicate/reorder delivery, and -- the chaos pool writing the same
-bytes as the production pool, references and all -- a whole cluster
-reading over a link that damages what a connection remembers.
+socket-level behaviours riding on the transport: a partition (a cut
+link) dropping frames under the chaos reason, corrupted frames that
+stay frame-aligned, duplicate/reorder delivery, and -- the chaos pool
+writing the same bytes as the production pool, references and all -- a
+whole cluster reading over a link that damages what a connection
+remembers.
 """
 
 from __future__ import annotations
@@ -18,6 +19,7 @@ import random
 import pytest
 
 from repro.chaos.faults import (
+    CUT,
     HEALTHY,
     ChaosConnectionPool,
     FaultPlane,
@@ -109,15 +111,25 @@ class TestFaultPlane:
         expected = [solo.plan("x", "y") for _ in range(100)]
         assert first + resumed == expected
 
-    def test_reset_clears_profiles_not_streams(self):
+    def test_set_default_clears_profiles_not_streams(self):
         plane = FaultPlane(seed=9)
         plane.set_default(NOISY)
-        plane.set_link("x", "y", LinkFaults(drop=1.0))
-        plane.partition("p", "q")
-        plane.plan("x", "y")
-        plane.reset()
-        assert plane.faults_for("x", "y").healthy
-        assert not plane.is_partitioned("p", "q")
+        plane.set_link("x", "y", CUT)
+        plane.set_link("p", "q", CUT, symmetric=True)
+        assert plane.plan("x", "y").drop
+        plane.set_default(HEALTHY)
+        for link in (("x", "y"), ("p", "q"), ("q", "p"), ("a", "b")):
+            assert plane.faults_for(*link).healthy
+        # Re-armed, x->y goes on after the frame it drew under CUT.
+        plane.set_default(NOISY)
+        resumed = self._plans(plane, "x", "y", 20)
+        solo, fresh = FaultPlane(seed=9), FaultPlane(seed=9)
+        solo.set_default(CUT)
+        solo.plan("x", "y")
+        solo.set_default(NOISY)
+        fresh.set_default(NOISY)
+        assert resumed == self._plans(solo, "x", "y", 20)
+        assert resumed != self._plans(fresh, "x", "y", 20)
 
     def test_symmetric_set_and_clear(self):
         plane = FaultPlane(seed=0)
@@ -128,14 +140,16 @@ class TestFaultPlane:
 
     def test_partitions_are_bidirectional(self):
         plane = FaultPlane(seed=0)
-        plane.partition("a", "b")
-        assert plane.is_partitioned("a", "b")
-        assert plane.is_partitioned("b", "a")
-        plane.heal("b", "a")
-        assert not plane.is_partitioned("a", "b")
-        plane.partition("a", "b")
-        plane.heal_all()
-        assert not plane.is_partitioned("a", "b")
+        plane.set_link("a", "b", CUT, symmetric=True)
+        for link in (("a", "b"), ("b", "a")):
+            assert plane.faults_for(*link) == CUT
+            assert all(p.drop for p in self._plans(plane, *link, 50))
+        assert plane.faults_for("a", "c").healthy
+        plane.set_link("b", "a", HEALTHY, symmetric=True)
+        assert plane.faults_for("a", "b").healthy
+        plane.set_link("a", "b", CUT, symmetric=True)
+        plane.set_default(HEALTHY)
+        assert plane.faults_for("b", "a").healthy
 
     def test_drop_certainty_and_never(self):
         plane = FaultPlane(seed=1)
@@ -216,15 +230,15 @@ class TestChaosConnectionPool:
             h = ChaosHarness()
             await h.start()
             try:
-                h.plane.partition("tester", "target")
+                h.plane.set_link("tester", "target", CUT, symmetric=True)
                 h.pool.send("target", "lost")
                 h.pool.send("target", "lost too")
                 await asyncio.sleep(0.05)
                 snap = h.metrics.snapshot()
-                assert snap["net_drop_partitioned"] == 2
+                assert snap["net_drop_chaos"] == 2
                 assert snap["net_frames_dropped"] == 2
                 assert h.received == []
-                h.plane.heal("tester", "target")
+                h.plane.set_default(HEALTHY)
                 h.pool.send("target", "healed")
                 await h.wait_received(1)
                 assert h.received == ["healed"]
@@ -353,7 +367,7 @@ class TestReferencesOverACorruptingLink:
                     else:
                         reply = await cluster.read(client, KVGet(key="k"))
                     assert reply["status"] == "accepted", (n, reply)
-                plane.reset()
+                plane.set_default(HEALTHY)
 
                 assert count("reads_failed") == 0
                 assert count("net_handler_errors") == 0

@@ -67,7 +67,7 @@ def test_master_crash_recovery():
 def test_partition_heal_propagates_accusations():
     verdict = _assert_verdict("partition_heal")
     assert verdict.counters["exclusions"] >= 2
-    assert verdict.counters["net_drop_partitioned"] > 0
+    assert verdict.counters["net_drop_chaos"] > 0
 
 
 def test_corrupt_frames_never_accepted():

@@ -4,15 +4,7 @@ from __future__ import annotations
 
 import math
 
-import pytest
-
-from repro.metrics import (
-    DEFAULT_LATENCY_BUCKETS,
-    Histogram,
-    MetricsRegistry,
-    Timeline,
-    summarize,
-)
+from repro.metrics import MetricsRegistry, Timeline, summarize
 
 
 class TestCounters:
@@ -74,42 +66,3 @@ class TestTimeline:
         registry.record("backlog", 1.0, 5.0)
         assert registry.timelines["backlog"].last() == 5.0
 
-
-class TestHistogram:
-    def test_exact_mean_bucketed_percentiles(self):
-        histogram = Histogram(bounds=(1.0, 2.0, 4.0))
-        for value in (0.5, 1.5, 1.5, 3.0):
-            histogram.observe(value)
-        assert histogram.count == 4
-        assert histogram.mean == pytest.approx(1.625)
-        # Percentiles report the containing bucket's upper bound.
-        assert histogram.percentile(0.25) == 1.0
-        assert histogram.percentile(0.75) == 2.0
-        assert histogram.percentile(1.0) == 4.0
-        assert histogram.min_value == 0.5 and histogram.max_value == 3.0
-
-    def test_overflow_bucket_reports_observed_max(self):
-        histogram = Histogram(bounds=(1.0,))
-        histogram.observe(50.0)
-        assert histogram.percentile(0.99) == 50.0
-
-    def test_default_buckets_cover_latency_range(self):
-        assert DEFAULT_LATENCY_BUCKETS[0] == pytest.approx(0.001)
-        assert list(DEFAULT_LATENCY_BUCKETS) == \
-            sorted(DEFAULT_LATENCY_BUCKETS)
-        histogram = Histogram()
-        histogram.observe(0.01)
-        assert histogram.summary()["count"] == 1
-
-    def test_summary_matches_summarize_shape(self):
-        histogram = Histogram()
-        assert set(histogram.summary()) == set(summarize([1.0]))
-        assert math.isnan(histogram.summary()["mean"])
-
-    def test_validation(self):
-        with pytest.raises(ValueError, match="ascend"):
-            Histogram(bounds=(2.0, 1.0))
-        with pytest.raises(ValueError, match="at least one"):
-            Histogram(bounds=())
-        with pytest.raises(ValueError, match="q must be"):
-            Histogram().percentile(0.0)

@@ -6,7 +6,8 @@ serving-plane overload behaviour end to end:
 
 * the idle-connection reaper aborts handshaked-but-silent peers;
 * per-client token buckets shed over-quota frames deterministically,
-  with every shed attributed per reason and per client;
+  with every shed attributed per reason and per client, and a client
+  that redials under its name keeps its bucket;
 * a shed stalls the offending connection only, and what it sent during
   the stall is served afterwards in order;
 * keep-alives and accusations are NEVER shed, whatever the budget, and
@@ -159,6 +160,42 @@ class TestWireAdmission:
                 assert h.server.shed_total == 4
                 assert [msg for _src, msg in h.node.received] \
                     == ["req-0", "req-1"]
+            finally:
+                await h.aclose()
+
+        run(scenario())
+
+    def test_a_redial_under_the_same_name_gets_no_fresh_burst(self):
+        """Without a ledger the listener keeps one account per name,
+        not per connection: a client that aborts and dials again under
+        the same name meets the bucket it emptied."""
+        async def scenario():
+            h = QosHarness(AdmissionPolicy(frame_rate=0.1, frame_burst=2.0))
+            await h.start()
+            try:
+                _reader, first = await h.raw_connection("greedy")
+                first.write(b"".join(
+                    encode_frame(f"a{n}") for n in range(2)))
+                await first.drain()
+                await h.wait_received(2)
+                first.transport.abort()
+                _reader, again = await h.raw_connection("greedy")
+                again.write(b"".join(
+                    encode_frame(f"b{n}") for n in range(2)))
+                await again.drain()
+                await h.wait_counter("qos_shed_rate", 2)
+                # A fresh name is a fresh account, which tells the two
+                # apart: the bucket belongs to the name.
+                _reader, other = await h.raw_connection("other")
+                other.write(encode_frame("c0"))
+                await other.drain()
+                await h.wait_received(3)
+                assert h.node.received == [("greedy", "a0"),
+                                           ("greedy", "a1"),
+                                           ("other", "c0")]
+                snap = h.metrics.snapshot()
+                assert snap["qos_shed_from_greedy"] == 2
+                assert snap.get("qos_shed_from_other", 0) == 0
             finally:
                 await h.aclose()
 

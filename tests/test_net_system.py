@@ -25,7 +25,7 @@ import asyncio
 import pytest
 
 from repro.content.kvstore import KVGet, KVPut, KeyValueStore
-from repro.chaos.faults import FaultPlane
+from repro.chaos.faults import CUT, HEALTHY, FaultPlane
 from repro.chaos.invariants import run_safety_checks
 from repro.chaos.scenarios import (
     Crash,
@@ -563,7 +563,8 @@ class TestMasterCrash:
                 client = home[victim.node_id]
                 for other in (*cluster.masters, *cluster.auditors):
                     if other is not victim:
-                        plane.partition(victim.node_id, other.node_id)
+                        plane.set_link(victim.node_id, other.node_id, CUT,
+                                       symmetric=True)
                 first = asyncio.ensure_future(
                     cluster.write(client, KVPut(key="a", value=1)))
                 await cluster.wait_for(lambda: victim._write_inflight, 2.0,
@@ -571,7 +572,7 @@ class TestMasterCrash:
                 await asyncio.sleep(0.9)
                 await cluster.crash_node(victim.node_id)
                 await asyncio.sleep(0.3)
-                plane.heal_all()
+                plane.set_default(HEALTHY)
                 await cluster.restart_node(victim.node_id)
                 assert (await asyncio.wait_for(first, 3.0))["status"] \
                     == "committed"

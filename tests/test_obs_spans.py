@@ -12,7 +12,7 @@ import json
 
 import pytest
 
-from repro.metrics import MetricsRegistry
+from repro.metrics import MetricsRegistry, summarize
 from repro.obs.analyze import (
     audit_lag_check,
     critical_path,
@@ -255,6 +255,22 @@ class TestAnalyze:
         report = run_report(spans, max_latency=5.0)
         assert report["spans"] == 4
         assert report["ok"] is True
+
+    def test_latency_report_is_summarize_of_each_ops_durations(self):
+        # Durations no bucket boundary falls on: a bucketed summary
+        # would quote an upper bound, not one of these.
+        reads = [0.0031, 0.0173, 0.0029, 0.2417, 0.0058, 0.0094]
+        spans = [_span("t", f"r{i}", None, "c", "client.read", 1.0,
+                       1.0 + d) for i, d in enumerate(reads)]
+        spans.append(_span("t", "w", None, "c", "client.write", 2.0, 2.37))
+        spans.append(_span("t", "open", None, "c", "client.write", 3.0,
+                           None))  # unfinished: no duration, not counted
+        ops = latency_report(spans)
+        assert list(ops) == ["client.read", "client.write"]
+        assert ops["client.read"] == summarize(
+            [s.duration for s in spans if s.op == "client.read"])
+        assert ops["client.write"] == summarize([2.37 - 2.0])
+        assert ops["client.read"]["p90"] == pytest.approx(0.2417)
 
 
 class TestExport:

@@ -5,7 +5,7 @@ live-tree-clean).  Here: the multi-file :class:`ProjectModel`, the
 two-phase :class:`ProjectRule` driver, one fixture package per new rule
 family (positive + negative + suppression), the wire-registry lockfile
 workflow including a drift simulation against the *real* codec, and the
-SARIF / GitHub / baseline output paths.
+SARIF / GitHub output paths.
 """
 
 from __future__ import annotations
@@ -29,13 +29,7 @@ from tools.protolint.engine import (  # noqa: E402
     lint_source,
     lint_sources,
 )
-from tools.protolint.output import (  # noqa: E402
-    apply_baseline,
-    parse_baseline,
-    render_baseline,
-    render_github,
-    render_sarif,
-)
+from tools.protolint.output import render_github, render_sarif  # noqa: E402
 from tools.protolint.project import (  # noqa: E402
     ProjectModel,
     build_module,
@@ -771,7 +765,7 @@ class TestPL301TrustBoundary:
         assert "unrelated" not in verifiers
 
 
-# -- outputs: SARIF / github / baseline ----------------------------------
+# -- outputs: SARIF / github ----------------------------------
 
 
 class TestOutputs:
@@ -804,19 +798,6 @@ class TestOutputs:
         assert lines[0].startswith("::error file=src/repro/core/x.py,line=5,")
         assert "PL102" in lines[0]
 
-    def test_baseline_roundtrip_and_subtraction(self):
-        violations = self._violations()
-        baseline = parse_baseline(render_baseline(violations))
-        assert baseline is not None
-        assert apply_baseline(violations, baseline) == []
-        # Count-aware: one entry absorbs one finding, not all of them.
-        doubled = violations + violations
-        assert len(apply_baseline(doubled, baseline)) == len(violations)
-
-    def test_malformed_baseline_rejected(self):
-        assert parse_baseline("not json") is None
-        assert parse_baseline('{"rule": "PL001"}') is None
-        assert parse_baseline('[{"rule": "PL001"}]') is None
 
 
 class TestCLIv2:
@@ -833,16 +814,6 @@ class TestCLIv2:
         assert proc.returncode == 1
         doc = json.loads(proc.stdout)
         assert doc["runs"][0]["results"][0]["ruleId"] == "PL102"
-
-    def test_baseline_flow(self, tmp_path: Path):
-        dirty = tmp_path / "src" / "repro" / "core" / "dirty.py"
-        dirty.parent.mkdir(parents=True)
-        dirty.write_text("import time\nasync def t():\n    time.sleep(1)\n")
-        baseline = tmp_path / "baseline.json"
-        record = self._run("--write-baseline", str(baseline), str(dirty))
-        assert record.returncode == 0, record.stderr
-        clean = self._run("--baseline", str(baseline), str(dirty))
-        assert clean.returncode == 0, clean.stdout + clean.stderr
 
     def test_update_lock_regenerates_committed_file(self, tmp_path: Path):
         # Clone the src tree into a bare repo skeleton, regenerate the

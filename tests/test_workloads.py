@@ -6,13 +6,11 @@ import random
 
 import pytest
 
-from repro.content.kvstore import KVAggregate, KVGet, KVPut, KVRange, KeyValueStore
+from repro.content.kvstore import KVAggregate, KeyValueStore
 from repro.content.minidb import MiniDB
-from repro.content.queries import ReadQuery, WriteOp
+from repro.content.queries import WriteOp
 from repro.workloads import (
     DiurnalArrivals,
-    PoissonArrivals,
-    ReadWriteMix,
     ZipfKeys,
     catalog_dataset,
     filesystem_dataset,
@@ -49,48 +47,7 @@ class TestZipfKeys:
             ZipfKeys(num_keys=5, skew=-1)
 
 
-class TestReadWriteMix:
-    def test_read_fraction_respected(self, rng):
-        mix = ReadWriteMix(ZipfKeys(50), read_fraction=0.9)
-        ops = list(mix.operations(2000, rng))
-        reads = sum(isinstance(op, ReadQuery) for op in ops)
-        assert 1700 < reads < 1950
-
-    def test_all_reads_when_fraction_one(self, rng):
-        mix = ReadWriteMix(ZipfKeys(50), read_fraction=1.0)
-        assert all(isinstance(op, ReadQuery)
-                   for op in mix.operations(200, rng))
-
-    def test_read_type_blend(self, rng):
-        mix = ReadWriteMix(ZipfKeys(50), read_fraction=1.0,
-                           range_fraction=0.2, aggregate_fraction=0.2)
-        ops = list(mix.operations(1000, rng))
-        kinds = {type(op) for op in ops}
-        assert kinds == {KVGet, KVRange, KVAggregate}
-
-    def test_writes_are_puts(self, rng):
-        mix = ReadWriteMix(ZipfKeys(50), read_fraction=0.0)
-        assert all(isinstance(op, KVPut) for op in mix.operations(50, rng))
-
-    def test_validation(self):
-        with pytest.raises(ValueError):
-            ReadWriteMix(ZipfKeys(5), read_fraction=2.0)
-        with pytest.raises(ValueError):
-            ReadWriteMix(ZipfKeys(5), range_fraction=0.6,
-                         aggregate_fraction=0.6)
-
-
 class TestArrivals:
-    def test_poisson_rate(self, rng):
-        arrivals = list(PoissonArrivals(rate=10.0).times(0, 100, rng))
-        assert 800 < len(arrivals) < 1200
-        assert arrivals == sorted(arrivals)
-        assert all(0 <= t < 100 for t in arrivals)
-
-    def test_poisson_validation(self):
-        with pytest.raises(ValueError):
-            PoissonArrivals(rate=0)
-
     def test_diurnal_peak_vs_trough(self, rng):
         # Period 100s, peak at t=25, trough at t=75.
         model = DiurnalArrivals(base_rate=20.0, amplitude=0.9, period=100.0)

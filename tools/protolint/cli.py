@@ -2,13 +2,10 @@
 
 Exit codes: 0 clean, 1 violations found, 2 usage or parse errors.
 
-Beyond linting, two maintenance flows live here:
-
-* ``--update-lock src/`` regenerates the committed wire-registry
-  lockfile from the live codec (the only sanctioned way to record an
-  intentional, append-only wire addition);
-* ``--write-baseline FILE`` records the current findings as a baseline
-  that later runs subtract with ``--baseline FILE``.
+Beyond linting, one maintenance flow lives here: ``--update-lock
+src/`` regenerates the committed wire-registry lockfile from the live
+codec (the only sanctioned way to record an intentional, append-only
+wire addition).
 """
 
 from __future__ import annotations
@@ -23,14 +20,7 @@ from tools.protolint.engine import (
     discover_files,
     lint_paths,
 )
-from tools.protolint.output import (
-    apply_baseline,
-    parse_baseline,
-    render_baseline,
-    render_github,
-    render_sarif,
-    render_text,
-)
+from tools.protolint.output import render_github, render_sarif, render_text
 from tools.protolint.registry import REGISTRY, all_rules
 
 
@@ -52,11 +42,6 @@ def _build_parser() -> argparse.ArgumentParser:
                         help="violation output format (default: text; "
                              "sarif for code-scanning upload, github "
                              "for inline Actions annotations)")
-    parser.add_argument("--baseline", metavar="FILE",
-                        help="subtract known findings recorded in FILE "
-                             "before reporting")
-    parser.add_argument("--write-baseline", metavar="FILE",
-                        help="record current findings to FILE and exit 0")
     parser.add_argument("--update-lock", action="store_true",
                         help="regenerate tools/protolint/"
                              "wire_registry.lock from the codec in the "
@@ -160,26 +145,6 @@ def main(argv: Sequence[str] | None = None) -> int:
 
     result = lint_paths(args.paths, rules=rules)
     violations = result.violations
-
-    if args.baseline:
-        try:
-            baseline_text = Path(args.baseline).read_text(encoding="utf-8")
-        except OSError as exc:
-            print(f"--baseline: {exc}", file=sys.stderr)
-            return 2
-        baseline = parse_baseline(baseline_text)
-        if baseline is None:
-            print(f"--baseline: {args.baseline} is not a valid baseline "
-                  "file", file=sys.stderr)
-            return 2
-        violations = apply_baseline(violations, baseline)
-
-    if args.write_baseline:
-        Path(args.write_baseline).write_text(
-            render_baseline(violations), encoding="utf-8")
-        print(f"wrote {len(violations)} finding(s) to "
-              f"{args.write_baseline}", file=sys.stderr)
-        return 0
 
     if args.format == "sarif":
         from tools.protolint import __version__

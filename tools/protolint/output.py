@@ -1,4 +1,4 @@
-"""Output formats and the suppression baseline.
+"""Output formats.
 
 Three renderings of the same :class:`~tools.protolint.registry.Violation`
 list:
@@ -9,19 +9,11 @@ list:
   ingests to render findings as inline PR annotations;
 * **github** -- GitHub Actions workflow commands (``::error file=...``),
   the zero-upload way to get inline annotations from any CI step.
-
-The **baseline** is a committed JSON file of known findings: violations
-matching a baseline entry are filtered out (count-aware: two identical
-entries absorb at most two identical findings), so a new rule can land
-with the existing debt recorded instead of suppressed inline.  This
-repo's policy is a zero-length baseline -- the file exists as the
-mechanism for downstreams and for staging future rule rollouts.
 """
 
 from __future__ import annotations
 
 import json
-from collections import Counter
 
 from tools.protolint.registry import REGISTRY, Violation
 
@@ -94,62 +86,7 @@ def render_sarif(violations: list[Violation],
     return json.dumps(document, indent=2, sort_keys=True)
 
 
-# -- baseline -----------------------------------------------------------
-
-
-def _key(violation: Violation) -> tuple[str, str, str]:
-    """Baseline identity: line numbers excluded on purpose, so
-    unrelated edits above a known finding do not un-baseline it."""
-    return (violation.rule, violation.path, violation.message)
-
-
-def render_baseline(violations: list[Violation]) -> str:
-    entries = [
-        {"rule": rule, "path": path, "message": message}
-        for rule, path, message in
-        sorted(Counter(_key(v) for v in violations).elements())
-    ]
-    return json.dumps(entries, indent=2) + "\n"
-
-
-def parse_baseline(text: str) -> Counter | None:
-    """Baseline text -> multiset of keys; ``None`` if malformed."""
-    try:
-        entries = json.loads(text)
-    except json.JSONDecodeError:
-        return None
-    if not isinstance(entries, list):
-        return None
-    keys: Counter = Counter()
-    for entry in entries:
-        if not isinstance(entry, dict):
-            return None
-        try:
-            keys[(str(entry["rule"]), str(entry["path"]),
-                  str(entry["message"]))] += 1
-        except KeyError:
-            return None
-    return keys
-
-
-def apply_baseline(violations: list[Violation],
-                   baseline: Counter) -> list[Violation]:
-    """Drop violations covered by the baseline, count-aware."""
-    remaining = Counter(baseline)
-    kept = []
-    for violation in violations:
-        key = _key(violation)
-        if remaining[key] > 0:
-            remaining[key] -= 1
-        else:
-            kept.append(violation)
-    return kept
-
-
 __all__ = [
-    "apply_baseline",
-    "parse_baseline",
-    "render_baseline",
     "render_github",
     "render_sarif",
     "render_text",
